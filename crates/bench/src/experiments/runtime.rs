@@ -1,11 +1,16 @@
 //! Unified-runtime ablation: the legacy statically-partitioned width
 //! assignment ([`WidthPolicy::Static`], every op at full intra-op width)
 //! versus the cost-driven moldable planner ([`WidthPolicy::Moldable`])
-//! on the single work-stealing pool, across all eight workloads.
+//! on the single work-stealing pool, across all eight workloads — and
+//! both against a **serial leg**, the same workload on one thread with
+//! no runtime at all (`Device::cpu(1)`), so the report says whether the
+//! pool beats not having one.
 //!
-//! Both legs run on the same unified runtime and the same arena memory
-//! plan, so the A/B isolates exactly the plan-time width decision — the
-//! piece the old split-pool executor could not make. Each leg first
+//! The two policy legs run on the same unified runtime and the same
+//! arena memory plan, so their A/B isolates exactly the plan-time width
+//! decision — the piece the old split-pool executor could not make; the
+//! serial leg is the Figure 6 baseline every thread count is scaled
+//! against. Each policy leg first
 //! steps until the arena reaches its allocation-free steady state (a
 //! quiet window of consecutive allocation-free steps; the warm-up
 //! length is interleaving-dependent, so the probe is existential rather
@@ -68,11 +73,14 @@ pub struct PolicyPoint {
     pub coscheduled_ops: u64,
 }
 
-/// The Static-vs-Moldable comparison for one workload.
+/// The serial, Static and Moldable legs of one workload.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeSweep {
     /// Workload name.
     pub workload: &'static str,
+    /// Median training-step wall time on one thread with no runtime
+    /// (`Device::cpu(1)`), milliseconds.
+    pub serial_millis: f64,
     /// Full-width leg (the split-pool baseline behavior).
     pub fixed: PolicyPoint,
     /// Cost-driven leg (the unified runtime's default).
@@ -82,11 +90,22 @@ pub struct RuntimeSweep {
 impl RuntimeSweep {
     /// Static-over-moldable step-time ratio (>1 means moldable wins).
     pub fn speedup(&self) -> f64 {
-        if self.moldable.millis > 0.0 {
-            self.fixed.millis / self.moldable.millis
-        } else {
-            0.0
-        }
+        ratio(self.fixed.millis, self.moldable.millis)
+    }
+
+    /// Serial-over-moldable step-time ratio (>1 means the pool at its
+    /// default policy beats one thread).
+    pub fn speedup_vs_serial(&self) -> f64 {
+        ratio(self.serial_millis, self.moldable.millis)
+    }
+}
+
+/// `base / new`, or 0 when `new` was not measured.
+fn ratio(base: f64, new: f64) -> f64 {
+    if new > 0.0 {
+        base / new
+    } else {
+        0.0
     }
 }
 
@@ -169,13 +188,7 @@ pub fn measure_policy(
     };
     let converged = quiet_window(&mut workload);
     let allocs_before = workload.session().runtime_counters().allocations;
-    let mut samples: Vec<f64> = (0..effort.steps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            workload.step();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    let mut samples = timed_steps(workload.as_mut(), effort);
     let counters = workload.session().runtime_counters();
     // A concurrency record landing inside the timed window does not
     // falsify steady state — the arena learns it once and goes quiet
@@ -193,10 +206,34 @@ pub fn measure_policy(
     }
 }
 
-/// Sweeps one workload under both policies: `effort.repeats`
-/// interleaved rounds per leg, keeping each leg's best median (the
-/// `ablation_fusion` idiom — host throttle windows hit both legs
-/// instead of biasing whichever ran second). The steady-state flag is
+/// Median training-step time of `kind` on one thread with no runtime,
+/// milliseconds: the serial plan walk every speed-up is scaled against.
+pub fn measure_serial(kind: ModelKind, effort: &Effort) -> f64 {
+    let cfg = BuildConfig::training().with_device(Device::cpu(1));
+    let mut workload = kind.build(&cfg);
+    // The policy legs reach their arena steady state before timing; give
+    // the serial walk's arena the same chance.
+    for _ in 0..effort.warmup + QUIET_STEPS as usize {
+        workload.step();
+    }
+    median(&mut timed_steps(workload.as_mut(), effort))
+}
+
+/// Wall time of each of `effort.steps` training steps, milliseconds.
+fn timed_steps(workload: &mut dyn fathom::Workload, effort: &Effort) -> Vec<f64> {
+    (0..effort.steps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            workload.step();
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect()
+}
+
+/// Sweeps one workload over the serial leg and both policies:
+/// `effort.repeats` interleaved rounds per leg, keeping each leg's best
+/// median (the `ablation_fusion` idiom — host throttle windows hit every
+/// leg instead of biasing whichever ran last). The steady-state flag is
 /// existential across rounds, like the `runtime-check` gate.
 pub fn sweep(kind: ModelKind, workers: usize, effort: &Effort) -> RuntimeSweep {
     let best = |acc: Option<PolicyPoint>, next: PolicyPoint| match acc {
@@ -207,15 +244,18 @@ pub fn sweep(kind: ModelKind, workers: usize, effort: &Effort) -> RuntimeSweep {
             keep
         }
     };
+    let mut serial_millis = f64::INFINITY;
     let mut fixed: Option<PolicyPoint> = None;
     let mut moldable: Option<PolicyPoint> = None;
     for _ in 0..effort.repeats.max(1) {
+        serial_millis = serial_millis.min(measure_serial(kind, effort));
         fixed = Some(best(fixed, measure_policy(kind, WidthPolicy::Static, workers, effort)));
         moldable =
             Some(best(moldable, measure_policy(kind, WidthPolicy::Moldable, workers, effort)));
     }
     RuntimeSweep {
         workload: kind.name(),
+        serial_millis,
         fixed: fixed.expect("at least one round"),
         moldable: moldable.expect("at least one round"),
     }
@@ -303,18 +343,23 @@ pub fn to_json(sweeps: &[RuntimeSweep], serve: Option<&ServeLeg>, workers: usize
         };
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"static\": {}, \"moldable\": {}, \"speedup\": {:.3}}}",
+            "    {{\"name\": \"{}\", \"serial_millis\": {:.4}, \"static\": {}, \"moldable\": {}, \
+             \"speedup\": {:.3}, \"speedup_vs_serial\": {:.3}}}",
             s.workload,
+            s.serial_millis,
             leg(&s.fixed),
             leg(&s.moldable),
-            s.speedup()
+            s.speedup(),
+            s.speedup_vs_serial()
         );
         out.push_str(if i + 1 < sweeps.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
     let wins = sweeps.iter().filter(|s| s.speedup() >= 1.0).count();
     let zero = sweeps.iter().filter(|s| s.moldable.steady_zero_alloc).count();
+    let beats_serial = sweeps.iter().filter(|s| s.speedup_vs_serial() > 1.0).count();
     let _ = writeln!(out, "  \"moldable_wins\": {wins},");
+    let _ = writeln!(out, "  \"beats_serial\": {beats_serial},");
     let _ = writeln!(out, "  \"zero_alloc_workloads\": {zero},");
     let _ = write!(out, "  \"total_workloads\": {}", sweeps.len());
     if let Some(leg) = serve {
@@ -346,24 +391,35 @@ pub fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "ABLATION: unified runtime, static vs moldable widths ({workers} workers)\n\
+        "ABLATION: unified runtime, one thread vs static vs moldable widths ({workers} workers)\n\
          median step ms after the arena reaches its zero-allocation steady state\n"
     );
     let _ = writeln!(
         out,
-        "{:<12} {:>10} {:>10} {:>8} {:>7} {:>8} {:>8} {:>8}",
-        "workload", "static", "moldable", "speedup", "0alloc", "steals", "wide", "cosched"
+        "{:<12} {:>10} {:>10} {:>10} {:>8} {:>10} {:>7} {:>8} {:>8} {:>8}",
+        "workload",
+        "serial",
+        "static",
+        "moldable",
+        "speedup",
+        "vs serial",
+        "0alloc",
+        "steals",
+        "wide",
+        "cosched"
     );
     let sweeps: Vec<RuntimeSweep> =
         ModelKind::ALL.iter().map(|&k| sweep(k, workers, effort)).collect();
     for s in &sweeps {
         let _ = writeln!(
             out,
-            "{:<12} {:>10.2} {:>10.2} {:>7.2}x {:>7} {:>8} {:>8} {:>8}",
+            "{:<12} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>9.2}x {:>7} {:>8} {:>8} {:>8}",
             s.workload,
+            s.serial_millis,
             s.fixed.millis,
             s.moldable.millis,
             s.speedup(),
+            s.speedup_vs_serial(),
             s.moldable.steady_zero_alloc,
             s.moldable.steal_count,
             s.moldable.wide_ops,
@@ -372,12 +428,12 @@ pub fn run(effort: &Effort) -> String {
     }
     let wins = sweeps.iter().filter(|s| s.speedup() >= 1.0).count();
     let zero = sweeps.iter().filter(|s| s.moldable.steady_zero_alloc).count();
+    let beats_serial = sweeps.iter().filter(|s| s.speedup_vs_serial() > 1.0).count();
     let _ = writeln!(
         out,
-        "\nmoldable >= static on {wins}/{} workloads; \
-         zero steady-state allocations on {zero}/{}",
-        sweeps.len(),
-        sweeps.len()
+        "\nmoldable >= static on {wins}/{n}; {workers} workers beat one thread on \
+         {beats_serial}/{n}; zero steady-state allocations on {zero}/{n}",
+        n = sweeps.len()
     );
 
     let leg = serve_leg(workers, effort);
@@ -420,8 +476,9 @@ mod tests {
     fn sweep_compares_both_policies() {
         let s = sweep(ModelKind::Autoenc, 2, &Effort::quick());
         assert_eq!(s.workload, "autoenc");
-        assert!(s.fixed.millis > 0.0 && s.moldable.millis > 0.0);
+        assert!(s.serial_millis > 0.0 && s.fixed.millis > 0.0 && s.moldable.millis > 0.0);
         assert!(s.speedup() > 0.0);
+        assert!(s.speedup_vs_serial() > 0.0);
     }
 
     #[test]
@@ -434,14 +491,21 @@ mod tests {
             wide_ops: 3,
             coscheduled_ops: 9,
         };
-        let sweeps =
-            vec![RuntimeSweep { workload: "memnet", fixed: point(10.0), moldable: point(5.0) }];
+        let sweeps = vec![RuntimeSweep {
+            workload: "memnet",
+            serial_millis: 7.5,
+            fixed: point(10.0),
+            moldable: point(5.0),
+        }];
         let json = to_json(&sweeps, None, 4);
         assert!(json.contains("\"experiment\": \"ablation_runtime\""));
         assert!(json.contains("\"workers\": 4"));
         assert!(json.contains("\"name\": \"memnet\""));
+        assert!(json.contains("\"serial_millis\": 7.5000"));
         assert!(json.contains("\"speedup\": 2.000"));
+        assert!(json.contains("\"speedup_vs_serial\": 1.500"));
         assert!(json.contains("\"moldable_wins\": 1"));
+        assert!(json.contains("\"beats_serial\": 1"));
         assert!(json.contains("\"zero_alloc_workloads\": 1"));
         assert!(!json.contains("\"serve\""));
         let leg = ServeLeg {

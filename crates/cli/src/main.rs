@@ -91,9 +91,12 @@ fn dispatch(command: Command) -> Result<(), FathomError> {
 
 /// Gates the unified work-stealing runtime: every checked workload must
 /// train bitwise-identically on the serial plan walk and the parallel
-/// executor at worker counts {1, 2, 8}, and once the static arena plan
-/// has warmed up, steps must serve every planned tensor from the arena
-/// — zero heap allocations in steady state. Exits nonzero on any
+/// executor at worker counts {1, 2, 8}; once the static arena plan has
+/// warmed up, steps must serve every planned tensor from the arena —
+/// zero heap allocations in steady state; and the parallel executor must
+/// have run some ops by chain-following (every workload has producer →
+/// consumer chains, so a zero count means the inline path is dead).
+/// Only counts are asserted, never wall time. Exits nonzero on any
 /// violation, so scripts/tier1.sh can use it as a smoke gate.
 fn cmd_runtime_check(
     model: Option<ModelKind>,
@@ -179,14 +182,18 @@ fn cmd_runtime_check(
             );
         }
 
-        let ok = bits_ok && alloc_ok;
+        let chain_ok = counters.inline_ops > 0;
+        let ok = bits_ok && alloc_ok && chain_ok;
         if !ok {
             failures += 1;
         }
         println!(
-            "{}  {:<8} bitwise vs serial: {bits_ok}  zero steady-state allocs: {alloc_ok}",
+            "{}  {:<8} bitwise vs serial: {bits_ok}  zero steady-state allocs: {alloc_ok}  \
+             chain-following: {chain_ok} ({} inline op(s), {} park(s) in {spent} step(s))",
             if ok { "PASS" } else { "FAIL" },
             kind.name(),
+            counters.inline_ops,
+            counters.parks,
         );
     }
     if failures == 0 {
@@ -1083,8 +1090,15 @@ fn print_recovery(report: &ServeReport) {
 fn print_runtime(rc: &fathom_dataflow::RuntimeCounters) {
     if rc.any() {
         println!(
-            "runtime: allocations {}  arena {} B  steals {}  wide ops {}  co-scheduled ops {}",
-            rc.allocations, rc.arena_bytes, rc.steal_count, rc.wide_ops, rc.coscheduled_ops
+            "runtime: allocations {}  arena {} B  steals {}  wide ops {}  co-scheduled ops {}  \
+             parks {}  inline ops {}",
+            rc.allocations,
+            rc.arena_bytes,
+            rc.steal_count,
+            rc.wide_ops,
+            rc.coscheduled_ops,
+            rc.parks,
+            rc.inline_ops
         );
     }
 }

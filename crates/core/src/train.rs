@@ -193,11 +193,7 @@ impl TrainReport {
         // Emitted only when the unified runtime recorded something, so
         // serial runs keep byte-identical JSON.
         if self.runtime.any() {
-            let rc = &self.runtime;
-            out.push_str(&format!(
-                "  \"runtime\": {{\"allocations\": {}, \"arena_bytes\": {}, \"steal_count\": {}, \"wide_ops\": {}, \"coscheduled_ops\": {}}},\n",
-                rc.allocations, rc.arena_bytes, rc.steal_count, rc.wide_ops, rc.coscheduled_ops
-            ));
+            out.push_str(&format!("  \"runtime\": {},\n", self.runtime.to_json()));
         }
         out.push_str(&format!("  \"step_nanos\": {}\n", self.step_nanos));
         out.push_str("}\n");

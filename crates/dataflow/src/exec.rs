@@ -40,7 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel;
 use fathom_tensor::kernels::conv as kconv;
 use fathom_tensor::kernels::ctc as kctc;
 use fathom_tensor::kernels::elementwise as kew;
@@ -53,7 +52,7 @@ use fathom_tensor::kernels::reduce as kred;
 use fathom_tensor::kernels::softmax as ksm;
 use fathom_tensor::kernels::transform as ktf;
 use fathom_tensor::{
-    BufferPool, ExecPool, Latch, Precision, RecycleStats, Rng, Runtime, Tensor, DEFAULT_GRAIN,
+    BufferPool, ExecPool, Latch, Precision, RecycleStats, Rng, Runtime, Task, Tensor,
 };
 
 use crate::cost;
@@ -173,10 +172,24 @@ struct Plan {
     /// op's kernels at exactly this width, so serial and parallel runs
     /// stay bitwise interchangeable.
     widths: Vec<usize>,
+    /// The session pool viewed at each width `1..=full` (index
+    /// `width - 1`), built once so dispatching an op never touches the
+    /// runtime's shared reference count.
+    width_pools: Vec<ExecPool>,
     /// Ops whose width equals the device's full intra-op width.
     wide_ops: u64,
     /// Ops molded narrower so independent peers co-schedule.
     cosched_ops: u64,
+    /// The parallel executor's run-time tables, reused by every step of
+    /// this plan (empty when the plan runs on the serial walk).
+    scratch: Scratch,
+}
+
+impl Plan {
+    /// The pool view the op at `pos` dispatches its kernels through.
+    fn pool_for(&self, pos: usize) -> &ExecPool {
+        &self.width_pools[self.widths[pos] - 1]
+    }
 }
 
 /// Per-node activation ranges recorded by a calibration pass: graph node
@@ -350,6 +363,11 @@ pub struct Session {
     last_misses: u64,
     /// Runtime steal count at the last counter sample (delta base).
     last_steals: u64,
+    /// Runtime park count at the last counter sample (delta base).
+    last_parks: u64,
+    /// Ops the latest parallel step ran by chain-following, folded into
+    /// the counters when the step commits.
+    step_inline_ops: u64,
 }
 
 impl Session {
@@ -368,7 +386,8 @@ impl Session {
             }
         }
         let pool = device.pool();
-        let last_steals = pool.runtime().map_or(0, |rt| rt.steal_count());
+        let (last_steals, last_parks) =
+            pool.runtime().map_or((0, 0), |rt| (rt.steal_count(), rt.park_count()));
         Session {
             graph,
             device,
@@ -398,6 +417,8 @@ impl Session {
             counters: RuntimeCounters::default(),
             last_misses: 0,
             last_steals,
+            last_parks,
+            step_inline_ops: 0,
         }
     }
 
@@ -416,7 +437,8 @@ impl Session {
     /// dropped because they bake in per-op widths for the old device.
     pub fn set_device(&mut self, device: Device) {
         self.pool = device.pool();
-        self.last_steals = self.pool.runtime().map_or(0, |rt| rt.steal_count());
+        (self.last_steals, self.last_parks) =
+            self.pool.runtime().map_or((0, 0), |rt| (rt.steal_count(), rt.park_count()));
         self.device = device;
         self.plan_cache.clear();
     }
@@ -928,15 +950,20 @@ impl Session {
 
     /// Folds one committed run's runtime-counter deltas into the session
     /// totals (and the live trace when recording). On a runtime shared
-    /// between sessions (serve replicas) the steal delta attributes any
-    /// steal in this run's window, so fleet-wide steals are approximate.
+    /// between sessions (serve replicas) the steal and park deltas
+    /// attribute anything in this run's window — including workers that
+    /// went to sleep since the previous run — so fleet-wide values are
+    /// approximate.
     fn sample_counters(&mut self, parallel_plan: Option<&Plan>) {
         let misses = self.recycler.planned_misses();
         let allocations = misses.saturating_sub(self.last_misses);
         self.last_misses = misses;
-        let steals = self.pool.runtime().map_or(0, |rt| rt.steal_count());
+        let (steals, parked) =
+            self.pool.runtime().map_or((0, 0), |rt| (rt.steal_count(), rt.park_count()));
         let steal_count = steals.saturating_sub(self.last_steals);
         self.last_steals = steals;
+        let parks = parked.saturating_sub(self.last_parks);
+        self.last_parks = parked;
         let (wide_ops, coscheduled_ops) =
             parallel_plan.map_or((0, 0), |p| (p.wide_ops, p.cosched_ops));
         let sample = RuntimeCounters {
@@ -945,6 +972,8 @@ impl Session {
             steal_count,
             wide_ops,
             coscheduled_ops,
+            parks,
+            inline_ops: std::mem::take(&mut self.step_inline_ops),
         };
         self.counters.merge(&sample);
         if self.tracing {
@@ -970,8 +999,7 @@ impl Session {
         let mut live_bytes: usize = 0;
         let mut peak_bytes: usize = 0;
         for (pos, &id) in plan.order.iter().enumerate() {
-            let width_pool = self.pool.with_width(plan.widths[pos]);
-            let mut value = self.execute_node(id, feed_map, &values, &width_pool)?;
+            let mut value = self.execute_node(id, feed_map, &values, plan.pool_for(pos))?;
             if let Some(action) = self.fault.as_ref().and_then(|f| f.check(FaultSite::ExecOp)) {
                 apply_exec_fault(&action, id, &mut value);
             }
@@ -1007,18 +1035,20 @@ impl Session {
     /// Executes a plan on the device's shared work-stealing runtime.
     ///
     /// Each op's unmet-dependency count starts at [`Plan::indegree`];
-    /// when a producer finishes it publishes its value, decrements its
-    /// consumers' counts, and *spawns* any pure op that reaches zero as
-    /// one task on the [`Runtime`] — the same pool that executes
-    /// intra-op kernel chunks, so an op molded wider than one thread
-    /// fans its chunks out to whichever workers are idle (moldable
-    /// tasks; there is no static inter-op/intra-op worker split).
-    /// Serial ops go to a queue only the coordinating thread drains; the
-    /// serialization chain built at plan time guarantees at most one is
-    /// ready at any moment, and in plan order, so variable reads/writes
-    /// and RNG draws happen in exactly the order the serial executor
-    /// would perform them. While waiting, the coordinator helps the
-    /// runtime instead of spinning.
+    /// when a producer finishes it publishes its value and decrements
+    /// its consumers' counts. The first pure consumer that reaches zero
+    /// runs next *on the same thread* (chain-following: no queue round
+    /// trip, and the value it reads is still in that core's cache); any
+    /// further ones are queued as tasks on the [`Runtime`] — the same
+    /// workers that claim intra-op kernel chunks, so an op molded wider
+    /// than one thread shares its chunks with whichever workers are idle
+    /// (moldable tasks; there is no static inter-op/intra-op worker
+    /// split). A serial op that becomes ready is handed to the
+    /// coordinating thread, which alone runs them; the serialization
+    /// chain built at plan time guarantees at most one is ready at any
+    /// moment, and in plan order, so variable reads/writes and RNG draws
+    /// happen in exactly the order the serial executor would perform
+    /// them. With no serial op ready the coordinator helps the runtime.
     fn run_parallel(
         &mut self,
         fetches: &[NodeId],
@@ -1034,82 +1064,94 @@ impl Session {
         let rt =
             Arc::clone(self.pool.runtime().expect("parallel executor needs a runtime-backed pool"));
         let state = &mut self.state;
+        let scratch = &plan.scratch;
+        scratch.begin_step(plan);
 
-        let (serial_tx, serial_rx) = channel::unbounded::<usize>();
         let frame = TaskFrame {
             rt: &rt,
-            latch: Arc::new(Latch::new(0)),
             plan,
+            scratch,
             graph: &self.graph,
-            pool: &self.pool,
             feed_map,
             fault: self.fault.clone(),
             precision: self.precision,
             quant: self.quant.as_deref(),
             recycler: Arc::clone(&self.recycler),
             tracing,
-            slots: SlotTable::new(self.graph.len()),
-            indegree: plan.indegree.iter().map(|&d| AtomicU32::new(d)).collect(),
-            remaining: plan.use_count.iter().map(|&u| AtomicU32::new(u)).collect(),
+            serial_ready: AtomicUsize::new(NO_OP),
             completed: AtomicUsize::new(0),
+            inline_ops: AtomicU64::new(0),
             abort: AtomicBool::new(false),
             failure: Mutex::new(None),
             panic_slot: Mutex::new(None),
             live_bytes: AtomicUsize::new(0),
             peak_bytes: AtomicUsize::new(0),
-            op_nanos: (0..if tracing { total } else { 0 }).map(|_| AtomicU64::new(0)).collect(),
-            serial_tx,
             coordinator: std::thread::current(),
         };
-        // In-flight tasks address the frame (and its latch) by raw
-        // pointer, so it must stay pinned in this stack slot until every
-        // task retires: `Runtime::wait` below proves that on the normal
-        // path, the guard on the unwinding path.
+        // In-flight tasks address the frame by raw pointer, so it must
+        // stay pinned in this stack slot until every task retires:
+        // `Runtime::wait` below proves that on the normal path, the guard
+        // on the unwinding path.
         let guard = FrameGuard { frame: &frame };
         for (pos, (&deg, &serial)) in plan.indegree.iter().zip(&plan.serial).enumerate() {
             if deg == 0 {
                 if serial {
-                    frame.serial_tx.send(pos).expect("serial queue open");
+                    // At most one: the head of the serialization chain.
+                    frame.serial_ready.store(pos, Ordering::Release);
                 } else {
                     frame.spawn_pure(pos);
                 }
             }
         }
-        // The coordinator owns the session state: it alone drains the
-        // serial queue, and otherwise helps the runtime with queued
-        // tasks — op tasks and kernel chunks alike, its own or (on a
-        // shared runtime) a sibling session's. With nothing runnable it
-        // parks briefly; `finish`, `fail`, and `trap` unpark it after
-        // every state change, so no wakeup is lost (an unpark that lands
-        // before the park leaves a token that makes the park return
-        // immediately).
-        while frame.completed.load(Ordering::SeqCst) < total
-            && !frame.abort.load(Ordering::Acquire)
-        {
-            if let Ok(pos) = serial_rx.try_recv() {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    frame.run_serial_op(pos, &mut *state);
-                }));
-                frame.trap(outcome);
-            } else if !rt.help_one() {
-                std::thread::park_timeout(std::time::Duration::from_micros(50));
+        // The coordinator owns the session state. Its first duty is the
+        // serial op that is ready, if one is (the chain admits at most
+        // one): those ops sit on the step's critical path and nobody else
+        // may run them. Only with none ready does it help the runtime —
+        // op tasks and kernel chunks alike, its own or (on a shared
+        // runtime) a sibling session's — spinning briefly and then
+        // parking when there is nothing to run. `finish` unparks it when
+        // a serial op becomes ready or the last op completes, `fail` and
+        // `trap` when the step aborts, and the runtime when work is
+        // queued; an unpark that lands before the park leaves a token
+        // that makes the park return immediately, so no wakeup is lost.
+        let settled = || {
+            frame.completed.load(Ordering::SeqCst) >= total || frame.abort.load(Ordering::SeqCst)
+        };
+        while !settled() {
+            let pos = frame.serial_ready.swap(NO_OP, Ordering::AcqRel);
+            if pos == NO_OP {
+                rt.help_until(|| frame.serial_ready.load(Ordering::SeqCst) != NO_OP || settled());
+                continue;
             }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                frame.run_chain(pos, Some(&mut *state), true);
+            }));
+            frame.trap(outcome);
         }
         // Aborted or not, every spawned task must retire before the
         // frame's borrows expire (aborted tasks exit early but still
-        // count down their latch).
-        rt.wait(&frame.latch);
+        // count down the latch).
+        rt.wait(&scratch.latch);
         std::mem::forget(guard);
 
-        let TaskFrame { slots, failure, panic_slot, peak_bytes, op_nanos, .. } = frame;
+        let TaskFrame { failure, panic_slot, peak_bytes, inline_ops, .. } = frame;
         if let Some(payload) = panic_slot.into_inner().expect("panic slot") {
             std::panic::resume_unwind(payload);
         }
         if let Some(err) = failure.into_inner().expect("failure mutex") {
             return Err(err);
         }
-        let mut values = slots.into_values();
-        let out = extract_fetches(fetches, &mut values);
+        // SAFETY: every task has retired, so this thread is the only one
+        // touching the slots; fetched values are kept alive by their
+        // fetch uses.
+        let out: Vec<Tensor> =
+            fetches.iter().map(|&f| unpooled_copy(unsafe { scratch.slots.get(f.index()) })).collect();
+        for &f in fetches {
+            // Dropping under the installed arena recycles the original.
+            drop(unsafe { scratch.slots.take(f.index()) });
+        }
+        scratch.end_step();
+        self.step_inline_ops = inline_ops.into_inner();
         if tracing {
             for (pos, &id) in plan.order.iter().enumerate() {
                 let node = self.graph.node(id);
@@ -1118,7 +1160,7 @@ impl Session {
                     id,
                     node,
                     self.step,
-                    f64::from_bits(op_nanos[pos].load(Ordering::Relaxed)),
+                    f64::from_bits(scratch.op_nanos[pos].load(Ordering::Relaxed)),
                     self.cost_cache[id.index()].expect("cost cache pre-filled"),
                 );
             }
@@ -1200,8 +1242,9 @@ impl Session {
         }
         // Longest-path depth per position over dataflow plus
         // serialization-chain edges (`consumers` holds both): positions
-        // sharing a depth are co-runnable peers, which is what the
-        // moldable width rule divides the machine between.
+        // sharing a depth cannot depend on one another, so they are the
+        // co-runnable set the moldable width rule divides the machine
+        // between.
         let mut level = vec![0u32; total];
         for pos in 0..total {
             for &c in &consumers[pos] {
@@ -1209,36 +1252,49 @@ impl Session {
                 level[c] = level[c].max(level[pos] + 1);
             }
         }
-        let mut peers = vec![0usize; total + 1];
-        for &l in &level {
-            peers[l as usize] += 1;
-        }
         // Per-op widths: on a co-scheduling device the cost model molds
-        // each op to its work and its peer count; everywhere else every
-        // op gets the full intra-op width (the legacy behavior, and the
-        // `WidthPolicy::Static` ablation baseline). Both executors
-        // dispatch at exactly these widths, so serial and parallel runs
-        // of the same plan stay bitwise interchangeable.
+        // each op to its work and to the peers of comparable work at its
+        // depth; everywhere else every op gets the full intra-op width
+        // (the legacy behavior, and the `WidthPolicy::Static` ablation
+        // baseline). Both executors dispatch at exactly these widths, so
+        // serial and parallel runs of the same plan stay bitwise
+        // interchangeable.
         let full = self.pool.threads();
         let parallel_exec = self.device.inter_ops() > 1
             && !self.device.is_modeled()
             && self.pool.runtime().is_some();
         let molding = parallel_exec && full > 1 && self.width_policy == WidthPolicy::Moldable;
         let widths: Vec<usize> = if molding {
-            order
+            let work: Vec<usize> = order
                 .iter()
-                .enumerate()
-                .map(|(pos, &id)| {
+                .map(|&id| {
                     let node = graph.node(id);
                     let input_shapes: Vec<_> =
                         node.inputs.iter().map(|&i| graph.shape(i)).collect();
-                    let work = cost::estimate(node, &input_shapes).work_elements();
-                    sched::chosen_width(work, peers[level[pos] as usize], full, DEFAULT_GRAIN)
+                    cost::estimate(node, &input_shapes).work_elements()
+                })
+                .collect();
+            let mut by_level: Vec<Vec<usize>> = Vec::new();
+            for (pos, &l) in level.iter().enumerate() {
+                let l = l as usize;
+                if by_level.len() <= l {
+                    by_level.resize_with(l + 1, Vec::new);
+                }
+                by_level[l].push(work[pos]);
+            }
+            for works in &mut by_level {
+                works.sort_unstable();
+            }
+            (0..total)
+                .map(|pos| {
+                    let peers = sched::comparable_peers(&by_level[level[pos] as usize], work[pos]);
+                    sched::chosen_width(work[pos], peers, full, sched::SPLIT_GRAIN)
                 })
                 .collect()
         } else {
             vec![full; total]
         };
+        let width_pools: Vec<ExecPool> = (1..=full).map(|w| self.pool.with_width(w)).collect();
         let wide_ops = widths.iter().filter(|&&w| w == full).count() as u64;
         let cosched_ops = total as u64 - wide_ops;
         // Static arena census: per exact buffer size, how many tensors
@@ -1285,6 +1341,8 @@ impl Session {
         let mut census: Vec<(usize, usize)> = peak.into_iter().collect();
         census.sort_unstable();
         self.recycler.apply_plan(&census);
+        let scratch =
+            if parallel_exec { Scratch::new(graph.len(), total) } else { Scratch::new(0, 0) };
         let plan = Arc::new(Plan {
             order,
             last_use,
@@ -1294,8 +1352,10 @@ impl Session {
             use_count,
             serial,
             widths,
+            width_pools,
             wide_ops,
             cosched_ops,
+            scratch,
         });
         self.plan_cache.insert(fetches.to_vec(), Arc::clone(&plan));
         plan
@@ -1520,7 +1580,10 @@ fn push_apportioned(
     }
 }
 
-/// Shared state of one in-flight parallel step. Spawned op tasks address
+/// "No plan position": the empty value of [`TaskFrame::serial_ready`].
+const NO_OP: usize = usize::MAX;
+
+/// Shared state of one in-flight parallel step. Queued op tasks address
 /// the frame by raw pointer (see [`TaskFrame::spawn_pure`]), so
 /// `run_parallel` pins it in one stack slot until the latch confirms
 /// every task has retired.
@@ -1528,13 +1591,12 @@ struct TaskFrame<'a> {
     /// The device's work-stealing runtime; op tasks and their kernel
     /// chunks share its workers.
     rt: &'a Arc<Runtime>,
-    /// Counts in-flight op tasks; closed means no task can still hold a
-    /// pointer into the frame.
-    latch: Arc<Latch>,
     plan: &'a Plan,
+    /// The plan's reusable run-time tables: value slots, dependency and
+    /// use counters, and the latch counting in-flight op tasks (closed
+    /// means no task can still hold a pointer into the frame).
+    scratch: &'a Scratch,
     graph: &'a Graph,
-    /// Full-width view; each op re-views it at its planned width.
-    pool: &'a ExecPool,
     feed_map: &'a HashMap<NodeId, &'a Tensor>,
     fault: Option<Arc<FaultPlan>>,
     /// The session's precision knob, forwarded to every dispatch.
@@ -1545,166 +1607,187 @@ struct TaskFrame<'a> {
     /// so eager releases recycle no matter where an op lands.
     recycler: Arc<BufferPool>,
     tracing: bool,
-    slots: SlotTable,
-    /// Unmet-dependency count per plan position (counted down at run
-    /// time; an op spawns when its count hits zero).
-    indegree: Vec<AtomicU32>,
-    /// Remaining uses per plan position (eager release when exhausted).
-    remaining: Vec<AtomicU32>,
+    /// The ready serial op, or [`NO_OP`]; only the coordinator takes it.
+    /// One word is a whole queue here: the plan's serialization chain
+    /// makes each serial op wait for the previous one to finish, so at
+    /// most one is ever ready and not yet run.
+    serial_ready: AtomicUsize,
     completed: AtomicUsize,
+    /// Ops that ran by chain-following: on the thread that made them
+    /// ready, without passing through a queue.
+    inline_ops: AtomicU64,
     abort: AtomicBool,
     failure: Mutex<Option<ExecError>>,
     /// A panic raised by an op is caught on the executing thread and
     /// re-raised on the coordinator after the latch closes: letting it
     /// unwind through a worker would tear down the shared runtime.
     panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// Live and peak intermediate bytes, maintained only when tracing.
     live_bytes: AtomicUsize,
     peak_bytes: AtomicUsize,
-    /// Per-position op durations (f64 bits), filled only when tracing.
-    op_nanos: Vec<AtomicU64>,
-    /// Ready serial ops; only the coordinator receives. The plan's
-    /// serialization chain guarantees at most one is in flight.
-    serial_tx: channel::Sender<usize>,
-    /// The coordinating thread, unparked after every state change so a
-    /// parked coordinator never misses a wakeup.
+    /// The coordinating thread, unparked when a serial op becomes ready,
+    /// when the last op completes and when the step aborts.
     coordinator: std::thread::Thread,
 }
 
 impl TaskFrame<'_> {
-    /// Spawns the pure op at `pos` as one task on the shared runtime.
+    /// Queues the pure op at `pos` as one task on the shared runtime.
     fn spawn_pure(&self, pos: usize) {
-        // The latch must cover the task before it is queued (the runtime
-        // counts it down, not up).
-        self.latch.add(1);
-        // SAFETY: the frame outlives every spawned task — the coordinator
+        /// Runs the op at `pos` of the frame at `ctx`, then whatever
+        /// chain of consumers it makes ready.
+        unsafe fn run(ctx: *const (), pos: usize) {
+            // SAFETY: see `spawn_pure`; the latch keeps the frame pinned
+            // until `done` below.
+            let frame = unsafe { &*ctx.cast::<TaskFrame<'_>>() };
+            // The coordinator may leave (and the frame die) the moment
+            // the latch closes, so the task keeps the latch alive itself
+            // and `done` is its last act.
+            let latch = Arc::clone(&frame.scratch.latch);
+            {
+                let _arena = BufferPool::install(&frame.recycler);
+                let on_coordinator = std::thread::current().id() == frame.coordinator.id();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    frame.run_chain(pos, None, on_coordinator);
+                }));
+                frame.trap(outcome);
+            }
+            latch.done();
+        }
+        // The latch must cover the task before it is queued.
+        self.scratch.latch.add(1);
+        // SAFETY: the frame outlives every queued task — the coordinator
         // blocks on the latch before the frame leaves its stack slot
         // (`Runtime::wait` on the normal path, `FrameGuard` when
-        // unwinding) — so smuggling the pointer through `usize` to
-        // satisfy the `'static` bound never dangles.
-        let frame = self as *const TaskFrame<'_> as usize;
-        self.rt.spawn_counted(&self.latch, move || {
-            let frame = unsafe { &*(frame as *const TaskFrame<'_>) };
-            let _arena = BufferPool::install(&frame.recycler);
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| frame.run_pure(pos)));
-            frame.trap(outcome);
-        });
+        // unwinding) — and everything a task reaches through it is
+        // shared through atomics, mutexes or the slot protocol.
+        self.rt.spawn(unsafe { Task::new(run, (self as *const TaskFrame<'_>).cast(), pos) });
     }
 
-    /// Executes the pure op at `pos` at its planned width.
-    fn run_pure(&self, pos: usize) {
+    /// Runs the op at `pos` — a serial one when `state` is given — and
+    /// then follows the chain: each op's first newly ready pure consumer
+    /// runs next on this thread. On the coordinator the chain is cut as
+    /// soon as a serial op is ready — only this thread can run that one,
+    /// so the rest of the chain goes to the queue for someone else.
+    fn run_chain(&self, pos: usize, state: Option<&mut SessionState>, on_coordinator: bool) {
+        let mut next = self.run_op(pos, state);
+        let mut ran = 1usize;
+        while let Some(pos) = next {
+            if on_coordinator && self.serial_ready.load(Ordering::Acquire) != NO_OP {
+                self.spawn_pure(pos);
+                break;
+            }
+            ran += 1;
+            next = self.run_op(pos, None);
+        }
+        if ran > 1 {
+            self.inline_ops.fetch_add(ran as u64 - 1, Ordering::Relaxed);
+        }
+        self.retire(ran);
+    }
+
+    /// Counts `ops` finished ops into the step's total — once per chain,
+    /// not per op, to keep the shared counter's cache line out of the
+    /// per-op path — and wakes the coordinator when the step is complete.
+    /// An aborted step never completes; `fail`/`trap` wake it instead.
+    fn retire(&self, ops: usize) {
+        if self.completed.fetch_add(ops, Ordering::SeqCst) + ops == self.plan.order.len() {
+            self.coordinator.unpark();
+        }
+    }
+
+    /// Executes the op at `pos` at its planned width — with exclusive
+    /// access to the session state when it is a serial op, which only
+    /// the coordinator runs — and returns the consumer to run next on
+    /// this thread, if it made one ready.
+    fn run_op(&self, pos: usize, state: Option<&mut SessionState>) -> Option<usize> {
         if self.abort.load(Ordering::Acquire) {
-            return;
+            return None;
         }
         let id = self.plan.order[pos];
-        let t0 = Instant::now();
-        let width_pool = self.pool.with_width(self.plan.widths[pos]);
+        let t0 = self.tracing.then(Instant::now);
+        let ctx = ExecCtx { precision: self.precision, quant: self.quant };
         // SAFETY (the `slots.get`): every input slot was published by its
-        // producer before the dependency count that spawned this op
+        // producer before the dependency count that released this op
         // reached zero, and stays alive until this op completes.
-        let ctx = ExecCtx { precision: self.precision, quant: self.quant };
-        match dispatch_op(self.graph, &width_pool, id, self.feed_map, |n| unsafe {
-            self.slots.get(n.index())
-        }, None, ctx)
-        {
+        let resolve = |n: NodeId| unsafe { self.scratch.slots.get(n.index()) };
+        match dispatch_op(self.graph, self.plan.pool_for(pos), id, self.feed_map, resolve, state, ctx) {
             Ok(mut value) => {
                 if let Some(action) = self.fault.as_ref().and_then(|f| f.check(FaultSite::ExecOp)) {
                     apply_exec_fault(&action, id, &mut value);
                 }
-                if self.tracing {
+                if let Some(t0) = t0 {
                     let nanos = t0.elapsed().as_nanos() as f64;
-                    self.op_nanos[pos].store(nanos.to_bits(), Ordering::Relaxed);
+                    self.scratch.op_nanos[pos].store(nanos.to_bits(), Ordering::Relaxed);
                 }
-                self.finish(pos, id, value);
+                self.finish(pos, id, value)
             }
-            Err(err) => self.fail(err),
-        }
-    }
-
-    /// Executes the serial op at `pos` on the coordinator, with exclusive
-    /// access to the session state.
-    fn run_serial_op(&self, pos: usize, st: &mut SessionState) {
-        if self.abort.load(Ordering::Acquire) {
-            return;
-        }
-        let id = self.plan.order[pos];
-        let t0 = Instant::now();
-        let width_pool = self.pool.with_width(self.plan.widths[pos]);
-        // SAFETY: as in `run_pure`.
-        let ctx = ExecCtx { precision: self.precision, quant: self.quant };
-        match dispatch_op(self.graph, &width_pool, id, self.feed_map, |n| unsafe {
-            self.slots.get(n.index())
-        }, Some(st), ctx)
-        {
-            Ok(mut value) => {
-                if let Some(action) = self.fault.as_ref().and_then(|f| f.check(FaultSite::ExecOp)) {
-                    apply_exec_fault(&action, id, &mut value);
-                }
-                if self.tracing {
-                    let nanos = t0.elapsed().as_nanos() as f64;
-                    self.op_nanos[pos].store(nanos.to_bits(), Ordering::Relaxed);
-                }
-                self.finish(pos, id, value);
+            Err(err) => {
+                self.fail(err);
+                None
             }
-            Err(err) => self.fail(err),
         }
     }
 
     /// Runs on whichever thread produced `value` for position `pos`:
     /// publishes the value, releases inputs whose uses are exhausted, and
-    /// spawns (or queues, for serial ops) consumers whose dependency
-    /// count reaches zero.
-    fn finish(&self, pos: usize, id: NodeId, value: Tensor) {
+    /// releases consumers whose dependency count reaches zero — a serial
+    /// one to the coordinator, the first pure one to the caller (the
+    /// return value, to run next on this thread), further pure ones to
+    /// the queue.
+    fn finish(&self, pos: usize, id: NodeId, value: Tensor) -> Option<usize> {
         let plan = self.plan;
+        let scratch = self.scratch;
         let bytes = value.len() * 4;
-        let now_live = self.live_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
-        let mut peak = self.peak_bytes.load(Ordering::Relaxed);
-        while now_live > peak {
-            match self.peak_bytes.compare_exchange_weak(
-                peak,
-                now_live,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => peak = seen,
-            }
+        if self.tracing {
+            let now_live = self.live_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
+            self.peak_bytes.fetch_max(now_live, Ordering::Relaxed);
         }
         if plan.use_count[pos] == 0 {
             // Nothing consumes or fetches this value: dead on arrival.
             // The drop recycles it through the installed arena.
-            self.live_bytes.fetch_sub(bytes, Ordering::AcqRel);
+            if self.tracing {
+                self.live_bytes.fetch_sub(bytes, Ordering::AcqRel);
+            }
             drop(value);
         } else {
             // SAFETY: this thread is the slot's only producer and no
             // consumer reads it before the fan-out below releases them.
-            unsafe { self.slots.set(id.index(), value) };
+            unsafe { scratch.slots.set(id.index(), value) };
         }
         for &input in &self.graph.node(id).inputs {
             let ipos = plan.pos_of[input.index()];
-            if self.remaining[ipos].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if scratch.remaining[ipos].fetch_sub(1, Ordering::AcqRel) == 1 {
                 // SAFETY: the last consumer has completed, so no
                 // reference into this slot can still be alive, and the
                 // AcqRel counter chain orders all of their reads before
                 // this take.
-                if let Some(dead) = unsafe { self.slots.take(input.index()) } {
-                    self.live_bytes.fetch_sub(dead.len() * 4, Ordering::AcqRel);
+                if let Some(dead) = unsafe { scratch.slots.take(input.index()) } {
+                    if self.tracing {
+                        self.live_bytes.fetch_sub(dead.len() * 4, Ordering::AcqRel);
+                    }
                     drop(dead);
                 }
             }
         }
+        let mut next = None;
+        let mut serial_released = false;
         for &c in &plan.consumers[pos] {
             let c = c as usize;
-            if self.indegree[c].fetch_sub(1, Ordering::AcqRel) == 1 {
+            if scratch.indegree[c].fetch_sub(1, Ordering::AcqRel) == 1 {
                 if plan.serial[c] {
-                    self.serial_tx.send(c).expect("serial queue open");
+                    self.serial_ready.store(c, Ordering::SeqCst);
+                    serial_released = true;
+                } else if next.is_none() {
+                    next = Some(c);
                 } else {
                     self.spawn_pure(c);
                 }
             }
         }
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        self.coordinator.unpark();
+        if serial_released {
+            self.coordinator.unpark();
+        }
+        next
     }
 
     /// Records the first typed error and aborts the step.
@@ -1714,7 +1797,7 @@ impl TaskFrame<'_> {
             *slot = Some(err);
         }
         drop(slot);
-        self.abort.store(true, Ordering::Release);
+        self.abort.store(true, Ordering::SeqCst);
         self.coordinator.unpark();
     }
 
@@ -1726,38 +1809,104 @@ impl TaskFrame<'_> {
                 *slot = Some(payload);
             }
             drop(slot);
-            self.abort.store(true, Ordering::Release);
+            self.abort.store(true, Ordering::SeqCst);
             self.coordinator.unpark();
         }
     }
 }
 
 /// Unwind insurance for [`TaskFrame`]: if the coordinator unwinds while
-/// tasks are in flight, aborts the step and spins until the latch closes
-/// so no task outlives the frame it points into. Forgotten on the normal
-/// path, after `Runtime::wait` has proven the same thing.
+/// tasks are in flight, aborts the step and blocks until the latch closes
+/// so no task outlives the frame it points into — without helping, since
+/// running arbitrary tasks while unwinding risks a second panic. Forgotten
+/// on the normal path, after `Runtime::wait` has proven the same thing.
 struct FrameGuard<'a, 'b> {
     frame: &'a TaskFrame<'b>,
 }
 
 impl Drop for FrameGuard<'_, '_> {
     fn drop(&mut self) {
-        self.frame.abort.store(true, Ordering::Release);
-        while self.frame.latch.is_open() {
-            std::thread::park_timeout(std::time::Duration::from_micros(50));
+        self.frame.abort.store(true, Ordering::SeqCst);
+        self.frame.scratch.latch.block();
+    }
+}
+
+/// The parallel executor's per-plan run-time tables. A step used to
+/// allocate all of these; they now live with the cached plan and are
+/// reset in place, so a steady-state step allocates none of them.
+/// Exclusive use is guaranteed by `Session::run` taking `&mut self`: one
+/// step of one session is in flight at a time.
+#[derive(Debug)]
+struct Scratch {
+    /// Node values, by graph node index.
+    slots: SlotTable,
+    /// Unmet-dependency count per plan position (counted down at run
+    /// time; an op is released when its count hits zero).
+    indegree: Vec<AtomicU32>,
+    /// Remaining uses per plan position (eager release when exhausted).
+    remaining: Vec<AtomicU32>,
+    /// Per-position op durations (f64 bits), written only when tracing.
+    op_nanos: Vec<AtomicU64>,
+    /// Counts in-flight op tasks of the current step.
+    latch: Arc<Latch>,
+    /// Set from `begin_step` to `end_step`: still set at the next
+    /// `begin_step` means the last step aborted or unwound and may have
+    /// left values in the slots.
+    dirty: AtomicBool,
+}
+
+impl Scratch {
+    /// Tables for a plan over `positions` ops of a graph of `nodes`
+    /// nodes.
+    fn new(nodes: usize, positions: usize) -> Self {
+        Scratch {
+            slots: SlotTable::new(nodes),
+            indegree: (0..positions).map(|_| AtomicU32::new(0)).collect(),
+            remaining: (0..positions).map(|_| AtomicU32::new(0)).collect(),
+            op_nanos: (0..positions).map(|_| AtomicU64::new(0)).collect(),
+            latch: Arc::new(Latch::new(0)),
+            dirty: AtomicBool::new(false),
         }
+    }
+
+    /// Resets the counters to the plan's and, after a step that did not
+    /// end cleanly, empties the slots (under the caller's installed
+    /// arena, so the leftovers recycle).
+    fn begin_step(&self, plan: &Plan) {
+        if self.dirty.swap(true, Ordering::AcqRel) {
+            for idx in 0..self.slots.cells.len() {
+                // SAFETY: no step is in flight, so nothing else can
+                // reach the slots.
+                drop(unsafe { self.slots.take(idx) });
+            }
+        }
+        for (live, &planned) in self.indegree.iter().zip(&plan.indegree) {
+            live.store(planned, Ordering::Relaxed);
+        }
+        for (live, &planned) in self.remaining.iter().zip(&plan.use_count) {
+            live.store(planned, Ordering::Relaxed);
+        }
+    }
+
+    /// Marks a clean end: every slot has been emptied by its last use or
+    /// by fetch extraction.
+    fn end_step(&self) {
+        self.dirty.store(false, Ordering::Release);
     }
 }
 
 /// Node-value table shared between scheduler threads. Soundness rests on
 /// the dependency counts: a slot is written exactly once (by its
-/// producer, before any consumer is queued), read only while its
+/// producer, before any consumer is released), read only while its
 /// remaining-use count is positive, and taken only after the count hits
 /// zero — so no two threads ever touch a cell concurrently.
+#[derive(Debug)]
 struct SlotTable {
     cells: Vec<UnsafeCell<Option<Tensor>>>,
 }
 
+// SAFETY: see the type's docs; every access goes through the unsafe
+// methods below, whose contracts state the exclusion each one needs.
 unsafe impl Sync for SlotTable {}
 
 impl SlotTable {
@@ -1781,13 +1930,10 @@ impl SlotTable {
 
     /// # Safety
     ///
-    /// Caller must have observed the remaining-use count reach zero.
+    /// Caller must have observed the remaining-use count reach zero, or
+    /// otherwise be the only thread that can reach the cell.
     unsafe fn take(&self, idx: usize) -> Option<Tensor> {
         (*self.cells[idx].get()).take()
-    }
-
-    fn into_values(self) -> Vec<Option<Tensor>> {
-        self.cells.into_iter().map(UnsafeCell::into_inner).collect()
     }
 }
 
@@ -1800,16 +1946,18 @@ impl SlotTable {
 fn extract_fetches(fetches: &[NodeId], values: &mut [Option<Tensor>]) -> Vec<Tensor> {
     let out = fetches
         .iter()
-        .map(|&f| {
-            let v = values[f.index()].as_ref().expect("fetched node kept alive");
-            Tensor::from_vec(v.data().to_vec(), v.shape().clone())
-        })
+        .map(|&f| unpooled_copy(values[f.index()].as_ref().expect("fetched node kept alive")))
         .collect();
     for &f in fetches {
         // Dropping under the installed arena recycles the original.
         values[f.index()] = None;
     }
     out
+}
+
+/// A copy of `v` whose buffer does not belong to any arena.
+fn unpooled_copy(v: &Tensor) -> Tensor {
+    Tensor::from_vec(v.data().to_vec(), v.shape().clone())
 }
 
 /// Applies a fired [`FaultSite::ExecOp`] fault to a freshly computed op

@@ -15,6 +15,46 @@ use std::collections::HashMap;
 use crate::graph::Graph;
 use crate::trace::TraceEvent;
 
+/// One `Runtime::for_chunks` round trip with a spinning peer, in
+/// nanoseconds: publish, claim, retire. Measured on the 2-core reference
+/// host (0.6 to 0.7 µs); a parked peer costs a futex wake on top, which
+/// the spin budget makes rare inside a step.
+const DISPATCH_NANOS: usize = 700;
+
+/// Work elements one core retires per nanosecond on the bandwidth-bound
+/// elementwise and reduction ops that make up most launches: about one
+/// element a nanosecond at three f32 moved per element. GEMMs retire an
+/// order of magnitude more, but their kernels cap their own width by
+/// tile count, so the slow end is the one this threshold must get right.
+const WORK_PER_NANO: usize = 3;
+
+/// A split has to buy every worker this many dispatches' worth of work,
+/// or the barrier at its end eats the gain.
+const DISPATCHES_AMORTIZED: usize = 8;
+
+/// Work (in [`crate::cost::OpCost::work_elements`]) each worker of a
+/// split op must bring for the split to pay: the `grain` the planner
+/// hands to [`chosen_width`].
+pub const SPLIT_GRAIN: usize = DISPATCH_NANOS * WORK_PER_NANO * DISPATCHES_AMORTIZED;
+
+/// How much lighter than an op a same-depth neighbour may be and still
+/// count as its peer. A neighbour with less than `1 / PEER_FACTOR` of the
+/// op's work finishes before it matters: the worker it occupied comes
+/// back while the op is still running, and claims its chunks then.
+pub const PEER_FACTOR: usize = 4;
+
+/// How many of the co-runnable ops whose work is listed (ascending) in
+/// `level_work` are peers of an op with `own` work: those at least
+/// `own / PEER_FACTOR` heavy, the op itself included (so the answer is
+/// at least one when `own` is in the list). Zero-cost neighbours —
+/// placeholders, constants, variable reads, reshapes — are peers of one
+/// another but never of a GEMM or a convolution.
+pub fn comparable_peers(level_work: &[usize], own: usize) -> usize {
+    let floor = own.div_ceil(PEER_FACTOR);
+    let lighter = level_work.partition_point(|&w| w < floor);
+    (level_work.len() - lighter).max(1)
+}
+
 /// Moldable-task width decision: how many intra-op threads one op should
 /// use when `peers` ops are runnable at the same time on a machine with
 /// `workers` threads, given the op's estimated `work` (in elements, see
@@ -209,7 +249,6 @@ mod tests {
     #[test]
     fn width_decisions_for_the_bench_gemm_geometries() {
         use crate::cost::OpCost;
-        use fathom_tensor::DEFAULT_GRAIN;
         // (m, k, n) for the five BENCH_gemm geometries; the transpose
         // variants share the first geometry's work.
         const GEOMETRIES: [(usize, usize, usize); 5] = [
@@ -225,13 +264,13 @@ mod tests {
                 bytes: (4 * (m * k + k * n + m * n)) as f64,
             };
             let work = cost.work_elements();
-            assert_eq!(chosen_width(work, 1, 8, DEFAULT_GRAIN), 8, "{m}x{k}x{n} alone runs wide");
-            assert_eq!(chosen_width(work, 2, 8, DEFAULT_GRAIN), 4);
-            assert_eq!(chosen_width(work, 4, 8, DEFAULT_GRAIN), 2);
-            assert_eq!(chosen_width(work, 8, 8, DEFAULT_GRAIN), 1);
+            assert_eq!(chosen_width(work, 1, 8, SPLIT_GRAIN), 8, "{m}x{k}x{n} alone runs wide");
+            assert_eq!(chosen_width(work, 2, 8, SPLIT_GRAIN), 4);
+            assert_eq!(chosen_width(work, 4, 8, SPLIT_GRAIN), 2);
+            assert_eq!(chosen_width(work, 8, 8, SPLIT_GRAIN), 1);
         }
         // A tiny op is molded to one thread even with the machine to
         // itself: its work cannot feed a second worker.
-        assert_eq!(chosen_width(64, 1, 8, DEFAULT_GRAIN), 1);
+        assert_eq!(chosen_width(64, 1, 8, SPLIT_GRAIN), 1);
     }
 }

@@ -74,6 +74,13 @@ pub struct RuntimeCounters {
     /// Ops the cost model molded narrower so independent peers could
     /// co-schedule.
     pub coscheduled_ops: u64,
+    /// Times a thread of the pool — a worker with nothing to run, a
+    /// waiter, a kernel barrier — spun its budget out and actually went
+    /// to sleep.
+    pub parks: u64,
+    /// Ops the parallel executor ran by chain-following: on the thread
+    /// that made them ready, without a queue round trip.
+    pub inline_ops: u64,
 }
 
 impl RuntimeCounters {
@@ -95,7 +102,27 @@ impl RuntimeCounters {
             steal_count: self.steal_count.saturating_sub(base.steal_count),
             wide_ops: self.wide_ops.saturating_sub(base.wide_ops),
             coscheduled_ops: self.coscheduled_ops.saturating_sub(base.coscheduled_ops),
+            parks: self.parks.saturating_sub(base.parks),
+            inline_ops: self.inline_ops.saturating_sub(base.inline_ops),
         }
+    }
+
+    /// The counters as one JSON object, the `runtime` block of every
+    /// report. `parks` and `inline_ops` appear only when nonzero, so
+    /// reports of runs that never park or chain-follow are unchanged.
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"allocations\": {}, \"arena_bytes\": {}, \"steal_count\": {}, \
+             \"wide_ops\": {}, \"coscheduled_ops\": {}",
+            self.allocations, self.arena_bytes, self.steal_count, self.wide_ops, self.coscheduled_ops
+        );
+        for (name, value) in [("parks", self.parks), ("inline_ops", self.inline_ops)] {
+            if value != 0 {
+                out.push_str(&format!(", \"{name}\": {value}"));
+            }
+        }
+        out.push('}');
+        out
     }
 
     /// Accumulates another sample (`arena_bytes` takes the maximum, the
@@ -106,6 +133,8 @@ impl RuntimeCounters {
         self.steal_count += other.steal_count;
         self.wide_ops += other.wide_ops;
         self.coscheduled_ops += other.coscheduled_ops;
+        self.parks += other.parks;
+        self.inline_ops += other.inline_ops;
     }
 }
 
@@ -231,6 +260,8 @@ mod tests {
             steal_count: 5,
             wide_ops: 2,
             coscheduled_ops: 1,
+            parks: 6,
+            inline_ops: 0,
         };
         let b = RuntimeCounters {
             allocations: 1,
@@ -238,8 +269,12 @@ mod tests {
             steal_count: 2,
             wide_ops: 1,
             coscheduled_ops: 4,
+            parks: 1,
+            inline_ops: 9,
         };
         a.merge(&b);
+        assert_eq!(a.parks, 7);
+        assert_eq!(a.inline_ops, 9);
         assert_eq!(a.allocations, 4);
         assert_eq!(a.arena_bytes, 100, "arena footprint is a peak, not a sum");
         assert_eq!(a.steal_count, 7);
@@ -247,5 +282,16 @@ mod tests {
         assert_eq!(a.coscheduled_ops, 5);
         assert!(a.any());
         assert!(!RuntimeCounters::default().any());
+        assert_eq!(
+            a.to_json(),
+            "{\"allocations\": 4, \"arena_bytes\": 100, \"steal_count\": 7, \
+             \"wide_ops\": 3, \"coscheduled_ops\": 5, \"parks\": 7, \"inline_ops\": 9}"
+        );
+        assert_eq!(
+            RuntimeCounters { allocations: 2, ..RuntimeCounters::default() }.to_json(),
+            "{\"allocations\": 2, \"arena_bytes\": 0, \"steal_count\": 0, \
+             \"wide_ops\": 0, \"coscheduled_ops\": 0}",
+            "zero parks/inline_ops leave the block as it was"
+        );
     }
 }

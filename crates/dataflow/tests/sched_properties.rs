@@ -6,10 +6,13 @@
 //! available workers, it is monotone non-decreasing in the worker count
 //! (a bigger machine never shrinks an op), and it is monotone
 //! non-increasing in the number of co-runnable peers (more competition
-//! never widens an op).
+//! never widens an op). The peer count itself comes from
+//! [`fathom_dataflow::sched::comparable_peers`], which must keep
+//! zero-cost neighbours from narrowing a heavy op: the planner's whole
+//! rule, composed the way `Session::plan` composes it, is pinned below.
 
 use fathom_dataflow::cost::{conv2d_lowering_with, ConvLowering};
-use fathom_dataflow::sched::chosen_width;
+use fathom_dataflow::sched::{chosen_width, comparable_peers, SPLIT_GRAIN};
 use fathom_dataflow::Precision;
 use fathom_tensor::kernels::conv::Conv2dSpec;
 use fathom_tensor::Shape;
@@ -54,7 +57,75 @@ fn conv_lowering_decisions_are_pinned_for_the_ablation_geometries() {
     }
 }
 
+/// The planner's rule for one op among the co-runnable ops of its depth.
+fn planned_width(level_work: &[usize], own: usize, workers: usize) -> usize {
+    let mut sorted = level_work.to_vec();
+    sorted.sort_unstable();
+    chosen_width(own, comparable_peers(&sorted, own), workers, SPLIT_GRAIN)
+}
+
 proptest! {
+    /// Whatever shares its depth, a planned width is a usable thread
+    /// count and never shrinks when the machine grows.
+    #[test]
+    fn planned_width_is_within_the_machine_and_monotone(
+        level in proptest::collection::vec(0usize..100_000_000, 1..24),
+        pick in 0usize..24,
+    ) {
+        let own = level[pick % level.len()];
+        let mut prev = 0usize;
+        for workers in 1..=16 {
+            let w = planned_width(&level, own, workers);
+            prop_assert!((1..=workers).contains(&w), "width {w} at {workers} workers");
+            prop_assert!(w >= prev, "width shrank from {prev} to {w} at {workers} workers");
+            prev = w;
+        }
+    }
+
+    /// A heavy op whose same-depth neighbours are all trivial — the
+    /// placeholders, constants, variable reads and reshapes of a real
+    /// graph — gets the whole machine, however many of them there are.
+    #[test]
+    fn heavy_op_with_trivial_peers_gets_the_full_machine(
+        workers in 1usize..17,
+        trivial in proptest::collection::vec(0usize..1_000, 0..64),
+        heavy_grains in 16usize..4_096,
+    ) {
+        let heavy = heavy_grains * SPLIT_GRAIN;
+        let mut level = trivial;
+        level.push(heavy);
+        prop_assert_eq!(planned_width(&level, heavy, workers), workers);
+    }
+
+    /// Two equally heavy ops at one depth split the machine between
+    /// them, trivial neighbours or not.
+    #[test]
+    fn two_equal_heavy_peers_split_the_machine(
+        workers in 1usize..17,
+        trivial in proptest::collection::vec(0usize..1_000, 0..64),
+        heavy_grains in 16usize..4_096,
+    ) {
+        let heavy = heavy_grains * SPLIT_GRAIN;
+        let mut level = trivial;
+        level.extend([heavy, heavy]);
+        prop_assert_eq!(planned_width(&level, heavy, workers), workers.div_ceil(2));
+    }
+
+    /// The peer count is at least one (the op itself), at most the
+    /// depth's population, and never grows when the op gets heavier.
+    #[test]
+    fn peer_count_is_bounded_and_antitone_in_own_work(
+        level in proptest::collection::vec(0usize..100_000_000, 1..24),
+        own in 0usize..100_000_000,
+        extra in 0usize..100_000_000,
+    ) {
+        let mut sorted = level;
+        sorted.sort_unstable();
+        let peers = comparable_peers(&sorted, own);
+        prop_assert!((1..=sorted.len()).contains(&peers));
+        prop_assert!(comparable_peers(&sorted, own.saturating_add(extra)) <= peers);
+    }
+
     /// The chosen width is always a usable thread count: at least 1,
     /// and never more than the machine has.
     #[test]

@@ -411,12 +411,7 @@ impl ClusterReport {
             ));
         }
         if self.runtime.any() {
-            let rc = &self.runtime;
-            s.push_str(&format!(
-                ",\n  \"runtime\": {{\"allocations\": {}, \"arena_bytes\": {}, \"steal_count\": {}, \
-                 \"wide_ops\": {}, \"coscheduled_ops\": {}}}",
-                rc.allocations, rc.arena_bytes, rc.steal_count, rc.wide_ops, rc.coscheduled_ops
-            ));
+            s.push_str(&format!(",\n  \"runtime\": {}", self.runtime.to_json()));
         }
         s.push_str("\n}\n");
         s

@@ -321,11 +321,7 @@ impl ServeReport {
         // Emitted only when the unified runtime recorded something, so
         // serial or modeled-device runs keep byte-identical JSON.
         if self.runtime.any() {
-            let rc = &self.runtime;
-            s.push_str(&format!(
-                "  \"runtime\": {{\"allocations\": {}, \"arena_bytes\": {}, \"steal_count\": {}, \"wide_ops\": {}, \"coscheduled_ops\": {}}},\n",
-                rc.allocations, rc.arena_bytes, rc.steal_count, rc.wide_ops, rc.coscheduled_ops
-            ));
+            s.push_str(&format!("  \"runtime\": {},\n", self.runtime.to_json()));
         }
         let class_totals = self.class_nanos();
         let classes: Vec<String> = OpClass::ALL

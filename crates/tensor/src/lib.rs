@@ -28,9 +28,9 @@ mod shape;
 mod tensor;
 
 pub use kernels::quant::Precision;
-pub use pool::{ExecPool, PoolScope, DEFAULT_GRAIN};
+pub use pool::{ExecPool, DEFAULT_GRAIN};
 pub use recycle::{BufferPool, RecycleStats};
-pub use runtime::{Latch, Runtime};
+pub use runtime::{Latch, Runtime, Task};
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;

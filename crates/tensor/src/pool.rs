@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::runtime::{Job, Latch, Runtime};
+use crate::runtime::Runtime;
 
 /// Minimum useful work (in touched elements) per participating worker.
 pub const DEFAULT_GRAIN: usize = 16 * 1024;
@@ -34,17 +34,22 @@ pub const DEFAULT_GRAIN: usize = 16 * 1024;
 /// `threads == 1` and no backing runtime performs no cross-thread
 /// dispatch at all.
 ///
-/// # Poisoning
+/// # Dispatch
 ///
-/// The runtime executes every task under `catch_unwind`; a panicking task
-/// sets a shared *poisoned* flag instead of killing a worker thread. The
-/// next barrier point — the end of [`ExecPool::for_spans`] or
-/// [`ExecPool::scoped`] — swaps the flag back off and re-raises the panic
-/// on the calling thread, so the pool itself stays usable afterwards.
-/// Because the flag is shared by every view of the runtime, a concurrent
-/// dispatch on another thread may observe (and report) a panic raised by a
-/// task it did not submit; panics are treated as fatal programming errors,
-/// not recoverable conditions, so this imprecision is acceptable.
+/// A dispatch fixes its chunk boundaries from the width and the work
+/// estimate, then hands the chunk count to [`Runtime::for_chunks`]: the
+/// calling thread and any idle worker claim chunk indices from one shared
+/// cursor. Nothing is boxed or queued per chunk, and a peer that is busy
+/// with a co-scheduled operation costs nothing — the caller runs its
+/// chunks too.
+///
+/// # Panics in chunks
+///
+/// A panicking chunk never kills a worker: the first payload is kept in
+/// the dispatch's own descriptor, unclaimed chunks are skipped, and once
+/// every claimed chunk has finished the panic is re-raised on the calling
+/// thread. The pool stays usable afterwards, and a concurrent dispatch on
+/// another thread never sees it.
 ///
 /// # Examples
 ///
@@ -81,7 +86,7 @@ impl ExecPool {
 
     /// A width-`width` view over an existing runtime: dispatches split
     /// work across at most `width` chunks, but those chunks run on (and
-    /// are stolen by) the shared worker set. `width` is clamped to the
+    /// are claimed by) the shared worker set. `width` is clamped to the
     /// runtime's thread count so chunking never outpaces the machine.
     pub fn on_runtime(rt: &Arc<Runtime>, width: usize) -> Self {
         let threads = width.clamp(1, rt.threads());
@@ -113,68 +118,9 @@ impl ExecPool {
         self.threads
     }
 
-    /// Runs `f` with a [`PoolScope`] that can launch individual tasks onto
-    /// the shared runtime *without* a per-task barrier: tasks started with
-    /// [`PoolScope::spawn`] run concurrently with the caller and with each
-    /// other, and `scoped` only waits for all of them once `f` returns.
-    ///
-    /// On a pool with no backing runtime, spawned tasks run inline on the
-    /// calling thread at `spawn` time.
-    ///
-    /// # Panics
-    ///
-    /// Panics after all tasks finish if any spawned task panicked (see the
-    /// poisoning notes on [`ExecPool`]). If `f` itself panics, `scoped`
-    /// still waits for every spawned task before the panic propagates —
-    /// tasks borrow `f`'s environment, so the barrier must run even
-    /// during unwinding. Note that a panicking `f` must not leave workers
-    /// blocked on data only it would have produced, or the barrier
-    /// deadlocks; catch such panics inside `f` and release the workers
-    /// first.
-    pub fn scoped<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&PoolScope<'_, 'env>) -> R,
-    {
-        // Runs the barrier on drop, so spawned jobs that borrow the
-        // caller's stack are finished before the frame dies even when `f`
-        // unwinds (the same shape std::thread::scope uses). On the normal
-        // path it also re-raises job panics; during unwinding it only
-        // clears the poison flag and lets the original panic propagate.
-        struct Barrier<'p> {
-            latch: Latch,
-            rt: Option<&'p Runtime>,
-        }
-        impl Drop for Barrier<'_> {
-            fn drop(&mut self) {
-                if let Some(rt) = self.rt {
-                    if std::thread::panicking() {
-                        // Do not execute arbitrary queued tasks during
-                        // unwinding (a second panic would abort); the
-                        // runtime's workers drain the remainder.
-                        while self.latch.is_open() {
-                            std::thread::park_timeout(std::time::Duration::from_micros(50));
-                        }
-                        rt.take_poison();
-                    } else {
-                        rt.wait(&self.latch);
-                        if rt.take_poison() {
-                            panic!("a pool task panicked inside ExecPool::scoped");
-                        }
-                    }
-                }
-            }
-        }
-        // The barrier must drop *in place* (scope end), never by-value
-        // (`drop(barrier)` would move it): spawned jobs hold the latch's
-        // raw address, so the latch cannot change stack slots while any
-        // job is in flight.
-        let barrier = Barrier { latch: Latch::new(0), rt: self.rt.as_deref() };
-        let scope = PoolScope {
-            rt: self.rt.as_deref(),
-            latch: &barrier.latch,
-            _env: std::marker::PhantomData,
-        };
-        f(&scope)
+    /// The runtime a dispatch over `workers > 1` chunks runs on.
+    fn dispatcher(&self) -> &Runtime {
+        self.rt.as_deref().expect("workers > 1 implies a live runtime")
     }
 
     /// Splits `out` into consecutive spans of `span` elements and invokes
@@ -188,7 +134,7 @@ impl ExecPool {
     /// # Panics
     ///
     /// Panics if `span == 0`, `out.len()` is not a multiple of `span`, or
-    /// a worker executing `f` panicked.
+    /// `f` panicked on any thread.
     pub fn for_spans<F>(&self, out: &mut [f32], span: usize, work_per_span: usize, f: F)
     where
         F: Fn(usize, &mut [f32]) + Sync,
@@ -204,66 +150,22 @@ impl ExecPool {
             }
             return;
         }
-        let rt = self.rt.as_ref().expect("workers > 1 implies a live runtime");
-        let spans_per_worker = spans.div_ceil(workers);
-        let chunk_len = spans_per_worker * span;
-        let latch = Latch::new(0);
-
-        {
-            let mut chunks = out.chunks_mut(chunk_len).enumerate();
-            // The caller runs the first chunk itself after enqueueing the
-            // rest, so a 2-way dispatch costs one wake-up.
-            let first = chunks.next();
-            for (w, chunk) in chunks {
-                latch.add(1);
-                let task = RawTask {
-                    data: chunk.as_mut_ptr(),
-                    len: chunk.len(),
-                    f: &f as *const F as *const (),
-                    latch: &latch as *const Latch,
-                    rt: Arc::as_ptr(rt),
-                };
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    // Capture the task as a whole (edition-2021 disjoint
-                    // capture would otherwise capture the raw-pointer
-                    // fields individually, which are not Send).
-                    let task = task;
-                    // SAFETY: `task` points at a disjoint sub-slice of
-                    // `out`, at `f`, at `latch`, and at the runtime, all
-                    // of which outlive the wait below; the latch
-                    // guarantees completion before `for_spans` returns.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-                        let chunk = std::slice::from_raw_parts_mut(task.data, task.len);
-                        let f = &*(task.f as *const F);
-                        let base = w * spans_per_worker;
-                        for (i, sub) in chunk.chunks_mut(span).enumerate() {
-                            f(base + i, sub);
-                        }
-                    }));
-                    // Record failure *before* releasing the latch so the
-                    // caller observes the flag after its wait.
-                    unsafe {
-                        if result.is_err() {
-                            (*task.rt).poison();
-                        }
-                        (*task.latch).done();
-                    }
-                });
-                // SAFETY: extend the job's borrow of stack data to
-                // 'static; the latch wait below outlives its use.
-                let job: Job = unsafe { std::mem::transmute(job) };
-                rt.spawn_raw(job);
+        let spans_per_chunk = spans.div_ceil(workers);
+        let chunk_len = spans_per_chunk * span;
+        let len = out.len();
+        let base = SharedMut(out.as_mut_ptr());
+        self.dispatcher().for_chunks(len.div_ceil(chunk_len), |w| {
+            let start = w * chunk_len;
+            // SAFETY: chunk `w` is the only one that touches
+            // `out[start..end]`, and `out` is borrowed mutably for the
+            // whole dispatch.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(start), chunk_len.min(len - start))
+            };
+            for (i, sub) in chunk.chunks_mut(span).enumerate() {
+                f(w * spans_per_chunk + i, sub);
             }
-            if let Some((_, chunk)) = first {
-                for (i, sub) in chunk.chunks_mut(span).enumerate() {
-                    f(i, sub);
-                }
-            }
-        }
-        rt.wait(&latch);
-        if rt.take_poison() {
-            panic!("a pool worker panicked while executing a kernel");
-        }
+        });
     }
 
     /// Invokes `f(i)` for every index in `0..n`, parallelized over
@@ -282,7 +184,7 @@ impl ExecPool {
     ///
     /// # Panics
     ///
-    /// Panics if a worker executing `f` panicked.
+    /// Panics if `f` panicked on any thread.
     pub fn for_indices<F>(&self, n: usize, work_per_index: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -299,21 +201,8 @@ impl ExecPool {
             return;
         }
         let per = n.div_ceil(workers);
-        self.scoped(|scope| {
-            let f = &f;
-            // The caller runs the first chunk itself after enqueueing the
-            // rest (same shape as `for_spans`).
-            let mut start = per;
-            while start < n {
-                let end = (start + per).min(n);
-                scope.spawn(move || {
-                    for i in start..end {
-                        f(i);
-                    }
-                });
-                start = end;
-            }
-            for i in 0..per.min(n) {
+        self.dispatcher().for_chunks(n.div_ceil(per), |w| {
+            for i in w * per..((w + 1) * per).min(n) {
                 f(i);
             }
         });
@@ -321,7 +210,8 @@ impl ExecPool {
 
     /// Parallel map-reduce over the index range `0..n`: `map` is invoked
     /// on disjoint subranges and the partial results are combined with
-    /// `reduce`, in subrange order. Returns `identity` when `n == 0`.
+    /// `reduce`, in subrange order — whichever threads produced them.
+    /// Returns `identity` when `n == 0`.
     ///
     /// Used by coarse-grained kernels (e.g. CTC's per-utterance
     /// forward-backward) where per-item work is large.
@@ -342,26 +232,14 @@ impl ExecPool {
         let chunks = n.div_ceil(per);
         let mut parts: Vec<Option<T>> = Vec::with_capacity(chunks);
         parts.resize_with(chunks, || None);
-        {
-            let parts_ref = &SliceCells::new(&mut parts);
-            self.scoped(|scope| {
-                let map = &map;
-                let mut start = per;
-                let mut w = 1;
-                while start < n {
-                    let end = (start + per).min(n);
-                    scope.spawn(move || {
-                        // SAFETY: each task writes exactly one distinct
-                        // slot; the scope barrier orders all writes
-                        // before the reads below.
-                        unsafe { parts_ref.set(w, Some(map(start..end))) };
-                    });
-                    start = end;
-                    w += 1;
-                }
-                unsafe { parts_ref.set(0, Some(map(0..per.min(n)))) };
-            });
-        }
+        let cells = SharedMut(parts.as_mut_ptr());
+        self.dispatcher().for_chunks(chunks, |w| {
+            let part = map(w * per..((w + 1) * per).min(n));
+            // SAFETY: chunk `w` is the only writer of slot `w`, and the
+            // dispatch's barrier orders every write before the reads
+            // below.
+            unsafe { *cells.get().add(w) = Some(part) };
+        });
         let mut acc = identity;
         for p in parts {
             acc = reduce(acc, p.expect("every chunk produced a part"));
@@ -387,88 +265,20 @@ impl ExecPool {
     }
 }
 
-/// Disjoint-slot shared writes for `map_reduce` partials.
-struct SliceCells<T> {
-    ptr: *mut T,
-}
-unsafe impl<T: Send> Sync for SliceCells<T> {}
-unsafe impl<T: Send> Send for SliceCells<T> {}
-impl<T> SliceCells<T> {
-    fn new(slice: &mut [T]) -> Self {
-        SliceCells { ptr: slice.as_mut_ptr() }
-    }
-    /// # Safety
-    /// Each index must be written by exactly one thread, and all writes
-    /// must be ordered before any read (the scope barrier does both).
-    unsafe fn set(&self, i: usize, value: T) {
-        unsafe { *self.ptr.add(i) = value };
+/// A base pointer the chunks of one dispatch index disjointly.
+struct SharedMut<T>(*mut T);
+
+// SAFETY: every user gives each chunk its own elements, and a `T` written
+// on one thread is read on another only after the dispatch's barrier.
+unsafe impl<T: Send> Sync for SharedMut<T> {}
+
+impl<T> SharedMut<T> {
+    /// The pointer, through `&self` so closures capture the wrapper (a
+    /// field access would capture the bare, non-`Sync` pointer).
+    fn get(&self) -> *mut T {
+        self.0
     }
 }
-
-/// Handle for launching barrier-free tasks inside [`ExecPool::scoped`].
-///
-/// Tasks may borrow from the environment of the `scoped` call (`'env`);
-/// the scope's closing barrier guarantees they finish before those
-/// borrows expire.
-pub struct PoolScope<'a, 'env> {
-    rt: Option<&'a Runtime>,
-    latch: &'a Latch,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl std::fmt::Debug for PoolScope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PoolScope { .. }")
-    }
-}
-
-impl<'env> PoolScope<'_, 'env> {
-    /// Starts `job` on the shared runtime and returns immediately; the
-    /// enclosing [`ExecPool::scoped`] call waits for it. On a pool with
-    /// no runtime the job runs inline before `spawn` returns.
-    pub fn spawn<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        let Some(rt) = self.rt else {
-            job();
-            return;
-        };
-        self.latch.add(1);
-        let latch = self.latch as *const Latch as usize;
-        let rt_ptr = rt as *const Runtime as usize;
-        let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err();
-            // SAFETY: the latch and runtime live until the scope barrier
-            // closes, which cannot happen before this `done`. The poison
-            // store happens first so the waiter observes it after `wait`.
-            unsafe {
-                if failed {
-                    (*(rt_ptr as *const Runtime)).poison();
-                }
-                (*(latch as *const Latch)).done();
-            }
-        });
-        // SAFETY: extend the job's environment borrows to 'static; the
-        // latch barrier at the end of `scoped` keeps `'env` alive until
-        // every spawned job has run to completion.
-        let wrapped: Job = unsafe { std::mem::transmute(wrapped) };
-        rt.spawn_raw(wrapped);
-    }
-}
-
-/// Raw pointers shipped to a worker; see the safety notes in `for_spans`.
-struct RawTask {
-    data: *mut f32,
-    len: usize,
-    f: *const (),
-    latch: *const Latch,
-    rt: *const Runtime,
-}
-
-// SAFETY: the pointers reference disjoint data that outlives the dispatch
-// (enforced by the latch barrier in `for_spans`).
-unsafe impl Send for RawTask {}
 
 impl Default for ExecPool {
     fn default() -> Self {
@@ -673,81 +483,5 @@ mod tests {
         assert_eq!(pool.workers_for(40_000, 100), 2, "two grains of work -> 2 workers");
         assert_eq!(pool.workers_for(10_000_000, 100), 8, "big work uses all threads");
         assert_eq!(pool.workers_for(10_000_000, 3), 3, "capped by parallel units");
-    }
-
-    #[test]
-    fn scoped_jobs_borrow_the_stack() {
-        let pool = ExecPool::new(4);
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        pool.scoped(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            }
-        });
-        // scoped() blocks until every spawned job has run.
-        assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn scoped_on_serial_pool_runs_inline() {
-        let pool = ExecPool::serial();
-        let mut hits = 0;
-        let hits_ref = std::sync::Mutex::new(&mut hits);
-        pool.scoped(|scope| {
-            scope.spawn(|| {
-                **hits_ref.lock().unwrap() += 1;
-            });
-        });
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
-    fn scoped_waits_for_jobs_when_caller_panics() {
-        // If the scoped closure panics while jobs borrowing its
-        // environment are still running, the barrier must run during
-        // unwinding — otherwise workers would dereference a dead frame.
-        let pool = ExecPool::new(4);
-        let data = vec![7u8; 1024];
-        let finished = std::sync::atomic::AtomicBool::new(false);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scoped(|scope| {
-                scope.spawn(|| {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    assert_eq!(data[0], 7);
-                    finished.store(true, std::sync::atomic::Ordering::SeqCst);
-                });
-                panic!("caller failure");
-            });
-        }));
-        assert!(result.is_err(), "the caller's panic must still propagate");
-        assert!(
-            finished.load(std::sync::atomic::Ordering::SeqCst),
-            "the in-flight job must have completed before scoped unwound"
-        );
-        // The pool must remain usable, with no stale poison report.
-        let ran = std::sync::atomic::AtomicBool::new(false);
-        pool.scoped(|scope| {
-            scope.spawn(|| ran.store(true, std::sync::atomic::Ordering::SeqCst));
-        });
-        assert!(ran.load(std::sync::atomic::Ordering::SeqCst));
-    }
-
-    #[test]
-    fn scoped_propagates_worker_panics() {
-        let pool = ExecPool::new(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scoped(|scope| {
-                scope.spawn(|| panic!("deliberate failure"));
-            });
-        }));
-        assert!(result.is_err(), "panic in a scoped job must propagate");
-        // The pool must remain usable afterwards.
-        let ran = std::sync::atomic::AtomicBool::new(false);
-        pool.scoped(|scope| {
-            scope.spawn(|| ran.store(true, std::sync::atomic::Ordering::SeqCst));
-        });
-        assert!(ran.load(std::sync::atomic::Ordering::SeqCst));
     }
 }

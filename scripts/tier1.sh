@@ -54,6 +54,14 @@ stage fuse-check ./target/release/fathom fuse-check --steps 2 --threads 2 --inte
 # zero-allocation steady state (nonzero exit if either probe fails).
 stage runtime-check ./target/release/fathom runtime-check --model autoenc --steps 2
 
+# Oversubscription smoke: memnet's thousands of short launches through
+# the 8-worker leg (and FATHOM_WORKERS=8 for anything that sizes itself
+# from the variable) on the 2-core CI host. Idle workers spin before
+# they park and barriers spin for their last chunk, so a spin loop that
+# starves the very thread it is waiting for shows up here as a hung
+# stage, not in production.
+stage runtime-oversubscribed env FATHOM_WORKERS=8 ./target/release/fathom runtime-check --model memnet --steps 2
+
 # Precision smoke: bf16 inference must hold the metric tolerance against
 # the f32 reference and stay bitwise identical serial vs parallel, and
 # the per-channel int8 calibrate -> quantize -> serve path must hold the
