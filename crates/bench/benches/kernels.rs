@@ -3,10 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fathom_tensor::kernels::conv::{conv2d, Conv2dSpec};
-use fathom_tensor::kernels::matmul::matmul;
+use fathom_tensor::kernels::gemm::matmul;
 use fathom_tensor::kernels::reduce::{reduce_axis, ReduceKind};
 use fathom_tensor::kernels::softmax::softmax;
-use fathom_tensor::{ExecPool, Rng, Tensor};
+use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -19,7 +19,7 @@ fn bench_matmul(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("{n}x{n}"), threads),
                 &threads,
-                |bench, _| bench.iter(|| matmul(&a, &b, false, false, &pool)),
+                |bench, _| bench.iter(|| matmul(&a, &b, false, false, Precision::F32, None, &pool)),
             );
         }
     }

@@ -10,8 +10,9 @@
 //!    after the conv-lowering rewrite, so their absolute time should
 //!    shrink with threads while the optimizer (F) and data movement (G)
 //!    stay flat — the profile flattening of Figure 6.
-//! 2. **Raw GEMM geometry sweeps**: `matmul_packed` against the
-//!    row-parallel baseline (`matmul_rows`) at the widest thread count,
+//! 2. **Raw GEMM geometry sweeps**: the packed driver (`gemm_into`,
+//!    f32 panels) against the row-parallel baseline (`matmul_rows`) at
+//!    the widest thread count,
 //!    over the square / skinny / transposed geometries the workloads
 //!    actually emit. This isolates the kernel-level win (packing +
 //!    register tiling + 2D tile grid) from graph-level effects.
@@ -26,9 +27,9 @@ use std::time::Instant;
 use fathom::{BuildConfig, ModelKind};
 use fathom_dataflow::{Device, OpClass};
 use fathom_profile::runner;
-use fathom_tensor::kernels::gemm::matmul_packed;
+use fathom_tensor::kernels::gemm::gemm_into;
 use fathom_tensor::kernels::matmul::matmul_rows;
-use fathom_tensor::{ExecPool, Rng, Tensor};
+use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 
 use crate::{write_artifact, Effort};
 
@@ -163,8 +164,11 @@ pub fn geometry_point(
     let rows_ms = time_ms(reps, || {
         std::hint::black_box(matmul_rows(&a, &b, transpose_a, transpose_b, &pool));
     });
+    let mut c = vec![0.0f32; m * n];
     let packed_ms = time_ms(reps, || {
-        std::hint::black_box(matmul_packed(&a, &b, transpose_a, transpose_b, &pool));
+        let (a, b) = (a.data(), b.data());
+        gemm_into(&mut c, m, n, k, a, transpose_a, b, transpose_b, Precision::F32, None, &pool);
+        std::hint::black_box(&c);
     });
     GeometryPoint { m, k, n, transpose_a, transpose_b, rows_ms, packed_ms }
 }

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use fathom::{BuildConfig, Mode, ModelKind, ModelScale, Precision, Workload};
 use fathom_dataflow::OpKind;
-use fathom_tensor::kernels::gemm::{matmul_packed, matmul_packed_bf16};
+use fathom_tensor::kernels::gemm::gemm_into;
 use fathom_tensor::{ExecPool, Rng, Tensor};
 
 use crate::{write_artifact, Effort};
@@ -146,22 +146,21 @@ fn dominant_gemm(kind: ModelKind) -> Option<[usize; 3]> {
     best.map(|(dims, _)| dims)
 }
 
-/// Times the packed engine on one geometry, f32 vs bf16 packing, best
-/// median across `effort.repeats` interleaved rounds.
+/// Times the packed driver on one geometry, f32 vs bf16 panels, best
+/// median across `effort.repeats` interleaved rounds. `gemm_into` packs
+/// whatever the geometry, so both legs run the driver even where
+/// `gemm::select` would keep the product on the row kernel.
 fn time_gemm(dims: [usize; 3], effort: &Effort, pool: &ExecPool) -> (f64, f64) {
     let [m, k, n] = dims;
     let mut rng = Rng::seeded(SEED);
     let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
     let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-    let leg = |bf16: bool| -> f64 {
+    let mut c = vec![0.0f32; m * n];
+    let mut leg = |precision: Precision| -> f64 {
         let mut samples: Vec<f64> = (0..effort.steps.max(1))
             .map(|_| {
                 let t0 = Instant::now();
-                let c = if bf16 {
-                    matmul_packed_bf16(&a, &b, false, false, pool)
-                } else {
-                    matmul_packed(&a, &b, false, false, pool)
-                };
+                gemm_into(&mut c, m, n, k, a.data(), false, b.data(), false, precision, None, pool);
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                 std::hint::black_box(&c);
                 ms
@@ -170,10 +169,10 @@ fn time_gemm(dims: [usize; 3], effort: &Effort, pool: &ExecPool) -> (f64, f64) {
         median(&mut samples)
     };
     // Warm the pack-shape code paths once per leg, then interleave.
-    let (mut f32_ms, mut bf16_ms) = (leg(false), leg(true));
+    let (mut f32_ms, mut bf16_ms) = (leg(Precision::F32), leg(Precision::Bf16));
     for _ in 1..effort.repeats.max(1) {
-        f32_ms = f32_ms.min(leg(false));
-        bf16_ms = bf16_ms.min(leg(true));
+        f32_ms = f32_ms.min(leg(Precision::F32));
+        bf16_ms = bf16_ms.min(leg(Precision::Bf16));
     }
     (f32_ms, bf16_ms)
 }

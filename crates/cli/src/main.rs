@@ -426,18 +426,20 @@ fn cmd_fuse_check(
     }
 }
 
-/// Checks the packed GEMM engine on one geometry: agreement with the
-/// naive kernel across all four transpose layouts, bitwise serial ==
-/// parallel determinism at the requested width, and a fused bias+ReLU
-/// epilogue that must reproduce the unfused matmul-then-elementwise
-/// pipeline bit for bit. Exits nonzero on any violation, so
-/// scripts/tier1.sh can use it as a smoke gate.
+/// Checks the packed GEMM driver on one geometry, once per panel format
+/// (f32, then bf16): agreement with the naive kernel across all four
+/// transpose layouts (on bf16-rounded operands for the bf16 panels),
+/// bitwise serial == parallel determinism at the requested width, and a
+/// fused bias+ReLU epilogue that must reproduce the unfused
+/// matmul-then-elementwise pipeline bit for bit. Exits nonzero on any
+/// violation, so scripts/tier1.sh can use it as a smoke gate.
 fn cmd_gemm_check(m: usize, k: usize, n: usize, threads: usize) -> Result<(), FathomError> {
     use fathom_tensor::kernels::elementwise as kew;
     use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr, OperandKind};
     use fathom_tensor::kernels::fused::FusedOp;
-    use fathom_tensor::kernels::gemm::{matmul_fused, matmul_packed};
+    use fathom_tensor::kernels::gemm::gemm_into;
     use fathom_tensor::kernels::matmul::matmul_naive;
+    use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32};
     use fathom_tensor::{ExecPool, Rng, Tensor};
     use std::time::Instant;
 
@@ -449,36 +451,54 @@ fn cmd_gemm_check(m: usize, k: usize, n: usize, threads: usize) -> Result<(), Fa
     // from the packed kernel's blocked summation; scale the bound with k.
     let tol = 1e-6 * k as f64;
     let mut failures = 0u32;
-    for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
-        let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
-        let reference = matmul_naive(&a, &b, ta, tb);
-        let t0 = Instant::now();
-        let packed = matmul_packed(&a, &b, ta, tb, &wide);
-        let elapsed = t0.elapsed().as_secs_f64();
-        let gflops = 2.0 * (m * k * n) as f64 / elapsed / 1e9;
-        let diff = packed.max_abs_diff(&reference) as f64;
-        let agree = diff < tol;
-        let deterministic = matmul_packed(&a, &b, ta, tb, &serial).data() == packed.data();
-        let layout = format!(
-            "{}{}",
-            if ta { 't' } else { 'n' },
-            if tb { 't' } else { 'n' }
-        );
-        let ok = agree && deterministic;
-        if !ok {
-            failures += 1;
+    // `gemm_into` packs whatever the geometry, so the check exercises the
+    // driver even on shapes `gemm::select` would leave to the row kernel.
+    type Fused<'a> = Option<(&'a Epilogue, &'a [&'a [f32]])>;
+    let packed = |a: &Tensor, b: &Tensor, ta, tb, precision, ep: Fused<'_>, pool: &ExecPool| {
+        let mut c = vec![0.0f32; m * n];
+        gemm_into(&mut c, m, n, k, a.data(), ta, b.data(), tb, precision, ep, pool);
+        Tensor::from_vec(c, [m, n])
+    };
+    for precision in [Precision::F32, Precision::Bf16] {
+        // bf16 panels round each operand element once at pack time, so
+        // their exact reference is the naive product of rounded operands.
+        let on_grid = |t: &Tensor| match precision {
+            Precision::F32 => t.clone(),
+            Precision::Bf16 => Tensor::from_vec(
+                t.data().iter().map(|&v| bf16_to_f32(bf16_from_f32(v))).collect(),
+                t.shape().dims(),
+            ),
+        };
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
+            let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
+            let reference = matmul_naive(&on_grid(&a), &on_grid(&b), ta, tb);
+            let t0 = Instant::now();
+            let product = packed(&a, &b, ta, tb, precision, None, &wide);
+            let elapsed = t0.elapsed().as_secs_f64();
+            let gflops = 2.0 * (m * k * n) as f64 / elapsed / 1e9;
+            let diff = product.max_abs_diff(&reference) as f64;
+            let agree = diff < tol;
+            let deterministic =
+                packed(&a, &b, ta, tb, precision, None, &serial).data() == product.data();
+            let layout = format!(
+                "{}{}",
+                if ta { 't' } else { 'n' },
+                if tb { 't' } else { 'n' }
+            );
+            let ok = agree && deterministic;
+            if !ok {
+                failures += 1;
+            }
+            println!(
+                "{}  {precision} {layout}: max |packed - naive| = {diff:.2e} (tol {tol:.2e}), \
+                 bitwise serial == parallel: {deterministic}, {gflops:.1} GFLOP/s",
+                if ok { "PASS" } else { "FAIL" },
+            );
         }
-        println!(
-            "{}  {layout}: max |packed - naive| = {diff:.2e} (tol {tol:.2e}), \
-             bitwise serial == parallel: {deterministic}, {gflops:.1} GFLOP/s",
-            if ok { "PASS" } else { "FAIL" },
-        );
-    }
-    // Fused-epilogue case: bias + ReLU applied in the microkernel
-    // writeback must match matmul followed by the elementwise kernels,
-    // bit for bit, serial and parallel.
-    {
+        // Fused-epilogue case: bias + ReLU applied in the microkernel
+        // writeback must match the product followed by the elementwise
+        // kernels, bit for bit, serial and parallel.
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
         let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
@@ -495,28 +515,30 @@ fn cmd_gemm_check(m: usize, k: usize, n: usize, threads: usize) -> Result<(), Fa
                 EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] },
             ],
         };
-        let product = matmul_packed(&a, &b, false, false, &wide);
-        let biased = kew::add(&product, &bias, &wide);
-        let reference = kew::relu(&biased, &wide);
-        let fused = matmul_fused(&a, &b, false, false, &ep, &[&bias], &wide);
+        let product = packed(&a, &b, false, false, precision, None, &wide);
+        let biased = kew::eval(FusedOp::Add, &[&product, &bias], &wide);
+        let reference = kew::eval(FusedOp::Relu, &[&biased], &wide);
+        let ops: [&[f32]; 1] = [bias.data()];
+        let fused = packed(&a, &b, false, false, precision, Some((&ep, &ops)), &wide);
         let bitwise = fused.data() == reference.data();
         let deterministic =
-            matmul_fused(&a, &b, false, false, &ep, &[&bias], &serial).data() == fused.data();
+            packed(&a, &b, false, false, precision, Some((&ep, &ops)), &serial).data()
+                == fused.data();
         let ok = bitwise && deterministic;
         if !ok {
             failures += 1;
         }
         println!(
-            "{}  bias+relu epilogue: bitwise fused == unfused: {bitwise}, \
+            "{}  {precision} bias+relu epilogue: bitwise fused == unfused: {bitwise}, \
              bitwise serial == parallel: {deterministic}",
             if ok { "PASS" } else { "FAIL" },
         );
     }
     if failures == 0 {
-        println!("gemm-check: all layouts agree and are deterministic");
+        println!("gemm-check: both panel formats agree on all layouts and are deterministic");
         Ok(())
     } else {
-        Err(FathomError::Message(format!("gemm-check: {failures} layout(s) failed")))
+        Err(FathomError::Message(format!("gemm-check: {failures} check(s) failed")))
     }
 }
 

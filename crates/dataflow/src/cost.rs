@@ -5,43 +5,10 @@
 //! DESIGN.md) and provide flop counts for reports.
 
 use fathom_tensor::kernels::conv::Conv2dSpec;
-use fathom_tensor::kernels::epilogue::EpilogueInstr;
-use fathom_tensor::kernels::fused::{FusedInstr, FusedOp};
 use fathom_tensor::{Precision, Shape};
 
 use crate::graph::Node;
 use crate::op::{GemmOp, OpKind};
-
-/// Per-output-element flop weight of one scalar op with `n_args`
-/// operands, matching what [`estimate`] charges the same op unfused.
-fn op_flops_per_elem(op: FusedOp, n_args: usize) -> f64 {
-    match op {
-        FusedOp::Exp
-        | FusedOp::Log
-        | FusedOp::Tanh
-        | FusedOp::Sigmoid
-        | FusedOp::Sqrt
-        | FusedOp::Pow => 8.0,
-        // Unfused AddN is charged in_elems = n_args * out_elems.
-        FusedOp::AddN => n_args as f64,
-        _ => 1.0,
-    }
-}
-
-/// Per-output-element flop weight of one fused instruction, matching
-/// what [`estimate`] charges the same op unfused. Also used by the
-/// executor to apportion a fused node's measured time across its
-/// constituents for trace attribution.
-pub fn fused_instr_flops_per_elem(instr: &FusedInstr) -> f64 {
-    op_flops_per_elem(instr.op, instr.args.len())
-}
-
-/// Per-output-element flop weight of one GEMM-epilogue instruction —
-/// the same scale as [`fused_instr_flops_per_elem`], so Figure 3
-/// attribution charges an op identically whichever pass absorbed it.
-pub fn epilogue_instr_flops_per_elem(instr: &EpilogueInstr) -> f64 {
-    op_flops_per_elem(instr.op, instr.args.len())
-}
 
 /// Estimated work of one operation execution.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
@@ -113,7 +80,7 @@ pub fn conv2d_lowering(input: &Shape, filter: &Shape, spec: Conv2dSpec) -> ConvL
 /// kernel's per-output work explodes — the deepq 8×8 geometry) or a
 /// weight panel big enough to amortize packing (≥ 32 KB, the same
 /// `k*n ≥ 8192`-elements-at-f32 floor as
-/// [`fathom_tensor::kernels::gemm::use_packed`]). The panel bound is in
+/// [`fathom_tensor::kernels::gemm::select`]). The panel bound is in
 /// *bytes* at the packed element width, so bf16 halves it and marginal
 /// panels drop back to Direct — under bf16 the GEMM's bandwidth win
 /// shrinks while the (always-f32) patch-copy cost does not.
@@ -160,21 +127,6 @@ pub fn conv2d_lowering_with(
     }
 }
 
-/// Whether a `[m,k]x[k,n]` product should take the bf16 packed path when
-/// the session opts into [`Precision::Bf16`].
-///
-/// bf16's entire win is halved panel bandwidth at the pack step, so it
-/// only pays on products the packed engine takes anyway
-/// ([`fathom_tensor::kernels::gemm::use_packed`]) and whose contraction
-/// is deep enough that panel streaming — not the one-pass pack
-/// conversion — dominates (`k ≥ 64`, one microkernel pass per output
-/// tile reading at least 64 panel rows). Like `use_packed`, the answer
-/// deliberately ignores `m`: `m` is the batch-scaled extent and the
-/// choice must not break serving's bitwise batch-independence contract.
-pub fn bf16_gemm_eligible(k: usize, n: usize) -> bool {
-    fathom_tensor::kernels::gemm::use_packed(k, n) && k >= 64
-}
-
 /// Whether a MatMul/Conv2D node with these input shapes is a profitable
 /// root for GEMM-epilogue fusion.
 ///
@@ -190,7 +142,7 @@ pub fn bf16_gemm_eligible(k: usize, n: usize) -> bool {
 /// to pay off, and its post-hoc epilogue pass saves nothing over leaving
 /// the chain to [`crate::optimize::fuse_in_place`].
 ///
-/// Like [`fathom_tensor::kernels::gemm::use_packed`] and [`conv2d_lowering`], the answer is
+/// Like [`fathom_tensor::kernels::gemm::select`] and [`conv2d_lowering`], the answer is
 /// independent of the batch extent, preserving serving's bitwise
 /// batch-independence contract.
 pub fn gemm_epilogue_profitable(kind: &OpKind, input_shapes: &[&Shape]) -> bool {
@@ -238,10 +190,6 @@ pub fn estimate(node: &Node, input_shapes: &[&Shape]) -> OpCost {
         OpKind::AvgPoolGrad { spec, .. } => {
             input_shapes[0].num_elements() as f64 * (spec.window * spec.window) as f64
         }
-        // Transcendentals are several flops per element.
-        OpKind::Exp | OpKind::Log | OpKind::Tanh | OpKind::Sigmoid | OpKind::Sqrt | OpKind::Pow => {
-            8.0 * out_elems
-        }
         OpKind::Softmax | OpKind::LogSoftmax | OpKind::SoftmaxGrad => 10.0 * out_elems,
         OpKind::SoftmaxCrossEntropy | OpKind::SoftmaxCrossEntropyGrad => {
             10.0 * input_shapes[0].num_elements() as f64
@@ -259,12 +207,12 @@ pub fn estimate(node: &Node, input_shapes: &[&Shape]) -> OpCost {
         OpKind::ApplyMomentum { .. } => 4.0 * out_elems,
         OpKind::ApplyRmsProp { .. } => 8.0 * out_elems,
         OpKind::ApplyAdam { .. } => 10.0 * out_elems,
-        OpKind::AddN => in_elems,
         // A fused group's arithmetic is the sum of its constituents'
         // (the default `bytes` above already counts only external
         // traffic, which is exactly the fusion win).
         OpKind::Fused(program) => {
-            program.instrs.iter().map(fused_instr_flops_per_elem).sum::<f64>() * out_elems
+            program.instrs.iter().map(|i| i.op.flops_per_elem(i.args.len())).sum::<f64>()
+                * out_elems
         }
         // GEMM root plus its absorbed epilogue; as with `Fused`, the
         // default `bytes` counts only external traffic.
@@ -280,14 +228,19 @@ pub fn estimate(node: &Node, input_shapes: &[&Shape]) -> OpCost {
                     2.0 * out_elems * (f.dim(0) * f.dim(1) * f.dim(2)) as f64
                 }
             };
-            root + epilogue.instrs.iter().map(epilogue_instr_flops_per_elem).sum::<f64>()
+            root + epilogue.instrs.iter().map(|i| i.op.flops_per_elem(i.args.len())).sum::<f64>()
                 * out_elems
         }
         OpKind::Sum { .. } | OpKind::Mean { .. } | OpKind::MaxReduce { .. } => in_elems,
-        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::Maximum
+        // Class-C ops cost what their op table row says, fused or not.
+        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::Maximum | OpKind::Pow
         | OpKind::Greater | OpKind::GreaterEqual | OpKind::Equal | OpKind::Select
-        | OpKind::Neg | OpKind::Square | OpKind::Relu | OpKind::ReluGrad | OpKind::TanhGrad
-        | OpKind::SigmoidGrad => out_elems,
+        | OpKind::Neg | OpKind::Exp | OpKind::Log | OpKind::Sqrt | OpKind::Square
+        | OpKind::Tanh | OpKind::Sigmoid | OpKind::Relu | OpKind::ReluGrad | OpKind::TanhGrad
+        | OpKind::SigmoidGrad | OpKind::AddN => {
+            let op = node.kind.class_c().expect("class-C kinds have a table row");
+            op.flops_per_elem(input_shapes.len()) * out_elems
+        }
         // Pure movement and metadata.
         OpKind::Placeholder { .. } | OpKind::Variable { .. } | OpKind::Constant(_)
         | OpKind::Identity | OpKind::Reshape(_) | OpKind::Transpose { .. }
@@ -419,15 +372,6 @@ mod tests {
             conv2d_lowering_with(&deep_in, &deep_f, spec, Precision::Bf16),
             ConvLowering::Im2colGemm
         );
-    }
-
-    #[test]
-    fn bf16_eligibility_requires_packed_and_deep_k() {
-        assert!(bf16_gemm_eligible(512, 512));
-        assert!(bf16_gemm_eligible(64, 128));
-        assert!(!bf16_gemm_eligible(32, 512), "shallow k: pack pass dominates");
-        assert!(!bf16_gemm_eligible(512, 8), "n below NR never packs");
-        assert!(!bf16_gemm_eligible(4, 512));
     }
 
     #[test]

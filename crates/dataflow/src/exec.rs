@@ -43,9 +43,9 @@ use std::time::Instant;
 use fathom_tensor::kernels::conv as kconv;
 use fathom_tensor::kernels::ctc as kctc;
 use fathom_tensor::kernels::elementwise as kew;
+use fathom_tensor::kernels::epilogue::Epilogue;
 use fathom_tensor::kernels::gemm as kgemm;
 use fathom_tensor::kernels::im2col as kim2col;
-use fathom_tensor::kernels::matmul as kmm;
 use fathom_tensor::kernels::pool2d as kpool;
 use fathom_tensor::kernels::quant::QuantizedGemm;
 use fathom_tensor::kernels::reduce as kred;
@@ -461,9 +461,9 @@ impl Session {
     }
 
     /// Selects the GEMM operand-panel precision. Under
-    /// [`Precision::Bf16`], MatMul-family ops whose geometry the cost
-    /// model deems flop/byte-bound ([`cost::bf16_gemm_eligible`]) pack
-    /// their panels as bf16 and accumulate in f32; everything else is
+    /// [`Precision::Bf16`], MatMul-family ops whose geometry
+    /// [`kgemm::select`] routes to the bf16 panels pack their operands
+    /// as bf16 and accumulate in f32; everything else is
     /// untouched. Cached plans are dropped because convolution lowering
     /// decisions are precision-sensitive.
     pub fn set_precision(&mut self, precision: Precision) {
@@ -1505,7 +1505,7 @@ fn push_trace_events(
                     (
                         instr.op.name(),
                         OpClass::ElementwiseArithmetic,
-                        cost::fused_instr_flops_per_elem(instr),
+                        instr.op.flops_per_elem(instr.args.len()),
                     )
                 })
                 .collect();
@@ -1521,7 +1521,7 @@ fn push_trace_events(
             let ep_flops: f64 = epilogue
                 .instrs
                 .iter()
-                .map(|i| cost::epilogue_instr_flops_per_elem(i) * elems)
+                .map(|i| i.op.flops_per_elem(i.args.len()) * elems)
                 .sum();
             // The root's weight is whatever the cost model attributed to
             // the GEMM itself (total minus the epilogue's share).
@@ -1530,7 +1530,7 @@ fn push_trace_events(
                 parts.push((
                     instr.op.name(),
                     OpClass::ElementwiseArithmetic,
-                    cost::epilogue_instr_flops_per_elem(instr) * elems,
+                    instr.op.flops_per_elem(instr.args.len()) * elems,
                 ));
             }
             push_apportioned(events, id, step, nanos, op_cost, &parts);
@@ -1987,16 +1987,31 @@ fn variable_target(graph: &Graph, state: &SessionState, apply: NodeId) -> Result
     }
 }
 
-/// Whether a MatMul's runtime operand shapes qualify for the bf16
-/// packed path under [`Precision::Bf16`] (see
-/// [`cost::bf16_gemm_eligible`]).
-fn bf16_matmul_eligible(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> bool {
-    if a.shape().rank() != 2 || b.shape().rank() != 2 {
-        return false;
+/// `op(a) * op(b)` for node `id`, with `epilogue` (a program and its
+/// operand slices) applied if given: through the node's int8 plan when
+/// the session has one, else on the engine the GEMM kernel selects for
+/// the geometry and the session's precision.
+#[allow(clippy::too_many_arguments)]
+fn run_matmul(
+    ctx: ExecCtx<'_>,
+    id: NodeId,
+    a: &Tensor,
+    b: &Tensor,
+    transpose_a: bool,
+    transpose_b: bool,
+    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    pool: &ExecPool,
+) -> Tensor {
+    let quantized = (!transpose_a)
+        .then(|| ctx.quant.and_then(|q| q.per_node.get(&(id.index() as u32))))
+        .flatten();
+    match quantized {
+        // f32 dequant lands in the writeback; a fused epilogue then
+        // applies to the dequantized output, exactly as on the float
+        // paths.
+        Some(qg) => qg.matmul_fused(a, epilogue, pool),
+        None => kgemm::matmul(a, b, transpose_a, transpose_b, ctx.precision, epilogue, pool),
     }
-    let k = if transpose_a { a.shape().dim(0) } else { a.shape().dim(1) };
-    let n = if transpose_b { b.shape().dim(0) } else { b.shape().dim(1) };
-    cost::bf16_gemm_eligible(k, n)
 }
 
 /// Computes one node's value. `resolve` maps an input id to its computed
@@ -2034,19 +2049,7 @@ where
         OpKind::Identity | OpKind::StopGradient => input(0).clone(),
 
         OpKind::MatMul { transpose_a, transpose_b } => {
-            let (a, b) = (input(0), input(1));
-            let quantized = (!*transpose_a)
-                .then(|| ctx.quant.and_then(|q| q.per_node.get(&(id.index() as u32))))
-                .flatten();
-            if let Some(qg) = quantized {
-                qg.matmul(a, pool)
-            } else if ctx.precision == Precision::Bf16
-                && bf16_matmul_eligible(a, b, *transpose_a, *transpose_b)
-            {
-                kgemm::matmul_packed_bf16(a, b, *transpose_a, *transpose_b, pool)
-            } else {
-                kmm::matmul(a, b, *transpose_a, *transpose_b, pool)
-            }
+            run_matmul(ctx, id, input(0), input(1), *transpose_a, *transpose_b, None, pool)
         }
 
         // Convolutions pick their lowering from the cost model's
@@ -2091,37 +2094,15 @@ where
             kpool::avg_pool_grad(input_shape, input(0), *spec, pool)
         }
 
-        OpKind::Add => kew::add(input(0), input(1), pool),
-        OpKind::Sub => kew::sub(input(0), input(1), pool),
-        OpKind::Mul => kew::mul(input(0), input(1), pool),
-        OpKind::Div => kew::div(input(0), input(1), pool),
-        OpKind::Maximum => kew::maximum(input(0), input(1), pool),
-        OpKind::Pow => kew::pow(input(0), input(1), pool),
-        OpKind::Greater => kew::binary(input(0), input(1), pool, |a, b| f32::from(a > b)),
-        OpKind::GreaterEqual => kew::binary(input(0), input(1), pool, |a, b| f32::from(a >= b)),
-        OpKind::Equal => kew::binary(input(0), input(1), pool, |a, b| f32::from(a == b)),
-        OpKind::Select => {
-            // cond ? a : b with two broadcasting passes.
-            let masked_a = kew::binary(input(0), input(1), pool, |c, a| if c != 0.0 { a } else { 0.0 });
-            let masked = kew::binary(input(0), input(2), pool, |c, b| if c != 0.0 { 0.0 } else { b });
-            kew::add(&masked_a, &masked, pool)
-        }
-        OpKind::Neg => kew::neg(input(0), pool),
-        OpKind::Exp => kew::exp(input(0), pool),
-        OpKind::Log => kew::log(input(0), pool),
-        OpKind::Sqrt => kew::sqrt(input(0), pool),
-        OpKind::Square => kew::square(input(0), pool),
-        OpKind::Tanh => kew::tanh(input(0), pool),
-        OpKind::Sigmoid => kew::sigmoid(input(0), pool),
-        OpKind::Relu => kew::relu(input(0), pool),
-        OpKind::ReluGrad => {
-            kew::binary(input(0), input(1), pool, |x, g| if x > 0.0 { g } else { 0.0 })
-        }
-        OpKind::TanhGrad => kew::binary(input(0), input(1), pool, |y, g| g * (1.0 - y * y)),
-        OpKind::SigmoidGrad => kew::binary(input(0), input(1), pool, |y, g| g * y * (1.0 - y)),
-        OpKind::AddN => {
+        // Class C: the standalone kernel of the kind's op table row.
+        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::Maximum | OpKind::Pow
+        | OpKind::Greater | OpKind::GreaterEqual | OpKind::Equal | OpKind::Select
+        | OpKind::Neg | OpKind::Exp | OpKind::Log | OpKind::Sqrt | OpKind::Square
+        | OpKind::Tanh | OpKind::Sigmoid | OpKind::Relu | OpKind::ReluGrad | OpKind::TanhGrad
+        | OpKind::SigmoidGrad | OpKind::AddN => {
+            let op = node.kind.class_c().expect("class-C kinds have a table row");
             let tensors: Vec<&Tensor> = (0..inputs.len()).map(input).collect();
-            kew::add_n(&tensors, pool)
+            kew::eval(op, &tensors, pool)
         }
         OpKind::Fused(program) => {
             let tensors: Vec<&Tensor> = (0..inputs.len()).map(input).collect();
@@ -2130,60 +2111,21 @@ where
         // GEMM with the epilogue applied in the microkernel writeback.
         // Inputs are [a, b, operands...]; the optimizer only builds these
         // over geometries the cost model routes to the packed engine, but
-        // both kernel entry points fall back (naive matmul + flat
+        // both kernel entry points fall back (row kernel + flat
         // epilogue, direct conv + flat epilogue) bitwise-identically if a
         // runtime shape disagrees.
         OpKind::GemmFused { gemm, epilogue } => {
-            let operand_tensors: Vec<&Tensor> = (2..inputs.len()).map(input).collect();
+            let operands: Vec<&[f32]> = (2..inputs.len()).map(|i| input(i).data()).collect();
+            let fused = Some((epilogue, operands.as_slice()));
             match gemm {
                 GemmOp::MatMul { transpose_a, transpose_b } => {
-                    let (a, b) = (input(0), input(1));
-                    let quantized = (!*transpose_a)
-                        .then(|| ctx.quant.and_then(|q| q.per_node.get(&(id.index() as u32))))
-                        .flatten();
-                    if let Some(qg) = quantized {
-                        // f32 dequant lands in the writeback; the fused
-                        // epilogue then applies to the dequantized
-                        // output, exactly as on the float paths.
-                        let operands: Vec<&[f32]> =
-                            operand_tensors.iter().map(|t| t.data()).collect();
-                        qg.matmul_fused(a, Some(epilogue), &operands, pool)
-                    } else if ctx.precision == Precision::Bf16
-                        && bf16_matmul_eligible(a, b, *transpose_a, *transpose_b)
-                    {
-                        kgemm::matmul_fused_bf16(
-                            a,
-                            b,
-                            *transpose_a,
-                            *transpose_b,
-                            epilogue,
-                            &operand_tensors,
-                            pool,
-                        )
-                    } else {
-                        kgemm::matmul_fused(
-                            a,
-                            b,
-                            *transpose_a,
-                            *transpose_b,
-                            epilogue,
-                            &operand_tensors,
-                            pool,
-                        )
-                    }
+                    run_matmul(ctx, id, input(0), input(1), *transpose_a, *transpose_b, fused, pool)
                 }
                 GemmOp::Conv2D(spec) => {
-                    let operands: Vec<&[f32]> =
-                        operand_tensors.iter().map(|t| t.data()).collect();
                     match cost::conv2d_lowering_with(input(0).shape(), input(1).shape(), *spec, ctx.precision) {
-                        cost::ConvLowering::Im2colGemm => kim2col::conv2d_im2col_fused(
-                            input(0),
-                            input(1),
-                            *spec,
-                            Some(epilogue),
-                            &operands,
-                            pool,
-                        ),
+                        cost::ConvLowering::Im2colGemm => {
+                            kim2col::conv2d_im2col_fused(input(0), input(1), *spec, fused, pool)
+                        }
                         cost::ConvLowering::Direct => {
                             let mut out = kconv::conv2d(input(0), input(1), *spec, pool);
                             let n = out.shape().dim(out.shape().rank() - 1);
@@ -3085,8 +3027,8 @@ mod tests {
     }
 
     /// Graph with one bf16-eligible GEMM: x:[4,128] @ w:[128,64]
-    /// (k = 128 ≥ 64, n = 64 ≥ 16, k·n = 8192 — clears
-    /// [`cost::bf16_gemm_eligible`]).
+    /// (k = 128 ≥ 64, n = 64 ≥ 16, k·n = 8192 — [`kgemm::select`]
+    /// routes it to the bf16 panels).
     fn gemm_session(device: Device) -> (Session, NodeId, Tensor, Tensor) {
         let mut rng = Rng::seeded(0x18);
         let xv = Tensor::randn([4, 128], 0.0, 1.0, &mut rng);
@@ -3109,9 +3051,14 @@ mod tests {
         assert_eq!(s.precision(), Precision::Bf16);
         let bf16_out = s.run1(y, &[(x, xv.clone())]).unwrap();
 
-        // The bf16 session output is bitwise the packed bf16 kernel's.
-        let expect = kgemm::matmul_packed_bf16(&xv, &wv, false, false, &ExecPool::new(2));
-        assert_eq!(bf16_out.data(), expect.data(), "session must use the bf16 engine");
+        // The bf16 session output is bitwise the packed driver's over
+        // bf16 panels.
+        let mut expect = vec![0.0; 4 * 64];
+        let pool = ExecPool::new(2);
+        kgemm::gemm_into(
+            &mut expect, 4, 64, 128, xv.data(), false, wv.data(), false, Precision::Bf16, None, &pool,
+        );
+        assert_eq!(bf16_out.data(), &expect[..], "session must use the bf16 engine");
         // And it genuinely lost mantissa bits relative to f32.
         assert!(bf16_out.max_abs_diff(&f32_out) > 0.0, "bf16 path was a no-op");
 

@@ -10,7 +10,7 @@ use std::fmt;
 
 use fathom_tensor::kernels::conv::Conv2dSpec;
 use fathom_tensor::kernels::epilogue::{Epilogue, OperandKind};
-use fathom_tensor::kernels::fused::FusedProgram;
+use fathom_tensor::kernels::fused::{FusedOp, FusedProgram};
 use fathom_tensor::kernels::pool2d::Pool2dSpec;
 use fathom_tensor::{Shape, Tensor};
 
@@ -383,9 +383,45 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// The class-C op table row this kind evaluates through, or `None`
+    /// for every other kind (non-elementwise, stateful, or control ops).
+    /// The row carries the op's name, arity, flop weight and scalar
+    /// formula; the standalone kernel and both fusion passes read it.
+    pub fn class_c(&self) -> Option<FusedOp> {
+        Some(match self {
+            OpKind::Add => FusedOp::Add,
+            OpKind::Sub => FusedOp::Sub,
+            OpKind::Mul => FusedOp::Mul,
+            OpKind::Div => FusedOp::Div,
+            OpKind::Maximum => FusedOp::Maximum,
+            OpKind::Pow => FusedOp::Pow,
+            OpKind::Greater => FusedOp::Greater,
+            OpKind::GreaterEqual => FusedOp::GreaterEqual,
+            OpKind::Equal => FusedOp::Equal,
+            OpKind::Select => FusedOp::Select,
+            OpKind::Neg => FusedOp::Neg,
+            OpKind::Exp => FusedOp::Exp,
+            OpKind::Log => FusedOp::Log,
+            OpKind::Sqrt => FusedOp::Sqrt,
+            OpKind::Square => FusedOp::Square,
+            OpKind::Tanh => FusedOp::Tanh,
+            OpKind::Sigmoid => FusedOp::Sigmoid,
+            OpKind::Relu => FusedOp::Relu,
+            OpKind::ReluGrad => FusedOp::ReluGrad,
+            OpKind::TanhGrad => FusedOp::TanhGrad,
+            OpKind::SigmoidGrad => FusedOp::SigmoidGrad,
+            OpKind::AddN => FusedOp::AddN,
+            _ => return None,
+        })
+    }
+
     /// The TensorFlow-style operation type name used in profiles.
     pub fn name(&self) -> &'static str {
+        use OpKind::*;
         match self {
+            Add | Sub | Mul | Div | Maximum | Pow | Greater | GreaterEqual | Equal | Select
+            | Neg | Exp | Log | Sqrt | Square | Tanh | Sigmoid | Relu | ReluGrad | TanhGrad
+            | SigmoidGrad | AddN => self.class_c().expect("class-C kinds have a table row").name(),
             OpKind::Placeholder { .. } => "Placeholder",
             OpKind::Variable { .. } => "Variable",
             OpKind::Constant(_) => "Const",
@@ -398,28 +434,6 @@ impl OpKind {
             OpKind::MaxPoolGrad(_) => "MaxPoolGrad",
             OpKind::AvgPool(_) => "AvgPool",
             OpKind::AvgPoolGrad { .. } => "AvgPoolGrad",
-            OpKind::Add => "Add",
-            OpKind::Sub => "Sub",
-            OpKind::Mul => "Mul",
-            OpKind::Div => "Div",
-            OpKind::Maximum => "Maximum",
-            OpKind::Pow => "Pow",
-            OpKind::Greater => "Greater",
-            OpKind::GreaterEqual => "GreaterEqual",
-            OpKind::Equal => "Equal",
-            OpKind::Select => "Select",
-            OpKind::Neg => "Neg",
-            OpKind::Exp => "Exp",
-            OpKind::Log => "Log",
-            OpKind::Sqrt => "Sqrt",
-            OpKind::Square => "Square",
-            OpKind::Tanh => "Tanh",
-            OpKind::Sigmoid => "Sigmoid",
-            OpKind::Relu => "Relu",
-            OpKind::ReluGrad => "ReluGrad",
-            OpKind::TanhGrad => "TanhGrad",
-            OpKind::SigmoidGrad => "SigmoidGrad",
-            OpKind::AddN => "AddN",
             OpKind::Fused(_) => "Fused",
             OpKind::GemmFused { gemm: GemmOp::MatMul { .. }, .. } => "FusedMatMul",
             OpKind::GemmFused { gemm: GemmOp::Conv2D(_), .. } => "FusedConv2D",

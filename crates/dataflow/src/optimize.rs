@@ -228,36 +228,6 @@ pub struct FusionStats {
 /// programs trivially within the `u16` register index space.
 const MAX_GROUP: usize = 64;
 
-/// The fused instruction for a fusible op kind, or `None` when the op
-/// cannot join a group (non-elementwise, stateful, or control ops).
-fn fusible_op(kind: &OpKind) -> Option<FusedOp> {
-    match kind {
-        OpKind::Add => Some(FusedOp::Add),
-        OpKind::Sub => Some(FusedOp::Sub),
-        OpKind::Mul => Some(FusedOp::Mul),
-        OpKind::Div => Some(FusedOp::Div),
-        OpKind::Maximum => Some(FusedOp::Maximum),
-        OpKind::Pow => Some(FusedOp::Pow),
-        OpKind::Greater => Some(FusedOp::Greater),
-        OpKind::GreaterEqual => Some(FusedOp::GreaterEqual),
-        OpKind::Equal => Some(FusedOp::Equal),
-        OpKind::Select => Some(FusedOp::Select),
-        OpKind::Neg => Some(FusedOp::Neg),
-        OpKind::Exp => Some(FusedOp::Exp),
-        OpKind::Log => Some(FusedOp::Log),
-        OpKind::Sqrt => Some(FusedOp::Sqrt),
-        OpKind::Square => Some(FusedOp::Square),
-        OpKind::Tanh => Some(FusedOp::Tanh),
-        OpKind::Sigmoid => Some(FusedOp::Sigmoid),
-        OpKind::Relu => Some(FusedOp::Relu),
-        OpKind::ReluGrad => Some(FusedOp::ReluGrad),
-        OpKind::TanhGrad => Some(FusedOp::TanhGrad),
-        OpKind::SigmoidGrad => Some(FusedOp::SigmoidGrad),
-        OpKind::AddN => Some(FusedOp::AddN),
-        _ => None,
-    }
-}
-
 /// Collapses chains/DAGs of pure elementwise ops into [`OpKind::Fused`]
 /// nodes, **in place**: each group's root is rewritten to a `Fused` node
 /// over the group's external inputs, while interior members stay in the
@@ -270,7 +240,7 @@ fn fusible_op(kind: &OpKind) -> Option<FusedOp> {
 /// Legality rules (each guarantees the fused single-flat-loop evaluation
 /// is **bitwise identical** to the unfused kernels):
 ///
-/// * members come from the fusible class-C set ([`fusible_op`]) — pure,
+/// * members come from the fusible class-C set ([`OpKind::class_c`]) — pure,
 ///   elementwise, no session state, no RNG;
 /// * every member produces exactly the root's shape, and every member
 ///   input is either another member, a root-shaped external, or a
@@ -331,7 +301,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         if !reachable[root_idx] || interior[root_idx] || rooted[root_idx] {
             continue;
         }
-        if fusible_op(&g.node(root).kind).is_none() {
+        if g.node(root).kind.class_c().is_none() {
             continue;
         }
         let root_shape = g.shape(root).clone();
@@ -363,7 +333,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
                     {
                         continue;
                     }
-                    if fusible_op(&g.node(cand).kind).is_none()
+                    if g.node(cand).kind.class_c().is_none()
                         || g.shape(cand) != &root_shape
                         || !g.node(cand).inputs.iter().all(|&i| input_ok(g, i))
                         || !consumers[c].iter().all(|&u| member[u as usize])
@@ -393,7 +363,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         let mut raw_instrs: Vec<(FusedOp, Vec<NodeId>)> = Vec::new();
         for (k, &m) in members.iter().enumerate() {
             let node = g.node(NodeId(m as u32));
-            let op = fusible_op(&node.kind).expect("members are fusible");
+            let op = node.kind.class_c().expect("members are fusible");
             raw_instrs.push((op, node.inputs.clone()));
             member_reg.insert(m, k);
         }
@@ -508,7 +478,7 @@ fn classify_operand(shape: &Shape, root_shape: &Shape, cols: usize) -> Option<Op
 ///   only im2col-lowered convs; direct convs keep their chains for
 ///   [`fuse_in_place`];
 /// * the chain grows along *unique* reachable consumers: each tip has
-///   exactly one distinct consumer, which is a [`fusible_op`] producing
+///   exactly one distinct consumer, which is a [`OpKind::class_c`] op producing
 ///   exactly the root's shape, with every non-chain input classifiable
 ///   by [`classify_operand`];
 /// * interior chain members (and the GEMM root) must not be in `keep`;
@@ -598,7 +568,7 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
             if claimed[c] {
                 break;
             }
-            let Some(op) = fusible_op(&g.node(next).kind) else { break };
+            let Some(op) = g.node(next).kind.class_c() else { break };
             if g.shape(next) != &root_shape
                 || g.node(next).inputs.len() > MAX_EPILOGUE_ARGS
             {

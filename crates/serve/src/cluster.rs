@@ -420,12 +420,12 @@ impl ClusterReport {
 
 /// One queued cluster request.
 struct QueuedReq {
-    id: u64,
-    arrival: u64,
+    /// What a replica runs; held by value so dispatch (and a retry after
+    /// a failed batch) passes references instead of copying payloads.
+    req: Request,
     class: SloClass,
     /// Absolute deadline, when the class has one.
     deadline: Option<u64>,
-    inputs: Vec<Tensor>,
     retries: u32,
 }
 
@@ -448,7 +448,7 @@ impl ShardState {
     }
 
     fn oldest_arrival(&self) -> Option<u64> {
-        self.queues.iter().filter_map(|q| q.front().map(|r| r.arrival)).min()
+        self.queues.iter().filter_map(|q| q.front().map(|r| r.req.arrival)).min()
     }
 
     /// Takes up to `limit` requests, highest class first, FIFO within a
@@ -528,7 +528,7 @@ pub fn serve_cluster(
                 spec.name
             )));
         }
-        if cfg.rps_invalid(spec.rps) {
+        if rps_invalid(spec.rps) {
             return Err(ServeError::Unservable(format!(
                 "model {} needs a positive offered rate",
                 spec.name
@@ -812,11 +812,9 @@ pub fn serve_cluster(
             }
             let inputs = (models[m].synth)(&mut rng, id);
             shards[m][s].queues[class.idx()].push_back(QueuedReq {
-                id,
-                arrival: at,
+                req: Request { id, arrival: at, inputs },
                 class,
                 deadline,
-                inputs,
                 retries: 0,
             });
         }
@@ -851,8 +849,8 @@ pub fn serve_cluster(
                     continue;
                 }
                 let stranded = shards[m][s].take_batch(usize::MAX);
-                for req in stranded {
-                    let stats = &mut report.models[m].per_class[req.class.idx()];
+                for q in stranded {
+                    let stats = &mut report.models[m].per_class[q.class.idx()];
                     if all_dead {
                         stats.shed += 1;
                         stats.shed_reasons.replica_loss += 1;
@@ -863,12 +861,12 @@ pub fn serve_cluster(
                         .enumerate()
                         .map(|(i, st)| if dead[i] { usize::MAX } else { st.queued() })
                         .collect();
-                    let target = routers[m].place(req.id, &loads).shard;
+                    let target = routers[m].place(q.req.id, &loads).shard;
                     if shards[m][target].queued() >= cfg.queue_cap {
                         stats.shed += 1;
                         stats.shed_reasons.queue_full += 1;
                     } else {
-                        shards[m][target].queues[req.class.idx()].push_back(req);
+                        shards[m][target].queues[q.class.idx()].push_back(q);
                     }
                 }
             }
@@ -912,11 +910,7 @@ pub fn serve_cluster(
                         }
                     }
                     let batch = shard.take_batch(max_batch[m]);
-                    let reqs: Vec<Request> = batch
-                        .iter()
-                        .map(|q| Request { id: q.id, arrival: q.arrival, inputs: q.inputs.clone() })
-                        .collect();
-                    let refs: Vec<&Request> = reqs.iter().collect();
+                    let refs: Vec<&Request> = batch.iter().map(|q| &q.req).collect();
                     match runner.run_batch(&refs) {
                         Ok(result) => {
                             let service = (result.service_nanos as u64).max(1);
@@ -933,7 +927,7 @@ pub fn serve_cluster(
                             for q in &batch {
                                 let stats = &mut report.models[m].per_class[q.class.idx()];
                                 stats.completed += 1;
-                                shard.latency[q.class.idx()].record((done - q.arrival) as f64);
+                                shard.latency[q.class.idx()].record((done - q.req.arrival) as f64);
                             }
                         }
                         Err(_) => {
@@ -1017,12 +1011,11 @@ pub fn serve_cluster(
                 }
             }
         }
-        for (m, plans) in reload_plans.iter().enumerate() {
+        for plans in &reload_plans {
             let gen = plans.iter().filter(|p| p.at_nanos <= now).count();
             if gen < plans.len() {
                 consider(plans[gen].at_nanos);
             }
-            let _ = m;
         }
         match next {
             Some(t) => now = t,
@@ -1059,11 +1052,9 @@ pub fn serve_cluster(
     Ok(report)
 }
 
-impl ClusterConfig {
-    /// True when `rps` cannot drive an open-loop arrival process.
-    fn rps_invalid(&self, rps: f64) -> bool {
-        rps.is_nan() || rps <= 0.0
-    }
+/// True when `rps` cannot drive an open-loop arrival process.
+fn rps_invalid(rps: f64) -> bool {
+    rps.is_nan() || rps <= 0.0
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! distinct operation types (see Figure 6a for `deepq`).
 
 use crate::kernels::gemm;
+use crate::kernels::quant::Precision;
 use crate::pool::ExecPool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -281,11 +282,15 @@ pub fn conv2d_backprop_input_im2col(
     if is_pointwise(kh, kw, spec) {
         // dP == dX: write the product straight into the input gradient.
         let mut dx = crate::recycle::take_buffer(rows * ic);
-        gemm::gemm_into(&mut dx, rows, ic, oc, grad.data(), false, filter.data(), true, pool);
+        gemm::gemm_into(
+            &mut dx, rows, ic, oc, grad.data(), false, filter.data(), true, Precision::F32, None, pool,
+        );
         return Tensor::from_vec(dx, input_shape.clone());
     }
     let mut dp = crate::recycle::take_buffer(rows * kdim);
-    gemm::gemm_into(&mut dp, rows, kdim, oc, grad.data(), false, filter.data(), true, pool);
+    gemm::gemm_into(
+        &mut dp, rows, kdim, oc, grad.data(), false, filter.data(), true, Precision::F32, None, pool,
+    );
     let dx = col2im(&dp, input_shape, kh, kw, spec, pool);
     crate::recycle::give_buffer(dp);
     dx
@@ -318,10 +323,14 @@ pub fn conv2d_backprop_filter_im2col(
     let kdim = kh * kw * ic;
     let mut df = crate::recycle::take_buffer(kdim * oc);
     if is_pointwise(kh, kw, spec) {
-        gemm::gemm_into(&mut df, kdim, oc, rows, input.data(), true, grad.data(), false, pool);
+        gemm::gemm_into(
+            &mut df, kdim, oc, rows, input.data(), true, grad.data(), false, Precision::F32, None, pool,
+        );
     } else {
         let patches = im2col(input, kh, kw, spec, pool);
-        gemm::gemm_into(&mut df, kdim, oc, rows, patches.data(), true, grad.data(), false, pool);
+        gemm::gemm_into(
+            &mut df, kdim, oc, rows, patches.data(), true, grad.data(), false, Precision::F32, None, pool,
+        );
         crate::recycle::reclaim(patches);
     }
     Tensor::from_vec(df, filter_shape.clone())

@@ -20,9 +20,10 @@
 //! # Bitwise contract
 //!
 //! Every instruction applies *exactly* the scalar formula of the
-//! standalone kernel it replaces — the same formulas as
-//! [`crate::kernels::fused::FusedOp`], by construction, because the ops
-//! are shared. Element evaluation is pure (no cross-element reduction),
+//! standalone kernel it replaces, by construction: the ops are
+//! [`crate::kernels::fused::FusedOp`]s, evaluated through the same op
+//! table and row evaluator as the fused elementwise interpreter, with
+//! the accumulator as the destination row. Element evaluation is pure (no cross-element reduction),
 //! so applying the program per register tile ([`Epilogue::apply_row`]
 //! inside the GEMM writeback), per flat row ([`Epilogue::apply_flat`] on
 //! the fallback paths), serially, or in parallel all produce identical
@@ -31,15 +32,16 @@
 //! `Col` reads — a fused evaluation is bit-identical to running the
 //! unfused matmul-then-elementwise chain.
 
-use crate::kernels::fused::FusedOp;
+use crate::kernels::fused::{FusedOp, Rows, Src};
 use crate::pool::ExecPool;
 
 /// Epilogues longer than this are not worth holding in the writeback
 /// loop; the graph pass leaves longer chains to the elementwise
 /// interpreter.
 pub const MAX_EPILOGUE_INSTRS: usize = 8;
-/// Per-instruction operand cap, sized so argument values fit a stack
-/// array in the hot loop (covers every fixed-arity op and bounds AddN).
+/// Per-instruction operand cap (covers every fixed-arity op and bounds
+/// AddN); the graph pass leaves wider sums to the elementwise
+/// interpreter.
 pub const MAX_EPILOGUE_ARGS: usize = 8;
 
 /// Broadcast class of an external epilogue operand against the `[m, n]`
@@ -86,323 +88,6 @@ pub struct Epilogue {
     pub n_operands: usize,
     /// Instructions in evaluation (original graph) order.
     pub instrs: Vec<EpilogueInstr>,
-}
-
-/// Applies one scalar formula. Mirrors
-/// [`crate::kernels::fused::FusedInstr`]'s row loops exactly, value for
-/// value — the bitwise contract of both fusion passes hangs on these
-/// sites agreeing. The specialized row loops in [`apply_instr_row`]
-/// inline the same formulas; this function stays the source of truth
-/// and serves the general fallback.
-#[inline(always)]
-fn scalar_op(op: FusedOp, vals: &[f32]) -> f32 {
-    use FusedOp::*;
-    match op {
-        Add => vals[0] + vals[1],
-        Sub => vals[0] - vals[1],
-        Mul => vals[0] * vals[1],
-        Div => vals[0] / vals[1],
-        Maximum => f32::max(vals[0], vals[1]),
-        Pow => vals[0].powf(vals[1]),
-        Greater => f32::from(vals[0] > vals[1]),
-        GreaterEqual => f32::from(vals[0] >= vals[1]),
-        Equal => f32::from(vals[0] == vals[1]),
-        // Two masked passes plus an add, like the executor's lowering.
-        Select => {
-            (if vals[0] != 0.0 { vals[1] } else { 0.0 })
-                + (if vals[0] != 0.0 { 0.0 } else { vals[2] })
-        }
-        Neg => -vals[0],
-        Exp => vals[0].exp(),
-        Log => vals[0].ln(),
-        Sqrt => vals[0].sqrt(),
-        Square => vals[0] * vals[0],
-        Tanh => vals[0].tanh(),
-        Sigmoid => 1.0 / (1.0 + (-vals[0]).exp()),
-        Relu => vals[0].max(0.0),
-        ReluGrad => {
-            if vals[0] > 0.0 {
-                vals[1]
-            } else {
-                0.0
-            }
-        }
-        TanhGrad => vals[1] * (1.0 - vals[0] * vals[0]),
-        SigmoidGrad => vals[1] * vals[0] * (1.0 - vals[0]),
-        // Accumulate from 0.0 in operand order — `add_n`'s exact fold.
-        AddN => {
-            let mut s = 0.0f32;
-            for &v in vals {
-                s += v;
-            }
-            s
-        }
-    }
-}
-
-/// One epilogue operand resolved against a specific row fragment: the
-/// running accumulator, a broadcast scalar, or a fragment-length slice
-/// (a `Col` or `Full` operand pre-offset to the fragment's columns).
-#[derive(Clone, Copy)]
-enum Src<'a> {
-    Acc,
-    Scalar(f32),
-    Row(&'a [f32]),
-}
-
-/// Resolves one argument of an instruction against a row fragment of
-/// `len` elements starting at output element `(row, col0)`.
-#[inline(always)]
-fn resolve_arg<'a>(
-    arg: EpilogueArg,
-    row: usize,
-    col0: usize,
-    n: usize,
-    len: usize,
-    operands: &[&'a [f32]],
-) -> Src<'a> {
-    match arg {
-        EpilogueArg::Acc => Src::Acc,
-        EpilogueArg::Operand { index, kind } => {
-            let src = operands[usize::from(index)];
-            match kind {
-                OperandKind::Scalar => Src::Scalar(src[0]),
-                OperandKind::Col => Src::Row(&src[col0..col0 + len]),
-                OperandKind::Full => Src::Row(&src[row * n + col0..row * n + col0 + len]),
-            }
-        }
-    }
-}
-
-/// The value of a resolved source at fragment offset `j`, given the
-/// accumulator's current value there.
-#[inline(always)]
-fn fetch(src: Src<'_>, acc: f32, j: usize) -> f32 {
-    match src {
-        Src::Acc => acc,
-        Src::Scalar(s) => s,
-        Src::Row(r) => r[j],
-    }
-}
-
-/// Applies a unary scalar formula over the accumulator fragment.
-#[inline(always)]
-fn acc_unary(acc: &mut [f32], f: impl Fn(f32) -> f32) {
-    for v in acc.iter_mut() {
-        *v = f(*v);
-    }
-}
-
-/// Applies a binary scalar formula over the accumulator fragment. The
-/// Acc/Scalar/Row combinations are split so each runs a tight
-/// vectorizable loop; `validate` guarantees at least one operand is the
-/// accumulator, but the general arm keeps the function total.
-#[inline(always)]
-fn acc_binary(acc: &mut [f32], a: Src<'_>, b: Src<'_>, f: impl Fn(f32, f32) -> f32) {
-    match (a, b) {
-        (Src::Acc, Src::Acc) => acc_unary(acc, |v| f(v, v)),
-        (Src::Acc, Src::Scalar(s)) => acc_unary(acc, |v| f(v, s)),
-        (Src::Scalar(s), Src::Acc) => acc_unary(acc, |v| f(s, v)),
-        (Src::Acc, Src::Row(r)) => {
-            for (v, &bv) in acc.iter_mut().zip(r) {
-                *v = f(*v, bv);
-            }
-        }
-        (Src::Row(r), Src::Acc) => {
-            for (v, &av) in acc.iter_mut().zip(r) {
-                *v = f(av, *v);
-            }
-        }
-        (a, b) => {
-            for (j, v) in acc.iter_mut().enumerate() {
-                *v = f(fetch(a, *v, j), fetch(b, *v, j));
-            }
-        }
-    }
-}
-
-/// Applies a unary scalar formula over every row of a strided block.
-#[inline(always)]
-fn block_unary(block: &mut [f32], rows: usize, cols: usize, stride: usize, f: impl Fn(f32) -> f32) {
-    for r in 0..rows {
-        acc_unary(&mut block[r * stride..][..cols], &f);
-    }
-}
-
-/// Applies a binary instruction over every row of a strided block,
-/// re-resolving the operands per row (a `Full` operand's slice moves
-/// with the row; `Scalar`/`Col` resolve to the same source each time,
-/// cheaply enough not to be worth hoisting).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn block_binary(
-    block: &mut [f32],
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    n: usize,
-    operands: &[&[f32]],
-    a0: EpilogueArg,
-    a1: EpilogueArg,
-    f: impl Fn(f32, f32) -> f32,
-) {
-    for r in 0..rows {
-        let row = &mut block[r * stride..][..cols];
-        let a = resolve_arg(a0, row0 + r, col0, n, cols, operands);
-        let b = resolve_arg(a1, row0 + r, col0, n, cols, operands);
-        acc_binary(row, a, b, &f);
-    }
-}
-
-/// Applies one instruction to a `rows x cols` block stored with row
-/// stride `stride`. Fixed-arity ops match on their shape ONCE per block
-/// and run tight per-op inner loops — the same shape as
-/// [`crate::kernels::fused::FusedInstr`]'s row loops. Dispatching per
-/// block rather than per row matters: a macro tile's rows are 64-element
-/// fragments, and at that grain the argument-pattern and opcode matches
-/// cost as much as the arithmetic they guard (measurably slower than
-/// the unfused elementwise kernels on conv-sized outputs).
-/// `Select`/`AddN` (rare in epilogues) fall back to the per-element
-/// interpreter, per row.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn apply_instr_block(
-    instr: &EpilogueInstr,
-    block: &mut [f32],
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    n: usize,
-    operands: &[&[f32]],
-) {
-    use FusedOp::*;
-    match *instr.args.as_slice() {
-        [EpilogueArg::Acc] => match instr.op {
-            Neg => block_unary(block, rows, cols, stride, |v| -v),
-            Exp => block_unary(block, rows, cols, stride, f32::exp),
-            Log => block_unary(block, rows, cols, stride, f32::ln),
-            Sqrt => block_unary(block, rows, cols, stride, f32::sqrt),
-            Square => block_unary(block, rows, cols, stride, |v| v * v),
-            Tanh => block_unary(block, rows, cols, stride, f32::tanh),
-            Sigmoid => block_unary(block, rows, cols, stride, |v| 1.0 / (1.0 + (-v).exp())),
-            Relu => block_unary(block, rows, cols, stride, |v| v.max(0.0)),
-            _ => block_general(instr, block, row0, col0, rows, cols, stride, n, operands),
-        },
-        [a0, a1] if instr.op.arity() == Some(2) => match instr.op {
-            Add => block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| x + y),
-            Sub => block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| x - y),
-            Mul => block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| x * y),
-            Div => block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| x / y),
-            Maximum => block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, f32::max),
-            Pow => block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, f32::powf),
-            Greater => {
-                block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| {
-                    f32::from(x > y)
-                })
-            }
-            GreaterEqual => {
-                block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| {
-                    f32::from(x >= y)
-                })
-            }
-            Equal => {
-                block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, y| {
-                    f32::from(x == y)
-                })
-            }
-            ReluGrad => {
-                block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |x, g| {
-                    if x > 0.0 {
-                        g
-                    } else {
-                        0.0
-                    }
-                })
-            }
-            TanhGrad => {
-                block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |y, g| {
-                    g * (1.0 - y * y)
-                })
-            }
-            SigmoidGrad => {
-                block_binary(block, row0, col0, rows, cols, stride, n, operands, a0, a1, |y, g| {
-                    g * y * (1.0 - y)
-                })
-            }
-            _ => block_general(instr, block, row0, col0, rows, cols, stride, n, operands),
-        },
-        _ => block_general(instr, block, row0, col0, rows, cols, stride, n, operands),
-    }
-}
-
-/// Per-row fallback onto [`apply_general`] for instruction shapes with
-/// no specialized block loop.
-#[allow(clippy::too_many_arguments)]
-fn block_general(
-    instr: &EpilogueInstr,
-    block: &mut [f32],
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    n: usize,
-    operands: &[&[f32]],
-) {
-    for r in 0..rows {
-        apply_general(instr, &mut block[r * stride..][..cols], row0 + r, col0, n, operands);
-    }
-}
-
-/// Applies one instruction to a single row fragment — the degenerate
-/// one-row block.
-#[inline(always)]
-fn apply_instr_row(
-    instr: &EpilogueInstr,
-    acc: &mut [f32],
-    row: usize,
-    col0: usize,
-    n: usize,
-    operands: &[&[f32]],
-) {
-    let len = acc.len();
-    apply_instr_block(instr, acc, row, col0, 1, len, len, n, operands);
-}
-
-/// The per-element interpreter for instruction shapes without a
-/// specialized loop (`Select`, `AddN`, and any unary op applied to a
-/// non-accumulator source). Applies [`scalar_op`] — the formula source
-/// of truth — one element at a time.
-fn apply_general(
-    instr: &EpilogueInstr,
-    acc: &mut [f32],
-    row: usize,
-    col0: usize,
-    n: usize,
-    operands: &[&[f32]],
-) {
-    let mut vals = [0.0f32; MAX_EPILOGUE_ARGS];
-    let nargs = instr.args.len();
-    for (j, slot) in acc.iter_mut().enumerate() {
-        for (v, arg) in vals[..nargs].iter_mut().zip(&instr.args) {
-            *v = match *arg {
-                EpilogueArg::Acc => *slot,
-                EpilogueArg::Operand { index, kind } => {
-                    let src = operands[usize::from(index)];
-                    match kind {
-                        OperandKind::Scalar => src[0],
-                        OperandKind::Col => src[col0 + j],
-                        OperandKind::Full => src[row * n + col0 + j],
-                    }
-                }
-            };
-        }
-        *slot = scalar_op(instr.op, &vals[..nargs]);
-    }
 }
 
 impl Epilogue {
@@ -507,15 +192,13 @@ impl Epilogue {
 
     /// Applies the program to `acc`, a row fragment of the output whose
     /// first element is output element `(row, col0)` of an `[_, n]`
-    /// matrix. This is the register-tile path: the GEMM writeback calls
-    /// it on accumulator rows before they are stored.
+    /// matrix — the degenerate one-row block.
     ///
     /// Assumes [`Epilogue::check_operands`] ran at the kernel entry.
     #[inline]
     pub fn apply_row(&self, acc: &mut [f32], row: usize, col0: usize, n: usize, operands: &[&[f32]]) {
-        for instr in &self.instrs {
-            apply_instr_row(instr, acc, row, col0, n, operands);
-        }
+        let len = acc.len();
+        self.apply_block(acc, row, col0, 1, len, len, n, operands);
     }
 
     /// Applies the program to a `rows x cols` accumulator block stored
@@ -523,10 +206,13 @@ impl Epilogue {
     /// element `(row0, col0)` of an `[_, n]` matrix. This is what the
     /// packed GEMM writeback calls on each macro tile: instructions run
     /// outermost (each applied to every row before the next starts),
-    /// which dispatches once per instruction per *tile* instead of per
-    /// 64-element row fragment. Every instruction is pure per element,
-    /// so the instruction-outer order is bitwise identical to
-    /// [`Epilogue::apply_row`] row by row.
+    /// which dispatches on the op once per instruction per *tile* and
+    /// runs the same tight loops as the fused elementwise interpreter
+    /// (see [`Rows`]). Dispatching per 64-element row fragment instead
+    /// costs as much as the arithmetic it guards (measurably slower than
+    /// the unfused elementwise kernels on conv-sized outputs). Every
+    /// instruction is pure per element, so the instruction-outer order is
+    /// bitwise identical to [`Epilogue::apply_row`] row by row.
     ///
     /// Assumes [`Epilogue::check_operands`] ran at the kernel entry.
     #[inline]
@@ -543,7 +229,25 @@ impl Epilogue {
         operands: &[&[f32]],
     ) {
         for instr in &self.instrs {
-            apply_instr_block(instr, block, row0, col0, rows, cols, stride, n, operands);
+            // A `Full` operand's slice moves with the row; `Scalar`/`Col`
+            // resolve to the same source each time, cheaply enough not
+            // to be worth hoisting.
+            let src = |r: usize, i: usize| match instr.args[i] {
+                EpilogueArg::Acc => Src::Dst,
+                EpilogueArg::Operand { index, kind } => {
+                    let data = operands[usize::from(index)];
+                    match kind {
+                        OperandKind::Scalar => Src::Scalar(data[0]),
+                        OperandKind::Col => Src::Row(&data[col0..col0 + cols]),
+                        OperandKind::Full => {
+                            let at = (row0 + r) * n + col0;
+                            Src::Row(&data[at..at + cols])
+                        }
+                    }
+                }
+            };
+            let dsts = block.chunks_mut(stride.max(1)).take(rows).map(|row| &mut row[..cols]);
+            instr.op.visit(Rows { dsts, n_args: instr.args.len(), src });
         }
     }
 
@@ -608,7 +312,7 @@ mod tests {
         let p = pool();
         let mut fused = x.clone();
         bias_relu().apply_flat(fused.data_mut(), m, n, &[bias.data()], &p);
-        let unfused = ew::relu(&ew::add(&x, &bias, &p), &p);
+        let unfused = ew::eval(FusedOp::Relu, &[&ew::eval(FusedOp::Add, &[&x, &bias], &p)], &p);
         assert_eq!(fused.data(), unfused.data());
     }
 
@@ -698,7 +402,7 @@ mod tests {
         let p = pool();
         let mut fused = x.clone();
         ep.apply_flat(fused.data_mut(), m, n, &[r.data(), s.data()], &p);
-        let unfused = ew::mul(&ew::add(&x, &r, &p), &s, &p);
+        let unfused = ew::eval(FusedOp::Mul, &[&ew::eval(FusedOp::Add, &[&x, &r], &p), &s], &p);
         assert_eq!(fused.data(), unfused.data());
     }
 
@@ -754,11 +458,124 @@ mod tests {
         .is_ok());
     }
 
+    /// Applies `ep` to a copy of `x` (`[m, n]`) three ways — one flat
+    /// pass, ragged row fragments, and one strided block — and returns
+    /// the result after checking the three agree bitwise.
+    fn on_every_path(ep: &Epilogue, x: &Tensor, ops: &[&[f32]]) -> Tensor {
+        let (m, n) = (x.shape().dim(0), x.shape().dim(1));
+        let mut flat = x.clone();
+        ep.apply_flat(flat.data_mut(), m, n, ops, &pool());
+        let mut by_row = x.clone();
+        let split = n / 3;
+        for row in 0..m {
+            for (col0, width) in [(0, split), (split, n - split)] {
+                let frag = &mut by_row.data_mut()[row * n + col0..][..width];
+                ep.apply_row(frag, row, col0, n, ops);
+            }
+        }
+        // The whole matrix as one block inside a wider scratch buffer.
+        let stride = n + 3;
+        let mut block = vec![0.5f32; m * stride];
+        for (dst, src) in block.chunks_mut(stride).zip(x.data().chunks(n)) {
+            dst[..n].copy_from_slice(src);
+        }
+        ep.apply_block(&mut block, 0, 0, m, n, stride, n, ops);
+        assert_bitwise(&by_row, &flat, "row fragments vs flat");
+        let unpadded: Vec<f32> = block.chunks(stride).flat_map(|row| &row[..n]).copied().collect();
+        assert_bitwise(&Tensor::from_vec(unpadded, [m, n]), &flat, "block vs flat");
+        flat
+    }
+
+    /// Bitwise equality, except that any NaN equals any NaN: which
+    /// operand's sign and payload a NaN result inherits depends on operand
+    /// order, and the optimizer may commute `a + b` differently in
+    /// different loops.
+    fn assert_bitwise(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (j, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what}: element {j}: {g} ({:#x}) vs {w} ({:#x})", g.to_bits(), w.to_bits());
+        }
+    }
+
+    /// Every op of the table, over the full cartesian grid of special
+    /// values: the standalone kernel, the fused interpreter and the
+    /// epilogue (with the accumulator in each operand position, the other
+    /// operands full-sized or a broadcast scalar) must agree bitwise.
+    #[test]
+    fn every_op_agrees_bitwise_on_every_path_over_special_values() {
+        use crate::kernels::fused::{FusedInstr, FusedProgram};
+        let specials = [
+            0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-40, 3.0e38, -3.0e38,
+            1.0, -2.5, 0.5,
+        ];
+        let base = specials.len();
+        let p = pool();
+        for op in FusedOp::ALL {
+            let arity = op.arity().unwrap_or(3);
+            // Input i enumerates digit i of the grid index, so the inputs
+            // together visit every arity-tuple of special values.
+            let total = base.pow(arity as u32);
+            let inputs: Vec<Tensor> = (0..arity)
+                .map(|i| {
+                    let data = (0..total).map(|e| specials[e / base.pow(i as u32) % base]).collect();
+                    Tensor::from_vec(data, [total / base, base])
+                })
+                .collect();
+            let refs: Vec<&Tensor> = inputs.iter().collect();
+            let want = ew::eval(op, &refs, &p);
+            let program = FusedProgram {
+                n_inputs: arity,
+                instrs: vec![FusedInstr { op, args: (0..arity as u16).collect() }],
+            };
+            assert_bitwise(&program.eval(&refs, &p), &want, &format!("{} fused", op.name()));
+            for acc_at in 0..arity {
+                let mut ops: Vec<&[f32]> = Vec::new();
+                let args = (0..arity)
+                    .map(|i| {
+                        if i == acc_at {
+                            return acc();
+                        }
+                        ops.push(inputs[i].data());
+                        operand(ops.len() as u16 - 1, OperandKind::Full)
+                    })
+                    .collect();
+                let ep = Epilogue { n_operands: arity - 1, instrs: vec![EpilogueInstr { op, args }] };
+                let got = on_every_path(&ep, &inputs[acc_at], &ops);
+                assert_bitwise(&got, &want, &format!("{} epilogue, acc at {acc_at}", op.name()));
+            }
+            // The last operand as a broadcast scalar (the variadic fold
+            // takes same-shaped operands only).
+            if arity < 2 || op.arity().is_none() {
+                continue;
+            }
+            for &s in &specials {
+                let scalar = Tensor::scalar(s);
+                let mut refs = refs.clone();
+                refs[arity - 1] = &scalar;
+                let want = ew::eval(op, &refs, &p);
+                let what = format!("{} with scalar {s}", op.name());
+                assert_bitwise(&program.eval(&refs, &p), &want, &format!("{what}, fused"));
+                let mut ops: Vec<&[f32]> = refs[1..arity - 1].iter().map(|t| t.data()).collect();
+                ops.push(scalar.data());
+                let args = std::iter::once(acc())
+                    .chain((1..arity - 1).map(|i| operand(i as u16 - 1, OperandKind::Full)))
+                    .chain([operand(arity as u16 - 2, OperandKind::Scalar)])
+                    .collect();
+                let ep = Epilogue { n_operands: arity - 1, instrs: vec![EpilogueInstr { op, args }] };
+                assert_bitwise(&on_every_path(&ep, &inputs[0], &ops), &want, &format!("{what}, epilogue"));
+            }
+        }
+    }
+
     #[test]
     fn addn_folds_in_operand_order() {
-        let x = Tensor::from_vec(vec![1.0, -0.0, 0.0, 2.5], [2, 2]);
-        let a = Tensor::from_vec(vec![10.0, 0.0, -0.0, 1.5], [2, 2]);
-        let b = Tensor::from_vec(vec![-10.0, -0.0, -0.0, -4.0], [2, 2]);
+        use crate::kernels::fused::{FusedInstr, FusedProgram};
+        // The last column is all -0.0: a fold that mixed in a +0.0
+        // identity would turn it into +0.0.
+        let x = Tensor::from_vec(vec![1.0, -0.0, -0.0, 0.0, 2.5, -0.0], [2, 3]);
+        let a = Tensor::from_vec(vec![10.0, 0.0, -0.0, -0.0, 1.5, -0.0], [2, 3]);
+        let b = Tensor::from_vec(vec![-10.0, -0.0, -0.0, -0.0, -4.0, -0.0], [2, 3]);
         let ep = Epilogue {
             n_operands: 2,
             instrs: vec![EpilogueInstr {
@@ -767,9 +584,14 @@ mod tests {
             }],
         };
         let p = pool();
-        let mut fused = x.clone();
-        ep.apply_flat(fused.data_mut(), 2, 2, &[a.data(), b.data()], &p);
-        let unfused = ew::add_n(&[&a, &x, &b], &p);
-        assert_eq!(fused.data(), unfused.data());
+        let unfused = ew::eval(FusedOp::AddN, &[&a, &x, &b], &p);
+        assert_eq!(unfused.data()[2].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(unfused.data()[5].to_bits(), (-0.0f32).to_bits());
+        assert_bitwise(&on_every_path(&ep, &x, &[a.data(), b.data()]), &unfused, "epilogue");
+        let program = FusedProgram {
+            n_inputs: 3,
+            instrs: vec![FusedInstr { op: FusedOp::AddN, args: vec![0, 1, 2] }],
+        };
+        assert_bitwise(&program.eval(&[&a, &x, &b], &p), &unfused, "fused program");
     }
 }

@@ -1,4 +1,9 @@
-//! Loop-jammed interpreter for fused elementwise expression programs.
+//! The class-C op table and the loop-jammed interpreter for fused
+//! elementwise expression programs.
+//!
+//! [`FusedOp::visit`] is the one definition of every class-C op (name,
+//! arity, flop weight, scalar formula); `Rows` is the one row evaluator,
+//! shared with the GEMM epilogue.
 //!
 //! A [`FusedProgram`] is a tiny register program over one output element:
 //! registers `0..n_inputs` hold the input tensors' values at that element,
@@ -11,11 +16,11 @@
 //! and output — and spans parallelize across the [`ExecPool`] like every
 //! other kernel in this module.
 //!
-//! Bitwise contract: each instruction applies *exactly* the scalar
-//! formula of the standalone kernel it replaces (`elementwise.rs` and the
-//! executor's inlined closures), in the producing op's original graph
-//! order, so a fused evaluation is bit-identical to running the unfused
-//! chain. The graph-level legality rules that make per-element evaluation
+//! Bitwise contract: each instruction applies the op table's scalar
+//! formula — the one the standalone kernel it replaces
+//! ([`crate::kernels::elementwise::eval`]) applies — in the producing
+//! op's original graph order, so a fused evaluation is bit-identical to
+//! running the unfused chain. The graph-level legality rules that make per-element evaluation
 //! valid (same-shaped members, scalar-or-same-shaped inputs) live in the
 //! dataflow optimizer; this kernel only checks structural validity.
 //!
@@ -41,8 +46,10 @@ use crate::tensor::Tensor;
 /// elementwise kernels).
 const FLAT_SPAN: usize = 1024;
 
-/// One scalar operation of a fused program. Every variant mirrors the
-/// scalar formula of the unfused kernel with the same name.
+/// One class-C scalar operation. Its name, arity, flop weight and scalar
+/// formula are defined once, in the op table ([`FusedOp::visit`]); the
+/// standalone kernel ([`crate::kernels::elementwise::eval`]), the fused
+/// interpreter and the GEMM epilogue all evaluate through that table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedOp {
     /// `a + b`
@@ -63,7 +70,7 @@ pub enum FusedOp {
     GreaterEqual,
     /// `a == b` as 0/1
     Equal,
-    /// `(cond, a, b)`: the executor's two-masked-pass formula.
+    /// `(cond, a, b)`: `a` where `cond != 0`, else `b`.
     Select,
     /// `-v`
     Neg,
@@ -87,50 +94,272 @@ pub enum FusedOp {
     TanhGrad,
     /// `(y, g)`: `g * y * (1 - y)`.
     SigmoidGrad,
-    /// Variadic sum, accumulated left to right from 0.
+    /// Variadic sum: a left fold starting from the first operand.
     AddN,
 }
 
+/// Receives one row of the op table. The scalar formula arrives as a
+/// concrete closure type, so an implementation's loops monomorphize per
+/// op: one `match` in [`FusedOp::visit`], then a tight loop — no `dyn`
+/// call and no per-element op dispatch. `flops` is the op's weight per
+/// output element (per operand for the variadic fold).
+pub trait OpVisitor {
+    /// What visiting an op produces.
+    type Out;
+    /// A one-operand op.
+    fn unary(self, name: &'static str, flops: f64, f: impl Fn(f32) -> f32 + Sync) -> Self::Out;
+    /// A two-operand op.
+    fn binary(self, name: &'static str, flops: f64, f: impl Fn(f32, f32) -> f32 + Sync) -> Self::Out;
+    /// A three-operand op.
+    fn ternary(
+        self,
+        name: &'static str,
+        flops: f64,
+        f: impl Fn(f32, f32, f32) -> f32 + Sync,
+    ) -> Self::Out;
+    /// A variadic op: the left fold of `f` over one or more operands,
+    /// starting from the first operand (no identity element is mixed in,
+    /// so signed zeros survive).
+    fn fold(self, name: &'static str, flops: f64, f: impl Fn(f32, f32) -> f32 + Sync) -> Self::Out;
+}
+
+/// Reads a table row's metadata, ignoring the formula.
+struct Describe;
+
+impl OpVisitor for Describe {
+    type Out = (&'static str, Option<usize>, f64);
+    fn unary(self, name: &'static str, flops: f64, _: impl Fn(f32) -> f32 + Sync) -> Self::Out {
+        (name, Some(1), flops)
+    }
+    fn binary(self, name: &'static str, flops: f64, _: impl Fn(f32, f32) -> f32 + Sync) -> Self::Out {
+        (name, Some(2), flops)
+    }
+    fn ternary(
+        self,
+        name: &'static str,
+        flops: f64,
+        _: impl Fn(f32, f32, f32) -> f32 + Sync,
+    ) -> Self::Out {
+        (name, Some(3), flops)
+    }
+    fn fold(self, name: &'static str, flops: f64, _: impl Fn(f32, f32) -> f32 + Sync) -> Self::Out {
+        (name, None, flops)
+    }
+}
+
 impl FusedOp {
-    /// Fixed operand count, or `None` for the variadic [`FusedOp::AddN`].
-    pub fn arity(&self) -> Option<usize> {
+    /// Every op, in declaration order.
+    pub const ALL: [FusedOp; 22] = [
+        FusedOp::Add,
+        FusedOp::Sub,
+        FusedOp::Mul,
+        FusedOp::Div,
+        FusedOp::Maximum,
+        FusedOp::Pow,
+        FusedOp::Greater,
+        FusedOp::GreaterEqual,
+        FusedOp::Equal,
+        FusedOp::Select,
+        FusedOp::Neg,
+        FusedOp::Exp,
+        FusedOp::Log,
+        FusedOp::Sqrt,
+        FusedOp::Square,
+        FusedOp::Tanh,
+        FusedOp::Sigmoid,
+        FusedOp::Relu,
+        FusedOp::ReluGrad,
+        FusedOp::TanhGrad,
+        FusedOp::SigmoidGrad,
+        FusedOp::AddN,
+    ];
+
+    /// The op table: hands `v` this op's TensorFlow-style name (used for
+    /// profile attribution), flop weight and scalar formula; the visitor
+    /// method called fixes the arity. Transcendentals weigh 8 flops.
+    #[inline(always)]
+    pub fn visit<V: OpVisitor>(self, v: V) -> V::Out {
         use FusedOp::*;
         match self {
-            Neg | Exp | Log | Sqrt | Square | Tanh | Sigmoid | Relu => Some(1),
-            Add | Sub | Mul | Div | Maximum | Pow | Greater | GreaterEqual | Equal | ReluGrad
-            | TanhGrad | SigmoidGrad => Some(2),
-            Select => Some(3),
-            AddN => None,
+            Add => v.binary("Add", 1.0, |a, b| a + b),
+            Sub => v.binary("Sub", 1.0, |a, b| a - b),
+            Mul => v.binary("Mul", 1.0, |a, b| a * b),
+            Div => v.binary("Div", 1.0, |a, b| a / b),
+            Maximum => v.binary("Maximum", 1.0, f32::max),
+            Pow => v.binary("Pow", 8.0, f32::powf),
+            Greater => v.binary("Greater", 1.0, |a, b| f32::from(a > b)),
+            GreaterEqual => v.binary("GreaterEqual", 1.0, |a, b| f32::from(a >= b)),
+            Equal => v.binary("Equal", 1.0, |a, b| f32::from(a == b)),
+            // Two masked terms plus an add, not a conditional move: the
+            // sum turns a selected -0.0 into +0.0.
+            Select => v.ternary("Select", 1.0, |c, a, b| {
+                (if c != 0.0 { a } else { 0.0 }) + (if c != 0.0 { 0.0 } else { b })
+            }),
+            Neg => v.unary("Neg", 1.0, |x| -x),
+            Exp => v.unary("Exp", 8.0, f32::exp),
+            Log => v.unary("Log", 8.0, f32::ln),
+            Sqrt => v.unary("Sqrt", 8.0, f32::sqrt),
+            Square => v.unary("Square", 1.0, |x| x * x),
+            Tanh => v.unary("Tanh", 8.0, f32::tanh),
+            Sigmoid => v.unary("Sigmoid", 8.0, |x| 1.0 / (1.0 + (-x).exp())),
+            Relu => v.unary("Relu", 1.0, |x| x.max(0.0)),
+            ReluGrad => v.binary("ReluGrad", 1.0, |x, g| if x > 0.0 { g } else { 0.0 }),
+            TanhGrad => v.binary("TanhGrad", 1.0, |y, g| g * (1.0 - y * y)),
+            SigmoidGrad => v.binary("SigmoidGrad", 1.0, |y, g| g * y * (1.0 - y)),
+            AddN => v.fold("AddN", 1.0, |s, x| s + x),
         }
     }
 
-    /// The TensorFlow-style name of the op this instruction replaces
-    /// (used for profile attribution).
+    /// The TensorFlow-style name of the op (used for profile
+    /// attribution).
     pub fn name(&self) -> &'static str {
-        use FusedOp::*;
+        self.visit(Describe).0
+    }
+
+    /// Fixed operand count, or `None` for the variadic [`FusedOp::AddN`].
+    pub fn arity(&self) -> Option<usize> {
+        self.visit(Describe).1
+    }
+
+    /// Flop weight per output element of one application to `n_args`
+    /// operands — what the cost model charges the op, fused or not.
+    pub fn flops_per_elem(&self, n_args: usize) -> f64 {
+        let (_, arity, flops) = self.visit(Describe);
+        flops * arity.map_or(n_args, |_| 1) as f64
+    }
+}
+
+/// Where a row evaluation reads one operand from.
+#[derive(Clone, Copy)]
+pub(crate) enum Src<'a> {
+    /// The destination row's own current value (the GEMM accumulator, in
+    /// an epilogue).
+    Dst,
+    /// One value for every element.
+    Scalar(f32),
+    /// A row as long as the destination.
+    Row(&'a [f32]),
+}
+
+impl Src<'_> {
+    /// The operand's value at offset `j`, given the destination's current
+    /// value there.
+    #[inline(always)]
+    fn at(self, dst: f32, j: usize) -> f32 {
         match self {
-            Add => "Add",
-            Sub => "Sub",
-            Mul => "Mul",
-            Div => "Div",
-            Maximum => "Maximum",
-            Pow => "Pow",
-            Greater => "Greater",
-            GreaterEqual => "GreaterEqual",
-            Equal => "Equal",
-            Select => "Select",
-            Neg => "Neg",
-            Exp => "Exp",
-            Log => "Log",
-            Sqrt => "Sqrt",
-            Square => "Square",
-            Tanh => "Tanh",
-            Sigmoid => "Sigmoid",
-            Relu => "Relu",
-            ReluGrad => "ReluGrad",
-            TanhGrad => "TanhGrad",
-            SigmoidGrad => "SigmoidGrad",
-            AddN => "AddN",
+            Src::Dst => dst,
+            Src::Scalar(s) => s,
+            Src::Row(r) => r[j],
+        }
+    }
+}
+
+/// The row evaluator shared by [`FusedProgram::eval`] and
+/// [`crate::kernels::epilogue::Epilogue`]: applies one op to each
+/// destination row in `dsts`, reading operand `i` of row `r` from
+/// `src(r, i)`. Visiting an op with this dispatches on the op once, then
+/// per row on the operand sources, then runs a tight loop.
+pub(crate) struct Rows<D, S> {
+    /// Destination rows, in row order.
+    pub dsts: D,
+    /// Operand count of the instruction.
+    pub n_args: usize,
+    /// Resolves `(row, operand index)` to where that operand's values
+    /// are.
+    pub src: S,
+}
+
+#[inline(always)]
+fn map_in_place(dst: &mut [f32], f: impl Fn(f32) -> f32) {
+    for v in dst.iter_mut() {
+        *v = f(*v);
+    }
+}
+
+#[inline(always)]
+fn map_row(dst: &mut [f32], a: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for (d, &av) in dst.iter_mut().zip(a) {
+        *d = f(*d, av);
+    }
+}
+
+impl<'d, 's, D, S> OpVisitor for Rows<D, S>
+where
+    D: Iterator<Item = &'d mut [f32]>,
+    S: Fn(usize, usize) -> Src<'s>,
+{
+    type Out = ();
+
+    #[inline(always)]
+    fn unary(self, _: &'static str, _: f64, f: impl Fn(f32) -> f32 + Sync) {
+        for (r, dst) in self.dsts.enumerate() {
+            match (self.src)(r, 0) {
+                Src::Dst => map_in_place(dst, &f),
+                Src::Scalar(s) => dst.fill(f(s)),
+                Src::Row(a) => map_row(dst, a, |_, av| f(av)),
+            }
+        }
+    }
+
+    /// The source combinations are split so each runs a tight
+    /// vectorizable loop.
+    #[inline(always)]
+    fn binary(self, _: &'static str, _: f64, f: impl Fn(f32, f32) -> f32 + Sync) {
+        use Src::{Dst, Row, Scalar};
+        for (r, dst) in self.dsts.enumerate() {
+            match ((self.src)(r, 0), (self.src)(r, 1)) {
+                (Dst, Dst) => map_in_place(dst, |v| f(v, v)),
+                (Dst, Scalar(s)) => map_in_place(dst, |v| f(v, s)),
+                (Scalar(s), Dst) => map_in_place(dst, |v| f(s, v)),
+                (Dst, Row(b)) => map_row(dst, b, &f),
+                (Row(a), Dst) => map_row(dst, a, |v, av| f(av, v)),
+                (Row(a), Scalar(s)) => map_row(dst, a, |_, av| f(av, s)),
+                (Scalar(s), Row(b)) => map_row(dst, b, |_, bv| f(s, bv)),
+                (Scalar(a), Scalar(b)) => dst.fill(f(a, b)),
+                (Row(a), Row(b)) => {
+                    for ((d, &av), &bv) in dst.iter_mut().zip(a).zip(b) {
+                        *d = f(av, bv);
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn ternary(self, _: &'static str, _: f64, f: impl Fn(f32, f32, f32) -> f32 + Sync) {
+        for (r, dst) in self.dsts.enumerate() {
+            let (a, b, c) = ((self.src)(r, 0), (self.src)(r, 1), (self.src)(r, 2));
+            for (j, d) in dst.iter_mut().enumerate() {
+                *d = f(a.at(*d, j), b.at(*d, j), c.at(*d, j));
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn fold(self, _: &'static str, _: f64, f: impl Fn(f32, f32) -> f32 + Sync) {
+        for (r, dst) in self.dsts.enumerate() {
+            let src = |i: usize| (self.src)(r, i);
+            if (1..self.n_args).any(|i| matches!(src(i), Src::Dst)) {
+                // A later operand is the destination's original value,
+                // which a row-at-a-time fold would have overwritten.
+                for (j, d) in dst.iter_mut().enumerate() {
+                    let cur = *d;
+                    *d = (1..self.n_args).fold(src(0).at(cur, j), |s, i| f(s, src(i).at(cur, j)));
+                }
+                continue;
+            }
+            match src(0) {
+                Src::Dst => {}
+                Src::Scalar(s) => dst.fill(s),
+                Src::Row(a) => dst.copy_from_slice(a),
+            }
+            for i in 1..self.n_args {
+                match src(i) {
+                    Src::Row(a) => map_row(dst, a, &f),
+                    Src::Scalar(s) => map_in_place(dst, |v| f(v, s)),
+                    Src::Dst => unreachable!("folded per element above"),
+                }
+            }
         }
     }
 }
@@ -142,79 +371,6 @@ pub struct FusedInstr {
     pub op: FusedOp,
     /// Register operands (inputs come first in the register file).
     pub args: Vec<u16>,
-}
-
-/// Applies a unary scalar formula across a register row.
-#[inline]
-fn unary_row(a: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
-    for (d, &av) in dst.iter_mut().zip(a) {
-        *d = f(av);
-    }
-}
-
-/// Applies a binary scalar formula across two register rows.
-#[inline]
-fn binary_row(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(f32, f32) -> f32) {
-    for ((d, &av), &bv) in dst.iter_mut().zip(a).zip(b) {
-        *d = f(av, bv);
-    }
-}
-
-impl FusedInstr {
-    /// Applies the instruction's scalar formula across one span:
-    /// `resolve` maps a register number to its `dst.len()`-long row and
-    /// `dst` is the row being written. Running a tight per-instruction
-    /// inner loop — instead of re-dispatching the op for every element —
-    /// is what lets the fused evaluator vectorize like the standalone
-    /// kernels it replaces.
-    #[inline]
-    fn apply_rows<'r>(&self, resolve: impl Fn(u16) -> &'r [f32], dst: &mut [f32]) {
-        use FusedOp::*;
-        let arg = |i: usize| resolve(self.args[i]);
-        match self.op {
-            Add => binary_row(arg(0), arg(1), dst, |a, b| a + b),
-            Sub => binary_row(arg(0), arg(1), dst, |a, b| a - b),
-            Mul => binary_row(arg(0), arg(1), dst, |a, b| a * b),
-            Div => binary_row(arg(0), arg(1), dst, |a, b| a / b),
-            Maximum => binary_row(arg(0), arg(1), dst, f32::max),
-            Pow => binary_row(arg(0), arg(1), dst, f32::powf),
-            Greater => binary_row(arg(0), arg(1), dst, |a, b| f32::from(a > b)),
-            GreaterEqual => binary_row(arg(0), arg(1), dst, |a, b| f32::from(a >= b)),
-            Equal => binary_row(arg(0), arg(1), dst, |a, b| f32::from(a == b)),
-            // The executor lowers Select to two masked passes plus an
-            // add; mirror that formula exactly (it differs from a plain
-            // conditional move on signed zeros).
-            Select => {
-                let (c, a, b) = (arg(0), arg(1), arg(2));
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = (if c[j] != 0.0 { a[j] } else { 0.0 })
-                        + (if c[j] != 0.0 { 0.0 } else { b[j] });
-                }
-            }
-            Neg => unary_row(arg(0), dst, |v| -v),
-            Exp => unary_row(arg(0), dst, f32::exp),
-            Log => unary_row(arg(0), dst, f32::ln),
-            Sqrt => unary_row(arg(0), dst, f32::sqrt),
-            Square => unary_row(arg(0), dst, |v| v * v),
-            Tanh => unary_row(arg(0), dst, f32::tanh),
-            Sigmoid => unary_row(arg(0), dst, |v| 1.0 / (1.0 + (-v).exp())),
-            Relu => unary_row(arg(0), dst, |v| v.max(0.0)),
-            ReluGrad => binary_row(arg(0), arg(1), dst, |x, g| if x > 0.0 { g } else { 0.0 }),
-            TanhGrad => binary_row(arg(0), arg(1), dst, |y, g| g * (1.0 - y * y)),
-            SigmoidGrad => binary_row(arg(0), arg(1), dst, |y, g| g * y * (1.0 - y)),
-            // Accumulate from 0.0 in operand order — `add_n`'s exact
-            // fold, so signed zeros round-trip identically.
-            AddN => {
-                dst.fill(0.0);
-                for &a in &self.args {
-                    let row = resolve(a);
-                    for (d, &v) in dst.iter_mut().zip(row) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A straight-line elementwise expression program.
@@ -306,47 +462,35 @@ impl FusedProgram {
         let mut out = Tensor::zeros(out_shape);
         let span = FLAT_SPAN.min(n.max(1));
         let aligned = n - n % span;
-        // Span-length splat rows for scalar inputs, shared by every span
-        // (tail spans borrow a prefix).
-        let scalar_rows: Vec<Option<Vec<f32>>> = inputs
-            .iter()
-            .map(|t| (t.len() == 1).then(|| vec![t.data()[0]; span]))
-            .collect();
         // Instruction-major within each span: every intermediate register
         // is a span-length row in one cache-resident scratch block, and
         // each instruction runs a tight inner loop over its operand rows.
-        // Input registers are read in place from the input tensors and
-        // the final instruction writes straight into the output, so
-        // intermediates never round-trip through tensor-sized buffers,
-        // while the per-element op dispatch of a naive interpreter is
-        // hoisted out of the hot loop and each instruction's inner loop
-        // vectorizes like the unfused kernels.
+        // Input registers are read in place from the input tensors
+        // (single-element inputs as broadcast scalars) and the final
+        // instruction writes straight into the output, so intermediates
+        // never round-trip through tensor-sized buffers, while the
+        // per-element op dispatch of a naive interpreter is hoisted out
+        // of the hot loop and each instruction's inner loop vectorizes
+        // like the unfused kernels.
         let n_instr = self.instrs.len();
         let run_span = |base: usize, dst: &mut [f32]| {
             let len = dst.len();
             let mut scratch = vec![0.0f32; (n_instr - 1) * len];
             for (k, instr) in self.instrs.iter().enumerate() {
                 let (done, rest) = scratch.split_at_mut(k * len);
-                let resolve = |a: u16| -> &[f32] {
-                    let r = usize::from(a);
-                    if r < self.n_inputs {
-                        match &scalar_rows[r] {
-                            Some(row) => &row[..len],
-                            None => &inputs[r].data()[base..base + len],
-                        }
-                    } else {
+                let src = |_row: usize, i: usize| {
+                    let r = usize::from(instr.args[i]);
+                    if r >= self.n_inputs {
                         let at = (r - self.n_inputs) * len;
-                        &done[at..at + len]
+                        Src::Row(&done[at..at + len])
+                    } else if inputs[r].len() == 1 {
+                        Src::Scalar(inputs[r].data()[0])
+                    } else {
+                        Src::Row(&inputs[r].data()[base..base + len])
                     }
                 };
-                if k + 1 == n_instr {
-                    instr.apply_rows(resolve, dst);
-                } else {
-                    // Split the row being written out of `rest` so the
-                    // resolver can keep borrowing every finished row.
-                    let (row, _) = rest.split_at_mut(len);
-                    instr.apply_rows(resolve, row);
-                }
+                let row = if k + 1 == n_instr { &mut *dst } else { &mut rest[..len] };
+                instr.op.visit(Rows { dsts: std::iter::once(row), n_args: instr.args.len(), src });
             }
         };
         // Each span reads every input and runs the whole program, so the
@@ -392,7 +536,8 @@ mod tests {
             ],
         };
         let fused = prog.eval(&[&x, &y], &p);
-        let unfused = ew::sigmoid(&ew::add(&ew::mul(&x, &y, &p), &x, &p), &p);
+        let xy = ew::eval(FusedOp::Mul, &[&x, &y], &p);
+        let unfused = ew::eval(FusedOp::Sigmoid, &[&ew::eval(FusedOp::Add, &[&xy, &x], &p)], &p);
         assert_eq!(fused.shape(), unfused.shape());
         for (a, b) in fused.data().iter().zip(unfused.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -428,28 +573,8 @@ mod tests {
             instrs: vec![instr(FusedOp::AddN, &[0, 1, 2])],
         };
         let out = prog.eval(&[&a, &b, &c], &pool());
-        let expect = ew::add_n(&[&a, &b, &c], &pool());
+        let expect = ew::eval(FusedOp::AddN, &[&a, &b, &c], &pool());
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn grad_formulas_match_executor_closures() {
-        let y = Tensor::from_vec(vec![-0.9, -0.1, 0.0, 0.4, 0.99], [5]);
-        let g = Tensor::from_vec(vec![1.0, -2.0, 3.0, 0.5, -0.25], [5]);
-        let p = pool();
-        let tanh_grad = FusedProgram {
-            n_inputs: 2,
-            instrs: vec![instr(FusedOp::TanhGrad, &[0, 1])],
-        };
-        let expect = ew::binary(&y, &g, &p, |yv, gv| gv * (1.0 - yv * yv));
-        assert_eq!(tanh_grad.eval(&[&y, &g], &p), expect);
-
-        let relu_grad = FusedProgram {
-            n_inputs: 2,
-            instrs: vec![instr(FusedOp::ReluGrad, &[0, 1])],
-        };
-        let expect = ew::binary(&y, &g, &p, |x, gv| if x > 0.0 { gv } else { 0.0 });
-        assert_eq!(relu_grad.eval(&[&y, &g], &p), expect);
     }
 
     #[test]
@@ -505,7 +630,7 @@ mod tests {
         };
         let masked_a = ew::binary(&c, &a, &p, |cv, av| if cv != 0.0 { av } else { 0.0 });
         let masked_b = ew::binary(&c, &b, &p, |cv, bv| if cv != 0.0 { 0.0 } else { bv });
-        let expect = ew::add(&masked_a, &masked_b, &p);
+        let expect = ew::eval(FusedOp::Add, &[&masked_a, &masked_b], &p);
         let got = prog.eval(&[&c, &a, &b], &p);
         for (x, y) in got.data().iter().zip(expect.data()) {
             assert_eq!(x.to_bits(), y.to_bits());

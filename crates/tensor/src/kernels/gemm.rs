@@ -1,10 +1,10 @@
 //! Packed, register-tiled GEMM engine (op class A in the paper's taxonomy).
 //!
-//! This is the BLIS-style counterpart to the row-parallel kernel in
-//! [`crate::kernels::matmul`]: both operands are first *packed* into
-//! contiguous panels, then an MR×NR register-tiled microkernel walks the
-//! panels with unit stride. Packing pays one pass over each operand and
-//! buys three things:
+//! This is the BLIS-style counterpart to the row-parallel kernel
+//! [`matmul_rows`]: both operands are first *packed* into contiguous
+//! panels, then an MR×NR register-tiled microkernel walks the panels with
+//! unit stride. Packing pays one pass over each operand and buys three
+//! things:
 //!
 //! 1. Every microkernel read is sequential, so the `transpose_a` path —
 //!    a strided column walk in the row kernel — costs the same as the
@@ -16,6 +16,25 @@
 //!    of C, so small-m matrices (one row per request in serving,
 //!    per-step seq2seq/memnet matrices) still fan out across workers.
 //!
+//! # One driver, two panel formats
+//!
+//! [`matmul`] and [`gemm_into`] are the only entry points; precision and
+//! the fused epilogue are arguments. [`select`] is the one place that
+//! decides which engine a product runs on, and one driver walks the tile
+//! grid for every packed product. What differs between f32 and bf16
+//! panels — element type, K padding, strip packers, microkernel — sits
+//! behind the `Panels` trait, a static parameter of the driver, so
+//! nothing dispatches inside the loops.
+//!
+//! bf16 panels exist because the pack step is the natural conversion
+//! point: every operand element already takes exactly one pass through a
+//! packer, so converting there costs one rounding per element, halves the
+//! panel bytes the microkernel streams, and lets the panels carry the
+//! k-pair-interleaved layout the AVX-512 BF16 dot-product instruction
+//! consumes — on hosts with `vdpbf16ps` each instruction retires two
+//! multiply-accumulates per f32 lane, which is where the speedup over
+//! f32 panels comes from. Accumulation stays f32 everywhere.
+//!
 //! # Determinism
 //!
 //! Parallel output is bitwise identical to serial. Each C element is
@@ -26,27 +45,33 @@
 //! are added into a tile-resident accumulator left to right before the
 //! tile is stored once. None of that order depends on worker count, tile
 //! ownership, or whether the element sits in a full or edge tile — edge
-//! tiles compute the same lanes against zero padding.
+//! tiles compute the same lanes against zero padding. The argument does
+//! not mention element width, so it holds for both panel formats; within
+//! a micro tile bf16 panels associate the k sum in adjacent pairs, which
+//! changes last-bit rounding relative to f32 panels but not the
+//! worker-count invariance.
 //!
 //! # Epilogue fusion
 //!
-//! [`gemm_into_fused`] threads an [`Epilogue`] program into the
-//! writeback: because the tile accumulator holds each element's final
-//! K-reduced value before any store, bias adds / activations / residual
-//! adds apply to registers and C is written exactly once, already
-//! post-processed. The epilogue runs per element after the fixed-order
-//! reduction completes, so it changes no sum order and the bitwise
-//! contract above carries over unchanged (see
-//! [`crate::kernels::epilogue`] for the formula-level contract).
+//! An [`Epilogue`] program rides the writeback: because the tile
+//! accumulator holds each element's final K-reduced value before any
+//! store, bias adds / activations / residual adds apply to registers and
+//! C is written exactly once, already post-processed. The epilogue runs
+//! per element after the fixed-order reduction completes, so it changes
+//! no sum order and the bitwise contract above carries over unchanged
+//! (see [`crate::kernels::epilogue`] for the formula-level contract).
 //!
 //! Packing buffers come from the thread's installed [`crate::BufferPool`]
 //! (see [`crate::recycle::take_buffer`]), so steady-state training does
 //! no kernel-scratch allocation.
 
 use crate::kernels::epilogue::Epilogue;
+use crate::kernels::matmul::{matmul_rows, product_dims};
+use crate::kernels::quant::{bf16_to_f32, bf16_from_f32, Precision};
 use crate::pool::ExecPool;
 use crate::recycle;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Microkernel tile rows: one accumulator row per packed-A lane.
 pub const MR: usize = 8;
@@ -62,135 +87,121 @@ const NC: usize = 64;
 
 const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
 const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
+const _: () = assert!(KC.is_multiple_of(2), "every K block but the last must hold whole k pairs");
 
-/// Raw output pointer shared across tile tasks. Safe because the tile
-/// grid partitions C: no two tasks touch the same element.
-struct SharedOut(*mut f32);
-unsafe impl Sync for SharedOut {}
+/// Raw pointer shared across pack or tile tasks.
+struct SharedOut<T>(*mut T);
+// SAFETY: tasks only write through the pointer, each to a region no other
+// task touches (the strip grid partitions a panel buffer, the tile grid
+// partitions C), and the owner outlives the parallel loop.
+unsafe impl<T: Send> Sync for SharedOut<T> {}
 
-impl SharedOut {
+impl<T> SharedOut<T> {
     /// Accessor rather than field reads inside closures: 2021-edition
     /// closures capture individual fields, and a captured bare `*mut`
     /// would lose the wrapper's `Sync`.
-    fn ptr(&self) -> *mut f32 {
+    fn ptr(&self) -> *mut T {
         self.0
     }
 }
 
-/// Whether `matmul` should route a `[m,k]x[k,n]` product through the
-/// packed engine rather than the row-parallel kernel.
+/// The engine a `[m,k]x[k,n]` product runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The row-parallel kernel [`matmul_rows`]; an epilogue runs as one
+    /// flat pass over its output.
+    Rows,
+    /// The packed driver over f32 panels.
+    PackedF32,
+    /// The packed driver over bf16 panels (f32 accumulation).
+    PackedBf16,
+}
+
+/// Picks the engine for a `[m,k]x[k,n]` product at the requested
+/// `precision` — the only place the packing threshold and the bf16 depth
+/// rule are evaluated.
+///
+/// Small `k*n` products do not amortize the packing pass, and `n < NR`
+/// leaves most microkernel lanes padding: those stay on the row kernel at
+/// either precision. bf16's entire win is halved panel bandwidth at the
+/// pack step, so it only pays on products that pack anyway and whose
+/// contraction is deep enough that panel streaming — not the one-pass
+/// pack conversion — dominates (`k >= 64`); shallower packed products run
+/// f32 panels even when bf16 is requested.
 ///
 /// Deliberately independent of `m`: serving's batch-independence
 /// contract compares batch-1 against batch-B outputs bitwise, and `m` is
 /// the batch-scaled dimension. Keying the choice on `m` would make the
-/// two runs take different kernels. Small `k*n` products do not amortize
-/// the packing pass, and `n < NR` leaves most microkernel lanes padding.
-pub fn use_packed(k: usize, n: usize) -> bool {
-    k >= 32 && n >= NR && k.saturating_mul(n) >= 8192
+/// two runs take different kernels.
+pub fn select(k: usize, n: usize, precision: Precision) -> Engine {
+    if k < 32 || n < NR || k.saturating_mul(n) < 8192 {
+        Engine::Rows
+    } else if precision == Precision::Bf16 && k >= 64 {
+        Engine::PackedBf16
+    } else {
+        Engine::PackedF32
+    }
 }
 
-/// `C = op(A) * op(B)` through the packed engine. Same contract as
-/// [`crate::kernels::matmul::matmul`].
+/// `C = op(A) * op(B)` where `op` optionally transposes its argument,
+/// on the engine [`select`] picks for the geometry and `precision`, with
+/// `epilogue` — a program and the operand slices it reads — applied to
+/// every output element.
 ///
-/// # Panics
-///
-/// Panics if either input is not rank 2 or the contraction dimensions
-/// disagree.
-pub fn matmul_packed(
-    a: &Tensor,
-    b: &Tensor,
-    transpose_a: bool,
-    transpose_b: bool,
-    pool: &ExecPool,
-) -> Tensor {
-    assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank 2, got {}", a.shape());
-    assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank 2, got {}", b.shape());
-    let (m, ka) = if transpose_a {
-        (a.shape().dim(1), a.shape().dim(0))
-    } else {
-        (a.shape().dim(0), a.shape().dim(1))
-    };
-    let (kb, n) = if transpose_b {
-        (b.shape().dim(1), b.shape().dim(0))
-    } else {
-        (b.shape().dim(0), b.shape().dim(1))
-    };
-    assert_eq!(
-        ka, kb,
-        "matmul contraction mismatch: op(a) is [{m}, {ka}], op(b) is [{kb}, {n}]"
-    );
-    let mut c = recycle::take_buffer(m * n);
-    gemm_into(&mut c, m, n, ka, a.data(), transpose_a, b.data(), transpose_b, pool);
-    Tensor::from_vec(c, [m, n])
-}
-
-/// `op(A) * op(B)` through the packed engine when the geometry warrants
-/// it (see [`use_packed`]), with `epilogue` applied before each tile is
-/// stored; falls back to the row-parallel kernel plus a flat epilogue
-/// pass otherwise. Either route is bitwise identical to the matching
-/// unfused matmul followed by the unfused elementwise chain.
+/// `a` must be `[m, k]` (or `[k, m]` when `transpose_a`), `b` must be
+/// `[k, n]` (or `[n, k]` when `transpose_b`). The result is `[m, n]`. On
+/// every engine the result is bitwise identical to the same call without
+/// an epilogue followed by [`Epilogue::apply_flat`] — and so to the
+/// unfused elementwise chain the epilogue replaced.
 ///
 /// # Panics
 ///
 /// Panics on non-rank-2 inputs, contraction mismatch, an invalid
 /// epilogue, or mis-sized operands.
-pub fn matmul_fused(
+#[allow(clippy::too_many_arguments)]
+pub fn matmul(
     a: &Tensor,
     b: &Tensor,
     transpose_a: bool,
     transpose_b: bool,
-    epilogue: &Epilogue,
-    operands: &[&Tensor],
+    precision: Precision,
+    epilogue: Option<(&Epilogue, &[&[f32]])>,
     pool: &ExecPool,
 ) -> Tensor {
-    assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank 2, got {}", a.shape());
-    assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank 2, got {}", b.shape());
-    let (m, ka) = if transpose_a {
-        (a.shape().dim(1), a.shape().dim(0))
-    } else {
-        (a.shape().dim(0), a.shape().dim(1))
+    let (m, k, n) = product_dims(a, b, transpose_a, transpose_b);
+    let panels = match select(k, n, precision) {
+        Engine::Rows => {
+            let mut c = matmul_rows(a, b, transpose_a, transpose_b, pool);
+            if let Some((ep, operands)) = epilogue {
+                ep.apply_flat(c.data_mut(), m, n, operands, pool);
+            }
+            return c;
+        }
+        Engine::PackedF32 => Precision::F32,
+        Engine::PackedBf16 => Precision::Bf16,
     };
-    let (kb, n) = if transpose_b {
-        (b.shape().dim(1), b.shape().dim(0))
-    } else {
-        (b.shape().dim(0), b.shape().dim(1))
-    };
-    assert_eq!(
-        ka, kb,
-        "matmul contraction mismatch: op(a) is [{m}, {ka}], op(b) is [{kb}, {n}]"
-    );
-    let ops: Vec<&[f32]> = operands.iter().map(|t| t.data()).collect();
-    if use_packed(ka, n) {
-        let mut c = recycle::take_buffer(m * n);
-        gemm_into_fused(
-            &mut c,
-            m,
-            n,
-            ka,
-            a.data(),
-            transpose_a,
-            b.data(),
-            transpose_b,
-            Some(epilogue),
-            &ops,
-            pool,
-        );
-        Tensor::from_vec(c, [m, n])
-    } else {
-        let mut c = crate::kernels::matmul::matmul(a, b, transpose_a, transpose_b, pool);
-        epilogue.apply_flat(c.data_mut(), m, n, &ops, pool);
-        c
-    }
+    let mut c = recycle::take_buffer(m * n);
+    gemm_into(&mut c, m, n, k, a.data(), transpose_a, b.data(), transpose_b, panels, epilogue, pool);
+    Tensor::from_vec(c, [m, n])
 }
 
-/// Writes `op(A) * op(B)` into `c` (`c` is fully overwritten; prior
-/// contents are ignored). `a` is `[m, k]` (`[k, m]` when `transpose_a`)
-/// and `b` is `[k, n]` (`[n, k]` when `transpose_b`), both row-major.
+/// Writes `op(A) * op(B)` into `c` through the packed driver (`c` is
+/// fully overwritten; prior contents are ignored), packing panels in
+/// `precision`'s format unconditionally — callers have already decided
+/// that packing pays ([`matmul`] through [`select`], the convolution
+/// lowering through the cost model). `a` is `[m, k]` (`[k, m]` when
+/// `transpose_a`) and `b` is `[k, n]` (`[n, k]` when `transpose_b`),
+/// both row-major.
+///
+/// With an `epilogue` the program is applied to each accumulator tile
+/// before it is stored. It sees the final K-reduced element values in
+/// registers, so the result is bitwise identical to the same call
+/// without one followed by [`Epilogue::apply_flat`].
 ///
 /// # Panics
 ///
-/// Panics if `c.len() != m * n` or an operand slice is shorter than its
-/// claimed extent.
+/// Panics on length mismatches, an invalid epilogue, or mis-sized
+/// operands.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_into(
     c: &mut [f32],
@@ -201,39 +212,14 @@ pub fn gemm_into(
     transpose_a: bool,
     b: &[f32],
     transpose_b: bool,
-    pool: &ExecPool,
-) {
-    gemm_into_fused(c, m, n, k, a, transpose_a, b, transpose_b, None, &[], pool);
-}
-
-/// [`gemm_into`] with an optional [`Epilogue`] applied to each
-/// accumulator tile before it is stored. The epilogue sees the final
-/// K-reduced element values in registers, so the fused result is
-/// bitwise identical to `gemm_into` followed by
-/// [`Epilogue::apply_flat`].
-///
-/// # Panics
-///
-/// Panics on length mismatches, an invalid epilogue, or mis-sized
-/// operands.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_fused(
-    c: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    transpose_a: bool,
-    b: &[f32],
-    transpose_b: bool,
-    epilogue: Option<&Epilogue>,
-    operands: &[&[f32]],
+    precision: Precision,
+    epilogue: Option<(&Epilogue, &[&[f32]])>,
     pool: &ExecPool,
 ) {
     assert_eq!(c.len(), m * n, "gemm output length mismatch");
     assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
-    if let Some(ep) = epilogue {
+    if let Some((ep, operands)) = epilogue {
         ep.check_operands(m, n, operands);
     }
     if m == 0 || n == 0 {
@@ -242,215 +228,289 @@ pub fn gemm_into_fused(
     if k == 0 {
         // An empty contraction is all zeros; the epilogue still applies.
         c.fill(0.0);
-        if let Some(ep) = epilogue {
+        if let Some((ep, operands)) = epilogue {
             ep.apply_flat(c, m, n, operands, pool);
         }
         return;
     }
+    let a = Operand { data: a, lanes: m, k, lane_major: !transpose_a };
+    let b = Operand { data: b, lanes: n, k, lane_major: transpose_b };
+    match precision {
+        Precision::F32 => drive::<F32Panels>(c, a, b, epilogue, pool),
+        Precision::Bf16 => drive::<Bf16Panels>(c, a, b, epilogue, pool),
+    }
+}
 
-    let m_strips = m.div_ceil(MR);
-    let n_strips = n.div_ceil(NR);
-    let k_blocks = k.div_ceil(KC);
-    let m_pad = m_strips * MR;
-    let n_pad = n_strips * NR;
+/// One GEMM operand as the packers see it: `lanes` rows of A (columns of
+/// B), each `k` deep.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    lanes: usize,
+    k: usize,
+    /// Whether a lane's `k` values are contiguous (`data[lane * k + kk]`,
+    /// an untransposed A or a transposed B) rather than strided by
+    /// `lanes` (`data[kk * lanes + lane]`).
+    lane_major: bool,
+}
 
-    // Pack both operands once, up front, in parallel over strips. A
-    // strip is MR (or NR) rows/columns of one K block, stored as
-    // `[kc][MR]` (`[kc][NR]`): the microkernel then reads both panels
-    // with unit stride regardless of the source transpose flags.
-    // Rows/columns past the matrix edge pack as zeros, so edge tiles
-    // run the identical lane schedule as interior tiles.
-    let mut apack = recycle::take_buffer(k * m_pad);
-    let mut bpack = recycle::take_buffer(k * n_pad);
-    let a_out = SharedOut(apack.as_mut_ptr());
-    pool.for_indices(k_blocks * m_strips, KC * MR, |idx| {
-        let (p, s) = (idx / m_strips, idx % m_strips);
+impl Operand<'_> {
+    #[inline(always)]
+    fn at(&self, lane: usize, kk: usize) -> f32 {
+        if self.lane_major {
+            self.data[lane * self.k + kk]
+        } else {
+            self.data[kk * self.lanes + lane]
+        }
+    }
+}
+
+/// A packed-panel format: everything the driver does not share between
+/// f32 and bf16 panels.
+///
+/// A *strip* is `W` lanes (`MR` rows of A or `NR` columns of B) of one
+/// K block, stored depth-major so the microkernel reads both panels with
+/// unit stride regardless of the source transpose flags. The contract:
+///
+/// * `pack` writes all `W * depth(kc)` elements of its strip; lanes past
+///   the operand's edge and depth rows past `kc` pack as zeros, so edge
+///   tiles run the identical lane schedule as interior tiles and padding
+///   contributes an exact `+0.0` per lane;
+/// * `micro_kernel`'s result is a pure function of the two strips — its
+///   reduction order may not depend on anything else, which is what makes
+///   parallel output bitwise identical to serial;
+/// * `depth(KC) == KC`, so every K block but the last starts at
+///   `kstart * lanes_padded` whatever the format.
+trait Panels {
+    /// Panel element type; at most f32-aligned (panels live in pooled
+    /// `Vec<f32>` scratch).
+    type Elem: Copy + Send + Sync;
+
+    /// Depth rows a `kc`-deep K block occupies in a strip.
+    fn depth(kc: usize) -> usize;
+
+    /// Packs lanes `l0..l0 + W` of K rows `kstart..kstart + kc` of `src`
+    /// into `strip`.
+    fn pack<const W: usize>(
+        strip: &mut [Self::Elem],
+        src: Operand<'_>,
+        kstart: usize,
+        kc: usize,
+        l0: usize,
+    );
+
+    /// One MR×NR tile against one `kc`-deep K block of packed strips.
+    fn micro_kernel(apanel: &[Self::Elem], bpanel: &[Self::Elem], kc: usize) -> [[f32; NR]; MR];
+}
+
+/// Packs every strip of `src` in parallel, one task per (K block, strip).
+/// Returns the pooled scratch holding `P::depth(k)` depth rows of
+/// `lanes` rounded up to `W`, as `P::Elem`s.
+fn pack_operand<P: Panels, const W: usize>(src: Operand<'_>, pool: &ExecPool) -> Vec<f32> {
+    const { assert!(align_of::<P::Elem>() <= align_of::<f32>()) };
+    let strips = src.lanes.div_ceil(W);
+    let pad = strips * W;
+    let k = src.k;
+    // The backing stays a `Vec<f32>` whatever the element type so the
+    // buffer recycles through the same [`crate::BufferPool`].
+    let mut buf = recycle::take_buffer((P::depth(k) * pad * size_of::<P::Elem>()).div_ceil(4));
+    let out = SharedOut(buf.as_mut_ptr().cast::<P::Elem>());
+    pool.for_indices(k.div_ceil(KC) * strips, KC * W, |idx| {
+        let (p, s) = (idx / strips, idx % strips);
         let kstart = p * KC;
         let kc = KC.min(k - kstart);
-        // SAFETY: strip (p, s) owns exactly this MR*kc region; the
-        // (p, s) -> offset map is injective across tasks.
-        let strip = unsafe {
-            std::slice::from_raw_parts_mut(a_out.ptr().add(kstart * m_pad + s * MR * kc), MR * kc)
-        };
-        for (kk, row) in strip.chunks_exact_mut(MR).enumerate() {
-            let krow = kstart + kk;
-            for (r, slot) in row.iter_mut().enumerate() {
-                let i = s * MR + r;
-                *slot = if i >= m {
-                    0.0
-                } else if transpose_a {
-                    a[krow * m + i]
-                } else {
-                    a[i * k + krow]
-                };
-            }
-        }
+        let len = W * P::depth(kc);
+        // SAFETY: strip (p, s) owns exactly this region; the (p, s) ->
+        // offset map is injective across tasks (every block before p is
+        // a full KC deep, so kstart * pad is the block base), and the
+        // backing allocation holds depth(k) * pad elements.
+        let strip =
+            unsafe { std::slice::from_raw_parts_mut(out.ptr().add(kstart * pad + s * len), len) };
+        P::pack::<W>(strip, src, kstart, kc, s * W);
     });
-    let b_out = SharedOut(bpack.as_mut_ptr());
-    pool.for_indices(k_blocks * n_strips, KC * NR, |idx| {
-        let (p, t) = (idx / n_strips, idx % n_strips);
-        let kstart = p * KC;
-        let kc = KC.min(k - kstart);
-        // SAFETY: strip (p, t) owns exactly this NR*kc region.
-        let strip = unsafe {
-            std::slice::from_raw_parts_mut(b_out.ptr().add(kstart * n_pad + t * NR * kc), NR * kc)
-        };
-        for (kk, row) in strip.chunks_exact_mut(NR).enumerate() {
-            let krow = kstart + kk;
-            for (col, slot) in row.iter_mut().enumerate() {
-                let j = t * NR + col;
-                *slot = if j >= n {
-                    0.0
-                } else if transpose_b {
-                    b[j * k + krow]
-                } else {
-                    b[krow * n + j]
-                };
-            }
-        }
-    });
+    buf
+}
+
+/// The packed driver: packs both operands once, up front, then walks the
+/// MC×NC output-tile grid in parallel.
+fn drive<P: Panels>(
+    c: &mut [f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
+    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    pool: &ExecPool,
+) {
+    let (m, n, k) = (a.lanes, b.lanes, a.k);
+    let m_pad = m.next_multiple_of(MR);
+    let n_pad = n.next_multiple_of(NR);
+    let apack = pack_operand::<P, MR>(a, pool);
+    let bpack = pack_operand::<P, NR>(b, pool);
+    // SAFETY: the pack tasks have completed (for_indices joins) and wrote
+    // every element of these extents, so these are plain shared reads of
+    // initialized panels; `pack_operand` sized and aligned the buffers
+    // for them.
+    let ap: &[P::Elem] =
+        unsafe { std::slice::from_raw_parts(apack.as_ptr().cast(), P::depth(k) * m_pad) };
+    let bp: &[P::Elem] =
+        unsafe { std::slice::from_raw_parts(bpack.as_ptr().cast(), P::depth(k) * n_pad) };
 
     // 2D parallelism over the MC×NC output-tile grid. Each task owns a
     // disjoint C rectangle (at most MC×NC floats, 16 KB — L1/L2
-    // resident). K blocks are walked in the *outer* loop so each packed
-    // A/B panel is reused across the whole macro tile while hot — with
-    // the K loop innermost, a deep contraction streams every panel per
-    // register tile and the working set blows past cache. Accumulation
-    // is per element in ascending p order on both paths below, so the
-    // reduction order is fixed (see module docs). With an epilogue the
-    // tile accumulates in a local block so the whole program can be
-    // applied to it before the single store; without one it accumulates
-    // directly into the cache-hot C rectangle.
+    // resident). Accumulation is per element in ascending p order into
+    // either sink below, so the reduction order is fixed (see module
+    // docs). With an epilogue the tile accumulates in a local block so
+    // the whole program can be applied to it before the single store
+    // (one dispatch per instruction per tile); without one it accumulates
+    // directly into the cache-hot C rectangle — the first block stores
+    // and later blocks add, which needs no zero-fill pass over C.
     let mc_blocks = m.div_ceil(MC);
     let nc_blocks = n.div_ceil(NC);
     let c_out = SharedOut(c.as_mut_ptr());
-    let (ap, bp) = (apack.as_slice(), bpack.as_slice());
     pool.for_indices(mc_blocks * nc_blocks, 2 * MC * NC * k, |idx| {
-        let (ic, jc) = (idx / nc_blocks, idx % nc_blocks);
-        let i_hi = (ic * MC + MC).min(m);
-        let j_hi = (jc * NC + NC).min(n);
-        let (s_lo, s_hi) = (ic * MC / MR, i_hi.div_ceil(MR));
-        let (t_lo, t_hi) = (jc * NC / NR, j_hi.div_ceil(NR));
-        if let Some(ep) = epilogue {
-            // Accumulate the macro tile in a local block, apply the
-            // whole epilogue to it (one dispatch per instruction per
-            // tile — per-row application at 64-element grain costs more
-            // than the saved round trip), then store each row once.
+        let (i_lo, j_lo) = (idx / nc_blocks * MC, idx % nc_blocks * NC);
+        let i_hi = (i_lo + MC).min(m);
+        let j_hi = (j_lo + NC).min(n);
+        let strips_a = i_lo / MR..i_hi.div_ceil(MR);
+        let strips_b = j_lo / NR..j_hi.div_ceil(NR);
+        // SAFETY (both sinks): the rows and columns written lie inside
+        // [i_lo, i_hi) × [j_lo, j_hi), this task's rectangle, and the
+        // rectangles partition C.
+        let c_row = |i: usize, j: usize, len: usize| unsafe {
+            std::slice::from_raw_parts_mut(c_out.ptr().add(i * n + j), len)
+        };
+        if let Some((ep, operands)) = epilogue {
             let mut block = [0.0f32; MC * NC];
-            for p in 0..k_blocks {
-                let kstart = p * KC;
-                let kc = KC.min(k - kstart);
-                for s in s_lo..s_hi {
-                    let apanel = &ap[kstart * m_pad + s * MR * kc..][..MR * kc];
-                    for t in t_lo..t_hi {
-                        let bpanel = &bp[kstart * n_pad + t * NR * kc..][..NR * kc];
-                        let acc = micro_kernel(apanel, bpanel, kc);
-                        let (r0, c0) = ((s - s_lo) * MR, (t - t_lo) * NR);
-                        for (r, acc_row) in acc.iter().enumerate() {
-                            let brow = &mut block[(r0 + r) * NC + c0..][..NR];
-                            for (bv, &av) in brow.iter_mut().zip(acc_row) {
-                                *bv += av;
-                            }
-                        }
+            micro_tiles::<P>(ap, bp, k, m_pad, n_pad, strips_a, strips_b, |_, s, t, acc| {
+                let (r0, c0) = (s * MR - i_lo, t * NR - j_lo);
+                for (r, acc_row) in acc.iter().enumerate() {
+                    let brow = &mut block[(r0 + r) * NC + c0..][..NR];
+                    for (bv, &av) in brow.iter_mut().zip(acc_row) {
+                        *bv += av;
                     }
                 }
-            }
-            let rows = i_hi - ic * MC;
-            let cols = j_hi - jc * NC;
-            ep.apply_block(&mut block, ic * MC, jc * NC, rows, cols, NC, n, operands);
-            for r_local in 0..rows {
-                // SAFETY: rows [ic*MC, i_hi) × cols [jc*NC, j_hi) lie
-                // inside this task's rectangle; rectangles partition C.
-                let c_row = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        c_out.ptr().add((ic * MC + r_local) * n + jc * NC),
-                        cols,
-                    )
-                };
-                c_row.copy_from_slice(&block[r_local * NC..][..cols]);
+            });
+            let (rows, cols) = (i_hi - i_lo, j_hi - j_lo);
+            ep.apply_block(&mut block, i_lo, j_lo, rows, cols, NC, n, operands);
+            for r in 0..rows {
+                c_row(i_lo + r, j_lo, cols).copy_from_slice(&block[r * NC..][..cols]);
             }
         } else {
-            // No epilogue: accumulate straight into the C rectangle.
-            // It is at most MC×NC floats (16 KB), so it stays cache-hot
-            // across K blocks; the first block stores and later blocks
-            // add, which keeps the per-element reduction in ascending p
-            // order (bitwise identical to the block path) without a
-            // zero-fill pass over C.
-            for p in 0..k_blocks {
-                let kstart = p * KC;
-                let kc = KC.min(k - kstart);
-                for s in s_lo..s_hi {
-                    let apanel = &ap[kstart * m_pad + s * MR * kc..][..MR * kc];
-                    let rows = MR.min(i_hi - s * MR);
-                    for t in t_lo..t_hi {
-                        let bpanel = &bp[kstart * n_pad + t * NR * kc..][..NR * kc];
-                        let acc = micro_kernel(apanel, bpanel, kc);
-                        let cols = NR.min(j_hi - t * NR);
-                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            // SAFETY: rows [s*MR, i_hi) × cols
-                            // [t*NR, j_hi) lie inside this task's
-                            // rectangle; rectangles partition C.
-                            let c_row = unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    c_out.ptr().add((s * MR + r) * n + t * NR),
-                                    cols,
-                                )
-                            };
-                            if p == 0 {
-                                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                                    *cv = av;
-                                }
-                            } else {
-                                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                                    *cv += av;
-                                }
-                            }
+            micro_tiles::<P>(ap, bp, k, m_pad, n_pad, strips_a, strips_b, |p, s, t, acc| {
+                let rows = MR.min(i_hi - s * MR);
+                let cols = NR.min(j_hi - t * NR);
+                for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                    let c_row = c_row(s * MR + r, t * NR, cols);
+                    if p == 0 {
+                        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+                            *cv = av;
+                        }
+                    } else {
+                        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+                            *cv += av;
                         }
                     }
                 }
-            }
+            });
         }
     });
     recycle::give_buffer(apack);
     recycle::give_buffer(bpack);
 }
 
-/// One MR×NR tile against one K block of packed panels. `apanel` is
-/// `[kc][MR]`, `bpanel` is `[kc][NR]`. The accumulator lanes are
-/// independent (no cross-lane sum), so the compiler vectorizes this
-/// without changing any reduction order.
-#[inline]
-fn micro_kernel(apanel: &[f32], bpanel: &[f32], kc: usize) -> [[f32; NR]; MR] {
-    const { assert!(MR == 8, "micro_kernel unrolls exactly MR accumulator rows") };
-    // One named accumulator row per MR lane, updated through `axpy`. The
-    // row loop is unrolled by hand rather than written `for r in 0..MR`:
-    // given a 2D accumulator array, LLVM's loop vectorizer (with wide
-    // vectors available) prefers vectorizing *across rows* with
-    // gather/scatter on the accumulator — an order of magnitude slower
-    // than broadcasting `a` and streaming `b`. With the rows as distinct
-    // locals only the contiguous NR axis is left to vectorize, which is
-    // the canonical broadcast GEMM kernel.
-    let mut r0 = [0.0f32; NR];
-    let mut r1 = [0.0f32; NR];
-    let mut r2 = [0.0f32; NR];
-    let mut r3 = [0.0f32; NR];
-    let mut r4 = [0.0f32; NR];
-    let mut r5 = [0.0f32; NR];
-    let mut r6 = [0.0f32; NR];
-    let mut r7 = [0.0f32; NR];
-    for kk in 0..kc {
-        let a: &[f32; MR] = apanel[kk * MR..kk * MR + MR].try_into().unwrap();
-        let b: &[f32; NR] = bpanel[kk * NR..kk * NR + NR].try_into().unwrap();
-        axpy(&mut r0, a[0], b);
-        axpy(&mut r1, a[1], b);
-        axpy(&mut r2, a[2], b);
-        axpy(&mut r3, a[3], b);
-        axpy(&mut r4, a[4], b);
-        axpy(&mut r5, a[5], b);
-        axpy(&mut r6, a[6], b);
-        axpy(&mut r7, a[7], b);
+/// Runs the microkernel over one macro tile — A strips `strips_a`
+/// against B strips `strips_b` — and hands each micro tile's accumulator
+/// to `sink(p, s, t, acc)` (K block, A strip, B strip). K blocks are
+/// walked in the *outer* loop so each packed panel is reused across the
+/// whole macro tile while hot — with the K loop innermost, a deep
+/// contraction streams every panel per register tile and the working set
+/// blows past cache.
+///
+/// Generic over the sink rather than branching on it per micro tile: each
+/// sink gets its own copy of the walk, so the accumulator goes from the
+/// microkernel's registers straight into the sink's loop (one shared
+/// walk with a branch measured ~10 % slower on f32 panels).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn micro_tiles<P: Panels>(
+    ap: &[P::Elem],
+    bp: &[P::Elem],
+    k: usize,
+    m_pad: usize,
+    n_pad: usize,
+    strips_a: Range<usize>,
+    strips_b: Range<usize>,
+    mut sink: impl FnMut(usize, usize, usize, [[f32; NR]; MR]),
+) {
+    for p in 0..k.div_ceil(KC) {
+        let kstart = p * KC;
+        let kc = KC.min(k - kstart);
+        let depth = P::depth(kc);
+        for s in strips_a.clone() {
+            let apanel = &ap[kstart * m_pad + s * MR * depth..][..MR * depth];
+            for t in strips_b.clone() {
+                let bpanel = &bp[kstart * n_pad + t * NR * depth..][..NR * depth];
+                sink(p, s, t, P::micro_kernel(apanel, bpanel, kc));
+            }
+        }
     }
-    [r0, r1, r2, r3, r4, r5, r6, r7]
+}
+
+/// f32 panels: strips are `[kc][W]`, the microkernel broadcasts `a` and
+/// streams `b`.
+struct F32Panels;
+
+impl Panels for F32Panels {
+    type Elem = f32;
+
+    fn depth(kc: usize) -> usize {
+        kc
+    }
+
+    #[inline]
+    fn pack<const W: usize>(strip: &mut [f32], src: Operand<'_>, kstart: usize, _kc: usize, l0: usize) {
+        for (kk, row) in strip.chunks_exact_mut(W).enumerate() {
+            for (r, slot) in row.iter_mut().enumerate() {
+                let lane = l0 + r;
+                *slot = if lane >= src.lanes { 0.0 } else { src.at(lane, kstart + kk) };
+            }
+        }
+    }
+
+    /// The accumulator lanes are independent (no cross-lane sum), so the
+    /// compiler vectorizes this without changing any reduction order.
+    #[inline]
+    fn micro_kernel(apanel: &[f32], bpanel: &[f32], kc: usize) -> [[f32; NR]; MR] {
+        const { assert!(MR == 8, "micro_kernel unrolls exactly MR accumulator rows") };
+        // One named accumulator row per MR lane, updated through `axpy`. The
+        // row loop is unrolled by hand rather than written `for r in 0..MR`:
+        // given a 2D accumulator array, LLVM's loop vectorizer (with wide
+        // vectors available) prefers vectorizing *across rows* with
+        // gather/scatter on the accumulator — an order of magnitude slower
+        // than broadcasting `a` and streaming `b`. With the rows as distinct
+        // locals only the contiguous NR axis is left to vectorize, which is
+        // the canonical broadcast GEMM kernel.
+        let mut r0 = [0.0f32; NR];
+        let mut r1 = [0.0f32; NR];
+        let mut r2 = [0.0f32; NR];
+        let mut r3 = [0.0f32; NR];
+        let mut r4 = [0.0f32; NR];
+        let mut r5 = [0.0f32; NR];
+        let mut r6 = [0.0f32; NR];
+        let mut r7 = [0.0f32; NR];
+        for kk in 0..kc {
+            let a: &[f32; MR] = apanel[kk * MR..kk * MR + MR].try_into().unwrap();
+            let b: &[f32; NR] = bpanel[kk * NR..kk * NR + NR].try_into().unwrap();
+            axpy(&mut r0, a[0], b);
+            axpy(&mut r1, a[1], b);
+            axpy(&mut r2, a[2], b);
+            axpy(&mut r3, a[3], b);
+            axpy(&mut r4, a[4], b);
+            axpy(&mut r5, a[5], b);
+            axpy(&mut r6, a[6], b);
+            axpy(&mut r7, a[7], b);
+        }
+        [r0, r1, r2, r3, r4, r5, r6, r7]
+    }
 }
 
 /// `acc += a * b` over one register-width row; the independent lanes
@@ -462,359 +522,77 @@ fn axpy(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
     }
 }
 
-// ---------------------------------------------------------------------
-// bf16 storage / f32 accumulate path (DESIGN.md §18).
-//
-// The pack step is the natural conversion point: every operand element
-// already takes exactly one pass through a pack closure, so converting
-// there costs one rounding per element, halves the panel bytes the
-// microkernel streams, and lets the panels carry the k-pair-interleaved
-// layout the AVX-512 BF16 dot-product instruction consumes — on hosts
-// with `vdpbf16ps` each instruction retires two multiply-accumulates
-// per f32 lane, which is where the speedup over the f32 engine comes
-// from. Accumulation stays f32 everywhere. The bf16 functions mirror
-// their f32 counterparts line for line rather than abstracting over a
-// panel element type: a generic panel would need either a trait
-// dispatch in the innermost loop or a macro over the whole engine, and
-// both obscure the unsafe partition arguments the comments below lean
-// on. The duplication is deliberate and bounded to this file.
-// ---------------------------------------------------------------------
+/// bf16 panels in k-pair-interleaved strips: each strip stores, for every
+/// pair of adjacent k rows, the pair's two values adjacent per lane —
+/// `[A[2p,i], A[2p+1,i]]` in an a strip, `[B[2p,j], B[2p+1,j]]` in a b
+/// strip. That is exactly the operand order of the AVX-512 BF16
+/// dot-product instruction (`vdpbf16ps`) the microkernel issues when the
+/// host has it; the scalar fallback walks the same layout. An odd-length
+/// block pads its phantom k row with zero bits.
+struct Bf16Panels;
 
-use crate::kernels::quant::{bf16_to_f32, f32_to_bf16};
+impl Panels for Bf16Panels {
+    type Elem = u16;
 
-/// Raw bf16 panel pointer shared across pack tasks; same disjoint-strip
-/// partition argument as [`SharedOut`].
-struct SharedOutU16(*mut u16);
-unsafe impl Sync for SharedOutU16 {}
-
-impl SharedOutU16 {
-    fn ptr(&self) -> *mut u16 {
-        self.0
-    }
-}
-
-/// Takes a zeroed pooled scratch buffer able to hold `len_u16` bf16
-/// values, returning it with the f32 backing it reinterprets. The
-/// backing stays a `Vec<f32>` so the buffer recycles through the same
-/// [`crate::BufferPool`] as the f32 panels; `f32`'s 4-byte alignment
-/// satisfies `u16`'s.
-fn take_u16_buffer(len_u16: usize) -> Vec<f32> {
-    recycle::take_buffer(len_u16.div_ceil(2))
-}
-
-/// `C = op(A) * op(B)` with both operands packed as bf16 and all
-/// accumulation in f32. Same contract as [`matmul_packed`] except each
-/// operand element is rounded once to bf16 at pack time.
-///
-/// # Panics
-///
-/// Panics if either input is not rank 2 or the contraction dimensions
-/// disagree.
-pub fn matmul_packed_bf16(
-    a: &Tensor,
-    b: &Tensor,
-    transpose_a: bool,
-    transpose_b: bool,
-    pool: &ExecPool,
-) -> Tensor {
-    assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank 2, got {}", a.shape());
-    assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank 2, got {}", b.shape());
-    let (m, ka) = if transpose_a {
-        (a.shape().dim(1), a.shape().dim(0))
-    } else {
-        (a.shape().dim(0), a.shape().dim(1))
-    };
-    let (kb, n) = if transpose_b {
-        (b.shape().dim(1), b.shape().dim(0))
-    } else {
-        (b.shape().dim(0), b.shape().dim(1))
-    };
-    assert_eq!(
-        ka, kb,
-        "matmul contraction mismatch: op(a) is [{m}, {ka}], op(b) is [{kb}, {n}]"
-    );
-    let mut c = recycle::take_buffer(m * n);
-    gemm_into_fused_bf16(&mut c, m, n, ka, a.data(), transpose_a, b.data(), transpose_b, None, &[], pool);
-    Tensor::from_vec(c, [m, n])
-}
-
-/// [`matmul_fused`] on the bf16 packed path: operands are rounded to
-/// bf16 at pack time, accumulation and the fused epilogue stay f32.
-/// Falls back to the full-precision fused route when the geometry does
-/// not warrant packing (see [`use_packed`]) — below that threshold the
-/// pack pass the bf16 win rides on does not run at all.
-///
-/// # Panics
-///
-/// Panics on non-rank-2 inputs, contraction mismatch, an invalid
-/// epilogue, or mis-sized operands.
-pub fn matmul_fused_bf16(
-    a: &Tensor,
-    b: &Tensor,
-    transpose_a: bool,
-    transpose_b: bool,
-    epilogue: &Epilogue,
-    operands: &[&Tensor],
-    pool: &ExecPool,
-) -> Tensor {
-    assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank 2, got {}", a.shape());
-    assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank 2, got {}", b.shape());
-    let (m, ka) = if transpose_a {
-        (a.shape().dim(1), a.shape().dim(0))
-    } else {
-        (a.shape().dim(0), a.shape().dim(1))
-    };
-    let (kb, n) = if transpose_b {
-        (b.shape().dim(1), b.shape().dim(0))
-    } else {
-        (b.shape().dim(0), b.shape().dim(1))
-    };
-    assert_eq!(
-        ka, kb,
-        "matmul contraction mismatch: op(a) is [{m}, {ka}], op(b) is [{kb}, {n}]"
-    );
-    if !use_packed(ka, n) {
-        return matmul_fused(a, b, transpose_a, transpose_b, epilogue, operands, pool);
-    }
-    let ops: Vec<&[f32]> = operands.iter().map(|t| t.data()).collect();
-    let mut c = recycle::take_buffer(m * n);
-    gemm_into_fused_bf16(
-        &mut c,
-        m,
-        n,
-        ka,
-        a.data(),
-        transpose_a,
-        b.data(),
-        transpose_b,
-        Some(epilogue),
-        &ops,
-        pool,
-    );
-    Tensor::from_vec(c, [m, n])
-}
-
-/// [`gemm_into_fused`] with bf16 panel storage. Identical tile grid,
-/// identical ascending-p reduction order, f32 accumulators throughout —
-/// so parallel output is bitwise identical to serial by the same
-/// argument as the f32 engine (the module-level determinism contract
-/// does not mention element width anywhere). Within a micro tile the k
-/// sum associates in adjacent pairs (see [`micro_kernel_bf16`]), which
-/// changes last-bit rounding relative to the f32 engine but not the
-/// worker-count invariance.
-///
-/// # Panics
-///
-/// Panics on length mismatches, an invalid epilogue, or mis-sized
-/// operands.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_fused_bf16(
-    c: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    transpose_a: bool,
-    b: &[f32],
-    transpose_b: bool,
-    epilogue: Option<&Epilogue>,
-    operands: &[&[f32]],
-    pool: &ExecPool,
-) {
-    assert_eq!(c.len(), m * n, "gemm output length mismatch");
-    assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
-    if let Some(ep) = epilogue {
-        ep.check_operands(m, n, operands);
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(0.0);
-        if let Some(ep) = epilogue {
-            ep.apply_flat(c, m, n, operands, pool);
-        }
-        return;
+    fn depth(kc: usize) -> usize {
+        kc.next_multiple_of(2)
     }
 
-    let m_strips = m.div_ceil(MR);
-    let n_strips = n.div_ceil(NR);
-    let k_blocks = k.div_ceil(KC);
-    let m_pad = m_strips * MR;
-    let n_pad = n_strips * NR;
-
-    // Pack both operands as bf16 in k-pair-interleaved strips: each
-    // strip stores, for every pair of adjacent k rows, the pair's two
-    // values adjacent per lane — `[A[2p,i], A[2p+1,i]]` in the a strip,
-    // `[B[2p,j], B[2p+1,j]]` in the b strip. That is exactly the operand
-    // order of the AVX-512 BF16 dot-product instruction (`vdpbf16ps`)
-    // the micro kernel issues when the host has it; the scalar fallback
-    // walks the same layout. Edge rows/columns and the phantom k row of
-    // an odd-length block pack as zero bits, and a zero *pair* (both
-    // operands padded) contributes an exact +0.0 per lane.
-    let k_even = k + (k & 1);
-    let mut apack = take_u16_buffer(k_even * m_pad);
-    let mut bpack = take_u16_buffer(k_even * n_pad);
-    let a_out = SharedOutU16(apack.as_mut_ptr().cast::<u16>());
-    pool.for_indices(k_blocks * m_strips, KC * MR, |idx| {
-        let (p, s) = (idx / m_strips, idx % m_strips);
-        let kstart = p * KC;
-        let kc = KC.min(k - kstart);
-        let kc_even = kc + (kc & 1);
-        // SAFETY: strip (p, s) owns exactly this MR*kc_even region; the
-        // (p, s) -> offset map is injective across tasks (every block
-        // before p is a full even KC, so kstart * m_pad is the block
-        // base), and the backing allocation holds k_even * m_pad slots.
-        let strip = unsafe {
-            std::slice::from_raw_parts_mut(
-                a_out.ptr().add(kstart * m_pad + s * MR * kc_even),
-                MR * kc_even,
-            )
-        };
-        for (pp, pair_row) in strip.chunks_exact_mut(2 * MR).enumerate() {
-            for (r, slot_pair) in pair_row.chunks_exact_mut(2).enumerate() {
-                let i = s * MR + r;
-                for (h, slot) in slot_pair.iter_mut().enumerate() {
-                    let krow = kstart + 2 * pp + h;
-                    *slot = if i >= m || krow >= kstart + kc {
-                        0
-                    } else if transpose_a {
-                        f32_to_bf16(a[krow * m + i])
-                    } else {
-                        f32_to_bf16(a[i * k + krow])
-                    };
-                }
-            }
-        }
-    });
-    let b_out = SharedOutU16(bpack.as_mut_ptr().cast::<u16>());
-    pool.for_indices(k_blocks * n_strips, KC * NR, |idx| {
-        let (p, t) = (idx / n_strips, idx % n_strips);
-        let kstart = p * KC;
-        let kc = KC.min(k - kstart);
-        let kc_even = kc + (kc & 1);
-        // SAFETY: strip (p, t) owns exactly this NR*kc_even region.
-        let strip = unsafe {
-            std::slice::from_raw_parts_mut(
-                b_out.ptr().add(kstart * n_pad + t * NR * kc_even),
-                NR * kc_even,
-            )
-        };
+    #[inline]
+    fn pack<const W: usize>(strip: &mut [u16], src: Operand<'_>, kstart: usize, kc: usize, l0: usize) {
         // B dominates pack cost (k*n elements against A's m*k, reused
-        // only m/MR times), so the interior non-transposed strip — the
+        // only m/MR times), so the interior non-transposed b strip — the
         // only shape the hot geometries hit — gets the hardware convert.
         #[cfg(target_arch = "x86_64")]
-        if !transpose_b && t * NR + NR <= n && std::arch::is_x86_feature_detected!("avx512bf16") {
+        if W == NR
+            && !src.lane_major
+            && l0 + NR <= src.lanes
+            && std::arch::is_x86_feature_detected!("avx512bf16")
+        {
             // SAFETY: the feature test gates the call; columns
-            // [t*NR, t*NR + NR) are fully in range per the test above.
-            unsafe { pack_b_strip_pairs_hw(strip, b, n, kstart, kc, t * NR) };
+            // [l0, l0 + NR) are fully in range per the test above.
+            unsafe { pack_b_strip_pairs_hw(strip, src.data, src.lanes, kstart, kc, l0) };
             return;
         }
-        for (pp, pair_row) in strip.chunks_exact_mut(2 * NR).enumerate() {
-            for (col, slot_pair) in pair_row.chunks_exact_mut(2).enumerate() {
-                let j = t * NR + col;
+        for (pp, pair_row) in strip.chunks_exact_mut(2 * W).enumerate() {
+            for (r, slot_pair) in pair_row.chunks_exact_mut(2).enumerate() {
+                let lane = l0 + r;
                 for (h, slot) in slot_pair.iter_mut().enumerate() {
-                    let krow = kstart + 2 * pp + h;
-                    *slot = if j >= n || krow >= kstart + kc {
+                    let kk = 2 * pp + h;
+                    *slot = if lane >= src.lanes || kk >= kc {
                         0
-                    } else if transpose_b {
-                        f32_to_bf16(b[j * k + krow])
                     } else {
-                        f32_to_bf16(b[krow * n + j])
+                        bf16_from_f32(src.at(lane, kstart + kk))
                     };
                 }
             }
         }
-    });
+    }
 
-    let mc_blocks = m.div_ceil(MC);
-    let nc_blocks = n.div_ceil(NC);
-    let c_out = SharedOut(c.as_mut_ptr());
-    // SAFETY: the pack tasks above have completed (for_indices joins),
-    // so these are plain shared reads of the fully initialized panels.
-    let ap: &[u16] =
-        unsafe { std::slice::from_raw_parts(apack.as_ptr().cast::<u16>(), k_even * m_pad) };
-    let bp: &[u16] =
-        unsafe { std::slice::from_raw_parts(bpack.as_ptr().cast::<u16>(), k_even * n_pad) };
-    pool.for_indices(mc_blocks * nc_blocks, 2 * MC * NC * k, |idx| {
-        let (ic, jc) = (idx / nc_blocks, idx % nc_blocks);
-        let i_hi = (ic * MC + MC).min(m);
-        let j_hi = (jc * NC + NC).min(n);
-        let (s_lo, s_hi) = (ic * MC / MR, i_hi.div_ceil(MR));
-        let (t_lo, t_hi) = (jc * NC / NR, j_hi.div_ceil(NR));
-        if let Some(ep) = epilogue {
-            let mut block = [0.0f32; MC * NC];
-            for p in 0..k_blocks {
-                let kstart = p * KC;
-                let kc_even = KC.min(k - kstart).next_multiple_of(2);
-                for s in s_lo..s_hi {
-                    let apanel = &ap[kstart * m_pad + s * MR * kc_even..][..MR * kc_even];
-                    for t in t_lo..t_hi {
-                        let bpanel = &bp[kstart * n_pad + t * NR * kc_even..][..NR * kc_even];
-                        let acc = micro_kernel_bf16(apanel, bpanel, kc_even / 2);
-                        let (r0, c0) = ((s - s_lo) * MR, (t - t_lo) * NR);
-                        for (r, acc_row) in acc.iter().enumerate() {
-                            let brow = &mut block[(r0 + r) * NC + c0..][..NR];
-                            for (bv, &av) in brow.iter_mut().zip(acc_row) {
-                                *bv += av;
-                            }
-                        }
-                    }
-                }
-            }
-            let rows = i_hi - ic * MC;
-            let cols = j_hi - jc * NC;
-            ep.apply_block(&mut block, ic * MC, jc * NC, rows, cols, NC, n, operands);
-            for r_local in 0..rows {
-                // SAFETY: rows [ic*MC, i_hi) × cols [jc*NC, j_hi) lie
-                // inside this task's rectangle; rectangles partition C.
-                let c_row = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        c_out.ptr().add((ic * MC + r_local) * n + jc * NC),
-                        cols,
-                    )
-                };
-                c_row.copy_from_slice(&block[r_local * NC..][..cols]);
-            }
-        } else {
-            for p in 0..k_blocks {
-                let kstart = p * KC;
-                let kc_even = KC.min(k - kstart).next_multiple_of(2);
-                for s in s_lo..s_hi {
-                    let apanel = &ap[kstart * m_pad + s * MR * kc_even..][..MR * kc_even];
-                    let rows = MR.min(i_hi - s * MR);
-                    for t in t_lo..t_hi {
-                        let bpanel = &bp[kstart * n_pad + t * NR * kc_even..][..NR * kc_even];
-                        let acc = micro_kernel_bf16(apanel, bpanel, kc_even / 2);
-                        let cols = NR.min(j_hi - t * NR);
-                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            // SAFETY: rows [s*MR, i_hi) × cols
-                            // [t*NR, j_hi) lie inside this task's
-                            // rectangle; rectangles partition C.
-                            let c_row = unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    c_out.ptr().add((s * MR + r) * n + t * NR),
-                                    cols,
-                                )
-                            };
-                            if p == 0 {
-                                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                                    *cv = av;
-                                }
-                            } else {
-                                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                                    *cv += av;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    /// On hosts with AVX-512 BF16 each accumulator row takes one
+    /// `vdpbf16ps` per k pair — two bf16 multiply-accumulates per f32
+    /// lane per instruction, double the MAC density of the f32 kernel's
+    /// separate mul/add stream, which (on top of the halved panel bytes)
+    /// is where bf16 panels' speedup comes from. The scalar fallback
+    /// computes the same pair sums (`acc += a0*b0 + a1*b1`) in plain f32
+    /// over the same layout.
+    ///
+    /// Either way the reduction order is a pure function of the panel
+    /// layout, so a given host produces bitwise-identical results at
+    /// every worker count. The hardware and fallback paths may differ
+    /// from each other in final-bit rounding — the determinism contract
+    /// is per host, not cross-host.
+    #[inline]
+    fn micro_kernel(apanel: &[u16], bpanel: &[u16], kc: usize) -> [[f32; NR]; MR] {
+        let kc_pairs = kc.div_ceil(2);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512bf16") {
+            // SAFETY: the feature test above gates the call; avx512bf16
+            // implies the avx512f registers the kernel uses.
+            return unsafe { micro_kernel_bf16_vdp(apanel, bpanel, kc_pairs) };
         }
-    });
-    recycle::give_buffer(apack);
-    recycle::give_buffer(bpack);
+        micro_kernel_bf16_scalar(apanel, bpanel, kc_pairs)
+    }
 }
 
 /// Packs one full-width, non-transposed B strip into the k-pair
@@ -823,7 +601,7 @@ pub fn gemm_into_fused_bf16(
 /// per pair, against ~10 scalar integer ops per *element* for the
 /// portable round-to-nearest-even — without this the conversion of a
 /// large B outweighs the microkernel's win at small m. The hardware
-/// convert rounds to nearest even like [`f32_to_bf16`] but flushes f32
+/// convert rounds to nearest even like [`bf16_from_f32`] but flushes f32
 /// denormals (|x| < 2^-126) to zero where the scalar path keeps their
 /// bf16 denormal bits — a sub-1e-38 discrepancy below anything the
 /// bf16 rounding the pack performs can represent distinctly.
@@ -870,31 +648,6 @@ unsafe fn pack_b_strip_pairs_hw(
             _mm512_storeu_si512(strip.as_mut_ptr().add(pp * 2 * NR) as *mut __m512i, interleaved);
         }
     }
-}
-
-/// [`micro_kernel`] over k-pair-interleaved bf16 panels. On hosts with
-/// AVX-512 BF16 each accumulator row takes one `vdpbf16ps` per k pair —
-/// two bf16 multiply-accumulates per f32 lane per instruction, double
-/// the MAC density of the f32 kernel's separate mul/add stream, which
-/// (on top of the halved panel bytes) is where the bf16 engine's
-/// speedup comes from. The scalar fallback computes the same pair sums
-/// (`acc += a0*b0 + a1*b1`) in plain f32 over the same layout.
-///
-/// Either way the reduction order is a pure function of the panel
-/// layout, so a given host produces bitwise-identical results at every
-/// worker count. Unlike the f32 kernel, the k sum is associated in
-/// adjacent pairs, and the hardware and fallback paths may differ from
-/// each other in final-bit rounding — the determinism contract is per
-/// host, not cross-host.
-#[inline]
-fn micro_kernel_bf16(apanel: &[u16], bpanel: &[u16], kc_pairs: usize) -> [[f32; NR]; MR] {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512bf16") {
-        // SAFETY: the feature test above gates the call; avx512bf16
-        // implies the avx512f registers the kernel uses.
-        return unsafe { micro_kernel_bf16_vdp(apanel, bpanel, kc_pairs) };
-    }
-    micro_kernel_bf16_scalar(apanel, bpanel, kc_pairs)
 }
 
 /// Hardware path: broadcast each a pair, stream the b pair row, and let
@@ -980,11 +733,39 @@ fn axpy2(acc: &mut [f32; NR], a0: f32, b0: &[f32; NR], a1: f32, b1: &[f32; NR]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::epilogue::{EpilogueArg, EpilogueInstr, OperandKind};
+    use crate::kernels::fused::FusedOp;
     use crate::kernels::matmul::matmul_naive;
     use crate::rng::Rng;
 
-    fn close(a: &Tensor, b: &Tensor, tol: f32, what: &str) {
-        assert!(a.max_abs_diff(b) < tol, "{what}: max diff {}", a.max_abs_diff(b));
+    const PRECISIONS: [Precision; 2] = [Precision::F32, Precision::Bf16];
+
+    fn wide() -> ExecPool {
+        ExecPool::new(4).with_grain(1)
+    }
+
+    /// The packed driver in `precision`'s panel format whatever the
+    /// geometry — `matmul` would route small products to the row kernel.
+    fn packed(a: &Tensor, b: &Tensor, ta: bool, tb: bool, precision: Precision, pool: &ExecPool) -> Tensor {
+        let (m, k, n) = product_dims(a, b, ta, tb);
+        let mut c = vec![f32::NAN; m * n];
+        gemm_into(&mut c, m, n, k, a.data(), ta, b.data(), tb, precision, None, pool);
+        Tensor::from_vec(c, [m, n])
+    }
+
+    /// The exact-arithmetic reference for `precision`'s panels: bf16
+    /// panels round every operand element once at pack time, so against
+    /// the naive product of pre-rounded operands only f32 accumulation
+    /// order differs — the same budget as f32 panels.
+    fn reference(a: &Tensor, b: &Tensor, ta: bool, tb: bool, precision: Precision) -> Tensor {
+        let grid = |t: &Tensor| match precision {
+            Precision::F32 => t.clone(),
+            Precision::Bf16 => Tensor::from_vec(
+                t.data().iter().map(|&v| bf16_to_f32(bf16_from_f32(v))).collect(),
+                t.shape().dims(),
+            ),
+        };
+        matmul_naive(&grid(a), &grid(b), ta, tb)
     }
 
     #[test]
@@ -994,9 +775,12 @@ mod tests {
             for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
                 let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
                 let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
-                let packed = matmul_packed(&a, &b, ta, tb, &ExecPool::new(4).with_grain(1));
-                let naive = matmul_naive(&a, &b, ta, tb);
-                close(&packed, &naive, 1e-3, &format!("m={m} k={k} n={n} ta={ta} tb={tb}"));
+                for precision in PRECISIONS {
+                    let got = packed(&a, &b, ta, tb, precision, &wide());
+                    let want = reference(&a, &b, ta, tb, precision);
+                    let diff = got.max_abs_diff(&want);
+                    assert!(diff < 1e-3, "{precision} m={m} k={k} n={n} ta={ta} tb={tb}: {diff}");
+                }
             }
         }
     }
@@ -1006,41 +790,52 @@ mod tests {
         let mut rng = Rng::seeded(29);
         let a = Tensor::randn([129, 517], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([517, 143], 0.0, 1.0, &mut rng);
-        let serial = matmul_packed(&a, &b, false, false, &ExecPool::serial());
-        for threads in [2, 4, 8] {
-            let par = matmul_packed(&a, &b, false, false, &ExecPool::new(threads).with_grain(1));
-            assert_eq!(serial.data(), par.data(), "{threads} workers diverged");
+        for precision in PRECISIONS {
+            let serial = packed(&a, &b, false, false, precision, &ExecPool::serial());
+            for threads in [2, 4, 8] {
+                let pool = ExecPool::new(threads).with_grain(1);
+                let par = packed(&a, &b, false, false, precision, &pool);
+                assert_eq!(serial.data(), par.data(), "{precision}: {threads} workers diverged");
+            }
         }
     }
 
     #[test]
     fn degenerate_extents_yield_zeros_or_empty() {
         let pool = ExecPool::serial();
-        let c = matmul_packed(&Tensor::zeros([0, 5]), &Tensor::zeros([5, 4]), false, false, &pool);
-        assert_eq!(c.shape().dims(), &[0, 4]);
-        let c = matmul_packed(&Tensor::ones([3, 0]), &Tensor::ones([0, 4]), false, false, &pool);
-        assert_eq!(c.shape().dims(), &[3, 4]);
-        assert!(c.data().iter().all(|&v| v == 0.0), "k=0 product must be all zeros");
+        for precision in PRECISIONS {
+            let c = packed(&Tensor::zeros([0, 5]), &Tensor::zeros([5, 4]), false, false, precision, &pool);
+            assert_eq!(c.shape().dims(), &[0, 4]);
+            let c = packed(&Tensor::ones([3, 0]), &Tensor::ones([0, 4]), false, false, precision, &pool);
+            assert_eq!(c.shape().dims(), &[3, 4]);
+            assert!(c.data().iter().all(|&v| v == 0.0), "k=0 product must be all zeros");
+        }
     }
 
     #[test]
     fn gemm_into_overwrites_stale_output() {
-        let mut c = vec![f32::NAN; 4];
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [5.0, 6.0, 7.0, 8.0];
-        gemm_into(&mut c, 2, 2, 2, &a, false, &b, false, &ExecPool::serial());
-        assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
+        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
+        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], [2, 2]);
+        // `packed` hands the driver a NaN-filled output.
+        let c = packed(&a, &b, false, false, Precision::F32, &ExecPool::serial());
+        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]
-    fn dispatch_threshold_ignores_m() {
-        assert!(use_packed(512, 512));
-        assert!(!use_packed(4, 512), "tiny k cannot amortize packing");
-        assert!(!use_packed(512, 8), "n below NR leaves lanes as padding");
+    fn select_ignores_m_and_holds_the_bf16_depth_rule() {
+        for precision in PRECISIONS {
+            assert_eq!(select(4, 512, precision), Engine::Rows, "tiny k cannot amortize packing");
+            assert_eq!(select(512, 8, precision), Engine::Rows, "n below NR leaves lanes as padding");
+            assert_eq!(select(64, 67, precision), Engine::Rows, "k*n below the packing floor");
+        }
+        assert_eq!(select(512, 512, Precision::F32), Engine::PackedF32);
+        assert_eq!(select(512, 512, Precision::Bf16), Engine::PackedBf16);
+        assert_eq!(select(64, 128, Precision::Bf16), Engine::PackedBf16);
+        // Shallow k: the pack conversion dominates, so the product packs
+        // f32 panels even when bf16 is requested — on every entry point.
+        assert_eq!(select(48, 256, Precision::Bf16), Engine::PackedF32);
+        assert_eq!(select(32, 512, Precision::Bf16), Engine::PackedF32);
     }
-
-    use crate::kernels::epilogue::{EpilogueArg, EpilogueInstr, OperandKind};
-    use crate::kernels::fused::FusedOp;
 
     fn bias_relu_epilogue() -> Epilogue {
         Epilogue {
@@ -1061,17 +856,22 @@ mod tests {
     #[test]
     fn fused_epilogue_is_bitwise_identical_to_unfused_then_flat() {
         let mut rng = Rng::seeded(41);
-        // Straddles tile edges on both axes and the packed threshold.
-        for &(m, k, n) in &[(1, 64, 160), (13, 300, 31), (67, 129, 19), (5, 10, 7)] {
+        // Straddles tile edges on both axes, the packing threshold
+        // (5x10x7 runs the row kernel) and the bf16 depth rule (k = 48
+        // packs f32 panels at either precision).
+        for &(m, k, n) in &[(1, 64, 160), (13, 300, 31), (67, 129, 19), (9, 48, 256), (5, 10, 7)] {
             let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
             let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
             let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
             let ep = bias_relu_epilogue();
-            let pool = ExecPool::new(4).with_grain(1);
-            let fused = matmul_fused(&a, &b, false, false, &ep, &[&bias], &pool);
-            let mut unfused = crate::kernels::matmul::matmul(&a, &b, false, false, &pool);
-            ep.apply_flat(unfused.data_mut(), m, n, &[bias.data()], &pool);
-            assert_eq!(fused.data(), unfused.data(), "m={m} k={k} n={n}");
+            let pool = wide();
+            for precision in PRECISIONS {
+                let ops: [&[f32]; 1] = [bias.data()];
+                let fused = matmul(&a, &b, false, false, precision, Some((&ep, &ops)), &pool);
+                let mut unfused = matmul(&a, &b, false, false, precision, None, &pool);
+                ep.apply_flat(unfused.data_mut(), m, n, &ops, &pool);
+                assert_eq!(fused.data(), unfused.data(), "{precision} m={m} k={k} n={n}");
+            }
         }
     }
 
@@ -1082,97 +882,32 @@ mod tests {
         let b = Tensor::randn([300, 93], 0.0, 1.0, &mut rng);
         let bias = Tensor::randn([93], 0.0, 1.0, &mut rng);
         let ep = bias_relu_epilogue();
-        let serial = matmul_fused(&a, &b, false, false, &ep, &[&bias], &ExecPool::serial());
-        for threads in [2, 4, 8] {
-            let pool = ExecPool::new(threads).with_grain(1);
-            let par = matmul_fused(&a, &b, false, false, &ep, &[&bias], &pool);
-            assert_eq!(serial.data(), par.data(), "{threads} workers diverged");
-        }
-    }
-
-    #[test]
-    fn zero_k_fused_product_applies_epilogue_to_zeros() {
-        let bias = Tensor::from_vec(vec![1.0, -2.0], [2]);
-        let a = Tensor::zeros([3, 0]);
-        let b = Tensor::zeros([0, 2]);
-        let ep = bias_relu_epilogue();
-        let c = matmul_fused(&a, &b, false, false, &ep, &[&bias], &ExecPool::serial());
-        // relu(0 + bias): [1, 0] per row.
-        assert_eq!(c.data(), &[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-    }
-
-    use crate::kernels::quant::{bf16_to_f32, f32_to_bf16};
-
-    /// Rounds every element to the bf16 grid, staying f32. The bf16
-    /// engine's exact-arithmetic reference is `matmul_naive` over these.
-    fn to_bf16_grid(t: &Tensor) -> Tensor {
-        let data = t.data().iter().map(|&v| bf16_to_f32(f32_to_bf16(v))).collect();
-        Tensor::from_vec(data, t.shape().dims())
-    }
-
-    #[test]
-    fn bf16_matches_naive_on_bf16_rounded_operands() {
-        let mut rng = Rng::seeded(47);
-        for &(m, k, n) in &[(1, 37, 17), (13, 300, 31), (67, 129, 19), (8, 256, 16)] {
-            for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
-                let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
-                let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
-                let packed = matmul_packed_bf16(&a, &b, ta, tb, &ExecPool::new(4).with_grain(1));
-                // The only precision loss is the one rounding per
-                // operand element at pack time: against the naive
-                // product of pre-rounded operands only f32 accumulation
-                // order differs, the same budget as the f32 engine test.
-                let naive = matmul_naive(&to_bf16_grid(&a), &to_bf16_grid(&b), ta, tb);
-                close(&packed, &naive, 1e-3, &format!("bf16 m={m} k={k} n={n} ta={ta} tb={tb}"));
+        let ops: [&[f32]; 1] = [bias.data()];
+        for precision in PRECISIONS {
+            let run = |pool: &ExecPool| matmul(&a, &b, false, false, precision, Some((&ep, &ops)), pool);
+            let serial = run(&ExecPool::serial());
+            for threads in [2, 4, 8] {
+                let par = run(&ExecPool::new(threads).with_grain(1));
+                assert_eq!(serial.data(), par.data(), "{precision}: {threads} workers diverged");
             }
         }
     }
 
     #[test]
-    fn bf16_parallel_is_bitwise_identical_to_serial() {
-        let mut rng = Rng::seeded(53);
-        let a = Tensor::randn([129, 517], 0.0, 1.0, &mut rng);
-        let b = Tensor::randn([517, 143], 0.0, 1.0, &mut rng);
-        let serial = matmul_packed_bf16(&a, &b, false, false, &ExecPool::serial());
-        for threads in [2, 4, 8] {
-            let par =
-                matmul_packed_bf16(&a, &b, false, false, &ExecPool::new(threads).with_grain(1));
-            assert_eq!(serial.data(), par.data(), "bf16 {threads} workers diverged");
+    fn zero_k_fused_product_applies_epilogue_to_zeros() {
+        let bias = [1.0, -2.0];
+        let ep = bias_relu_epilogue();
+        let ops: [&[f32]; 1] = [&bias];
+        for precision in PRECISIONS {
+            // Through the driver directly: `matmul` routes k = 0 to the
+            // row kernel.
+            let mut c = vec![f32::NAN; 6];
+            gemm_into(&mut c, 3, 2, 0, &[], false, &[], false, precision, Some((&ep, &ops)), &ExecPool::serial());
+            // relu(0 + bias): [1, 0] per row.
+            assert_eq!(c, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
         }
-    }
-
-    #[test]
-    fn bf16_fused_epilogue_matches_unfused_then_flat() {
-        let mut rng = Rng::seeded(59);
-        // First geometry is above the packed threshold, last is below it
-        // (exercising the full-precision fallback).
-        for &(m, k, n) in &[(13, 300, 31), (1, 64, 160), (5, 10, 7)] {
-            let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
-            let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-            let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
-            let ep = bias_relu_epilogue();
-            let pool = ExecPool::new(4).with_grain(1);
-            let fused = matmul_fused_bf16(&a, &b, false, false, &ep, &[&bias], &pool);
-            let mut unfused = if use_packed(k, n) {
-                matmul_packed_bf16(&a, &b, false, false, &pool)
-            } else {
-                crate::kernels::matmul::matmul(&a, &b, false, false, &pool)
-            };
-            ep.apply_flat(unfused.data_mut(), m, n, &[bias.data()], &pool);
-            assert_eq!(fused.data(), unfused.data(), "bf16 m={m} k={k} n={n}");
-        }
-    }
-
-    #[test]
-    fn bf16_zero_k_product_is_zero() {
-        let c = matmul_packed_bf16(
-            &Tensor::ones([3, 0]),
-            &Tensor::ones([0, 4]),
-            false,
-            false,
-            &ExecPool::serial(),
-        );
-        assert_eq!(c.shape().dims(), &[3, 4]);
-        assert!(c.data().iter().all(|&v| v == 0.0));
+        let (a, b) = (Tensor::zeros([3, 0]), Tensor::zeros([0, 2]));
+        let c = matmul(&a, &b, false, false, Precision::F32, Some((&ep, &ops)), &ExecPool::serial());
+        assert_eq!(c.data(), &[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
     }
 }

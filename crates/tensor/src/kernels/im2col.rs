@@ -15,7 +15,8 @@
 
 use crate::kernels::conv::{dims4, Conv2dSpec};
 use crate::kernels::epilogue::Epilogue;
-use crate::kernels::gemm::gemm_into_fused;
+use crate::kernels::gemm::gemm_into;
+use crate::kernels::quant::Precision;
 use crate::pool::ExecPool;
 use crate::recycle;
 use crate::shape::Shape;
@@ -76,14 +77,15 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, spec: Conv2dSpec, pool: &Exe
 ///
 /// Panics if the shapes are not a valid convolution.
 pub fn conv2d_im2col(input: &Tensor, filter: &Tensor, spec: Conv2dSpec, pool: &ExecPool) -> Tensor {
-    conv2d_im2col_fused(input, filter, spec, None, &[], pool)
+    conv2d_im2col_fused(input, filter, spec, None, pool)
 }
 
-/// [`conv2d_im2col`] with an optional GEMM [`Epilogue`] threaded into
-/// the lowered product's tile writeback. The NHWC output flattens to
-/// `[n*oh*ow, oc]`, so a column operand is a per-output-channel bias and
-/// a full operand is an output-shaped residual — the same broadcast
-/// classes the matmul path uses.
+/// [`conv2d_im2col`] with an optional GEMM [`Epilogue`] (the program and
+/// the operand slices it reads) threaded into the lowered product's tile
+/// writeback. The NHWC output flattens to `[n*oh*ow, oc]`, so a column
+/// operand is a per-output-channel bias and a full operand is an
+/// output-shaped residual — the same broadcast classes the matmul path
+/// uses. The lowered product always runs f32 panels.
 ///
 /// # Panics
 ///
@@ -93,36 +95,24 @@ pub fn conv2d_im2col_fused(
     input: &Tensor,
     filter: &Tensor,
     spec: Conv2dSpec,
-    epilogue: Option<&Epilogue>,
-    operands: &[&[f32]],
+    epilogue: Option<(&Epilogue, &[&[f32]])>,
     pool: &ExecPool,
 ) -> Tensor {
     let out_shape = spec.out_shape(input.shape(), filter.shape());
     let (kh, kw, ic, oc) = dims4(filter.shape());
     let rows = out_shape.dim(0) * out_shape.dim(1) * out_shape.dim(2);
     let mut out = recycle::take_buffer(rows * oc);
+    let product = |out: &mut [f32], k: usize, patches: &[f32]| {
+        let w = filter.data();
+        gemm_into(out, rows, oc, k, patches, false, w, false, Precision::F32, epilogue, pool);
+    };
     if is_pointwise(kh, kw, spec) {
         // The patch matrix is the input viewed as [n*h*w, ic]; multiply
         // in place with no materialization at all.
-        gemm_into_fused(
-            &mut out, rows, oc, ic, input.data(), false, filter.data(), false, epilogue, operands,
-            pool,
-        );
+        product(&mut out, ic, input.data());
     } else {
         let patches = im2col(input, kh, kw, spec, pool);
-        gemm_into_fused(
-            &mut out,
-            rows,
-            oc,
-            kh * kw * ic,
-            patches.data(),
-            false,
-            filter.data(),
-            false,
-            epilogue,
-            operands,
-            pool,
-        );
+        product(&mut out, kh * kw * ic, patches.data());
         recycle::reclaim(patches);
     }
     Tensor::from_vec(out, out_shape)

@@ -1,50 +1,33 @@
-//! Matrix multiplication kernels (op class A in the paper's taxonomy).
+//! Matrix multiplication reference kernels (op class A in the paper's
+//! taxonomy).
 //!
-//! The `MatMul` kernel is the dominant operation of the fully-connected and
+//! `MatMul` is the dominant operation of the fully-connected and
 //! recurrent Fathom workloads (`speech`, `autoenc`, `seq2seq`, `memnet`).
-//! [`matmul`] dispatches between two implementations: the packed,
-//! register-tiled engine in [`crate::kernels::gemm`] for products large
-//! enough to amortize packing, and the cache-blocked row-parallel kernel
-//! [`matmul_rows`] for everything else. The choice depends only on the
-//! `(k, n)` geometry — never on `m` — so batched and batch-1 runs of the
-//! same graph take the same kernel (serving's bitwise batch-independence
-//! contract).
+//! The entry point is [`crate::kernels::gemm::matmul`], which picks
+//! between the packed, register-tiled engine and the cache-blocked
+//! row-parallel kernel [`matmul_rows`] here (see
+//! [`crate::kernels::gemm::select`]).
 
-use crate::kernels::gemm;
 use crate::pool::ExecPool;
 use crate::tensor::Tensor;
 
 /// Cache block edge for the k dimension.
 const BLOCK_K: usize = 64;
 
-/// `C = op(A) * op(B)` where `op` optionally transposes its argument.
-///
-/// `a` must be `[m, k]` (or `[k, m]` when `transpose_a`), `b` must be
-/// `[k, n]` (or `[n, k]` when `transpose_b`). The result is `[m, n]`.
+/// `(m, k, n)` of `op(a) * op(b)`, where `a` is `[m, k]` (or `[k, m]`
+/// when `transpose_a`) and `b` is `[k, n]` (or `[n, k]` when
+/// `transpose_b`).
 ///
 /// # Panics
 ///
 /// Panics if either input is not rank 2 or the contraction dimensions
 /// disagree.
-pub fn matmul(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool, pool: &ExecPool) -> Tensor {
-    if a.shape().rank() == 2 && b.shape().rank() == 2 {
-        let (k, n) = if transpose_b {
-            (b.shape().dim(1), b.shape().dim(0))
-        } else {
-            (b.shape().dim(0), b.shape().dim(1))
-        };
-        if gemm::use_packed(k, n) {
-            return gemm::matmul_packed(a, b, transpose_a, transpose_b, pool);
-        }
-    }
-    matmul_rows(a, b, transpose_a, transpose_b, pool)
-}
-
-/// The pre-packing kernel: one parallel span per row of C, k-blocked.
-/// Kept as the dispatch target for small products (packing would cost
-/// more than it saves) and as the baseline the `gemm_scaling` benchmark
-/// measures the packed engine against.
-pub fn matmul_rows(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool, pool: &ExecPool) -> Tensor {
+pub(crate) fn product_dims(
+    a: &Tensor,
+    b: &Tensor,
+    transpose_a: bool,
+    transpose_b: bool,
+) -> (usize, usize, usize) {
     assert_eq!(a.shape().rank(), 2, "matmul lhs must be rank 2, got {}", a.shape());
     assert_eq!(b.shape().rank(), 2, "matmul rhs must be rank 2, got {}", b.shape());
     let (m, ka) = if transpose_a {
@@ -61,7 +44,15 @@ pub fn matmul_rows(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool,
         ka, kb,
         "matmul contraction mismatch: op(a) is [{m}, {ka}], op(b) is [{kb}, {n}]"
     );
-    let k = ka;
+    (m, ka, n)
+}
+
+/// The pre-packing kernel: one parallel span per row of C, k-blocked.
+/// Kept as the dispatch target for small products (packing would cost
+/// more than it saves) and as the baseline the `gemm_scaling` benchmark
+/// measures the packed engine against.
+pub fn matmul_rows(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool, pool: &ExecPool) -> Tensor {
+    let (m, k, n) = product_dims(a, b, transpose_a, transpose_b);
     let mut out = Tensor::zeros([m, n]);
     if m == 0 || n == 0 {
         return out;
@@ -144,10 +135,16 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::quant::Precision;
     use crate::rng::Rng;
 
     fn pool() -> ExecPool {
         ExecPool::new(4).with_grain(1)
+    }
+
+    /// The dispatching entry point at full precision, no epilogue.
+    fn matmul(a: &Tensor, b: &Tensor, ta: bool, tb: bool, pool: &ExecPool) -> Tensor {
+        crate::kernels::gemm::matmul(a, b, ta, tb, Precision::F32, None, pool)
     }
 
     #[test]

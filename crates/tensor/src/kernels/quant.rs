@@ -3,10 +3,10 @@
 //!
 //! Two independent paths share this module (DESIGN.md §18):
 //!
-//! * **bf16 storage / f32 accumulate** — [`f32_to_bf16`] /
+//! * **bf16 storage / f32 accumulate** — [`bf16_from_f32`] /
 //!   [`bf16_to_f32`] are the conversion points the packed GEMM engine
 //!   uses when it packs operand panels at half width (see
-//!   [`crate::kernels::gemm::matmul_packed_bf16`]). Conversion is
+//!   [`crate::kernels::gemm`]). Conversion is
 //!   round-to-nearest-even on the dropped mantissa bits, so every value
 //!   already representable in bf16 (including ±0, ±inf and all
 //!   8-bit-mantissa floats) round-trips exactly.
@@ -51,7 +51,7 @@ impl std::fmt::Display for Precision {
 /// dropped mantissa bits. NaN maps to a canonical quiet NaN so the
 /// result is never an accidental infinity.
 #[inline(always)]
-pub fn f32_to_bf16(x: f32) -> u16 {
+pub fn bf16_from_f32(x: f32) -> u16 {
     let bits = x.to_bits();
     if x.is_nan() {
         return 0x7FC0;
@@ -176,12 +176,13 @@ impl QuantizedGemm {
     ///
     /// Panics if `a` is not `[m, k]` for this plan's `k`.
     pub fn matmul(&self, a: &Tensor, pool: &ExecPool) -> Tensor {
-        self.matmul_fused(a, None, &[], pool)
+        self.matmul_fused(a, None, pool)
     }
 
-    /// [`QuantizedGemm::matmul`] with an optional [`Epilogue`] applied
-    /// as a flat pass over the dequantized f32 output — the same program
-    /// the f32 path would have fused into its writeback.
+    /// [`QuantizedGemm::matmul`] with an optional [`Epilogue`] (the
+    /// program and the operand slices it reads) applied as a flat pass
+    /// over the dequantized f32 output — the same program the f32 path
+    /// would have fused into its writeback.
     ///
     /// # Panics
     ///
@@ -190,15 +191,14 @@ impl QuantizedGemm {
     pub fn matmul_fused(
         &self,
         a: &Tensor,
-        epilogue: Option<&Epilogue>,
-        operands: &[&[f32]],
+        epilogue: Option<(&Epilogue, &[&[f32]])>,
         pool: &ExecPool,
     ) -> Tensor {
         assert_eq!(a.shape().rank(), 2, "quantized matmul lhs must be rank 2, got {}", a.shape());
         let (m, k) = (a.shape().dim(0), a.shape().dim(1));
         assert_eq!(k, self.k, "quantized matmul contraction mismatch: [{m}, {k}] vs k={}", self.k);
         let n = self.n;
-        if let Some(ep) = epilogue {
+        if let Some((ep, operands)) = epilogue {
             ep.check_operands(m, n, operands);
         }
         // Quantize the activations once, per tensor.
@@ -233,7 +233,7 @@ impl QuantizedGemm {
                 *c = sum as f32 * (act_scale * s);
             }
         });
-        if let Some(ep) = epilogue {
+        if let Some((ep, operands)) = epilogue {
             ep.apply_flat(out.data_mut(), m, n, operands, pool);
         }
         out
@@ -249,9 +249,9 @@ mod tests {
     #[test]
     fn bf16_round_trips_representable_values() {
         for v in [0.0f32, -0.0, 1.0, -1.0, 0.5, 2.0, 96.0, -0.375, f32::INFINITY] {
-            assert_eq!(bf16_to_f32(f32_to_bf16(v)), v, "{v} must round-trip");
+            assert_eq!(bf16_to_f32(bf16_from_f32(v)), v, "{v} must round-trip");
         }
-        assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
+        assert!(bf16_to_f32(bf16_from_f32(f32::NAN)).is_nan());
     }
 
     #[test]
@@ -259,10 +259,10 @@ mod tests {
         // 1.0 + 2^-8 sits exactly between bf16 neighbours 1.0 and
         // 1.0078125; ties go to the even mantissa (1.0).
         let tie = f32::from_bits(0x3F80_8000);
-        assert_eq!(bf16_to_f32(f32_to_bf16(tie)), 1.0);
+        assert_eq!(bf16_to_f32(bf16_from_f32(tie)), 1.0);
         // Just above the tie rounds up.
         let above = f32::from_bits(0x3F80_8001);
-        assert_eq!(bf16_to_f32(f32_to_bf16(above)), f32::from_bits(0x3F81_0000));
+        assert_eq!(bf16_to_f32(bf16_from_f32(above)), f32::from_bits(0x3F81_0000));
     }
 
     #[test]
@@ -345,7 +345,7 @@ mod tests {
         };
         let q = QuantizedGemm::from_weights(w.data(), k, n, false, 4.0);
         let pool = ExecPool::new(2).with_grain(1);
-        let fused = q.matmul_fused(&a, Some(&ep), &[bias.data()], &pool);
+        let fused = q.matmul_fused(&a, Some((&ep, &[bias.data()])), &pool);
         let mut unfused = q.matmul(&a, &pool);
         ep.apply_flat(unfused.data_mut(), m, n, &[bias.data()], &pool);
         assert_eq!(fused.data(), unfused.data());

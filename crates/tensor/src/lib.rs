@@ -8,12 +8,12 @@
 //! # Examples
 //!
 //! ```
-//! use fathom_tensor::{kernels, ExecPool, Tensor};
+//! use fathom_tensor::{kernels, ExecPool, Precision, Tensor};
 //!
 //! let pool = ExecPool::new(4);
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
 //! let b = Tensor::ones([2, 2]);
-//! let c = kernels::matmul::matmul(&a, &b, false, false, &pool);
+//! let c = kernels::gemm::matmul(&a, &b, false, false, Precision::F32, None, &pool);
 //! assert_eq!(c.data(), &[3.0, 3.0, 7.0, 7.0]);
 //! ```
 

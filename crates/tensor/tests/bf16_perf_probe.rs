@@ -1,5 +1,6 @@
-//! Ignored-by-default microbenchmark comparing the f32 and bf16 packed
-//! GEMM engines at canonical shapes — a fast signal for kernel work
+//! Ignored-by-default microbenchmark comparing the packed GEMM driver's
+//! f32 and bf16 panels at canonical shapes (all of which `gemm::select`
+//! packs, and routes to bf16 panels when asked) — a fast signal for kernel work
 //! that does not need the full `ablation_precision` bench:
 //!
 //! ```text
@@ -8,8 +9,8 @@
 
 use std::time::Instant;
 
-use fathom_tensor::kernels::gemm::{matmul_packed, matmul_packed_bf16};
-use fathom_tensor::{ExecPool, Rng, Tensor};
+use fathom_tensor::kernels::gemm::matmul;
+use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 
 #[test]
 #[ignore = "perf probe: run manually with --ignored --nocapture"]
@@ -21,20 +22,21 @@ fn probe() {
     for (m, k, n) in shapes {
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+        let run = |precision: Precision| matmul(&a, &b, false, false, precision, None, &pool);
         for _ in 0..2 {
-            matmul_packed(&a, &b, false, false, &pool);
-            matmul_packed_bf16(&a, &b, false, false, &pool);
+            run(Precision::F32);
+            run(Precision::Bf16);
         }
         // Aim each leg at roughly the same total flop budget.
         let reps = (200_000_000 / (2 * m * k * n)).clamp(1, 50);
         let t0 = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(matmul_packed(&a, &b, false, false, &pool));
+            std::hint::black_box(run(Precision::F32));
         }
         let f32_s = t0.elapsed().as_secs_f64() / reps as f64;
         let t0 = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(matmul_packed_bf16(&a, &b, false, false, &pool));
+            std::hint::black_box(run(Precision::Bf16));
         }
         let bf16_s = t0.elapsed().as_secs_f64() / reps as f64;
         println!(

@@ -1,20 +1,25 @@
 //! Property and determinism tests for the packed GEMM engine and the
 //! GEMM-lowered convolution gradients.
 //!
-//! Three families of claims:
+//! Three families of claims, each over both panel formats
+//! (`Precision::F32` / `Precision::Bf16`) and both sides of the packing
+//! threshold:
 //!
-//! 1. **Agreement**: `matmul_packed` equals `matmul_naive` (to rounding)
-//!    for arbitrary — prime, odd, degenerate — `(m, k, n)` and all four
-//!    transpose combinations. Shapes are drawn to straddle the MR/NR/KC
-//!    tile edges so partial tiles and zero-padded pack lanes are hit.
+//! 1. **Agreement**: the product equals `matmul_naive` (to rounding; on
+//!    bf16-rounded operands where bf16 panels ran) for arbitrary — prime,
+//!    odd, degenerate — `(m, k, n)` and all four transpose combinations,
+//!    through `matmul` (engine chosen by `gemm::select`) and through
+//!    `gemm_into` (packed driver forced). Shapes are drawn to straddle
+//!    the MR/NR/KC tile edges so partial tiles and zero-padded pack lanes
+//!    are hit.
 //! 2. **Determinism**: parallel execution at any worker count is bitwise
 //!    identical to serial, for the raw GEMM and for both conv backprop
 //!    lowerings — the contract PRs 1–3 established for every kernel.
-//! 3. **Epilogue fusion**: `matmul_fused` with a random epilogue program
-//!    over random operand broadcast classes is bitwise identical to the
-//!    unfused matmul followed by the elementwise kernels, at every
-//!    worker count — the contract the graph-level epilogue pass rests
-//!    on.
+//! 3. **Epilogue fusion**: `matmul` with a random epilogue program over
+//!    random operand broadcast classes is bitwise identical to the same
+//!    call without one followed by the standalone elementwise kernels,
+//!    at every worker count — the contract the graph-level epilogue pass
+//!    rests on.
 
 use fathom_tensor::kernels::conv::{
     conv2d_backprop_filter_im2col, conv2d_backprop_input_im2col, Conv2dSpec,
@@ -22,13 +27,14 @@ use fathom_tensor::kernels::conv::{
 use fathom_tensor::kernels::elementwise as kew;
 use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr, OperandKind};
 use fathom_tensor::kernels::fused::FusedOp;
-use fathom_tensor::kernels::gemm::{matmul_fused, matmul_packed};
-use fathom_tensor::kernels::matmul::{matmul, matmul_naive};
-use fathom_tensor::{ExecPool, Rng, Tensor};
+use fathom_tensor::kernels::gemm::{gemm_into, matmul, select, Engine};
+use fathom_tensor::kernels::matmul::matmul_naive;
+use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32};
+use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 use proptest::prelude::*;
 
 /// Dimension sizes that exercise tile interiors, tile edges, and the
-/// one-short / one-over boundaries of MR=8, NR=16, KC=512.
+/// one-short / one-over boundaries of MR=8, NR=16.
 fn awkward_dim() -> impl Strategy<Value = usize> {
     prop_oneof![
         1usize..4,           // degenerate
@@ -43,46 +49,68 @@ fn awkward_dim() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Contraction/column sizes: the awkward tile-edge menu never clears the
+/// packing threshold (64 * 67 < 8192), so larger values are mixed in to
+/// land cases on both sides of it, on both sides of the bf16 depth rule
+/// (k = 48 packs f32 panels whatever the precision), and past one KC
+/// block.
+fn gemm_dim() -> impl Strategy<Value = usize> {
+    prop_oneof![awkward_dim(), Just(48usize), Just(130usize), Just(512usize), Just(515usize)]
+}
+
+fn precision() -> impl Strategy<Value = Precision> {
+    prop_oneof![Just(Precision::F32), Just(Precision::Bf16)]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn packed_matches_naive_all_transposes(
+    fn product_matches_naive_and_is_bitwise_deterministic(
         m in awkward_dim(),
-        k in awkward_dim(),
-        n in awkward_dim(),
+        k in gemm_dim(),
+        n in gemm_dim(),
         combo in 0u8..4,
+        precision in precision(),
+        force_packed in prop_oneof![Just(false), Just(true)],
         seed in 0u64..1000,
     ) {
         let (ta, tb) = (combo & 1 == 1, combo & 2 == 2);
         let mut rng = Rng::seeded(seed);
         let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
         let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
-        let fast = matmul_packed(&a, &b, ta, tb, &ExecPool::new(3).with_grain(1));
-        let slow = matmul_naive(&a, &b, ta, tb);
-        prop_assert_eq!(fast.shape(), slow.shape());
+        let run = |pool: &ExecPool| {
+            if force_packed {
+                let mut c = vec![f32::NAN; m * n];
+                gemm_into(&mut c, m, n, k, a.data(), ta, b.data(), tb, precision, None, pool);
+                Tensor::from_vec(c, [m, n])
+            } else {
+                matmul(&a, &b, ta, tb, precision, None, pool)
+            }
+        };
+        // bf16 panels round each operand element once at pack time.
+        let bf16_panels = if force_packed {
+            precision == Precision::Bf16
+        } else {
+            select(k, n, precision) == Engine::PackedBf16
+        };
+        let on_grid = |t: &Tensor| {
+            if !bf16_panels {
+                return t.clone();
+            }
+            let data = t.data().iter().map(|&v| bf16_to_f32(bf16_from_f32(v))).collect();
+            Tensor::from_vec(data, t.shape().dims())
+        };
+        let serial = run(&ExecPool::serial());
+        let slow = matmul_naive(&on_grid(&a), &on_grid(&b), ta, tb);
+        prop_assert_eq!(serial.shape(), slow.shape());
         prop_assert!(
-            fast.max_abs_diff(&slow) < 1e-3,
-            "m={} k={} n={} ta={} tb={}: diff {}",
-            m, k, n, ta, tb, fast.max_abs_diff(&slow)
+            serial.max_abs_diff(&slow) < 1e-3,
+            "{} forced={} m={} k={} n={} ta={} tb={}: diff {}",
+            precision, force_packed, m, k, n, ta, tb, serial.max_abs_diff(&slow)
         );
-    }
-
-    #[test]
-    fn packed_is_bitwise_deterministic_across_worker_counts(
-        m in awkward_dim(),
-        k in awkward_dim(),
-        n in awkward_dim(),
-        combo in 0u8..4,
-        seed in 0u64..1000,
-    ) {
-        let (ta, tb) = (combo & 1 == 1, combo & 2 == 2);
-        let mut rng = Rng::seeded(seed);
-        let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
-        let serial = matmul_packed(&a, &b, ta, tb, &ExecPool::serial());
-        for threads in [2usize, 8] {
-            let par = matmul_packed(&a, &b, ta, tb, &ExecPool::new(threads).with_grain(1));
+        for threads in [2usize, 3, 8] {
+            let par = run(&ExecPool::new(threads).with_grain(1));
             prop_assert_eq!(serial.data(), par.data(), "{} workers diverged", threads);
         }
     }
@@ -123,23 +151,16 @@ fn instr_spec() -> impl Strategy<Value = InstrSpec> {
     ]
 }
 
-/// Contraction/column sizes for the epilogue test: the awkward tile-edge
-/// menu never satisfies `use_packed` (64 * 67 < 8192), so larger values
-/// are mixed in to land cases on both the packed writeback and the
-/// row-parallel fallback.
-fn epilogue_dim() -> impl Strategy<Value = usize> {
-    prop_oneof![awkward_dim(), Just(130usize), Just(512usize)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn fused_epilogue_matches_unfused_chain_bitwise(
         m in awkward_dim(),
-        k in epilogue_dim(),
-        n in epilogue_dim(),
+        k in gemm_dim(),
+        n in gemm_dim(),
         combo in 0u8..4,
+        precision in precision(),
         specs in proptest::collection::vec(instr_spec(), 1..5),
         seed in 0u64..1000,
     ) {
@@ -175,23 +196,16 @@ proptest! {
         }
         let ep = Epilogue { n_operands: operands.len(), instrs };
 
-        // Reference: the dispatching matmul, then the standalone
-        // elementwise kernels. Operands are materialized to [m, n] so
-        // each kernel reads exactly the value the broadcast class
-        // fetches per element.
+        // Reference: the same entry point without an epilogue, then the
+        // standalone elementwise kernels. Operands are materialized to
+        // [m, n] so each kernel reads exactly the value the broadcast
+        // class fetches per element.
         let serial = ExecPool::serial();
-        let mut want = matmul(&a, &b, ta, tb, &serial);
+        let mut want = matmul(&a, &b, ta, tb, precision, None, &serial);
         let mut next_operand = operands.iter();
         for spec in &specs {
             want = match *spec {
-                InstrSpec::Unary(op) => match op {
-                    FusedOp::Relu => kew::relu(&want, &serial),
-                    FusedOp::Tanh => kew::tanh(&want, &serial),
-                    FusedOp::Sigmoid => kew::sigmoid(&want, &serial),
-                    FusedOp::Neg => kew::neg(&want, &serial),
-                    FusedOp::Square => kew::square(&want, &serial),
-                    _ => unreachable!("not in the unary menu"),
-                },
+                InstrSpec::Unary(op) => kew::eval(op, &[&want], &serial),
                 InstrSpec::Binary { op, kind, swapped } => {
                     let t = next_operand.next().expect("one operand per binary instr");
                     let full = match kind {
@@ -205,28 +219,22 @@ proptest! {
                         OperandKind::Full => t.clone(),
                     };
                     let (x, y) = if swapped { (&full, &want) } else { (&want, &full) };
-                    match op {
-                        FusedOp::Add => kew::add(x, y, &serial),
-                        FusedOp::Sub => kew::sub(x, y, &serial),
-                        FusedOp::Mul => kew::mul(x, y, &serial),
-                        FusedOp::Maximum => kew::maximum(x, y, &serial),
-                        _ => unreachable!("not in the binary menu"),
-                    }
+                    kew::eval(op, &[x, y], &serial)
                 }
             };
         }
 
-        let op_refs: Vec<&Tensor> = operands.iter().collect();
-        let fused = matmul_fused(&a, &b, ta, tb, &ep, &op_refs, &serial);
+        let op_refs: Vec<&[f32]> = operands.iter().map(|t| t.data()).collect();
+        let fused = matmul(&a, &b, ta, tb, precision, Some((&ep, &op_refs)), &serial);
         prop_assert_eq!(fused.shape(), want.shape());
         prop_assert!(
             fused.data() == want.data(),
-            "serial fused epilogue != unfused chain (m={} k={} n={} ta={} tb={} specs={:?})",
-            m, k, n, ta, tb, specs
+            "serial fused epilogue != unfused chain ({} m={} k={} n={} ta={} tb={} specs={:?})",
+            precision, m, k, n, ta, tb, specs
         );
         for threads in [2usize, 8] {
-            let par =
-                matmul_fused(&a, &b, ta, tb, &ep, &op_refs, &ExecPool::new(threads).with_grain(1));
+            let pool = ExecPool::new(threads).with_grain(1);
+            let par = matmul(&a, &b, ta, tb, precision, Some((&ep, &op_refs)), &pool);
             prop_assert!(
                 fused.data() == par.data(),
                 "fused epilogue diverged at {} workers (m={} k={} n={} specs={:?})",
@@ -237,8 +245,8 @@ proptest! {
 }
 
 /// The dispatching `matmul` must agree with naive across the packed /
-/// row-kernel threshold, so graph results do not depend on which side of
-/// `use_packed` a geometry lands.
+/// row-kernel threshold, so graph results do not depend on which engine
+/// `gemm::select` picks for a geometry.
 #[test]
 fn dispatching_matmul_agrees_with_naive_around_the_threshold() {
     let mut rng = Rng::seeded(77);
@@ -251,7 +259,8 @@ fn dispatching_matmul_agrees_with_naive_around_the_threshold() {
         for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
             let a = Tensor::randn(if ta { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
             let b = Tensor::randn(if tb { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
-            let fast = matmul(&a, &b, ta, tb, &ExecPool::new(2).with_grain(1));
+            let pool = ExecPool::new(2).with_grain(1);
+            let fast = matmul(&a, &b, ta, tb, Precision::F32, None, &pool);
             let slow = matmul_naive(&a, &b, ta, tb);
             assert!(
                 fast.max_abs_diff(&slow) < 1e-3,

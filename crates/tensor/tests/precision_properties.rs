@@ -9,14 +9,17 @@
 //! 2. **int8 quantize→dequantize**: symmetric (`q(-x) == -q(x)`), zero-
 //!    preserving, monotone in the input, and within half a grid step for
 //!    in-range values.
-//! 3. **bf16 GEMM determinism**: the packed bf16 engine is bitwise
-//!    identical serial vs pooled at workers {1, 2, 8} — the same
-//!    contract the f32 engine carries, since the reduction order is
-//!    width-independent.
+//! 3. **GEMM determinism at either precision**: `matmul` is bitwise
+//!    identical serial vs pooled at workers {1, 2, 8} whatever the
+//!    requested precision, with or without a fused epilogue, on both
+//!    sides of the packing threshold and of the bf16 depth rule — the
+//!    reduction order is width-independent.
 
-use fathom_tensor::kernels::gemm::matmul_packed_bf16;
-use fathom_tensor::kernels::quant::{bf16_to_f32, f32_to_bf16, quant_scale, quantize_i8};
-use fathom_tensor::{ExecPool, Rng, Tensor};
+use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr};
+use fathom_tensor::kernels::fused::FusedOp;
+use fathom_tensor::kernels::gemm::matmul;
+use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32, quant_scale, quantize_i8};
+use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 use proptest::prelude::*;
 
 /// Finite f32 values spanning subnormal-adjacent to huge magnitudes.
@@ -36,9 +39,9 @@ proptest! {
     #[test]
     fn bf16_round_trip_is_exact_on_representable_values(x in finite_f32()) {
         // Snap to the grid once; a second trip must be the identity.
-        let snapped = bf16_to_f32(f32_to_bf16(x));
+        let snapped = bf16_to_f32(bf16_from_f32(x));
         prop_assert_eq!(
-            bf16_to_f32(f32_to_bf16(snapped)).to_bits(),
+            bf16_to_f32(bf16_from_f32(snapped)).to_bits(),
             snapped.to_bits(),
             "grid value {} must round-trip bit for bit",
             snapped
@@ -47,7 +50,7 @@ proptest! {
 
     #[test]
     fn bf16_round_trip_error_is_bounded(x in finite_f32()) {
-        let back = bf16_to_f32(f32_to_bf16(x));
+        let back = bf16_to_f32(bf16_from_f32(x));
         if back.is_finite() {
             // Round-to-nearest over 16 dropped mantissa bits: relative
             // error at most 2^-8 (half an ulp of the 8-bit mantissa).
@@ -68,7 +71,7 @@ proptest! {
     fn bf16_conversion_is_monotone(a in finite_f32(), b in finite_f32()) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(
-            bf16_to_f32(f32_to_bf16(lo)) <= bf16_to_f32(f32_to_bf16(hi)),
+            bf16_to_f32(bf16_from_f32(lo)) <= bf16_to_f32(bf16_from_f32(hi)),
             "rounding must preserve order: {} vs {}",
             lo, hi
         );
@@ -121,25 +124,35 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn bf16_gemm_is_bitwise_identical_serial_vs_pool(
+    fn gemm_is_bitwise_identical_serial_vs_pool(
         m in prop_oneof![Just(1usize), Just(13), Just(67)],
-        k in prop_oneof![Just(129usize), Just(300), Just(517)],
-        n in prop_oneof![Just(16usize), Just(31), Just(93)],
+        // 16 stays on the row kernel; 48 packs f32 panels even under bf16.
+        k in prop_oneof![Just(16usize), Just(48), Just(129), Just(300), Just(517)],
+        n in prop_oneof![Just(16usize), Just(31), Just(93), Just(256)],
+        precision in prop_oneof![Just(Precision::F32), Just(Precision::Bf16)],
+        with_epilogue in prop_oneof![Just(false), Just(true)],
         seed in 0u64..1000,
     ) {
         let mut rng = Rng::seeded(seed);
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-        let serial = matmul_packed_bf16(&a, &b, false, false, &ExecPool::new(1).with_grain(1));
+        let relu = Epilogue {
+            n_operands: 0,
+            instrs: vec![EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] }],
+        };
+        let run = |threads: usize| {
+            let ep = with_epilogue.then_some((&relu, &[][..]));
+            matmul(&a, &b, false, false, precision, ep, &ExecPool::new(threads).with_grain(1))
+        };
+        let serial = run(1);
         for threads in [2usize, 8] {
-            let par = matmul_packed_bf16(&a, &b, false, false, &ExecPool::new(threads).with_grain(1));
             prop_assert_eq!(
-                serial.data(), par.data(),
-                "bf16 GEMM diverged at {} workers (m={} k={} n={})",
-                threads, m, k, n
+                serial.data(), run(threads).data(),
+                "{} GEMM (epilogue: {}) diverged at {} workers (m={} k={} n={})",
+                precision, with_epilogue, threads, m, k, n
             );
         }
     }

@@ -3,13 +3,20 @@
 
 use fathom_tensor::kernels::conv::{conv2d, Conv2dSpec};
 use fathom_tensor::kernels::elementwise as ew;
-use fathom_tensor::kernels::matmul::{matmul, matmul_naive};
+use fathom_tensor::kernels::fused::FusedOp;
+use fathom_tensor::kernels::gemm;
+use fathom_tensor::kernels::matmul::matmul_naive;
 use fathom_tensor::kernels::pool2d::{avg_pool, max_pool, Pool2dSpec};
 use fathom_tensor::kernels::reduce::{reduce_to_shape, reduce_all_sum};
 use fathom_tensor::kernels::softmax::softmax;
 use fathom_tensor::kernels::transform::{concat, slice_axis, tile, transpose};
-use fathom_tensor::{ExecPool, Shape, Tensor};
+use fathom_tensor::{ExecPool, Precision, Shape, Tensor};
 use proptest::prelude::*;
+
+/// The dispatching matmul at full precision, no epilogue.
+fn matmul(a: &Tensor, b: &Tensor, ta: bool, tb: bool, pool: &ExecPool) -> Tensor {
+    gemm::matmul(a, b, ta, tb, Precision::F32, None, pool)
+}
 
 fn pool() -> ExecPool {
     ExecPool::new(2).with_grain(64)
@@ -49,15 +56,15 @@ proptest! {
     #[test]
     fn add_commutes(dims in small_dims().prop_flat_map(|d| (tensor_of(d.clone()), tensor_of(d)))) {
         let (a, b) = dims;
-        let ab = ew::add(&a, &b, &pool());
-        let ba = ew::add(&b, &a, &pool());
+        let ab = ew::eval(FusedOp::Add, &[&a, &b], &pool());
+        let ba = ew::eval(FusedOp::Add, &[&b, &a], &pool());
         prop_assert!(close(&ab, &ba, 0.0));
     }
 
     #[test]
     fn add_neg_cancels(t in small_dims().prop_flat_map(tensor_of)) {
-        let n = ew::neg(&t, &pool());
-        let z = ew::add(&t, &n, &pool());
+        let n = ew::eval(FusedOp::Neg, &[&t], &pool());
+        let z = ew::eval(FusedOp::Add, &[&t, &n], &pool());
         prop_assert!(z.data().iter().all(|&v| v == 0.0));
     }
 
@@ -172,7 +179,7 @@ proptest! {
     ) {
         let mut rng = fathom_tensor::Rng::seeded(seed);
         let t = Tensor::randn([1, cols], 0.0, 2.0, &mut rng);
-        let shifted = ew::add(&t, &Tensor::scalar(shift), &pool());
+        let shifted = ew::eval(FusedOp::Add, &[&t, &Tensor::scalar(shift)], &pool());
         prop_assert!(softmax(&t, &pool()).max_abs_diff(&softmax(&shifted, &pool())) < 1e-5);
     }
 
@@ -186,11 +193,11 @@ proptest! {
         let x2 = Tensor::randn([1, h, w, 2], 0.0, 1.0, &mut rng);
         let f = Tensor::randn([3, 3, 2, 3], 0.0, 1.0, &mut rng);
         let spec = Conv2dSpec::same(3);
-        let sum_in = ew::add(&x1, &x2, &pool());
+        let sum_in = ew::eval(FusedOp::Add, &[&x1, &x2], &pool());
         let conv_sum = conv2d(&sum_in, &f, spec, &pool());
-        let sum_conv = ew::add(
-            &conv2d(&x1, &f, spec, &pool()),
-            &conv2d(&x2, &f, spec, &pool()),
+        let sum_conv = ew::eval(
+            FusedOp::Add,
+            &[&conv2d(&x1, &f, spec, &pool()), &conv2d(&x2, &f, spec, &pool())],
             &pool(),
         );
         prop_assert!(conv_sum.max_abs_diff(&sum_conv) < 1e-3);
@@ -215,8 +222,8 @@ proptest! {
     fn parallel_equals_serial_for_any_elementwise(
         t in small_dims().prop_flat_map(tensor_of),
     ) {
-        let serial = ew::tanh(&t, &ExecPool::serial());
-        let parallel = ew::tanh(&t, &ExecPool::new(4).with_grain(1));
+        let serial = ew::eval(FusedOp::Tanh, &[&t], &ExecPool::serial());
+        let parallel = ew::eval(FusedOp::Tanh, &[&t], &ExecPool::new(4).with_grain(1));
         prop_assert!(close(&serial, &parallel, 0.0));
     }
 

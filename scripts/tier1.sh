@@ -32,10 +32,11 @@ stage serve-bench ./target/release/fathom serve-bench alexnet --rps 50 --duratio
 # crash must all be recovered from (nonzero exit if any probe fails).
 stage chaos ./target/release/fathom chaos autoenc --seed 7
 
-# GEMM smoke: the packed engine must agree with the naive kernel on all
-# four transpose layouts, be bitwise-deterministic serial vs parallel,
-# and apply a fused bias+relu epilogue bitwise-identically to the
-# unfused matmul-then-elementwise chain.
+# GEMM smoke: the packed driver, once per panel format (f32, bf16), must
+# agree with the naive kernel on all four transpose layouts, be
+# bitwise-deterministic serial vs parallel, and apply a fused bias+relu
+# epilogue bitwise-identically to the unfused matmul-then-elementwise
+# chain.
 stage gemm-check ./target/release/fathom gemm-check --m 256 --k 512 --n 192 --threads 8
 
 # Cluster smoke: 2 models x 2 shards under a mixed SLO arrival stream
