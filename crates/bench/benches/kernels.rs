@@ -2,7 +2,7 @@
 //! the per-op costs that the figure-level experiments aggregate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fathom_tensor::kernels::conv::{conv2d, Conv2dSpec};
+use fathom_tensor::kernels::conv::{conv2d, conv2d_backprop_filter, conv2d_backprop_input, Conv2dSpec};
 use fathom_tensor::kernels::gemm::matmul;
 use fathom_tensor::kernels::reduce::{reduce_axis, ReduceKind};
 use fathom_tensor::kernels::softmax::softmax;
@@ -29,12 +29,20 @@ fn bench_matmul(c: &mut Criterion) {
 fn bench_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv2d");
     let mut rng = Rng::seeded(2);
+    let spec = Conv2dSpec::same(3);
     let x = Tensor::randn([1, 32, 32, 16], 0.0, 1.0, &mut rng);
     let f = Tensor::randn([3, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let g = Tensor::randn(spec.out_shape(x.shape(), f.shape()), 0.0, 1.0, &mut rng);
     for &threads in &[1usize, 4] {
         let pool = ExecPool::new(threads);
-        group.bench_with_input(BenchmarkId::new("32x32x16_3x3", threads), &threads, |bench, _| {
-            bench.iter(|| conv2d(&x, &f, Conv2dSpec::same(3), &pool))
+        group.bench_with_input(BenchmarkId::new("32x32x16_3x3/forward", threads), &threads, |bench, _| {
+            bench.iter(|| conv2d(&x, &f, spec, None, &pool))
+        });
+        group.bench_with_input(BenchmarkId::new("32x32x16_3x3/backprop_input", threads), &threads, |bench, _| {
+            bench.iter(|| conv2d_backprop_input(x.shape(), &f, &g, spec, &pool))
+        });
+        group.bench_with_input(BenchmarkId::new("32x32x16_3x3/backprop_filter", threads), &threads, |bench, _| {
+            bench.iter(|| conv2d_backprop_filter(&x, f.shape(), &g, spec, &pool))
         });
     }
     group.finish();

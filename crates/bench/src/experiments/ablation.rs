@@ -1,17 +1,15 @@
 //! Design-choice ablations (DESIGN.md §4): quantify what the graph
-//! optimizer, the convolution lowering strategy, and batch size buy.
+//! optimizer and batch size buy.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fathom_dataflow::cost::{conv2d_lowering, ConvLowering};
 use fathom_dataflow::grad::gradients;
 use fathom_dataflow::optimize::optimize;
 use fathom_dataflow::{Device, Graph, NodeId, Optimizer, Session};
 use fathom_nn::{conv2d, dense, flatten, lstm_stack, max_pool, Activation, Params};
-use fathom_tensor::kernels::conv::{conv2d as conv_direct, Conv2dSpec};
-use fathom_tensor::kernels::im2col::conv2d_im2col;
-use fathom_tensor::{ExecPool, Rng, Shape, Tensor};
+use fathom_tensor::kernels::conv::Conv2dSpec;
+use fathom_tensor::{Rng, Shape, Tensor};
 
 use crate::{write_artifact, Effort};
 
@@ -163,78 +161,7 @@ pub fn run_optimizer(effort: &Effort) -> String {
     out
 }
 
-/// Ablation 2: direct vs im2col convolution lowering.
-pub fn run_conv_lowering(effort: &Effort) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "ABLATION: convolution lowering (direct loops vs im2col + packed GEMM)\n");
-    let _ = writeln!(
-        out,
-        "{:<26} {:>12} {:>12} {:>8} {:>11} {:>6}",
-        "geometry", "direct (ms)", "im2col (ms)", "ratio", "heuristic", "best?"
-    );
-    let pool = ExecPool::new(1);
-    let mut rng = Rng::seeded(5);
-    let reps = (effort.steps * 3).max(6);
-    let mut rows = Vec::new();
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for &(h, k, ic, oc, label) in &[
-        (32usize, 3usize, 16usize, 16usize, "32x32 3x3 c16->16"),
-        (16, 3, 32, 32, "16x16 3x3 c32->32"),
-        (20, 8, 4, 16, "20x20 8x8 c4->16 (dqn)"),
-        (8, 3, 64, 64, "8x8 3x3 c64->64"),
-    ] {
-        let x = Tensor::randn([2, h, h, ic], 0.0, 1.0, &mut rng);
-        let f = Tensor::randn([k, k, ic, oc], 0.0, 1.0, &mut rng);
-        let spec = Conv2dSpec::same(k);
-        // Correctness first.
-        let a = conv_direct(&x, &f, spec, &pool);
-        let b = conv2d_im2col(&x, &f, spec, &pool);
-        assert!(a.max_abs_diff(&b) < 1e-3, "lowerings disagree");
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let _ = conv_direct(&x, &f, spec, &pool);
-        }
-        let direct = t0.elapsed().as_secs_f64() / reps as f64 * 1e3;
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            let _ = conv2d_im2col(&x, &f, spec, &pool);
-        }
-        let lowered = t1.elapsed().as_secs_f64() / reps as f64 * 1e3;
-        let choice = conv2d_lowering(x.shape(), f.shape(), spec);
-        let chose_gemm = choice == ConvLowering::Im2colGemm;
-        let gemm_won = lowered < direct;
-        total += 1;
-        agree += usize::from(chose_gemm == gemm_won);
-        let _ = writeln!(
-            out,
-            "{:<26} {:>12.3} {:>12.3} {:>7.2}x {:>11} {:>6}",
-            label,
-            direct,
-            lowered,
-            direct / lowered.max(1e-9),
-            if chose_gemm { "im2col-gemm" } else { "direct" },
-            if chose_gemm == gemm_won { "yes" } else { "no" },
-        );
-        rows.push((label.to_string(), vec![direct, lowered, f64::from(chose_gemm as u8)]));
-    }
-    let _ = writeln!(
-        out,
-        "\nBoth lowerings are exact. The executor picks per geometry via the\n\
-         cost model's flop/byte estimate (cost::conv2d_lowering): GEMM-shaped\n\
-         geometries go through im2col + the packed engine, thin ones stay on\n\
-         the direct loops. Heuristic matched the measured winner on {agree}/{total}\n\
-         geometries here."
-    );
-    write_artifact(
-        "ablation_conv_lowering.csv",
-        &fathom_profile::report::to_csv(&["geometry", "direct_ms", "im2col_ms", "heuristic_gemm"], &rows),
-    );
-    write_artifact("ablation_conv_lowering.txt", &out);
-    out
-}
-
-/// Ablation 3: batch size vs operation balance — "the performance
+/// Ablation 2: batch size vs operation balance — "the performance
 /// behavior of deep learning models is inextricably tied to their
 /// application-level structure" (paper §V-E).
 pub fn run_batch_balance(effort: &Effort) -> String {
@@ -305,13 +232,6 @@ mod tests {
         let out = run_optimizer(&Effort::quick());
         assert!(out.contains("conv-train"));
         assert!(out.contains("lstm-train"));
-    }
-
-    #[test]
-    fn conv_lowerings_agree_and_report() {
-        let out = run_conv_lowering(&Effort::quick());
-        assert!(out.contains("im2col"));
-        assert!(out.contains("dqn"));
     }
 
     #[test]

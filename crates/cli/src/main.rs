@@ -431,8 +431,9 @@ fn cmd_fuse_check(
 /// transpose layouts (on bf16-rounded operands for the bf16 panels),
 /// bitwise serial == parallel determinism at the requested width, and a
 /// fused bias+ReLU epilogue that must reproduce the unfused
-/// matmul-then-elementwise pipeline bit for bit. Exits nonzero on any
-/// violation, so scripts/tier1.sh can use it as a smoke gate.
+/// matmul-then-elementwise pipeline bit for bit. Then the same driver
+/// under patch views ([`conv_check`]). Exits nonzero on any violation,
+/// so scripts/tier1.sh can use it as a smoke gate.
 fn cmd_gemm_check(m: usize, k: usize, n: usize, threads: usize) -> Result<(), FathomError> {
     use fathom_tensor::kernels::elementwise as kew;
     use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr, OperandKind};
@@ -534,12 +535,75 @@ fn cmd_gemm_check(m: usize, k: usize, n: usize, threads: usize) -> Result<(), Fa
             if ok { "PASS" } else { "FAIL" },
         );
     }
+    failures += conv_check(&serial, &wide);
     if failures == 0 {
-        println!("gemm-check: both panel formats agree on all layouts and are deterministic");
+        println!(
+            "gemm-check: both panel formats and the convolution engine agree with their \
+             references and are deterministic"
+        );
         Ok(())
     } else {
         Err(FathomError::Message(format!("gemm-check: {failures} check(s) failed")))
     }
+}
+
+/// The convolution leg of `gemm-check`: forward, backprop-input and
+/// backprop-filter through the engine against the naive sums, and bitwise
+/// serial == parallel, on the four convolutional workloads' first-layer
+/// geometries plus one strided, one pointwise and one 2x2-spatial layer.
+/// Returns the number of failed checks.
+fn conv_check(serial: &fathom_tensor::ExecPool, wide: &fathom_tensor::ExecPool) -> u32 {
+    use fathom_tensor::kernels::conv::{
+        conv2d, conv2d_backprop_filter, conv2d_backprop_filter_naive, conv2d_backprop_input,
+        conv2d_backprop_input_naive, conv2d_naive, Conv2dSpec,
+    };
+    use fathom_tensor::{ExecPool, Rng, Tensor};
+
+    let mut rng = Rng::seeded(0xC0_47);
+    let mut failures = 0u32;
+    // (label, [n, h, w, ic], k, oc, stride, pad)
+    for (label, [n, h, w, ic], k, oc, stride, pad) in [
+        ("residual/vgg stem 3x3 3->16", [2, 32, 32, 3], 3, 16, 1, 1),
+        ("alexnet conv1 11x11 s4 3->24", [2, 64, 64, 3], 11, 24, 4, 2),
+        ("deepq conv1 8x8 s4 4->8", [2, 84, 84, 4], 8, 8, 4, 0),
+        ("stride-2 3x3 16->32", [2, 32, 32, 16], 3, 32, 2, 1),
+        ("pointwise 1x1 32->64", [2, 16, 16, 32], 1, 64, 1, 0),
+        ("2x2-spatial 3x3 128->128", [2, 2, 2, 128], 3, 128, 1, 1),
+    ] {
+        let spec = Conv2dSpec { stride, pad };
+        let x = Tensor::randn([n, h, w, ic], 0.0, 1.0, &mut rng);
+        let f = Tensor::randn([k, k, ic, oc], 0.0, 1.0, &mut rng);
+        let g = Tensor::randn(spec.out_shape(x.shape(), f.shape()), 0.0, 1.0, &mut rng);
+        let run = |pool: &ExecPool| {
+            [
+                conv2d(&x, &f, spec, None, pool),
+                conv2d_backprop_input(x.shape(), &f, &g, spec, pool),
+                conv2d_backprop_filter(&x, f.shape(), &g, spec, pool),
+            ]
+        };
+        let reference = [
+            conv2d_naive(&x, &f, spec),
+            conv2d_backprop_input_naive(x.shape(), &f, &g, spec),
+            conv2d_backprop_filter_naive(&x, f.shape(), &g, spec),
+        ];
+        // Rounding scales with the terms per sum: a window for the two
+        // activation-shaped results, every pixel for the filter's.
+        let terms = [k * k * ic, k * k * oc, g.len() / oc];
+        let (par, ser) = (run(wide), run(serial));
+        for (i, op) in ["forward", "backprop-input", "backprop-filter"].iter().enumerate() {
+            let tol = 2e-6 * terms[i] as f64 + 1e-5;
+            let diff = f64::from(par[i].max_abs_diff(&reference[i]));
+            let deterministic = par[i].data() == ser[i].data();
+            let ok = diff < tol && deterministic;
+            failures += u32::from(!ok);
+            println!(
+                "{}  conv {label} {op}: max |engine - naive| = {diff:.2e} (tol {tol:.2e}), \
+                 bitwise serial == parallel: {deterministic}",
+                if ok { "PASS" } else { "FAIL" },
+            );
+        }
+    }
+    failures
 }
 
 /// The workload inventory as a JSON array (hand-rolled; the vendored

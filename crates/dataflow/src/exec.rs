@@ -45,7 +45,6 @@ use fathom_tensor::kernels::ctc as kctc;
 use fathom_tensor::kernels::elementwise as kew;
 use fathom_tensor::kernels::epilogue::Epilogue;
 use fathom_tensor::kernels::gemm as kgemm;
-use fathom_tensor::kernels::im2col as kim2col;
 use fathom_tensor::kernels::pool2d as kpool;
 use fathom_tensor::kernels::quant::QuantizedGemm;
 use fathom_tensor::kernels::reduce as kred;
@@ -464,13 +463,10 @@ impl Session {
     /// [`Precision::Bf16`], MatMul-family ops whose geometry
     /// [`kgemm::select`] routes to the bf16 panels pack their operands
     /// as bf16 and accumulate in f32; everything else is
-    /// untouched. Cached plans are dropped because convolution lowering
-    /// decisions are precision-sensitive.
+    /// untouched — convolution keeps f32 panels — and no plan depends
+    /// on it.
     pub fn set_precision(&mut self, precision: Precision) {
-        if self.precision != precision {
-            self.precision = precision;
-            self.plan_cache.clear();
-        }
+        self.precision = precision;
     }
 
     /// The session's GEMM panel precision.
@@ -2052,40 +2048,15 @@ where
             run_matmul(ctx, id, input(0), input(1), *transpose_a, *transpose_b, None, pool)
         }
 
-        // Convolutions pick their lowering from the cost model's
-        // flop/byte estimate of the (batch-independent) geometry: big
-        // GEMM-shaped geometries go through im2col + the packed engine,
-        // small or thin ones stay on the direct loops. The decision is
-        // precision-aware — bf16 halves the packed-panel bytes, so
-        // marginal geometries lower differently (the GEMM itself still
-        // runs f32; only the *choice* shifts).
-        OpKind::Conv2D(spec) => {
-            match cost::conv2d_lowering_with(input(0).shape(), input(1).shape(), *spec, ctx.precision) {
-                cost::ConvLowering::Im2colGemm => {
-                    kim2col::conv2d_im2col(input(0), input(1), *spec, pool)
-                }
-                cost::ConvLowering::Direct => kconv::conv2d(input(0), input(1), *spec, pool),
-            }
-        }
+        // Convolution is the GEMM engine under a patch view of its
+        // activation operand: one call per op, f32 panels at any session
+        // precision.
+        OpKind::Conv2D(spec) => kconv::conv2d(input(0), input(1), *spec, None, pool),
         OpKind::Conv2DBackpropInput { spec, input_shape } => {
-            match cost::conv2d_lowering_with(input_shape, input(0).shape(), *spec, ctx.precision) {
-                cost::ConvLowering::Im2colGemm => {
-                    kconv::conv2d_backprop_input_im2col(input_shape, input(0), input(1), *spec, pool)
-                }
-                cost::ConvLowering::Direct => {
-                    kconv::conv2d_backprop_input(input_shape, input(0), input(1), *spec, pool)
-                }
-            }
+            kconv::conv2d_backprop_input(input_shape, input(0), input(1), *spec, pool)
         }
         OpKind::Conv2DBackpropFilter { spec, filter_shape } => {
-            match cost::conv2d_lowering_with(input(0).shape(), filter_shape, *spec, ctx.precision) {
-                cost::ConvLowering::Im2colGemm => {
-                    kconv::conv2d_backprop_filter_im2col(input(0), filter_shape, input(1), *spec, pool)
-                }
-                cost::ConvLowering::Direct => {
-                    kconv::conv2d_backprop_filter(input(0), filter_shape, input(1), *spec, pool)
-                }
-            }
+            kconv::conv2d_backprop_filter(input(0), filter_shape, input(1), *spec, pool)
         }
         OpKind::MaxPool(spec) => kpool::max_pool(input(0), *spec, pool),
         OpKind::MaxPoolGrad(spec) => kpool::max_pool_grad(input(0), input(1), *spec, pool),
@@ -2109,11 +2080,9 @@ where
             program.eval(&tensors, pool)
         }
         // GEMM with the epilogue applied in the microkernel writeback.
-        // Inputs are [a, b, operands...]; the optimizer only builds these
-        // over geometries the cost model routes to the packed engine, but
-        // both kernel entry points fall back (row kernel + flat
-        // epilogue, direct conv + flat epilogue) bitwise-identically if a
-        // runtime shape disagrees.
+        // Inputs are [a, b, operands...]. A matmul whose runtime shape
+        // `gemm::select` leaves to the row kernel applies the program as
+        // one flat pass instead, bitwise-identically.
         OpKind::GemmFused { gemm, epilogue } => {
             let operands: Vec<&[f32]> = (2..inputs.len()).map(|i| input(i).data()).collect();
             let fused = Some((epilogue, operands.as_slice()));
@@ -2121,20 +2090,7 @@ where
                 GemmOp::MatMul { transpose_a, transpose_b } => {
                     run_matmul(ctx, id, input(0), input(1), *transpose_a, *transpose_b, fused, pool)
                 }
-                GemmOp::Conv2D(spec) => {
-                    match cost::conv2d_lowering_with(input(0).shape(), input(1).shape(), *spec, ctx.precision) {
-                        cost::ConvLowering::Im2colGemm => {
-                            kim2col::conv2d_im2col_fused(input(0), input(1), *spec, fused, pool)
-                        }
-                        cost::ConvLowering::Direct => {
-                            let mut out = kconv::conv2d(input(0), input(1), *spec, pool);
-                            let n = out.shape().dim(out.shape().rank() - 1);
-                            let m = out.shape().num_elements() / n.max(1);
-                            epilogue.apply_flat(out.data_mut(), m, n, &operands, pool);
-                            out
-                        }
-                    }
-                }
+                GemmOp::Conv2D(spec) => kconv::conv2d(input(0), input(1), *spec, fused, pool),
             }
         }
 

@@ -34,7 +34,6 @@ use fathom_tensor::kernels::epilogue::{
 use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
 use fathom_tensor::Shape;
 
-use crate::cost;
 use crate::device::Device;
 use crate::exec::Session;
 use crate::graph::{Graph, NodeId};
@@ -472,11 +471,14 @@ fn classify_operand(shape: &Shape, root_shape: &Shape, cols: usize) -> Option<Op
 ///
 /// Legality rules (each preserves the bitwise contract):
 ///
-/// * the root is a `MatMul` or `Conv2D` that
-///   [`cost::gemm_epilogue_profitable`] accepts — every matmul (both
-///   GEMM routes absorb the chain's dispatches and round trips), but
-///   only im2col-lowered convs; direct convs keep their chains for
-///   [`fuse_in_place`];
+/// * the root is a `MatMul` or `Conv2D` — any of them: the packed
+///   engine (every convolution, most matmuls) applies the epilogue to
+///   register-resident tiles and the row-kernel fallback applies it as
+///   one flat pass over the output; either way the absorbed chain sheds
+///   its node dispatches, intermediate allocations and round trips, so
+///   fusion is never a loss (on RNN-style graphs with thousands of small
+///   matmuls per step, the dispatch savings on the fallback path are
+///   most of the win);
 /// * the chain grows along *unique* reachable consumers: each tip has
 ///   exactly one distinct consumer, which is a [`OpKind::class_c`] op producing
 ///   exactly the root's shape, with every non-chain input classifiable
@@ -539,11 +541,6 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
             OpKind::Conv2D(spec) => GemmOp::Conv2D(*spec),
             _ => continue,
         };
-        let input_shapes: Vec<&Shape> =
-            g.node(root).inputs.iter().map(|&i| g.shape(i)).collect();
-        if !cost::gemm_epilogue_profitable(&g.node(root).kind, &input_shapes) {
-            continue;
-        }
         let root_shape = g.shape(root).clone();
         let cols = root_shape.dim(root_shape.rank() - 1);
 
@@ -1083,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn conv_bias_chain_fuses_through_im2col() {
+    fn conv_bias_chain_fuses_into_the_conv_product() {
         use fathom_tensor::kernels::conv::Conv2dSpec;
         use fathom_tensor::Rng;
         let mut g = Graph::new();
@@ -1096,7 +1093,7 @@ mod tests {
         let act = g.relu(biased);
         let unfused = g.clone();
         let stats = fuse_gemm_epilogues(&mut g, &[act]);
-        assert_eq!(stats.gemm_groups, 1, "im2col-lowered conv should take an epilogue");
+        assert_eq!(stats.gemm_groups, 1, "a conv should take an epilogue");
         let OpKind::GemmFused { gemm: GemmOp::Conv2D(_), .. } = &g.node(act).kind else {
             panic!("expected fused conv, got {:?}", g.node(act).kind)
         };

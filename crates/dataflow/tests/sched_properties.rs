@@ -1,5 +1,5 @@
 //! Property tests for the moldable-task width rule, plus a pinned
-//! fixture for the convolution-lowering heuristic.
+//! fixture for what the planner sees of the convolution ops.
 //!
 //! The unified runtime relies on three contracts of
 //! [`fathom_dataflow::sched::chosen_width`]: a width never exceeds the
@@ -11,49 +11,50 @@
 //! zero-cost neighbours from narrowing a heavy op: the planner's whole
 //! rule, composed the way `Session::plan` composes it, is pinned below.
 
-use fathom_dataflow::cost::{conv2d_lowering_with, ConvLowering};
+use fathom_dataflow::cost::estimate;
+use fathom_dataflow::grad::gradients;
 use fathom_dataflow::sched::{chosen_width, comparable_peers, SPLIT_GRAIN};
-use fathom_dataflow::Precision;
+use fathom_dataflow::{Graph, OpKind};
 use fathom_tensor::kernels::conv::Conv2dSpec;
-use fathom_tensor::Shape;
+use fathom_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
-/// Pins the scheduler's lowering decision for every geometry the conv
-/// ablation (`ablation_conv_lowering`) measures, at both compute widths.
-/// The threshold was re-fit against packed-panel byte counts when bf16
-/// landed (DESIGN.md §18): a change to `cost::conv2d_lowering_with` that
-/// silently flips one of these rows shows up here, next to the measured
-/// direct-vs-im2col timings that justify each pin.
+/// Pins what the planner sees of the three convolution ops. They all run
+/// on one engine now, so there is no lowering to pin; what is left is the
+/// work `cost::estimate` reports — each of the three counts the same
+/// `2 * out * kh*kw*ic` flops, the formula `tensor.kernels.gflops`
+/// divides by, which must stay put for that metric to compare across
+/// commits — and the width it molds them to: enough for the whole
+/// machine when alone at their depth, an even share among peers.
 #[test]
-fn conv_lowering_decisions_are_pinned_for_the_ablation_geometries() {
-    // (h, k, ic, oc, decision at f32, decision at bf16)
-    let expected = [
-        // Small 9 KB weight panel: loses to direct loops in the ablation
-        // despite clearing the intensity bar (the PR-4 3/4 miss).
-        (32usize, 3usize, 16usize, 16usize, ConvLowering::Direct, ConvLowering::Direct),
-        // Marginal 36 KB panel: pays at f32; bf16 halves the GEMM's
-        // bandwidth win while the f32 patch copy stays, so it drops out.
-        (16, 3, 32, 32, ConvLowering::Im2colGemm, ConvLowering::Direct),
-        // Fat 8x8 window: patch duplication is the point — the GEMM
-        // amortizes it at either width.
-        (20, 8, 4, 16, ConvLowering::Im2colGemm, ConvLowering::Im2colGemm),
-        // Deep channels both sides: GEMM-shaped at either width.
-        (8, 3, 64, 64, ConvLowering::Im2colGemm, ConvLowering::Im2colGemm),
-    ];
-    for (h, k, ic, oc, at_f32, at_bf16) in expected {
-        let input = Shape::new(vec![2, h, h, ic]);
-        let filter = Shape::new(vec![k, k, ic, oc]);
-        let spec = Conv2dSpec::same(k);
-        assert_eq!(
-            conv2d_lowering_with(&input, &filter, spec, Precision::F32),
-            at_f32,
-            "f32 lowering drifted for {h}x{h} {k}x{k} c{ic}->{oc}"
-        );
-        assert_eq!(
-            conv2d_lowering_with(&input, &filter, spec, Precision::Bf16),
-            at_bf16,
-            "bf16 lowering drifted for {h}x{h} {k}x{k} c{ic}->{oc}"
-        );
+fn conv_ops_plan_at_full_width_under_the_pinned_flop_formulas() {
+    // (h, k, ic, oc)
+    let geometries = [(32usize, 3usize, 16usize, 16usize), (16, 3, 32, 32), (20, 8, 4, 16), (2, 3, 128, 128)];
+    for (h, k, ic, oc) in geometries {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", Shape::new(vec![2, h, h, ic]));
+        let f = g.variable("f", Tensor::zeros([k, k, ic, oc]));
+        let y = g.conv2d(x, f, Conv2dSpec::same(k));
+        let loss = g.sum_all(y);
+        gradients(&mut g, loss, &[x, f]);
+        let macs = (g.shape(y).num_elements() * k * k * ic) as f64;
+        let mut seen = 0;
+        for (id, node) in g.iter() {
+            if !matches!(
+                node.kind,
+                OpKind::Conv2D(_) | OpKind::Conv2DBackpropInput { .. } | OpKind::Conv2DBackpropFilter { .. }
+            ) {
+                continue;
+            }
+            seen += 1;
+            let shapes: Vec<&Shape> = node.inputs.iter().map(|&i| g.shape(i)).collect();
+            let cost = estimate(g.node(id), &shapes);
+            assert_eq!(cost.flops, 2.0 * macs, "{:?} flops drifted for {h}x{h} {k}x{k} c{ic}->{oc}", node.kind);
+            let work = cost.work_elements();
+            assert_eq!(chosen_width(work, 1, 8, SPLIT_GRAIN), 8, "{:?} alone", node.kind);
+            assert_eq!(chosen_width(work, 2, 8, SPLIT_GRAIN), 4, "{:?} with a peer", node.kind);
+        }
+        assert_eq!(seen, 3, "forward, backprop-input and backprop-filter");
     }
 }
 

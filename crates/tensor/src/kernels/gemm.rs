@@ -1,30 +1,55 @@
-//! Packed, register-tiled GEMM engine (op class A in the paper's taxonomy).
+//! Packed, register-tiled GEMM engine (op classes A and B in the paper's
+//! taxonomy: every matrix product and every convolution runs here).
 //!
 //! This is the BLIS-style counterpart to the row-parallel kernel
-//! [`matmul_rows`]: both operands are first *packed* into contiguous
-//! panels, then an MR×NR register-tiled microkernel walks the panels with
-//! unit stride. Packing pays one pass over each operand and buys three
-//! things:
+//! [`matmul_rows`]: an MR×NR register-tiled microkernel walks *strips* of
+//! the two operands — `MR` lanes of A, `NR` lanes of B, one K block deep
+//! — and an MC×NC grid of output tiles fans the product out across
+//! workers. Three things make that fast whatever the operand looks like:
 //!
-//! 1. Every microkernel read is sequential, so the `transpose_a` path —
-//!    a strided column walk in the row kernel — costs the same as the
-//!    plain layout.
-//! 2. The accumulator tile is a local `[[f32; NR]; MR]` array with
-//!    independent lanes, which the compiler can keep in vector registers
-//!    and auto-vectorize *without* reassociating any floating-point sum.
+//! 1. The microkernel takes its strips by stride, so an operand that
+//!    already streams (an untransposed B whose width is whole strips) is
+//!    read where it lies, and everything else is *packed* into a strip
+//!    layout that does: a transposed operand costs the same as a plain
+//!    one, and a convolution's patch matrix is packed straight from the
+//!    activation tensor without ever being written out.
+//! 2. The accumulator tile is one vector register per A lane, updated
+//!    with one fused multiply-add per lane and depth row; lanes never mix,
+//!    so no floating-point sum is reassociated.
 //! 3. Work splits over a 2D grid of MC×NC output tiles rather than rows
 //!    of C, so small-m matrices (one row per request in serving,
 //!    per-step seq2seq/memnet matrices) still fan out across workers.
 //!
-//! # One driver, two panel formats
+//! # One driver
 //!
-//! [`matmul`] and [`gemm_into`] are the only entry points; precision and
-//! the fused epilogue are arguments. [`select`] is the one place that
-//! decides which engine a product runs on, and one driver walks the tile
-//! grid for every packed product. What differs between f32 and bf16
-//! panels — element type, K padding, strip packers, microkernel — sits
-//! behind the `Panels` trait, a static parameter of the driver, so
-//! nothing dispatches inside the loops.
+//! [`matmul`] and [`gemm_into`] are the entry points for matrix products
+//! and [`crate::kernels::conv`] enters through [`product`] with a patch
+//! view as its A operand; precision and the fused epilogue are arguments.
+//! [`select`] is the one place that decides which engine a matrix product
+//! runs on, and one driver walks the tile grid for every packed product.
+//! What differs between f32 and bf16 panels — element type, K padding,
+//! strip packers, microkernel, who packs A — sits behind the `Panels`
+//! trait, a static parameter of the driver, so nothing dispatches inside
+//! the loops.
+//!
+//! Where an operand is packed follows from its kind alone, never from
+//! the batch extent or a setting:
+//!
+//! * **f32 A** is packed by each tile task, one MC×KC block at a time,
+//!   into thread-local scratch ([`pack_block`]) immediately before the
+//!   microkernel reads it, so the block is cache-resident when used and
+//!   no `[m, k]` buffer exists. A matrix is copied row by row; a patch
+//!   view ([`Lhs::Patches`], [`Lhs::PatchesT`]) is gathered from the NHWC
+//!   tensor by [`PatchView::read_block`], zero outside the padded image.
+//! * **f32 B** is read in place when it is an untransposed matrix of
+//!   whole strips and the strided reads cost less than a pack pass
+//!   (`F32Panels::reads_b_in_place`): it is exactly one strip wide (its
+//!   rows *are* the packed layout), or a K block of a strip stays
+//!   L1-resident at its row stride, or A is a patch view whose samples
+//!   are no bigger than a macro tile, so few A strips meet each B strip.
+//!   Otherwise it is packed once, up front, in parallel.
+//! * **bf16** operands are always packed up front: the pack is the
+//!   conversion point.
 //!
 //! bf16 panels exist because the pack step is the natural conversion
 //! point: every operand element already takes exactly one pass through a
@@ -40,16 +65,23 @@
 //! Parallel output is bitwise identical to serial. Each C element is
 //! owned by exactly one output tile (tiles partition the M×N plane), and
 //! its value is produced by a fixed-order sum: K blocks are walked in
-//! ascending order, each block's partial sum accumulates sequentially
-//! over `kk` into a fresh microkernel accumulator, and the block results
-//! are added into a tile-resident accumulator left to right before the
-//! tile is stored once. None of that order depends on worker count, tile
-//! ownership, or whether the element sits in a full or edge tile — edge
-//! tiles compute the same lanes against zero padding. The argument does
-//! not mention element width, so it holds for both panel formats; within
-//! a micro tile bf16 panels associate the k sum in adjacent pairs, which
-//! changes last-bit rounding relative to f32 panels but not the
-//! worker-count invariance.
+//! ascending order, each block's partial sum is one chain of fused
+//! multiply-adds over ascending `kk` from a zero accumulator, and the
+//! block results are added into a tile-resident accumulator left to right
+//! before the tile is stored once. None of that order depends on worker
+//! count, tile ownership, where a strip was read from (in place, packed
+//! up front, packed by the task — the values are the same), or whether
+//! the element sits in a full or edge tile — edge tiles compute the same
+//! lanes against zero padding. The argument does not mention element
+//! width, so it holds for both panel formats; within a micro tile bf16
+//! panels associate the k sum in adjacent pairs, which changes last-bit
+//! rounding relative to f32 panels but not the worker-count invariance.
+//!
+//! f32 results are also independent of the host: the AVX-512 microkernel
+//! and the portable one issue the same correctly-rounded
+//! `fma(a, b, acc)` per lane in the same order ([`f32::mul_add`] is the
+//! IEEE operation whether the hardware has it or not), so vector width
+//! only changes how many lanes retire per instruction.
 //!
 //! # Epilogue fusion
 //!
@@ -61,27 +93,33 @@
 //! no sum order and the bitwise contract above carries over unchanged
 //! (see [`crate::kernels::epilogue`] for the formula-level contract).
 //!
-//! Packing buffers come from the thread's installed [`crate::BufferPool`]
+//! Up-front panels come from the thread's installed [`crate::BufferPool`]
 //! (see [`crate::recycle::take_buffer`]), so steady-state training does
 //! no kernel-scratch allocation.
 
+use crate::kernels::conv::PatchView;
 use crate::kernels::epilogue::Epilogue;
 use crate::kernels::matmul::{matmul_rows, product_dims};
-use crate::kernels::quant::{bf16_to_f32, bf16_from_f32, Precision};
+use crate::kernels::quant::{bf16_from_f32, bf16_to_f32, Precision};
 use crate::pool::ExecPool;
 use crate::recycle;
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 use std::ops::Range;
 
-/// Microkernel tile rows: one accumulator row per packed-A lane.
+/// Microkernel tile rows: one accumulator row per A lane.
 pub const MR: usize = 8;
-/// Microkernel tile columns: one SIMD-friendly strip of packed B.
+/// Microkernel tile columns: one full-width vector of B lanes.
 pub const NR: usize = 16;
-/// K-dimension block: a KC-deep slice of packed A and B panels stays
-/// resident in L1/L2 while a tile's partial products accumulate.
+/// K-dimension block: a KC-deep slice of the A and B strips stays
+/// resident in L1/L2 while a tile's partial products accumulate. Part of
+/// the numerical definition of a product (see "Determinism").
 const KC: usize = 512;
-/// Rows of C per parallel task (must be a multiple of `MR`).
-const MC: usize = 64;
+/// Rows of C per parallel task (must be a multiple of `MR`): the A block
+/// a task packs for itself is MC×KC floats (64 KB, L2-resident), and
+/// products with few rows — a filter gradient has `kh*kw*ic` of them —
+/// still split into enough tiles to balance across workers.
+const MC: usize = 32;
 /// Columns of C per parallel task (must be a multiple of `NR`).
 const NC: usize = 64;
 
@@ -186,10 +224,9 @@ pub fn matmul(
 }
 
 /// Writes `op(A) * op(B)` into `c` through the packed driver (`c` is
-/// fully overwritten; prior contents are ignored), packing panels in
-/// `precision`'s format unconditionally — callers have already decided
-/// that packing pays ([`matmul`] through [`select`], the convolution
-/// lowering through the cost model). `a` is `[m, k]` (`[k, m]` when
+/// fully overwritten; prior contents are ignored) on `precision`'s panel
+/// format unconditionally — callers have already decided that the driver
+/// pays ([`matmul`] through [`select`]). `a` is `[m, k]` (`[k, m]` when
 /// `transpose_a`) and `b` is `[k, n]` (`[n, k]` when `transpose_b`),
 /// both row-major.
 ///
@@ -216,9 +253,28 @@ pub fn gemm_into(
     epilogue: Option<(&Epilogue, &[&[f32]])>,
     pool: &ExecPool,
 ) {
+    let a = Lhs::Matrix(Dense::matrix(a, m, k, !transpose_a));
+    product(c, a, Dense::matrix(b, n, k, transpose_b), precision, epilogue, pool);
+}
+
+/// `C = A * B` through the packed driver, for any A the driver can pack:
+/// `c` is `[a.lanes(), b.lanes]` row-major and fully overwritten.
+///
+/// # Panics
+///
+/// Panics on a contraction or output length mismatch, an invalid
+/// epilogue, or a patch-view A with bf16 panels.
+pub(crate) fn product(
+    c: &mut [f32],
+    a: Lhs<'_>,
+    b: Dense<'_>,
+    precision: Precision,
+    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    pool: &ExecPool,
+) {
+    let (m, n, k) = (a.lanes(), b.lanes, b.k);
+    assert_eq!(a.k(), k, "gemm contraction mismatch");
     assert_eq!(c.len(), m * n, "gemm output length mismatch");
-    assert_eq!(a.len(), m * k, "gemm lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm rhs length mismatch");
     if let Some((ep, operands)) = epilogue {
         ep.check_operands(m, n, operands);
     }
@@ -233,52 +289,154 @@ pub fn gemm_into(
         }
         return;
     }
-    let a = Operand { data: a, lanes: m, k, lane_major: !transpose_a };
-    let b = Operand { data: b, lanes: n, k, lane_major: transpose_b };
     match precision {
         Precision::F32 => drive::<F32Panels>(c, a, b, epilogue, pool),
         Precision::Bf16 => drive::<Bf16Panels>(c, a, b, epilogue, pool),
     }
 }
 
-/// One GEMM operand as the packers see it: `lanes` rows of A (columns of
-/// B), each `k` deep.
+/// A matrix operand as the packers see it: `lanes` rows of A (columns of
+/// B), each `k` deep, addressed by strides. Element `(lane, kk)` lies at
+/// `lane * lane_stride` plus the depth row's offset; the depth axis runs
+/// in segments of `seg` consecutive `kk`, `depth_stride` apart inside a
+/// segment, with segment bases `seg_stride` apart from `base`. A plain
+/// matrix is one segment; the segmented form is what lets a convolution
+/// filter stand in as the B of its own transposed product without being
+/// copied.
 #[derive(Clone, Copy)]
-struct Operand<'a> {
+pub(crate) struct Dense<'a> {
     data: &'a [f32],
     lanes: usize,
     k: usize,
-    /// Whether a lane's `k` values are contiguous (`data[lane * k + kk]`,
-    /// an untransposed A or a transposed B) rather than strided by
-    /// `lanes` (`data[kk * lanes + lane]`).
-    lane_major: bool,
+    lane_stride: usize,
+    depth_stride: usize,
+    seg: usize,
+    seg_stride: isize,
+    base: usize,
 }
 
-impl Operand<'_> {
-    #[inline(always)]
-    fn at(&self, lane: usize, kk: usize) -> f32 {
-        if self.lane_major {
-            self.data[lane * self.k + kk]
-        } else {
-            self.data[kk * self.lanes + lane]
+impl<'a> Dense<'a> {
+    /// A row-major matrix: `[lanes, k]` when `lane_major` (an
+    /// untransposed A, a transposed B), else `[k, lanes]`.
+    pub(crate) fn matrix(data: &'a [f32], lanes: usize, k: usize, lane_major: bool) -> Self {
+        assert_eq!(data.len(), lanes * k, "gemm operand length mismatch");
+        let (lane_stride, depth_stride) = if lane_major { (k, 1) } else { (1, lanes) };
+        Dense { data, lanes, k, lane_stride, depth_stride, seg: k.max(1), seg_stride: 0, base: 0 }
+    }
+
+    /// A `[taps, ic, oc]` convolution filter as the B of the transposed
+    /// convolution: lanes are `ic`, depth is `(tap, oc)` with the taps in
+    /// reverse order — `B[(t, o), c] = filter[taps - 1 - t, c, o]`.
+    pub(crate) fn flipped_filter(filter: &'a [f32], taps: usize, ic: usize, oc: usize) -> Self {
+        assert_eq!(filter.len(), taps * ic * oc, "filter length mismatch");
+        Dense {
+            data: filter,
+            lanes: ic,
+            k: taps * oc,
+            lane_stride: oc,
+            depth_stride: 1,
+            seg: oc.max(1),
+            seg_stride: -((ic * oc) as isize),
+            base: taps.saturating_sub(1) * ic * oc,
+        }
+    }
+
+    /// Whether the depth axis is a single segment.
+    fn is_matrix(&self) -> bool {
+        self.seg >= self.k
+    }
+
+    /// Offsets of depth rows `kstart, kstart + 1, ...` — by counters, not
+    /// a division per row. Unbounded; callers stop at the operand's `k`.
+    fn depth_offsets(&self, kstart: usize) -> impl Iterator<Item = usize> + '_ {
+        let (mut q, mut r) = (kstart / self.seg, kstart % self.seg);
+        std::iter::from_fn(move || {
+            let seg_base = self.base as isize + q as isize * self.seg_stride;
+            let off = seg_base as usize + r * self.depth_stride;
+            r += 1;
+            if r == self.seg {
+                (q, r) = (q + 1, 0);
+            }
+            Some(off)
+        })
+    }
+}
+
+/// The A side of a product: a matrix, or an NHWC tensor viewed as the
+/// patch matrix of a convolution — either way round — that is never
+/// materialized.
+#[derive(Clone, Copy)]
+pub(crate) enum Lhs<'a> {
+    /// A plain (single-segment) matrix.
+    Matrix(Dense<'a>),
+    /// `patches(X)`: lanes are the view's pixels, depth is `(ky, kx, c)`.
+    Patches(PatchView<'a>),
+    /// `patches(X)ᵀ`: lanes are `(ky, kx, c)`, depth is the pixel index.
+    PatchesT(PatchView<'a>),
+}
+
+impl Lhs<'_> {
+    fn lanes(&self) -> usize {
+        match self {
+            Lhs::Matrix(d) => d.lanes,
+            Lhs::Patches(v) => v.pixels(),
+            Lhs::PatchesT(v) => v.kdim(),
+        }
+    }
+
+    fn k(&self) -> usize {
+        match self {
+            Lhs::Matrix(d) => d.k,
+            Lhs::Patches(v) => v.kdim(),
+            Lhs::PatchesT(v) => v.pixels(),
         }
     }
 }
 
-/// A packed-panel format: everything the driver does not share between
-/// f32 and bf16 panels.
+/// Where a run of strips lies, as the microkernel reads it: element
+/// (strip `s`, lane `r`, depth row `kk`) is at
+/// `ptr + s * strip + r * lane + kk * depth`.
+#[derive(Clone, Copy)]
+struct Strips<E> {
+    ptr: *const E,
+    strip: usize,
+    lane: usize,
+    depth: usize,
+}
+
+impl<E> Strips<E> {
+    /// The run starting at strip `s`.
+    fn at(self, s: usize) -> Self {
+        Strips { ptr: self.ptr.wrapping_add(s * self.strip), ..self }
+    }
+
+    /// The same strides over another element type.
+    fn cast<T>(self) -> Strips<T> {
+        Strips { ptr: self.ptr.cast(), strip: self.strip, lane: self.lane, depth: self.depth }
+    }
+
+    /// Strips of panels [`pack_operand`] packed `W` lanes wide over
+    /// `pad` lanes in total, at the K block `kstart..kstart + kc`.
+    fn packed<P: Panels<Elem = E>, const W: usize>(panels: &[f32], pad: usize, kstart: usize, kc: usize) -> Self {
+        let ptr = panels.as_ptr().cast::<E>().wrapping_add(kstart * pad);
+        Strips { ptr, strip: W * P::depth(kc), lane: 1, depth: W }
+    }
+}
+
+/// A panel format: everything the driver does not share between f32 and
+/// bf16 panels.
 ///
 /// A *strip* is `W` lanes (`MR` rows of A or `NR` columns of B) of one
-/// K block, stored depth-major so the microkernel reads both panels with
-/// unit stride regardless of the source transpose flags. The contract:
+/// K block. The contract:
 ///
-/// * `pack` writes all `W * depth(kc)` elements of its strip; lanes past
-///   the operand's edge and depth rows past `kc` pack as zeros, so edge
-///   tiles run the identical lane schedule as interior tiles and padding
-///   contributes an exact `+0.0` per lane;
-/// * `micro_kernel`'s result is a pure function of the two strips — its
-///   reduction order may not depend on anything else, which is what makes
-///   parallel output bitwise identical to serial;
+/// * `pack` writes all `W * depth(kc)` elements of its strip, depth-major;
+///   lanes past the operand's edge and depth rows past `kc` pack as
+///   zeros, so edge tiles run the identical lane schedule as interior
+///   tiles and padding contributes an exact `+0.0` per lane;
+/// * `micro_kernel`'s result is a pure function of the strips' *values* —
+///   its reduction order may not depend on anything else, which is what
+///   makes parallel output bitwise identical to serial and a strip read
+///   in place identical to the same strip packed;
 /// * `depth(KC) == KC`, so every K block but the last starts at
 ///   `kstart * lanes_padded` whatever the format.
 trait Panels {
@@ -286,27 +444,40 @@ trait Panels {
     /// `Vec<f32>` scratch).
     type Elem: Copy + Send + Sync;
 
-    /// Depth rows a `kc`-deep K block occupies in a strip.
+    /// Whether each tile task packs its own A blocks ([`pack_block`])
+    /// rather than reading panels packed up front. Only such formats
+    /// take a patch-view A.
+    const TASK_PACKS_A: bool;
+
+    /// Depth rows a `kc`-deep K block occupies in a packed strip.
     fn depth(kc: usize) -> usize;
+
+    /// Whether the microkernel reads `b` where it lies.
+    fn reads_b_in_place(a: &Lhs<'_>, b: &Dense<'_>) -> bool;
 
     /// Packs lanes `l0..l0 + W` of K rows `kstart..kstart + kc` of `src`
     /// into `strip`.
     fn pack<const W: usize>(
         strip: &mut [Self::Elem],
-        src: Operand<'_>,
+        src: &Dense<'_>,
         kstart: usize,
         kc: usize,
         l0: usize,
     );
 
-    /// One MR×NR tile against one `kc`-deep K block of packed strips.
-    fn micro_kernel(apanel: &[Self::Elem], bpanel: &[Self::Elem], kc: usize) -> [[f32; NR]; MR];
+    /// One MR×NR tile against one `kc`-deep K block of strips.
+    ///
+    /// # Safety
+    ///
+    /// Every element the strips address for `MR` (`a`) / `NR` (`b`) lanes
+    /// and `depth(kc)` depth rows must be readable.
+    unsafe fn micro_kernel(a: Strips<Self::Elem>, b: Strips<Self::Elem>, kc: usize) -> [[f32; NR]; MR];
 }
 
 /// Packs every strip of `src` in parallel, one task per (K block, strip).
 /// Returns the pooled scratch holding `P::depth(k)` depth rows of
 /// `lanes` rounded up to `W`, as `P::Elem`s.
-fn pack_operand<P: Panels, const W: usize>(src: Operand<'_>, pool: &ExecPool) -> Vec<f32> {
+fn pack_operand<P: Panels, const W: usize>(src: &Dense<'_>, pool: &ExecPool) -> Vec<f32> {
     const { assert!(align_of::<P::Elem>() <= align_of::<f32>()) };
     let strips = src.lanes.div_ceil(W);
     let pad = strips * W;
@@ -331,31 +502,84 @@ fn pack_operand<P: Panels, const W: usize>(src: Operand<'_>, pool: &ExecPool) ->
     buf
 }
 
-/// The packed driver: packs both operands once, up front, then walks the
-/// MC×NC output-tile grid in parallel.
+thread_local! {
+    /// The MC×KC A block a tile task packs for itself; grown once per
+    /// thread, so steady-state products allocate nothing for it.
+    static A_BLOCK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Packs lanes `lanes` × depth rows `kstart..kstart + kc` of `a` into
+/// `scratch`, zero-padding the lanes to whole strips, in whichever strip
+/// layout the operand streams into: lane-major (a strip lane is `kc`
+/// contiguous floats) when a lane's depth run is contiguous in the
+/// source, depth-major (a depth row is the block's lanes, contiguous)
+/// when a depth row's lanes are.
+fn pack_block(scratch: &mut [f32], a: &Lhs<'_>, lanes: Range<usize>, kstart: usize, kc: usize) -> Strips<f32> {
+    let width = lanes.len();
+    let wpad = width.next_multiple_of(MR);
+    let ptr = scratch.as_ptr();
+    let depth_major = Strips { ptr, strip: MR, lane: 1, depth: wpad };
+    let lane_major = Strips { ptr, strip: MR * kc, lane: kc, depth: 1 };
+    match a {
+        Lhs::Matrix(d) if d.lane_stride == 1 => {
+            for (kk, row) in scratch[..kc * wpad].chunks_exact_mut(wpad).enumerate() {
+                let at = (kstart + kk) * d.depth_stride + lanes.start;
+                row[..width].copy_from_slice(&d.data[at..at + width]);
+                row[width..].fill(0.0);
+            }
+            depth_major
+        }
+        Lhs::PatchesT(v) => {
+            // Lanes past the patch row's end read as zeros.
+            v.read_block(kstart..kstart + kc, lanes.start, wpad, scratch);
+            depth_major
+        }
+        Lhs::Matrix(d) => {
+            for (r, row) in scratch[..width * kc].chunks_exact_mut(kc).enumerate() {
+                let at = (lanes.start + r) * d.lane_stride + kstart;
+                row.copy_from_slice(&d.data[at..at + kc]);
+            }
+            scratch[width * kc..wpad * kc].fill(0.0);
+            lane_major
+        }
+        Lhs::Patches(v) => {
+            v.read_block(lanes, kstart, kc, scratch);
+            scratch[width * kc..wpad * kc].fill(0.0);
+            lane_major
+        }
+    }
+}
+
+/// The packed driver: packs up front what cannot be read in place or
+/// packed by the tile tasks, then walks the MC×NC output-tile grid in
+/// parallel.
 fn drive<P: Panels>(
     c: &mut [f32],
-    a: Operand<'_>,
-    b: Operand<'_>,
+    a: Lhs<'_>,
+    b: Dense<'_>,
     epilogue: Option<(&Epilogue, &[&[f32]])>,
     pool: &ExecPool,
 ) {
-    let (m, n, k) = (a.lanes, b.lanes, a.k);
+    let (m, n, k) = (a.lanes(), b.lanes, b.k);
     let m_pad = m.next_multiple_of(MR);
     let n_pad = n.next_multiple_of(NR);
-    let apack = pack_operand::<P, MR>(a, pool);
-    let bpack = pack_operand::<P, NR>(b, pool);
-    // SAFETY: the pack tasks have completed (for_indices joins) and wrote
-    // every element of these extents, so these are plain shared reads of
-    // initialized panels; `pack_operand` sized and aligned the buffers
-    // for them.
-    let ap: &[P::Elem] =
-        unsafe { std::slice::from_raw_parts(apack.as_ptr().cast(), P::depth(k) * m_pad) };
-    let bp: &[P::Elem] =
-        unsafe { std::slice::from_raw_parts(bpack.as_ptr().cast(), P::depth(k) * n_pad) };
+    let a_panels = (!P::TASK_PACKS_A).then(|| match &a {
+        Lhs::Matrix(d) => pack_operand::<P, MR>(d, pool),
+        _ => panic!("a patch-view operand runs on panels the tile tasks pack"),
+    });
+    let b_panels = (!P::reads_b_in_place(&a, &b)).then(|| pack_operand::<P, NR>(&b, pool));
+    // Where K block `kstart..kstart + kc`'s B strips lie. In place, strip
+    // `t` is columns `t * NR..` of rows `kstart..` of the matrix itself.
+    let b_strips = |kstart: usize, kc: usize| match &b_panels {
+        Some(panels) => Strips::packed::<P, NR>(panels, n_pad, kstart, kc),
+        None => {
+            let ptr = b.data[kstart * b.depth_stride..].as_ptr();
+            Strips { ptr, strip: NR, lane: 1, depth: b.depth_stride }.cast()
+        }
+    };
 
     // 2D parallelism over the MC×NC output-tile grid. Each task owns a
-    // disjoint C rectangle (at most MC×NC floats, 16 KB — L1/L2
+    // disjoint C rectangle (at most MC×NC floats, 8 KB — L1/L2
     // resident). Accumulation is per element in ascending p order into
     // either sink below, so the reduction order is fixed (see module
     // docs). With an epilogue the tile accumulates in a local block so
@@ -378,147 +602,242 @@ fn drive<P: Panels>(
         let c_row = |i: usize, j: usize, len: usize| unsafe {
             std::slice::from_raw_parts_mut(c_out.ptr().add(i * n + j), len)
         };
-        if let Some((ep, operands)) = epilogue {
-            let mut block = [0.0f32; MC * NC];
-            micro_tiles::<P>(ap, bp, k, m_pad, n_pad, strips_a, strips_b, |_, s, t, acc| {
-                let (r0, c0) = (s * MR - i_lo, t * NR - j_lo);
-                for (r, acc_row) in acc.iter().enumerate() {
-                    let brow = &mut block[(r0 + r) * NC + c0..][..NR];
-                    for (bv, &av) in brow.iter_mut().zip(acc_row) {
-                        *bv += av;
-                    }
-                }
-            });
-            let (rows, cols) = (i_hi - i_lo, j_hi - j_lo);
-            ep.apply_block(&mut block, i_lo, j_lo, rows, cols, NC, n, operands);
-            for r in 0..rows {
-                c_row(i_lo + r, j_lo, cols).copy_from_slice(&block[r * NC..][..cols]);
+        A_BLOCK.with_borrow_mut(|scratch| {
+            if P::TASK_PACKS_A && scratch.is_empty() {
+                scratch.resize(MC * KC, 0.0);
             }
-        } else {
-            micro_tiles::<P>(ap, bp, k, m_pad, n_pad, strips_a, strips_b, |p, s, t, acc| {
-                let rows = MR.min(i_hi - s * MR);
-                let cols = NR.min(j_hi - t * NR);
-                for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                    let c_row = c_row(s * MR + r, t * NR, cols);
-                    if p == 0 {
-                        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                            *cv = av;
-                        }
-                    } else {
-                        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                            *cv += av;
+            // Where this tile's A strips lie for a K block: packed here,
+            // now, or a window on the up-front panels.
+            let a_strips = |kstart: usize, kc: usize| match &a_panels {
+                Some(panels) => Strips::packed::<P, MR>(panels, m_pad, kstart, kc).at(strips_a.start),
+                None => pack_block(scratch, &a, i_lo..i_hi, kstart, kc).cast(),
+            };
+            if let Some((ep, operands)) = epilogue {
+                let mut block = [0.0f32; MC * NC];
+                micro_tiles::<P>(k, strips_a.clone(), strips_b.clone(), a_strips, b_strips, |_, s, t, acc| {
+                    let (r0, c0) = (s * MR - i_lo, t * NR - j_lo);
+                    for (r, acc_row) in acc.iter().enumerate() {
+                        let brow = &mut block[(r0 + r) * NC + c0..][..NR];
+                        for (bv, &av) in brow.iter_mut().zip(acc_row) {
+                            *bv += av;
                         }
                     }
+                });
+                let (rows, cols) = (i_hi - i_lo, j_hi - j_lo);
+                ep.apply_block(&mut block, i_lo, j_lo, rows, cols, NC, n, operands);
+                for r in 0..rows {
+                    c_row(i_lo + r, j_lo, cols).copy_from_slice(&block[r * NC..][..cols]);
                 }
-            });
-        }
+            } else {
+                micro_tiles::<P>(k, strips_a.clone(), strips_b.clone(), a_strips, b_strips, |p, s, t, acc| {
+                    let rows = MR.min(i_hi - s * MR);
+                    let cols = NR.min(j_hi - t * NR);
+                    for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                        let c_row = c_row(s * MR + r, t * NR, cols);
+                        if p == 0 {
+                            for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+                                *cv = av;
+                            }
+                        } else {
+                            for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+                                *cv += av;
+                            }
+                        }
+                    }
+                });
+            }
+        });
     });
-    recycle::give_buffer(apack);
-    recycle::give_buffer(bpack);
+    for panels in [a_panels, b_panels].into_iter().flatten() {
+        recycle::give_buffer(panels);
+    }
 }
 
 /// Runs the microkernel over one macro tile — A strips `strips_a`
 /// against B strips `strips_b` — and hands each micro tile's accumulator
-/// to `sink(p, s, t, acc)` (K block, A strip, B strip). K blocks are
-/// walked in the *outer* loop so each packed panel is reused across the
-/// whole macro tile while hot — with the K loop innermost, a deep
-/// contraction streams every panel per register tile and the working set
-/// blows past cache.
+/// to `sink(p, s, t, acc)` (K block, A strip, B strip). `a_strips` yields
+/// the tile's A strips for a K block (strip 0 is `strips_a.start`),
+/// `b_strips` the product's B strips. K blocks are walked in the *outer*
+/// loop so each strip is reused across the whole macro tile while hot —
+/// with the K loop innermost, a deep contraction streams every strip per
+/// register tile and the working set blows past cache.
 ///
 /// Generic over the sink rather than branching on it per micro tile: each
 /// sink gets its own copy of the walk, so the accumulator goes from the
 /// microkernel's registers straight into the sink's loop (one shared
 /// walk with a branch measured ~10 % slower on f32 panels).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn micro_tiles<P: Panels>(
-    ap: &[P::Elem],
-    bp: &[P::Elem],
     k: usize,
-    m_pad: usize,
-    n_pad: usize,
     strips_a: Range<usize>,
     strips_b: Range<usize>,
+    mut a_strips: impl FnMut(usize, usize) -> Strips<P::Elem>,
+    b_strips: impl Fn(usize, usize) -> Strips<P::Elem>,
     mut sink: impl FnMut(usize, usize, usize, [[f32; NR]; MR]),
 ) {
     for p in 0..k.div_ceil(KC) {
         let kstart = p * KC;
         let kc = KC.min(k - kstart);
-        let depth = P::depth(kc);
+        let (a, b) = (a_strips(kstart, kc), b_strips(kstart, kc));
         for s in strips_a.clone() {
-            let apanel = &ap[kstart * m_pad + s * MR * depth..][..MR * depth];
             for t in strips_b.clone() {
-                let bpanel = &bp[kstart * n_pad + t * NR * depth..][..NR * depth];
-                sink(p, s, t, P::micro_kernel(apanel, bpanel, kc));
+                // SAFETY: `a` covers this tile's strips and `b` every B
+                // strip of the product for this K block, each `MR`/`NR`
+                // lanes by `depth(kc)` rows: packed strips are written in
+                // full, and an in-place B is whole strips wide with `kc`
+                // more rows below `kstart`.
+                let acc = unsafe { P::micro_kernel(a.at(s - strips_a.start), b.at(t), kc) };
+                sink(p, s, t, acc);
             }
         }
     }
 }
 
-/// f32 panels: strips are `[kc][W]`, the microkernel broadcasts `a` and
-/// streams `b`.
+/// f32 panels: the microkernel broadcasts `a` and streams `b`, one fused
+/// multiply-add per accumulator row and depth row.
 struct F32Panels;
 
 impl Panels for F32Panels {
     type Elem = f32;
 
+    const TASK_PACKS_A: bool = true;
+
     fn depth(kc: usize) -> usize {
         kc
     }
 
+    /// An untransposed matrix of whole strips can be streamed where it
+    /// lies: a strip's depth rows are `NR`-float runs `lanes` apart. That
+    /// is free when it is exactly one strip wide (the rows *are* the
+    /// packed layout). Wider, a strip's rows are single cache lines
+    /// `lanes / NR` lines apart, which fill only `64 / gcd(64, lanes / NR)`
+    /// of a 64-set L1's sets: reading in place pays while a K block of
+    /// them still stays resident between A strips (8 ways per set — what
+    /// a 32–48 KB L1 has, less room for the A strip), or while one sample
+    /// of a patch-view A is no more pixels than a macro tile has rows, so
+    /// a B strip meets too few A strips for a pack pass to repay itself
+    /// (a matrix does not say what its rows are). All three are
+    /// properties of the geometry, not of the batch, and none changes a
+    /// bit of the result.
+    fn reads_b_in_place(a: &Lhs<'_>, b: &Dense<'_>) -> bool {
+        let streams = b.lane_stride == 1 && b.is_matrix() && b.lanes.is_multiple_of(NR);
+        let sets = 64 >> (b.lanes / NR).trailing_zeros().min(6);
+        let small_samples = matches!(a, Lhs::Patches(v) if v.sample_pixels() <= MC);
+        streams && (b.lanes == NR || b.k.min(KC) <= 8 * sets || small_samples)
+    }
+
     #[inline]
-    fn pack<const W: usize>(strip: &mut [f32], src: Operand<'_>, kstart: usize, _kc: usize, l0: usize) {
-        for (kk, row) in strip.chunks_exact_mut(W).enumerate() {
-            for (r, slot) in row.iter_mut().enumerate() {
-                let lane = l0 + r;
-                *slot = if lane >= src.lanes { 0.0 } else { src.at(lane, kstart + kk) };
+    fn pack<const W: usize>(strip: &mut [f32], src: &Dense<'_>, kstart: usize, _kc: usize, l0: usize) {
+        let live = W.min(src.lanes.saturating_sub(l0));
+        for (row, off) in strip.chunks_exact_mut(W).zip(src.depth_offsets(kstart)) {
+            let lanes = &src.data[off + l0 * src.lane_stride..];
+            for (r, slot) in row[..live].iter_mut().enumerate() {
+                *slot = lanes[r * src.lane_stride];
             }
+            row[live..].fill(0.0);
         }
     }
 
-    /// The accumulator lanes are independent (no cross-lane sum), so the
-    /// compiler vectorizes this without changing any reduction order.
+    /// AVX-512F hosts run the explicit kernel; everything else the
+    /// portable one. Both issue `acc[r] = fma(a[r], b, acc[r])` per depth
+    /// row in ascending order, so they return identical bits.
     #[inline]
-    fn micro_kernel(apanel: &[f32], bpanel: &[f32], kc: usize) -> [[f32; NR]; MR] {
-        const { assert!(MR == 8, "micro_kernel unrolls exactly MR accumulator rows") };
-        // One named accumulator row per MR lane, updated through `axpy`. The
-        // row loop is unrolled by hand rather than written `for r in 0..MR`:
-        // given a 2D accumulator array, LLVM's loop vectorizer (with wide
-        // vectors available) prefers vectorizing *across rows* with
-        // gather/scatter on the accumulator — an order of magnitude slower
-        // than broadcasting `a` and streaming `b`. With the rows as distinct
-        // locals only the contiguous NR axis is left to vectorize, which is
-        // the canonical broadcast GEMM kernel.
-        let mut r0 = [0.0f32; NR];
-        let mut r1 = [0.0f32; NR];
-        let mut r2 = [0.0f32; NR];
-        let mut r3 = [0.0f32; NR];
-        let mut r4 = [0.0f32; NR];
-        let mut r5 = [0.0f32; NR];
-        let mut r6 = [0.0f32; NR];
-        let mut r7 = [0.0f32; NR];
-        for kk in 0..kc {
-            let a: &[f32; MR] = apanel[kk * MR..kk * MR + MR].try_into().unwrap();
-            let b: &[f32; NR] = bpanel[kk * NR..kk * NR + NR].try_into().unwrap();
-            axpy(&mut r0, a[0], b);
-            axpy(&mut r1, a[1], b);
-            axpy(&mut r2, a[2], b);
-            axpy(&mut r3, a[3], b);
-            axpy(&mut r4, a[4], b);
-            axpy(&mut r5, a[5], b);
-            axpy(&mut r6, a[6], b);
-            axpy(&mut r7, a[7], b);
+    unsafe fn micro_kernel(a: Strips<f32>, b: Strips<f32>, kc: usize) -> [[f32; NR]; MR] {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the feature test gates the call; the strips are the
+            // caller's obligation.
+            return unsafe { micro_kernel_f32_avx512(a, b, kc) };
         }
-        [r0, r1, r2, r3, r4, r5, r6, r7]
+        // SAFETY: the strips are the caller's obligation.
+        unsafe { micro_kernel_f32_portable(a, b, kc) }
     }
 }
 
-/// `acc += a * b` over one register-width row; the independent lanes
-/// vectorize without reordering any per-lane sum.
+/// One `zmm` accumulator per `MR` row; per depth row one 16-float load of
+/// `b` and `MR` `vfmadd231ps` against a broadcast `a` — eight independent
+/// dependency chains, the fewest that cover the FMA latency on two ports.
+///
+/// # Safety
+///
+/// As [`Panels::micro_kernel`], on a host with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn micro_kernel_f32_avx512(a: Strips<f32>, b: Strips<f32>, kc: usize) -> [[f32; NR]; MR] {
+    use std::arch::x86_64::{_mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps};
+    const { assert!(NR == 16, "one zmm register holds a strip row") };
+    let mut acc = [_mm512_setzero_ps(); MR];
+    for kk in 0..kc {
+        // SAFETY: depth row kk < kc of both strips is readable per the
+        // caller's contract; loads are unaligned-tolerant.
+        unsafe {
+            let brow = _mm512_loadu_ps(b.ptr.add(kk * b.depth));
+            let arow = a.ptr.add(kk * a.depth);
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                *acc_row = _mm512_fmadd_ps(_mm512_set1_ps(*arow.add(r * a.lane)), brow, *acc_row);
+            }
+        }
+    }
+    let mut out = [[0.0f32; NR]; MR];
+    for (row, acc_row) in out.iter_mut().zip(acc) {
+        // SAFETY: each row holds exactly NR = 16 f32 slots.
+        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), acc_row) };
+    }
+    out
+}
+
+/// The same schedule in portable Rust. The accumulator lanes are
+/// independent (no cross-lane sum), so the compiler vectorizes this
+/// without changing any reduction order, and [`f32::mul_add`] is the
+/// fused operation whether or not the target has the instruction.
+///
+/// # Safety
+///
+/// As [`Panels::micro_kernel`].
+unsafe fn micro_kernel_f32_portable(a: Strips<f32>, b: Strips<f32>, kc: usize) -> [[f32; NR]; MR] {
+    const { assert!(MR == 8, "micro_kernel unrolls exactly MR accumulator rows") };
+    // One named accumulator row per MR lane, updated through `axpy`. The
+    // row loop is unrolled by hand rather than written `for r in 0..MR`:
+    // given a 2D accumulator array, LLVM's loop vectorizer (with wide
+    // vectors available) prefers vectorizing *across rows* with
+    // gather/scatter on the accumulator — an order of magnitude slower
+    // than broadcasting `a` and streaming `b`. With the rows as distinct
+    // locals only the contiguous NR axis is left to vectorize, which is
+    // the canonical broadcast GEMM kernel.
+    let mut r0 = [0.0f32; NR];
+    let mut r1 = [0.0f32; NR];
+    let mut r2 = [0.0f32; NR];
+    let mut r3 = [0.0f32; NR];
+    let mut r4 = [0.0f32; NR];
+    let mut r5 = [0.0f32; NR];
+    let mut r6 = [0.0f32; NR];
+    let mut r7 = [0.0f32; NR];
+    for kk in 0..kc {
+        // SAFETY: depth row kk < kc of both strips is readable per the
+        // caller's contract; `[f32; NR]` has f32 alignment.
+        let (brow, al) = unsafe {
+            let arow = a.ptr.add(kk * a.depth);
+            let al: [f32; MR] = std::array::from_fn(|r| *arow.add(r * a.lane));
+            (&*b.ptr.add(kk * b.depth).cast::<[f32; NR]>(), al)
+        };
+        axpy(&mut r0, al[0], brow);
+        axpy(&mut r1, al[1], brow);
+        axpy(&mut r2, al[2], brow);
+        axpy(&mut r3, al[3], brow);
+        axpy(&mut r4, al[4], brow);
+        axpy(&mut r5, al[5], brow);
+        axpy(&mut r6, al[6], brow);
+        axpy(&mut r7, al[7], brow);
+    }
+    [r0, r1, r2, r3, r4, r5, r6, r7]
+}
+
+/// `acc = fma(a, b, acc)` over one register-width row; the independent
+/// lanes vectorize without reordering any per-lane sum.
 #[inline(always)]
 fn axpy(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
     for (slot, &bv) in acc.iter_mut().zip(b) {
-        *slot += a * bv;
+        *slot = a.mul_add(bv, *slot);
     }
 }
 
@@ -528,24 +847,33 @@ fn axpy(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
 /// strip. That is exactly the operand order of the AVX-512 BF16
 /// dot-product instruction (`vdpbf16ps`) the microkernel issues when the
 /// host has it; the scalar fallback walks the same layout. An odd-length
-/// block pads its phantom k row with zero bits.
+/// block pads its phantom k row with zero bits. Both operands are packed
+/// up front (the pack is the conversion), so the microkernels read the
+/// fixed packed layout and ignore the strips' strides.
 struct Bf16Panels;
 
 impl Panels for Bf16Panels {
     type Elem = u16;
 
+    const TASK_PACKS_A: bool = false;
+
     fn depth(kc: usize) -> usize {
         kc.next_multiple_of(2)
     }
 
+    fn reads_b_in_place(_: &Lhs<'_>, _: &Dense<'_>) -> bool {
+        false
+    }
+
     #[inline]
-    fn pack<const W: usize>(strip: &mut [u16], src: Operand<'_>, kstart: usize, kc: usize, l0: usize) {
+    fn pack<const W: usize>(strip: &mut [u16], src: &Dense<'_>, kstart: usize, kc: usize, l0: usize) {
         // B dominates pack cost (k*n elements against A's m*k, reused
         // only m/MR times), so the interior non-transposed b strip — the
         // only shape the hot geometries hit — gets the hardware convert.
         #[cfg(target_arch = "x86_64")]
         if W == NR
-            && !src.lane_major
+            && src.lane_stride == 1
+            && src.is_matrix()
             && l0 + NR <= src.lanes
             && std::arch::is_x86_feature_detected!("avx512bf16")
         {
@@ -554,15 +882,16 @@ impl Panels for Bf16Panels {
             unsafe { pack_b_strip_pairs_hw(strip, src.data, src.lanes, kstart, kc, l0) };
             return;
         }
+        let mut offsets = src.depth_offsets(kstart);
         for (pp, pair_row) in strip.chunks_exact_mut(2 * W).enumerate() {
+            let off: [usize; 2] = std::array::from_fn(|_| offsets.next().unwrap_or(0));
             for (r, slot_pair) in pair_row.chunks_exact_mut(2).enumerate() {
                 let lane = l0 + r;
                 for (h, slot) in slot_pair.iter_mut().enumerate() {
-                    let kk = 2 * pp + h;
-                    *slot = if lane >= src.lanes || kk >= kc {
+                    *slot = if lane >= src.lanes || 2 * pp + h >= kc {
                         0
                     } else {
-                        bf16_from_f32(src.at(lane, kstart + kk))
+                        bf16_from_f32(src.data[off[h] + lane * src.lane_stride])
                     };
                 }
             }
@@ -572,7 +901,7 @@ impl Panels for Bf16Panels {
     /// On hosts with AVX-512 BF16 each accumulator row takes one
     /// `vdpbf16ps` per k pair — two bf16 multiply-accumulates per f32
     /// lane per instruction, double the MAC density of the f32 kernel's
-    /// separate mul/add stream, which (on top of the halved panel bytes)
+    /// one fused multiply-add, which (on top of the halved panel bytes)
     /// is where bf16 panels' speedup comes from. The scalar fallback
     /// computes the same pair sums (`acc += a0*b0 + a1*b1`) in plain f32
     /// over the same layout.
@@ -583,8 +912,16 @@ impl Panels for Bf16Panels {
     /// from each other in final-bit rounding — the determinism contract
     /// is per host, not cross-host.
     #[inline]
-    fn micro_kernel(apanel: &[u16], bpanel: &[u16], kc: usize) -> [[f32; NR]; MR] {
+    unsafe fn micro_kernel(a: Strips<u16>, b: Strips<u16>, kc: usize) -> [[f32; NR]; MR] {
         let kc_pairs = kc.div_ceil(2);
+        // SAFETY: both strips are packed panels, `depth(kc)` rows of
+        // `MR` / `NR` contiguous lanes, readable per the caller's contract.
+        let (apanel, bpanel) = unsafe {
+            (
+                std::slice::from_raw_parts(a.ptr, kc_pairs * 2 * MR),
+                std::slice::from_raw_parts(b.ptr, kc_pairs * 2 * NR),
+            )
+        };
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512bf16") {
             // SAFETY: the feature test above gates the call; avx512bf16
@@ -796,6 +1133,46 @@ mod tests {
                 let pool = ExecPool::new(threads).with_grain(1);
                 let par = packed(&a, &b, false, false, precision, &pool);
                 assert_eq!(serial.data(), par.data(), "{precision}: {threads} workers diverged");
+            }
+        }
+    }
+
+    /// The explicit-SIMD f32 microkernel and the portable one are the
+    /// same function: same bits on random strips in every layout the
+    /// driver hands them (packed depth-major, lane-major blocks, an
+    /// in-place B wider than a strip), zero-padded edge lanes included,
+    /// at one, two and a full K block's depth rows.
+    #[test]
+    fn f32_microkernels_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx512f") {
+                eprintln!("skipped: no avx512f on this host");
+                return;
+            }
+            let mut rng = Rng::seeded(77);
+            for kc in [1usize, 2, 511, 512] {
+                for (lane_major, b_width, live_lanes) in [(false, NR, MR), (true, NR, MR), (true, 5 * NR, 3), (false, 2 * NR, 1)] {
+                    let mut a = Tensor::randn([MR * kc], 0.0, 1.0, &mut rng).into_vec();
+                    let b = Tensor::randn([kc * b_width], 0.0, 1.0, &mut rng).into_vec();
+                    let (lane, depth) = if lane_major { (kc, 1) } else { (1, MR) };
+                    for r in live_lanes..MR {
+                        (0..kc).for_each(|kk| a[r * lane + kk * depth] = 0.0);
+                    }
+                    let a = Strips { ptr: a.as_ptr(), strip: MR * kc, lane, depth };
+                    // The second strip of a B read in place.
+                    let b = Strips { ptr: b.as_ptr(), strip: NR, lane: 1, depth: b_width }.at(b_width / NR - 1);
+                    // SAFETY: both strips address `kc` rows of `MR` / `NR`
+                    // lanes inside the vectors above; the feature is present.
+                    let (simd, portable) = unsafe {
+                        (micro_kernel_f32_avx512(a, b, kc), micro_kernel_f32_portable(a, b, kc))
+                    };
+                    let bits = |t: [[f32; NR]; MR]| t.map(|row| row.map(f32::to_bits));
+                    assert_eq!(bits(simd), bits(portable), "kc={kc} lane_major={lane_major} b_width={b_width}");
+                    for row in &simd[live_lanes..] {
+                        assert!(row.iter().all(|&v| v == 0.0), "padded lanes stay zero");
+                    }
+                }
             }
         }
     }

@@ -16,4 +16,3 @@ pub mod reduce;
 pub mod softmax;
 pub mod transform;
 pub mod ctc;
-pub mod im2col;

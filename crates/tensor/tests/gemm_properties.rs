@@ -1,5 +1,5 @@
-//! Property and determinism tests for the packed GEMM engine and the
-//! GEMM-lowered convolution gradients.
+//! Property and determinism tests for the packed GEMM engine on matrix
+//! operands (`conv_properties.rs` covers it under patch views).
 //!
 //! Three families of claims, each over both panel formats
 //! (`Precision::F32` / `Precision::Bf16`) and both sides of the packing
@@ -13,17 +13,14 @@
 //!    the MR/NR/KC tile edges so partial tiles and zero-padded pack lanes
 //!    are hit.
 //! 2. **Determinism**: parallel execution at any worker count is bitwise
-//!    identical to serial, for the raw GEMM and for both conv backprop
-//!    lowerings — the contract PRs 1–3 established for every kernel.
+//!    identical to serial — the contract PRs 1–3 established for every
+//!    kernel.
 //! 3. **Epilogue fusion**: `matmul` with a random epilogue program over
 //!    random operand broadcast classes is bitwise identical to the same
 //!    call without one followed by the standalone elementwise kernels,
 //!    at every worker count — the contract the graph-level epilogue pass
 //!    rests on.
 
-use fathom_tensor::kernels::conv::{
-    conv2d_backprop_filter_im2col, conv2d_backprop_input_im2col, Conv2dSpec,
-};
 use fathom_tensor::kernels::elementwise as kew;
 use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr, OperandKind};
 use fathom_tensor::kernels::fused::FusedOp;
@@ -43,9 +40,9 @@ fn awkward_dim() -> impl Strategy<Value = usize> {
         Just(13usize),       // prime between MR and NR
         Just(16usize),       // exactly NR
         Just(17usize),       // NR + 1 (prime)
-        Just(31usize),       // prime, two NR strips minus one
-        Just(64usize),       // exactly MC/NC
-        Just(67usize),       // prime just past a macro tile
+        Just(31usize),       // prime, one short of MC and of two NR strips
+        Just(64usize),       // exactly NC, two MC blocks
+        Just(67usize),       // prime just past a macro tile column
     ]
 }
 
@@ -266,43 +263,6 @@ fn dispatching_matmul_agrees_with_naive_around_the_threshold() {
                 fast.max_abs_diff(&slow) < 1e-3,
                 "m={m} k={k} n={n} ta={ta} tb={tb}: diff {}",
                 fast.max_abs_diff(&slow)
-            );
-        }
-    }
-}
-
-/// Serial vs 8 workers, bitwise, for both GEMM-lowered conv gradients
-/// over geometries with and without the pointwise fast path.
-#[test]
-fn conv_backprop_lowerings_are_bitwise_deterministic() {
-    let mut rng = Rng::seeded(99);
-    for &(h, w, k, ic, oc, stride, pad) in &[
-        (13, 11, 3, 5, 17, 1, 1),
-        (16, 16, 5, 3, 8, 2, 2),
-        (9, 9, 1, 6, 12, 1, 0), // pointwise
-        (20, 20, 8, 4, 16, 4, 0), // dqn geometry
-    ] {
-        let spec = Conv2dSpec { stride, pad };
-        let x = Tensor::randn([3, h, w, ic], 0.0, 1.0, &mut rng);
-        let f = Tensor::randn([k, k, ic, oc], 0.0, 1.0, &mut rng);
-        let g = Tensor::randn(spec.out_shape(x.shape(), f.shape()), 0.0, 1.0, &mut rng);
-
-        let serial = ExecPool::serial();
-        let dx0 = conv2d_backprop_input_im2col(x.shape(), &f, &g, spec, &serial);
-        let dw0 = conv2d_backprop_filter_im2col(&x, f.shape(), &g, spec, &serial);
-        for threads in [2usize, 8] {
-            let par = ExecPool::new(threads).with_grain(1);
-            let dx = conv2d_backprop_input_im2col(x.shape(), &f, &g, spec, &par);
-            let dw = conv2d_backprop_filter_im2col(&x, f.shape(), &g, spec, &par);
-            assert_eq!(
-                dx0.data(),
-                dx.data(),
-                "dx diverged at {threads} workers (h={h} k={k} s={stride})"
-            );
-            assert_eq!(
-                dw0.data(),
-                dw.data(),
-                "dw diverged at {threads} workers (h={h} k={k} s={stride})"
             );
         }
     }

@@ -194,10 +194,10 @@ proptest! {
         let f = Tensor::randn([3, 3, 2, 3], 0.0, 1.0, &mut rng);
         let spec = Conv2dSpec::same(3);
         let sum_in = ew::eval(FusedOp::Add, &[&x1, &x2], &pool());
-        let conv_sum = conv2d(&sum_in, &f, spec, &pool());
+        let conv_sum = conv2d(&sum_in, &f, spec, None, &pool());
         let sum_conv = ew::eval(
             FusedOp::Add,
-            &[&conv2d(&x1, &f, spec, &pool()), &conv2d(&x2, &f, spec, &pool())],
+            &[&conv2d(&x1, &f, spec, None, &pool()), &conv2d(&x2, &f, spec, None, &pool())],
             &pool(),
         );
         prop_assert!(conv_sum.max_abs_diff(&sum_conv) < 1e-3);
