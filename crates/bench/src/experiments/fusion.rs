@@ -7,7 +7,7 @@
 //! into single `Fused` nodes whose loop-jammed interpreter keeps
 //! intermediates register-resident. GEMM epilogue fusion goes further
 //! and absorbs the bias/activation/residual chain hanging off a packed
-//! MatMul or im2col-lowered Conv2D into the microkernel's accumulator
+//! MatMul or Conv2D into the microkernel's accumulator
 //! writeback, so the product is never spilled and re-read at all. Both
 //! passes are bitwise-identical to the unfused kernels (`fathom
 //! fuse-check` gates this), so the ablation measures pure

@@ -113,9 +113,9 @@ fn mean_metric(metrics: &[f64]) -> f64 {
 /// the packing threshold — but the perf question is about the
 /// geometries the paper's models actually spend their time in, so the
 /// full graph is built (never executed; only its shapes are read) and
-/// the largest `m * k * n` GEMM timed standalone. Conv2D lowers to
-/// im2col GEMM as its own op class, so this isolates the explicit dense
-/// GEMMs the bf16 pack path targets.
+/// the largest `m * k * n` GEMM timed standalone. Conv2D is its own op
+/// class and always runs f32 panels, so this isolates the explicit
+/// dense GEMMs the bf16 pack path targets.
 fn dominant_gemm(kind: ModelKind) -> Option<[usize; 3]> {
     let model = kind.build(
         &BuildConfig { mode: Mode::Inference, seed: SEED, ..BuildConfig::training() }

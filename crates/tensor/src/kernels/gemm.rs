@@ -43,8 +43,7 @@
 //!   tensor by [`PatchView::read_block`], zero outside the padded image.
 //! * **f32 B** is read in place when it is an untransposed matrix of
 //!   whole strips and the strided reads cost less than a pack pass
-//!   (`F32Panels::reads_b_in_place`): it is exactly one strip wide (its
-//!   rows *are* the packed layout), or a K block of a strip stays
+//!   (`F32Panels::reads_b_in_place`): a K block of a strip stays
 //!   L1-resident at its row stride, or A is a patch view whose samples
 //!   are no bigger than a macro tile, so few A strips meet each B strip.
 //!   Otherwise it is packed once, up front, in parallel.
@@ -520,6 +519,8 @@ fn pack_block(scratch: &mut [f32], a: &Lhs<'_>, lanes: Range<usize>, kstart: usi
     let ptr = scratch.as_ptr();
     let depth_major = Strips { ptr, strip: MR, lane: 1, depth: wpad };
     let lane_major = Strips { ptr, strip: MR * kc, lane: kc, depth: 1 };
+    // The matrix arms index by the two strides alone.
+    debug_assert!(!matches!(a, Lhs::Matrix(d) if !d.is_matrix() || d.base != 0), "a segmented A");
     match a {
         Lhs::Matrix(d) if d.lane_stride == 1 => {
             for (kk, row) in scratch[..kc * wpad].chunks_exact_mut(wpad).enumerate() {
@@ -707,23 +708,32 @@ impl Panels for F32Panels {
     }
 
     /// An untransposed matrix of whole strips can be streamed where it
-    /// lies: a strip's depth rows are `NR`-float runs `lanes` apart. That
-    /// is free when it is exactly one strip wide (the rows *are* the
-    /// packed layout). Wider, a strip's rows are single cache lines
-    /// `lanes / NR` lines apart, which fill only `64 / gcd(64, lanes / NR)`
-    /// of a 64-set L1's sets: reading in place pays while a K block of
-    /// them still stays resident between A strips (8 ways per set — what
-    /// a 32–48 KB L1 has, less room for the A strip), or while one sample
-    /// of a patch-view A is no more pixels than a macro tile has rows, so
-    /// a B strip meets too few A strips for a pack pass to repay itself
-    /// (a matrix does not say what its rows are). All three are
-    /// properties of the geometry, not of the batch, and none changes a
-    /// bit of the result.
+    /// lies: a strip's depth rows are `NR`-float runs — single cache
+    /// lines — `lanes / NR` lines apart, which fill only
+    /// `64 / gcd(64, lanes / NR)` of a 64-set L1's sets. Reading in place
+    /// pays while a K block of them still stays resident between A strips
+    /// (8 ways per set — what a 32–48 KB L1 has, less room for the A
+    /// strip), or while one sample of a patch-view A is no more pixels
+    /// than a macro tile has rows, so a B strip meets too few A strips
+    /// for a pack pass to repay itself (a matrix does not say what its
+    /// rows are). Both are properties of the geometry, not of the batch,
+    /// and neither changes a bit of the result.
+    ///
+    /// The 64 sets × 8 ways are the reference host's L1, a model the
+    /// measurements only pin at its ends. On the in-place side of
+    /// `k.min(KC) <= 8 * sets`: a one-strip B (`n == NR`, 64 sets, every
+    /// `k` — its rows *are* the packed layout) and `speech`'s 4×160×160
+    /// (32 sets, 160 ≤ 256: 5 µs in place, 28 µs packed). On the packed
+    /// side: 512³ (2 sets, 512 > 16: in place is 1.8× slower). Nothing
+    /// in between has been timed. The patch-view clause was measured on
+    /// `vgg`'s 2×2-spatial 3×3·128→128 (8 sets, K block 512 > 64: packing
+    /// its 0.6 MB filter per call is 5× slower) and also admits the
+    /// 3×3- and 4×4-spatial layers of `alexnet` and `residual`.
     fn reads_b_in_place(a: &Lhs<'_>, b: &Dense<'_>) -> bool {
         let streams = b.lane_stride == 1 && b.is_matrix() && b.lanes.is_multiple_of(NR);
         let sets = 64 >> (b.lanes / NR).trailing_zeros().min(6);
         let small_samples = matches!(a, Lhs::Patches(v) if v.sample_pixels() <= MC);
-        streams && (b.lanes == NR || b.k.min(KC) <= 8 * sets || small_samples)
+        streams && (b.k.min(KC) <= 8 * sets || small_samples)
     }
 
     #[inline]

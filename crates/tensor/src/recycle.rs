@@ -351,7 +351,7 @@ pub(crate) fn drop_back(buf: Vec<f32>) {
 /// overwrite every element before reading. Fresh allocations are zeroed.
 ///
 /// Pair with [`give_buffer`] so steady-state kernel scratch (GEMM packing
-/// panels, im2col patch matrices) costs no allocation.
+/// panels) costs no allocation.
 pub fn take_buffer(len: usize) -> Vec<f32> {
     let pooled = ACTIVE.with(|active| active.borrow().as_ref().and_then(|pool| pool.take(len)));
     pooled.unwrap_or_else(|| vec![0.0; len])

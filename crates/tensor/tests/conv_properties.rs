@@ -120,6 +120,94 @@ fn bias_relu() -> Epilogue {
     }
 }
 
+/// Agreement with the naive sums, bitwise equality across worker
+/// counts, and batch independence of forward and backprop-input.
+fn check_engine(c: &Case) {
+    let (fd, batch) = (c.f.shape().dims(), c.x.shape().dims()[0]);
+    let (taps, ic, oc) = (fd[0] * fd[1], fd[2], fd[3]);
+    let serial = run(c, &ExecPool::serial());
+    let naive = [
+        conv2d_naive(&c.x, &c.f, c.spec),
+        conv2d_backprop_input_naive(c.x.shape(), &c.f, &c.g, c.spec),
+        conv2d_backprop_filter_naive(&c.x, c.f.shape(), &c.g, c.spec),
+    ];
+    // Rounding grows with the terms per sum; backprop-filter's run
+    // over every pixel of the batch.
+    let terms = [taps * ic, taps * oc, c.g.len() / oc];
+    for (op, ((got, want), terms)) in
+        ["forward", "backprop-input", "backprop-filter"].iter().zip(serial.iter().zip(&naive).zip(terms))
+    {
+        assert_eq!(got.shape(), want.shape());
+        let tol = 2e-6 * terms as f32 + 1e-5;
+        assert!(got.max_abs_diff(want) < tol, "{}: diff {} (tol {})", op, got.max_abs_diff(want), tol);
+    }
+    for threads in [2usize, 8] {
+        let par = run(c, &wide(threads));
+        for (s, p) in serial.iter().zip(&par) {
+            assert_eq!(s.data(), p.data(), "{threads} workers diverged");
+        }
+    }
+    for b in 0..batch {
+        let alone = Case { spec: c.spec, x: sample(&c.x, b), f: c.f.clone(), g: sample(&c.g, b) };
+        let [y, dx, _] = run(&alone, &wide(2));
+        assert_eq!(sample(&serial[0], b).data(), y.data(), "forward sample {b}");
+        assert_eq!(sample(&serial[1], b).data(), dx.data(), "backprop-input sample {b}");
+    }
+}
+
+/// Fused == unfused then flat, and the view is the matrix wherever B is
+/// read from.
+fn check_fusion_and_view(c: &Case, seed: u64) {
+    let oc = c.f.shape().dims()[3];
+    let pool = wide(2);
+    let [y, _, df] = run(c, &pool);
+
+    let mut rng = Rng::seeded(seed ^ 0xE9);
+    let bias = Tensor::randn([oc], 0.0, 1.0, &mut rng);
+    let residual = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
+    let ep = bias_relu();
+    let ops: [&[f32]; 2] = [bias.data(), residual.data()];
+    let fused = conv2d(&c.x, &c.f, c.spec, Some((&ep, &ops)), &pool);
+    let mut unfused = y.clone();
+    ep.apply_flat(unfused.data_mut(), y.len() / oc, oc, &ops, &pool);
+    assert_eq!(fused.data(), unfused.data(), "fused epilogue");
+
+    let (patches, rows, kdim) = im2col(c);
+    let gemm = |m, n, k, a: &[f32], ta, b: &[f32], tb| {
+        let mut out = vec![f32::NAN; m * n];
+        gemm_into(&mut out, m, n, k, a, ta, b, tb, Precision::F32, None, &pool);
+        out
+    };
+    let f_t = transposed(c.f.data(), kdim, oc);
+    assert_eq!(y.data(), &gemm(rows, oc, kdim, &patches, false, c.f.data(), false)[..], "forward, B plain");
+    assert_eq!(y.data(), &gemm(rows, oc, kdim, &patches, false, &f_t, true)[..], "forward, B packed");
+    let g_t = transposed(c.g.data(), rows, oc);
+    assert_eq!(df.data(), &gemm(kdim, oc, rows, &patches, true, c.g.data(), false)[..], "backprop-filter, B plain");
+    assert_eq!(df.data(), &gemm(kdim, oc, rows, &patches, true, &g_t, true)[..], "backprop-filter, B packed");
+}
+
+/// The drawn channel counts keep every contraction inside one 512-deep
+/// K block. These do not: the second and third blocks start inside a
+/// window row of the patch view (and inside a tap of the flipped
+/// filter), which is where the hot layers of `vgg` and `residual`
+/// (`kh*kw*ic` = 1152) run.
+#[test]
+fn contractions_deeper_than_a_k_block() {
+    // (kh, kw, stride, pad, ic, oc, batch, extra)
+    let deep = [
+        (3, 3, 1, 1, 64, 16, 2, (3, 4)),   // forward / backprop-filter depth 576
+        (3, 3, 1, 1, 128, 32, 2, (1, 1)),  // 2x2-spatial, depth 1152, filter read in place
+        (3, 3, 1, 1, 8, 72, 2, (2, 2)),    // backprop-input's view of G, depth 648
+        (5, 3, 2, 2, 40, 16, 2, (4, 4)),   // stride 2, depth 600, ic off the strip width
+        (3, 3, 1, 1, 3, 8, 2, (19, 19)),   // 800 pixels: backprop-filter's depth
+    ];
+    for (seed, (kh, kw, stride, pad, ic, oc, batch, extra)) in deep.into_iter().enumerate() {
+        let c = case(kh, kw, stride, pad, ic, oc, batch, extra, seed as u64);
+        check_engine(&c);
+        check_fusion_and_view(&c, seed as u64);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -135,36 +223,7 @@ proptest! {
         extra in (0usize..9, 0usize..9),
         seed in 0u64..1000,
     ) {
-        let c = case(kh, kw, stride, pad, ic, oc, batch, extra, seed);
-        let serial = run(&c, &ExecPool::serial());
-        let naive = [
-            conv2d_naive(&c.x, &c.f, c.spec),
-            conv2d_backprop_input_naive(c.x.shape(), &c.f, &c.g, c.spec),
-            conv2d_backprop_filter_naive(&c.x, c.f.shape(), &c.g, c.spec),
-        ];
-        // Rounding grows with the terms per sum; backprop-filter's run
-        // over every pixel of the batch.
-        let terms = [kh * kw * ic, kh * kw * oc, c.g.len() / oc];
-        for (op, ((got, want), terms)) in ["forward", "backprop-input", "backprop-filter"]
-            .iter()
-            .zip(serial.iter().zip(&naive).zip(terms))
-        {
-            prop_assert_eq!(got.shape(), want.shape());
-            let tol = 2e-6 * terms as f32 + 1e-5;
-            prop_assert!(got.max_abs_diff(want) < tol, "{}: diff {} (tol {})", op, got.max_abs_diff(want), tol);
-        }
-        for threads in [2usize, 8] {
-            let par = run(&c, &wide(threads));
-            for (s, p) in serial.iter().zip(&par) {
-                prop_assert_eq!(s.data(), p.data(), "{} workers diverged", threads);
-            }
-        }
-        for b in 0..batch {
-            let alone = Case { spec: c.spec, x: sample(&c.x, b), f: c.f.clone(), g: sample(&c.g, b) };
-            let [y, dx, _] = run(&alone, &wide(2));
-            prop_assert_eq!(sample(&serial[0], b).data(), y.data(), "forward sample {}", b);
-            prop_assert_eq!(sample(&serial[1], b).data(), dx.data(), "backprop-input sample {}", b);
-        }
+        check_engine(&case(kh, kw, stride, pad, ic, oc, batch, extra, seed));
     }
 
     #[test]
@@ -179,33 +238,6 @@ proptest! {
         extra in (0usize..12, 0usize..12),
         seed in 0u64..1000,
     ) {
-        let c = case(kh, kw, stride, pad, ic, oc, batch, extra, seed);
-        let pool = wide(2);
-        let [y, _, df] = run(&c, &pool);
-
-        // Fused == unfused then flat.
-        let mut rng = Rng::seeded(seed ^ 0xE9);
-        let bias = Tensor::randn([oc], 0.0, 1.0, &mut rng);
-        let residual = Tensor::randn(y.shape().clone(), 0.0, 1.0, &mut rng);
-        let ep = bias_relu();
-        let ops: [&[f32]; 2] = [bias.data(), residual.data()];
-        let fused = conv2d(&c.x, &c.f, c.spec, Some((&ep, &ops)), &pool);
-        let mut unfused = y.clone();
-        ep.apply_flat(unfused.data_mut(), y.len() / oc, oc, &ops, &pool);
-        prop_assert_eq!(fused.data(), unfused.data(), "fused epilogue");
-
-        // The view is the matrix, wherever B is read from.
-        let (patches, rows, kdim) = im2col(&c);
-        let gemm = |m, n, k, a: &[f32], ta, b: &[f32], tb| {
-            let mut out = vec![f32::NAN; m * n];
-            gemm_into(&mut out, m, n, k, a, ta, b, tb, Precision::F32, None, &pool);
-            out
-        };
-        let f_t = transposed(c.f.data(), kdim, oc);
-        prop_assert_eq!(y.data(), &gemm(rows, oc, kdim, &patches, false, c.f.data(), false)[..], "forward, B plain");
-        prop_assert_eq!(y.data(), &gemm(rows, oc, kdim, &patches, false, &f_t, true)[..], "forward, B packed");
-        let g_t = transposed(c.g.data(), rows, oc);
-        prop_assert_eq!(df.data(), &gemm(kdim, oc, rows, &patches, true, c.g.data(), false)[..], "backprop-filter, B plain");
-        prop_assert_eq!(df.data(), &gemm(kdim, oc, rows, &patches, true, &g_t, true)[..], "backprop-filter, B packed");
+        check_fusion_and_view(&case(kh, kw, stride, pad, ic, oc, batch, extra, seed), seed);
     }
 }

@@ -5,15 +5,8 @@ use fathom_suite::fathom::{BuildConfig, ModelKind};
 use fathom_suite::fathom_dataflow::OpClass;
 use fathom_suite::fathom_profile::{runner, OpProfile, SkewCurve};
 
-/// One warm-up step, then two profiled: a cold first step is mostly
-/// first-touch page faults in whichever op allocates the big buffers.
-/// One profile at a time: these tests compare op *times*, and the
-/// harness would otherwise run eight of them on however few cores the
-/// host has, charging each op for its neighbours' preemptions.
 fn training_profile(kind: ModelKind) -> OpProfile {
-    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    runner::profile_workload(kind, &BuildConfig::training(), 1, 2)
+    runner::profile_workload(kind, &BuildConfig::training(), 0, 1)
 }
 
 fn class_share(p: &OpProfile, class: OpClass) -> f64 {
@@ -24,30 +17,21 @@ fn class_share(p: &OpProfile, class: OpClass) -> f64 {
         .expect("class always present")
 }
 
-/// Figure 3's claim is the ordering — class B on top of these four — not
-/// a fixed share: a share is a ratio of this repo's kernel speeds, and
-/// convolution's fell from 0.6-0.9 to 0.35-0.65 when it moved onto the
-/// FMA GEMM engine while the elementwise, reduction and optimizer ops it
-/// is measured against stayed where they were.
 #[test]
 fn conv_nets_are_convolution_dominated() {
     for kind in [ModelKind::Alexnet, ModelKind::Vgg, ModelKind::Residual, ModelKind::Deepq] {
         let p = training_profile(kind);
         let conv = class_share(&p, OpClass::Convolution);
-        let top = p.class_fractions().iter().map(|(_, f)| *f).fold(0.0, f64::max);
-        assert!(conv == top && conv > 0.3, "{kind}: convolution share {conv:.2} is not on top ({top:.2})");
+        assert!(conv > 0.5, "{kind}: convolution share {conv:.2} too low");
     }
 }
 
-/// As above for class A. `autoenc`'s handful of matmuls share its steps
-/// with an Adam update over the same weights, so its bound is the looser
-/// one.
 #[test]
 fn fully_connected_nets_are_matmul_dominated() {
-    for (kind, floor) in [(ModelKind::Speech, 0.4), (ModelKind::Autoenc, 0.2)] {
+    for kind in [ModelKind::Speech, ModelKind::Autoenc] {
         let p = training_profile(kind);
         let matrix = class_share(&p, OpClass::MatrixOps);
-        assert!(matrix > floor, "{kind}: matrix share {matrix:.2} too low");
+        assert!(matrix > 0.4, "{kind}: matrix share {matrix:.2} too low");
     }
 }
 
