@@ -16,7 +16,6 @@ pub mod precision;
 pub mod profiles;
 pub mod recovery;
 pub mod runtime;
-pub mod scheduler;
 pub mod serve;
 pub mod table1;
 pub mod table2;

@@ -63,7 +63,7 @@ pub mod sched;
 pub mod trace;
 
 pub use device::{CpuModel, Device, GpuModel};
-pub use exec::{CalibrationRanges, ExecError, Guardrail, QuantPlan, Session, WidthPolicy};
+pub use exec::{CalibrationRanges, ExecError, Guardrail, QuantPlan, Session};
 pub use fathom_tensor::Precision;
 pub use trace::RuntimeCounters;
 pub use fault::{FaultAction, FaultPlan, FaultSite, FaultSpec};

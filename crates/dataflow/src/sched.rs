@@ -1,19 +1,11 @@
-//! Analytic inter-op scheduling model.
+//! The plan-time width rule for moldable ops.
 //!
-//! [`modeled_makespan`] replays one traced training step through a greedy
-//! list scheduler: ops are considered in plan (trace) order, each starts
-//! as soon as its dataflow dependencies have finished and a worker is
-//! free, and ops that [`crate::OpKind::needs_serial`] are pinned to
-//! worker 0 in plan order — exactly the discipline the real parallel
-//! executor enforces. The result is the modeled wall-clock of the step at
-//! a given inter-op worker count, which lets the `ablation_scheduler`
-//! bench sweep worker counts past the host's physical core count (the
-//! same "model what you cannot measure" approach as [`crate::Device::sim_cpu`]).
-
-use std::collections::HashMap;
-
-use crate::graph::Graph;
-use crate::trace::TraceEvent;
+//! On a device that co-schedules ops, the planner decides per op how
+//! many intra-op threads its kernels may use: [`comparable_peers`] counts
+//! the same-depth ops heavy enough to matter, and [`chosen_width`] caps
+//! the op by its own work and by its fair share of the machine among
+//! those peers. [`SPLIT_GRAIN`] is the work one worker must bring for a
+//! split to pay, derived from the runtime's measured dispatch cost.
 
 /// One `Runtime::for_chunks` round trip with a spinning peer, in
 /// nanoseconds: publish, claim, retire. Measured on the 2-core reference
@@ -79,169 +71,9 @@ pub fn chosen_width(work: usize, peers: usize, workers: usize, grain: usize) -> 
     by_work.min(share).max(1)
 }
 
-/// Modeled wall-clock nanoseconds for executing one traced step on
-/// `workers` inter-op workers.
-///
-/// `events` must be the trace of a single step, in execution (plan)
-/// order, produced against the same `graph`; per-op durations are taken
-/// from [`TraceEvent::nanos`]. With `workers == 1` the result is exactly
-/// the sum of the op durations. Inter-op dispatch overhead is not
-/// modeled, so the value is a lower bound on real wall-clock.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn modeled_makespan(graph: &Graph, events: &[TraceEvent], workers: usize) -> f64 {
-    assert!(workers > 0, "makespan model needs at least one worker");
-    // Map traced nodes to their event index so graph edges outside the
-    // traced (planned) subgraph are ignored.
-    let mut event_of: HashMap<usize, usize> = HashMap::with_capacity(events.len());
-    for (idx, e) in events.iter().enumerate() {
-        event_of.insert(e.node.index(), idx);
-    }
-    let mut finish = vec![0.0f64; events.len()];
-    let mut worker_free = vec![0.0f64; workers];
-    let mut prev_serial: Option<usize> = None;
-    let mut makespan = 0.0f64;
-    for (idx, e) in events.iter().enumerate() {
-        let node = graph.node(e.node);
-        let mut ready = 0.0f64;
-        for input in &node.inputs {
-            if let Some(&dep) = event_of.get(&input.index()) {
-                ready = ready.max(finish[dep]);
-            }
-        }
-        let serial = node.kind.needs_serial();
-        if serial {
-            // The serialization chain adds an edge from the previous
-            // stateful/RNG op, and the op itself runs on the coordinator.
-            if let Some(prev) = prev_serial {
-                ready = ready.max(finish[prev]);
-            }
-            prev_serial = Some(idx);
-        }
-        let worker = if serial {
-            0
-        } else {
-            // Greedy: the worker that frees up first.
-            let mut best = 0;
-            for (w, &free) in worker_free.iter().enumerate() {
-                if free < worker_free[best] {
-                    best = w;
-                }
-            }
-            best
-        };
-        let start = ready.max(worker_free[worker]);
-        let end = start + e.nanos;
-        finish[idx] = end;
-        worker_free[worker] = end;
-        makespan = makespan.max(end);
-    }
-    makespan
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Device;
-    use crate::exec::Session;
-    use crate::graph::Graph;
-    use fathom_tensor::{Shape, Tensor};
-
-    /// Traces one run of a small two-branch graph and returns it with
-    /// the events.
-    fn traced_diamond() -> (Graph, Vec<TraceEvent>) {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::matrix(24, 24));
-        let a = g.matmul(x, x);
-        let b = g.tanh(x);
-        let c = g.add_op(a, b);
-        let mut s = Session::new(g.clone(), Device::cpu(1));
-        s.enable_tracing();
-        s.run(&[c], &[(x, Tensor::ones([24, 24]))]).unwrap();
-        (g, s.take_trace().events)
-    }
-
-    #[test]
-    fn one_worker_is_the_serial_sum() {
-        let (g, events) = traced_diamond();
-        let total: f64 = events.iter().map(|e| e.nanos).sum();
-        let makespan = modeled_makespan(&g, &events, 1);
-        assert!((makespan - total).abs() < 1e-6, "{makespan} vs {total}");
-    }
-
-    #[test]
-    fn makespan_is_monotone_in_workers() {
-        let (g, events) = traced_diamond();
-        let mut prev = f64::INFINITY;
-        for w in 1..=8 {
-            let m = modeled_makespan(&g, &events, w);
-            assert!(m <= prev + 1e-9, "makespan increased at {w} workers");
-            prev = m;
-        }
-    }
-
-    #[test]
-    fn makespan_never_beats_the_critical_path() {
-        let (g, events) = traced_diamond();
-        // With unbounded workers the makespan is the critical path.
-        let critical = modeled_makespan(&g, &events, events.len().max(1));
-        let m8 = modeled_makespan(&g, &events, 8);
-        assert!(m8 + 1e-9 >= critical);
-        // The diamond's critical path includes the longest branch.
-        let longest = events.iter().map(|e| e.nanos).fold(0.0, f64::max);
-        assert!(critical + 1e-9 >= longest);
-    }
-
-    #[test]
-    fn independent_branches_overlap_at_two_workers() {
-        // Two equal-cost independent chains from one placeholder: with
-        // two workers, the chains (but not the shared input or the final
-        // add) should overlap.
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(64));
-        let a = g.tanh(x);
-        let b = g.exp(x);
-        let c = g.add_op(a, b);
-        let mut s = Session::new(g.clone(), Device::cpu(1));
-        s.enable_tracing();
-        s.run(&[c], &[(x, Tensor::ones([64]))]).unwrap();
-        let events = s.take_trace().events;
-        let serial = modeled_makespan(&g, &events, 1);
-        let dual = modeled_makespan(&g, &events, 2);
-        assert!(dual <= serial);
-    }
-
-    #[test]
-    fn serial_ops_are_pinned_to_one_worker() {
-        // A graph that is pure RNG draws: no matter the worker count,
-        // the makespan must stay the serial sum (RNG ops are chained).
-        let mut g = Graph::new();
-        let r1 = g.random_normal([32]);
-        let r2 = g.random_normal([32]);
-        let r3 = g.random_normal([32]);
-        let a = g.add_op(r1, r2);
-        let b = g.add_op(a, r3);
-        let mut s = Session::new(g.clone(), Device::cpu(1));
-        s.enable_tracing();
-        s.run(&[b], &[]).unwrap();
-        let events = s.take_trace().events;
-        let rng_sum: f64 = events
-            .iter()
-            .filter(|e| g.node(e.node).kind.needs_serial())
-            .map(|e| e.nanos)
-            .sum();
-        let m8 = modeled_makespan(&g, &events, 8);
-        assert!(m8 + 1e-9 >= rng_sum, "chained RNG ops cannot overlap");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let (g, events) = traced_diamond();
-        modeled_makespan(&g, &events, 0);
-    }
 
     /// Pins the moldable-width decisions for the five `BENCH_gemm`
     /// geometries: every bench GEMM is big enough to saturate the work

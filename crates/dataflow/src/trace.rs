@@ -11,8 +11,8 @@ use std::time::Duration;
 use serde::Serialize;
 
 use crate::cost::OpCost;
-use crate::graph::NodeId;
-use crate::op::OpClass;
+use crate::graph::{Node, NodeId};
+use crate::op::{GemmOp, OpClass, OpKind};
 
 /// One executed operation.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -188,6 +188,110 @@ impl RunTrace {
         self.steps += other.steps;
         self.peak_live_bytes = self.peak_live_bytes.max(other.peak_live_bytes);
         self.runtime.merge(&other.runtime);
+    }
+}
+
+/// Appends the trace event(s) for one executed op.
+///
+/// A [`OpKind::Fused`] node expands into one event per constituent
+/// instruction — each carrying the original elementwise op's name and
+/// class C, with the measured duration and cost apportioned by the
+/// instructions' static flop weights (remainder on the last event, so
+/// per-step sums are exact). An [`OpKind::GemmFused`] node likewise
+/// expands into one event for the GEMM root (its original `MatMul` /
+/// `Conv2D` name and class) plus one class-C event per epilogue
+/// instruction. Profiles over fused runs therefore keep reporting
+/// constituent op types, and the paper's class breakdown remains
+/// comparable before/after fusion.
+pub(crate) fn push_trace_events(
+    events: &mut Vec<TraceEvent>,
+    id: NodeId,
+    node: &Node,
+    step: u64,
+    nanos: f64,
+    op_cost: OpCost,
+) {
+    match &node.kind {
+        OpKind::Fused(program) => {
+            let parts: Vec<(&'static str, OpClass, f64)> = program
+                .instrs
+                .iter()
+                .map(|instr| {
+                    (
+                        instr.op.name(),
+                        OpClass::ElementwiseArithmetic,
+                        instr.op.flops_per_elem(instr.args.len()),
+                    )
+                })
+                .collect();
+            push_apportioned(events, id, step, nanos, op_cost, &parts);
+        }
+        OpKind::GemmFused { gemm, epilogue } => {
+            let elems = node.shape.num_elements() as f64;
+            let (root_op, root_class) = match gemm {
+                GemmOp::MatMul { .. } => ("MatMul", OpClass::MatrixOps),
+                GemmOp::Conv2D(_) => ("Conv2D", OpClass::Convolution),
+            };
+            let mut parts = Vec::with_capacity(epilogue.instrs.len() + 1);
+            let ep_flops: f64 = epilogue
+                .instrs
+                .iter()
+                .map(|i| i.op.flops_per_elem(i.args.len()) * elems)
+                .sum();
+            // The root's weight is whatever the cost model attributed to
+            // the GEMM itself (total minus the epilogue's share).
+            parts.push((root_op, root_class, (op_cost.flops - ep_flops).max(0.0)));
+            for instr in &epilogue.instrs {
+                parts.push((
+                    instr.op.name(),
+                    OpClass::ElementwiseArithmetic,
+                    instr.op.flops_per_elem(instr.args.len()) * elems,
+                ));
+            }
+            push_apportioned(events, id, step, nanos, op_cost, &parts);
+        }
+        _ => events.push(TraceEvent {
+            node: id,
+            op: node.kind.name(),
+            class: node.kind.class(),
+            step,
+            nanos,
+            cost: op_cost,
+        }),
+    }
+}
+
+/// Splits one measured op across `parts` by static flop weight, with the
+/// remainder on the last event so per-step sums stay exact.
+fn push_apportioned(
+    events: &mut Vec<TraceEvent>,
+    id: NodeId,
+    step: u64,
+    nanos: f64,
+    op_cost: OpCost,
+    parts: &[(&'static str, OpClass, f64)],
+) {
+    let total: f64 = parts.iter().map(|p| p.2).sum();
+    let count = parts.len();
+    let (mut nanos_left, mut flops_left, mut bytes_left) = (nanos, op_cost.flops, op_cost.bytes);
+    for (k, &(op, class, weight)) in parts.iter().enumerate() {
+        let (n, f, b) = if k + 1 == count {
+            (nanos_left, flops_left, bytes_left)
+        } else {
+            let frac = if total > 0.0 { weight / total } else { 1.0 / count as f64 };
+            (nanos * frac, op_cost.flops * frac, op_cost.bytes * frac)
+        };
+        nanos_left -= n;
+        flops_left -= f;
+        bytes_left -= b;
+        events.push(TraceEvent {
+            node: id,
+            op,
+            class,
+            step,
+            nanos: n,
+            cost: OpCost { flops: f, bytes: b },
+        });
     }
 }
 
