@@ -6,7 +6,9 @@
 //! twice the batch, zero think time) drives one `SessionWorker` built at
 //! that batch extent. Service times are real wall-clock measurements of
 //! the inference session; queueing, batching, and latency accounting run
-//! in the engine's deterministic virtual time. The sweep reports
+//! in the serving loop's deterministic virtual time (`serve` is the
+//! 1 model x 1 shard x N replica case of the cluster loop, so the sweep
+//! and the cluster scenario below exercise the same code). The sweep reports
 //! throughput and tail latency per configuration — the classic
 //! batching trade: larger batches amortize per-op overhead (throughput
 //! up) while requests wait longer for a slot (p99 up). Emits
@@ -224,8 +226,8 @@ pub fn run(effort: &Effort) -> String {
 
     // Cluster scenario: every workload behind a 2-shard group at 2x its
     // measured batch-4 capacity, mixed 50/30/20 SLO traffic, run once
-    // with continuous batching and once with the single-model engine's
-    // fixed pack/run/split rounds — then a mixed fleet of four models.
+    // with continuous batching and once with the fixed pack/run/split
+    // rounds `serve` runs under — then a mixed fleet of four models.
     let duration_nanos = (effort.steps.max(1) as u64) * 100_000_000;
     let _ = writeln!(
         out,

@@ -218,8 +218,8 @@ pub struct ServeArgs {
     /// Every workload named in the positional (comma-separated); more
     /// than one requires `--cluster`.
     pub models: Vec<ModelKind>,
-    /// Serve through the cluster layer (sharded routing, SLO classes,
-    /// continuous batching) instead of the single-model engine.
+    /// Serve as a fleet (sharded routing, SLO classes, continuous
+    /// batching) instead of as the single-model case of the same loop.
     pub cluster: bool,
     /// Shard groups per model in cluster mode.
     pub shards: usize,
@@ -835,6 +835,20 @@ fn parse_serve_bench(it: &mut std::slice::Iter<'_, String>) -> Result<Command, P
         fn num<T: std::str::FromStr>(name: &str, raw: String) -> Result<T, ParseError> {
             raw.parse().map_err(|_| ParseError(format!("{name} needs a number")))
         }
+        /// A rate or a span of time, `per_unit` virtual nanoseconds to
+        /// the unit: finite, not negative, and inside `u64` once scaled
+        /// (`inf` never ends an arrival trace, `nan` slips past `<= 0`
+        /// tests, and a saturated span overflows the clock it is added to).
+        fn scaled(name: &str, raw: String, per_unit: f64) -> Result<f64, ParseError> {
+            let v: f64 = num(name, raw)?;
+            if v >= 0.0 && v * per_unit < u64::MAX as f64 {
+                Ok(v)
+            } else {
+                Err(ParseError(format!(
+                    "{name} must be a finite, non-negative number (time spans under 2^64 ns)"
+                )))
+            }
+        }
         match flag {
             "--scale" => {
                 a.scale = match value("--scale")?.as_str() {
@@ -850,14 +864,18 @@ fn parse_serve_bench(it: &mut std::slice::Iter<'_, String>) -> Result<Command, P
             "--cluster" => a.cluster = true,
             "--shards" => a.shards = num("--shards", value("--shards")?)?,
             "--slo-mix" => a.slo_mix = Some(value("--slo-mix")?),
-            "--rps" => a.rps = num("--rps", value("--rps")?)?,
-            "--duration" => a.duration = num("--duration", value("--duration")?)?,
+            "--rps" => a.rps = scaled("--rps", value("--rps")?, 1.0)?,
+            "--duration" => a.duration = scaled("--duration", value("--duration")?, 1e9)?,
             "--clients" => a.clients = Some(num("--clients", value("--clients")?)?),
             "--requests" => a.requests = Some(num("--requests", value("--requests")?)?),
             "--max-batch" => a.max_batch = num("--max-batch", value("--max-batch")?)?,
-            "--max-delay-ms" => a.max_delay_ms = num("--max-delay-ms", value("--max-delay-ms")?)?,
+            "--max-delay-ms" => {
+                a.max_delay_ms = scaled("--max-delay-ms", value("--max-delay-ms")?, 1e6)?
+            }
             "--queue-cap" => a.queue_cap = Some(num("--queue-cap", value("--queue-cap")?)?),
-            "--deadline-ms" => a.deadline_ms = Some(num("--deadline-ms", value("--deadline-ms")?)?),
+            "--deadline-ms" => {
+                a.deadline_ms = Some(scaled("--deadline-ms", value("--deadline-ms")?, 1e6)?)
+            }
             "--replicas" => a.replicas = num("--replicas", value("--replicas")?)?,
             "--seed" => a.seed = num("--seed", value("--seed")?)?,
             "--threads" => a.threads = num("--threads", value("--threads")?)?,
@@ -877,6 +895,9 @@ fn parse_serve_bench(it: &mut std::slice::Iter<'_, String>) -> Result<Command, P
     }
     if a.rps <= 0.0 || a.duration <= 0.0 {
         return Err(ParseError("--rps and --duration must be positive".into()));
+    }
+    if a.clients == Some(0) {
+        return Err(ParseError("--clients must be at least 1".into()));
     }
     if a.models.len() > 1 && !a.cluster {
         return Err(ParseError(
@@ -975,6 +996,39 @@ mod tests {
         assert!(parse(&s(&["serve-bench", "vgg", "--replicas", "0"])).is_err());
         assert!(parse(&s(&["serve-bench", "vgg", "--rps", "0"])).is_err());
         assert!(parse(&s(&["serve-bench"])).is_err());
+    }
+
+    #[test]
+    fn serve_bench_rejects_rates_and_spans_that_hang_or_overflow() {
+        for (flag, bad) in [
+            ("--rps", "inf"),
+            ("--rps", "nan"),
+            ("--rps", "-5"),
+            ("--duration", "inf"),
+            ("--duration", "NaN"),
+            ("--duration", "-1"),
+            ("--duration", "1e11"),
+            ("--max-delay-ms", "-1"),
+            ("--max-delay-ms", "inf"),
+            ("--max-delay-ms", "1e14"),
+            ("--deadline-ms", "1e14"),
+            ("--deadline-ms", "nan"),
+            ("--deadline-ms", "-0.5"),
+        ] {
+            let err = parse(&s(&["serve-bench", "alexnet", flag, bad]));
+            assert!(err.is_err(), "{flag} {bad} must be a parse error, got {err:?}");
+        }
+        // The edges that are fine: no delay at all, and the longest
+        // spans that still fit the virtual clock.
+        let Command::ServeBench(a) = parse(&s(&[
+            "serve-bench", "alexnet", "--max-delay-ms", "0", "--deadline-ms", "1e13",
+            "--duration", "1e10",
+        ]))
+        .unwrap() else {
+            panic!("expected ServeBench");
+        };
+        assert_eq!((a.max_delay_ms, a.deadline_ms, a.duration), (0.0, Some(1e13), 1e10));
+        assert!(parse(&s(&["serve-bench", "vgg", "--clients", "0"])).is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use fathom_dataflow::{checkpoint, export, Device, FaultAction, FaultPlan, FaultS
 use fathom_profile::{report, runner, OpProfile};
 use fathom_serve::{
     serve, serve_cluster, synth_inputs, BatchRunner, ClusterConfig, ClusterReport, ClusterRunner,
-    FaultyRunner, LoadModel, ModelSpec, RecoveryPolicy, ReloadPlan, ServeConfig, ServeReport,
+    FaultyRunner, LoadModel, ModelSpec, RecoveryCounters, RecoveryPolicy, ReloadPlan, ServeConfig,
     SessionWorker, SloClass, SloMix, SloPolicy,
 };
 use fathom_suite::FathomError;
@@ -700,15 +700,11 @@ fn cmd_serve_bench(a: ServeArgs) -> Result<(), FathomError> {
     if a.cluster {
         return cmd_serve_cluster(a);
     }
-    let cfg = BuildConfig {
-        mode: Mode::Inference,
-        scale: a.scale,
-        device: Device::cpu_inter_op(a.threads, a.inter_ops),
-        seed: a.seed,
-        batch: Some(a.max_batch),
-        fusion: FusionLevel::Off,
-        precision: Precision::F32,
-    };
+    let cfg = BuildConfig::inference()
+        .with_scale(a.scale)
+        .with_device(Device::cpu_inter_op(a.threads, a.inter_ops))
+        .with_seed(a.seed)
+        .with_batch(a.max_batch);
     let mut workers = Vec::with_capacity(a.replicas);
     for _ in 0..a.replicas {
         let mut w = SessionWorker::new(a.model, &cfg)?;
@@ -743,36 +739,24 @@ fn cmd_serve_bench(a: ServeArgs) -> Result<(), FathomError> {
         }
     };
 
-    let report = if let Some(spec) = &a.fault_plan {
-        // Wrap every replica in the same seeded plan; `replica<N>` specs
-        // target runners by their position in this vector.
-        let plan = Arc::new(FaultPlan::parse(spec, a.seed).map_err(FathomError::Message)?);
-        println!("fault plan: {spec} (seed {})", plan.seed());
-        let mut faulty: Vec<FaultyRunner<SessionWorker>> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| FaultyRunner::new(w, plan.clone(), i))
-            .collect();
-        let mut runners: Vec<&mut dyn BatchRunner> =
-            faulty.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
-        serve(
-            &mut runners,
-            &serve_cfg,
-            &load,
-            &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
-            a.model.name(),
-        )?
-    } else {
-        let mut runners: Vec<&mut dyn BatchRunner> =
-            workers.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
-        serve(
-            &mut runners,
-            &serve_cfg,
-            &load,
-            &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
-            a.model.name(),
-        )?
-    };
+    // Every replica rides the same seeded plan (empty without
+    // `--fault-plan`, which makes the wrapper a pass-through);
+    // `replica<N>` specs target runners by their position here.
+    let plan = fault_plan(&a)?;
+    let mut replicas: Vec<FaultyRunner<SessionWorker>> = workers
+        .into_iter()
+        .enumerate()
+        .map(|(i, w)| FaultyRunner::new(w, plan.clone(), i))
+        .collect();
+    let mut runners: Vec<&mut dyn BatchRunner> =
+        replicas.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
+    let report = serve(
+        &mut runners,
+        &serve_cfg,
+        &load,
+        &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
+        a.model.name(),
+    )?;
 
     let ms = |nanos: f64| nanos / 1e6;
     println!("{} | serve-bench | {:?}", a.model.name(), load);
@@ -794,11 +778,11 @@ fn cmd_serve_bench(a: ServeArgs) -> Result<(), FathomError> {
     );
     println!(
         "batches {}  mean size {:.2}  max queue depth {}",
-        report.batches.len(),
+        report.batches(),
         report.mean_batch_size(),
         report.max_queue_depth()
     );
-    print_recovery(&report);
+    print_recovery(&report.recovery);
     print_runtime(&report.runtime);
     if let Some(path) = &a.out {
         std::fs::write(path, report.to_json())?;
@@ -817,63 +801,7 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
             "--load does not apply in cluster mode (reloads are per model)".into(),
         ));
     }
-    let plan = match &a.fault_plan {
-        Some(spec) => {
-            let p = Arc::new(FaultPlan::parse(spec, a.seed).map_err(FathomError::Message)?);
-            println!("fault plan: {spec} (seed {})", p.seed());
-            Some(p)
-        }
-        None => None,
-    };
-    /// A fleet replica: a plain worker, or one wrapped in a fault plan.
-    /// Concrete (not boxed) so `&mut ClusterRep` coerces to the
-    /// `&mut dyn ClusterRunner` the spec borrows.
-    enum ClusterRep {
-        Plain(SessionWorker),
-        Faulty(FaultyRunner<SessionWorker>),
-    }
-
-    impl BatchRunner for ClusterRep {
-        fn capacity(&self) -> usize {
-            match self {
-                ClusterRep::Plain(w) => w.capacity(),
-                ClusterRep::Faulty(w) => w.capacity(),
-            }
-        }
-
-        fn run_batch(
-            &mut self,
-            reqs: &[&fathom_serve::Request],
-        ) -> Result<fathom_serve::BatchResult, fathom_serve::ServeError> {
-            match self {
-                ClusterRep::Plain(w) => w.run_batch(reqs),
-                ClusterRep::Faulty(w) => w.run_batch(reqs),
-            }
-        }
-
-        fn recover(&mut self) -> Result<(), fathom_serve::ServeError> {
-            match self {
-                ClusterRep::Plain(w) => w.recover(),
-                ClusterRep::Faulty(w) => w.recover(),
-            }
-        }
-
-        fn runtime_counters(&self) -> fathom_dataflow::RuntimeCounters {
-            match self {
-                ClusterRep::Plain(w) => w.runtime_counters(),
-                ClusterRep::Faulty(w) => w.runtime_counters(),
-            }
-        }
-    }
-
-    impl ClusterRunner for ClusterRep {
-        fn reload(&mut self, checkpoint: &[u8]) -> Result<(), fathom_serve::ServeError> {
-            match self {
-                ClusterRep::Plain(w) => w.reload(checkpoint),
-                ClusterRep::Faulty(w) => w.reload(checkpoint),
-            }
-        }
-    }
+    let plan = fault_plan(&a)?;
 
     // One work-stealing runtime for the whole fleet: every model's
     // replicas share the same worker set, so the process thread budget
@@ -882,27 +810,21 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
 
     // Replica indices for `replica<N>` fault specs run fleet-wide, in
     // model -> shard -> replica order.
-    let mut fleet: Vec<Vec<Vec<ClusterRep>>> = Vec::with_capacity(a.models.len());
+    let mut fleet: Vec<Vec<Vec<FaultyRunner<SessionWorker>>>> =
+        Vec::with_capacity(a.models.len());
     let mut replica_idx = 0usize;
     for kind in &a.models {
-        let cfg = BuildConfig {
-            mode: Mode::Inference,
-            scale: a.scale,
-            device: Device::cpu_on_runtime(&fleet_rt, a.threads, a.inter_ops),
-            seed: a.seed,
-            batch: Some(a.max_batch),
-            fusion: FusionLevel::Off,
-            precision: Precision::F32,
-        };
+        let cfg = BuildConfig::inference()
+            .with_scale(a.scale)
+            .with_device(Device::cpu_on_runtime(&fleet_rt, a.threads, a.inter_ops))
+            .with_seed(a.seed)
+            .with_batch(a.max_batch);
         let mut shards = Vec::with_capacity(a.shards);
         for _ in 0..a.shards {
             let mut replicas = Vec::with_capacity(a.replicas);
             for _ in 0..a.replicas {
                 let w = SessionWorker::new(*kind, &cfg)?;
-                replicas.push(match &plan {
-                    Some(p) => ClusterRep::Faulty(FaultyRunner::new(w, p.clone(), replica_idx)),
-                    None => ClusterRep::Plain(w),
-                });
+                replicas.push(FaultyRunner::new(w, plan.clone(), replica_idx));
                 replica_idx += 1;
             }
             shards.push(replicas);
@@ -912,21 +834,8 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
 
     let mut specs: Vec<ModelSpec<'_>> = Vec::with_capacity(a.models.len());
     for (kind, shards_of) in a.models.iter().zip(fleet.iter_mut()) {
-        // One throwaway probe for shapes/domains; the closure owns them.
-        let probe = SessionWorker::new(
-            *kind,
-            &BuildConfig {
-                mode: Mode::Inference,
-                scale: a.scale,
-                device: Device::cpu(1),
-                seed: a.seed,
-                batch: Some(a.max_batch),
-                fusion: FusionLevel::Off,
-                precision: Precision::F32,
-            },
-        )?;
-        let shapes = probe.item_shapes();
-        let domains = probe.domains();
+        let shapes = shards_of[0][0].inner().item_shapes();
+        let domains = shards_of[0][0].inner().domains();
         specs.push(ModelSpec {
             name: kind.name().to_string(),
             shards: shards_of
@@ -1026,14 +935,7 @@ fn print_cluster_report(report: &ClusterReport) {
             reasons.replica_loss
         );
     }
-    if report.recovery.any() {
-        let r = &report.recovery;
-        println!(
-            "  recovery: crashes {}  retried {}  dropped {}  quarantines {}  recoveries {}  \
-             dead replicas {}",
-            r.crashes, r.retried, r.dropped, r.quarantines, r.recoveries, r.dead_replicas
-        );
-    }
+    print_recovery(&report.recovery);
     print_runtime(&report.runtime);
 }
 
@@ -1159,11 +1061,19 @@ fn cmd_cluster_check(seed: u64) -> Result<(), FathomError> {
     }
 }
 
+/// The serve commands' fault plan: `--fault-plan` parsed under the run
+/// seed, or the empty plan, under which [`FaultyRunner`] only forwards.
+fn fault_plan(a: &ServeArgs) -> Result<Arc<FaultPlan>, FathomError> {
+    let Some(spec) = &a.fault_plan else { return Ok(Arc::new(FaultPlan::new(a.seed))) };
+    let plan = FaultPlan::parse(spec, a.seed).map_err(FathomError::Message)?;
+    println!("fault plan: {spec} (seed {})", plan.seed());
+    Ok(Arc::new(plan))
+}
+
 /// One line of supervisor activity, only when there was any — fault-free
 /// output stays identical to earlier builds.
-fn print_recovery(report: &ServeReport) {
-    if report.recovery.any() {
-        let r = &report.recovery;
+fn print_recovery(r: &RecoveryCounters) {
+    if r.any() {
         println!(
             "recovery: crashes {}  retried {}  dropped {}  quarantines {}  recoveries {}  dead replicas {}",
             r.crashes, r.retried, r.dropped, r.quarantines, r.recoveries, r.dead_replicas
@@ -1465,15 +1375,7 @@ fn cmd_chaos(model: ModelKind, seed: u64) -> Result<(), FathomError> {
     // Probe 3: a replica crash mid-run must retry the batch on the
     // healthy replica — recovery counters nonzero, no request lost.
     {
-        let cfg = BuildConfig {
-            mode: Mode::Inference,
-            scale: ModelScale::Reference,
-            device: Device::cpu(1),
-            seed,
-            batch: Some(2),
-            fusion: FusionLevel::Off,
-            precision: Precision::F32,
-        };
+        let cfg = BuildConfig::inference().with_seed(seed).with_batch(2);
         let plan = Arc::new(
             FaultPlan::new(seed).with(FaultSite::ServeBatch { replica: 0 }, 0, FaultAction::Crash),
         );
@@ -1498,7 +1400,7 @@ fn cmd_chaos(model: ModelKind, seed: u64) -> Result<(), FathomError> {
             "  serve: issued {}  completed {}  shed {}  timed-out {}",
             report.issued, report.completed, report.shed, report.timed_out
         );
-        print_recovery(&report);
+        print_recovery(&report.recovery);
         let conserved = report.issued == report.completed + report.shed + report.timed_out;
         let recovered = report.recovery.crashes >= 1
             && report.recovery.retried >= 1

@@ -5,8 +5,8 @@
 //! replica's next batch should crash or stall. Because the plan is
 //! seeded and counts dispatches deterministically, the same plan spec
 //! reproduces the identical failure schedule — and therefore the
-//! identical [`ServeReport`](crate::metrics::ServeReport) — run after
-//! run.
+//! identical [`ServeReport`](crate::metrics::ServeReport) or
+//! [`ClusterReport`](crate::cluster::ClusterReport) — run after run.
 
 use std::sync::Arc;
 
@@ -28,10 +28,11 @@ pub struct FaultyRunner<R: BatchRunner> {
 }
 
 impl<R: BatchRunner> FaultyRunner<R> {
-    /// Wraps `inner` as replica `replica` under `plan`. The index must
-    /// match the runner's position in the slice handed to
-    /// [`serve`](crate::engine::serve) for `replica<N>` specs to target
-    /// the intended worker.
+    /// Wraps `inner` as replica `replica` under `plan`. The index is the
+    /// caller's numbering — position in the slice handed to
+    /// [`serve`](crate::engine::serve), or fleet-wide model -> shard ->
+    /// replica order under [`serve_cluster`](crate::cluster::serve_cluster)
+    /// — and is what `replica<N>` specs target.
     pub fn new(inner: R, plan: Arc<FaultPlan>, replica: usize) -> Self {
         FaultyRunner { inner, plan, replica }
     }

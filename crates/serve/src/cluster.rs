@@ -1,8 +1,9 @@
-//! fathom-cluster: many models behind one front door.
+//! The serving event loop: many models behind one front door, in
+//! virtual time.
 //!
-//! The single-model engine (`engine.rs`) answers "how do I batch
-//! requests for *this* graph"; this module answers the fleet-level
-//! questions production serving actually hinges on — which shard takes
+//! This module holds the crate's one event loop. It answers the
+//! batching question ("how do requests for *this* graph coalesce") and
+//! the fleet-level ones production serving hinges on — which shard takes
 //! a request, who gets shed when the fleet is saturated, and how a model
 //! is swapped under load without dropping anything. Concretely:
 //!
@@ -18,12 +19,17 @@
 //!   queue is full a higher-class arrival evicts the youngest
 //!   lowest-class occupant (`priority_evicted`) rather than being
 //!   refused. Dispatch serves classes strictly by priority.
-//! * **Continuous batching** — under [`BatchPolicy::Continuous`] a
-//!   replica that frees up immediately takes whatever is queued (up to
-//!   `max_batch`), so newly arrived requests join the very next batch.
-//!   [`BatchPolicy::FixedRound`] reproduces the single-model engine's
-//!   pack/run/split rounds (wait for a full batch or `max_delay`) for
-//!   A/B comparison — `BENCH_serve.json`'s cluster scenario runs both.
+//! * **Batching** — under [`BatchPolicy::Continuous`] a replica that
+//!   frees up immediately takes whatever is queued (up to `max_batch`),
+//!   so newly arrived requests join the very next batch.
+//!   [`BatchPolicy::FixedRound`] runs pack/run/split rounds: wait for a
+//!   full batch, for the oldest request to have waited `max_delay`, or
+//!   for arrivals to drain. `BENCH_serve.json`'s cluster scenario runs
+//!   both.
+//! * **Supervision** — a replica that fails a batch is quarantined with
+//!   exponential backoff and rebuilt via [`BatchRunner::recover`]; its
+//!   batch re-queues at the front for a healthy replica, each request
+//!   within a retry budget; replicas that keep failing are retired.
 //! * **Hot reload** — a [`ReloadPlan`] swaps a model's weights from a
 //!   v2 checkpoint at a virtual time, rolling: one replica per shard at
 //!   a time drains (finishes its in-flight batch), swaps via
@@ -31,10 +37,20 @@
 //!   dropped; it is served by the not-currently-swapping replicas and
 //!   replayed onto the reloaded ones.
 //!
-//! Like the engine, everything runs in deterministic virtual time: the
-//! same seed and runner behavior reproduce the identical
-//! [`ClusterReport`], which is what lets `tests/serving.rs` assert exact
-//! conservation and zero-loss properties under injected crashes.
+//! Two public entries feed the loop. [`serve_cluster`] lays out one
+//! open-loop Poisson trace per model. [`serve`](crate::engine::serve)
+//! is the 1 model x 1 shard x N replica case — fixed rounds, one SLO
+//! class, no spill, no reloads — and the only caller with a closed
+//! loop, where each resolved request lets a client issue its next one.
+//!
+//! Time is *virtual*: arrivals come from a seeded process and each batch
+//! advances the clock by its measured (or, in tests, injected) service
+//! time. Real graph execution happens inside
+//! [`BatchRunner::run_batch`], but the queueing dynamics are a
+//! deterministic discrete-event simulation: the same seed and runner
+//! behavior reproduce the identical [`ClusterReport`], which is what
+//! lets `tests/serving.rs` assert exact conservation and zero-loss
+//! properties under injected crashes without ever sleeping.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -43,7 +59,7 @@ use fathom_tensor::{Rng, Tensor};
 
 use fathom_dataflow::RuntimeCounters;
 
-use crate::engine::{failure_verdict, FailureVerdict, RecoveryPolicy};
+use crate::engine::RecoveryPolicy;
 use crate::metrics::{json_f64, LatencyHistogram, RecoveryCounters, ShedBreakdown};
 use crate::router::Router;
 use crate::slo::{SloClass, SloMix, SloPolicy};
@@ -79,9 +95,9 @@ pub enum BatchPolicy {
     /// requests — arrivals join the next batch as soon as capacity
     /// exists.
     Continuous,
-    /// The single-model engine's rule: dispatch only once the queue
-    /// holds a full batch, the oldest request has waited `max_delay`,
-    /// or arrivals have drained.
+    /// Pack/run/split rounds: dispatch only once the queue holds a full
+    /// batch, the oldest request has waited `max_delay`, or arrivals
+    /// have drained. The rule [`serve`](crate::engine::serve) runs under.
     FixedRound {
         /// Longest the oldest queued request may wait before a partial
         /// batch dispatches anyway, virtual nanoseconds.
@@ -186,6 +202,12 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
+    /// Counts one shed request; the caller bumps the returned reason.
+    fn shed_one(&mut self) -> &mut ShedBreakdown {
+        self.shed += 1;
+        &mut self.shed_reasons
+    }
+
     /// Folds another class's stats into this one (cross-shard /
     /// cross-model aggregation via [`LatencyHistogram::merge`]).
     pub fn merge(&mut self, other: &ClassStats) {
@@ -213,6 +235,13 @@ pub struct ModelReport {
     pub batches: u64,
     /// Requests carried across those batches.
     pub batched_requests: u64,
+    /// Op time by paper class A-G, summed over those batches (zeros
+    /// unless the replicas trace).
+    pub class_nanos: [f64; 7],
+    /// Requests admitted to a queue.
+    pub admitted: u64,
+    /// Deepest shard queue any admission left behind.
+    pub max_queue_depth: usize,
     /// Requests the load-aware rule moved off their hashed shard.
     pub spilled: u64,
     /// Completed replica swaps from hot reloads.
@@ -328,7 +357,6 @@ impl ClusterReport {
     /// Serializes the report to a JSON object (hand-rolled; the
     /// vendored serde is marker-traits only).
     pub fn to_json(&self) -> String {
-        let ms = |nanos: f64| nanos / 1e6;
         let class_json = |stats: &[ClassStats; SloClass::COUNT], indent: &str| -> String {
             let rows: Vec<String> = SloClass::ALL
                 .iter()
@@ -342,15 +370,7 @@ impl ClusterReport {
                     if c.shed_reasons.any() {
                         row.push_str(&format!("\"shed_reasons\": {}, ", c.shed_reasons.to_json()));
                     }
-                    row.push_str(&format!(
-                        "\"latency_ms\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \
-                         \"mean\": {}, \"max\": {}}}}}",
-                        json_f64(ms(c.latency.quantile(0.50)), 3),
-                        json_f64(ms(c.latency.quantile(0.95)), 3),
-                        json_f64(ms(c.latency.quantile(0.99)), 3),
-                        json_f64(ms(c.latency.mean()), 3),
-                        json_f64(ms(c.latency.max()), 3),
-                    ));
+                    row.push_str(&format!("\"latency_ms\": {}}}", c.latency.to_json_ms()));
                     row
                 })
                 .collect();
@@ -403,12 +423,7 @@ impl ClusterReport {
             .collect();
         s.push_str(&format!("  \"models\": [\n{}\n  ]", models.join(",\n")));
         if self.recovery.any() {
-            let r = &self.recovery;
-            s.push_str(&format!(
-                ",\n  \"recovery\": {{\"crashes\": {}, \"retried\": {}, \"dropped\": {}, \
-                 \"quarantines\": {}, \"recoveries\": {}, \"dead_replicas\": {}}}",
-                r.crashes, r.retried, r.dropped, r.quarantines, r.recoveries, r.dead_replicas
-            ));
+            s.push_str(&format!(",\n  \"recovery\": {}", self.recovery.to_json()));
         }
         if self.runtime.any() {
             s.push_str(&format!(",\n  \"runtime\": {}", self.runtime.to_json()));
@@ -418,7 +433,7 @@ impl ClusterReport {
     }
 }
 
-/// One queued cluster request.
+/// One queued request.
 struct QueuedReq {
     /// What a replica runs; held by value so dispatch (and a retry after
     /// a failed batch) passes references instead of copying payloads.
@@ -468,14 +483,17 @@ impl ShardState {
     }
 }
 
-/// A replica's lifecycle inside the cluster supervisor.
+/// A replica's lifecycle inside the supervisor.
 #[derive(Debug, Clone, Copy)]
 enum RepState {
     Idle,
-    Busy { free_at: u64 },
+    /// Executing a batch of `carried` requests until `free_at`.
+    Busy { free_at: u64, carried: usize },
+    /// Failed; rebuilt (via [`BatchRunner::recover`]) at `until`.
     Quarantined { until: u64 },
     /// Drained and swapping in reloaded weights until `until`.
     Reloading { until: u64 },
+    /// Retired after exhausting its restart budget.
     Dead,
 }
 
@@ -486,14 +504,98 @@ struct ReplicaState {
     applied_gen: usize,
 }
 
+/// Applies the recovery policy to one more failure of `rep`: quarantine
+/// with exponential backoff while its restart budget lasts, retirement
+/// after.
+fn failure_verdict(
+    rep: &mut ReplicaState,
+    policy: &RecoveryPolicy,
+    now: u64,
+    counters: &mut RecoveryCounters,
+) {
+    if rep.restarts >= policy.max_restarts {
+        counters.dead_replicas += 1;
+        rep.state = RepState::Dead;
+    } else {
+        let backoff = policy.backoff_nanos.saturating_mul(1u64 << rep.restarts.min(32));
+        rep.restarts += 1;
+        counters.quarantines += 1;
+        rep.state = RepState::Quarantined { until: now.saturating_add(backoff.max(1)) };
+    }
+}
+
+/// The load offered to one run of the loop: the arrivals scheduled so
+/// far, earliest first, and — closed loop only — how many more the
+/// clients will issue, one per resolved request.
+#[derive(Default)]
+pub(crate) struct Arrivals {
+    /// `(virtual time, model)`. Ties pop in model order; arrivals of one
+    /// model at one instant are interchangeable (ids are given out as
+    /// they pop).
+    due: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Requests a closed loop has yet to issue. Zero in an open loop,
+    /// whose whole trace is laid out before the run.
+    budget: usize,
+}
+
+impl Arrivals {
+    /// Lays out `model`'s open-loop trace: a Poisson process at `rps`
+    /// over `duration_nanos` of virtual time, drawn from `rng`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Unservable`] unless `rps` is finite and
+    /// positive (any other rate never reaches the end of the window).
+    pub(crate) fn poisson(
+        &mut self,
+        rng: &mut Rng,
+        model: usize,
+        rps: f64,
+        duration_nanos: u64,
+    ) -> Result<(), ServeError> {
+        if !(rps.is_finite() && rps > 0.0) {
+            return Err(ServeError::Unservable(format!(
+                "open-loop load needs a finite positive rate, got {rps}"
+            )));
+        }
+        let mut t = 0.0f64;
+        loop {
+            // Exponential inter-arrival; 1 - uniform() keeps ln() off 0.
+            t += -(1.0 - rng.uniform() as f64).ln() / rps * 1e9;
+            if t >= duration_nanos as f64 {
+                return Ok(());
+            }
+            self.due.push(Reverse((t as u64, model)));
+        }
+    }
+
+    /// A closed loop on model 0: `clients` callers issue at time 0 and
+    /// again the moment their request resolves, until `requests` have
+    /// been issued in total.
+    pub(crate) fn closed(clients: usize, requests: usize) -> Self {
+        let first = clients.min(requests);
+        Arrivals { due: (0..first).map(|_| Reverse((0, 0))).collect(), budget: requests - first }
+    }
+
+    /// `n` requests of `model` resolved (completed, shed, timed out or
+    /// dropped) at `at`: in a closed loop their clients issue again.
+    fn resolved(&mut self, model: usize, at: u64, n: usize) {
+        let again = n.min(self.budget);
+        self.budget -= again;
+        for _ in 0..again {
+            self.due.push(Reverse((at, model)));
+        }
+    }
+}
+
 /// Runs one cluster experiment: offers each model's open-loop load to
 /// its shard group under `cfg`, routing through consistent hashing with
 /// load-aware spill, admitting by SLO class, and applying any scheduled
 /// hot reloads. Returns when every admitted request has resolved.
 ///
-/// Supervision matches the single-model engine: a crashed batch
-/// requeues (front of its class queues) with per-request retry budgets,
-/// the replica quarantines with exponential backoff and recovers via
+/// A runner failure does not abort the run: a crashed batch requeues
+/// (front of its class queues) with per-request retry budgets, the
+/// replica quarantines with exponential backoff and recovers via
 /// [`BatchRunner::recover`], and a shard whose replicas all die has its
 /// queue re-routed to surviving shards (or shed as `replica_loss` when
 /// the whole model is dead). Conservation holds per class:
@@ -502,11 +604,32 @@ struct ReplicaState {
 /// # Errors
 ///
 /// Returns [`ServeError::Unservable`] on an empty or zero-capacity
-/// fleet or a non-positive rate, and [`ServeError::Fault`] if the event
-/// loop ever stalls (an engine bug).
+/// fleet or a rate that is not finite and positive, and
+/// [`ServeError::Fault`] if the event loop ever stalls (a bug in the
+/// loop, not a replica failure).
 pub fn serve_cluster(
     models: &mut [ModelSpec<'_>],
     cfg: &ClusterConfig,
+) -> Result<ClusterReport, ServeError> {
+    // One Poisson trace per model; the heap merges them into one
+    // deterministic timeline.
+    let mut arrivals = Arrivals::default();
+    for (m, spec) in models.iter().enumerate() {
+        let mut rng = Rng::seeded(cfg.seed ^ (0x9E37_79B9 + m as u64));
+        arrivals.poisson(&mut rng, m, spec.rps, cfg.duration_nanos)?;
+    }
+    run(models, cfg, arrivals, Rng::seeded(cfg.seed))
+}
+
+/// The event loop under [`serve_cluster`] and
+/// [`serve`](crate::engine::serve): serves `arrivals` (which replace
+/// `ModelSpec::rps` and `cfg.duration_nanos`) and draws request classes
+/// and payloads from `rng`.
+pub(crate) fn run(
+    models: &mut [ModelSpec<'_>],
+    cfg: &ClusterConfig,
+    mut arrivals: Arrivals,
+    mut rng: Rng,
 ) -> Result<ClusterReport, ServeError> {
     if models.is_empty() {
         return Err(ServeError::Unservable("cluster needs at least one model".into()));
@@ -528,33 +651,8 @@ pub fn serve_cluster(
                 spec.name
             )));
         }
-        if rps_invalid(spec.rps) {
-            return Err(ServeError::Unservable(format!(
-                "model {} needs a positive offered rate",
-                spec.name
-            )));
-        }
     }
 
-    // Pre-compute every model's Poisson arrival trace; the heap merges
-    // them into one deterministic timeline (ties break by model order,
-    // then per-model sequence).
-    let mut arrivals: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-    for (m, spec) in models.iter().enumerate() {
-        let mut arr_rng = Rng::seeded(cfg.seed ^ (0x9E37_79B9 + m as u64));
-        let mut t = 0.0f64;
-        let mut seq = 0u64;
-        loop {
-            t += -(1.0 - arr_rng.uniform() as f64).ln() / spec.rps * 1e9;
-            if t >= cfg.duration_nanos as f64 {
-                break;
-            }
-            arrivals.push(Reverse((t as u64, m, seq)));
-            seq += 1;
-        }
-    }
-
-    let mut rng = Rng::seeded(cfg.seed);
     let routers: Vec<Router> = models
         .iter()
         .enumerate()
@@ -602,6 +700,9 @@ pub fn serve_cluster(
                 per_class: Default::default(),
                 batches: 0,
                 batched_requests: 0,
+                class_nanos: [0.0; 7],
+                admitted: 0,
+                max_queue_depth: 0,
                 spilled: 0,
                 reloads: 0,
             })
@@ -628,39 +729,32 @@ pub fn serve_cluster(
     let mut next_id = 0u64;
 
     loop {
-        // 1. Completions, quarantine expiry, reload completion.
+        // 1. Completions (each resolved request lets a closed-loop
+        // client issue its next one), quarantine expiry, reload
+        // completion.
         for (m, spec) in models.iter_mut().enumerate() {
             for (s, shard) in spec.shards.iter_mut().enumerate() {
                 for (r, runner) in shard.iter_mut().enumerate() {
                     let rep = &mut reps[m][s][r];
                     match rep.state {
-                        RepState::Busy { free_at } if free_at <= now => {
+                        RepState::Busy { free_at, carried } if free_at <= now => {
                             rep.state = RepState::Idle;
+                            arrivals.resolved(m, now, carried);
                         }
                         RepState::Reloading { until } if until <= now => {
                             rep.state = RepState::Idle;
                         }
                         RepState::Quarantined { until } if until <= now => {
                             match runner.recover() {
+                                // A replica rebuilt from its baseline may
+                                // predate a reload that rolled out while
+                                // it was down; step 2 catches it up.
                                 Ok(()) => {
                                     report.recovery.recoveries += 1;
                                     rep.state = RepState::Idle;
-                                    // A replica rebuilt from its baseline
-                                    // may predate a reload that rolled out
-                                    // while it was down; catch up below.
                                 }
                                 Err(_) => {
-                                    match failure_verdict(
-                                        &mut rep.restarts,
-                                        &cfg.recovery,
-                                        now,
-                                        &mut report.recovery,
-                                    ) {
-                                        FailureVerdict::Retire => rep.state = RepState::Dead,
-                                        FailureVerdict::Quarantine { until } => {
-                                            rep.state = RepState::Quarantined { until }
-                                        }
-                                    }
+                                    failure_verdict(rep, &cfg.recovery, now, &mut report.recovery)
                                 }
                             }
                         }
@@ -695,23 +789,14 @@ pub fn serve_cluster(
                     match runner.reload(checkpoint) {
                         Ok(()) => {
                             rep.applied_gen = gen;
-                            rep.state =
-                                RepState::Reloading { until: now + cfg.swap_nanos.max(1) };
+                            rep.state = RepState::Reloading {
+                                until: now.saturating_add(cfg.swap_nanos.max(1)),
+                            };
                             report.models[m].reloads += 1;
                         }
                         Err(_) => {
                             report.recovery.crashes += 1;
-                            match failure_verdict(
-                                &mut rep.restarts,
-                                &cfg.recovery,
-                                now,
-                                &mut report.recovery,
-                            ) {
-                                FailureVerdict::Retire => rep.state = RepState::Dead,
-                                FailureVerdict::Quarantine { until } => {
-                                    rep.state = RepState::Quarantined { until }
-                                }
-                            }
+                            failure_verdict(rep, &cfg.recovery, now, &mut report.recovery);
                         }
                     }
                     break; // one replica per shard per rollout step
@@ -719,13 +804,15 @@ pub fn serve_cluster(
             }
         }
 
-        // 3. Arrivals due now: route, then admit or shed.
-        while arrivals.peek().is_some_and(|Reverse((t, _, _))| *t <= now) {
-            let Some(Reverse((at, m, _))) = arrivals.pop() else { break };
+        // 3. Arrivals due now: route, then admit or shed. A shed
+        // closed-loop client tries again at once.
+        while arrivals.due.peek().is_some_and(|Reverse((t, _))| *t <= now) {
+            let Some(Reverse((at, m))) = arrivals.due.pop() else { break };
             let id = next_id;
             next_id += 1;
             let class = cfg.mix.draw(&mut rng);
-            report.models[m].per_class[class.idx()].issued += 1;
+            let model = &mut report.models[m];
+            model.per_class[class.idx()].issued += 1;
 
             let loads: Vec<usize> = shards[m]
                 .iter()
@@ -740,22 +827,23 @@ pub fn serve_cluster(
                 .collect();
             if loads.iter().all(|&l| l == usize::MAX) {
                 // Whole model dead: nothing can ever serve this.
-                let stats = &mut report.models[m].per_class[class.idx()];
-                stats.shed += 1;
-                stats.shed_reasons.replica_loss += 1;
+                model.per_class[class.idx()].shed_one().replica_loss += 1;
+                arrivals.resolved(m, at, 1);
                 continue;
             }
             let placement = routers[m].place(id, &loads);
             if placement.spilled {
-                report.models[m].spilled += 1;
+                model.spilled += 1;
             }
             let s = placement.shard;
 
             // Deadline-aware admission: refuse on arrival when the
             // backlog at this class's priority already makes the
             // deadline unmeetable (estimate from the shard's observed
-            // batch service time).
-            let deadline = cfg.slo.deadline(class).map(|d| at + d);
+            // batch service time). The one place deadlines are formed;
+            // saturating, so an effectively infinite one stays in the
+            // future instead of wrapping into the past.
+            let deadline = cfg.slo.deadline(class).map(|d| at.saturating_add(d));
             let est = shards[m][s].est_batch_nanos;
             if let (Some(dl), true) = (deadline, est > 0.0) {
                 let live = reps[m][s]
@@ -776,9 +864,8 @@ pub fn serve_cluster(
                 let rounds = (ahead / max_batch[m] + 1) as f64;
                 let est_done = now as f64 + rounds * est / live as f64;
                 if est_done > dl as f64 {
-                    let stats = &mut report.models[m].per_class[class.idx()];
-                    stats.shed += 1;
-                    stats.shed_reasons.deadline_infeasible += 1;
+                    model.per_class[class.idx()].shed_one().deadline_infeasible += 1;
+                    arrivals.resolved(m, at, 1);
                     continue;
                 }
             }
@@ -786,37 +873,34 @@ pub fn serve_cluster(
             // Capacity admission: full queues evict the youngest
             // occupant of the lowest class below the arrival, else the
             // arrival itself is shed.
-            if shards[m][s].queued() >= cfg.queue_cap {
-                let victim_class = SloClass::ALL
+            let shard = &mut shards[m][s];
+            if shard.queued() >= cfg.queue_cap {
+                let victim = SloClass::ALL
                     .iter()
                     .rev()
-                    .find(|c| {
-                        c.priority() < class.priority() && !shards[m][s].queues[c.idx()].is_empty()
-                    })
-                    .copied();
-                match victim_class {
-                    Some(vc) => {
-                        // Invariant: find() above checked non-empty.
-                        let victim = shards[m][s].queues[vc.idx()].pop_back().expect("non-empty");
-                        let vstats = &mut report.models[m].per_class[victim.class.idx()];
-                        vstats.shed += 1;
-                        vstats.shed_reasons.priority_evicted += 1;
+                    .filter(|c| c.priority() < class.priority())
+                    .find_map(|c| shard.queues[c.idx()].pop_back());
+                match victim {
+                    Some(victim) => {
+                        model.per_class[victim.class.idx()].shed_one().priority_evicted += 1;
+                        arrivals.resolved(m, now, 1);
                     }
                     None => {
-                        let stats = &mut report.models[m].per_class[class.idx()];
-                        stats.shed += 1;
-                        stats.shed_reasons.queue_full += 1;
+                        model.per_class[class.idx()].shed_one().queue_full += 1;
+                        arrivals.resolved(m, at, 1);
                         continue;
                     }
                 }
             }
             let inputs = (models[m].synth)(&mut rng, id);
-            shards[m][s].queues[class.idx()].push_back(QueuedReq {
+            shard.queues[class.idx()].push_back(QueuedReq {
                 req: Request { id, arrival: at, inputs },
                 class,
                 deadline,
                 retries: 0,
             });
+            model.admitted += 1;
+            model.max_queue_depth = model.max_queue_depth.max(shard.queued());
         }
 
         // 4. Deadline expiry of queued requests.
@@ -826,15 +910,17 @@ pub fn serve_cluster(
                     let q = &mut shard.queues[class.idx()];
                     let before = q.len();
                     q.retain(|r| r.deadline.is_none_or(|d| d > now));
-                    let expired = (before - q.len()) as u64;
-                    report.models[m].per_class[class.idx()].timed_out += expired;
+                    let expired = before - q.len();
+                    report.models[m].per_class[class.idx()].timed_out += expired as u64;
+                    arrivals.resolved(m, now, expired);
                 }
             }
         }
 
         // 5. Shards whose replicas all died: re-route their queues to
         // surviving shards (ordinary admission applies); with the whole
-        // model dead the work is shed as replica loss.
+        // model dead the work is shed as replica loss, so the run
+        // degrades gracefully instead of hanging.
         for m in 0..models.len() {
             let dead: Vec<bool> = reps[m]
                 .iter()
@@ -852,8 +938,8 @@ pub fn serve_cluster(
                 for q in stranded {
                     let stats = &mut report.models[m].per_class[q.class.idx()];
                     if all_dead {
-                        stats.shed += 1;
-                        stats.shed_reasons.replica_loss += 1;
+                        stats.shed_one().replica_loss += 1;
+                        arrivals.resolved(m, now, 1);
                         continue;
                     }
                     let loads: Vec<usize> = shards[m]
@@ -863,8 +949,8 @@ pub fn serve_cluster(
                         .collect();
                     let target = routers[m].place(q.req.id, &loads).shard;
                     if shards[m][target].queued() >= cfg.queue_cap {
-                        stats.shed += 1;
-                        stats.shed_reasons.queue_full += 1;
+                        stats.shed_one().queue_full += 1;
+                        arrivals.resolved(m, now, 1);
                     } else {
                         shards[m][target].queues[q.class.idx()].push_back(q);
                     }
@@ -874,8 +960,10 @@ pub fn serve_cluster(
 
         // 6. Dispatch. Continuous: any idle replica with queued work
         // takes a batch immediately. FixedRound: only on a full batch,
-        // an expired delay timer, or drain.
-        let draining = arrivals.is_empty();
+        // an expired delay timer, or drain (no arrival scheduled). A
+        // failed dispatch quarantines the replica and re-queues its
+        // batch (front of its class queues, original order) for a
+        // healthy one.
         for (m, spec) in models.iter_mut().enumerate() {
             for (s, shard_runners) in spec.shards.iter_mut().enumerate() {
                 for (r, runner) in shard_runners.iter_mut().enumerate() {
@@ -889,13 +977,14 @@ pub fn serve_cluster(
                     // in time — drop it now (timed out) instead of burning
                     // replica capacity on a response that arrives dead.
                     if shard.est_batch_nanos > 0.0 {
-                        let horizon = now + shard.est_batch_nanos as u64;
+                        let horizon = now.saturating_add(shard.est_batch_nanos as u64);
                         for class in SloClass::ALL {
                             let q = &mut shard.queues[class.idx()];
                             let before = q.len();
                             q.retain(|req| req.deadline.is_none_or(|d| d >= horizon));
-                            let expired = (before - q.len()) as u64;
-                            report.models[m].per_class[class.idx()].timed_out += expired;
+                            let expired = before - q.len();
+                            report.models[m].per_class[class.idx()].timed_out += expired as u64;
+                            arrivals.resolved(m, now, expired);
                         }
                     }
                     let queued = shard.queued();
@@ -905,6 +994,7 @@ pub fn serve_cluster(
                     if let BatchPolicy::FixedRound { max_delay_nanos } = cfg.batching {
                         // Invariant: queued > 0, so an oldest exists.
                         let oldest = shard.oldest_arrival().expect("non-empty queue");
+                        let draining = arrivals.due.is_empty();
                         if queued < max_batch[m] && now - oldest < max_delay_nanos && !draining {
                             continue;
                         }
@@ -914,42 +1004,41 @@ pub fn serve_cluster(
                     match runner.run_batch(&refs) {
                         Ok(result) => {
                             let service = (result.service_nanos as u64).max(1);
-                            let done = now + service;
-                            reps[m][s][r].state = RepState::Busy { free_at: done };
+                            let done = now.saturating_add(service);
+                            reps[m][s][r].state =
+                                RepState::Busy { free_at: done, carried: batch.len() };
                             shard.est_batch_nanos = if shard.est_batch_nanos == 0.0 {
                                 result.service_nanos
                             } else {
                                 0.7 * shard.est_batch_nanos + 0.3 * result.service_nanos
                             };
-                            report.models[m].batches += 1;
-                            report.models[m].batched_requests += batch.len() as u64;
+                            let model = &mut report.models[m];
+                            model.batches += 1;
+                            model.batched_requests += batch.len() as u64;
+                            for (total, nanos) in model.class_nanos.iter_mut().zip(result.class_nanos) {
+                                *total += nanos;
+                            }
                             report.makespan_nanos = report.makespan_nanos.max(done);
                             for q in &batch {
-                                let stats = &mut report.models[m].per_class[q.class.idx()];
-                                stats.completed += 1;
+                                model.per_class[q.class.idx()].completed += 1;
                                 shard.latency[q.class.idx()].record((done - q.req.arrival) as f64);
                             }
                         }
                         Err(_) => {
                             report.recovery.crashes += 1;
-                            let rep = &mut reps[m][s][r];
-                            match failure_verdict(
-                                &mut rep.restarts,
+                            failure_verdict(
+                                &mut reps[m][s][r],
                                 &cfg.recovery,
                                 now,
                                 &mut report.recovery,
-                            ) {
-                                FailureVerdict::Retire => rep.state = RepState::Dead,
-                                FailureVerdict::Quarantine { until } => {
-                                    rep.state = RepState::Quarantined { until }
-                                }
-                            }
+                            );
                             for mut q in batch.into_iter().rev() {
                                 if q.retries >= cfg.recovery.max_retries {
                                     report.recovery.dropped += 1;
-                                    let stats = &mut report.models[m].per_class[q.class.idx()];
-                                    stats.shed += 1;
-                                    stats.shed_reasons.replica_loss += 1;
+                                    report.models[m].per_class[q.class.idx()]
+                                        .shed_one()
+                                        .replica_loss += 1;
+                                    arrivals.resolved(m, now, 1);
                                 } else {
                                     q.retries += 1;
                                     report.recovery.retried += 1;
@@ -963,27 +1052,31 @@ pub fn serve_cluster(
         }
 
         // 7. Terminate once fully drained: no arrivals, nothing queued,
-        // nothing running or mid-swap.
+        // nothing running or mid-swap (so no client is left to issue).
+        // Quarantined and dead replicas do not block termination: with
+        // no work left there is nothing to recover *for*.
         let any_queued = shards.iter().flatten().any(|s| s.queued() > 0);
         let any_active = reps.iter().flatten().flatten().any(|rep| {
             matches!(rep.state, RepState::Busy { .. } | RepState::Reloading { .. })
         });
-        if arrivals.is_empty() && !any_queued && !any_active {
+        if arrivals.due.is_empty() && !any_queued && !any_active {
             break;
         }
 
-        // 8. Advance the clock to the next event.
+        // 8. Advance the clock to the next event: an arrival, a batch
+        // completion, a quarantine or swap expiry, the oldest waiter
+        // hitting max_delay, a deadline, or a reload coming due.
         let mut next: Option<u64> = None;
         let mut consider = |t: u64| {
-            let t = t.max(now + 1);
+            let t = t.max(now.saturating_add(1));
             next = Some(next.map_or(t, |n: u64| n.min(t)));
         };
-        if let Some(Reverse((t, _, _))) = arrivals.peek() {
+        if let Some(Reverse((t, _))) = arrivals.due.peek() {
             consider(*t);
         }
         for rep in reps.iter().flatten().flatten() {
             match rep.state {
-                RepState::Busy { free_at } => consider(free_at),
+                RepState::Busy { free_at, .. } => consider(free_at),
                 RepState::Quarantined { until } | RepState::Reloading { until } => consider(until),
                 RepState::Idle | RepState::Dead => {}
             }
@@ -998,7 +1091,8 @@ pub fn serve_cluster(
                 if any_idle {
                     if let BatchPolicy::FixedRound { max_delay_nanos } = cfg.batching {
                         if let Some(oldest) = shard.oldest_arrival() {
-                            consider(oldest + max_delay_nanos);
+                            // The one place delay timers are formed.
+                            consider(oldest.saturating_add(max_delay_nanos));
                         }
                     }
                 }
@@ -1017,8 +1111,21 @@ pub fn serve_cluster(
                 consider(plans[gen].at_nanos);
             }
         }
+        // A dispatch that retires a shard's last replica leaves its
+        // re-queued batch behind, possibly with nothing else scheduled:
+        // step 5 of the next tick re-routes or sheds it.
+        let stranded = || {
+            shards.iter().flatten().zip(reps.iter().flatten()).any(|(shard, reps)| {
+                shard.queued() > 0 && reps.iter().all(|rep| matches!(rep.state, RepState::Dead))
+            })
+        };
         match next {
             Some(t) => now = t,
+            None if stranded() => now = now.saturating_add(1),
+            // Unreachable by construction: work remaining implies a
+            // scheduled arrival, a busy/quarantined/swapping replica, a
+            // dead-shard purge, or a queue-front timer. Surface a loop
+            // bug as a typed error rather than a hang or panic.
             None => {
                 return Err(ServeError::Fault(
                     "cluster stalled: work remains but no future event is scheduled".into(),
@@ -1052,14 +1159,10 @@ pub fn serve_cluster(
     Ok(report)
 }
 
-/// True when `rps` cannot drive an open-loop arrival process.
-fn rps_invalid(rps: f64) -> bool {
-    rps.is_nan() || rps <= 0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pinned::assert_pinned;
     use crate::worker::BatchResult;
 
     /// Deterministic runner with a fixed per-batch service time; records
@@ -1124,6 +1227,7 @@ mod tests {
         let cfg = ClusterConfig { duration_nanos: 500_000_000, ..ClusterConfig::new(4) };
         let r = serve_cluster(&mut models, &cfg).expect("serves");
         assert!(r.conserved(), "conservation must hold");
+        assert_pinned("two models over two shards", &r.to_json(), 0xbfa5_4260_b095_ed71);
         assert!(r.issued() > 200, "Poisson(800 rps, 0.5 s) issues ~400, got {}", r.issued());
         assert_eq!(r.shed(), 0, "no overload, nothing shed");
         assert_eq!(r.timed_out(), 0);
@@ -1209,6 +1313,7 @@ mod tests {
         let cont = run(BatchPolicy::Continuous);
         let fixed = run(BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 });
         assert!(cont.conserved() && fixed.conserved());
+        assert_pinned("fixed rounds", &fixed.to_json(), 0x31a6_4eb0_fcde_6b92);
         let p99 = |r: &ClusterReport| {
             let mut all = LatencyHistogram::new();
             for c in &r.per_class {
@@ -1263,6 +1368,7 @@ mod tests {
         // Determinism across two seeded runs (acceptance criterion).
         let (json2, ..) = run();
         assert_eq!(json, json2);
+        assert_pinned("hot reload", &json, 0x3dba_6990_9edb_6bca);
     }
 
     #[test]
@@ -1286,6 +1392,7 @@ mod tests {
         assert_eq!(r.recovery.dropped, 0);
         assert_eq!(r.shed(), 0, "retries within budget lose nothing");
         assert_eq!(plan.fired_count(), 1);
+        assert_pinned("crashed replica", &r.to_json(), 0x35ea_4eca_6f99_03ce);
     }
 
     #[test]
@@ -1312,6 +1419,7 @@ mod tests {
         let r = serve_cluster(&mut models, &cfg).expect("serves");
         assert!(r.conserved());
         assert_eq!(r.recovery.dead_replicas, 1, "shard 0's only replica retires");
+        assert_pinned("dead shard", &r.to_json(), 0x05d5_2b98_c5a0_2025);
         drop(models);
         assert!(
             healthy.served.len() as u64 == r.completed(),

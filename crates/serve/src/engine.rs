@@ -1,29 +1,32 @@
-//! The serving engine: admission control, dynamic batching, and a
-//! virtual-time event loop.
+//! Single-model serving: [`serve`] adapts one model's replicas onto the
+//! crate's one event loop ([`cluster`](crate::cluster)).
 //!
-//! Time is *virtual*: arrivals come from a seeded stochastic process and
-//! each batch advances the clock by its measured (or, in tests,
-//! injected) service time. Real graph execution happens inside
-//! [`BatchRunner::run_batch`], but the queueing dynamics — coalescing,
-//! shedding, deadlines, drain — are a deterministic discrete-event
-//! simulation, so the same seed and runner behavior always produce the
-//! identical [`ServeReport`]. That is what lets `tests/serving.rs` make
-//! exact assertions about counts and batch shapes without ever sleeping.
+//! `serve` is the 1 model x 1 shard x N replica case of the cluster:
+//! one queue shared by every replica, fixed batching rounds, a single
+//! SLO class carrying the optional deadline, no spill and no reloads.
+//! This module owns what is particular to that case — the
+//! [`ServeConfig`] / [`LoadModel`] vocabulary, the closed-loop load, and
+//! the flat [`ServeReport`] view of the one-model report — and nothing
+//! of the loop itself.
 //!
 //! Dispatch rule: an idle replica takes up to `max_batch` queued
 //! requests as soon as the queue is full enough, the oldest request has
 //! waited `max_delay`, or no further arrivals are scheduled (drain).
-//! Admission rule: a request arriving to a queue at `queue_cap` is shed;
-//! a queued request whose deadline passes before dispatch is timed out
-//! (work already in flight always completes).
+//! Admission rule: a request arriving to a queue at `queue_cap` is shed.
+//! With a deadline set, admission and dispatch are the cluster's
+//! deadline-aware ones: an arrival the backlog already makes late is
+//! shed (`deadline_infeasible`), and a queued request that can no longer
+//! finish inside its deadline is timed out (work already in flight
+//! always completes).
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-
-use fathom_dataflow::RuntimeCounters;
 use fathom_tensor::{Rng, Tensor};
 
-use crate::metrics::{BatchRecord, RecoveryCounters, ServeReport};
-use crate::worker::{BatchRunner, Request, ServeError};
+use crate::cluster::{
+    run, Arrivals, BatchPolicy, ClusterConfig, ClusterReport, ClusterRunner, ModelSpec,
+};
+use crate::metrics::{LatencyHistogram, ServeReport};
+use crate::slo::{SloClass, SloMix, SloPolicy};
+use crate::worker::{BatchResult, BatchRunner, Request, ServeError};
 
 /// Supervisor policy: what happens to a replica that fails a batch and
 /// to the requests that were riding it.
@@ -105,76 +108,31 @@ pub enum LoadModel {
     },
 }
 
-/// One replica's occupancy: the virtual time it frees up and how many
-/// requests its in-flight batch carries (for closed-loop re-issue).
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    free_at: u64,
-    carried: usize,
-}
+/// A [`BatchRunner`] standing in as a [`ClusterRunner`]: `serve` hands
+/// the loop no reload plan, so `reload` is never called.
+struct NoReload<'a>(&'a mut dyn BatchRunner);
 
-/// Supervisor view of one replica.
-#[derive(Debug, Clone, Copy)]
-enum Replica {
-    /// Ready to take a batch.
-    Idle,
-    /// Executing a batch until `InFlight::free_at`.
-    Busy(InFlight),
-    /// Failed; rebuilt (via [`BatchRunner::recover`]) at `until`.
-    Quarantined {
-        /// Virtual time the backoff expires and recovery is attempted.
-        until: u64,
-    },
-    /// Retired after exhausting its restart budget.
-    Dead,
-}
+impl BatchRunner for NoReload<'_> {
+    fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
 
-/// What the supervisor decides about a replica that just failed.
-/// Shared with the cluster layer (`cluster.rs`), whose replica state
-/// machine has extra states but the identical failure policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FailureVerdict {
-    /// Back off until the given virtual time, then attempt recovery.
-    Quarantine {
-        /// Virtual time the backoff expires.
-        until: u64,
-    },
-    /// Restart budget exhausted: retire the replica for good.
-    Retire,
-}
+    fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError> {
+        self.0.run_batch(reqs)
+    }
 
-/// Applies the recovery policy to one more failure of a replica:
-/// exponential backoff while the restart budget lasts, retirement after.
-/// Updates `restarts` and the report counters as a side effect.
-pub(crate) fn failure_verdict(
-    restarts: &mut u32,
-    policy: &RecoveryPolicy,
-    now: u64,
-    counters: &mut RecoveryCounters,
-) -> FailureVerdict {
-    if *restarts >= policy.max_restarts {
-        counters.dead_replicas += 1;
-        FailureVerdict::Retire
-    } else {
-        let backoff = policy.backoff_nanos.saturating_mul(1u64 << (*restarts).min(32));
-        *restarts += 1;
-        counters.quarantines += 1;
-        FailureVerdict::Quarantine { until: now.saturating_add(backoff.max(1)) }
+    fn recover(&mut self) -> Result<(), ServeError> {
+        self.0.recover()
+    }
+
+    fn runtime_counters(&self) -> fathom_dataflow::RuntimeCounters {
+        self.0.runtime_counters()
     }
 }
 
-/// Moves a failed replica into quarantine with exponential backoff, or
-/// retires it when its restart budget is spent.
-fn quarantine_or_retire(
-    slot: &mut Replica,
-    restarts: &mut u32,
-    policy: &RecoveryPolicy,
-    now: u64,
-    counters: &mut RecoveryCounters,
-) {
-    match failure_verdict(restarts, policy, now, counters) {
-        FailureVerdict::Retire => *slot = Replica::Dead,
-        FailureVerdict::Quarantine { until } => *slot = Replica::Quarantined { until },
+impl ClusterRunner for NoReload<'_> {
+    fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
+        Err(ServeError::Unservable("single-model serving has no hot reload".into()))
     }
 }
 
@@ -198,9 +156,11 @@ fn quarantine_or_retire(
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Unservable`] when `runners` is empty or the
-/// effective batch limit is zero, and [`ServeError::Fault`] if the event
-/// loop ever stalls (an engine bug, not a replica failure).
+/// Returns [`ServeError::Unservable`] when `runners` is empty, the
+/// effective batch limit is zero, the open-loop rate is not finite and
+/// positive, or a closed loop with requests to issue has no client; and
+/// [`ServeError::Fault`] if the event loop ever stalls (a bug in the
+/// loop, not a replica failure).
 pub fn serve(
     runners: &mut [&mut dyn BatchRunner],
     cfg: &ServeConfig,
@@ -208,273 +168,78 @@ pub fn serve(
     synth: &mut dyn FnMut(&mut Rng, u64) -> Vec<Tensor>,
     workload: &str,
 ) -> Result<ServeReport, ServeError> {
-    if runners.is_empty() {
-        return Err(ServeError::Unservable("serve needs at least one replica".into()));
-    }
-    let cap_floor = runners.iter().map(|r| r.capacity()).min().unwrap_or(0);
-    let max_batch = cfg.max_batch.min(cap_floor);
-    if max_batch == 0 {
-        return Err(ServeError::Unservable(
-            "max_batch and every replica capacity must be at least 1".into(),
-        ));
-    }
-
+    // One generator: the open-loop trace first, then (inside the loop)
+    // every arrival's class draw and every admitted request's payload.
     let mut rng = Rng::seeded(cfg.seed);
-    let mut report = ServeReport::new(workload, max_batch, runners.len());
-    // Session counters are cumulative, so the report carries the delta
-    // over this run, folded across replicas at the end.
-    let runtime_base: Vec<RuntimeCounters> =
-        runners.iter().map(|r| r.runtime_counters()).collect();
-
-    // Scheduled arrival times (min-heap). Open loop precomputes the whole
-    // Poisson trace; closed loop seeds `clients` arrivals at t=0 and adds
-    // one per resolution while `remaining_closed > 0`.
-    let mut arrivals: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
-    let mut remaining_closed = 0usize;
-    match load {
+    let arrivals = match *load {
         LoadModel::Open { rps, duration_nanos } => {
-            if rps.is_nan() || *rps <= 0.0 {
-                return Err(ServeError::Unservable("open-loop load needs a positive rate".into()));
-            }
-            let mut t = 0.0f64;
-            loop {
-                // Exponential inter-arrival; 1 - uniform() keeps ln() off 0.
-                t += -(1.0 - rng.uniform() as f64).ln() / rps * 1e9;
-                if t >= *duration_nanos as f64 {
-                    break;
-                }
-                arrivals.push(std::cmp::Reverse(t as u64));
-            }
+            let mut arrivals = Arrivals::default();
+            arrivals.poisson(&mut rng, 0, rps, duration_nanos)?;
+            arrivals
         }
-        LoadModel::Closed { clients, requests } => {
-            let first = (*clients).min(*requests);
-            for _ in 0..first {
-                arrivals.push(std::cmp::Reverse(0));
-            }
-            remaining_closed = requests - first;
+        LoadModel::Closed { clients: 0, requests: 1.. } => {
+            return Err(ServeError::Unservable("closed-loop load needs at least one client".into()))
         }
+        LoadModel::Closed { clients, requests } => Arrivals::closed(clients, requests),
+    };
+    // The report names the effective coalescing limit, not the asked one.
+    let max_batch = runners.iter().map(|r| r.capacity()).min().map_or(0, |c| c.min(cfg.max_batch));
+    let mut slo = SloPolicy { deadline_nanos: [None; SloClass::COUNT] };
+    slo.deadline_nanos[SloClass::Standard.idx()] = cfg.deadline_nanos;
+    let cluster_cfg = ClusterConfig {
+        queue_cap: cfg.queue_cap,
+        batching: BatchPolicy::FixedRound { max_delay_nanos: cfg.max_delay_nanos },
+        slo,
+        mix: SloMix::pure(SloClass::Standard),
+        seed: cfg.seed,
+        recovery: cfg.recovery,
+        spill_threshold: None,
+        ..ClusterConfig::new(max_batch)
+    };
+    let mut replicas: Vec<NoReload<'_>> = runners.iter_mut().map(|r| NoReload(&mut **r)).collect();
+    let mut model = [ModelSpec {
+        name: workload.to_string(),
+        shards: vec![replicas.iter_mut().map(|r| r as &mut dyn ClusterRunner).collect()],
+        // `run` serves the trace above, not a rate.
+        rps: 0.0,
+        synth: Box::new(synth),
+    }];
+    run(&mut model, &cluster_cfg, arrivals, rng).map(view)
+}
+
+/// The one-model cluster report, flattened over its (single) class.
+fn view(mut report: ClusterReport) -> ServeReport {
+    let mut latency = LatencyHistogram::new();
+    for class in &report.per_class {
+        latency.merge(&class.latency);
     }
-
-    let mut queue: VecDeque<Request> = VecDeque::new();
-    let mut replicas: Vec<Replica> = vec![Replica::Idle; runners.len()];
-    let mut restarts: Vec<u32> = vec![0; runners.len()];
-    // Failed-batch retry counts, by request id. Engine-side so the
-    // public `Request` stays a plain payload.
-    let mut retries: HashMap<u64, u32> = HashMap::new();
-    let mut now = 0u64;
-    let mut next_id = 0u64;
-
-    loop {
-        // 1. Completions free busy replicas (each resolved request lets a
-        // closed-loop client issue its next one); expired quarantines
-        // attempt a supervised rebuild.
-        for (i, runner) in runners.iter_mut().enumerate() {
-            match replicas[i] {
-                Replica::Busy(f) if f.free_at <= now => {
-                    replicas[i] = Replica::Idle;
-                    for _ in 0..f.carried {
-                        if remaining_closed > 0 {
-                            arrivals.push(std::cmp::Reverse(now));
-                            remaining_closed -= 1;
-                        }
-                    }
-                }
-                Replica::Quarantined { until } if until <= now => match runner.recover() {
-                    Ok(()) => {
-                        report.recovery.recoveries += 1;
-                        replicas[i] = Replica::Idle;
-                    }
-                    Err(_) => quarantine_or_retire(
-                        &mut replicas[i],
-                        &mut restarts[i],
-                        &cfg.recovery,
-                        now,
-                        &mut report.recovery,
-                    ),
-                },
-                _ => {}
-            }
-        }
-        let all_dead = replicas.iter().all(|r| matches!(r, Replica::Dead));
-
-        // 2. Arrivals due now: admit or shed. With every replica retired
-        // nothing can ever serve, so arrivals are shed outright.
-        while arrivals.peek().is_some_and(|t| t.0 <= now) {
-            let at = match arrivals.pop() {
-                Some(std::cmp::Reverse(t)) => t,
-                // Invariant: peek above just returned Some.
-                None => break,
-            };
-            let id = next_id;
-            next_id += 1;
-            report.issued += 1;
-            if all_dead || queue.len() >= cfg.queue_cap {
-                report.shed += 1;
-                if all_dead {
-                    report.shed_reasons.replica_loss += 1;
-                } else {
-                    report.shed_reasons.queue_full += 1;
-                }
-                // A shed closed-loop client immediately tries again.
-                if remaining_closed > 0 {
-                    arrivals.push(std::cmp::Reverse(at));
-                    remaining_closed -= 1;
-                }
-                continue;
-            }
-            let inputs = synth(&mut rng, id);
-            queue.push_back(Request { id, arrival: at, inputs });
-            report.queue_depths.push(queue.len());
-        }
-
-        // 3. Deadline expiry of queued (never in-flight) requests.
-        if let Some(deadline) = cfg.deadline_nanos {
-            let before = queue.len();
-            queue.retain(|r| r.arrival + deadline > now);
-            let expired = (before - queue.len()) as u64;
-            report.timed_out += expired;
-            for _ in 0..expired {
-                if remaining_closed > 0 {
-                    arrivals.push(std::cmp::Reverse(now));
-                    remaining_closed -= 1;
-                }
-            }
-        }
-
-        // 3b. Every replica retired: queued work can never be served —
-        // shed it so the run degrades gracefully instead of hanging.
-        if all_dead && !queue.is_empty() {
-            let stranded = queue.len() as u64;
-            report.shed += stranded;
-            report.shed_reasons.replica_loss += stranded;
-            queue.clear();
-            for _ in 0..stranded {
-                if remaining_closed > 0 {
-                    arrivals.push(std::cmp::Reverse(now));
-                    remaining_closed -= 1;
-                }
-            }
-        }
-
-        // 4. Dispatch to idle replicas while the batching rule fires. A
-        // failed dispatch quarantines the replica and re-queues its
-        // batch (front of the queue, original order) for a healthy one.
-        for (i, runner) in runners.iter_mut().enumerate() {
-            if !matches!(replicas[i], Replica::Idle) {
-                continue;
-            }
-            let Some(front) = queue.front() else { break };
-            let oldest_wait = now - front.arrival;
-            let draining = arrivals.is_empty();
-            if queue.len() < max_batch && oldest_wait < cfg.max_delay_nanos && !draining {
-                continue;
-            }
-            let take = queue.len().min(max_batch);
-            let batch: Vec<Request> = queue.drain(..take).collect();
-            let refs: Vec<&Request> = batch.iter().collect();
-            let result = match runner.run_batch(&refs) {
-                Ok(result) => result,
-                Err(_) => {
-                    report.recovery.crashes += 1;
-                    quarantine_or_retire(
-                        &mut replicas[i],
-                        &mut restarts[i],
-                        &cfg.recovery,
-                        now,
-                        &mut report.recovery,
-                    );
-                    for r in batch.into_iter().rev() {
-                        let attempts = retries.entry(r.id).or_insert(0);
-                        if *attempts >= cfg.recovery.max_retries {
-                            report.recovery.dropped += 1;
-                            report.shed += 1;
-                            report.shed_reasons.replica_loss += 1;
-                            if remaining_closed > 0 {
-                                arrivals.push(std::cmp::Reverse(now));
-                                remaining_closed -= 1;
-                            }
-                        } else {
-                            *attempts += 1;
-                            report.recovery.retried += 1;
-                            queue.push_front(r);
-                        }
-                    }
-                    continue;
-                }
-            };
-            let service = (result.service_nanos as u64).max(1);
-            let done = now + service;
-            replicas[i] = Replica::Busy(InFlight { free_at: done, carried: batch.len() });
-            for r in &batch {
-                report.latency.record((done - r.arrival) as f64);
-            }
-            report.completed += batch.len() as u64;
-            report.makespan_nanos = report.makespan_nanos.max(done);
-            report.batches.push(BatchRecord {
-                size: batch.len(),
-                service_nanos: result.service_nanos,
-                class_nanos: result.class_nanos,
-            });
-        }
-
-        // 5. Terminate when fully drained. Quarantined and dead replicas
-        // do not block termination: with no work left there is nothing
-        // to recover *for*.
-        let any_busy = replicas.iter().any(|r| matches!(r, Replica::Busy(_)));
-        if arrivals.is_empty() && remaining_closed == 0 && queue.is_empty() && !any_busy {
-            break;
-        }
-
-        // 6. Advance the clock to the next event: an arrival, a batch
-        // completion, a quarantine expiry, the oldest waiter hitting
-        // max_delay, or a deadline.
-        let mut next: Option<u64> = None;
-        let mut consider = |t: u64| {
-            let t = t.max(now + 1);
-            next = Some(next.map_or(t, |n: u64| n.min(t)));
-        };
-        if let Some(t) = arrivals.peek() {
-            consider(t.0);
-        }
-        for r in &replicas {
-            match r {
-                Replica::Busy(f) => consider(f.free_at),
-                Replica::Quarantined { until } => consider(*until),
-                Replica::Idle | Replica::Dead => {}
-            }
-        }
-        if let Some(front) = queue.front() {
-            if replicas.iter().any(|r| matches!(r, Replica::Idle)) {
-                consider(front.arrival + cfg.max_delay_nanos);
-            }
-            if let Some(deadline) = cfg.deadline_nanos {
-                consider(front.arrival + deadline);
-            }
-        }
-        match next {
-            Some(t) => now = t,
-            // Unreachable by construction: work remaining implies a
-            // scheduled arrival, a busy/quarantined replica, an
-            // all-dead purge, or a queue-front timer. Surface an engine
-            // bug as a typed error rather than a hang or panic.
-            None => {
-                return Err(ServeError::Fault(
-                    "engine stalled: work remains but no future event is scheduled".into(),
-                ))
-            }
-        }
+    // Invariant: `serve` handed the loop exactly one model.
+    let model = report.models.pop().expect("one model in, one model out");
+    ServeReport {
+        workload: model.model,
+        max_batch: report.max_batch,
+        replicas: model.replicas,
+        issued: report.issued(),
+        completed: report.completed(),
+        shed: report.shed(),
+        shed_reasons: report.shed_reasons(),
+        timed_out: report.timed_out(),
+        makespan_nanos: report.makespan_nanos,
+        latency,
+        recovery: report.recovery,
+        runtime: report.runtime,
+        admitted: model.admitted,
+        max_queue_depth: model.max_queue_depth,
+        batches: model.batches,
+        batched_requests: model.batched_requests,
+        class_nanos: model.class_nanos,
     }
-
-    for (runner, base) in runners.iter().zip(&runtime_base) {
-        report.runtime.merge(&runner.runtime_counters().delta_since(base));
-    }
-
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pinned::assert_pinned;
     use crate::worker::BatchResult;
 
     /// Deterministic runner: fixed service time per batch, no tensors.
@@ -529,8 +294,9 @@ mod tests {
         let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(4) };
         let load = LoadModel::Open { rps: 1000.0, duration_nanos: 200_000_000 };
         let r = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap();
-        let full = r.batches_of_size(4);
-        assert!(full * 2 > r.batches.len(), "expected mostly full batches, sizes {:?}", runner.batches);
+        let full = runner.batches.iter().filter(|&&size| size == 4).count();
+        assert_eq!(r.batches(), runner.batches.len() as u64);
+        assert!(full * 2 > runner.batches.len(), "expected mostly full batches, sizes {:?}", runner.batches);
         assert!(r.max_queue_depth() > 4);
     }
 
@@ -543,6 +309,7 @@ mod tests {
         assert_eq!(r.issued, 40);
         assert_eq!(r.completed, 40);
         assert_eq!(r.shed, 0);
+        assert_pinned("closed loop, 6 clients, 40 requests", &r.to_json(), 0x0ad4_6f98_1b5e_dd60);
         // 6 clients with zero think time never batch above the client count.
         assert!(runner.batches.iter().all(|&s| s <= 6));
     }
@@ -557,13 +324,17 @@ mod tests {
         assert_eq!(r.issued, r.completed + r.shed + r.timed_out);
         assert_eq!(r.shed_reasons.total(), r.shed, "every shed carries a reason");
         assert_eq!(r.shed_reasons.queue_full, r.shed, "admission sheds are queue-full");
+        assert_pinned("open loop, queue of 2 under overload", &r.to_json(), 0x5db9_e925_1cfc_cd07);
     }
 
     #[test]
     fn deadlines_time_out_queued_work() {
-        // One slow replica; requests queued behind a 100 ms batch blow a
-        // 10 ms deadline before they can be dispatched.
-        let mut runner = FakeRunner::new(1, 100_000_000.0);
+        // One replica at 8 ms a request, a 10 ms deadline. An arrival
+        // that finds the replica just started is admitted (one 8 ms
+        // round fits) and then blows its deadline waiting for the
+        // replica to free; one that finds a request already queued is
+        // refused outright, the cluster's deadline-aware admission.
+        let mut runner = FakeRunner::new(1, 8_000_000.0);
         let cfg = ServeConfig {
             deadline_nanos: Some(10_000_000),
             queue_cap: 64,
@@ -572,9 +343,12 @@ mod tests {
         let load = LoadModel::Open { rps: 100.0, duration_nanos: 1_000_000_000 };
         let r = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap();
         assert!(r.timed_out > 0, "expected deadline expirations");
+        assert!(r.shed_reasons.deadline_infeasible > 0, "expected deadline-aware sheds");
+        assert_eq!(r.shed_reasons.total(), r.shed);
         assert_eq!(r.issued, r.completed + r.shed + r.timed_out);
         // In-flight work is never cancelled: every dispatched batch completes.
         assert_eq!(r.completed, runner.batches.iter().sum::<usize>() as u64);
+        assert!(r.latency.max() <= 10_000_000.0, "no completion is late: {}", r.latency.max());
     }
 
     #[test]
@@ -601,6 +375,7 @@ mod tests {
             serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap().to_json()
         };
         assert_eq!(run(), run());
+        assert_pinned("open loop, 300 rps", &run(), 0x2303_3638_f902_7180);
     }
 
     #[test]
@@ -627,6 +402,7 @@ mod tests {
         assert_eq!(r.recovery.recoveries, 1, "quarantine must expire into recovery");
         assert_eq!(r.recovery.dropped, 0);
         assert_eq!(plan.fired_count(), 1, "the injected crash must have fired");
+        assert_pinned("closed loop, one crash, two replicas", &r.to_json(), 0xabd1_d62e_168c_9c33);
     }
 
     #[test]
@@ -651,10 +427,34 @@ mod tests {
         assert!(r.recovery.dropped > 0, "retry-exhausted requests are dropped");
         assert_eq!(r.shed, r.issued, "every issued request is reported shed");
         assert_eq!(r.shed_reasons.total(), r.shed);
+        assert_pinned("closed loop, every dispatch crashes", &r.to_json(), 0xa8fb_350e_d749_acfd);
         assert_eq!(
             r.shed_reasons.replica_loss, r.shed,
             "dead-fleet sheds are all attributed to replica loss"
         );
+    }
+
+    #[test]
+    fn the_last_replica_dying_with_retries_left_still_terminates() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        // No restarts: the first crash retires the only replica while
+        // its batch, retry budget intact, goes back on the queue. Every
+        // client is waiting on that batch, so nothing else is scheduled
+        // (the parent's loops reported a stall here).
+        let plan = FaultPlan::new(5).with(FaultSite::ServeBatch { replica: 0 }, 0, FaultAction::Crash);
+        let mut only = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), Arc::new(plan), 0);
+        let cfg = ServeConfig {
+            recovery: RecoveryPolicy { max_restarts: 0, ..RecoveryPolicy::default() },
+            ..ServeConfig::new(4)
+        };
+        let load = LoadModel::Closed { clients: 2, requests: 4 };
+        let r = serve(&mut [&mut only], &cfg, &load, &mut no_inputs, "fake").unwrap();
+        assert_eq!((r.issued, r.completed, r.shed), (4, 0, 4));
+        assert_eq!(r.shed_reasons.replica_loss, 4);
+        assert_eq!((r.recovery.retried, r.recovery.dropped, r.recovery.dead_replicas), (2, 0, 1));
     }
 
     #[test]
@@ -673,7 +473,8 @@ mod tests {
         let load = LoadModel::Closed { clients: 2, requests: 2 };
         let r = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap();
         assert_eq!(r.completed, 2);
-        assert_eq!(r.batches[0].service_nanos, 45_000_000.0, "stall adds to service time");
+        assert_eq!(r.batches(), 1);
+        assert_eq!(r.makespan_nanos, 45_000_000, "stall adds to service time");
     }
 
     #[test]
@@ -695,6 +496,7 @@ mod tests {
         let first = run();
         assert!(first.contains("\"recovery\""), "faulted run must report recovery counters");
         assert_eq!(first, run());
+        assert_pinned("open loop, crash and stall on two replicas", &first, 0x2bd1_0a91_105a_f957);
     }
 
     #[test]
@@ -703,6 +505,42 @@ mod tests {
         let load = LoadModel::Closed { clients: 1, requests: 1 };
         let err = serve(&mut [], &cfg, &load, &mut no_inputs, "fake").unwrap_err();
         assert!(matches!(err, ServeError::Unservable(_)), "got {err}");
+    }
+
+    #[test]
+    fn degenerate_loads_are_unservable_not_a_hang() {
+        let cfg = ServeConfig::new(4);
+        for rps in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let mut runner = FakeRunner::new(4, 1_000_000.0);
+            let load = LoadModel::Open { rps, duration_nanos: 1_000_000_000 };
+            let err = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap_err();
+            assert!(matches!(err, ServeError::Unservable(_)), "rps {rps}: got {err}");
+        }
+        // Requests to issue and nobody to issue them.
+        let mut runner = FakeRunner::new(4, 1_000_000.0);
+        let load = LoadModel::Closed { clients: 0, requests: 3 };
+        let err = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap_err();
+        assert!(matches!(err, ServeError::Unservable(_)), "got {err}");
+    }
+
+    #[test]
+    fn a_deadline_and_a_delay_of_u64_max_mean_never() {
+        // Deadlines and delay timers are arrival + span; at u64::MAX the
+        // sum must stay in the future (nothing times out, partial
+        // batches wait for the drain), not wrap into the past.
+        let mut runner = FakeRunner::new(4, 1_000_000.0);
+        let cfg = ServeConfig {
+            deadline_nanos: Some(u64::MAX),
+            max_delay_nanos: u64::MAX,
+            queue_cap: 1024,
+            ..ServeConfig::new(4)
+        };
+        let load = LoadModel::Open { rps: 300.0, duration_nanos: 200_000_000 };
+        let r = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap();
+        assert!(r.issued > 20);
+        assert_eq!((r.completed, r.shed, r.timed_out), (r.issued, 0, 0));
+        let partial = runner.batches.iter().filter(|&&size| size < 4).count();
+        assert!(partial <= 1, "only the drain may run a partial batch: {:?}", runner.batches);
     }
 
     #[test]

@@ -13,24 +13,25 @@
 //!   `fathom-dataflow`) per replica, packing and splitting request
 //!   tensors via `fathom_dataflow::batch` along each workload's declared
 //!   [`BatchSpec`](fathom::BatchSpec);
-//! * [`engine::serve`] — a deterministic virtual-time event loop:
-//!   dynamic batching up to `max_batch`/`max_delay`, bounded-queue load
-//!   shedding, per-request deadlines, graceful drain;
-//! * [`metrics::ServeReport`] — per-request latency quantiles, queue
-//!   depth, batch-size distribution, shed/timeout counters, and op-class
-//!   time slices fed from the session trace;
-//! * supervised recovery — a failed replica is quarantined with
-//!   exponential backoff and rebuilt from its checkpoint, its in-flight
-//!   batch retries on a healthy replica, and
-//!   [`metrics::RecoveryCounters`] account for every crash. The
-//!   [`chaos::FaultyRunner`] wrapper drives all of it deterministically
-//!   from a seeded [`FaultPlan`](fathom_dataflow::FaultPlan);
-//! * [`cluster::serve_cluster`] — the fleet layer: multiple models, each
-//!   behind a group of shards, with consistent-hash routing and
+//! * [`cluster`] — the crate's one event loop, in deterministic virtual
+//!   time: per-shard queues behind consistent-hash routing with
 //!   load-aware spill ([`router::Router`]), per-request SLO classes and
 //!   deadline-aware admission ([`slo::SloClass`]), continuous batching
-//!   versus fixed rounds ([`cluster::BatchPolicy`]), and zero-drop hot
+//!   or fixed `max_batch`/`max_delay` rounds ([`cluster::BatchPolicy`]),
+//!   bounded-queue load shedding, graceful drain, and zero-drop hot
 //!   model reload from a v2 checkpoint ([`cluster::ReloadPlan`]).
+//!   [`cluster::serve_cluster`] offers it an open-loop load per model;
+//! * [`engine::serve`] — the adapter for the 1 model x 1 shard x N
+//!   replica case of that loop (fixed rounds, one class, open- or
+//!   closed-loop load), returning the flat [`metrics::ServeReport`]:
+//!   latency quantiles, queue depth, batch shape, shed/timeout counters
+//!   and op-class time slices fed from the session trace;
+//! * supervised recovery, in the loop — a failed replica is quarantined
+//!   with exponential backoff and rebuilt from its checkpoint, its
+//!   in-flight batch retries on a healthy replica, and
+//!   [`metrics::RecoveryCounters`] account for every crash. The
+//!   [`chaos::FaultyRunner`] wrapper drives all of it deterministically
+//!   from a seeded [`FaultPlan`](fathom_dataflow::FaultPlan).
 //!
 //! The correctness contract is *batch independence*: a request's output
 //! is bitwise identical whether it rode in a batch of one or a full
@@ -54,7 +55,20 @@ pub use cluster::{
     ModelReport, ModelSpec, ReloadPlan, SynthFn,
 };
 pub use engine::{serve, LoadModel, RecoveryPolicy, ServeConfig};
-pub use metrics::{BatchRecord, LatencyHistogram, RecoveryCounters, ServeReport, ShedBreakdown};
+pub use metrics::{LatencyHistogram, RecoveryCounters, ServeReport, ShedBreakdown};
 pub use router::{HashRing, Placement, Router};
 pub use slo::{SloClass, SloMix, SloPolicy};
 pub use worker::{synth_inputs, BatchResult, BatchRunner, Request, ServeError, SessionWorker};
+
+/// Report fixtures recorded at the parent of PR 18 (two event loops),
+/// asserted on the one loop that replaced them.
+#[cfg(test)]
+pub(crate) mod pinned {
+    /// Asserts that `json` hashes (FNV-1a, 64 bit) to `expected`.
+    pub(crate) fn assert_pinned(what: &str, json: &str, expected: u64) {
+        let hash = json
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(hash, expected, "{what}: report drifted from the pinned one ({hash:#018x}):\n{json}");
+    }
+}

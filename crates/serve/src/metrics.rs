@@ -1,10 +1,12 @@
 //! Per-request observability: latency distribution, queue pressure,
 //! batch shape, and op-class time slices for a serving run.
 //!
-//! Everything here is plain data plus a hand-rolled JSON writer (the
-//! vendored `serde` is marker-traits only; see `vendor/README.md`), so a
+//! Everything here is plain data plus hand-rolled JSON (the vendored
+//! `serde` is marker-traits only; see `vendor/README.md`), so a
 //! [`ServeReport`] can be dropped next to the other `BENCH_*.json`
-//! artifacts and diffed across runs.
+//! artifacts and diffed across runs. The fragments it shares with
+//! [`ClusterReport`](crate::cluster::ClusterReport) — `latency_ms`,
+//! `recovery`, `shed_reasons` — are written here, once.
 
 use fathom_dataflow::{OpClass, RuntimeCounters};
 use serde::Serialize;
@@ -92,18 +94,20 @@ impl LatencyHistogram {
     pub fn merge(&mut self, other: &LatencyHistogram) {
         self.samples.extend_from_slice(&other.samples);
     }
-}
 
-/// One executed batch: how full it was, how long the session run took,
-/// and (when the worker traces) where that time went by op class.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BatchRecord {
-    /// Requests carried (1..=max_batch; padding slots are not counted).
-    pub size: usize,
-    /// Wall time of the `Session::run`, in nanoseconds.
-    pub service_nanos: f64,
-    /// Op time by paper class A-G (all zeros when tracing is off).
-    pub class_nanos: [f64; 7],
+    /// The `latency_ms` object of a report: quantiles, mean and max in
+    /// milliseconds.
+    pub(crate) fn to_json_ms(&self) -> String {
+        let ms = |nanos: f64| json_f64(nanos / 1e6, 3);
+        format!(
+            "{{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}}}",
+            ms(self.quantile(0.50)),
+            ms(self.quantile(0.95)),
+            ms(self.quantile(0.99)),
+            ms(self.mean()),
+            ms(self.max()),
+        )
+    }
 }
 
 /// Supervisor activity over one serving run: how often replicas failed
@@ -130,6 +134,20 @@ impl RecoveryCounters {
     /// True when any failure or recovery activity was recorded.
     pub fn any(&self) -> bool {
         *self != RecoveryCounters::default()
+    }
+
+    /// The counters as a JSON object string.
+    pub(crate) fn to_json(self) -> String {
+        format!(
+            "{{\"crashes\": {}, \"retried\": {}, \"dropped\": {}, \"quarantines\": {}, \
+             \"recoveries\": {}, \"dead_replicas\": {}}}",
+            self.crashes,
+            self.retried,
+            self.dropped,
+            self.quarantines,
+            self.recoveries,
+            self.dead_replicas
+        )
     }
 }
 
@@ -180,7 +198,9 @@ impl ShedBreakdown {
     }
 }
 
-/// Everything measured over one serving run.
+/// Everything measured over one single-model serving run: the flat view
+/// [`serve`](crate::engine::serve) takes of its one-model
+/// [`ClusterReport`](crate::cluster::ClusterReport).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
     /// Workload short name.
@@ -203,14 +223,17 @@ pub struct ServeReport {
     pub makespan_nanos: u64,
     /// End-to-end request latency (admission to batch completion).
     pub latency: LatencyHistogram,
-    /// Queue depth observed after each admission.
-    pub queue_depths: Vec<usize>,
-    /// Executed batches in dispatch order.
-    pub batches: Vec<BatchRecord>,
     /// Supervisor counters: crashes, retries, quarantines, recoveries.
     pub recovery: RecoveryCounters,
     /// Unified-runtime counters folded across all replica sessions.
     pub runtime: RuntimeCounters,
+    /// Requests admitted to the queue; each sampled the queue depth.
+    pub(crate) admitted: u64,
+    pub(crate) max_queue_depth: usize,
+    pub(crate) batches: u64,
+    /// Requests carried across the executed batches.
+    pub(crate) batched_requests: u64,
+    pub(crate) class_nanos: [f64; 7],
 }
 
 impl ServeReport {
@@ -227,10 +250,13 @@ impl ServeReport {
             timed_out: 0,
             makespan_nanos: 0,
             latency: LatencyHistogram::new(),
-            queue_depths: Vec::new(),
-            batches: Vec::new(),
             recovery: RecoveryCounters::default(),
             runtime: RuntimeCounters::default(),
+            admitted: 0,
+            max_queue_depth: 0,
+            batches: 0,
+            batched_requests: 0,
+            class_nanos: [0.0; 7],
         }
     }
 
@@ -242,40 +268,33 @@ impl ServeReport {
         self.completed as f64 * 1e9 / self.makespan_nanos as f64
     }
 
+    /// Executed batches.
+    pub fn batches(&self) -> u64 {
+        self.batches
+    }
+
     /// Mean carried batch size across executed batches (0 when none ran).
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batches.is_empty() {
+        if self.batches == 0 {
             return 0.0;
         }
-        self.batches.iter().map(|b| b.size as f64).sum::<f64>() / self.batches.len() as f64
+        self.batched_requests as f64 / self.batches as f64
     }
 
     /// Deepest queue observed at any admission.
     pub fn max_queue_depth(&self) -> usize {
-        self.queue_depths.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Count of executed batches that carried exactly `size` requests.
-    pub fn batches_of_size(&self, size: usize) -> usize {
-        self.batches.iter().filter(|b| b.size == size).count()
+        self.max_queue_depth
     }
 
     /// Total op time attributed to each paper class across all traced
     /// batches, A-G order.
     pub fn class_nanos(&self) -> [f64; 7] {
-        let mut total = [0.0; 7];
-        for b in &self.batches {
-            for (t, c) in total.iter_mut().zip(b.class_nanos) {
-                *t += c;
-            }
-        }
-        total
+        self.class_nanos
     }
 
     /// Serializes the report to a JSON object (hand-rolled; the vendored
     /// serde is marker-traits only).
     pub fn to_json(&self) -> String {
-        let ms = |nanos: f64| nanos / 1e6;
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
         s.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
@@ -291,42 +310,29 @@ impl ServeReport {
         s.push_str(&format!("  \"timed_out\": {},\n", self.timed_out));
         s.push_str(&format!("  \"makespan_ms\": {},\n", json_f64(self.makespan_nanos as f64 / 1e6, 3)));
         s.push_str(&format!("  \"throughput_rps\": {},\n", json_f64(self.throughput_rps(), 3)));
-        s.push_str(&format!(
-            "  \"latency_ms\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}}},\n",
-            json_f64(ms(self.latency.quantile(0.50)), 3),
-            json_f64(ms(self.latency.quantile(0.95)), 3),
-            json_f64(ms(self.latency.quantile(0.99)), 3),
-            json_f64(ms(self.latency.mean()), 3),
-            json_f64(ms(self.latency.max()), 3),
-        ));
+        s.push_str(&format!("  \"latency_ms\": {},\n", self.latency.to_json_ms()));
         s.push_str(&format!(
             "  \"queue_depth\": {{\"max\": {}, \"samples\": {}}},\n",
-            self.max_queue_depth(),
-            self.queue_depths.len()
+            self.max_queue_depth, self.admitted
         ));
         s.push_str(&format!(
             "  \"batches\": {{\"count\": {}, \"mean_size\": {}}},\n",
-            self.batches.len(),
+            self.batches,
             json_f64(self.mean_batch_size(), 3)
         ));
         // Emitted only when the supervisor actually did something, so
         // fault-free runs produce byte-identical JSON to earlier builds.
         if self.recovery.any() {
-            let r = &self.recovery;
-            s.push_str(&format!(
-                "  \"recovery\": {{\"crashes\": {}, \"retried\": {}, \"dropped\": {}, \"quarantines\": {}, \"recoveries\": {}, \"dead_replicas\": {}}},\n",
-                r.crashes, r.retried, r.dropped, r.quarantines, r.recoveries, r.dead_replicas
-            ));
+            s.push_str(&format!("  \"recovery\": {},\n", self.recovery.to_json()));
         }
         // Emitted only when the unified runtime recorded something, so
         // serial or modeled-device runs keep byte-identical JSON.
         if self.runtime.any() {
             s.push_str(&format!("  \"runtime\": {},\n", self.runtime.to_json()));
         }
-        let class_totals = self.class_nanos();
         let classes: Vec<String> = OpClass::ALL
             .iter()
-            .zip(class_totals)
+            .zip(self.class_nanos)
             .map(|(c, nanos)| format!("\"{}\": {}", c.letter(), json_f64(nanos, 0)))
             .collect();
         s.push_str(&format!("  \"class_nanos\": {{{}}}\n", classes.join(", ")));
@@ -461,17 +467,15 @@ mod tests {
     }
 
     #[test]
-    fn report_aggregates_batches() {
+    fn report_derives_means_from_its_aggregates() {
         let mut r = ServeReport::new("alexnet", 4, 1);
-        let mut class_a = [0.0; 7];
-        class_a[0] = 100.0;
-        r.batches.push(BatchRecord { size: 4, service_nanos: 500.0, class_nanos: class_a });
-        r.batches.push(BatchRecord { size: 2, service_nanos: 300.0, class_nanos: class_a });
+        assert_eq!(r.mean_batch_size(), 0.0, "no batch ran");
+        r.batches = 2;
+        r.batched_requests = 6;
         r.completed = 6;
         r.makespan_nanos = 3_000_000_000;
+        assert_eq!(r.batches(), 2);
         assert_eq!(r.mean_batch_size(), 3.0);
-        assert_eq!(r.batches_of_size(4), 1);
-        assert_eq!(r.class_nanos()[0], 200.0);
         assert!((r.throughput_rps() - 2.0).abs() < 1e-9);
     }
 
@@ -482,9 +486,7 @@ mod tests {
         r.completed = 2;
         r.latency.record(f64::NAN);
         r.latency.record(f64::INFINITY);
-        let mut poisoned = [0.0; 7];
-        poisoned[3] = f64::NEG_INFINITY;
-        r.batches.push(BatchRecord { size: 1, service_nanos: 10.0, class_nanos: poisoned });
+        r.class_nanos[3] = f64::NEG_INFINITY;
         let json = r.to_json();
         assert!(json.contains("null"), "poisoned fields should emit null: {json}");
         for token in ["NaN", "inf", "Infinity"] {

@@ -6,7 +6,7 @@
 //! the graph's fixed-shape placeholders (zero-padding unused slots),
 //! runs the single fetch named by the workload's
 //! [`BatchSpec`](fathom::BatchSpec), and splits the result back into one
-//! tensor per request. The engine talks to workers only through the
+//! tensor per request. The event loop talks to workers only through the
 //! [`BatchRunner`] trait, so deterministic tests substitute fake runners
 //! with injected service times.
 
@@ -28,7 +28,7 @@ pub enum ServeError {
     /// Warm-start checkpoint could not be restored.
     Checkpoint(CheckpointError),
     /// A replica failed while executing a batch — a crashed process,
-    /// an injected fault, or an engine-internal invariant violation.
+    /// an injected fault, or a loop-internal invariant violation.
     Fault(String),
 }
 
@@ -79,7 +79,7 @@ pub struct BatchResult {
     pub class_nanos: [f64; 7],
 }
 
-/// Executes coalesced batches — the engine's only view of a worker.
+/// Executes coalesced batches — the event loop's only view of a worker.
 pub trait BatchRunner {
     /// Most requests one batch can carry.
     fn capacity(&self) -> usize;
@@ -93,7 +93,7 @@ pub trait BatchRunner {
     fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError>;
 
     /// Restores the runner to a servable state after [`run_batch`]
-    /// returned an error. The engine's supervisor calls this when a
+    /// returned an error. The loop's supervisor calls this when a
     /// quarantine expires; the default is a no-op for stateless runners.
     ///
     /// # Errors

@@ -28,6 +28,12 @@ stage clippy cargo clippy --workspace --all-targets -- -D warnings
 # real open-loop run end to end.
 stage serve-bench ./target/release/fathom serve-bench alexnet --rps 50 --duration 1 --seed 7
 
+# Closed-loop faulted smoke (the README's own example): the single-model
+# adapter's closed loop and the supervisor's crash -> requeue -> recover
+# path on the one event loop, two replicas under an injected crash.
+stage serve-bench-closed ./target/release/fathom serve-bench memnet --clients 4 --requests 32 \
+  --replicas 2 --fault-plan "seed=7;replica0@1=crash"
+
 # Chaos smoke: injected op panic, checkpoint corruption, and a replica
 # crash must all be recovered from (nonzero exit if any probe fails).
 stage chaos ./target/release/fathom chaos autoenc --seed 7

@@ -7,8 +7,8 @@
 
 use fathom_suite::fathom::train::{TrainOutcome, TrainReport};
 use fathom_suite::fathom_serve::{
-    serve_cluster, BatchRecord, BatchResult, BatchRunner, ClusterConfig, ClusterRunner, ModelSpec,
-    Request, ServeError, ServeReport,
+    serve, serve_cluster, BatchResult, BatchRunner, ClusterConfig, ClusterRunner, LoadModel,
+    ModelSpec, Request, ServeConfig, ServeError,
 };
 use fathom_suite::fathom_tensor::{Rng, Tensor};
 
@@ -156,54 +156,61 @@ fn the_validator_itself_rejects_bare_float_tokens() {
     assert!(validate_json("{\"x\" 1}").is_err());
 }
 
+/// A 1 ms replica of capacity 4 that reports `class_nanos` as each
+/// batch's op time by class.
+struct FixedRunner {
+    class_nanos: [f64; 7],
+}
+
+impl BatchRunner for FixedRunner {
+    fn capacity(&self) -> usize {
+        4
+    }
+
+    fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError> {
+        Ok(BatchResult {
+            outputs: reqs.iter().map(|_| Tensor::zeros([1])).collect(),
+            service_nanos: 1_000_000.0,
+            class_nanos: self.class_nanos,
+        })
+    }
+}
+
+impl ClusterRunner for FixedRunner {
+    fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
+        Ok(())
+    }
+}
+
 #[test]
 fn serve_report_json_round_trips_clean_and_poisoned() {
-    let mut r = ServeReport::new("speech", 4, 2);
-    r.issued = 5;
-    r.completed = 5;
-    r.latency.record(1_500_000.0);
-    r.batches.push(BatchRecord { size: 2, service_nanos: 800_000.0, class_nanos: [1.0; 7] });
+    let run = |class_nanos: [f64; 7]| {
+        let mut runner = FixedRunner { class_nanos };
+        let cfg = ServeConfig { queue_cap: 2, ..ServeConfig::new(4) };
+        let load = LoadModel::Closed { clients: 5, requests: 10 };
+        serve(&mut [&mut runner], &cfg, &load, &mut |_rng, _id| Vec::new(), "speech")
+            .expect("serves")
+    };
+    let r = run([1.0; 7]);
+    assert!(r.completed > 0 && r.shed > 0, "the fixture both serves and sheds");
     assert_round_trips("ServeReport (clean)", &r.to_json());
 
-    // Poison it the way a broken clock or divided-by-zero trace would.
+    // Poison it the way a broken clock or divided-by-zero trace would:
+    // a class-time sum through the loop, latencies directly.
+    let mut poisoned = [0.0; 7];
+    poisoned[2] = f64::NAN;
+    let mut r = run(poisoned);
     r.latency.record(f64::NAN);
     r.latency.record(f64::INFINITY);
-    let mut poisoned = [0.0; 7];
-    poisoned[2] = f64::NEG_INFINITY;
-    r.batches.push(BatchRecord { size: 1, service_nanos: f64::NAN, class_nanos: poisoned });
-    r.shed = 1;
-    r.shed_reasons.queue_full = 1;
-    assert_round_trips("ServeReport (poisoned)", &r.to_json());
+    let json = r.to_json();
+    assert!(json.contains("\"C\": null"), "a poisoned class sum degrades to null:\n{json}");
+    assert_round_trips("ServeReport (poisoned)", &json);
 }
 
 #[test]
 fn cluster_report_json_round_trips_clean_and_poisoned() {
-    struct FixedRunner {
-        capacity: usize,
-    }
-
-    impl BatchRunner for FixedRunner {
-        fn capacity(&self) -> usize {
-            self.capacity
-        }
-
-        fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError> {
-            Ok(BatchResult {
-                outputs: reqs.iter().map(|_| Tensor::zeros([1])).collect(),
-                service_nanos: 1_000_000.0,
-                class_nanos: [0.0; 7],
-            })
-        }
-    }
-
-    impl ClusterRunner for FixedRunner {
-        fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
-            Ok(())
-        }
-    }
-
-    let mut w0 = FixedRunner { capacity: 4 };
-    let mut w1 = FixedRunner { capacity: 4 };
+    let mut w0 = FixedRunner { class_nanos: [0.0; 7] };
+    let mut w1 = FixedRunner { class_nanos: [0.0; 7] };
     let mut models = vec![ModelSpec {
         name: "fixed".into(),
         shards: vec![vec![&mut w0], vec![&mut w1]],
