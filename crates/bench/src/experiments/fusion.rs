@@ -13,17 +13,18 @@
 //! fuse-check` gates this), so the ablation measures pure
 //! scheduling/traversal/memory-traffic savings. Besides the
 //! human-readable table, the experiment emits machine-readable
-//! `BENCH_fusion.json` into both `target/fathom-results/` and the
-//! repository root so the perf trajectory is tracked across PRs.
+//! `BENCH_fusion.json` through `crate::measure` (interleaved rounds,
+//! median and inter-quartile distance per leg) so the perf trajectory is
+//! tracked across PRs.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use fathom::{BuildConfig, FusionLevel, ModelKind};
-use fathom_dataflow::OpKind;
+use fathom_dataflow::{Json, OpKind};
 use fathom_profile::OpProfile;
 
+use crate::measure::{emit, envelope, geomean, rounds, timed_ms, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
 /// One workload's three-leg fusion comparison.
@@ -41,13 +42,13 @@ pub struct FusionRow {
     pub nodes_elementwise: usize,
     /// Executed nodes per training step, full fusion.
     pub nodes_fused: usize,
-    /// Median training-step wall time (ms), fusion off.
-    pub ms_unfused: f64,
-    /// Median training-step wall time (ms), elementwise fusion only —
-    /// the prior ablation's "fused" leg, kept as the epilogue baseline.
-    pub ms_elementwise: f64,
-    /// Median training-step wall time (ms), full fusion.
-    pub ms_fused: f64,
+    /// Training-step wall time (ms), fusion off.
+    pub ms_unfused: Spread,
+    /// Training-step wall time (ms), elementwise fusion only — the
+    /// prior ablation's "fused" leg, kept as the epilogue baseline.
+    pub ms_elementwise: Spread,
+    /// Training-step wall time (ms), full fusion.
+    pub ms_fused: Spread,
     /// Class-C (elementwise) share of traced step time, fusion off/full.
     pub class_c: (f64, f64),
     /// Class-G (data movement) share of traced step time, fusion off/full.
@@ -66,40 +67,14 @@ impl FusionRow {
     /// Unfused-to-fully-fused step-time ratio (>1 means fusion is
     /// faster).
     pub fn speedup(&self) -> f64 {
-        if self.ms_fused > 0.0 { self.ms_unfused / self.ms_fused } else { 0.0 }
+        if self.ms_fused.median > 0.0 { self.ms_unfused.median / self.ms_fused.median } else { 0.0 }
     }
 
     /// Elementwise-only-to-full step-time ratio: what the GEMM epilogue
     /// pass buys on top of the elementwise pass.
     pub fn epilogue_speedup(&self) -> f64 {
-        if self.ms_fused > 0.0 { self.ms_elementwise / self.ms_fused } else { 0.0 }
+        if self.ms_fused.median > 0.0 { self.ms_elementwise.median / self.ms_fused.median } else { 0.0 }
     }
-}
-
-/// Median of a sample set (mean of the middle two for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
-}
-
-/// Geometric mean of per-workload ratios (0.0 for an empty set).
-fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut count) = (0.0f64, 0usize);
-    for r in ratios {
-        if r > 0.0 {
-            log_sum += r.ln();
-            count += 1;
-        }
-    }
-    if count == 0 { 0.0 } else { (log_sum / count as f64).exp() }
 }
 
 /// Steady-state step time plus one traced step's node count and class
@@ -111,20 +86,12 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
 /// and `GemmFused` nodes emit one trace event per constituent op, all
 /// carrying the node's id, so distinct `(run, node)` pairs count
 /// *executed nodes* rather than attributed ops.
-fn measure(kind: ModelKind, fusion: FusionLevel, effort: &Effort) -> (f64, usize, f64, f64) {
+fn leg(kind: ModelKind, fusion: FusionLevel, effort: &Effort) -> (f64, usize, f64, f64) {
     let cfg = BuildConfig::training().with_fusion_level(fusion);
     let mut workload = kind.build(&cfg);
-    for _ in 0..effort.warmup {
+    let ms = timed_ms(effort.warmup, effort.steps, || {
         workload.step();
-    }
-    let mut samples: Vec<f64> = (0..effort.steps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            workload.step();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    let ms = median(&mut samples);
+    });
     workload.session_mut().enable_tracing();
     workload.step();
     let trace = workload.session_mut().take_trace();
@@ -143,25 +110,16 @@ fn measure(kind: ModelKind, fusion: FusionLevel, effort: &Effort) -> (f64, usize
     (ms, nodes.len(), class_c, class_g)
 }
 
-/// Compares one workload across the three fusion legs.
-///
-/// With `effort.repeats > 1` the three legs are re-measured in
-/// interleaved rounds (off, elementwise, full, off, ...) and each leg
-/// keeps its best (minimum) median. A transient host slowdown — another
-/// tenant, a frequency dip — spans whole legs at this scale, so a
-/// single pass can bake a one-off stall into exactly one side of the
-/// comparison; interleaved best-of-R rejects it. Node counts and class
-/// shares are deterministic and come from the first round.
+/// Compares one workload across the three fusion legs, measured in
+/// interleaved rounds (off, elementwise, full, off, ...). Node counts are
+/// deterministic; they and the class shares are the last round's.
 pub fn compare(kind: ModelKind, effort: &Effort) -> FusionRow {
-    let (mut ms_unfused, nodes_unfused, c0, g0) = measure(kind, FusionLevel::Off, effort);
-    let (mut ms_elementwise, nodes_elementwise, _, _) =
-        measure(kind, FusionLevel::Elementwise, effort);
-    let (mut ms_fused, nodes_fused, c1, g1) = measure(kind, FusionLevel::Full, effort);
-    for _ in 1..effort.repeats.max(1) {
-        ms_unfused = ms_unfused.min(measure(kind, FusionLevel::Off, effort).0);
-        ms_elementwise = ms_elementwise.min(measure(kind, FusionLevel::Elementwise, effort).0);
-        ms_fused = ms_fused.min(measure(kind, FusionLevel::Full, effort).0);
-    }
+    let ([ms_unfused, ms_elementwise, ms_fused], counts) = rounds(effort, || {
+        let legs = [FusionLevel::Off, FusionLevel::Elementwise, FusionLevel::Full]
+            .map(|level| leg(kind, level, effort));
+        (legs.map(|(ms, ..)| ms), legs.map(|(_, nodes, c, g)| (nodes, c, g)))
+    });
+    let [(nodes_unfused, c0, g0), (nodes_elementwise, ..), (nodes_fused, c1, g1)] = counts;
     let (fused_groups, gemm_groups) = {
         let cfg = BuildConfig::training().with_fusion_level(FusionLevel::Full);
         let workload = kind.build(&cfg);
@@ -186,53 +144,42 @@ pub fn compare(kind: ModelKind, effort: &Effort) -> FusionRow {
     }
 }
 
-/// Renders the rows as `BENCH_fusion.json` (written by hand; the suite
-/// carries no JSON dependency). The `unfused`/`fused` keys keep their
-/// historical meaning (fusion off vs everything on) so the cross-PR
-/// trajectory stays comparable; `elementwise` is the intermediate leg
-/// and `epilogue_speedup` is `elementwise / fused`.
-pub fn to_json(rows: &[FusionRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"ablation_fusion\",\n");
-    let _ = write!(
-        out,
-        "  \"geomean_speedup\": {:.3},\n  \"geomean_epilogue_speedup\": {:.3},\n",
-        geomean(rows.iter().map(FusionRow::speedup)),
-        geomean(rows.iter().map(FusionRow::epilogue_speedup)),
-    );
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"fused_groups\": {}, \"gemm_groups\": {}, \
-             \"nodes_per_step\": {{\"unfused\": {}, \"elementwise\": {}, \"fused\": {}}}, \
-             \"node_reduction\": {:.4}, \
-             \"step_ms\": {{\"unfused\": {:.4}, \"elementwise\": {:.4}, \"fused\": {:.4}}}, \
-             \"speedup\": {:.3}, \
-             \"epilogue_speedup\": {:.3}, \
-             \"class_c_share\": {{\"unfused\": {:.4}, \"fused\": {:.4}}}, \
-             \"class_g_share\": {{\"unfused\": {:.4}, \"fused\": {:.4}}}}}",
-            r.workload,
-            r.fused_groups,
-            r.gemm_groups,
-            r.nodes_unfused,
-            r.nodes_elementwise,
-            r.nodes_fused,
-            r.node_reduction(),
-            r.ms_unfused,
-            r.ms_elementwise,
-            r.ms_fused,
-            r.speedup(),
-            r.epilogue_speedup(),
-            r.class_c.0,
-            r.class_c.1,
-            r.class_g.0,
-            r.class_g.1,
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The rows as the `BENCH_fusion.json` document. The `unfused`/`fused`
+/// keys keep their historical meaning (fusion off vs everything on) so
+/// the cross-PR trajectory stays comparable; `elementwise` is the
+/// intermediate leg and `epilogue_speedup` is `elementwise / fused`.
+pub fn document(rows: &[FusionRow], effort: &Effort) -> Json {
+    let pair = |(unfused, fused): (f64, f64)| {
+        Json::obj().with("unfused", Json::fixed(unfused, 4)).with("fused", Json::fixed(fused, 4))
+    };
+    let workloads = rows.iter().map(|r| {
+        let legs = [("unfused", r.ms_unfused), ("elementwise", r.ms_elementwise), ("fused", r.ms_fused)];
+        Json::obj()
+            .with("name", r.workload)
+            .with("fused_groups", r.fused_groups)
+            .with("gemm_groups", r.gemm_groups)
+            .with(
+                "nodes_per_step",
+                Json::obj()
+                    .with("unfused", r.nodes_unfused)
+                    .with("elementwise", r.nodes_elementwise)
+                    .with("fused", r.nodes_fused),
+            )
+            .with("node_reduction", Json::fixed(r.node_reduction(), 4))
+            .with_legs("step_ms", &legs, 4)
+            .with("speedup", Json::fixed(r.speedup(), 3))
+            .with("epilogue_speedup", Json::fixed(r.epilogue_speedup(), 3))
+            .with("class_c_share", pair(r.class_c))
+            .with("class_g_share", pair(r.class_g))
+    });
+    // Every leg steps on `Device::cpu(1)`: the serial plan walk.
+    envelope("ablation_fusion", 1, effort)
+        .with("geomean_speedup", Json::fixed(geomean(rows.iter().map(FusionRow::speedup)), 3))
+        .with(
+            "geomean_epilogue_speedup",
+            Json::fixed(geomean(rows.iter().map(FusionRow::epilogue_speedup)), 3),
+        )
+        .with("workloads", Json::arr(workloads))
 }
 
 /// Runs the fusion ablation over every workload.
@@ -245,13 +192,7 @@ pub fn run(effort: &Effort) -> String {
          ep-x = what GEMM epilogue fusion buys over elementwise-only;\n\
          fused runs are bitwise-identical to unfused -- see `fathom fuse-check`)\n"
     );
-    if effort.repeats > 1 {
-        let _ = writeln!(
-            out,
-            "(each leg: best median of {} interleaved rounds)\n",
-            effort.repeats
-        );
-    }
+    let _ = writeln!(out, "(each leg: median over {} interleaved round(s))\n", effort.repeats);
     let _ = writeln!(
         out,
         "{:<12} {:>6} {:>6} {:>8} {:>8} {:>7} {:>9} {:>9} {:>9} {:>8} {:>6} {:>11} {:>11}",
@@ -270,9 +211,9 @@ pub fn run(effort: &Effort) -> String {
             r.nodes_unfused,
             r.nodes_fused,
             r.node_reduction() * 100.0,
-            r.ms_unfused,
-            r.ms_elementwise,
-            r.ms_fused,
+            r.ms_unfused.median,
+            r.ms_elementwise.median,
+            r.ms_fused.median,
             r.speedup(),
             r.epilogue_speedup(),
             r.class_c.0 * 100.0,
@@ -293,12 +234,7 @@ pub fn run(effort: &Effort) -> String {
         geomean(rows.iter().map(FusionRow::speedup)),
         geomean(rows.iter().map(FusionRow::epilogue_speedup)),
     );
-    let json = to_json(&rows);
-    write_artifact("BENCH_fusion.json", &json);
-    // Also drop it at the repository root, where the PR driver tracks it.
-    let repo_root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(repo_root.join("BENCH_fusion.json"), &json)
-        .expect("can write BENCH_fusion.json at the repo root");
+    emit("BENCH_fusion.json", &document(&rows, effort));
     write_artifact("ablation_fusion.txt", &out);
     out
 }
@@ -312,52 +248,10 @@ mod tests {
         let r = compare(ModelKind::Memnet, &Effort::quick());
         assert!(r.fused_groups > 0, "memnet has fusible hop arithmetic");
         assert!(r.nodes_fused < r.nodes_unfused, "fusion must shrink the executed-node count");
-        assert!(r.ms_unfused > 0.0 && r.ms_elementwise > 0.0 && r.ms_fused > 0.0);
+        assert!(r.ms_unfused.median > 0.0 && r.ms_elementwise.median > 0.0 && r.ms_fused.median > 0.0);
         for share in [r.class_c.0, r.class_c.1, r.class_g.0, r.class_g.1] {
             assert!((0.0..=1.0).contains(&share));
         }
     }
 
-    #[test]
-    fn json_shape() {
-        let rows = vec![FusionRow {
-            workload: "memnet",
-            fused_groups: 2,
-            gemm_groups: 3,
-            nodes_unfused: 100,
-            nodes_elementwise: 95,
-            nodes_fused: 90,
-            ms_unfused: 10.0,
-            ms_elementwise: 9.0,
-            ms_fused: 8.0,
-            class_c: (0.30, 0.25),
-            class_g: (0.20, 0.21),
-        }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"experiment\": \"ablation_fusion\""));
-        assert!(json.contains("\"name\": \"memnet\""));
-        assert!(json.contains("\"gemm_groups\": 3"));
-        assert!(json.contains("\"node_reduction\": 0.1000"));
-        assert!(json.contains("\"speedup\": 1.250"));
-        assert!(json.contains("\"epilogue_speedup\": 1.125"));
-        assert!(json.contains("\"geomean_speedup\": 1.250"));
-        assert!(json.contains(
-            "\"step_ms\": {\"unfused\": 10.0000, \"elementwise\": 9.0000, \"fused\": 8.0000}"
-        ));
-        assert!(json.contains("\"class_c_share\": {\"unfused\": 0.3000, \"fused\": 0.2500}"));
-    }
-
-    #[test]
-    fn median_of_samples() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert_eq!(median(&mut []), 0.0);
-    }
-
-    #[test]
-    fn geomean_of_ratios() {
-        assert!((geomean([2.0, 0.5].into_iter()) - 1.0).abs() < 1e-12);
-        assert!((geomean([1.2, 1.2, 1.2].into_iter()) - 1.2).abs() < 1e-12);
-        assert_eq!(geomean(std::iter::empty()), 0.0);
-    }
 }

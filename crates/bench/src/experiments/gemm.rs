@@ -17,20 +17,20 @@
 //!    actually emit. This isolates the kernel-level win (packing +
 //!    register tiling + 2D tile grid) from graph-level effects.
 //!
-//! Emits machine-readable `BENCH_gemm.json` into both
-//! `target/fathom-results/` and the repository root, where the PR driver
-//! tracks the perf trajectory.
+//! Both views are measured in interleaved rounds and emitted as
+//! machine-readable `BENCH_gemm.json` through `crate::measure`, where
+//! the PR driver tracks the perf trajectory.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use fathom::{BuildConfig, ModelKind};
-use fathom_dataflow::{Device, OpClass};
+use fathom_dataflow::{Device, Json, OpClass};
 use fathom_profile::runner;
 use fathom_tensor::kernels::gemm::gemm_into;
 use fathom_tensor::kernels::matmul::matmul_rows;
 use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 
+use crate::measure::{emit, envelope, rounds, timed_ms, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
 /// Thread counts swept, matching Figure 6's 1-8 range.
@@ -60,7 +60,7 @@ pub struct ClassSweep {
     /// Workload name.
     pub workload: &'static str,
     /// `times[t][c]` = ns/step of class `OpClass::ALL[c]` at `THREADS[t]`.
-    pub times: Vec<[f64; 7]>,
+    pub times: [[Spread; 7]; THREADS.len()],
 }
 
 /// One geometry's packed-vs-rows comparison at the widest thread count.
@@ -76,17 +76,17 @@ pub struct GeometryPoint {
     pub transpose_a: bool,
     /// Operand layouts.
     pub transpose_b: bool,
-    /// Median row-parallel baseline time, milliseconds.
-    pub rows_ms: f64,
-    /// Median packed-engine time, milliseconds.
-    pub packed_ms: f64,
+    /// Row-parallel baseline time, milliseconds.
+    pub rows_ms: Spread,
+    /// Packed-engine time, milliseconds.
+    pub packed_ms: Spread,
 }
 
 impl GeometryPoint {
     /// Baseline-over-packed speedup.
     pub fn speedup(&self) -> f64 {
-        if self.packed_ms > 0.0 {
-            self.rows_ms / self.packed_ms
+        if self.packed_ms.median > 0.0 {
+            self.rows_ms.median / self.packed_ms.median
         } else {
             0.0
         }
@@ -105,45 +105,22 @@ impl GeometryPoint {
     }
 }
 
-/// Median of a sample set (mean of the middle two for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
-}
-
-/// Per-class ns/step sweep for one workload over [`THREADS`].
+/// Per-class ns/step sweep for one workload over [`THREADS`]; a round
+/// profiles every thread count once.
 pub fn class_sweep(kind: ModelKind, effort: &Effort) -> ClassSweep {
-    let times = THREADS
-        .iter()
-        .map(|&t| {
+    let (flat, ()) = rounds::<{ 7 * THREADS.len() }, ()>(effort, || {
+        let times = THREADS.map(|t| {
             let cfg = BuildConfig::training().with_device(Device::cpu_or_model(t));
             let p = runner::profile_workload(kind, &cfg, effort.warmup, effort.steps);
             let per_step = p.total_nanos() / p.steps.max(1) as f64;
             p.class_fractions().map(|(_, frac)| frac * per_step)
-        })
-        .collect();
-    ClassSweep { workload: kind.name(), times }
-}
-
-/// Times one kernel call, median over `reps` after one warm-up.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    median(&mut samples)
+        });
+        (std::array::from_fn(|i| times[i / 7][i % 7]), ())
+    });
+    ClassSweep {
+        workload: kind.name(),
+        times: std::array::from_fn(|t| std::array::from_fn(|c| flat[7 * t + c])),
+    }
 }
 
 /// Benchmarks one geometry: row-parallel baseline vs packed engine, both
@@ -160,59 +137,45 @@ pub fn geometry_point(
     let a = Tensor::randn(if transpose_a { [k, m] } else { [m, k] }, 0.0, 1.0, &mut rng);
     let b = Tensor::randn(if transpose_b { [n, k] } else { [k, n] }, 0.0, 1.0, &mut rng);
     let pool = ExecPool::new(THREADS[THREADS.len() - 1]);
-    let reps = effort.steps.max(3);
-    let rows_ms = time_ms(reps, || {
-        std::hint::black_box(matmul_rows(&a, &b, transpose_a, transpose_b, &pool));
-    });
     let mut c = vec![0.0f32; m * n];
-    let packed_ms = time_ms(reps, || {
-        let (a, b) = (a.data(), b.data());
-        gemm_into(&mut c, m, n, k, a, transpose_a, b, transpose_b, Precision::F32, None, &pool);
-        std::hint::black_box(&c);
+    let ([rows_ms, packed_ms], ()) = rounds(effort, || {
+        let rows = timed_ms(effort.warmup, effort.steps, || {
+            std::hint::black_box(matmul_rows(&a, &b, transpose_a, transpose_b, &pool));
+        });
+        let packed = timed_ms(effort.warmup, effort.steps, || {
+            let (a, b) = (a.data(), b.data());
+            gemm_into(&mut c, m, n, k, a, transpose_a, b, transpose_b, Precision::F32, None, &pool);
+            std::hint::black_box(&c);
+        });
+        ([rows, packed], ())
     });
     GeometryPoint { m, k, n, transpose_a, transpose_b, rows_ms, packed_ms }
 }
 
-/// Renders both sweeps as `BENCH_gemm.json` (hand-written; the suite
-/// carries no JSON dependency).
-pub fn to_json(sweeps: &[ClassSweep], points: &[GeometryPoint], host_cores: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"gemm_scaling\",\n");
-    let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(out, "  \"threads\": [{}],", THREADS.map(|t| t.to_string()).join(", "));
-    out.push_str("  \"workloads\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        let _ = write!(out, "    {{\"name\": \"{}\", \"classes\": [", s.workload);
-        for (c, class) in OpClass::ALL.iter().enumerate() {
-            if c > 0 {
-                out.push_str(", ");
-            }
-            let series: Vec<String> =
-                s.times.iter().map(|row| format!("{:.1}", row[c])).collect();
-            let _ = write!(
-                out,
-                "{{\"class\": \"{}\", \"nanos_per_step\": [{}]}}",
-                class.letter(),
-                series.join(", ")
-            );
-        }
-        out.push_str("]}");
-        out.push_str(if i + 1 < sweeps.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"geometries\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"shape\": \"{}\", \"rows_ms\": {:.4}, \"packed_ms\": {:.4}, \"speedup\": {:.3}}}",
-            p.label(),
-            p.rows_ms,
-            p.packed_ms,
-            p.speedup()
-        );
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Both sweeps as the `BENCH_gemm.json` document.
+pub fn document(sweeps: &[ClassSweep], points: &[GeometryPoint], effort: &Effort) -> Json {
+    let workloads = sweeps.iter().map(|s| {
+        let classes = OpClass::ALL.iter().enumerate().map(|(c, class)| {
+            let series = |pick: fn(&Spread) -> f64| Json::arr(s.times.iter().map(|row| Json::fixed(pick(&row[c]), 1)));
+            Json::obj()
+                .with("class", class.letter().to_string().as_str())
+                .with("nanos_per_step", series(|t| t.median))
+                .with("nanos_per_step_iqr", series(|t| t.iqr))
+        });
+        Json::obj().with("name", s.workload).with("classes", Json::arr(classes))
+    });
+    let geometries = points.iter().map(|p| {
+        Json::obj()
+            .with("shape", p.label().as_str())
+            .with_spread("rows_ms", p.rows_ms, 4)
+            .with_spread("packed_ms", p.packed_ms, 4)
+            .with("speedup", Json::fixed(p.speedup(), 3))
+    });
+    // The geometry legs run at the widest swept thread count.
+    envelope("gemm_scaling", THREADS[THREADS.len() - 1], effort)
+        .with("threads", Json::arr(THREADS))
+        .with("workloads", Json::arr(workloads))
+        .with("geometries", Json::arr(geometries))
 }
 
 /// Runs the full experiment: class scaling for the Figure 6 subjects plus
@@ -235,15 +198,15 @@ pub fn run(effort: &Effort) -> String {
         }
         let _ = writeln!(out, " {:>9}", "speedup");
         for (c, class) in OpClass::ALL.iter().enumerate() {
-            let base = s.times[0][c];
+            let base = s.times[0][c].median;
             if base <= 0.0 {
                 continue;
             }
             let _ = write!(out, "  [{}] {:<24}", class.letter(), class.label());
             for row in &s.times {
-                let _ = write!(out, " {:>9.0}", row[c] / 1_000.0);
+                let _ = write!(out, " {:>9.0}", row[c].median / 1_000.0);
             }
-            let best = s.times[s.times.len() - 1][c];
+            let best = s.times[s.times.len() - 1][c].median;
             let _ = writeln!(out, " {:>8.2}x", base / best.max(1.0));
         }
         out.push('\n');
@@ -267,8 +230,8 @@ pub fn run(effort: &Effort) -> String {
             out,
             "  {:<18} {:>10.2} {:>10.2} {:>8.2}x",
             p.label(),
-            p.rows_ms,
-            p.packed_ms,
+            p.rows_ms.median,
+            p.packed_ms.median,
             p.speedup()
         );
     }
@@ -279,12 +242,7 @@ pub fn run(effort: &Effort) -> String {
         at_goal,
         points.len()
     );
-    let json = to_json(&sweeps, &points, cores);
-    write_artifact("BENCH_gemm.json", &json);
-    // Also drop it at the repository root, where the PR driver tracks it.
-    let repo_root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(repo_root.join("BENCH_gemm.json"), &json)
-        .expect("can write BENCH_gemm.json at the repo root");
+    emit("BENCH_gemm.json", &document(&sweeps, &points, effort));
     write_artifact("gemm_scaling.txt", &out);
     out
 }
@@ -296,9 +254,8 @@ mod tests {
     #[test]
     fn class_sweep_shapes() {
         let s = class_sweep(ModelKind::Memnet, &Effort::quick());
-        assert_eq!(s.times.len(), THREADS.len());
         for row in &s.times {
-            let total: f64 = row.iter().sum();
+            let total: f64 = row.iter().map(|t| t.median).sum();
             assert!(total > 0.0, "a training step spends time somewhere");
         }
     }
@@ -306,28 +263,9 @@ mod tests {
     #[test]
     fn geometry_point_measures_both_kernels() {
         let p = geometry_point(32, 64, 48, false, true, &Effort::quick());
-        assert!(p.rows_ms > 0.0 && p.packed_ms > 0.0);
+        assert!(p.rows_ms.median > 0.0 && p.packed_ms.median > 0.0);
         assert!(p.speedup() > 0.0);
         assert_eq!(p.label(), "32x64x48 nt");
     }
 
-    #[test]
-    fn json_shape() {
-        let sweeps = vec![ClassSweep { workload: "memnet", times: vec![[1.0; 7]; THREADS.len()] }];
-        let points = vec![GeometryPoint {
-            m: 512,
-            k: 512,
-            n: 512,
-            transpose_a: false,
-            transpose_b: false,
-            rows_ms: 4.0,
-            packed_ms: 2.0,
-        }];
-        let json = to_json(&sweeps, &points, 1);
-        assert!(json.contains("\"experiment\": \"gemm_scaling\""));
-        assert!(json.contains("\"name\": \"memnet\""));
-        assert!(json.contains("\"class\": \"A\""));
-        assert!(json.contains("\"shape\": \"512x512x512 nn\""));
-        assert!(json.contains("\"speedup\": 2.000"));
-    }
 }

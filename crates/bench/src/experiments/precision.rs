@@ -18,19 +18,20 @@
 //!    served metric against the reference's second half.
 //!
 //! Besides the human-readable table, the experiment emits
-//! `BENCH_precision.json` into `target/fathom-results/` and the
-//! repository root so the accuracy/perf trajectory is tracked across
-//! PRs. `fathom precision-check` gates the same properties pass/fail in
+//! `BENCH_precision.json` through `crate::measure` (every timed leg in
+//! interleaved rounds, median and inter-quartile distance) so the
+//! accuracy/perf trajectory is tracked across PRs. `fathom
+//! precision-check` gates the same properties pass/fail in
 //! scripts/tier1.sh; this ablation records the magnitudes.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use fathom::{BuildConfig, Mode, ModelKind, ModelScale, Precision, Workload};
-use fathom_dataflow::OpKind;
+use fathom_dataflow::{Json, OpKind};
 use fathom_tensor::kernels::gemm::gemm_into;
 use fathom_tensor::{ExecPool, Rng, Tensor};
 
+use crate::measure::{emit, envelope, rounds, timed_ms, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
 /// Accuracy gate applied to both reduced-precision paths: mean-metric
@@ -49,13 +50,13 @@ pub struct PrecisionRow {
     /// graph (all zeros when the graph holds no rank-2 MatMul).
     pub gemm: [usize; 3],
     /// Dominant-GEMM wall time (ms), f32 packed engine.
-    pub gemm_ms_f32: f64,
+    pub gemm_ms_f32: Spread,
     /// Dominant-GEMM wall time (ms), bf16 packed engine.
-    pub gemm_ms_bf16: f64,
-    /// Median inference-step wall time (ms), f32.
-    pub step_ms_f32: f64,
-    /// Median inference-step wall time (ms), bf16.
-    pub step_ms_bf16: f64,
+    pub gemm_ms_bf16: Spread,
+    /// Inference-step wall time (ms), f32.
+    pub step_ms_f32: Spread,
+    /// Inference-step wall time (ms), bf16.
+    pub step_ms_bf16: Spread,
     /// Mean-metric deviation of the bf16 leg from the f32 reference.
     pub bf16_dev: f64,
     /// Mean-metric deviation of the int8 leg from the f32 reference.
@@ -67,12 +68,12 @@ pub struct PrecisionRow {
 impl PrecisionRow {
     /// f32-to-bf16 ratio on the dominant GEMM (>1 means bf16 is faster).
     pub fn gemm_speedup(&self) -> f64 {
-        if self.gemm_ms_bf16 > 0.0 { self.gemm_ms_f32 / self.gemm_ms_bf16 } else { 0.0 }
+        ratio(self.gemm_ms_f32, self.gemm_ms_bf16)
     }
 
     /// f32-to-bf16 ratio on the whole inference step.
     pub fn step_speedup(&self) -> f64 {
-        if self.step_ms_bf16 > 0.0 { self.step_ms_f32 / self.step_ms_bf16 } else { 0.0 }
+        ratio(self.step_ms_f32, self.step_ms_bf16)
     }
 
     /// True when both reduced-precision paths hold the accuracy gate.
@@ -81,13 +82,9 @@ impl PrecisionRow {
     }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let n = samples.len();
-    if n % 2 == 1 { samples[n / 2] } else { (samples[n / 2 - 1] + samples[n / 2]) / 2.0 }
+/// `f32 / bf16` of two legs' medians (0 when the bf16 leg did not run).
+fn ratio(f32_ms: Spread, bf16_ms: Spread) -> f64 {
+    if bf16_ms.median > 0.0 { f32_ms.median / bf16_ms.median } else { 0.0 }
 }
 
 /// Deviation of a mean metric from its reference: relative above 1,
@@ -146,70 +143,54 @@ fn dominant_gemm(kind: ModelKind) -> Option<[usize; 3]> {
     best.map(|(dims, _)| dims)
 }
 
-/// Times the packed driver on one geometry, f32 vs bf16 panels, best
-/// median across `effort.repeats` interleaved rounds. `gemm_into` packs
-/// whatever the geometry, so both legs run the driver even where
-/// `gemm::select` would keep the product on the row kernel.
-fn time_gemm(dims: [usize; 3], effort: &Effort, pool: &ExecPool) -> (f64, f64) {
+/// Times the packed driver on one geometry, f32 vs bf16 panels, in
+/// interleaved rounds. `gemm_into` packs whatever the geometry, so both
+/// legs run the driver even where `gemm::select` would keep the product
+/// on the row kernel.
+fn time_gemm(dims: [usize; 3], effort: &Effort, pool: &ExecPool) -> [Spread; 2] {
     let [m, k, n] = dims;
     let mut rng = Rng::seeded(SEED);
     let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
     let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
     let mut c = vec![0.0f32; m * n];
-    let mut leg = |precision: Precision| -> f64 {
-        let mut samples: Vec<f64> = (0..effort.steps.max(1))
-            .map(|_| {
-                let t0 = Instant::now();
-                gemm_into(&mut c, m, n, k, a.data(), false, b.data(), false, precision, None, pool);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                std::hint::black_box(&c);
-                ms
-            })
-            .collect();
-        median(&mut samples)
+    let mut leg = |precision: Precision| {
+        timed_ms(effort.warmup, effort.steps, || {
+            gemm_into(&mut c, m, n, k, a.data(), false, b.data(), false, precision, None, pool);
+            std::hint::black_box(&c);
+        })
     };
-    // Warm the pack-shape code paths once per leg, then interleave.
-    let (mut f32_ms, mut bf16_ms) = (leg(Precision::F32), leg(Precision::Bf16));
-    for _ in 1..effort.repeats.max(1) {
-        f32_ms = f32_ms.min(leg(Precision::F32));
-        bf16_ms = bf16_ms.min(leg(Precision::Bf16));
-    }
-    (f32_ms, bf16_ms)
+    rounds(effort, || ([leg(Precision::F32), leg(Precision::Bf16)], ())).0
 }
 
-/// Runs `2 * steps` inference steps and returns (median step ms over the
-/// tail, per-step metrics). The doubled horizon matches the int8 leg's
-/// calibrate-then-serve split so every leg sees the same batch stream.
-fn run_steps(model: &mut Box<dyn Workload>, steps: usize) -> (f64, Vec<f64>) {
-    let mut metrics = Vec::with_capacity(2 * steps);
-    let mut samples = Vec::with_capacity(2 * steps);
-    for _ in 0..2 * steps {
-        let t0 = Instant::now();
-        let stats = model.step();
-        samples.push(t0.elapsed().as_secs_f64() * 1e3);
-        metrics.push(f64::from(stats.metric.expect("inference reports a metric")));
+/// Steps a fresh `kind` at `precision` `2 * steps` times and returns
+/// (median step ms, per-step metrics). The doubled horizon matches the
+/// int8 leg's calibrate-then-serve split so every leg sees the same
+/// batch stream; warm-up therefore steps a throwaway build, which leaves
+/// the timed one at the head of that stream.
+fn run_steps(kind: ModelKind, precision: Precision, effort: &Effort) -> (f64, Vec<f64>) {
+    let mut warm = build(kind, precision);
+    for _ in 0..effort.warmup {
+        warm.step();
     }
-    (median(&mut samples), metrics)
+    let mut model = build(kind, precision);
+    let mut metrics = Vec::new();
+    let ms = timed_ms(0, 2 * effort.steps.max(1), || {
+        metrics.push(f64::from(model.step().metric.expect("inference reports a metric")));
+    });
+    (ms, metrics)
 }
 
 /// Measures one workload across the three precision legs.
 pub fn compare(kind: ModelKind, effort: &Effort, pool: &ExecPool) -> PrecisionRow {
     let steps = effort.steps.max(1);
 
-    let mut reference = build(kind, Precision::F32);
-    for _ in 0..effort.warmup {
-        reference.step();
-    }
-    let mut warm_bf16 = build(kind, Precision::Bf16);
-    for _ in 0..effort.warmup {
-        warm_bf16.step();
-    }
-    // Warm-up advanced the reference's data stream; rebuild both so the
-    // bf16/int8 legs compare metrics over identical batches.
-    let mut reference = build(kind, Precision::F32);
-    let (step_ms_f32, ref_metrics) = run_steps(&mut reference, steps);
-    let mut bf16 = build(kind, Precision::Bf16);
-    let (step_ms_bf16, bf16_metrics) = run_steps(&mut bf16, steps);
+    // The f32 and bf16 step legs in interleaved rounds; their metrics
+    // are deterministic, the same every round.
+    let ([step_ms_f32, step_ms_bf16], (ref_metrics, bf16_metrics)) = rounds(effort, || {
+        let (f32_ms, reference) = run_steps(kind, Precision::F32, effort);
+        let (bf16_ms, bf16) = run_steps(kind, Precision::Bf16, effort);
+        ([f32_ms, bf16_ms], (reference, bf16))
+    });
     let bf16_dev = deviation(mean_metric(&bf16_metrics), mean_metric(&ref_metrics));
 
     // int8: calibrate over the first half of the stream, quantize, and
@@ -231,8 +212,8 @@ pub fn compare(kind: ModelKind, effort: &Effort, pool: &ExecPool) -> PrecisionRo
     };
 
     let gemm = dominant_gemm(kind).unwrap_or([0; 3]);
-    let (gemm_ms_f32, gemm_ms_bf16) =
-        if gemm == [0; 3] { (0.0, 0.0) } else { time_gemm(gemm, effort, pool) };
+    let [gemm_ms_f32, gemm_ms_bf16] =
+        if gemm == [0; 3] { [Spread::default(); 2] } else { time_gemm(gemm, effort, pool) };
 
     PrecisionRow {
         workload: kind.name(),
@@ -247,47 +228,28 @@ pub fn compare(kind: ModelKind, effort: &Effort, pool: &ExecPool) -> PrecisionRo
     }
 }
 
-/// Renders the rows as `BENCH_precision.json` (written by hand; the
-/// suite carries no JSON dependency).
-pub fn to_json(rows: &[PrecisionRow]) -> String {
-    let fast = rows.iter().filter(|r| r.gemm_speedup() >= 1.2).count();
-    let within = rows.iter().filter(|r| r.within_tolerance()).count();
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"ablation_precision\",\n");
-    let _ = write!(
-        out,
-        "  \"tolerance\": {TOLERANCE},\n  \"bf16_gemm_speedups_over_1_2x\": {fast},\n  \
-         \"workloads_within_tolerance\": {within},\n"
-    );
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let json_dev = |d: f64| if d.is_finite() { format!("{d:.5}") } else { "null".into() };
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"gemm\": [{}, {}, {}], \
-             \"gemm_ms\": {{\"f32\": {:.4}, \"bf16\": {:.4}}}, \"gemm_speedup\": {:.3}, \
-             \"step_ms\": {{\"f32\": {:.4}, \"bf16\": {:.4}}}, \"step_speedup\": {:.3}, \
-             \"bf16_metric_dev\": {}, \"int8_metric_dev\": {}, \"int8_gemms\": {}, \
-             \"within_tolerance\": {}}}",
-            r.workload,
-            r.gemm[0],
-            r.gemm[1],
-            r.gemm[2],
-            r.gemm_ms_f32,
-            r.gemm_ms_bf16,
-            r.gemm_speedup(),
-            r.step_ms_f32,
-            r.step_ms_bf16,
-            r.step_speedup(),
-            json_dev(r.bf16_dev),
-            json_dev(r.int8_dev),
-            r.int8_gemms,
-            r.within_tolerance(),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The rows as the `BENCH_precision.json` document.
+pub fn document(rows: &[PrecisionRow], effort: &Effort) -> Json {
+    let workloads = rows.iter().map(|r| {
+        Json::obj()
+            .with("name", r.workload)
+            .with("gemm", Json::arr(r.gemm))
+            .with_legs("gemm_ms", &[("f32", r.gemm_ms_f32), ("bf16", r.gemm_ms_bf16)], 4)
+            .with("gemm_speedup", Json::fixed(r.gemm_speedup(), 3))
+            .with_legs("step_ms", &[("f32", r.step_ms_f32), ("bf16", r.step_ms_bf16)], 4)
+            .with("step_speedup", Json::fixed(r.step_speedup(), 3))
+            .with("bf16_metric_dev", Json::fixed(r.bf16_dev, 5))
+            .with("int8_metric_dev", Json::fixed(r.int8_dev, 5))
+            .with("int8_gemms", r.int8_gemms)
+            .with("within_tolerance", r.within_tolerance())
+    });
+    // The GEMM legs run `ExecPool::new(0)` and the step legs
+    // `Device::cpu(1)`: one thread throughout.
+    envelope("ablation_precision", 1, effort)
+        .with("tolerance", TOLERANCE)
+        .with("bf16_gemm_speedups_over_1_2x", rows.iter().filter(|r| r.gemm_speedup() >= 1.2).count())
+        .with("workloads_within_tolerance", rows.iter().filter(|r| r.within_tolerance()).count())
+        .with("workloads", Json::arr(workloads))
 }
 
 /// Runs the mixed-precision ablation over every workload.
@@ -300,7 +262,9 @@ pub fn run(effort: &Effort) -> String {
          (gemm = flop-dominant MatMul of the full-scale model, timed standalone through\n\
          the packed engine; accuracy legs run the reference-scale model end to end;\n\
          dev = mean-metric deviation from the f32 reference, gate {TOLERANCE};\n\
-         pass/fail on the same properties: `fathom precision-check`)\n"
+         timed legs: median over {} interleaved round(s);\n\
+         pass/fail on the same properties: `fathom precision-check`)\n",
+        effort.repeats
     );
     let _ = writeln!(
         out,
@@ -317,11 +281,11 @@ pub fn run(effort: &Effort) -> String {
              {:>5} {:>6}",
             r.workload,
             format!("{}x{}x{}", r.gemm[0], r.gemm[1], r.gemm[2]),
-            r.gemm_ms_f32,
-            r.gemm_ms_bf16,
+            r.gemm_ms_f32.median,
+            r.gemm_ms_bf16.median,
             r.gemm_speedup(),
-            r.step_ms_f32,
-            r.step_ms_bf16,
+            r.step_ms_f32.median,
+            r.step_ms_bf16.median,
             r.step_speedup(),
             r.bf16_dev,
             r.int8_dev,
@@ -338,12 +302,7 @@ pub fn run(effort: &Effort) -> String {
         rows.len(),
         rows.len(),
     );
-    let json = to_json(&rows);
-    write_artifact("BENCH_precision.json", &json);
-    // Also drop it at the repository root, where the PR driver tracks it.
-    let repo_root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(repo_root.join("BENCH_precision.json"), &json)
-        .expect("can write BENCH_precision.json at the repo root");
+    emit("BENCH_precision.json", &document(&rows, effort));
     write_artifact("ablation_precision.txt", &out);
     out
 }
@@ -357,35 +316,11 @@ mod tests {
         let pool = ExecPool::new(2);
         let r = compare(ModelKind::Memnet, &Effort::quick(), &pool);
         assert_eq!(r.workload, "memnet");
-        assert!(r.step_ms_f32 > 0.0 && r.step_ms_bf16 > 0.0);
+        assert!(r.step_ms_f32.median > 0.0 && r.step_ms_bf16.median > 0.0);
         assert_ne!(r.gemm, [0; 3], "memnet's graph must hold a MatMul");
-        assert!(r.gemm_ms_f32 > 0.0 && r.gemm_ms_bf16 > 0.0);
+        assert!(r.gemm_ms_f32.median > 0.0 && r.gemm_ms_bf16.median > 0.0);
         assert!(r.int8_gemms >= 1, "memnet has quantizable GEMMs");
         assert!(r.bf16_dev.is_finite() && r.int8_dev.is_finite());
-    }
-
-    #[test]
-    fn json_shape() {
-        let rows = vec![PrecisionRow {
-            workload: "memnet",
-            gemm: [64, 128, 256],
-            gemm_ms_f32: 2.0,
-            gemm_ms_bf16: 1.0,
-            step_ms_f32: 10.0,
-            step_ms_bf16: 8.0,
-            bf16_dev: 0.001,
-            int8_dev: f64::INFINITY,
-            int8_gemms: 0,
-        }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"experiment\": \"ablation_precision\""));
-        assert!(json.contains("\"gemm\": [64, 128, 256]"));
-        assert!(json.contains("\"gemm_speedup\": 2.000"));
-        assert!(json.contains("\"step_speedup\": 1.250"));
-        assert!(json.contains("\"bf16_metric_dev\": 0.00100"));
-        assert!(json.contains("\"int8_metric_dev\": null"), "non-finite dev must emit null");
-        assert!(json.contains("\"within_tolerance\": false"));
-        assert!(!json.contains("inf") && !json.contains("NaN"));
     }
 
     #[test]

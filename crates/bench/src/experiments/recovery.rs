@@ -9,15 +9,22 @@
 //! plus the one-off costs that matter at recovery time: snapshot size
 //! on disk, save latency, and resume (load + restore) latency.
 //!
-//! Emits `BENCH_recovery.json` into `target/fathom-results/` and the
-//! repository root so the overhead trajectory is tracked across PRs.
+//! The three legs run in interleaved rounds (`measure::rounds`), each
+//! after `effort.warmup` untimed steps, and the guardrail overhead is
+//! taken per round (guarded over bare of the *same* round) before the
+//! median: single cold passes used to report overheads of -14 % to
+//! +12 %, which is the host's drift between legs, not the guardrail.
+//! Emits `BENCH_recovery.json` through `crate::measure` so the overhead
+//! trajectory is tracked across PRs.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use fathom::{BuildConfig, GuardrailPolicy, ModelKind, SnapshotPolicy, Trainer};
+use fathom_dataflow::Json;
 
+use crate::measure::{emit, envelope, rounds, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
 /// One workload's recovery-cost measurements.
@@ -31,33 +38,34 @@ pub struct RecoveryRow {
     pub cadence: u64,
     /// Mean step wall time (ms), bare trainer — no guardrail, no
     /// snapshots.
-    pub step_ms: f64,
+    pub step_ms: Spread,
     /// Mean step wall time (ms) with the guardrail armed.
-    pub guarded_step_ms: f64,
+    pub guarded_step_ms: Spread,
+    /// Guardrail overhead relative to the same round's bare step
+    /// (percent; inside its spread it can be negative).
+    pub guard_overhead_pct: Spread,
     /// Snapshot time as a percentage of step time on the snapshot leg.
-    pub snapshot_overhead_pct: f64,
+    pub snapshot_overhead_pct: Spread,
     /// Newest snapshot generation's size on disk.
     pub snapshot_bytes: u64,
     /// Mean serialize + fsync + promote latency per snapshot (ms).
-    pub save_ms: f64,
+    pub save_ms: Spread,
     /// Wall time to resume from the newest generation (ms).
-    pub load_ms: f64,
-}
-
-impl RecoveryRow {
-    /// Guardrail overhead relative to the bare step (percent; noise can
-    /// make this slightly negative).
-    pub fn guard_overhead_pct(&self) -> f64 {
-        if self.step_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.guarded_step_ms / self.step_ms - 1.0) * 100.0
-    }
+    pub load_ms: Spread,
 }
 
 /// Builds a fresh training-mode trainer for `kind`.
 fn trainer(kind: ModelKind) -> Trainer {
     Trainer::new(kind.build(&BuildConfig::training())).expect("training workload")
+}
+
+/// Mean step wall time (ms) of `steps` steps after `warmup` untimed
+/// ones, by the trainer's own step clock.
+fn mean_step_ms(trainer: &mut Trainer, warmup: u64, steps: u64, leg: &str) -> f64 {
+    trainer.run(warmup).expect(leg);
+    let before = trainer.report().step_nanos;
+    trainer.run(warmup + steps).expect(leg);
+    (trainer.report().step_nanos - before) as f64 / 1e6 / steps as f64
 }
 
 /// Size of the newest `step-*.ckpt` generation in `dir`.
@@ -78,55 +86,53 @@ fn newest_snapshot_bytes(dir: &PathBuf) -> u64 {
 }
 
 /// Measures one workload's three legs (bare, guarded, snapshotting)
-/// plus resume latency.
+/// plus resume latency, in interleaved rounds.
 pub fn measure(kind: ModelKind, effort: &Effort) -> RecoveryRow {
     let steps = effort.steps.max(1) as u64 * 4;
     let cadence = effort.steps.max(1) as u64;
+    let warmup = effort.warmup as u64;
+    let (
+        [step_ms, guarded_step_ms, guard_overhead_pct, snapshot_overhead_pct, save_ms, load_ms],
+        snapshot_bytes,
+    ) = rounds(effort, || {
+        // Leg 1: bare loop — the baseline everything is relative to.
+        let bare = mean_step_ms(&mut trainer(kind), warmup, steps, "bare leg");
 
-    // Leg 1: bare loop — the baseline everything is relative to.
-    let mut bare = trainer(kind);
-    bare.run(steps).expect("bare leg");
-    let step_ms = bare.report().step_nanos as f64 / 1e6 / steps as f64;
+        // Leg 2: guardrail armed, same work otherwise.
+        let mut guarded = trainer(kind).with_guardrail(GuardrailPolicy::default());
+        let guarded = mean_step_ms(&mut guarded, warmup, steps, "guarded leg");
 
-    // Leg 2: guardrail armed, same work otherwise.
-    let mut guarded = trainer(kind).with_guardrail(GuardrailPolicy::default());
-    guarded.run(steps).expect("guarded leg");
-    let guarded_step_ms = guarded.report().step_nanos as f64 / 1e6 / steps as f64;
+        // Leg 3: guardrail + snapshot cadence into a scratch directory.
+        let dir = std::env::temp_dir()
+            .join(format!("fathom-bench-recovery-{}-{}", kind.name(), std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut snapped = trainer(kind)
+            .with_guardrail(GuardrailPolicy::default())
+            .with_snapshots(SnapshotPolicy { every: cadence, keep: 3 }, &dir);
+        snapped.run(warmup + steps).expect("snapshot leg");
+        let r = snapped.report();
+        let per = |total: f64, of: f64| if of > 0.0 { total / of } else { 0.0 };
+        let snapshot_pct = per(r.snapshot_nanos as f64 * 100.0, r.step_nanos as f64);
+        let save = per(r.snapshot_nanos as f64 / 1e6, r.snapshots_written as f64);
+        let snapshot_bytes = newest_snapshot_bytes(&dir);
 
-    // Leg 3: guardrail + snapshot cadence into a scratch directory.
-    let dir = std::env::temp_dir()
-        .join(format!("fathom-bench-recovery-{}-{}", kind.name(), std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut snapped = trainer(kind)
-        .with_guardrail(GuardrailPolicy::default())
-        .with_snapshots(SnapshotPolicy { every: cadence, keep: 3 }, &dir);
-    snapped.run(steps).expect("snapshot leg");
-    let r = snapped.report();
-    let snapshot_overhead_pct = if r.step_nanos > 0 {
-        r.snapshot_nanos as f64 / r.step_nanos as f64 * 100.0
-    } else {
-        0.0
-    };
-    let save_ms = if r.snapshots_written > 0 {
-        r.snapshot_nanos as f64 / 1e6 / r.snapshots_written as f64
-    } else {
-        0.0
-    };
-    let snapshot_bytes = newest_snapshot_bytes(&dir);
+        // Resume latency: fresh model, restore the newest generation.
+        let mut resumed = trainer(kind);
+        let t0 = Instant::now();
+        resumed.resume(&dir).expect("resume");
+        let load = t0.elapsed().as_secs_f64() * 1e3;
+        let _ = std::fs::remove_dir_all(&dir);
 
-    // Resume latency: fresh model, restore the newest generation.
-    let mut resumed = trainer(kind);
-    let t0 = Instant::now();
-    resumed.resume(&dir).expect("resume");
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let _ = std::fs::remove_dir_all(&dir);
-
+        let guard_pct = if bare > 0.0 { (guarded / bare - 1.0) * 100.0 } else { 0.0 };
+        ([bare, guarded, guard_pct, snapshot_pct, save, load], snapshot_bytes)
+    });
     RecoveryRow {
         workload: kind.name(),
         steps,
         cadence,
         step_ms,
         guarded_step_ms,
+        guard_overhead_pct,
         snapshot_overhead_pct,
         snapshot_bytes,
         save_ms,
@@ -134,35 +140,23 @@ pub fn measure(kind: ModelKind, effort: &Effort) -> RecoveryRow {
     }
 }
 
-/// Renders the rows as `BENCH_recovery.json` (written by hand; the
-/// suite carries no JSON dependency).
-pub fn to_json(rows: &[RecoveryRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"ablation_recovery\",\n");
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"cadence\": {}, \
-             \"step_ms\": {:.4}, \"guarded_step_ms\": {:.4}, \
-             \"guard_overhead_pct\": {:.2}, \
-             \"snapshot_overhead_pct\": {:.2}, \"snapshot_bytes\": {}, \
-             \"save_ms\": {:.4}, \"load_ms\": {:.4}}}",
-            r.workload,
-            r.steps,
-            r.cadence,
-            r.step_ms,
-            r.guarded_step_ms,
-            r.guard_overhead_pct(),
-            r.snapshot_overhead_pct,
-            r.snapshot_bytes,
-            r.save_ms,
-            r.load_ms,
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The rows as the `BENCH_recovery.json` document.
+pub fn document(rows: &[RecoveryRow], effort: &Effort) -> Json {
+    let workloads = rows.iter().map(|r| {
+        Json::obj()
+            .with("name", r.workload)
+            .with("steps", r.steps)
+            .with("cadence", r.cadence)
+            .with_spread("step_ms", r.step_ms, 4)
+            .with_spread("guarded_step_ms", r.guarded_step_ms, 4)
+            .with_spread("guard_overhead_pct", r.guard_overhead_pct, 2)
+            .with_spread("snapshot_overhead_pct", r.snapshot_overhead_pct, 2)
+            .with("snapshot_bytes", r.snapshot_bytes)
+            .with_spread("save_ms", r.save_ms, 4)
+            .with_spread("load_ms", r.load_ms, 4)
+    });
+    // Every trainer steps on `Device::cpu(1)`.
+    envelope("ablation_recovery", 1, effort).with("workloads", Json::arr(workloads))
 }
 
 /// Runs the full experiment and renders the human-readable table.
@@ -171,46 +165,45 @@ pub fn run(effort: &Effort) -> String {
     let _ = writeln!(
         out,
         "ABLATION: resilience overhead (bare vs guardrail vs snapshot cadence)\n\
-         (step times are means over the leg; snapshot %% is serialize+fsync+rename\n\
-         time relative to step time at the leg's cadence; load is a full resume)\n"
+         (step times are means over the leg; snapshot % is serialize+fsync+rename\n\
+         time relative to step time at the leg's cadence; load is a full resume;\n\
+         every number is the median over {} interleaved round(s), guard% with its\n\
+         inter-quartile distance beside it)\n",
+        effort.repeats
     );
     let _ = writeln!(
         out,
-        "{:<12} {:>6} {:>7} {:>9} {:>9} {:>8} {:>8} {:>10} {:>8} {:>8}",
-        "workload", "steps", "cad", "step ms", "guard ms", "guard%", "snap%", "snap KiB",
+        "{:<12} {:>6} {:>7} {:>9} {:>9} {:>8} {:>7} {:>8} {:>10} {:>8} {:>8}",
+        "workload", "steps", "cad", "step ms", "guard ms", "guard%", "+-", "snap%", "snap KiB",
         "save ms", "load ms"
     );
     let rows: Vec<RecoveryRow> = ModelKind::ALL.iter().map(|&k| measure(k, effort)).collect();
     for r in &rows {
         let _ = writeln!(
             out,
-            "{:<12} {:>6} {:>7} {:>9.2} {:>9.2} {:>7.1}% {:>7.1}% {:>10.1} {:>8.2} {:>8.2}",
+            "{:<12} {:>6} {:>7} {:>9.2} {:>9.2} {:>7.1}% {:>6.1}% {:>7.1}% {:>10.1} {:>8.2} {:>8.2}",
             r.workload,
             r.steps,
             r.cadence,
-            r.step_ms,
-            r.guarded_step_ms,
-            r.guard_overhead_pct(),
-            r.snapshot_overhead_pct,
+            r.step_ms.median,
+            r.guarded_step_ms.median,
+            r.guard_overhead_pct.median,
+            r.guard_overhead_pct.iqr,
+            r.snapshot_overhead_pct.median,
             r.snapshot_bytes as f64 / 1024.0,
-            r.save_ms,
-            r.load_ms,
+            r.save_ms.median,
+            r.load_ms.median,
         );
     }
     let worst = rows
         .iter()
-        .map(|r| r.snapshot_overhead_pct)
+        .map(|r| r.snapshot_overhead_pct.median)
         .fold(0.0f64, f64::max);
     let _ = writeln!(
         out,
         "\nworst-case snapshot overhead at this cadence: {worst:.1}% of step time"
     );
-    let json = to_json(&rows);
-    write_artifact("BENCH_recovery.json", &json);
-    // Also drop it at the repository root, where the PR driver tracks it.
-    let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(repo_root.join("BENCH_recovery.json"), &json)
-        .expect("can write BENCH_recovery.json at the repo root");
+    emit("BENCH_recovery.json", &document(&rows, effort));
     write_artifact("ablation_recovery.txt", &out);
     out
 }
@@ -223,28 +216,10 @@ mod tests {
     fn measure_reports_sane_costs() {
         let r = measure(ModelKind::Autoenc, &Effort::quick());
         assert_eq!(r.workload, "autoenc");
-        assert!(r.step_ms > 0.0 && r.guarded_step_ms > 0.0);
+        assert!(r.step_ms.median > 0.0 && r.guarded_step_ms.median > 0.0);
         assert!(r.snapshot_bytes > 0, "snapshot leg must leave a generation on disk");
-        assert!(r.save_ms > 0.0 && r.load_ms > 0.0);
-        assert!(r.snapshot_overhead_pct >= 0.0);
+        assert!(r.save_ms.median > 0.0 && r.load_ms.median > 0.0);
+        assert!(r.snapshot_overhead_pct.median >= 0.0);
     }
 
-    #[test]
-    fn json_shape_holds() {
-        let row = RecoveryRow {
-            workload: "autoenc",
-            steps: 4,
-            cadence: 1,
-            step_ms: 1.0,
-            guarded_step_ms: 1.1,
-            snapshot_overhead_pct: 3.0,
-            snapshot_bytes: 2048,
-            save_ms: 0.2,
-            load_ms: 0.4,
-        };
-        let json = to_json(&[row]);
-        assert!(json.contains("\"experiment\": \"ablation_recovery\""));
-        assert!(json.contains("\"snapshot_bytes\": 2048"));
-        assert!(json.contains("\"guard_overhead_pct\": 10.00"));
-    }
 }

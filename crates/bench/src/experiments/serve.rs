@@ -11,18 +11,21 @@
 //! and the cluster scenario below exercise the same code). The sweep reports
 //! throughput and tail latency per configuration — the classic
 //! batching trade: larger batches amortize per-op overhead (throughput
-//! up) while requests wait longer for a slot (p99 up). Emits
-//! `BENCH_serve.json` into `target/fathom-results/` and the repository
-//! root.
+//! up) while requests wait longer for a slot (p99 up). Every cell and
+//! every cluster leg is re-run in interleaved rounds (service times are
+//! wall-clock) and `BENCH_serve.json`, emitted through `crate::measure`,
+//! carries each timed number's median and inter-quartile distance.
 
 use std::fmt::Write as _;
 
 use fathom::{BuildConfig, ModelKind};
+use fathom_dataflow::Json;
 use fathom_serve::{
     serve, serve_cluster, synth_inputs, BatchPolicy, BatchRunner, ClusterConfig, ClusterReport,
-    ClusterRunner, LoadModel, ModelSpec, ServeConfig, SessionWorker, SloClass,
+    ClusterRunner, LoadModel, ModelSpec, ServeConfig, ServeReport, SessionWorker, SloClass,
 };
 
+use crate::measure::{emit, envelope, rounds, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
 /// Coalescing limits swept per workload.
@@ -45,19 +48,34 @@ pub struct ServePoint {
     /// Batcher coalescing limit (= graph batch extent).
     pub max_batch: usize,
     /// Completed requests per second of virtual makespan.
-    pub throughput_rps: f64,
+    pub throughput_rps: Spread,
     /// Median request latency, milliseconds.
-    pub p50_ms: f64,
+    pub p50_ms: Spread,
     /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
+    pub p99_ms: Spread,
     /// Mean carried batch size across dispatches.
-    pub mean_batch: f64,
+    pub mean_batch: Spread,
     /// Requests completed (none may be shed or timed out here).
     pub completed: u64,
 }
 
-/// Measures one (workload, batch size) cell.
+/// Measures one (workload, batch size) cell over the rounds.
 pub fn measure(kind: ModelKind, max_batch: usize, effort: &Effort) -> ServePoint {
+    let ([throughput_rps, p50_ms, p99_ms, mean_batch], completed) = rounds(effort, || {
+        let report = serve_closed_loop(kind, max_batch, effort);
+        let numbers = [
+            report.throughput_rps(),
+            report.latency.quantile(0.50) / 1e6,
+            report.latency.quantile(0.99) / 1e6,
+            report.mean_batch_size(),
+        ];
+        (numbers, report.completed)
+    });
+    ServePoint { workload: kind.name(), max_batch, throughput_rps, p50_ms, p99_ms, mean_batch, completed }
+}
+
+/// One closed-loop run of one (workload, batch size) cell.
+fn serve_closed_loop(kind: ModelKind, max_batch: usize, effort: &Effort) -> ServeReport {
     let cfg = BuildConfig::inference().with_batch(max_batch);
     let mut worker = SessionWorker::new(kind, &cfg).expect("every workload is servable");
     let shapes = worker.item_shapes();
@@ -73,23 +91,14 @@ pub fn measure(kind: ModelKind, max_batch: usize, effort: &Effort) -> ServePoint
     let requests = (effort.steps.max(1) * 32).max(128).max(2 * max_batch);
     let load = LoadModel::Closed { clients: 2 * max_batch, requests };
     let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut worker];
-    let report = serve(
+    serve(
         &mut runners,
         &serve_cfg,
         &load,
         &mut |rng, _| synth_inputs(&shapes, &domains, rng),
         kind.name(),
     )
-    .expect("serving a well-formed workload succeeds");
-    ServePoint {
-        workload: kind.name(),
-        max_batch,
-        throughput_rps: report.throughput_rps(),
-        p50_ms: report.latency.quantile(0.50) / 1e6,
-        p99_ms: report.latency.quantile(0.99) / 1e6,
-        mean_batch: report.mean_batch_size(),
-        completed: report.completed,
-    }
+    .expect("serving a well-formed workload succeeds")
 }
 
 /// Runs one cluster leg: each workload behind [`CLUSTER_SHARDS`] shards
@@ -135,67 +144,92 @@ pub fn run_cluster_leg(
     serve_cluster(&mut specs, &cluster_cfg).expect("a well-formed cluster serves")
 }
 
-/// One cluster leg rendered as a JSON object (throughput plus per-class
-/// completion and latency quantiles).
-fn leg_json(report: &ClusterReport) -> String {
-    let ms = |nanos: f64| nanos / 1e6;
-    let classes: Vec<String> = SloClass::ALL
-        .iter()
-        .map(|class| {
-            let c = &report.per_class[class.idx()];
-            format!(
-                "{{\"class\": \"{}\", \"issued\": {}, \"completed\": {}, \"shed\": {}, \
-                 \"timed_out\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-                class,
-                c.issued,
-                c.completed,
-                c.shed,
-                c.timed_out,
-                ms(c.latency.quantile(0.50)),
-                ms(c.latency.quantile(0.95)),
-                ms(c.latency.quantile(0.99)),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"throughput_rps\": {:.3}, \"completed\": {}, \"shed\": {}, \"timed_out\": {}, \
-         \"classes\": [{}]}}",
-        report.throughput_rps(),
-        report.completed(),
-        report.shed(),
-        report.timed_out(),
-        classes.join(", ")
-    )
+/// Timed numbers of one cluster leg: throughput, then p50/p95/p99 (ms)
+/// per SLO class.
+const LEG_NUMBERS: usize = 1 + 3 * SloClass::COUNT;
+
+/// One cluster leg over the rounds: its timed numbers with their
+/// spreads, and the last round's report for the counts.
+struct ClusterLeg {
+    /// Throughput, then p50/p95/p99 per class in `SloClass::ALL` order.
+    numbers: [Spread; LEG_NUMBERS],
+    report: ClusterReport,
 }
 
-/// Renders the sweep as `BENCH_serve.json` (written by hand; the suite
-/// carries no JSON dependency). `cluster` is the pre-rendered cluster
-/// scenario object, when the run produced one.
-pub fn to_json(points: &[ServePoint], cluster: Option<&str>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"serve_latency\",\n");
-    let _ = writeln!(
-        out,
-        "  \"batch_sizes\": [{}],",
-        BATCH_SIZES.map(|b| b.to_string()).join(", ")
-    );
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"workload\": \"{}\", \"max_batch\": {}, \"throughput_rps\": {:.3}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_batch\": {:.2}, \"completed\": {}}}",
-            p.workload, p.max_batch, p.throughput_rps, p.p50_ms, p.p99_ms, p.mean_batch, p.completed
-        );
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
+impl ClusterLeg {
+    /// Completed requests per second of virtual makespan.
+    fn throughput_rps(&self) -> Spread {
+        self.numbers[0]
     }
-    out.push_str("  ]");
-    if let Some(cluster) = cluster {
-        out.push_str(",\n  \"cluster\": ");
-        out.push_str(cluster);
+
+    /// The `q`-th (0 = p50, 1 = p95, 2 = p99) latency quantile of
+    /// `class`, milliseconds.
+    fn quantile_ms(&self, class: SloClass, q: usize) -> Spread {
+        self.numbers[1 + 3 * class.idx() + q]
     }
-    out.push_str("\n}\n");
+
+    fn new(numbers: &[Spread], report: ClusterReport) -> ClusterLeg {
+        ClusterLeg { numbers: numbers.try_into().expect("one leg's numbers"), report }
+    }
+
+    /// The leg as a JSON object (throughput plus per-class completion
+    /// and latency quantiles).
+    fn json(&self) -> Json {
+        let classes = SloClass::ALL.iter().map(|&class| {
+            let c = &self.report.per_class[class.idx()];
+            let row = Json::obj()
+                .with("class", class.name())
+                .with("issued", c.issued)
+                .with("completed", c.completed)
+                .with("shed", c.shed)
+                .with("timed_out", c.timed_out);
+            ["p50_ms", "p95_ms", "p99_ms"]
+                .iter()
+                .enumerate()
+                .fold(row, |row, (q, key)| row.with_spread(key, self.quantile_ms(class, q), 3))
+        });
+        Json::obj()
+            .with_spread("throughput_rps", self.throughput_rps(), 3)
+            .with("completed", self.report.completed())
+            .with("shed", self.report.shed())
+            .with("timed_out", self.report.timed_out())
+            .with("classes", Json::arr(classes))
+    }
+}
+
+/// One round's timed numbers of a cluster leg.
+fn leg_numbers(report: &ClusterReport) -> [f64; LEG_NUMBERS] {
+    let mut out = [report.throughput_rps(); LEG_NUMBERS];
+    for class in SloClass::ALL {
+        for (q, quantile) in [0.50, 0.95, 0.99].into_iter().enumerate() {
+            out[1 + 3 * class.idx() + q] =
+                report.per_class[class.idx()].latency.quantile(quantile) / 1e6;
+        }
+    }
     out
+}
+
+/// The sweep and the cluster scenario as the `BENCH_serve.json`
+/// document.
+pub fn document(points: &[ServePoint], cluster: Option<Json>, effort: &Effort) -> Json {
+    let rows = points.iter().map(|p| {
+        Json::obj()
+            .with("workload", p.workload)
+            .with("max_batch", p.max_batch)
+            .with_spread("throughput_rps", p.throughput_rps, 3)
+            .with_spread("p50_ms", p.p50_ms, 3)
+            .with_spread("p99_ms", p.p99_ms, 3)
+            .with_spread("mean_batch", p.mean_batch, 2)
+            .with("completed", p.completed)
+    });
+    // Every replica is a `Device::cpu(1)` session.
+    let doc = envelope("serve_latency", 1, effort)
+        .with("batch_sizes", Json::arr(BATCH_SIZES))
+        .with("points", Json::arr(rows));
+    match cluster {
+        Some(cluster) => doc.with("cluster", cluster),
+        None => doc,
+    }
 }
 
 /// Runs the serving sweep over every workload and batch size.
@@ -218,7 +252,12 @@ pub fn run(effort: &Effort) -> String {
             let _ = writeln!(
                 out,
                 "{:<12} {:>6} {:>12.1} {:>10.3} {:>10.3} {:>10.2}",
-                p.workload, p.max_batch, p.throughput_rps, p.p50_ms, p.p99_ms, p.mean_batch
+                p.workload,
+                p.max_batch,
+                p.throughput_rps.median,
+                p.p50_ms.median,
+                p.p99_ms.median,
+                p.mean_batch.median
             );
             points.push(p);
         }
@@ -243,45 +282,49 @@ pub fn run(effort: &Effort) -> String {
         points
             .iter()
             .find(|p| p.workload == kind.name() && p.max_batch == CLUSTER_MAX_BATCH)
-            .map(|p| p.throughput_rps)
+            .map(|p| p.throughput_rps.median)
             .unwrap_or(100.0)
     };
     let mut workload_rows = Vec::new();
     let mut wins = 0usize;
     for kind in ModelKind::ALL {
         let rps = CLUSTER_OVERLOAD * CLUSTER_SHARDS as f64 * capacity(kind);
-        let cont =
-            run_cluster_leg(&[kind], &[rps], BatchPolicy::Continuous, duration_nanos);
-        let fixed = run_cluster_leg(
-            &[kind],
-            &[rps],
-            BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 },
-            duration_nanos,
-        );
-        let won = cont.throughput_rps() >= fixed.throughput_rps();
+        // Both batching policies in the same rounds, so a host slowdown
+        // cannot decide which one "wins".
+        let (numbers, (cont, fixed)) = rounds::<{ 2 * LEG_NUMBERS }, _>(effort, || {
+            let cont = run_cluster_leg(&[kind], &[rps], BatchPolicy::Continuous, duration_nanos);
+            let fixed = run_cluster_leg(
+                &[kind],
+                &[rps],
+                BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 },
+                duration_nanos,
+            );
+            let (c, f) = (leg_numbers(&cont), leg_numbers(&fixed));
+            (std::array::from_fn(|i| if i < LEG_NUMBERS { c[i] } else { f[i - LEG_NUMBERS] }), (cont, fixed))
+        });
+        let cont = ClusterLeg::new(&numbers[..LEG_NUMBERS], cont);
+        let fixed = ClusterLeg::new(&numbers[LEG_NUMBERS..], fixed);
+        let won = cont.throughput_rps().median >= fixed.throughput_rps().median;
         wins += won as usize;
-        let i_p99 = |r: &ClusterReport| {
-            r.per_class[SloClass::Interactive.idx()].latency.quantile(0.99) / 1e6
-        };
+        let i_p99 = |leg: &ClusterLeg| leg.quantile_ms(SloClass::Interactive, 2).median;
         let _ = writeln!(
             out,
             "{:<12} {:>14.1} {:>14.1} {:>12.3} {:>12.3} {:>10}",
             kind.name(),
-            cont.throughput_rps(),
-            fixed.throughput_rps(),
+            cont.throughput_rps().median,
+            fixed.throughput_rps().median,
             i_p99(&cont),
             i_p99(&fixed),
             won
         );
-        workload_rows.push(format!(
-            "      {{\"workload\": \"{}\", \"offered_rps\": {:.1}, \"continuous_wins\": {}, \
-             \"continuous\": {}, \"fixed_round\": {}}}",
-            kind.name(),
-            rps,
-            won,
-            leg_json(&cont),
-            leg_json(&fixed),
-        ));
+        workload_rows.push(
+            Json::obj()
+                .with("workload", kind.name())
+                .with("offered_rps", Json::fixed(rps, 1))
+                .with("continuous_wins", won)
+                .with("continuous", cont.json())
+                .with("fixed_round", fixed.json()),
+        );
     }
     let _ = writeln!(
         out,
@@ -294,45 +337,44 @@ pub fn run(effort: &Effort) -> String {
         .iter()
         .map(|k| CLUSTER_OVERLOAD * CLUSTER_SHARDS as f64 * capacity(*k))
         .collect();
-    let mixed =
-        run_cluster_leg(&mixed_kinds, &mixed_rates, BatchPolicy::Continuous, duration_nanos);
+    let (numbers, report) = rounds(effort, || {
+        let report =
+            run_cluster_leg(&mixed_kinds, &mixed_rates, BatchPolicy::Continuous, duration_nanos);
+        (leg_numbers(&report), report)
+    });
+    let mixed = ClusterLeg::new(&numbers, report);
+    let mixed_names = mixed_kinds.map(|k| k.name()).join("+");
     let _ = writeln!(
         out,
-        "\nmixed fleet ({}): issued {}  completed {}  shed {}  timed-out {}",
-        mixed_kinds.map(|k| k.name()).join("+"),
-        mixed.issued(),
-        mixed.completed(),
-        mixed.shed(),
-        mixed.timed_out()
+        "\nmixed fleet ({mixed_names}): issued {}  completed {}  shed {}  timed-out {}",
+        mixed.report.issued(),
+        mixed.report.completed(),
+        mixed.report.shed(),
+        mixed.report.timed_out()
     );
     for class in SloClass::ALL {
-        let c = &mixed.per_class[class.idx()];
+        let c = &mixed.report.per_class[class.idx()];
         let _ = writeln!(
             out,
             "  {:<12} completed {:>5}  shed {:>5}  p50 {:>8.3} ms  p99 {:>8.3} ms",
             class.name(),
             c.completed,
             c.shed,
-            c.latency.quantile(0.50) / 1e6,
-            c.latency.quantile(0.99) / 1e6,
+            mixed.quantile_ms(class, 0).median,
+            mixed.quantile_ms(class, 2).median,
         );
     }
 
-    let cluster_json = format!(
-        "{{\n    \"shards\": {CLUSTER_SHARDS},\n    \"max_batch\": {CLUSTER_MAX_BATCH},\n    \
-         \"overload\": {CLUSTER_OVERLOAD:.1},\n    \"slo_mix\": \"50,30,20\",\n    \
-         \"interactive_deadline_ms\": 50.0,\n    \"continuous_wins\": {wins},\n    \
-         \"workloads\": [\n{}\n    ],\n    \"mixed\": {{\"models\": \"{}\", \"report\": {}}}\n  }}",
-        workload_rows.join(",\n"),
-        mixed_kinds.map(|k| k.name()).join("+"),
-        leg_json(&mixed),
-    );
-    let json = to_json(&points, Some(&cluster_json));
-    write_artifact("BENCH_serve.json", &json);
-    // Also drop it at the repository root, where the PR driver tracks it.
-    let repo_root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(repo_root.join("BENCH_serve.json"), &json)
-        .expect("can write BENCH_serve.json at the repo root");
+    let cluster = Json::obj()
+        .with("shards", CLUSTER_SHARDS)
+        .with("max_batch", CLUSTER_MAX_BATCH)
+        .with("overload", Json::fixed(CLUSTER_OVERLOAD, 1))
+        .with("slo_mix", "50,30,20")
+        .with("interactive_deadline_ms", Json::fixed(50.0, 1))
+        .with("continuous_wins", wins)
+        .with("workloads", Json::Arr(workload_rows))
+        .with("mixed", Json::obj().with("models", mixed_names.as_str()).with("report", mixed.json()));
+    emit("BENCH_serve.json", &document(&points, Some(cluster), effort));
     write_artifact("serve_latency.txt", &out);
     out
 }
@@ -347,29 +389,8 @@ mod tests {
         assert_eq!(p.workload, "memnet");
         assert_eq!(p.max_batch, 2);
         assert!(p.completed >= 4);
-        assert!(p.throughput_rps > 0.0);
-        assert!(p.p99_ms >= p.p50_ms);
-    }
-
-    #[test]
-    fn json_shape() {
-        let points = vec![ServePoint {
-            workload: "memnet",
-            max_batch: 4,
-            throughput_rps: 123.4,
-            p50_ms: 1.0,
-            p99_ms: 2.0,
-            mean_batch: 3.5,
-            completed: 32,
-        }];
-        let json = to_json(&points, None);
-        assert!(json.contains("\"experiment\": \"serve_latency\""));
-        assert!(json.contains("\"workload\": \"memnet\""));
-        assert!(json.contains("\"throughput_rps\": 123.400"));
-        assert!(json.contains("\"p99_ms\": 2.000"));
-        assert!(!json.contains("\"cluster\""));
-        let json = to_json(&points, Some("{\"shards\": 2}"));
-        assert!(json.contains("\"cluster\": {\"shards\": 2}"));
+        assert!(p.throughput_rps.median > 0.0);
+        assert!(p.p99_ms.median >= p.p50_ms.median);
     }
 
     #[test]
@@ -382,7 +403,8 @@ mod tests {
         );
         assert!(report.conserved());
         assert!(report.completed() > 0);
-        let json = leg_json(&report);
+        let numbers = leg_numbers(&report).map(|median| Spread { median, iqr: 0.0 });
+        let json = ClusterLeg::new(&numbers, report).json().render_nested();
         for key in ["\"class\": \"interactive\"", "\"p95_ms\"", "\"throughput_rps\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -5,11 +5,14 @@
 //! function that prints the same rows/series the paper reports and writes
 //! CSV under `target/fathom-results/`. The `benches/` targets (run via
 //! `cargo bench -p fathom-bench`) are thin wrappers over these functions;
-//! see EXPERIMENTS.md for the paper-vs-measured record.
+//! see EXPERIMENTS.md for the paper-vs-measured record. The six ablations
+//! that leave a `BENCH_*.json` behind time their legs and write their
+//! documents through [`measure`].
 
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod measure;
 
 use std::path::PathBuf;
 
@@ -20,10 +23,11 @@ pub struct Effort {
     pub warmup: usize,
     /// Measured steps per configuration.
     pub steps: usize,
-    /// Interleaved repetitions of each timed configuration; experiments
-    /// that honor this keep the best (minimum) median across repeats,
-    /// which rejects transient host slowdowns a single pass would bake
-    /// into one leg of an A/B comparison.
+    /// Interleaved rounds over the legs of each `BENCH_*.json` ablation
+    /// ([`measure::rounds`]): every timed number is the median over the
+    /// rounds with their inter-quartile distance beside it, so a
+    /// transient host slowdown lands on every leg of an A/B comparison
+    /// instead of on one.
     pub repeats: usize,
 }
 
@@ -42,23 +46,13 @@ impl Effort {
     /// overrides from the environment, falling back to
     /// [`Effort::standard`].
     pub fn from_env() -> Self {
-        let mut e = Effort::standard();
-        if let Ok(s) = std::env::var("FATHOM_STEPS") {
-            if let Ok(v) = s.parse() {
-                e.steps = v;
-            }
+        let var = |name: &str| std::env::var(name).ok().and_then(|s| s.parse::<usize>().ok());
+        let standard = Effort::standard();
+        Effort {
+            warmup: var("FATHOM_WARMUP").unwrap_or(standard.warmup),
+            steps: var("FATHOM_STEPS").unwrap_or(standard.steps),
+            repeats: var("FATHOM_REPEATS").map_or(standard.repeats, |v| v.max(1)),
         }
-        if let Ok(s) = std::env::var("FATHOM_WARMUP") {
-            if let Ok(v) = s.parse() {
-                e.warmup = v;
-            }
-        }
-        if let Ok(s) = std::env::var("FATHOM_REPEATS") {
-            if let Ok(v) = s.parse::<usize>() {
-                e.repeats = v.max(1);
-            }
-        }
-        e
     }
 }
 

@@ -377,56 +377,83 @@ FAULT PLANS:
     and serving layers and exits nonzero if any recovery fails.
 ";
 
+/// The arguments after the subcommand, consumed left to right: the one
+/// cursor every subcommand's flag loop walks.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// The next flag or positional, if any is left.
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following flag `name`.
+    fn value(&mut self, name: &str) -> Result<&'a str, ParseError> {
+        self.next().ok_or_else(|| ParseError(format!("{name} needs a value")))
+    }
+
+    /// The value following flag `name`, parsed; `what` completes the
+    /// error text ("an integer", "a number").
+    fn parsed<T: std::str::FromStr>(&mut self, name: &str, what: &str) -> Result<T, ParseError> {
+        self.value(name)?.parse().map_err(|_| ParseError(format!("{name} needs {what}")))
+    }
+
+    fn int<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, ParseError> {
+        self.parsed(name, "an integer")
+    }
+
+    fn num<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, ParseError> {
+        self.parsed(name, "a number")
+    }
+
+    /// The model-name positional of subcommand `sub`.
+    fn model(&mut self, sub: &str) -> Result<&'a str, ParseError> {
+        self.next().ok_or_else(|| ParseError(format!("'{sub}' needs a model name")))
+    }
+}
+
+fn unknown_flag(flag: &str) -> ParseError {
+    ParseError(format!("unknown flag '{flag}'"))
+}
+
+fn parse_model(raw: &str) -> Result<ModelKind, ParseError> {
+    raw.parse().map_err(|e: fathom::ParseModelError| ParseError(e.to_string()))
+}
+
 /// Parses an argument list (without the program name).
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first problem encountered.
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let mut it = args.iter();
-    let sub = match it.next() {
+    let mut flags = Flags(args.iter());
+    let sub = match flags.next() {
         None => return Ok(Command::Help),
-        Some(s) => s.as_str(),
+        Some(s) => s,
     };
     match sub {
         "help" | "-h" | "--help" => Ok(Command::Help),
         "list" => {
             let mut json = false;
-            for flag in it {
-                match flag.as_str() {
+            while let Some(flag) = flags.next() {
+                match flag {
                     "--json" => json = true,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    other => return Err(unknown_flag(other)),
                 }
             }
             Ok(Command::List { json })
         }
-        "serve-bench" => parse_serve_bench(&mut it),
-        "train" => parse_train(&mut it),
+        "serve-bench" => parse_serve_bench(flags),
+        "train" => parse_train(flags),
         "train-soak" => {
             let (mut quick, mut seed, mut steps) = (false, 0xFA7408u64, 12u64);
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let mut raw = |name: &str| -> Result<&String, ParseError> {
-                    i += 1;
-                    rest.get(i).copied().ok_or_else(|| ParseError(format!("{name} needs a value")))
-                };
+            while let Some(flag) = flags.next() {
                 match flag {
                     "--quick" => quick = true,
-                    "--seed" => {
-                        seed = raw("--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?
-                    }
-                    "--steps" => {
-                        steps = raw("--steps")?
-                            .parse()
-                            .map_err(|_| ParseError("--steps needs an integer".into()))?
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--seed" => seed = flags.int("--seed")?,
+                    "--steps" => steps = flags.int("--steps")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             if steps < 8 {
                 return Err(ParseError(
@@ -436,71 +463,36 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::TrainSoak { quick, seed, steps })
         }
         "chaos" => {
-            let model_str =
-                it.next().ok_or_else(|| ParseError("'chaos' needs a model name".into()))?;
-            let model: ModelKind = model_str
-                .parse()
-                .map_err(|e: fathom::ParseModelError| ParseError(e.to_string()))?;
+            let model = parse_model(flags.model("chaos")?)?;
             let mut seed = 0xFA7408u64;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--seed" => {
-                        i += 1;
-                        seed = rest
-                            .get(i)
-                            .ok_or_else(|| ParseError("--seed needs a value".into()))?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?;
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--seed" => seed = flags.int("--seed")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             Ok(Command::Chaos { model, seed })
         }
         "cluster-check" => {
             let mut seed = 0xFA7408u64;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--seed" => {
-                        i += 1;
-                        seed = rest
-                            .get(i)
-                            .ok_or_else(|| ParseError("--seed needs a value".into()))?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?;
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--seed" => seed = flags.int("--seed")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             Ok(Command::ClusterCheck { seed })
         }
         "gemm-check" => {
             let (mut m, mut k, mut n, mut threads) = (384usize, 512usize, 256usize, 8usize);
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let mut value = |name: &str| -> Result<usize, ParseError> {
-                    i += 1;
-                    rest.get(i)
-                        .ok_or_else(|| ParseError(format!("{name} needs a value")))?
-                        .parse()
-                        .map_err(|_| ParseError(format!("{name} needs an integer")))
-                };
+            while let Some(flag) = flags.next() {
                 match flag {
-                    "--m" => m = value("--m")?,
-                    "--k" => k = value("--k")?,
-                    "--n" => n = value("--n")?,
-                    "--threads" => threads = value("--threads")?,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--m" => m = flags.int("--m")?,
+                    "--k" => k = flags.int("--k")?,
+                    "--n" => n = flags.int("--n")?,
+                    "--threads" => threads = flags.int("--threads")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             if m == 0 || k == 0 || n == 0 || threads == 0 {
                 return Err(ParseError("gemm-check extents and --threads must be positive".into()));
@@ -509,38 +501,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "fuse-check" => {
             let (mut steps, mut threads, mut inter_ops, mut seed) = (3usize, 2usize, 2usize, 0xFA7408u64);
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let mut raw = |name: &str| -> Result<&String, ParseError> {
-                    i += 1;
-                    rest.get(i).copied().ok_or_else(|| ParseError(format!("{name} needs a value")))
-                };
+            while let Some(flag) = flags.next() {
                 match flag {
-                    "--steps" => {
-                        steps = raw("--steps")?
-                            .parse()
-                            .map_err(|_| ParseError("--steps needs an integer".into()))?
-                    }
-                    "--threads" => {
-                        threads = raw("--threads")?
-                            .parse()
-                            .map_err(|_| ParseError("--threads needs an integer".into()))?
-                    }
-                    "--inter-ops" => {
-                        inter_ops = raw("--inter-ops")?
-                            .parse()
-                            .map_err(|_| ParseError("--inter-ops needs an integer".into()))?
-                    }
-                    "--seed" => {
-                        seed = raw("--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--steps" => steps = flags.int("--steps")?,
+                    "--threads" => threads = flags.int("--threads")?,
+                    "--inter-ops" => inter_ops = flags.int("--inter-ops")?,
+                    "--seed" => seed = flags.int("--seed")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             if steps == 0 || threads == 0 || inter_ops == 0 {
                 return Err(ParseError(
@@ -551,35 +519,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "runtime-check" => {
             let (mut model, mut steps, mut seed) = (None, 2usize, 0xFA7408u64);
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let mut raw = |name: &str| -> Result<&String, ParseError> {
-                    i += 1;
-                    rest.get(i).copied().ok_or_else(|| ParseError(format!("{name} needs a value")))
-                };
+            while let Some(flag) = flags.next() {
                 match flag {
-                    "--model" => {
-                        model = Some(
-                            raw("--model")?
-                                .parse::<ModelKind>()
-                                .map_err(|e: fathom::ParseModelError| ParseError(e.to_string()))?,
-                        )
-                    }
-                    "--steps" => {
-                        steps = raw("--steps")?
-                            .parse()
-                            .map_err(|_| ParseError("--steps needs an integer".into()))?
-                    }
-                    "--seed" => {
-                        seed = raw("--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--model" => model = Some(parse_model(flags.value("--model")?)?),
+                    "--steps" => steps = flags.int("--steps")?,
+                    "--seed" => seed = flags.int("--seed")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             if steps == 0 {
                 return Err(ParseError("runtime-check --steps must be positive".into()));
@@ -589,38 +535,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "precision-check" => {
             let (mut steps, mut threads, mut seed, mut tolerance) =
                 (2usize, 4usize, 0xFA7408u64, 0.05f32);
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let mut raw = |name: &str| -> Result<&String, ParseError> {
-                    i += 1;
-                    rest.get(i).copied().ok_or_else(|| ParseError(format!("{name} needs a value")))
-                };
+            while let Some(flag) = flags.next() {
                 match flag {
-                    "--steps" => {
-                        steps = raw("--steps")?
-                            .parse()
-                            .map_err(|_| ParseError("--steps needs an integer".into()))?
-                    }
-                    "--threads" => {
-                        threads = raw("--threads")?
-                            .parse()
-                            .map_err(|_| ParseError("--threads needs an integer".into()))?
-                    }
-                    "--seed" => {
-                        seed = raw("--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?
-                    }
-                    "--tolerance" => {
-                        tolerance = raw("--tolerance")?
-                            .parse()
-                            .map_err(|_| ParseError("--tolerance needs a number".into()))?
-                    }
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--steps" => steps = flags.int("--steps")?,
+                    "--threads" => threads = flags.int("--threads")?,
+                    "--seed" => seed = flags.int("--seed")?,
+                    "--tolerance" => tolerance = flags.num("--tolerance")?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             if steps == 0 || threads == 0 {
                 return Err(ParseError(
@@ -633,26 +555,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::PrecisionCheck { steps, threads, seed, tolerance })
         }
         "run" | "profile" | "trace" | "dot" => {
-            let model_str = it
-                .next()
-                .ok_or_else(|| ParseError(format!("'{sub}' needs a model name")))?;
-            let model: ModelKind = model_str
-                .parse()
-                .map_err(|e: fathom::ParseModelError| ParseError(e.to_string()))?;
-            let mut run = RunArgs::new(model);
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                let flag = rest[i].as_str();
-                let mut value = |name: &str| -> Result<String, ParseError> {
-                    i += 1;
-                    rest.get(i)
-                        .map(|s| s.to_string())
-                        .ok_or_else(|| ParseError(format!("{name} needs a value")))
-                };
+            let mut run = RunArgs::new(parse_model(flags.model(sub)?)?);
+            while let Some(flag) = flags.next() {
                 match flag {
                     "--mode" => {
-                        run.mode = match value("--mode")?.as_str() {
+                        run.mode = match flags.value("--mode")? {
                             "training" => Mode::Training,
                             "inference" => Mode::Inference,
                             other => {
@@ -662,48 +569,23 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             }
                         }
                     }
-                    "--scale" => {
-                        run.scale = match value("--scale")?.as_str() {
-                            "reference" => ModelScale::Reference,
-                            "full" => ModelScale::Full,
-                            other => {
-                                return Err(ParseError(format!(
-                                    "unknown scale '{other}' (reference|full)"
-                                )))
-                            }
-                        }
-                    }
-                    "--steps" => {
-                        run.steps = value("--steps")?
-                            .parse()
-                            .map_err(|_| ParseError("--steps needs an integer".into()))?
-                    }
-                    "--threads" => {
-                        run.threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| ParseError("--threads needs an integer".into()))?
-                    }
+                    "--scale" => run.scale = parse_scale(flags.value("--scale")?)?,
+                    "--steps" => run.steps = flags.int("--steps")?,
+                    "--threads" => run.threads = flags.int("--threads")?,
                     "--inter-ops" => {
-                        run.inter_ops = value("--inter-ops")?
-                            .parse()
-                            .map_err(|_| ParseError("--inter-ops needs an integer".into()))?;
+                        run.inter_ops = flags.int("--inter-ops")?;
                         if run.inter_ops == 0 {
                             return Err(ParseError("--inter-ops must be at least 1".into()));
                         }
                     }
-                    "--seed" => {
-                        run.seed = value("--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("--seed needs an integer".into()))?
-                    }
-                    "--out" => run.out = Some(value("--out")?),
-                    "--load" => run.load = Some(value("--load")?),
-                    "--save" => run.save = Some(value("--save")?),
+                    "--seed" => run.seed = flags.int("--seed")?,
+                    "--out" => run.out = Some(flags.value("--out")?.to_string()),
+                    "--load" => run.load = Some(flags.value("--load")?.to_string()),
+                    "--save" => run.save = Some(flags.value("--save")?.to_string()),
                     "--fuse" => run.fuse = true,
-                    "--precision" => run.precision = parse_precision(&value("--precision")?)?,
-                    other => return Err(ParseError(format!("unknown flag '{other}'"))),
+                    "--precision" => run.precision = parse_precision(flags.value("--precision")?)?,
+                    other => return Err(unknown_flag(other)),
                 }
-                i += 1;
             }
             if matches!(sub, "trace" | "dot") && run.out.is_none() {
                 return Err(ParseError(format!("'{sub}' requires --out FILE")));
@@ -721,45 +603,25 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     }
 }
 
-fn parse_train(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let model_str =
-        it.next().ok_or_else(|| ParseError("'train' needs a model name".into()))?;
-    let model: ModelKind = model_str
-        .parse()
-        .map_err(|e: fathom::ParseModelError| ParseError(e.to_string()))?;
-    let mut a = TrainArgs::new(model);
-    let rest: Vec<&String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let mut value = |name: &str| -> Result<String, ParseError> {
-            i += 1;
-            rest.get(i)
-                .map(|s| s.to_string())
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
-        fn num<T: std::str::FromStr>(name: &str, raw: String) -> Result<T, ParseError> {
-            raw.parse().map_err(|_| ParseError(format!("{name} needs a number")))
-        }
+fn parse_train(mut flags: Flags<'_>) -> Result<Command, ParseError> {
+    let mut a = TrainArgs::new(parse_model(flags.model("train")?)?);
+    while let Some(flag) = flags.next() {
         match flag {
-            "--steps" => a.steps = num("--steps", value("--steps")?)?,
-            "--threads" => a.threads = num("--threads", value("--threads")?)?,
-            "--seed" => a.seed = num("--seed", value("--seed")?)?,
-            "--dir" => a.dir = Some(value("--dir")?),
+            "--steps" => a.steps = flags.num("--steps")?,
+            "--threads" => a.threads = flags.num("--threads")?,
+            "--seed" => a.seed = flags.num("--seed")?,
+            "--dir" => a.dir = Some(flags.value("--dir")?.to_string()),
             "--resume" => a.resume = true,
-            "--snap-every" => a.snap_every = num("--snap-every", value("--snap-every")?)?,
-            "--snap-keep" => a.snap_keep = num("--snap-keep", value("--snap-keep")?)?,
-            "--max-loss" => a.max_abs_loss = num("--max-loss", value("--max-loss")?)?,
-            "--max-grad-norm" => {
-                a.max_grad_norm = num("--max-grad-norm", value("--max-grad-norm")?)?
-            }
-            "--retry" => a.retry = parse_retry(&value("--retry")?)?,
-            "--max-retries" => a.max_retries = num("--max-retries", value("--max-retries")?)?,
-            "--fault-plan" => a.fault_plan = Some(value("--fault-plan")?),
-            "--out" => a.out = Some(value("--out")?),
-            other => return Err(ParseError(format!("unknown flag '{other}'"))),
+            "--snap-every" => a.snap_every = flags.num("--snap-every")?,
+            "--snap-keep" => a.snap_keep = flags.num("--snap-keep")?,
+            "--max-loss" => a.max_abs_loss = flags.num("--max-loss")?,
+            "--max-grad-norm" => a.max_grad_norm = flags.num("--max-grad-norm")?,
+            "--retry" => a.retry = parse_retry(flags.value("--retry")?)?,
+            "--max-retries" => a.max_retries = flags.num("--max-retries")?,
+            "--fault-plan" => a.fault_plan = Some(flags.value("--fault-plan")?.to_string()),
+            "--out" => a.out = Some(flags.value("--out")?.to_string()),
+            other => return Err(unknown_flag(other)),
         }
-        i += 1;
     }
     if a.steps == 0 || a.threads == 0 {
         return Err(ParseError("train --steps and --threads must be positive".into()));
@@ -771,6 +633,15 @@ fn parse_train(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseEr
         return Err(ParseError("--snap-keep must be at least 1".into()));
     }
     Ok(Command::Train(a))
+}
+
+/// Parses a `--scale` value: `reference` or `full`.
+fn parse_scale(raw: &str) -> Result<ModelScale, ParseError> {
+    match raw {
+        "reference" => Ok(ModelScale::Reference),
+        "full" => Ok(ModelScale::Full),
+        other => Err(ParseError(format!("unknown scale '{other}' (reference|full)"))),
+    }
 }
 
 /// Parses a `--precision` value: `f32` or `bf16`.
@@ -808,84 +679,51 @@ fn parse_retry(raw: &str) -> Result<RetryPolicy, ParseError> {
     }
 }
 
-fn parse_serve_bench(it: &mut std::slice::Iter<'_, String>) -> Result<Command, ParseError> {
-    let model_str = it
-        .next()
-        .ok_or_else(|| ParseError("'serve-bench' needs a model name".into()))?;
-    let models: Vec<ModelKind> = model_str
+fn parse_serve_bench(mut flags: Flags<'_>) -> Result<Command, ParseError> {
+    let models: Vec<ModelKind> = flags
+        .model("serve-bench")?
         .split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|e: fathom::ParseModelError| ParseError(e.to_string()))
-        })
+        .map(|part| parse_model(part.trim()))
         .collect::<Result<_, _>>()?;
     let mut a = ServeArgs::new(models[0]);
     a.models = models;
-    let rest: Vec<&String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let flag = rest[i].as_str();
-        let mut value = |name: &str| -> Result<String, ParseError> {
-            i += 1;
-            rest.get(i)
-                .map(|s| s.to_string())
-                .ok_or_else(|| ParseError(format!("{name} needs a value")))
-        };
-        fn num<T: std::str::FromStr>(name: &str, raw: String) -> Result<T, ParseError> {
-            raw.parse().map_err(|_| ParseError(format!("{name} needs a number")))
+    /// A rate or a span of time, `per_unit` virtual nanoseconds to
+    /// the unit: finite, not negative, and inside `u64` once scaled
+    /// (`inf` never ends an arrival trace, `nan` slips past `<= 0`
+    /// tests, and a saturated span overflows the clock it is added to).
+    fn scaled(flags: &mut Flags<'_>, name: &str, per_unit: f64) -> Result<f64, ParseError> {
+        let v: f64 = flags.num(name)?;
+        if v >= 0.0 && v * per_unit < u64::MAX as f64 {
+            Ok(v)
+        } else {
+            Err(ParseError(format!(
+                "{name} must be a finite, non-negative number (time spans under 2^64 ns)"
+            )))
         }
-        /// A rate or a span of time, `per_unit` virtual nanoseconds to
-        /// the unit: finite, not negative, and inside `u64` once scaled
-        /// (`inf` never ends an arrival trace, `nan` slips past `<= 0`
-        /// tests, and a saturated span overflows the clock it is added to).
-        fn scaled(name: &str, raw: String, per_unit: f64) -> Result<f64, ParseError> {
-            let v: f64 = num(name, raw)?;
-            if v >= 0.0 && v * per_unit < u64::MAX as f64 {
-                Ok(v)
-            } else {
-                Err(ParseError(format!(
-                    "{name} must be a finite, non-negative number (time spans under 2^64 ns)"
-                )))
-            }
-        }
+    }
+    while let Some(flag) = flags.next() {
         match flag {
-            "--scale" => {
-                a.scale = match value("--scale")?.as_str() {
-                    "reference" => ModelScale::Reference,
-                    "full" => ModelScale::Full,
-                    other => {
-                        return Err(ParseError(format!(
-                            "unknown scale '{other}' (reference|full)"
-                        )))
-                    }
-                }
-            }
+            "--scale" => a.scale = parse_scale(flags.value("--scale")?)?,
             "--cluster" => a.cluster = true,
-            "--shards" => a.shards = num("--shards", value("--shards")?)?,
-            "--slo-mix" => a.slo_mix = Some(value("--slo-mix")?),
-            "--rps" => a.rps = scaled("--rps", value("--rps")?, 1.0)?,
-            "--duration" => a.duration = scaled("--duration", value("--duration")?, 1e9)?,
-            "--clients" => a.clients = Some(num("--clients", value("--clients")?)?),
-            "--requests" => a.requests = Some(num("--requests", value("--requests")?)?),
-            "--max-batch" => a.max_batch = num("--max-batch", value("--max-batch")?)?,
-            "--max-delay-ms" => {
-                a.max_delay_ms = scaled("--max-delay-ms", value("--max-delay-ms")?, 1e6)?
-            }
-            "--queue-cap" => a.queue_cap = Some(num("--queue-cap", value("--queue-cap")?)?),
-            "--deadline-ms" => {
-                a.deadline_ms = Some(scaled("--deadline-ms", value("--deadline-ms")?, 1e6)?)
-            }
-            "--replicas" => a.replicas = num("--replicas", value("--replicas")?)?,
-            "--seed" => a.seed = num("--seed", value("--seed")?)?,
-            "--threads" => a.threads = num("--threads", value("--threads")?)?,
-            "--inter-ops" => a.inter_ops = num("--inter-ops", value("--inter-ops")?)?,
-            "--load" => a.load = Some(value("--load")?),
-            "--out" => a.out = Some(value("--out")?),
-            "--fault-plan" => a.fault_plan = Some(value("--fault-plan")?),
-            other => return Err(ParseError(format!("unknown flag '{other}'"))),
+            "--shards" => a.shards = flags.num("--shards")?,
+            "--slo-mix" => a.slo_mix = Some(flags.value("--slo-mix")?.to_string()),
+            "--rps" => a.rps = scaled(&mut flags, "--rps", 1.0)?,
+            "--duration" => a.duration = scaled(&mut flags, "--duration", 1e9)?,
+            "--clients" => a.clients = Some(flags.num("--clients")?),
+            "--requests" => a.requests = Some(flags.num("--requests")?),
+            "--max-batch" => a.max_batch = flags.num("--max-batch")?,
+            "--max-delay-ms" => a.max_delay_ms = scaled(&mut flags, "--max-delay-ms", 1e6)?,
+            "--queue-cap" => a.queue_cap = Some(flags.num("--queue-cap")?),
+            "--deadline-ms" => a.deadline_ms = Some(scaled(&mut flags, "--deadline-ms", 1e6)?),
+            "--replicas" => a.replicas = flags.num("--replicas")?,
+            "--seed" => a.seed = flags.num("--seed")?,
+            "--threads" => a.threads = flags.num("--threads")?,
+            "--inter-ops" => a.inter_ops = flags.num("--inter-ops")?,
+            "--load" => a.load = Some(flags.value("--load")?.to_string()),
+            "--out" => a.out = Some(flags.value("--out")?.to_string()),
+            "--fault-plan" => a.fault_plan = Some(flags.value("--fault-plan")?.to_string()),
+            other => return Err(unknown_flag(other)),
         }
-        i += 1;
     }
     if a.max_batch == 0 {
         return Err(ParseError("--max-batch must be at least 1".into()));

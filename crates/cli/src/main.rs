@@ -15,10 +15,10 @@ use std::sync::Arc;
 
 use args::{parse, Command, RunArgs, ServeArgs, TrainArgs, USAGE};
 use fathom::{
-    BuildConfig, FusionLevel, GuardrailPolicy, Mode, ModelKind, ModelScale, Precision,
+    BuildConfig, FusionLevel, GuardrailPolicy, Mode, ModelKind, Precision,
     RetryPolicy, SnapshotPolicy, TrainOutcome, Trainer, Workload,
 };
-use fathom_dataflow::{checkpoint, export, Device, FaultAction, FaultPlan, FaultSite};
+use fathom_dataflow::{checkpoint, export, Device, FaultAction, FaultPlan, FaultSite, Json};
 use fathom_profile::{report, runner, OpProfile};
 use fathom_serve::{
     serve, serve_cluster, synth_inputs, BatchRunner, ClusterConfig, ClusterReport, ClusterRunner,
@@ -53,7 +53,7 @@ fn dispatch(command: Command) -> Result<(), FathomError> {
         }
         Command::List { json } => {
             if json {
-                println!("{}", list_json());
+                print!("{}", list_json());
             } else {
                 println!(
                     "{:<9} {:>5} {:<22} {:>6} {:<14} {:<10}",
@@ -121,15 +121,7 @@ fn cmd_runtime_check(
     let mut failures = 0u32;
     for kind in kinds {
         let make = |device: Device| {
-            kind.build(&BuildConfig {
-                mode: Mode::Training,
-                scale: ModelScale::Reference,
-                device,
-                seed,
-                batch: None,
-                fusion: FusionLevel::Off,
-                precision: Precision::F32,
-            })
+            kind.build(&BuildConfig::training().with_device(device).with_seed(seed))
         };
         // Serial reference: the plan-order walk on one thread.
         let mut base = make(Device::cpu(1));
@@ -230,15 +222,9 @@ fn cmd_precision_check(
     let mut failures = 0u32;
     for kind in ModelKind::ALL {
         let make = |precision: Precision, device: Device| {
-            kind.build(&BuildConfig {
-                mode: Mode::Inference,
-                scale: ModelScale::Reference,
-                device,
-                seed,
-                batch: None,
-                fusion: FusionLevel::Off,
-                precision,
-            })
+            kind.build(
+                &BuildConfig::inference().with_device(device).with_seed(seed).with_precision(precision),
+            )
         };
 
         // f32 reference over 2x steps: the first half aligns with the
@@ -342,15 +328,8 @@ fn cmd_fuse_check(
     let mut total_gemm_groups = 0usize;
     for kind in ModelKind::ALL {
         let make = |mode: Mode, fusion: FusionLevel, device: Device| {
-            kind.build(&BuildConfig {
-                mode,
-                scale: ModelScale::Reference,
-                device,
-                seed,
-                batch: None,
-                fusion,
-                precision: Precision::F32,
-            })
+            let base = BuildConfig { mode, ..BuildConfig::training() };
+            kind.build(&base.with_device(device).with_seed(seed).with_fusion_level(fusion))
         };
         // Training legs: unfused serial is the reference; fused serial and
         // fused parallel must both reproduce it bit for bit.
@@ -606,33 +585,29 @@ fn conv_check(serial: &fathom_tensor::ExecPool, wide: &fathom_tensor::ExecPool) 
     failures
 }
 
-/// The workload inventory as a JSON array (hand-rolled; the vendored
-/// serde is marker-traits only).
+/// The workload inventory as a JSON array, one workload per line.
 fn list_json() -> String {
-    let rows: Vec<String> = ModelKind::ALL
-        .iter()
-        .map(|kind| {
-            let m = kind.metadata();
-            format!(
-                "  {{\"name\": \"{}\", \"year\": {}, \"style\": \"{}\", \"layers\": {}, \
-                 \"task\": \"{}\", \"dataset\": \"{}\", \"reference\": \"{}\"}}",
-                m.name, m.year, m.style, m.layers, m.task, m.dataset, m.reference
-            )
-        })
-        .collect();
-    format!("[\n{}\n]", rows.join(",\n"))
+    Json::arr(ModelKind::ALL.iter().map(|kind| {
+        let m = kind.metadata();
+        Json::obj()
+            .with("name", m.name)
+            .with("year", u64::from(m.year))
+            .with("style", m.style)
+            .with("layers", m.layers)
+            .with("task", m.task)
+            .with("dataset", m.dataset)
+            .with("reference", m.reference)
+    }))
+    .render()
 }
 
 fn build(a: &RunArgs) -> Box<dyn Workload> {
-    let cfg = BuildConfig {
-        mode: a.mode,
-        scale: a.scale,
-        device: Device::cpu_inter_op(a.threads, a.inter_ops),
-        seed: a.seed,
-        batch: None,
-        fusion: if a.fuse { FusionLevel::Full } else { FusionLevel::Off },
-        precision: a.precision,
-    };
+    let cfg = BuildConfig { mode: a.mode, ..BuildConfig::training() }
+        .with_scale(a.scale)
+        .with_device(Device::cpu_inter_op(a.threads, a.inter_ops))
+        .with_seed(a.seed)
+        .with_fusion(a.fuse)
+        .with_precision(a.precision);
     a.model.build(&cfg)
 }
 
@@ -958,15 +933,7 @@ fn cmd_cluster_check(seed: u64) -> Result<(), FathomError> {
     // The checkpoint the fleet swaps to mid-run: a briefly trained
     // memnet, so the reloaded weights demonstrably differ from the
     // build-time initialization.
-    let mut trained = ModelKind::Memnet.build(&BuildConfig {
-        mode: Mode::Training,
-        scale: ModelScale::Reference,
-        device: Device::cpu(1),
-        seed: seed ^ 1,
-        batch: None,
-        fusion: FusionLevel::Off,
-        precision: Precision::F32,
-    });
+    let mut trained = ModelKind::Memnet.build(&BuildConfig::training().with_seed(seed ^ 1));
     for _ in 0..2 {
         trained.step();
     }
@@ -976,18 +943,8 @@ fn cmd_cluster_check(seed: u64) -> Result<(), FathomError> {
 
     const MAX_BATCH: usize = 2;
     let build = |kind: ModelKind| -> Result<SessionWorker, FathomError> {
-        Ok(SessionWorker::new(
-            kind,
-            &BuildConfig {
-                mode: Mode::Inference,
-                scale: ModelScale::Reference,
-                device: Device::cpu(1),
-                seed,
-                batch: Some(MAX_BATCH),
-                fusion: FusionLevel::Off,
-                precision: Precision::F32,
-            },
-        )?)
+        let cfg = BuildConfig::inference().with_seed(seed).with_batch(MAX_BATCH);
+        Ok(SessionWorker::new(kind, &cfg)?)
     };
     let kinds = [ModelKind::Memnet, ModelKind::Autoenc];
     let mut fleet: Vec<Vec<Vec<SessionWorker>>> = Vec::new();
@@ -1112,15 +1069,7 @@ fn build_trainer(
     snapshots: Option<(SnapshotPolicy, &str)>,
     faults: Option<Arc<FaultPlan>>,
 ) -> Result<Trainer, FathomError> {
-    let cfg = BuildConfig {
-        mode: Mode::Training,
-        scale: ModelScale::Reference,
-        device: Device::cpu(threads),
-        seed,
-        batch: None,
-        fusion: FusionLevel::Off,
-        precision: Precision::F32,
-    };
+    let cfg = BuildConfig::training().with_device(Device::cpu(threads)).with_seed(seed);
     let mut trainer = Trainer::new(model.build(&cfg))?.with_guardrail(guard);
     if let Some((policy, dir)) = snapshots {
         trainer = trainer.with_snapshots(policy, dir);
@@ -1308,16 +1257,7 @@ fn cmd_chaos(model: ModelKind, seed: u64) -> Result<(), FathomError> {
     // Probe 1: an injected op panic mid-step must roll the session back
     // to its pre-step state and leave it usable.
     {
-        let cfg = BuildConfig {
-            mode: Mode::Training,
-            scale: ModelScale::Reference,
-            device: Device::cpu(1),
-            seed,
-            batch: None,
-            fusion: FusionLevel::Off,
-            precision: Precision::F32,
-        };
-        let mut m = model.build(&cfg);
+        let mut m = model.build(&BuildConfig::training().with_seed(seed));
         let mut before = Vec::new();
         checkpoint::save(m.session(), &mut before)?;
         // Hit 2 fires before any optimizer Apply* op can commit, so the

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fathom_dataflow::checkpoint::{self, CheckpointError, TrainCursor};
-use fathom_dataflow::{ExecError, FaultAction, FaultPlan, FaultSite, Guardrail, RuntimeCounters};
+use fathom_dataflow::{ExecError, FaultAction, FaultPlan, FaultSite, Guardrail, Json, RuntimeCounters};
 
 use crate::workload::Workload;
 
@@ -153,51 +153,36 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Hand-rolled JSON (the suite carries no serde).
+    /// The report as a JSON document, through `fathom_dataflow::json`:
+    /// an absent or non-finite loss is `null` (a diverged run's report
+    /// must still parse), and the `runtime` block appears only when the
+    /// unified runtime recorded something.
     pub fn to_json(&self, outcome: &TrainOutcome) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        let outcome_str = match outcome {
+        let outcome = match outcome {
             TrainOutcome::Completed => "completed".to_string(),
             TrainOutcome::Killed { at_step } => format!("killed@{at_step}"),
         };
-        out.push_str(&format!("  \"outcome\": \"{outcome_str}\",\n"));
-        out.push_str(&format!("  \"steps\": {},\n", self.steps));
-        match self.resumed_from {
-            Some(s) => out.push_str(&format!("  \"resumed_from\": {s},\n")),
-            None => out.push_str("  \"resumed_from\": null,\n"),
-        }
-        // Non-finite floats degrade to null: JSON has no NaN/Infinity
-        // tokens, and a diverged run's report must still parse.
-        match self.final_loss {
-            Some(l) if l.is_finite() => out.push_str(&format!("  \"final_loss\": {l},\n")),
-            _ => out.push_str("  \"final_loss\": null,\n"),
-        }
-        match self.final_grad_norm {
-            Some(g) if g.is_finite() => out.push_str(&format!("  \"final_grad_norm\": {g},\n")),
-            _ => out.push_str("  \"final_grad_norm\": null,\n"),
-        }
-        out.push_str(&format!("  \"guardrail_trips\": {},\n", self.trips.len()));
-        out.push_str("  \"trips\": [\n");
-        for (i, t) in self.trips.iter().enumerate() {
-            let comma = if i + 1 == self.trips.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"step\": {}, \"attempt\": {}, \"action\": \"{}\", \"reason\": {:?}}}{comma}\n",
-                t.step, t.attempt, t.action, t.reason
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"snapshots_written\": {},\n", self.snapshots_written));
-        out.push_str(&format!("  \"snapshot_nanos\": {},\n", self.snapshot_nanos));
-        // Emitted only when the unified runtime recorded something, so
-        // serial runs keep byte-identical JSON.
-        if self.runtime.any() {
-            out.push_str(&format!("  \"runtime\": {},\n", self.runtime.to_json()));
-        }
-        out.push_str(&format!("  \"step_nanos\": {}\n", self.step_nanos));
-        out.push_str("}\n");
-        out
+        let trips = self.trips.iter().map(|t| {
+            Json::obj()
+                .with("step", t.step)
+                .with("attempt", u64::from(t.attempt))
+                .with("action", t.action.to_string().as_str())
+                .with("reason", t.reason.as_str())
+        });
+        Json::obj()
+            .with("workload", self.workload)
+            .with("outcome", outcome.as_str())
+            .with("steps", self.steps)
+            .with("resumed_from", self.resumed_from)
+            .with("final_loss", self.final_loss)
+            .with("final_grad_norm", self.final_grad_norm)
+            .with("guardrail_trips", self.trips.len())
+            .with("trips", Json::arr(trips))
+            .with("snapshots_written", self.snapshots_written)
+            .with("snapshot_nanos", self.snapshot_nanos)
+            .with_nondefault("runtime", self.runtime)
+            .with("step_nanos", self.step_nanos)
+            .render()
     }
 }
 
@@ -684,6 +669,61 @@ mod tests {
         assert!(json.contains("\"steps\": 2"));
         assert!(json.contains("\"guardrail_trips\": 0"));
         assert!(json.contains("\"final_grad_norm\""));
+    }
+
+    #[test]
+    fn report_json_is_pinned() {
+        let runtime = RuntimeCounters {
+            allocations: 3,
+            arena_bytes: 4096,
+            steal_count: 5,
+            wide_ops: 7,
+            coscheduled_ops: 11,
+            parks: 13,
+            inline_ops: 17,
+        };
+        let trip = |step, reason: &str, attempt, action| TripEvent { step, reason: reason.into(), attempt, action };
+        let report = TrainReport {
+            workload: "autoenc",
+            steps: 7,
+            resumed_from: Some(4),
+            final_loss: Some(f32::NAN),
+            final_grad_norm: Some(0.1),
+            trips: vec![
+                trip(5, "fetch n12 is non-finite", 1, RetryPolicy::Replay),
+                trip(6, "fetch n3 value 20000 exceeds limit 10000", 2, RetryPolicy::LrBackoff { factor: 0.5 }),
+            ],
+            snapshots_written: 2,
+            snapshot_nanos: 123_456_789_012,
+            step_nanos: 987_654_321_098_765,
+            runtime,
+        };
+        // Recorded from the hand-formatted writer this one replaced.
+        assert_eq!(
+            report.to_json(&TrainOutcome::Killed { at_step: 7 }),
+            "{\n  \"workload\": \"autoenc\",\n  \"outcome\": \"killed@7\",\n  \"steps\": 7,\n  \
+             \"resumed_from\": 4,\n  \"final_loss\": null,\n  \"final_grad_norm\": 0.1,\n  \
+             \"guardrail_trips\": 2,\n  \"trips\": [\n    \
+             {\"step\": 5, \"attempt\": 1, \"action\": \"replay\", \"reason\": \"fetch n12 is non-finite\"},\n    \
+             {\"step\": 6, \"attempt\": 2, \"action\": \"lr-backoff:0.5\", \
+             \"reason\": \"fetch n3 value 20000 exceeds limit 10000\"}\n  ],\n  \
+             \"snapshots_written\": 2,\n  \"snapshot_nanos\": 123456789012,\n  \
+             \"runtime\": {\"allocations\": 3, \"arena_bytes\": 4096, \"steal_count\": 5, \"wide_ops\": 7, \
+             \"coscheduled_ops\": 11, \"parks\": 13, \"inline_ops\": 17},\n  \
+             \"step_nanos\": 987654321098765\n}\n"
+        );
+        // A report with no trips differs from the old writer in
+        // whitespace only: `"trips": []` was `"trips": [\n  ]`. Pinned on
+        // the old text with whitespace removed.
+        let quiet = TrainReport { workload: "vgg", steps: 2, final_loss: Some(1.5), ..TrainReport::default() };
+        let stripped: String =
+            quiet.to_json(&TrainOutcome::Completed).chars().filter(|c| !c.is_whitespace()).collect();
+        assert_eq!(
+            stripped,
+            "{\"workload\":\"vgg\",\"outcome\":\"completed\",\"steps\":2,\"resumed_from\":null,\
+             \"final_loss\":1.5,\"final_grad_norm\":null,\"guardrail_trips\":0,\"trips\":[],\
+             \"snapshots_written\":0,\"snapshot_nanos\":0,\"step_nanos\":0}"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use crate::graph::Graph;
+use crate::json::Json;
 use crate::op::OpClass;
 use crate::trace::RunTrace;
 
@@ -25,11 +26,6 @@ fn class_color(class: OpClass) -> &'static str {
         OpClass::Optimization => "#fdb462",
         OpClass::DataMovement => "#d9d9d9",
     }
-}
-
-/// Escapes a DOT/JSON string literal body.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the graph in Graphviz DOT format: one node per operation,
@@ -55,7 +51,7 @@ pub fn to_dot(g: &Graph) -> String {
         let name = node
             .name
             .as_deref()
-            .map(|n| format!("\\n{}", escape(n)))
+            .map(|n| format!("\\n{}", n.replace('\\', "\\\\").replace('"', "\\\"")))
             .unwrap_or_default();
         let _ = writeln!(
             out,
@@ -78,11 +74,9 @@ pub fn to_dot(g: &Graph) -> String {
 /// Perfetto. Events are laid out back-to-back per class lane in
 /// execution order, using each event's measured/modeled duration.
 pub fn to_chrome_trace(trace: &RunTrace) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
     // One virtual timeline cursor per class lane.
     let mut cursors = [0.0f64; 7];
-    let mut first = true;
-    for e in &trace.events {
+    let events = trace.events.iter().map(|e| {
         let lane = OpClass::ALL
             .iter()
             .position(|c| *c == e.class)
@@ -90,32 +84,35 @@ pub fn to_chrome_trace(trace: &RunTrace) -> String {
         let start_us = cursors[lane];
         let dur_us = e.nanos / 1_000.0;
         cursors[lane] += dur_us;
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"node\":\"{}\",\"step\":{},\"flops\":{}}}}}",
-            escape(e.op),
-            escape(e.class.label()),
-            start_us,
-            dur_us,
-            lane + 1,
-            e.node,
-            e.step,
-            e.cost.flops
-        );
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"fathom-rs\"}}");
-    out
+        let args = Json::obj()
+            .with("node", e.node.to_string().as_str())
+            .with("step", e.step)
+            .with("flops", e.cost.flops);
+        Json::obj()
+            .with("name", e.op)
+            .with("cat", e.class.label())
+            .with("ph", "X")
+            .with("ts", Json::fixed(start_us, 3))
+            .with("dur", Json::fixed(dur_us, 3))
+            .with("pid", 1u64)
+            .with("tid", lane + 1)
+            .with("args", args)
+    });
+    Json::obj()
+        .with("traceEvents", Json::arr(events))
+        .with("displayTimeUnit", "ms")
+        .with("otherData", Json::obj().with("generator", "fathom-rs"))
+        .render_compact()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::OpCost;
     use crate::device::Device;
     use crate::exec::Session;
+    use crate::graph::NodeId;
+    use crate::trace::TraceEvent;
     use fathom_tensor::{Shape, Tensor};
 
     fn traced_session() -> (Graph, RunTrace) {
@@ -174,6 +171,65 @@ mod tests {
         // Two class-G events (Placeholder, Variable) share lane 7, so the
         // second must start after the first (ts > 0 appears).
         assert!(json.contains("\"tid\":7"));
+    }
+
+    fn event(node: u32, op: &'static str, class: OpClass, step: u64, nanos: f64, flops: f64) -> TraceEvent {
+        TraceEvent { node: NodeId(node), op, class, step, nanos, cost: OpCost { flops, bytes: 0.0 } }
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        let trace = RunTrace {
+            events: vec![
+                event(3, "MatMul", OpClass::MatrixOps, 0, 1234.5678, 2048.0),
+                event(4, "Relu", OpClass::ElementwiseArithmetic, 0, 10.0, 0.5),
+                event(3, "MatMul", OpClass::MatrixOps, 1, 2000.0, 1e21),
+            ],
+            ..RunTrace::new()
+        };
+        // Recorded from the hand-formatted writer this one replaced.
+        assert_eq!(
+            to_chrome_trace(&trace),
+            "{\"traceEvents\":[\
+             {\"name\":\"MatMul\",\"cat\":\"Matrix Operations\",\"ph\":\"X\",\"ts\":0.000,\"dur\":1.235,\
+             \"pid\":1,\"tid\":1,\"args\":{\"node\":\"n3\",\"step\":0,\"flops\":2048}},\
+             {\"name\":\"Relu\",\"cat\":\"Elementwise Arithmetic\",\"ph\":\"X\",\"ts\":0.000,\"dur\":0.010,\
+             \"pid\":1,\"tid\":3,\"args\":{\"node\":\"n4\",\"step\":0,\"flops\":0.5}},\
+             {\"name\":\"MatMul\",\"cat\":\"Matrix Operations\",\"ph\":\"X\",\"ts\":1.235,\"dur\":2.000,\
+             \"pid\":1,\"tid\":1,\"args\":{\"node\":\"n3\",\"step\":1,\"flops\":1000000000000000000000}}],\
+             \"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"fathom-rs\"}}"
+        );
+    }
+
+    #[test]
+    fn chrome_trace_escapes_control_characters_in_names() {
+        let trace = RunTrace {
+            events: vec![event(0, "in\nput\t\"x\"", OpClass::DataMovement, 0, 1.0, 0.0)],
+            ..RunTrace::new()
+        };
+        let json = to_chrome_trace(&trace);
+        assert!(json.contains("\"name\":\"in\\nput\\t\\\"x\\\"\""), "{json}");
+        assert!(!json.contains('\n') && !json.contains('\t'), "raw control character in {json}");
+    }
+
+    #[test]
+    fn chrome_trace_degrades_non_finite_durations_to_null() {
+        let trace = RunTrace {
+            events: vec![
+                event(0, "MatMul", OpClass::MatrixOps, 0, f64::NAN, f64::INFINITY),
+                event(1, "MatMul", OpClass::MatrixOps, 0, 5.0, 1.0),
+            ],
+            ..RunTrace::new()
+        };
+        let json = to_chrome_trace(&trace);
+        // The poisoned event and everything after it on its lane lose
+        // their times, not the file its well-formedness.
+        assert_eq!(json.matches("\"ts\":null").count(), 1, "{json}");
+        assert_eq!(json.matches("\"dur\":null").count(), 1, "{json}");
+        assert!(json.contains("\"flops\":null"), "{json}");
+        for token in ["NaN", "inf"] {
+            assert!(!json.contains(token), "bare {token} in {json}");
+        }
     }
 
     #[test]

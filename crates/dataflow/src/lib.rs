@@ -13,7 +13,9 @@
 //!   operations;
 //! * [`Session`]: topological execution with feeds/fetches, per-op
 //!   [`trace::TraceEvent`] capture, and pluggable [`Device`]s (real CPU
-//!   pools, modeled GPU).
+//!   pools, modeled GPU);
+//! * [`json::Json`]: the one JSON writer every report in the workspace
+//!   renders through.
 //!
 //! # Examples
 //!
@@ -55,6 +57,7 @@ mod exec;
 pub mod export;
 pub mod fault;
 pub mod grad;
+pub mod json;
 mod graph;
 mod op;
 mod optim;
@@ -68,5 +71,6 @@ pub use fathom_tensor::Precision;
 pub use trace::RuntimeCounters;
 pub use fault::{FaultAction, FaultPlan, FaultSite, FaultSpec};
 pub use graph::{Graph, GraphError, Node, NodeId};
+pub use json::Json;
 pub use op::{GemmOp, OpClass, OpKind};
 pub use optim::{Optimizer, TrainHandles};

@@ -12,6 +12,7 @@ use serde::Serialize;
 
 use crate::cost::OpCost;
 use crate::graph::{Node, NodeId};
+use crate::json::Json;
 use crate::op::{GemmOp, OpClass, OpKind};
 
 /// One executed operation.
@@ -107,22 +108,10 @@ impl RuntimeCounters {
         }
     }
 
-    /// The counters as one JSON object, the `runtime` block of every
-    /// report. `parks` and `inline_ops` appear only when nonzero, so
-    /// reports of runs that never park or chain-follow are unchanged.
+    /// The counters as one JSON object (see `From<RuntimeCounters> for
+    /// Json`), rendered as it appears inside a report.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"allocations\": {}, \"arena_bytes\": {}, \"steal_count\": {}, \
-             \"wide_ops\": {}, \"coscheduled_ops\": {}",
-            self.allocations, self.arena_bytes, self.steal_count, self.wide_ops, self.coscheduled_ops
-        );
-        for (name, value) in [("parks", self.parks), ("inline_ops", self.inline_ops)] {
-            if value != 0 {
-                out.push_str(&format!(", \"{name}\": {value}"));
-            }
-        }
-        out.push('}');
-        out
+        Json::from(*self).render_nested()
     }
 
     /// Accumulates another sample (`arena_bytes` takes the maximum, the
@@ -135,6 +124,22 @@ impl RuntimeCounters {
         self.coscheduled_ops += other.coscheduled_ops;
         self.parks += other.parks;
         self.inline_ops += other.inline_ops;
+    }
+}
+
+/// The `runtime` block of every report. `parks` and `inline_ops` appear
+/// only when nonzero, so reports of runs that never park or chain-follow
+/// are unchanged.
+impl From<RuntimeCounters> for Json {
+    fn from(c: RuntimeCounters) -> Json {
+        Json::obj()
+            .with("allocations", c.allocations)
+            .with("arena_bytes", c.arena_bytes)
+            .with("steal_count", c.steal_count)
+            .with("wide_ops", c.wide_ops)
+            .with("coscheduled_ops", c.coscheduled_ops)
+            .with_nondefault("parks", c.parks)
+            .with_nondefault("inline_ops", c.inline_ops)
     }
 }
 
@@ -396,6 +401,12 @@ mod tests {
             "{\"allocations\": 2, \"arena_bytes\": 0, \"steal_count\": 0, \
              \"wide_ops\": 0, \"coscheduled_ops\": 0}",
             "zero parks/inline_ops leave the block as it was"
+        );
+        assert_eq!(
+            RuntimeCounters { inline_ops: 2, ..RuntimeCounters::default() }.to_json(),
+            "{\"allocations\": 0, \"arena_bytes\": 0, \"steal_count\": 0, \
+             \"wide_ops\": 0, \"coscheduled_ops\": 0, \"inline_ops\": 2}",
+            "each of the two is omitted on its own"
         );
     }
 }

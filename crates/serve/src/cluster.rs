@@ -57,10 +57,10 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use fathom_tensor::{Rng, Tensor};
 
-use fathom_dataflow::RuntimeCounters;
+use fathom_dataflow::{Json, RuntimeCounters};
 
 use crate::engine::RecoveryPolicy;
-use crate::metrics::{json_f64, LatencyHistogram, RecoveryCounters, ShedBreakdown};
+use crate::metrics::{LatencyHistogram, RecoveryCounters, ShedBreakdown};
 use crate::router::Router;
 use crate::slo::{SloClass, SloMix, SloPolicy};
 use crate::worker::{BatchRunner, Request, ServeError, SessionWorker};
@@ -354,82 +354,58 @@ impl ClusterReport {
         self.models.iter().map(|m| m.spilled).sum()
     }
 
-    /// Serializes the report to a JSON object (hand-rolled; the
-    /// vendored serde is marker-traits only).
+    /// Serializes the report to a JSON document; `shed_reasons`,
+    /// `recovery` and `runtime` blocks appear only when non-zero.
     pub fn to_json(&self) -> String {
-        let class_json = |stats: &[ClassStats; SloClass::COUNT], indent: &str| -> String {
-            let rows: Vec<String> = SloClass::ALL
-                .iter()
-                .map(|class| {
-                    let c = &stats[class.idx()];
-                    let mut row = format!(
-                        "{indent}  {{\"class\": \"{}\", \"issued\": {}, \"completed\": {}, \
-                         \"shed\": {}, \"timed_out\": {}, ",
-                        class, c.issued, c.completed, c.shed, c.timed_out
-                    );
-                    if c.shed_reasons.any() {
-                        row.push_str(&format!("\"shed_reasons\": {}, ", c.shed_reasons.to_json()));
-                    }
-                    row.push_str(&format!("\"latency_ms\": {}}}", c.latency.to_json_ms()));
-                    row
-                })
-                .collect();
-            format!("[\n{}\n{indent}]", rows.join(",\n"))
+        let classes = |stats: &[ClassStats; SloClass::COUNT]| {
+            Json::arr(SloClass::ALL.iter().map(|class| {
+                let c = &stats[class.idx()];
+                Json::obj()
+                    .with("class", class.name())
+                    .with("issued", c.issued)
+                    .with("completed", c.completed)
+                    .with("shed", c.shed)
+                    .with("timed_out", c.timed_out)
+                    .with_nondefault("shed_reasons", c.shed_reasons)
+                    .with("latency_ms", c.latency.json_ms())
+            }))
         };
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"batching\": \"{}\",\n",
-            match self.batching {
-                BatchPolicy::Continuous => "continuous",
-                BatchPolicy::FixedRound { .. } => "fixed_round",
-            }
-        ));
-        s.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        s.push_str(&format!("  \"issued\": {},\n", self.issued()));
-        s.push_str(&format!("  \"completed\": {},\n", self.completed()));
-        s.push_str(&format!("  \"shed\": {},\n", self.shed()));
-        let reasons = self.shed_reasons();
-        if reasons.any() {
-            s.push_str(&format!("  \"shed_reasons\": {},\n", reasons.to_json()));
-        }
-        s.push_str(&format!("  \"timed_out\": {},\n", self.timed_out()));
-        s.push_str(&format!("  \"spilled\": {},\n", self.spilled()));
-        s.push_str(&format!("  \"reloads\": {},\n", self.reloads()));
-        s.push_str(&format!("  \"makespan_ms\": {},\n", json_f64(self.makespan_nanos as f64 / 1e6, 3)));
-        s.push_str(&format!("  \"throughput_rps\": {},\n", json_f64(self.throughput_rps(), 3)));
-        s.push_str(&format!("  \"classes\": {},\n", class_json(&self.per_class, "  ")));
-        let models: Vec<String> = self
-            .models
-            .iter()
-            .map(|m| {
-                format!(
-                    "    {{\"model\": \"{}\", \"shards\": {}, \"replicas\": {}, \"issued\": {}, \
-                     \"completed\": {}, \"shed\": {}, \"timed_out\": {}, \"spilled\": {}, \
-                     \"reloads\": {}, \"batches\": {}, \"mean_batch\": {},\n      \"classes\": {}}}",
-                    m.model,
-                    m.shards,
-                    m.replicas,
-                    m.issued(),
-                    m.completed(),
-                    m.shed(),
-                    m.timed_out(),
-                    m.spilled,
-                    m.reloads,
-                    m.batches,
-                    json_f64(m.mean_batch(), 2),
-                    class_json(&m.per_class, "      "),
-                )
-            })
-            .collect();
-        s.push_str(&format!("  \"models\": [\n{}\n  ]", models.join(",\n")));
-        if self.recovery.any() {
-            s.push_str(&format!(",\n  \"recovery\": {}", self.recovery.to_json()));
-        }
-        if self.runtime.any() {
-            s.push_str(&format!(",\n  \"runtime\": {}", self.runtime.to_json()));
-        }
-        s.push_str("\n}\n");
-        s
+        let models = self.models.iter().map(|m| {
+            Json::obj()
+                .with("model", m.model.as_str())
+                .with("shards", m.shards)
+                .with("replicas", m.replicas)
+                .with("issued", m.issued())
+                .with("completed", m.completed())
+                .with("shed", m.shed())
+                .with("timed_out", m.timed_out())
+                .with("spilled", m.spilled)
+                .with("reloads", m.reloads)
+                .with("batches", m.batches)
+                .with("mean_batch", Json::fixed(m.mean_batch(), 2))
+                .with("classes", classes(&m.per_class))
+        });
+        let batching = match self.batching {
+            BatchPolicy::Continuous => "continuous",
+            BatchPolicy::FixedRound { .. } => "fixed_round",
+        };
+        Json::obj()
+            .with("batching", batching)
+            .with("max_batch", self.max_batch)
+            .with("issued", self.issued())
+            .with("completed", self.completed())
+            .with("shed", self.shed())
+            .with_nondefault("shed_reasons", self.shed_reasons())
+            .with("timed_out", self.timed_out())
+            .with("spilled", self.spilled())
+            .with("reloads", self.reloads())
+            .with("makespan_ms", Json::fixed(self.makespan_nanos as f64 / 1e6, 3))
+            .with("throughput_rps", Json::fixed(self.throughput_rps(), 3))
+            .with("classes", classes(&self.per_class))
+            .with("models", Json::arr(models))
+            .with_nondefault("recovery", self.recovery)
+            .with_nondefault("runtime", self.runtime)
+            .render()
     }
 }
 

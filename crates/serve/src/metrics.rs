@@ -1,30 +1,17 @@
 //! Per-request observability: latency distribution, queue pressure,
 //! batch shape, and op-class time slices for a serving run.
 //!
-//! Everything here is plain data plus hand-rolled JSON (the vendored
-//! `serde` is marker-traits only; see `vendor/README.md`), so a
-//! [`ServeReport`] can be dropped next to the other `BENCH_*.json`
-//! artifacts and diffed across runs. The fragments it shares with
+//! Everything here is plain data plus a [`Json`] tree per report,
+//! rendered by the workspace's one writer (`fathom_dataflow::json`:
+//! escaping, non-finite floats as `null` and omitted all-default blocks
+//! are its rules, not this module's), so a [`ServeReport`] can be
+//! dropped next to the other `BENCH_*.json` artifacts and diffed across
+//! runs. The blocks it shares with
 //! [`ClusterReport`](crate::cluster::ClusterReport) — `latency_ms`,
-//! `recovery`, `shed_reasons` — are written here, once.
+//! `recovery`, `shed_reasons` — are built here, once.
 
-use fathom_dataflow::{OpClass, RuntimeCounters};
+use fathom_dataflow::{Json, OpClass, RuntimeCounters};
 use serde::Serialize;
-
-/// Formats a float with `prec` decimals for the hand-rolled JSON
-/// writers, degrading non-finite values to `null`. JSON has no
-/// NaN/Infinity tokens — `format!("{:.3}", f64::NAN)` would emit a
-/// bare `NaN` and corrupt the whole artifact — and a single poisoned
-/// sample should cost one field, not the file. Finite values format
-/// exactly as the inline `{:.prec$}` they replace, so well-formed
-/// reports stay byte-identical.
-pub(crate) fn json_f64(value: f64, prec: usize) -> String {
-    if value.is_finite() {
-        format!("{value:.prec$}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// An exact-quantile latency recorder. Samples are kept raw (a serving
 /// run records at most a few thousand requests), so percentiles are
@@ -62,15 +49,19 @@ impl LatencyHistogram {
     /// clamped into `1..=n`, so `q < 0.0` and NaN degrade to the minimum
     /// and `q > 1.0` to the maximum.
     pub fn quantile(&self, q: f64) -> f64 {
+        self.quantiles([q])[0]
+    }
+
+    /// Several quantiles from one sort of the samples.
+    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
         if self.samples.is_empty() {
-            return 0.0;
+            return [0.0; N];
         }
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
         // `ceil` then clamp: the float-to-usize cast saturates (NaN to
         // 0), and the clamp keeps every pathological rank in bounds.
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        qs.map(|q| sorted[((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1])
     }
 
     /// Arithmetic mean in nanoseconds (0 when empty).
@@ -97,16 +88,15 @@ impl LatencyHistogram {
 
     /// The `latency_ms` object of a report: quantiles, mean and max in
     /// milliseconds.
-    pub(crate) fn to_json_ms(&self) -> String {
-        let ms = |nanos: f64| json_f64(nanos / 1e6, 3);
-        format!(
-            "{{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {}, \"max\": {}}}",
-            ms(self.quantile(0.50)),
-            ms(self.quantile(0.95)),
-            ms(self.quantile(0.99)),
-            ms(self.mean()),
-            ms(self.max()),
-        )
+    pub(crate) fn json_ms(&self) -> Json {
+        let ms = |nanos: f64| Json::fixed(nanos / 1e6, 3);
+        let [p50, p95, p99] = self.quantiles([0.50, 0.95, 0.99]);
+        Json::obj()
+            .with("p50", ms(p50))
+            .with("p95", ms(p95))
+            .with("p99", ms(p99))
+            .with("mean", ms(self.mean()))
+            .with("max", ms(self.max()))
     }
 }
 
@@ -136,18 +126,18 @@ impl RecoveryCounters {
         *self != RecoveryCounters::default()
     }
 
-    /// The counters as a JSON object string.
-    pub(crate) fn to_json(self) -> String {
-        format!(
-            "{{\"crashes\": {}, \"retried\": {}, \"dropped\": {}, \"quarantines\": {}, \
-             \"recoveries\": {}, \"dead_replicas\": {}}}",
-            self.crashes,
-            self.retried,
-            self.dropped,
-            self.quarantines,
-            self.recoveries,
-            self.dead_replicas
-        )
+}
+
+/// The `recovery` block of a report.
+impl From<RecoveryCounters> for Json {
+    fn from(c: RecoveryCounters) -> Json {
+        Json::obj()
+            .with("crashes", c.crashes)
+            .with("retried", c.retried)
+            .with("dropped", c.dropped)
+            .with("quarantines", c.quarantines)
+            .with("recoveries", c.recoveries)
+            .with("dead_replicas", c.dead_replicas)
     }
 }
 
@@ -189,12 +179,21 @@ impl ShedBreakdown {
         self.replica_loss += other.replica_loss;
     }
 
-    /// The breakdown as a JSON object string.
+    /// The breakdown as a JSON object string, as it appears inside a
+    /// report.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"queue_full\": {}, \"deadline_infeasible\": {}, \"priority_evicted\": {}, \"replica_loss\": {}}}",
-            self.queue_full, self.deadline_infeasible, self.priority_evicted, self.replica_loss
-        )
+        Json::from(*self).render_nested()
+    }
+}
+
+/// The `shed_reasons` block of a report.
+impl From<ShedBreakdown> for Json {
+    fn from(b: ShedBreakdown) -> Json {
+        Json::obj()
+            .with("queue_full", b.queue_full)
+            .with("deadline_infeasible", b.deadline_infeasible)
+            .with("priority_evicted", b.priority_evicted)
+            .with("replica_loss", b.replica_loss)
     }
 }
 
@@ -292,52 +291,36 @@ impl ServeReport {
         self.class_nanos
     }
 
-    /// Serializes the report to a JSON object (hand-rolled; the vendored
-    /// serde is marker-traits only).
+    /// Serializes the report to a JSON document. `shed_reasons`,
+    /// `recovery` and `runtime` appear only when something was shed, the
+    /// supervisor acted, or the unified runtime recorded something, so
+    /// runs that exercise none of them keep byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        s.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        s.push_str(&format!("  \"replicas\": {},\n", self.replicas));
-        s.push_str(&format!("  \"issued\": {},\n", self.issued));
-        s.push_str(&format!("  \"completed\": {},\n", self.completed));
-        s.push_str(&format!("  \"shed\": {},\n", self.shed));
-        // Itemized only when something was actually shed, so no-shed
-        // output is byte-identical to the single-counter format.
-        if self.shed_reasons.any() {
-            s.push_str(&format!("  \"shed_reasons\": {},\n", self.shed_reasons.to_json()));
-        }
-        s.push_str(&format!("  \"timed_out\": {},\n", self.timed_out));
-        s.push_str(&format!("  \"makespan_ms\": {},\n", json_f64(self.makespan_nanos as f64 / 1e6, 3)));
-        s.push_str(&format!("  \"throughput_rps\": {},\n", json_f64(self.throughput_rps(), 3)));
-        s.push_str(&format!("  \"latency_ms\": {},\n", self.latency.to_json_ms()));
-        s.push_str(&format!(
-            "  \"queue_depth\": {{\"max\": {}, \"samples\": {}}},\n",
-            self.max_queue_depth, self.admitted
-        ));
-        s.push_str(&format!(
-            "  \"batches\": {{\"count\": {}, \"mean_size\": {}}},\n",
-            self.batches,
-            json_f64(self.mean_batch_size(), 3)
-        ));
-        // Emitted only when the supervisor actually did something, so
-        // fault-free runs produce byte-identical JSON to earlier builds.
-        if self.recovery.any() {
-            s.push_str(&format!("  \"recovery\": {},\n", self.recovery.to_json()));
-        }
-        // Emitted only when the unified runtime recorded something, so
-        // serial or modeled-device runs keep byte-identical JSON.
-        if self.runtime.any() {
-            s.push_str(&format!("  \"runtime\": {},\n", self.runtime.to_json()));
-        }
-        let classes: Vec<String> = OpClass::ALL
+        let classes = OpClass::ALL
             .iter()
             .zip(self.class_nanos)
-            .map(|(c, nanos)| format!("\"{}\": {}", c.letter(), json_f64(nanos, 0)))
-            .collect();
-        s.push_str(&format!("  \"class_nanos\": {{{}}}\n", classes.join(", ")));
-        s.push_str("}\n");
-        s
+            .fold(Json::obj(), |o, (c, nanos)| o.with(&c.letter().to_string(), Json::fixed(nanos, 0)));
+        Json::obj()
+            .with("workload", self.workload.as_str())
+            .with("max_batch", self.max_batch)
+            .with("replicas", self.replicas)
+            .with("issued", self.issued)
+            .with("completed", self.completed)
+            .with("shed", self.shed)
+            .with_nondefault("shed_reasons", self.shed_reasons)
+            .with("timed_out", self.timed_out)
+            .with("makespan_ms", Json::fixed(self.makespan_nanos as f64 / 1e6, 3))
+            .with("throughput_rps", Json::fixed(self.throughput_rps(), 3))
+            .with("latency_ms", self.latency.json_ms())
+            .with("queue_depth", Json::obj().with("max", self.max_queue_depth).with("samples", self.admitted))
+            .with(
+                "batches",
+                Json::obj().with("count", self.batches).with("mean_size", Json::fixed(self.mean_batch_size(), 3)),
+            )
+            .with_nondefault("recovery", self.recovery)
+            .with_nondefault("runtime", self.runtime)
+            .with("class_nanos", classes)
+            .render()
     }
 }
 
@@ -494,16 +477,6 @@ mod tests {
         }
         // Integer-derived fields are untouched by the degradation.
         assert!(json.contains("\"issued\": 2"));
-    }
-
-    #[test]
-    fn finite_floats_format_exactly_as_before_the_null_guard() {
-        assert_eq!(json_f64(1.0, 3), "1.000");
-        assert_eq!(json_f64(0.12349, 3), "0.123");
-        assert_eq!(json_f64(250.0, 0), "250");
-        assert_eq!(json_f64(f64::NAN, 3), "null");
-        assert_eq!(json_f64(f64::INFINITY, 0), "null");
-        assert_eq!(json_f64(f64::NEG_INFINITY, 2), "null");
     }
 
     #[test]

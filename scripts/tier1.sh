@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
-#   build (release) -> unit+integration tests -> lint (warnings are errors)
+#   build (release) -> integration tests -> crate unit tests -> lint
+#   (warnings are errors)
 #   -> serving / chaos / gemm / cluster / fusion / runtime / soak smokes
 #
 # Each stage runs under `stage <name> <cmd...>`: on failure the gate
@@ -21,7 +22,11 @@ stage() {
 }
 
 stage build cargo build --workspace --release
+# `cargo test -q` at the workspace root runs only the umbrella crate's
+# tests/*.rs; the crates' own unit and property tests (every pinned
+# report fixture among them) are the `unit` stage.
 stage test cargo test -q
+stage unit cargo test -q --workspace --exclude fathom-suite
 stage clippy cargo clippy --workspace --all-targets -- -D warnings
 
 # Serving smoke: the batcher, admission control, and report must survive a
