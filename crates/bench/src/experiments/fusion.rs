@@ -9,8 +9,8 @@
 //! and absorbs the bias/activation/residual chain hanging off a packed
 //! MatMul or Conv2D into the microkernel's accumulator
 //! writeback, so the product is never spilled and re-read at all. Both
-//! passes are bitwise-identical to the unfused kernels (`fathom
-//! fuse-check` gates this), so the ablation measures pure
+//! passes are bitwise-identical to the unfused kernels
+//! (`tests/fusion.rs` asserts it), so the ablation measures pure
 //! scheduling/traversal/memory-traffic savings. Besides the
 //! human-readable table, the experiment emits machine-readable
 //! `BENCH_fusion.json` through `crate::measure` (interleaved rounds,
@@ -190,7 +190,7 @@ pub fn run(effort: &Effort) -> String {
         "ABLATION: fusion off vs elementwise-only vs full (training step, median ms)\n\
          (nodes = executed nodes per step; class shares from one traced step;\n\
          ep-x = what GEMM epilogue fusion buys over elementwise-only;\n\
-         fused runs are bitwise-identical to unfused -- see `fathom fuse-check`)\n"
+         fused runs are bitwise-identical to unfused -- see tests/fusion.rs)\n"
     );
     let _ = writeln!(out, "(each leg: median over {} interleaved round(s))\n", effort.repeats);
     let _ = writeln!(

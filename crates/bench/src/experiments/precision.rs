@@ -20,9 +20,9 @@
 //! Besides the human-readable table, the experiment emits
 //! `BENCH_precision.json` through `crate::measure` (every timed leg in
 //! interleaved rounds, median and inter-quartile distance) so the
-//! accuracy/perf trajectory is tracked across PRs. `fathom
-//! precision-check` gates the same properties pass/fail in
-//! scripts/tier1.sh; this ablation records the magnitudes.
+//! accuracy/perf trajectory is tracked across PRs. `tests/precision.rs`
+//! asserts the same properties in tier-1; this ablation records the
+//! magnitudes.
 
 use std::fmt::Write as _;
 
@@ -35,8 +35,8 @@ use crate::measure::{emit, envelope, rounds, timed_ms, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
 /// Accuracy gate applied to both reduced-precision paths: mean-metric
-/// deviation beyond this fails the workload (mirrors the
-/// `fathom precision-check` default).
+/// deviation beyond this fails the workload (the bound
+/// `tests/precision.rs` asserts).
 pub const TOLERANCE: f64 = 0.05;
 
 const SEED: u64 = 0xFA7408;
@@ -263,7 +263,7 @@ pub fn run(effort: &Effort) -> String {
          the packed engine; accuracy legs run the reference-scale model end to end;\n\
          dev = mean-metric deviation from the f32 reference, gate {TOLERANCE};\n\
          timed legs: median over {} interleaved round(s);\n\
-         pass/fail on the same properties: `fathom precision-check`)\n",
+         asserted on the same properties: tests/precision.rs)\n",
         effort.repeats
     );
     let _ = writeln!(

@@ -106,8 +106,8 @@ pub fn measure_pool(kind: ModelKind, workers: usize, effort: &Effort) -> PoolPoi
     let counters = workload.session().runtime_counters();
     // A concurrency record landing inside the timed window does not
     // falsify steady state — the arena learns it once and goes quiet
-    // again. Re-probe instead of failing the flag (existential gate,
-    // matching `fathom runtime-check`).
+    // again. Re-probe instead of failing the flag (existential, like
+    // the steady-state test in tests/scheduler.rs).
     let steady = converged
         && (counters.allocations == allocs_before || quiet_window(&mut workload));
     PoolPoint {
@@ -134,7 +134,7 @@ pub fn measure_serial(kind: ModelKind, effort: &Effort) -> f64 {
 
 /// Sweeps one workload over both legs in interleaved rounds. The
 /// steady-state flag is existential across rounds, like the
-/// `runtime-check` gate.
+/// steady-state test in tests/scheduler.rs.
 pub fn sweep(kind: ModelKind, workers: usize, effort: &Effort) -> RuntimeSweep {
     let mut steady = false;
     let ([serial_millis, pool_millis], last) = rounds(effort, || {

@@ -25,85 +25,6 @@ pub enum Command {
     /// `fathom train <model> [options]` — resilient training loop with
     /// snapshots, guardrails, and deterministic resume.
     Train(TrainArgs),
-    /// `fathom train-soak [--quick] [--seed N] [--steps N]` — the
-    /// crash-soak gate: kill + corrupt + resume every workload and
-    /// verify the resumed run is bitwise identical to a clean one.
-    TrainSoak {
-        /// Soak only `autoenc` (the tier-1 smoke) instead of all eight.
-        quick: bool,
-        /// Seed shared by every leg.
-        seed: u64,
-        /// Total optimizer steps per leg.
-        steps: u64,
-    },
-    /// `fathom chaos <model> [--seed N]` — fault-injection smoke probes.
-    Chaos {
-        /// Which workload to probe.
-        model: ModelKind,
-        /// Seed for the injected fault schedule and payloads.
-        seed: u64,
-    },
-    /// `fathom cluster-check [--seed N]` — cluster serving smoke check:
-    /// two models behind two shards each, mixed SLO traffic, a hot
-    /// reload mid-run, and zero-drop verification.
-    ClusterCheck {
-        /// Seed for arrivals, class draws, and payloads.
-        seed: u64,
-    },
-    /// `fathom gemm-check [--m N --k N --n N --threads N]` — packed GEMM
-    /// agreement and determinism smoke check.
-    GemmCheck {
-        /// Output rows.
-        m: usize,
-        /// Contraction extent.
-        k: usize,
-        /// Output columns.
-        n: usize,
-        /// Widest worker count checked against serial.
-        threads: usize,
-    },
-    /// `fathom fuse-check [--steps N --threads N --inter-ops N --seed N]` —
-    /// elementwise-fusion agreement check: every workload must step
-    /// bitwise-identically with fusion on and off, serial and parallel.
-    FuseCheck {
-        /// Training steps compared per workload.
-        steps: usize,
-        /// Intra-op threads for the parallel leg.
-        threads: usize,
-        /// Inter-op workers for the parallel leg.
-        inter_ops: usize,
-        /// Seed shared by every compared build.
-        seed: u64,
-    },
-    /// `fathom runtime-check [--model NAME --steps N --seed N]` —
-    /// unified-runtime agreement check: serial plan walk vs the
-    /// work-stealing executor at worker counts {1, 2, 8} must be
-    /// bitwise-identical, and steady-state steps must allocate nothing
-    /// for planned tensors.
-    RuntimeCheck {
-        /// One workload to check, or every workload when absent.
-        model: Option<ModelKind>,
-        /// Training steps compared per workload.
-        steps: usize,
-        /// Seed shared by every compared build.
-        seed: u64,
-    },
-    /// `fathom precision-check [--steps N --threads N --seed N
-    /// --tolerance X]` — mixed-precision agreement gate: every workload's
-    /// bf16 inference must track the f32 reference within the relative
-    /// tolerance, the bf16 engine must be serial/parallel bitwise
-    /// deterministic, and the int8 calibrate→quantize path must hold its
-    /// accuracy metric on every quantizable workload.
-    PrecisionCheck {
-        /// Inference steps compared per workload.
-        steps: usize,
-        /// Intra-op threads for the parallel determinism leg.
-        threads: usize,
-        /// Seed shared by every compared build.
-        seed: u64,
-        /// Largest relative output deviation tolerated for bf16/int8.
-        tolerance: f32,
-    },
     /// `fathom help` or `-h`/`--help`.
     Help,
 }
@@ -324,13 +245,6 @@ USAGE:
                    [--max-loss X] [--max-grad-norm X] [--max-retries N]
                    [--retry replay|skip-batch|lr-backoff:<f>]
                    [--fault-plan SPEC] [--out FILE.json]
-    fathom train-soak      [--quick] [--seed N] [--steps N]
-    fathom chaos   <model> [--seed N]
-    fathom cluster-check   [--seed N]
-    fathom gemm-check      [--m N] [--k N] [--n N] [--threads N]
-    fathom fuse-check      [--steps N] [--threads N] [--inter-ops N] [--seed N]
-    fathom runtime-check   [--model NAME] [--steps N] [--seed N]
-    fathom precision-check [--steps N] [--threads N] [--seed N] [--tolerance X]
 
 MODELS:
     seq2seq memnet speech autoenc residual vgg alexnet deepq
@@ -341,9 +255,6 @@ CLUSTER MODE:
     shard), consistent-hash routing with load-aware spill, SLO-class
     admission (`--slo-mix I,S,B` weights, default 50,30,20), and
     continuous batching. `--rps` is the offered rate per model.
-    `fathom cluster-check` runs the self-verifying smoke: two models,
-    two shards each, mixed SLO traffic, a hot reload mid-run, and exits
-    nonzero unless conservation and zero-drop checks pass.
 
 RESILIENT TRAINING:
     `fathom train` drives a workload with snapshot cadence (`--dir` +
@@ -353,28 +264,18 @@ RESILIENT TRAINING:
     `--retry`, at most `--max-retries` times before a typed divergence
     error), and deterministic resume (`--resume` restores the newest
     loadable snapshot and continues bitwise-identically).
-    `fathom train-soak` is the self-verifying gate: for each workload it
-    runs a clean leg, a fault leg (mid-run kill, injected NaN loss,
-    corrupted snapshot), and a resumed leg, and exits nonzero unless
-    the resumed run matches the clean run's loss bits exactly.
 
 MIXED PRECISION:
     `--precision bf16` runs eligible GEMMs with bf16-packed panels and
     f32 accumulation — faster and bitwise-deterministic across worker
-    counts, but not bitwise-equal to f32. `fathom precision-check` is
-    the self-verifying gate: per workload it compares bf16 inference to
-    the f32 reference (within `--tolerance`), checks bf16 determinism
-    serial vs parallel, and pushes every quantizable workload through
-    the int8 calibrate→quantize serving path; exits nonzero on any miss.
+    counts, but not bitwise-equal to f32.
 
 FAULT PLANS:
     SPEC is `[seed=N;]site@hit=action;...` — sites: op, train,
     ckpt-write, ckpt-read, replica<R>; actions: panic, nan, crash,
     stall:<ns>, truncate:<keep>, bitflip:<n>. Example: `replica0@3=crash`
     crashes replica 0's fourth batch dispatch; `train@7=crash` kills a
-    training loop's eighth step. `fathom chaos` runs seeded
-    fault-injection probes over one workload's executor, checkpoint,
-    and serving layers and exits nonzero if any recovery fails.
+    training loop's eighth step.
 ";
 
 /// The arguments after the subcommand, consumed left to right: the one
@@ -445,115 +346,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
         "serve-bench" => parse_serve_bench(flags),
         "train" => parse_train(flags),
-        "train-soak" => {
-            let (mut quick, mut seed, mut steps) = (false, 0xFA7408u64, 12u64);
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--quick" => quick = true,
-                    "--seed" => seed = flags.int("--seed")?,
-                    "--steps" => steps = flags.int("--steps")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            if steps < 8 {
-                return Err(ParseError(
-                    "train-soak needs --steps of at least 8 (kill, corrupt, resume)".into(),
-                ));
-            }
-            Ok(Command::TrainSoak { quick, seed, steps })
-        }
-        "chaos" => {
-            let model = parse_model(flags.model("chaos")?)?;
-            let mut seed = 0xFA7408u64;
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--seed" => seed = flags.int("--seed")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            Ok(Command::Chaos { model, seed })
-        }
-        "cluster-check" => {
-            let mut seed = 0xFA7408u64;
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--seed" => seed = flags.int("--seed")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            Ok(Command::ClusterCheck { seed })
-        }
-        "gemm-check" => {
-            let (mut m, mut k, mut n, mut threads) = (384usize, 512usize, 256usize, 8usize);
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--m" => m = flags.int("--m")?,
-                    "--k" => k = flags.int("--k")?,
-                    "--n" => n = flags.int("--n")?,
-                    "--threads" => threads = flags.int("--threads")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            if m == 0 || k == 0 || n == 0 || threads == 0 {
-                return Err(ParseError("gemm-check extents and --threads must be positive".into()));
-            }
-            Ok(Command::GemmCheck { m, k, n, threads })
-        }
-        "fuse-check" => {
-            let (mut steps, mut threads, mut inter_ops, mut seed) = (3usize, 2usize, 2usize, 0xFA7408u64);
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--steps" => steps = flags.int("--steps")?,
-                    "--threads" => threads = flags.int("--threads")?,
-                    "--inter-ops" => inter_ops = flags.int("--inter-ops")?,
-                    "--seed" => seed = flags.int("--seed")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            if steps == 0 || threads == 0 || inter_ops == 0 {
-                return Err(ParseError(
-                    "fuse-check --steps, --threads and --inter-ops must be positive".into(),
-                ));
-            }
-            Ok(Command::FuseCheck { steps, threads, inter_ops, seed })
-        }
-        "runtime-check" => {
-            let (mut model, mut steps, mut seed) = (None, 2usize, 0xFA7408u64);
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--model" => model = Some(parse_model(flags.value("--model")?)?),
-                    "--steps" => steps = flags.int("--steps")?,
-                    "--seed" => seed = flags.int("--seed")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            if steps == 0 {
-                return Err(ParseError("runtime-check --steps must be positive".into()));
-            }
-            Ok(Command::RuntimeCheck { model, steps, seed })
-        }
-        "precision-check" => {
-            let (mut steps, mut threads, mut seed, mut tolerance) =
-                (2usize, 4usize, 0xFA7408u64, 0.05f32);
-            while let Some(flag) = flags.next() {
-                match flag {
-                    "--steps" => steps = flags.int("--steps")?,
-                    "--threads" => threads = flags.int("--threads")?,
-                    "--seed" => seed = flags.int("--seed")?,
-                    "--tolerance" => tolerance = flags.num("--tolerance")?,
-                    other => return Err(unknown_flag(other)),
-                }
-            }
-            if steps == 0 || threads == 0 {
-                return Err(ParseError(
-                    "precision-check --steps and --threads must be positive".into(),
-                ));
-            }
-            if tolerance <= 0.0 || tolerance.is_nan() {
-                return Err(ParseError("precision-check --tolerance must be positive".into()));
-            }
-            Ok(Command::PrecisionCheck { steps, threads, seed, tolerance })
-        }
         "run" | "profile" | "trace" | "dot" => {
             let mut run = RunArgs::new(parse_model(flags.model(sub)?)?);
             while let Some(flag) = flags.next() {
@@ -776,6 +568,36 @@ mod tests {
     }
 
     #[test]
+    fn usage_and_parser_name_the_same_subcommands() {
+        let mut subs = Vec::new();
+        for line in USAGE.lines().filter_map(|l| l.strip_prefix("    fathom ")) {
+            // The required arguments: everything before the first
+            // optional `[...]`, with a real name for `<model>`.
+            let argv: Vec<String> = line
+                .split_whitespace()
+                .take_while(|t| !t.starts_with('['))
+                .map(|t| if t.starts_with("<model>") { "memnet".into() } else { t.to_string() })
+                .collect();
+            if let Err(e) = parse(&argv) {
+                panic!("USAGE line `fathom {line}` does not parse as {argv:?}: {e}");
+            }
+            subs.push(argv[0].clone());
+        }
+        assert_eq!(subs, ["list", "run", "profile", "trace", "dot", "serve-bench", "train"]);
+        // The self-checks that became tests are gone from both.
+        for gone in [
+            "chaos", "train-soak", "cluster-check", "gemm-check", "fuse-check", "runtime-check",
+            "precision-check",
+        ] {
+            assert!(!USAGE.contains(gone), "USAGE still names {gone}");
+            for argv in [s(&[gone]), s(&[gone, "autoenc"])] {
+                let err = parse(&argv).unwrap_err();
+                assert!(err.0.starts_with("unknown command"), "{argv:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
     fn list_parses() {
         assert_eq!(parse(&s(&["list"])).unwrap(), Command::List { json: false });
         assert_eq!(parse(&s(&["list", "--json"])).unwrap(), Command::List { json: true });
@@ -911,19 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_check_parses_seed() {
-        assert_eq!(
-            parse(&s(&["cluster-check"])).unwrap(),
-            Command::ClusterCheck { seed: 0xFA7408 }
-        );
-        assert_eq!(
-            parse(&s(&["cluster-check", "--seed", "7"])).unwrap(),
-            Command::ClusterCheck { seed: 7 }
-        );
-        assert!(parse(&s(&["cluster-check", "--frob"])).is_err());
-    }
-
-    #[test]
     fn train_defaults_and_flags() {
         let Command::Train(a) = parse(&s(&["train", "autoenc"])).unwrap() else {
             panic!("expected Train");
@@ -963,88 +772,6 @@ mod tests {
         assert!(parse(&s(&["train", "autoenc", "--retry", "pray"])).is_err());
         assert!(parse(&s(&["train", "autoenc", "--retry", "lr-backoff:2"])).is_err());
         assert!(parse(&s(&["train", "autoenc", "--frob"])).is_err());
-    }
-
-    #[test]
-    fn train_soak_parses() {
-        assert_eq!(
-            parse(&s(&["train-soak"])).unwrap(),
-            Command::TrainSoak { quick: false, seed: 0xFA7408, steps: 12 }
-        );
-        assert_eq!(
-            parse(&s(&["train-soak", "--quick", "--seed", "5", "--steps", "16"])).unwrap(),
-            Command::TrainSoak { quick: true, seed: 5, steps: 16 }
-        );
-        assert!(parse(&s(&["train-soak", "--steps", "4"])).is_err());
-        assert!(parse(&s(&["train-soak", "--frob"])).is_err());
-    }
-
-    #[test]
-    fn chaos_parses_model_and_seed() {
-        assert_eq!(
-            parse(&s(&["chaos", "autoenc"])).unwrap(),
-            Command::Chaos { model: ModelKind::Autoenc, seed: 0xFA7408 }
-        );
-        assert_eq!(
-            parse(&s(&["chaos", "vgg", "--seed", "9"])).unwrap(),
-            Command::Chaos { model: ModelKind::Vgg, seed: 9 }
-        );
-        assert!(parse(&s(&["chaos"])).is_err());
-        assert!(parse(&s(&["chaos", "vgg", "--frob"])).is_err());
-    }
-
-    #[test]
-    fn gemm_check_defaults_and_flags() {
-        assert_eq!(
-            parse(&s(&["gemm-check"])).unwrap(),
-            Command::GemmCheck { m: 384, k: 512, n: 256, threads: 8 }
-        );
-        assert_eq!(
-            parse(&s(&["gemm-check", "--m", "64", "--k", "700", "--n", "33", "--threads", "2"]))
-                .unwrap(),
-            Command::GemmCheck { m: 64, k: 700, n: 33, threads: 2 }
-        );
-        assert!(parse(&s(&["gemm-check", "--m", "0"])).is_err());
-        assert!(parse(&s(&["gemm-check", "--frob"])).is_err());
-        assert!(parse(&s(&["gemm-check", "--k"])).is_err());
-    }
-
-    #[test]
-    fn fuse_check_defaults_and_flags() {
-        assert_eq!(
-            parse(&s(&["fuse-check"])).unwrap(),
-            Command::FuseCheck { steps: 3, threads: 2, inter_ops: 2, seed: 0xFA7408 }
-        );
-        assert_eq!(
-            parse(&s(&[
-                "fuse-check", "--steps", "5", "--threads", "4", "--inter-ops", "3", "--seed", "11",
-            ]))
-            .unwrap(),
-            Command::FuseCheck { steps: 5, threads: 4, inter_ops: 3, seed: 11 }
-        );
-        assert!(parse(&s(&["fuse-check", "--steps", "0"])).is_err());
-        assert!(parse(&s(&["fuse-check", "--frob"])).is_err());
-        assert!(parse(&s(&["fuse-check", "--seed"])).is_err());
-    }
-
-    #[test]
-    fn precision_check_defaults_and_flags() {
-        assert_eq!(
-            parse(&s(&["precision-check"])).unwrap(),
-            Command::PrecisionCheck { steps: 2, threads: 4, seed: 0xFA7408, tolerance: 0.05 }
-        );
-        assert_eq!(
-            parse(&s(&[
-                "precision-check", "--steps", "3", "--threads", "2", "--seed", "9",
-                "--tolerance", "0.1",
-            ]))
-            .unwrap(),
-            Command::PrecisionCheck { steps: 3, threads: 2, seed: 9, tolerance: 0.1 }
-        );
-        assert!(parse(&s(&["precision-check", "--steps", "0"])).is_err());
-        assert!(parse(&s(&["precision-check", "--tolerance", "0"])).is_err());
-        assert!(parse(&s(&["precision-check", "--tolerance", "-1"])).is_err());
-        assert!(parse(&s(&["precision-check", "--frob"])).is_err());
     }
 
     #[test]

@@ -186,22 +186,32 @@ fn check_fusion_and_view(c: &Case, seed: u64) {
     assert_eq!(df.data(), &gemm(kdim, oc, rows, &patches, true, &g_t, true)[..], "backprop-filter, B packed");
 }
 
-/// The drawn channel counts keep every contraction inside one 512-deep
-/// K block. These do not: the second and third blocks start inside a
-/// window row of the patch view (and inside a tap of the flipped
-/// filter), which is where the hot layers of `vgg` and `residual`
-/// (`kh*kw*ic` = 1152) run.
+/// Geometries the draws cannot reach. The drawn filters stop at 5×5 and
+/// the drawn channel counts keep every contraction inside one 512-deep
+/// K block; the workloads' own layers do neither. The first six rows
+/// are the conv nets' first layers (alexnet's 11×11 and deepq's 8×8,
+/// both stride 4) plus a strided, a pointwise and a 2×2-spatial layer
+/// at their real sizes. In the rest the second and third K blocks start
+/// inside a window row of the patch view (and inside a tap of the
+/// flipped filter), which is where the hot layers of `vgg` and
+/// `residual` (`kh*kw*ic` = 1152) run.
 #[test]
-fn contractions_deeper_than_a_k_block() {
+fn workload_layers_and_contractions_deeper_than_a_k_block() {
     // (kh, kw, stride, pad, ic, oc, batch, extra)
-    let deep = [
+    let fixed = [
+        (3, 3, 1, 1, 3, 16, 2, (31, 31)),    // residual/vgg stem, 32x32
+        (11, 11, 4, 2, 3, 24, 2, (57, 57)),  // alexnet conv1, 64x64
+        (8, 8, 4, 0, 4, 8, 2, (76, 76)),     // deepq conv1, 84x84
+        (3, 3, 2, 1, 16, 32, 2, (31, 31)),   // stride 2, 32x32
+        (1, 1, 1, 0, 32, 64, 2, (15, 15)),   // pointwise, 16x16
+        (3, 3, 1, 1, 128, 128, 2, (1, 1)),   // 2x2-spatial, depth 1152
         (3, 3, 1, 1, 64, 16, 2, (3, 4)),   // forward / backprop-filter depth 576
         (3, 3, 1, 1, 128, 32, 2, (1, 1)),  // 2x2-spatial, depth 1152, filter read in place
         (3, 3, 1, 1, 8, 72, 2, (2, 2)),    // backprop-input's view of G, depth 648
         (5, 3, 2, 2, 40, 16, 2, (4, 4)),   // stride 2, depth 600, ic off the strip width
         (3, 3, 1, 1, 3, 8, 2, (19, 19)),   // 800 pixels: backprop-filter's depth
     ];
-    for (seed, (kh, kw, stride, pad, ic, oc, batch, extra)) in deep.into_iter().enumerate() {
+    for (seed, (kh, kw, stride, pad, ic, oc, batch, extra)) in fixed.into_iter().enumerate() {
         let c = case(kh, kw, stride, pad, ic, oc, batch, extra, seed as u64);
         check_engine(&c);
         check_fusion_and_view(&c, seed as u64);

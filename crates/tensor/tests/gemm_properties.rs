@@ -241,6 +241,76 @@ proptest! {
     }
 }
 
+/// One product deep enough to span a K block and wide enough to keep
+/// eight workers on separate tiles (256×512×192), through the packed
+/// driver at both panel formats with the pool's default grain: all four
+/// operand layouts against naive (tolerance scaled with k), serial == 8
+/// workers bitwise, and a bias + ReLU epilogue bitwise equal to the
+/// unfused product followed by the elementwise kernels.
+#[test]
+fn a_256x512x192_product_at_eight_workers_agrees_fuses_and_is_deterministic() {
+    let (m, k, n) = (256, 512, 192);
+    let mut rng = Rng::seeded(0xFA7408);
+    let (serial, wide) = (ExecPool::serial(), ExecPool::new(8));
+    type Fused<'a> = Option<(&'a Epilogue, &'a [&'a [f32]])>;
+    let packed = |a: &Tensor, ta, b: &Tensor, tb, precision, ep: Fused<'_>, pool: &ExecPool| {
+        let mut c = vec![f32::NAN; m * n];
+        gemm_into(&mut c, m, n, k, a.data(), ta, b.data(), tb, precision, ep, pool);
+        Tensor::from_vec(c, [m, n])
+    };
+    // The same logical operands stored transposed, so one naive product
+    // is the reference for every layout.
+    let stored_t = |t: &Tensor| {
+        let (rows, cols) = (t.shape().dims()[0], t.shape().dims()[1]);
+        let data = (0..rows * cols).map(|i| t.data()[i % rows * cols + i / rows]).collect();
+        Tensor::from_vec(data, [cols, rows])
+    };
+    let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
+    let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
+    let (a_t, b_t) = (stored_t(&a), stored_t(&b));
+    let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
+    let ep = Epilogue {
+        n_operands: 1,
+        instrs: vec![
+            EpilogueInstr {
+                op: FusedOp::Add,
+                args: vec![
+                    EpilogueArg::Acc,
+                    EpilogueArg::Operand { index: 0, kind: OperandKind::Col },
+                ],
+            },
+            EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] },
+        ],
+    };
+    let ops: [&[f32]; 1] = [bias.data()];
+    for precision in [Precision::F32, Precision::Bf16] {
+        // bf16 panels round each operand element once at pack time.
+        let on_grid = |t: &Tensor| match precision {
+            Precision::F32 => t.clone(),
+            Precision::Bf16 => Tensor::from_vec(
+                t.data().iter().map(|&v| bf16_to_f32(bf16_from_f32(v))).collect(),
+                t.shape().dims(),
+            ),
+        };
+        let reference = matmul_naive(&on_grid(&a), &on_grid(&b), false, false);
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (a, b) = (if ta { &a_t } else { &a }, if tb { &b_t } else { &b });
+            let par = packed(a, ta, b, tb, precision, None, &wide);
+            let diff = par.max_abs_diff(&reference);
+            assert!(diff < 1e-6 * k as f32, "{precision} ta={ta} tb={tb}: diff {diff}");
+            let ser = packed(a, ta, b, tb, precision, None, &serial);
+            assert_eq!(ser.data(), par.data(), "{precision} ta={ta} tb={tb}: 8 workers diverged");
+        }
+        let product = packed(&a, false, &b, false, precision, None, &wide);
+        let biased = kew::eval(FusedOp::Add, &[&product, &bias], &wide);
+        let unfused = kew::eval(FusedOp::Relu, &[&biased], &wide);
+        let fused = packed(&a, false, &b, false, precision, Some((&ep, &ops)), &wide);
+        assert_eq!(fused.data(), unfused.data(), "{precision}: fused epilogue != unfused chain");
+        let fused_serial = packed(&a, false, &b, false, precision, Some((&ep, &ops)), &serial);
+        assert_eq!(fused_serial.data(), fused.data(), "{precision}: fused, 8 workers diverged");
+    }
+}
+
 /// The dispatching `matmul` must agree with naive across the packed /
 /// row-kernel threshold, so graph results do not depend on which engine
 /// `gemm::select` picks for a geometry.

@@ -1,7 +1,8 @@
-//! Integration: the elementwise fusion pass is an exact optimisation.
-//! With fusion enabled, every workload must train and infer to
-//! bit-identical numbers — losses, metrics, and checkpoint bytes — as
-//! the unfused build, serially and under the inter-op scheduler.
+//! Integration: the fusion passes (elementwise groups and GEMM
+//! epilogues) are an exact optimisation. With fusion enabled, every
+//! workload must train and infer to bit-identical numbers — losses,
+//! metrics, and checkpoint bytes — as the unfused build, serially and
+//! under the inter-op scheduler; and both passes must actually fire.
 
 use fathom_suite::fathom::{BuildConfig, ModelKind};
 use fathom_suite::fathom_dataflow::{checkpoint, Device, OpKind};
@@ -50,17 +51,21 @@ fn fused_inference_is_bitwise_identical_across_all_workloads() {
 
 #[test]
 fn fusion_finds_groups_somewhere_in_the_suite() {
-    let total: usize = ModelKind::ALL
+    // (elementwise groups, GEMM-epilogue groups) summed over the suite:
+    // either pass finding nothing anywhere means it is dead.
+    let (fused, gemm_fused) = ModelKind::ALL
         .iter()
         .map(|kind| {
             let model = kind.build(&BuildConfig::training().with_fusion(true));
-            model
-                .session()
-                .graph()
-                .iter()
-                .filter(|(_, n)| matches!(n.kind, OpKind::Fused(_)))
-                .count()
+            let count = |pick: fn(&OpKind) -> bool| {
+                model.session().graph().iter().filter(|(_, n)| pick(&n.kind)).count()
+            };
+            (
+                count(|k| matches!(k, OpKind::Fused(_))),
+                count(|k| matches!(k, OpKind::GemmFused { .. })),
+            )
         })
-        .sum();
-    assert!(total > 0, "fusion pass found nothing to fuse in any workload");
+        .fold((0, 0), |(a, b), (x, y)| (a + x, b + y));
+    assert!(fused > 0, "fusion pass found nothing to fuse in any workload");
+    assert!(gemm_fused > 0, "GEMM-epilogue fusion never fired on any workload");
 }

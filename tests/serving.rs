@@ -400,23 +400,28 @@ fn cluster_hot_reload_with_real_workers_drops_nothing() {
     checkpoint::save(trained.session(), &mut ck).expect("saves");
     drop(trained);
 
+    // Two models x two shards of one replica each; only memnet reloads,
+    // autoenc rides alongside untouched.
     let build = BuildConfig::inference().with_seed(SEED).with_batch(BATCH);
-    let mut w0 = Recording {
-        inner: SessionWorker::new(ModelKind::Memnet, &build).expect("servable"),
+    let replica = |kind| Recording {
+        inner: SessionWorker::new(kind, &build).expect("servable"),
         served: Vec::new(),
     };
-    let mut w1 = Recording {
-        inner: SessionWorker::new(ModelKind::Memnet, &build).expect("servable"),
-        served: Vec::new(),
-    };
-    let shapes = w0.inner.item_shapes();
-    let domains = w0.inner.domains();
-    let mut models = vec![ModelSpec {
-        name: "memnet".into(),
-        shards: vec![vec![&mut w0], vec![&mut w1]],
-        rps: 300.0,
-        synth: Box::new(move |rng, _id| synth_inputs(&shapes, &domains, rng)),
-    }];
+    let kinds = [ModelKind::Memnet, ModelKind::Autoenc];
+    let mut fleet = kinds.map(|kind| [replica(kind), replica(kind)]);
+    let mut models: Vec<ModelSpec<'_>> = kinds
+        .iter()
+        .zip(fleet.iter_mut())
+        .map(|(kind, shards)| {
+            let (shapes, domains) = (shards[0].inner.item_shapes(), shards[0].inner.domains());
+            ModelSpec {
+                name: kind.name().into(),
+                shards: shards.iter_mut().map(|w| vec![w as &mut dyn ClusterRunner]).collect(),
+                rps: 300.0,
+                synth: Box::new(move |rng, _id| synth_inputs(&shapes, &domains, rng)),
+            }
+        })
+        .collect();
     let cfg = ClusterConfig {
         duration_nanos: 300_000_000,
         // No deadlines and an effectively unbounded queue: with real
@@ -436,7 +441,7 @@ fn cluster_hot_reload_with_real_workers_drops_nothing() {
     drop(models);
 
     assert!(report.conserved());
-    assert!(report.issued() > 30, "Poisson(300 rps, 0.3 s) issues ~90: {}", report.issued());
+    assert!(report.issued() > 60, "Poisson(2 x 300 rps, 0.3 s) issues ~180: {}", report.issued());
     assert_eq!(
         report.shed() + report.timed_out(),
         0,
@@ -444,18 +449,23 @@ fn cluster_hot_reload_with_real_workers_drops_nothing() {
         report.to_json()
     );
     assert_eq!(report.completed(), report.issued());
-    assert_eq!(report.reloads(), 2, "both replicas swap");
+    assert!(report.per_class.iter().all(|c| c.issued > 0), "every SLO class must see traffic");
+    let [memnet, autoenc] = &report.models[..] else { panic!("two models reported") };
+    assert_eq!(memnet.reloads, 2, "both memnet replicas swap");
+    assert_eq!(autoenc.reloads, 0, "a reload of one model must not touch another");
 
-    // No request served twice across the swap.
-    let mut served: Vec<u64> = w0.served.iter().chain(&w1.served).copied().collect();
+    // Every shard served, and no request was served twice across the swap.
+    let replicas = fleet.iter().flatten();
+    assert!(replicas.clone().all(|w| !w.served.is_empty()), "every shard must serve batches");
+    let mut served: Vec<u64> = replicas.flat_map(|w| w.served.iter().copied()).collect();
     assert_eq!(served.len() as u64, report.completed());
     served.sort_unstable();
     served.dedup();
     assert_eq!(served.len() as u64, report.completed(), "a request must not be served twice");
 
-    // The swap really happened: both replicas now hold the trained
+    // The swap really happened: both memnet replicas now hold the trained
     // variables (reload also resets the recovery baseline).
-    for w in [&mut w0, &mut w1] {
+    for w in &mut fleet[0] {
         let mut after = Vec::new();
         checkpoint::save(w.inner.workload_mut().session(), &mut after).expect("saves");
         assert_eq!(after, ck, "replica variables must match the reloaded checkpoint");

@@ -2,9 +2,13 @@
 //! `fathom::Trainer` driving real workloads with `fathom-dataflow`
 //! fault plans, surfacing failures as `fathom_suite::FathomError`.
 //!
-//! The exhaustive per-workload contract (all eight, kill + corrupt +
-//! resume) lives in `fathom train-soak`; these tests pin the same
-//! guarantees at the library surface with the fast workloads.
+//! Bitwise resume is the contract: a run that is killed, resumed from
+//! disk and finished lands on the uninterrupted run's loss bits — after
+//! a plain kill, after a guardrail trip, and after a kill, a trip and a
+//! corrupted snapshot in one run. `fathom::train`'s unit tests hold the
+//! single-fault cases (rotation, a torn newest generation, a corrupted
+//! older one); deepq, whose resume state includes an environment and a
+//! replay buffer, is among them.
 
 use std::sync::Arc;
 
@@ -56,6 +60,47 @@ fn killed_training_resumes_bitwise_across_the_suite_surface() {
         "resumed training must be bitwise identical to the uninterrupted run"
     );
     assert_eq!(resumed.report().resumed_from, Some(4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn kill_nan_and_a_corrupted_snapshot_in_one_run_still_resume_bitwise() {
+    let seed = 7;
+    let steps = 12;
+    let guard = GuardrailPolicy { retry: RetryPolicy::Replay, ..Default::default() };
+
+    let mut clean = trainer(ModelKind::Autoenc, seed).with_guardrail(guard);
+    assert_eq!(clean.run(steps).expect("clean run"), TrainOutcome::Completed);
+    let clean_bits = clean.report().final_loss.expect("loss").to_bits();
+
+    // Every train-site hit is one step attempt. The NaN at hit 2 trips
+    // the guardrail and the replay costs one extra attempt, so the crash
+    // at hit 11 kills the loop after 10 committed steps. Snapshots land
+    // at steps 3, 6 and 9; the third write (step 9, the newest before
+    // the kill) is bit-flipped.
+    let dir = tmp_dir("autoenc-soak");
+    let snaps = SnapshotPolicy { every: 3, keep: 3 };
+    let plan = FaultPlan::new(seed)
+        .with(FaultSite::TrainStep, 2, FaultAction::PoisonNan)
+        .with(FaultSite::TrainStep, 11, FaultAction::Crash)
+        .with(FaultSite::CheckpointWrite, 2, FaultAction::BitFlips { flips: 16 });
+    let mut faulty = trainer(ModelKind::Autoenc, seed)
+        .with_guardrail(guard)
+        .with_snapshots(snaps, &dir)
+        .with_faults(Arc::new(plan));
+    assert_eq!(faulty.run(steps).expect("fault leg"), TrainOutcome::Killed { at_step: 10 });
+    assert_eq!(faulty.report().trips.len(), 1, "the injected NaN trips exactly once");
+    assert_eq!(faulty.report().snapshots_written, 3);
+
+    // Resume must fall back past the corrupted step-9 generation.
+    let mut resumed = trainer(ModelKind::Autoenc, seed).with_guardrail(guard);
+    assert_eq!(resumed.resume(&dir).expect("resume"), 6, "step 9's snapshot is corrupt");
+    assert_eq!(resumed.run(steps).expect("resumed run"), TrainOutcome::Completed);
+    assert_eq!(
+        resumed.report().final_loss.expect("loss").to_bits(),
+        clean_bits,
+        "resumed training must land on the clean run's loss bits"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
