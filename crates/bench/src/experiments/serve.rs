@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use fathom::{BuildConfig, ModelKind};
 use fathom_dataflow::Json;
 use fathom_serve::{
-    serve, serve_cluster, synth_inputs, BatchPolicy, BatchRunner, ClusterConfig, ClusterReport,
+    serve, serve_cluster, synth_inputs, BatchRunner, ClusterConfig, ClusterReport,
     ClusterRunner, LoadModel, ModelSpec, ServeConfig, ServeReport, SessionWorker, SloClass,
 };
 
@@ -104,12 +104,7 @@ fn serve_closed_loop(kind: ModelKind, max_batch: usize, effort: &Effort) -> Serv
 /// Runs one cluster leg: each workload behind [`CLUSTER_SHARDS`] shards
 /// of one replica, offered `rates[i]` requests/second open-loop under
 /// the default 50/30/20 SLO mix and per-class deadlines.
-pub fn run_cluster_leg(
-    kinds: &[ModelKind],
-    rates: &[f64],
-    batching: BatchPolicy,
-    duration_nanos: u64,
-) -> ClusterReport {
+pub fn run_cluster_leg(kinds: &[ModelKind], rates: &[f64], duration_nanos: u64) -> ClusterReport {
     let cfg = BuildConfig::inference().with_batch(CLUSTER_MAX_BATCH);
     let mut fleet: Vec<Vec<Vec<SessionWorker>>> = kinds
         .iter()
@@ -136,7 +131,6 @@ pub fn run_cluster_leg(
         });
     }
     let cluster_cfg = ClusterConfig {
-        batching,
         duration_nanos,
         seed: 0xC1057E4,
         ..ClusterConfig::new(CLUSTER_MAX_BATCH)
@@ -166,10 +160,6 @@ impl ClusterLeg {
     /// `class`, milliseconds.
     fn quantile_ms(&self, class: SloClass, q: usize) -> Spread {
         self.numbers[1 + 3 * class.idx() + q]
-    }
-
-    fn new(numbers: &[Spread], report: ClusterReport) -> ClusterLeg {
-        ClusterLeg { numbers: numbers.try_into().expect("one leg's numbers"), report }
     }
 
     /// The leg as a JSON object (throughput plus per-class completion
@@ -264,20 +254,15 @@ pub fn run(effort: &Effort) -> String {
     }
 
     // Cluster scenario: every workload behind a 2-shard group at 2x its
-    // measured batch-4 capacity, mixed 50/30/20 SLO traffic, run once
-    // with continuous batching and once with the fixed pack/run/split
-    // rounds `serve` runs under — then a mixed fleet of four models.
+    // measured batch-4 capacity, mixed 50/30/20 SLO traffic — then a
+    // mixed fleet of four models.
     let duration_nanos = (effort.steps.max(1) as u64) * 100_000_000;
     let _ = writeln!(
         out,
         "\nCLUSTER: open-loop {CLUSTER_OVERLOAD}x overload, {CLUSTER_SHARDS} shards/model, \
-         50/30/20 SLO mix\ncontinuous batching vs fixed rounds; interactive deadline 50 ms\n"
+         50/30/20 SLO mix\ninteractive deadline 50 ms\n"
     );
-    let _ = writeln!(
-        out,
-        "{:<12} {:>14} {:>14} {:>12} {:>12} {:>10}",
-        "workload", "cont req/s", "fixed req/s", "cont i-p99", "fixed i-p99", "cont wins"
-    );
+    let _ = writeln!(out, "{:<12} {:>14} {:>12}", "workload", "req/s", "i-p99 ms");
     let capacity = |kind: ModelKind| -> f64 {
         points
             .iter()
@@ -286,51 +271,27 @@ pub fn run(effort: &Effort) -> String {
             .unwrap_or(100.0)
     };
     let mut workload_rows = Vec::new();
-    let mut wins = 0usize;
     for kind in ModelKind::ALL {
         let rps = CLUSTER_OVERLOAD * CLUSTER_SHARDS as f64 * capacity(kind);
-        // Both batching policies in the same rounds, so a host slowdown
-        // cannot decide which one "wins".
-        let (numbers, (cont, fixed)) = rounds::<{ 2 * LEG_NUMBERS }, _>(effort, || {
-            let cont = run_cluster_leg(&[kind], &[rps], BatchPolicy::Continuous, duration_nanos);
-            let fixed = run_cluster_leg(
-                &[kind],
-                &[rps],
-                BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 },
-                duration_nanos,
-            );
-            let (c, f) = (leg_numbers(&cont), leg_numbers(&fixed));
-            (std::array::from_fn(|i| if i < LEG_NUMBERS { c[i] } else { f[i - LEG_NUMBERS] }), (cont, fixed))
+        let (numbers, report) = rounds(effort, || {
+            let report = run_cluster_leg(&[kind], &[rps], duration_nanos);
+            (leg_numbers(&report), report)
         });
-        let cont = ClusterLeg::new(&numbers[..LEG_NUMBERS], cont);
-        let fixed = ClusterLeg::new(&numbers[LEG_NUMBERS..], fixed);
-        let won = cont.throughput_rps().median >= fixed.throughput_rps().median;
-        wins += won as usize;
-        let i_p99 = |leg: &ClusterLeg| leg.quantile_ms(SloClass::Interactive, 2).median;
+        let leg = ClusterLeg { numbers, report };
         let _ = writeln!(
             out,
-            "{:<12} {:>14.1} {:>14.1} {:>12.3} {:>12.3} {:>10}",
+            "{:<12} {:>14.1} {:>12.3}",
             kind.name(),
-            cont.throughput_rps().median,
-            fixed.throughput_rps().median,
-            i_p99(&cont),
-            i_p99(&fixed),
-            won
+            leg.throughput_rps().median,
+            leg.quantile_ms(SloClass::Interactive, 2).median,
         );
         workload_rows.push(
             Json::obj()
                 .with("workload", kind.name())
                 .with("offered_rps", Json::fixed(rps, 1))
-                .with("continuous_wins", won)
-                .with("continuous", cont.json())
-                .with("fixed_round", fixed.json()),
+                .with("report", leg.json()),
         );
     }
-    let _ = writeln!(
-        out,
-        "\ncontinuous batching won throughput on {wins}/{} workloads",
-        ModelKind::ALL.len()
-    );
 
     let mixed_kinds = [ModelKind::Memnet, ModelKind::Autoenc, ModelKind::Alexnet, ModelKind::Deepq];
     let mixed_rates: Vec<f64> = mixed_kinds
@@ -338,11 +299,10 @@ pub fn run(effort: &Effort) -> String {
         .map(|k| CLUSTER_OVERLOAD * CLUSTER_SHARDS as f64 * capacity(*k))
         .collect();
     let (numbers, report) = rounds(effort, || {
-        let report =
-            run_cluster_leg(&mixed_kinds, &mixed_rates, BatchPolicy::Continuous, duration_nanos);
+        let report = run_cluster_leg(&mixed_kinds, &mixed_rates, duration_nanos);
         (leg_numbers(&report), report)
     });
-    let mixed = ClusterLeg::new(&numbers, report);
+    let mixed = ClusterLeg { numbers, report };
     let mixed_names = mixed_kinds.map(|k| k.name()).join("+");
     let _ = writeln!(
         out,
@@ -371,7 +331,6 @@ pub fn run(effort: &Effort) -> String {
         .with("overload", Json::fixed(CLUSTER_OVERLOAD, 1))
         .with("slo_mix", "50,30,20")
         .with("interactive_deadline_ms", Json::fixed(50.0, 1))
-        .with("continuous_wins", wins)
         .with("workloads", Json::Arr(workload_rows))
         .with("mixed", Json::obj().with("models", mixed_names.as_str()).with("report", mixed.json()));
     emit("BENCH_serve.json", &document(&points, Some(cluster), effort));
@@ -395,16 +354,11 @@ mod tests {
 
     #[test]
     fn cluster_leg_reports_per_class_quantiles() {
-        let report = run_cluster_leg(
-            &[ModelKind::Memnet],
-            &[300.0],
-            BatchPolicy::Continuous,
-            100_000_000,
-        );
+        let report = run_cluster_leg(&[ModelKind::Memnet], &[300.0], 100_000_000);
         assert!(report.conserved());
         assert!(report.completed() > 0);
         let numbers = leg_numbers(&report).map(|median| Spread { median, iqr: 0.0 });
-        let json = ClusterLeg::new(&numbers, report).json().render_nested();
+        let json = ClusterLeg { numbers, report }.json().render_nested();
         for key in ["\"class\": \"interactive\"", "\"p95_ms\"", "\"throughput_rps\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

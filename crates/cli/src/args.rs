@@ -158,8 +158,6 @@ pub struct ServeArgs {
     pub requests: Option<usize>,
     /// Batcher coalescing limit (also the graph's batch extent).
     pub max_batch: usize,
-    /// Longest a request may head the queue before a partial dispatch, ms.
-    pub max_delay_ms: f64,
     /// Admission bound (default `8 * max_batch`).
     pub queue_cap: Option<usize>,
     /// Per-request deadline, ms (absent = never time out).
@@ -195,7 +193,6 @@ impl ServeArgs {
             clients: None,
             requests: None,
             max_batch: 4,
-            max_delay_ms: 2.0,
             queue_cap: None,
             deadline_ms: None,
             replicas: 1,
@@ -235,8 +232,8 @@ USAGE:
     fathom dot     <model> --out FILE.dot  [same options]
     fathom serve-bench <model>[,<model>...]
                    [--rps R --duration S | --clients N --requests N]
-                   [--max-batch N] [--max-delay-ms MS] [--queue-cap N]
-                   [--deadline-ms MS] [--replicas N] [--scale reference|full]
+                   [--max-batch N] [--queue-cap N] [--deadline-ms MS]
+                   [--replicas N] [--scale reference|full]
                    [--threads N] [--inter-ops N] [--seed N]
                    [--load FILE.ck] [--out FILE.json] [--fault-plan SPEC]
                    [--cluster] [--shards N] [--slo-mix I,S,B]
@@ -504,7 +501,6 @@ fn parse_serve_bench(mut flags: Flags<'_>) -> Result<Command, ParseError> {
             "--clients" => a.clients = Some(flags.num("--clients")?),
             "--requests" => a.requests = Some(flags.num("--requests")?),
             "--max-batch" => a.max_batch = flags.num("--max-batch")?,
-            "--max-delay-ms" => a.max_delay_ms = scaled(&mut flags, "--max-delay-ms", 1e6)?,
             "--queue-cap" => a.queue_cap = Some(flags.num("--queue-cap")?),
             "--deadline-ms" => a.deadline_ms = Some(scaled(&mut flags, "--deadline-ms", 1e6)?),
             "--replicas" => a.replicas = flags.num("--replicas")?,
@@ -620,7 +616,7 @@ mod tests {
     fn serve_bench_all_flags() {
         let Command::ServeBench(a) = parse(&s(&[
             "serve-bench", "speech", "--rps", "120.5", "--duration", "2", "--max-batch", "8",
-            "--max-delay-ms", "1.5", "--queue-cap", "32", "--deadline-ms", "50",
+            "--queue-cap", "32", "--deadline-ms", "50",
             "--replicas", "2", "--scale", "full", "--threads", "2", "--inter-ops", "3",
             "--seed", "7", "--load", "w.ck", "--out", "r.json",
         ]))
@@ -668,9 +664,7 @@ mod tests {
             ("--duration", "NaN"),
             ("--duration", "-1"),
             ("--duration", "1e11"),
-            ("--max-delay-ms", "-1"),
-            ("--max-delay-ms", "inf"),
-            ("--max-delay-ms", "1e14"),
+            ("--max-delay-ms", "2"),
             ("--deadline-ms", "1e14"),
             ("--deadline-ms", "nan"),
             ("--deadline-ms", "-0.5"),
@@ -678,16 +672,15 @@ mod tests {
             let err = parse(&s(&["serve-bench", "alexnet", flag, bad]));
             assert!(err.is_err(), "{flag} {bad} must be a parse error, got {err:?}");
         }
-        // The edges that are fine: no delay at all, and the longest
-        // spans that still fit the virtual clock.
+        // The edges that are fine: the longest spans that still fit the
+        // virtual clock.
         let Command::ServeBench(a) = parse(&s(&[
-            "serve-bench", "alexnet", "--max-delay-ms", "0", "--deadline-ms", "1e13",
-            "--duration", "1e10",
+            "serve-bench", "alexnet", "--deadline-ms", "1e13", "--duration", "1e10",
         ]))
         .unwrap() else {
             panic!("expected ServeBench");
         };
-        assert_eq!((a.max_delay_ms, a.deadline_ms, a.duration), (0.0, Some(1e13), 1e10));
+        assert_eq!((a.deadline_ms, a.duration), (Some(1e13), 1e10));
         assert!(parse(&s(&["serve-bench", "vgg", "--clients", "0"])).is_err());
     }
 

@@ -190,7 +190,6 @@ fn cmd_serve_bench(a: ServeArgs) -> Result<(), FathomError> {
 
     let serve_cfg = ServeConfig {
         max_batch: a.max_batch,
-        max_delay_nanos: (a.max_delay_ms * 1e6) as u64,
         queue_cap: a.queue_cap.unwrap_or(8 * a.max_batch),
         deadline_nanos: a.deadline_ms.map(|ms| (ms * 1e6) as u64),
         seed: a.seed,

@@ -91,12 +91,7 @@ impl Autoenc {
         if cfg.fusion.enabled() {
             let mut keep = vec![loss, reconstruction];
             keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion_with(
-                &keep,
-                fathom_dataflow::optimize::FusionOptions {
-                    gemm_epilogues: cfg.fusion.gemm_epilogues(),
-                },
-            );
+            session.enable_fusion(&keep);
         }
         Autoenc {
             meta: metadata(),

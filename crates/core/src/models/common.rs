@@ -60,12 +60,7 @@ impl ImageClassifier {
         if cfg.fusion.enabled() {
             let mut keep = vec![loss, logits];
             keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion_with(
-                &keep,
-                fathom_dataflow::optimize::FusionOptions {
-                    gemm_epilogues: cfg.fusion.gemm_epilogues(),
-                },
-            );
+            session.enable_fusion(&keep);
         }
         let corpus = ImageCorpus::new(side, 3, classes, cfg.seed ^ 0xDA7A);
         ImageClassifier {

@@ -232,12 +232,7 @@ impl Deepq {
         if cfg.fusion.enabled() {
             let mut keep = vec![act_q, q_values, loss, target_next_q];
             keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion_with(
-                &keep,
-                fathom_dataflow::optimize::FusionOptions {
-                    gemm_epilogues: cfg.fusion.gemm_epilogues(),
-                },
-            );
+            session.enable_fusion(&keep);
         }
         Deepq {
             meta: metadata(),

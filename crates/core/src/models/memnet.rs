@@ -134,12 +134,7 @@ impl Memnet {
         if cfg.fusion.enabled() {
             let mut keep = vec![loss, logits];
             keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion_with(
-                &keep,
-                fathom_dataflow::optimize::FusionOptions {
-                    gemm_epilogues: cfg.fusion.gemm_epilogues(),
-                },
-            );
+            session.enable_fusion(&keep);
         }
         Memnet {
             meta: metadata(),

@@ -164,12 +164,7 @@ impl Seq2Seq {
             keep.extend_from_slice(&logit_steps);
             keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
             keep.extend(serve_logits);
-            session.enable_fusion_with(
-                &keep,
-                fathom_dataflow::optimize::FusionOptions {
-                    gemm_epilogues: cfg.fusion.gemm_epilogues(),
-                },
-            );
+            session.enable_fusion(&keep);
         }
         Seq2Seq {
             meta: metadata(),

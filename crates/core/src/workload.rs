@@ -265,20 +265,13 @@ pub enum FusionLevel {
     /// No fusion: the graph runs as built.
     #[default]
     Off,
-    /// Elementwise fusion only (loop-jammed register programs).
-    Elementwise,
-    /// GEMM epilogue fusion plus elementwise fusion.
+    /// GEMM epilogue fusion, then elementwise fusion of what remains.
     Full,
 }
 
 impl FusionLevel {
-    /// Whether any fusion pass runs at all.
+    /// Whether the fusion passes run.
     pub fn enabled(self) -> bool {
-        self != FusionLevel::Off
-    }
-
-    /// Whether packed GEMMs absorb their consumer chains as epilogues.
-    pub fn gemm_epilogues(self) -> bool {
         self == FusionLevel::Full
     }
 }
@@ -329,12 +322,6 @@ impl BuildConfig {
     /// Enables or disables fusion (`true` means [`FusionLevel::Full`]).
     pub fn with_fusion(mut self, on: bool) -> Self {
         self.fusion = if on { FusionLevel::Full } else { FusionLevel::Off };
-        self
-    }
-
-    /// Selects an exact fusion level.
-    pub fn with_fusion_level(mut self, level: FusionLevel) -> Self {
-        self.fusion = level;
         self
     }
 

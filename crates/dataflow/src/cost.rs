@@ -10,7 +10,7 @@ use crate::graph::Node;
 use crate::op::{GemmOp, OpKind};
 
 /// Estimated work of one operation execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpCost {
     /// Floating-point operations performed.
     pub flops: f64,

@@ -668,41 +668,24 @@ impl Session {
         plan
     }
 
-    /// Collapses chains of pure elementwise ops into fused register
-    /// programs, in place (see [`optimize::fuse_in_place`]). Every
-    /// existing [`NodeId`] stays valid: fused-away interiors remain in
-    /// the graph as unscheduled dead nodes, variables and their
-    /// checkpoint order are untouched, and fused execution is bitwise
-    /// identical to unfused. `keep` must cover every node the caller
-    /// will still fetch *through a fused value* — typically the model's
-    /// fetch handles — so their values stay materialized.
+    /// Fuses the graph in place: GEMM epilogue fusion first (see
+    /// [`optimize::fuse_gemm_epilogues`]), so packed MatMul/Conv2D nodes
+    /// claim their consumer chains, then elementwise fusion of whatever
+    /// remains (see [`optimize::fuse_in_place`]; the claimed originals
+    /// are unreachable dead nodes by then, so the passes never
+    /// double-claim an op). Every existing [`NodeId`] stays valid:
+    /// fused-away interiors remain in the graph as unscheduled dead
+    /// nodes, variables and their checkpoint order are untouched, and
+    /// fused execution is bitwise identical to unfused. `keep` must
+    /// cover every node the caller will still fetch *through a fused
+    /// value* — typically the model's fetch handles — so their values
+    /// stay materialized.
     ///
     /// # Panics
     ///
     /// Panics if a kept id does not belong to this session's graph.
     pub fn enable_fusion(&mut self, keep: &[NodeId]) -> optimize::FusionStats {
-        self.enable_fusion_with(keep, optimize::FusionOptions::default())
-    }
-
-    /// [`Session::enable_fusion`] with explicit pass selection. GEMM
-    /// epilogue fusion runs *first* so packed MatMul/Conv2D nodes claim
-    /// their consumer chains; elementwise fusion then groups whatever
-    /// remains (the claimed originals are unreachable dead nodes by
-    /// then, so the passes never double-claim an op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a kept id does not belong to this session's graph.
-    pub fn enable_fusion_with(
-        &mut self,
-        keep: &[NodeId],
-        options: optimize::FusionOptions,
-    ) -> optimize::FusionStats {
-        let gemm_stats = if options.gemm_epilogues {
-            optimize::fuse_gemm_epilogues(&mut self.graph, keep)
-        } else {
-            optimize::FusionStats::default()
-        };
+        let gemm_stats = optimize::fuse_gemm_epilogues(&mut self.graph, keep);
         let mut stats = optimize::fuse_in_place(&mut self.graph, keep);
         stats.gemm_groups = gemm_stats.gemm_groups;
         stats.gemm_ops = gemm_stats.gemm_ops;

@@ -9,7 +9,7 @@ use fathom_tensor::{Shape, Tensor};
 use crate::op::OpKind;
 
 /// Identifies a node within its [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

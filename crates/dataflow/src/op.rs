@@ -32,7 +32,7 @@ pub enum GemmOp {
 }
 
 /// The seven operation classes of the paper's Figure 3 legend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Group A: dense matrix operations.
     MatrixOps,

@@ -54,12 +54,6 @@ pub struct OptimizeStats {
     pub constants_folded: usize,
     /// Duplicate pure ops merged.
     pub subexpressions_merged: usize,
-    /// `Fused` nodes created (only set by [`optimize_with`] with fusion
-    /// enabled).
-    pub fused_groups: usize,
-    /// Original elementwise ops absorbed into fused groups (roots
-    /// included).
-    pub fused_ops: usize,
 }
 
 /// An optimized graph plus the id remapping for the caller's handles.
@@ -420,20 +414,6 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
     stats
 }
 
-/// Which fusion passes [`crate::exec::Session::enable_fusion_with`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusionOptions {
-    /// Also run [`fuse_gemm_epilogues`] (before elementwise fusion, so
-    /// packed GEMMs claim their consumer chains first).
-    pub gemm_epilogues: bool,
-}
-
-impl Default for FusionOptions {
-    fn default() -> Self {
-        FusionOptions { gemm_epilogues: true }
-    }
-}
-
 /// Classifies a non-accumulator input of an epilogue chain member against
 /// the GEMM root's shape. `None` means the operand cannot be fed to the
 /// microkernel writeback and the chain must stop before this member.
@@ -627,50 +607,6 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
             .expect("epilogue fusion rewrites are shape-preserving");
     }
     stats
-}
-
-/// Options for [`optimize_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptimizeOptions {
-    /// Run the elementwise fusion pass after the base pipeline.
-    pub fusion: bool,
-}
-
-/// Runs the base [`optimize`] pipeline and, when enabled, the
-/// elementwise fusion pass followed by a second sweep that removes the
-/// fused-away interior nodes from the rewritten graph. The returned map
-/// composes all stages, so callers remap handles exactly as with
-/// [`optimize`]. (Sessions that must keep their ids stable use
-/// [`crate::exec::Session::enable_fusion`] instead, which fuses in place
-/// and leaves interiors as unscheduled dead nodes.)
-///
-/// # Panics
-///
-/// Panics if a kept id does not belong to `g`.
-pub fn optimize_with(g: &Graph, keep: &[NodeId], options: OptimizeOptions) -> OptimizedGraph {
-    let mut base = optimize(g, keep);
-    if !options.fusion {
-        return base;
-    }
-    let kept: Vec<NodeId> = keep.iter().filter_map(|&k| base.remap(k)).collect();
-    let fstats = fuse_in_place(&mut base.graph, &kept);
-    let swept = optimize(&base.graph, &kept);
-    let map = base.map.iter().map(|m| m.and_then(|id| swept.remap(id))).collect();
-    OptimizedGraph {
-        stats: OptimizeStats {
-            original_nodes: g.len(),
-            optimized_nodes: swept.stats.optimized_nodes,
-            dead_removed: base.stats.dead_removed + swept.stats.dead_removed,
-            identities_removed: base.stats.identities_removed + swept.stats.identities_removed,
-            constants_folded: base.stats.constants_folded + swept.stats.constants_folded,
-            subexpressions_merged: base.stats.subexpressions_merged
-                + swept.stats.subexpressions_merged,
-            fused_groups: fstats.groups,
-            fused_ops: fstats.ops_fused,
-        },
-        graph: swept.graph,
-        map,
-    }
 }
 
 #[cfg(test)]
@@ -920,37 +856,6 @@ mod tests {
         let want = a.run1(d, &[(x, x_val.clone())]).unwrap();
         let got = b.run1(d, &[(x, x_val)]).unwrap();
         assert!(bitwise_eq(&want, &got));
-    }
-
-    #[test]
-    fn optimize_with_fusion_compacts_and_remaps() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(32));
-        let t = g.tanh(x);
-        let s = g.square(t);
-        let y = g.neg(s);
-        let plain = optimize(&g, &[y]);
-        let fused = optimize_with(&g, &[y], OptimizeOptions { fusion: true });
-        assert_eq!(fused.stats.fused_groups, 1);
-        assert_eq!(fused.stats.fused_ops, 3);
-        // The second sweep removes the two interiors.
-        assert_eq!(fused.graph.len(), plain.graph.len() - 2);
-        let new_y = fused.remap(y).unwrap();
-        assert!(matches!(fused.graph.node(new_y).kind, OpKind::Fused(_)));
-        // Interiors are dead in the compacted graph.
-        assert!(fused.remap(s).is_none());
-        assert!(fused.remap(x).is_some());
-    }
-
-    #[test]
-    fn optimize_with_fusion_off_matches_optimize() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(4));
-        let y = g.tanh(x);
-        let plain = optimize(&g, &[y]);
-        let opt = optimize_with(&g, &[y], OptimizeOptions::default());
-        assert_eq!(opt.stats, plain.stats);
-        assert_eq!(opt.graph.len(), plain.graph.len());
     }
 
     /// `[4,64] x [64,128]` routes to the packed engine

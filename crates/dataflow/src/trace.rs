@@ -8,15 +8,13 @@
 
 use std::time::Duration;
 
-use serde::Serialize;
-
 use crate::cost::OpCost;
 use crate::graph::{Node, NodeId};
 use crate::json::Json;
 use crate::op::{GemmOp, OpClass, OpKind};
 
 /// One executed operation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Graph node that ran.
     pub node: NodeId,
@@ -60,7 +58,7 @@ impl TraceEvent {
 /// `arena_bytes`, which is the current footprint of the static arena
 /// plan. A steady-state step of a planned graph reports `allocations ==
 /// 0`: every planned tensor is served from the prewarmed arena.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
     /// Heap allocations for *planned* tensor sizes — arena misses. Zero
     /// once the arena plan has warmed up.
@@ -146,7 +144,7 @@ impl From<RuntimeCounters> for Json {
 /// All events captured across one or more traced steps, plus the
 /// end-to-end wall time of those steps (used to quantify inter-op
 /// overhead, paper §V-A).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTrace {
     /// Per-operation events in execution order.
     pub events: Vec<TraceEvent>,

@@ -9,10 +9,9 @@
 
 use fathom_dataflow::trace::RunTrace;
 use fathom_dataflow::OpClass;
-use serde::Serialize;
 
 /// Flops/bytes aggregates for one op class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassWork {
     /// Total estimated floating-point operations.
     pub flops: f64,
@@ -32,7 +31,7 @@ impl ClassWork {
 }
 
 /// Work aggregates for one traced workload.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntensityReport {
     /// Workload name.
     pub workload: String,

@@ -8,10 +8,9 @@ use std::collections::BTreeMap;
 
 use fathom_dataflow::trace::RunTrace;
 use fathom_dataflow::OpClass;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics for one operation type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpEntry {
     /// Operation type name (`"MatMul"`, …).
     pub op: String,
@@ -26,7 +25,7 @@ pub struct OpEntry {
 }
 
 /// An operation-type profile of one workload run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OpProfile {
     /// Workload name the profile belongs to.
     pub workload: String,

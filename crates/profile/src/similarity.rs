@@ -5,8 +5,6 @@
 //! use the inverse form (1 - A.B/|A||B|) as a distance metric. We can
 //! then use agglomerative clustering with centroidal linkage." (§V-C)
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::OpProfile;
 
 /// Cosine distance `1 - cos(a, b)` between two non-negative vectors.
@@ -24,7 +22,7 @@ pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
 
 /// A node of the clustering tree: a leaf workload or a merge of two
 /// subtrees at a given cosine distance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DendrogramNode {
     /// An original workload profile.
     Leaf {
@@ -75,7 +73,7 @@ impl DendrogramNode {
 }
 
 /// The full clustering result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     /// Root of the merge tree.
     pub root: DendrogramNode,

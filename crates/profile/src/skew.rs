@@ -4,13 +4,11 @@
 //! collectively responsible for upwards of 90% of the programs'
 //! duration." These curves quantify that skew per workload.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::OpProfile;
 
 /// The cumulative time-share curve of one workload: element `i` is the
 /// fraction of total time covered by the `i+1` heaviest op types.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkewCurve {
     /// Workload name.
     pub workload: String,

@@ -9,10 +9,9 @@
 use std::collections::BTreeMap;
 
 use fathom_dataflow::trace::RunTrace;
-use serde::{Deserialize, Serialize};
 
 /// Step-time statistics for one op type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpStability {
     /// Operation type name.
     pub op: String,
@@ -53,7 +52,7 @@ impl OpStability {
 }
 
 /// Stability analysis of a multi-step trace.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StabilityReport {
     /// Per-op stability, keyed by op name.
     pub ops: BTreeMap<String, OpStability>,

@@ -19,13 +19,9 @@
 //!   queue is full a higher-class arrival evicts the youngest
 //!   lowest-class occupant (`priority_evicted`) rather than being
 //!   refused. Dispatch serves classes strictly by priority.
-//! * **Batching** — under [`BatchPolicy::Continuous`] a replica that
-//!   frees up immediately takes whatever is queued (up to `max_batch`),
-//!   so newly arrived requests join the very next batch.
-//!   [`BatchPolicy::FixedRound`] runs pack/run/split rounds: wait for a
-//!   full batch, for the oldest request to have waited `max_delay`, or
-//!   for arrivals to drain. `BENCH_serve.json`'s cluster scenario runs
-//!   both.
+//! * **Batching** — continuous: a replica that frees up immediately
+//!   takes whatever is queued (up to `max_batch`), so newly arrived
+//!   requests join the very next batch.
 //! * **Supervision** — a replica that fails a batch is quarantined with
 //!   exponential backoff and rebuilt via [`BatchRunner::recover`]; its
 //!   batch re-queues at the front for a healthy replica, each request
@@ -39,9 +35,10 @@
 //!
 //! Two public entries feed the loop. [`serve_cluster`] lays out one
 //! open-loop Poisson trace per model. [`serve`](crate::engine::serve)
-//! is the 1 model x 1 shard x N replica case — fixed rounds, one SLO
-//! class, no spill, no reloads — and the only caller with a closed
-//! loop, where each resolved request lets a client issue its next one.
+//! is the 1 model x 1 shard x N replica case — one SLO class, no
+//! spill, no reloads: its open loop goes through `serve_cluster`, and
+//! it is the only caller with a closed loop, where each resolved
+//! request lets a client issue its next one.
 //!
 //! Time is *virtual*: arrivals come from a seeded process and each batch
 //! advances the clock by its measured (or, in tests, injected) service
@@ -88,23 +85,6 @@ impl ClusterRunner for SessionWorker {
     }
 }
 
-/// How replicas form batches from their shard queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// A freed replica immediately takes up to `max_batch` queued
-    /// requests — arrivals join the next batch as soon as capacity
-    /// exists.
-    Continuous,
-    /// Pack/run/split rounds: dispatch only once the queue holds a full
-    /// batch, the oldest request has waited `max_delay`, or arrivals
-    /// have drained. The rule [`serve`](crate::engine::serve) runs under.
-    FixedRound {
-        /// Longest the oldest queued request may wait before a partial
-        /// batch dispatches anyway, virtual nanoseconds.
-        max_delay_nanos: u64,
-    },
-}
-
 /// One scheduled hot model swap.
 #[derive(Debug, Clone)]
 pub struct ReloadPlan {
@@ -123,8 +103,6 @@ pub struct ClusterConfig {
     pub max_batch: usize,
     /// Admission bound per shard queue (all classes together).
     pub queue_cap: usize,
-    /// Batch formation policy.
-    pub batching: BatchPolicy,
     /// Per-class deadlines.
     pub slo: SloPolicy,
     /// Traffic mix over the classes.
@@ -145,14 +123,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Continuous batching, a queue of `16 * max_batch` per shard, the
-    /// default SLO policy and mix, load-aware spill at `2 * max_batch`,
-    /// a 1 ms swap, and no reloads.
+    /// A queue of `16 * max_batch` per shard, the default SLO policy
+    /// and mix, load-aware spill at `2 * max_batch`, a 1 ms swap, and
+    /// no reloads.
     pub fn new(max_batch: usize) -> Self {
         ClusterConfig {
             max_batch,
             queue_cap: 16 * max_batch,
-            batching: BatchPolicy::Continuous,
             slo: SloPolicy::default_serving(),
             mix: SloMix::default_mix(),
             duration_nanos: 1_000_000_000,
@@ -281,8 +258,6 @@ impl ModelReport {
 /// Everything measured over one cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// Batch formation policy the run used.
-    pub batching: BatchPolicy,
     /// Coalescing limit.
     pub max_batch: usize,
     /// Per-model slices.
@@ -385,12 +360,9 @@ impl ClusterReport {
                 .with("mean_batch", Json::fixed(m.mean_batch(), 2))
                 .with("classes", classes(&m.per_class))
         });
-        let batching = match self.batching {
-            BatchPolicy::Continuous => "continuous",
-            BatchPolicy::FixedRound { .. } => "fixed_round",
-        };
+        // The one dispatch rule, named so the report keeps its shape.
         Json::obj()
-            .with("batching", batching)
+            .with("batching", "continuous")
             .with("max_batch", self.max_batch)
             .with("issued", self.issued())
             .with("completed", self.completed())
@@ -436,10 +408,6 @@ struct ShardState {
 impl ShardState {
     fn queued(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    fn oldest_arrival(&self) -> Option<u64> {
-        self.queues.iter().filter_map(|q| q.front().map(|r| r.req.arrival)).min()
     }
 
     /// Takes up to `limit` requests, highest class first, FIFO within a
@@ -522,7 +490,7 @@ impl Arrivals {
     ///
     /// Returns [`ServeError::Unservable`] unless `rps` is finite and
     /// positive (any other rate never reaches the end of the window).
-    pub(crate) fn poisson(
+    fn poisson(
         &mut self,
         rng: &mut Rng,
         model: usize,
@@ -665,7 +633,6 @@ pub(crate) fn run(
         .collect();
 
     let mut report = ClusterReport {
-        batching: cfg.batching,
         max_batch: cfg.max_batch,
         models: models
             .iter()
@@ -934,10 +901,8 @@ pub(crate) fn run(
             }
         }
 
-        // 6. Dispatch. Continuous: any idle replica with queued work
-        // takes a batch immediately. FixedRound: only on a full batch,
-        // an expired delay timer, or drain (no arrival scheduled). A
-        // failed dispatch quarantines the replica and re-queues its
+        // 6. Dispatch: any idle replica with queued work takes a batch
+        // immediately. A failed dispatch quarantines the replica and re-queues its
         // batch (front of its class queues, original order) for a
         // healthy one.
         for (m, spec) in models.iter_mut().enumerate() {
@@ -963,17 +928,8 @@ pub(crate) fn run(
                             arrivals.resolved(m, now, expired);
                         }
                     }
-                    let queued = shard.queued();
-                    if queued == 0 {
+                    if shard.queued() == 0 {
                         break;
-                    }
-                    if let BatchPolicy::FixedRound { max_delay_nanos } = cfg.batching {
-                        // Invariant: queued > 0, so an oldest exists.
-                        let oldest = shard.oldest_arrival().expect("non-empty queue");
-                        let draining = arrivals.due.is_empty();
-                        if queued < max_batch[m] && now - oldest < max_delay_nanos && !draining {
-                            continue;
-                        }
                     }
                     let batch = shard.take_batch(max_batch[m]);
                     let refs: Vec<&Request> = batch.iter().map(|q| &q.req).collect();
@@ -1040,8 +996,8 @@ pub(crate) fn run(
         }
 
         // 8. Advance the clock to the next event: an arrival, a batch
-        // completion, a quarantine or swap expiry, the oldest waiter
-        // hitting max_delay, a deadline, or a reload coming due.
+        // completion, a quarantine or swap expiry, a deadline, or a
+        // reload coming due.
         let mut next: Option<u64> = None;
         let mut consider = |t: u64| {
             let t = t.max(now.saturating_add(1));
@@ -1057,26 +1013,11 @@ pub(crate) fn run(
                 RepState::Idle | RepState::Dead => {}
             }
         }
-        for (m, model_shards) in shards.iter().enumerate() {
-            for (s, shard) in model_shards.iter().enumerate() {
-                if shard.queued() == 0 {
-                    continue;
-                }
-                let any_idle =
-                    reps[m][s].iter().any(|rep| matches!(rep.state, RepState::Idle));
-                if any_idle {
-                    if let BatchPolicy::FixedRound { max_delay_nanos } = cfg.batching {
-                        if let Some(oldest) = shard.oldest_arrival() {
-                            // The one place delay timers are formed.
-                            consider(oldest.saturating_add(max_delay_nanos));
-                        }
-                    }
-                }
-                for class in SloClass::ALL {
-                    if let Some(front) = shard.queues[class.idx()].front() {
-                        if let Some(dl) = front.deadline {
-                            consider(dl);
-                        }
+        for shard in shards.iter().flatten() {
+            for class in SloClass::ALL {
+                if let Some(front) = shard.queues[class.idx()].front() {
+                    if let Some(dl) = front.deadline {
+                        consider(dl);
                     }
                 }
             }
@@ -1268,40 +1209,6 @@ mod tests {
         assert!(
             reasons.priority_evicted > 0 || reasons.deadline_infeasible > 0,
             "overload must exercise typed shedding: {reasons:?}"
-        );
-    }
-
-    #[test]
-    fn continuous_batching_cuts_latency_versus_fixed_rounds() {
-        // Moderate load on a capacity-4 replica: fixed rounds hold
-        // partial batches for the delay timer; continuous dispatches the
-        // moment the replica frees, so waiting time shrinks.
-        let run = |batching: BatchPolicy| {
-            let mut only = FakeRunner::new(4, 4_000_000.0);
-            let mut models = vec![spec("alpha", vec![vec![&mut only]], 400.0)];
-            let cfg = ClusterConfig {
-                duration_nanos: 500_000_000,
-                batching,
-                ..ClusterConfig::new(4)
-            };
-            serve_cluster(&mut models, &cfg).expect("serves")
-        };
-        let cont = run(BatchPolicy::Continuous);
-        let fixed = run(BatchPolicy::FixedRound { max_delay_nanos: 2_000_000 });
-        assert!(cont.conserved() && fixed.conserved());
-        assert_pinned("fixed rounds", &fixed.to_json(), 0x31a6_4eb0_fcde_6b92);
-        let p99 = |r: &ClusterReport| {
-            let mut all = LatencyHistogram::new();
-            for c in &r.per_class {
-                all.merge(&c.latency);
-            }
-            all.quantile(0.99)
-        };
-        assert!(
-            p99(&cont) < p99(&fixed),
-            "continuous p99 {} must beat fixed-round p99 {}",
-            p99(&cont),
-            p99(&fixed)
         );
     }
 

@@ -2,7 +2,7 @@
 //! crate's one event loop ([`cluster`](crate::cluster)).
 //!
 //! `serve` is the 1 model x 1 shard x N replica case of the cluster:
-//! one queue shared by every replica, fixed batching rounds, a single
+//! one queue shared by every replica, continuous batching, a single
 //! SLO class carrying the optional deadline, no spill and no reloads.
 //! This module owns what is particular to that case — the
 //! [`ServeConfig`] / [`LoadModel`] vocabulary, the closed-loop load, and
@@ -10,8 +10,7 @@
 //! of the loop itself.
 //!
 //! Dispatch rule: an idle replica takes up to `max_batch` queued
-//! requests as soon as the queue is full enough, the oldest request has
-//! waited `max_delay`, or no further arrivals are scheduled (drain).
+//! requests the moment it frees.
 //! Admission rule: a request arriving to a queue at `queue_cap` is shed.
 //! With a deadline set, admission and dispatch are the cluster's
 //! deadline-aware ones: an arrival the backlog already makes late is
@@ -22,7 +21,7 @@
 use fathom_tensor::{Rng, Tensor};
 
 use crate::cluster::{
-    run, Arrivals, BatchPolicy, ClusterConfig, ClusterReport, ClusterRunner, ModelSpec,
+    run, serve_cluster, Arrivals, ClusterConfig, ClusterReport, ClusterRunner, ModelSpec,
 };
 use crate::metrics::{LatencyHistogram, ServeReport};
 use crate::slo::{SloClass, SloMix, SloPolicy};
@@ -56,9 +55,6 @@ impl Default for RecoveryPolicy {
 pub struct ServeConfig {
     /// Most requests coalesced into one session run.
     pub max_batch: usize,
-    /// Longest a request may head the queue before a partial batch is
-    /// dispatched anyway, in virtual nanoseconds.
-    pub max_delay_nanos: u64,
     /// Admission bound: arrivals beyond this queue depth are shed.
     pub queue_cap: usize,
     /// When set, queued requests older than this are dropped (timed out)
@@ -71,12 +67,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Sensible defaults around a coalescing limit: 2 ms max delay, a
-    /// queue of `8 * max_batch`, no deadline, default recovery policy.
+    /// Sensible defaults around a coalescing limit: a queue of
+    /// `8 * max_batch`, no deadline, default recovery policy.
     pub fn new(max_batch: usize) -> Self {
         ServeConfig {
             max_batch,
-            max_delay_nanos: 2_000_000,
             queue_cap: 8 * max_batch,
             deadline_nanos: None,
             seed: 0xFA7408,
@@ -142,7 +137,10 @@ impl ClusterRunner for NoReload<'_> {
 /// `runners` is one [`BatchRunner`] per replica; each owns independent
 /// session state. The virtual clock starts at 0 and the function returns
 /// once every admitted request has resolved (completed, shed, or timed
-/// out) — graceful drain, never mid-flight abandonment.
+/// out) — graceful drain, never mid-flight abandonment. An open-loop
+/// `load` is [`serve_cluster`] over one model whose one shard holds
+/// `runners`, under one SLO class carrying `cfg.deadline_nanos` and no
+/// spill.
 ///
 /// A runner failure does *not* abort the run: the supervisor
 /// quarantines the replica (exponential backoff, then
@@ -168,27 +166,15 @@ pub fn serve(
     synth: &mut dyn FnMut(&mut Rng, u64) -> Vec<Tensor>,
     workload: &str,
 ) -> Result<ServeReport, ServeError> {
-    // One generator: the open-loop trace first, then (inside the loop)
-    // every arrival's class draw and every admitted request's payload.
-    let mut rng = Rng::seeded(cfg.seed);
-    let arrivals = match *load {
-        LoadModel::Open { rps, duration_nanos } => {
-            let mut arrivals = Arrivals::default();
-            arrivals.poisson(&mut rng, 0, rps, duration_nanos)?;
-            arrivals
-        }
-        LoadModel::Closed { clients: 0, requests: 1.. } => {
-            return Err(ServeError::Unservable("closed-loop load needs at least one client".into()))
-        }
-        LoadModel::Closed { clients, requests } => Arrivals::closed(clients, requests),
-    };
+    if let LoadModel::Closed { clients: 0, requests: 1.. } = *load {
+        return Err(ServeError::Unservable("closed-loop load needs at least one client".into()));
+    }
     // The report names the effective coalescing limit, not the asked one.
     let max_batch = runners.iter().map(|r| r.capacity()).min().map_or(0, |c| c.min(cfg.max_batch));
     let mut slo = SloPolicy { deadline_nanos: [None; SloClass::COUNT] };
     slo.deadline_nanos[SloClass::Standard.idx()] = cfg.deadline_nanos;
     let cluster_cfg = ClusterConfig {
         queue_cap: cfg.queue_cap,
-        batching: BatchPolicy::FixedRound { max_delay_nanos: cfg.max_delay_nanos },
         slo,
         mix: SloMix::pure(SloClass::Standard),
         seed: cfg.seed,
@@ -200,11 +186,21 @@ pub fn serve(
     let mut model = [ModelSpec {
         name: workload.to_string(),
         shards: vec![replicas.iter_mut().map(|r| r as &mut dyn ClusterRunner).collect()],
-        // `run` serves the trace above, not a rate.
+        // An open loop's rate is set below; a closed loop has none.
         rps: 0.0,
         synth: Box::new(synth),
     }];
-    run(&mut model, &cluster_cfg, arrivals, rng).map(view)
+    let report = match *load {
+        LoadModel::Open { rps, duration_nanos } => {
+            model[0].rps = rps;
+            serve_cluster(&mut model, &ClusterConfig { duration_nanos, ..cluster_cfg })
+        }
+        LoadModel::Closed { clients, requests } => {
+            let arrivals = Arrivals::closed(clients, requests);
+            run(&mut model, &cluster_cfg, arrivals, Rng::seeded(cfg.seed))
+        }
+    };
+    report.map(view)
 }
 
 /// The one-model cluster report, flattened over its (single) class.
@@ -270,8 +266,58 @@ mod tests {
         }
     }
 
+    impl ClusterRunner for FakeRunner {
+        fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
+            Ok(())
+        }
+    }
+
     fn no_inputs(_rng: &mut Rng, _id: u64) -> Vec<Tensor> {
         Vec::new()
+    }
+
+    #[test]
+    fn serve_is_the_one_model_one_shard_case_of_serve_cluster() {
+        // Overloaded, with a deadline: completions, sheds and timeouts
+        // all occur, so every counter below is exercised.
+        let (seed, rps, duration_nanos) = (0x5EED, 1500.0, 300_000_000);
+        let cfg =
+            ServeConfig { queue_cap: 64, deadline_nanos: Some(40_000_000), seed, ..ServeConfig::new(4) };
+        let load = LoadModel::Open { rps, duration_nanos };
+        let (mut a, mut b) = (FakeRunner::new(4, 9_000_000.0), FakeRunner::new(4, 9_000_000.0));
+        let single = serve(&mut [&mut a, &mut b], &cfg, &load, &mut no_inputs, "fake").unwrap();
+
+        let (mut c, mut d) = (FakeRunner::new(4, 9_000_000.0), FakeRunner::new(4, 9_000_000.0));
+        let mut models = [ModelSpec {
+            name: "fake".into(),
+            shards: vec![vec![&mut c as &mut dyn ClusterRunner, &mut d]],
+            rps,
+            synth: Box::new(no_inputs),
+        }];
+        let mut slo = SloPolicy { deadline_nanos: [None; SloClass::COUNT] };
+        slo.deadline_nanos[SloClass::Standard.idx()] = cfg.deadline_nanos;
+        let cluster_cfg = ClusterConfig {
+            queue_cap: cfg.queue_cap,
+            slo,
+            mix: SloMix::pure(SloClass::Standard),
+            duration_nanos,
+            seed,
+            spill_threshold: None,
+            ..ClusterConfig::new(cfg.max_batch)
+        };
+        let cluster = serve_cluster(&mut models, &cluster_cfg).unwrap();
+
+        assert!(single.completed > 0 && single.shed > 0 && single.timed_out > 0, "{single:?}");
+        assert_eq!(
+            (single.issued, single.completed, single.shed, single.timed_out),
+            (cluster.issued(), cluster.completed(), cluster.shed(), cluster.timed_out())
+        );
+        assert_eq!(single.batches(), cluster.models[0].batches);
+        let latency = &cluster.per_class[SloClass::Standard.idx()].latency;
+        for q in [0.5, 0.95, 0.99] {
+            assert_eq!(single.latency.quantile(q), latency.quantile(q), "quantile {q}");
+        }
+        assert_eq!(single.latency.max(), latency.max());
     }
 
     #[test]
@@ -324,7 +370,7 @@ mod tests {
         assert_eq!(r.issued, r.completed + r.shed + r.timed_out);
         assert_eq!(r.shed_reasons.total(), r.shed, "every shed carries a reason");
         assert_eq!(r.shed_reasons.queue_full, r.shed, "admission sheds are queue-full");
-        assert_pinned("open loop, queue of 2 under overload", &r.to_json(), 0x5db9_e925_1cfc_cd07);
+        assert_pinned("open loop, queue of 2 under overload", &r.to_json(), 0x293c_e96c_24f7_0d46);
     }
 
     #[test]
@@ -375,7 +421,7 @@ mod tests {
             serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap().to_json()
         };
         assert_eq!(run(), run());
-        assert_pinned("open loop, 300 rps", &run(), 0x2303_3638_f902_7180);
+        assert_pinned("open loop, 300 rps", &run(), 0x5f46_8357_8dcd_abfe);
     }
 
     #[test]
@@ -496,7 +542,7 @@ mod tests {
         let first = run();
         assert!(first.contains("\"recovery\""), "faulted run must report recovery counters");
         assert_eq!(first, run());
-        assert_pinned("open loop, crash and stall on two replicas", &first, 0x2bd1_0a91_105a_f957);
+        assert_pinned("open loop, crash and stall on two replicas", &first, 0xab76_8395_3d23_d88f);
     }
 
     #[test]
@@ -524,34 +570,14 @@ mod tests {
     }
 
     #[test]
-    fn a_deadline_and_a_delay_of_u64_max_mean_never() {
-        // Deadlines and delay timers are arrival + span; at u64::MAX the
-        // sum must stay in the future (nothing times out, partial
-        // batches wait for the drain), not wrap into the past.
+    fn a_deadline_of_u64_max_means_never() {
+        // Deadlines are arrival + span; at u64::MAX the sum must stay in
+        // the future (nothing times out), not wrap into the past.
         let mut runner = FakeRunner::new(4, 1_000_000.0);
-        let cfg = ServeConfig {
-            deadline_nanos: Some(u64::MAX),
-            max_delay_nanos: u64::MAX,
-            queue_cap: 1024,
-            ..ServeConfig::new(4)
-        };
+        let cfg = ServeConfig { deadline_nanos: Some(u64::MAX), queue_cap: 1024, ..ServeConfig::new(4) };
         let load = LoadModel::Open { rps: 300.0, duration_nanos: 200_000_000 };
         let r = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap();
         assert!(r.issued > 20);
         assert_eq!((r.completed, r.shed, r.timed_out), (r.issued, 0, 0));
-        let partial = runner.batches.iter().filter(|&&size| size < 4).count();
-        assert!(partial <= 1, "only the drain may run a partial batch: {:?}", runner.batches);
-    }
-
-    #[test]
-    fn drain_flushes_partial_batches() {
-        // 3 requests, max_batch 4, huge max_delay: once arrivals are
-        // exhausted the engine must not wait out the delay timer.
-        let mut runner = FakeRunner::new(4, 1_000_000.0);
-        let cfg = ServeConfig { max_delay_nanos: u64::MAX / 2, ..ServeConfig::new(4) };
-        let load = LoadModel::Closed { clients: 3, requests: 3 };
-        let r = serve(&mut [&mut runner], &cfg, &load, &mut no_inputs, "fake").unwrap();
-        assert_eq!(r.completed, 3);
-        assert_eq!(runner.batches, vec![3]);
     }
 }

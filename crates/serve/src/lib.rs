@@ -17,13 +17,11 @@
 //!   time: per-shard queues behind consistent-hash routing with
 //!   load-aware spill ([`router::Router`]), per-request SLO classes and
 //!   deadline-aware admission ([`slo::SloClass`]), continuous batching
-//!   or fixed `max_batch`/`max_delay` rounds ([`cluster::BatchPolicy`]),
-//!   bounded-queue load shedding, graceful drain, and zero-drop hot
+//!   up to `max_batch`, bounded-queue load shedding, graceful drain, and zero-drop hot
 //!   model reload from a v2 checkpoint ([`cluster::ReloadPlan`]).
 //!   [`cluster::serve_cluster`] offers it an open-loop load per model;
 //! * [`engine::serve`] — the adapter for the 1 model x 1 shard x N
-//!   replica case of that loop (fixed rounds, one class, open- or
-//!   closed-loop load), returning the flat [`metrics::ServeReport`]:
+//!   replica case of that loop (one class, open- or closed-loop load), returning the flat [`metrics::ServeReport`]:
 //!   latency quantiles, queue depth, batch shape, shed/timeout counters
 //!   and op-class time slices fed from the session trace;
 //! * supervised recovery, in the loop — a failed replica is quarantined
@@ -51,7 +49,7 @@ pub mod worker;
 
 pub use chaos::FaultyRunner;
 pub use cluster::{
-    serve_cluster, BatchPolicy, ClassStats, ClusterConfig, ClusterReport, ClusterRunner,
+    serve_cluster, ClassStats, ClusterConfig, ClusterReport, ClusterRunner,
     ModelReport, ModelSpec, ReloadPlan, SynthFn,
 };
 pub use engine::{serve, LoadModel, RecoveryPolicy, ServeConfig};
@@ -60,8 +58,7 @@ pub use router::{HashRing, Placement, Router};
 pub use slo::{SloClass, SloMix, SloPolicy};
 pub use worker::{synth_inputs, BatchResult, BatchRunner, Request, ServeError, SessionWorker};
 
-/// Report fixtures recorded at the parent of PR 18 (two event loops),
-/// asserted on the one loop that replaced them.
+/// Report fixtures: FNV-1a hashes of same-seed report JSON.
 #[cfg(test)]
 pub(crate) mod pinned {
     /// Asserts that `json` hashes (FNV-1a, 64 bit) to `expected`.

@@ -11,12 +11,11 @@
 //! `recovery`, `shed_reasons` — are built here, once.
 
 use fathom_dataflow::{Json, OpClass, RuntimeCounters};
-use serde::Serialize;
 
 /// An exact-quantile latency recorder. Samples are kept raw (a serving
 /// run records at most a few thousand requests), so percentiles are
 /// computed from the sorted data rather than from bucket midpoints.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
     samples: Vec<f64>,
 }
@@ -103,7 +102,7 @@ impl LatencyHistogram {
 /// Supervisor activity over one serving run: how often replicas failed
 /// and what the recovery machinery did about it. All zeros on a
 /// fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
     /// Batch dispatches that returned an error (replica crash).
     pub crashes: u64,
@@ -145,7 +144,7 @@ impl From<RecoveryCounters> for Json {
 /// report's `shed` counter; a run that sheds nothing leaves all fields
 /// zero and the breakdown out of the JSON entirely (so no-shed output
 /// stays byte-identical to earlier builds, like the `recovery` block).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShedBreakdown {
     /// Refused at admission because the queue was at capacity.
     pub queue_full: u64,
@@ -200,7 +199,7 @@ impl From<ShedBreakdown> for Json {
 /// Everything measured over one single-model serving run: the flat view
 /// [`serve`](crate::engine::serve) takes of its one-model
 /// [`ClusterReport`](crate::cluster::ClusterReport).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Workload short name.
     pub workload: String,

@@ -29,7 +29,7 @@ use crate::tensor::Tensor;
 /// products into bf16 panel storage with f32 accumulation. The knob
 /// rides on `BuildConfig` and the session, and the cost model decides
 /// per geometry whether a product actually takes the bf16 path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Full f32 storage and accumulation (the default).
     #[default]

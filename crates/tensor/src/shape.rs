@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The extents of each axis of a tensor, in row-major order.
 ///
 /// A rank-0 shape (no axes) describes a scalar with exactly one element.
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.num_elements(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape {
     dims: Vec<usize>,
 }

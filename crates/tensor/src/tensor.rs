@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::Rng;
 use crate::shape::Shape;
 
@@ -22,7 +20,7 @@ use crate::shape::Shape;
 /// assert_eq!(t.at(&[1, 0]), 3.0);
 /// assert_eq!(t.shape().num_elements(), 4);
 /// ```
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

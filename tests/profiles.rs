@@ -5,8 +5,12 @@ use fathom_suite::fathom::{BuildConfig, ModelKind};
 use fathom_suite::fathom_dataflow::OpClass;
 use fathom_suite::fathom_profile::{runner, OpProfile, SkewCurve};
 
+/// One traced training step after two warm-up steps: the optimizer ops
+/// of the first two steps take two to three times their steady-state
+/// time in a release build (cold state), which counts against every
+/// other class.
 fn training_profile(kind: ModelKind) -> OpProfile {
-    runner::profile_workload(kind, &BuildConfig::training(), 0, 1)
+    runner::profile_workload(kind, &BuildConfig::training(), 2, 1)
 }
 
 fn class_share(p: &OpProfile, class: OpClass) -> f64 {

@@ -416,10 +416,8 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
         fused_groups: 2,
         gemm_groups: 3,
         nodes_unfused: 100,
-        nodes_elementwise: 95,
         nodes_fused: 90,
         ms_unfused: ms(10.0, 0.4),
-        ms_elementwise: ms(9.0, 0.3),
         ms_fused: ms(8.0, 0.2),
         class_c: (0.30, 0.25),
         class_g: (0.20, 0.21),
@@ -491,16 +489,13 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
             fusion::document(&[fusion_row], &effort),
             vec![
                 ("geomean_speedup", fixed(1.25, 3)),
-                ("geomean_epilogue_speedup", fixed(1.125, 3)),
                 ("workloads.0.gemm_groups", int(3)),
-                ("workloads.0.nodes_per_step.elementwise", int(95)),
+                ("workloads.0.nodes_per_step.fused", int(90)),
                 ("workloads.0.node_reduction", fixed(0.1, 4)),
                 ("workloads.0.step_ms.unfused", fixed(10.0, 4)),
-                ("workloads.0.step_ms.elementwise", fixed(9.0, 4)),
                 ("workloads.0.step_ms.fused", fixed(8.0, 4)),
                 ("workloads.0.step_ms_iqr.fused", fixed(0.2, 4)),
                 ("workloads.0.speedup", fixed(1.25, 3)),
-                ("workloads.0.epilogue_speedup", fixed(1.125, 3)),
                 ("workloads.0.class_c_share.unfused", fixed(0.3, 4)),
                 ("workloads.0.class_c_share.fused", fixed(0.25, 4)),
             ],

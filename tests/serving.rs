@@ -174,23 +174,23 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
         second.to_json(),
         "the same fault-plan seed must reproduce the report bitwise"
     );
-    // Recorded at the parent of PR 18, where `serve` still ran its own
-    // event loop: the 1 x 1 x N case of the cluster loop reproduces it.
+    // An open-loop `serve` is `serve_cluster` on one model and one
+    // shard: its trace, its continuous batching, its report.
     assert_eq!(
         first.to_json(),
         r#"{
   "workload": "fixed",
   "max_batch": 2,
   "replicas": 2,
-  "issued": 16,
-  "completed": 16,
+  "issued": 25,
+  "completed": 25,
   "shed": 0,
   "timed_out": 0,
-  "makespan_ms": 7.403,
-  "throughput_rps": 2161.303,
-  "latency_ms": {"p50": 3.074, "p95": 4.827, "p99": 4.827, "mean": 2.880, "max": 4.827},
-  "queue_depth": {"max": 8, "samples": 16},
-  "batches": {"count": 8, "mean_size": 2.000},
+  "makespan_ms": 10.266,
+  "throughput_rps": 2435.178,
+  "latency_ms": {"p50": 4.083, "p95": 5.278, "p99": 5.293, "mean": 3.701, "max": 5.293},
+  "queue_depth": {"max": 17, "samples": 25},
+  "batches": {"count": 14, "mean_size": 1.786},
   "recovery": {"crashes": 1, "retried": 2, "dropped": 0, "quarantines": 1, "recoveries": 1, "dead_replicas": 0},
   "class_nanos": {"A": 0, "B": 0, "C": 0, "D": 0, "E": 0, "F": 0, "G": 0}
 }
