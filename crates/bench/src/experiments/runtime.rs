@@ -33,7 +33,7 @@ pub struct PoolPoint {
     /// Whether the arena reached (and the timed window stayed in) the
     /// zero-allocation steady state.
     pub steady_zero_alloc: bool,
-    /// Bytes held by the arena plan after the run.
+    /// The arena's learned footprint after the run.
     pub arena_bytes: u64,
     /// Deque steals observed by the work-stealing pool.
     pub steal_count: u64,
@@ -225,7 +225,7 @@ mod tests {
     fn measures_one_leg() {
         let p = measure_pool(ModelKind::Memnet, 2, &Effort::quick());
         assert!(p.millis > 0.0);
-        assert!(p.arena_bytes > 0, "a planned session holds arena bytes");
+        assert!(p.arena_bytes > 0, "the arena learned a footprint");
     }
 
     #[test]

@@ -426,7 +426,7 @@ fn print_recovery(r: &RecoveryCounters) {
 }
 
 /// One line of unified-runtime counters, printed only when the run
-/// actually exercised the runtime (parallel device, planned arena).
+/// actually exercised the runtime (parallel device, learned arena).
 fn print_runtime(rc: &fathom_dataflow::RuntimeCounters) {
     if rc.any() {
         println!(

@@ -2,9 +2,9 @@
 //!
 //! Operations are "the smallest schedulable unit" (paper §V-A). A
 //! [`Session`] plans the fetched subgraph once (`plan`: topological
-//! order, per-node liveness, dependency counts, per-op widths, and a
-//! static arena census) and then runs every step of it through **one
-//! node path under one of two step drivers**:
+//! order, per-node liveness, dependency counts and per-op widths) and
+//! then runs every step of it through **one node path under one of two
+//! step drivers**:
 //!
 //! * the node path (`step`): `run_node` dispatches the op at its planned
 //!   width (`dispatch::dispatch_op`), probes the armed fault plan and
@@ -40,14 +40,14 @@
 //! intra-op width to its work and to the independent peers at its depth
 //! ([`crate::sched::chosen_width`]); everywhere else every op gets the
 //! device's full width. Both drivers honor the plan's widths, which
-//! keeps them bitwise interchangeable. The plan also compiles a **static
-//! arena**: per-size peak liveness over the plan order prewarms the
-//! session's [`BufferPool`](fathom_tensor::BufferPool), so steady-state
-//! steps perform zero heap allocations for planned tensors (the
-//! [`Session::runtime_counters`] `allocations` field asserts this). Both
-//! drivers release intermediates eagerly at their last use; freed
-//! buffers flow back to the arena via [`Tensor`](fathom_tensor::Tensor)'s
-//! drop hook. Inter-op overhead is kept minimal — the `overhead_check`
+//! keeps them bitwise interchangeable. Both drivers release
+//! intermediates eagerly at their last use; freed buffers flow back to
+//! the session's arena, a [`BufferPool`](fathom_tensor::BufferPool), via
+//! [`Tensor`](fathom_tensor::Tensor)'s drop hook. The arena learns each
+//! buffer size's high-water mark from its own misses, so once a step has
+//! repeated, steps perform zero heap allocations (the
+//! [`Session::runtime_counters`] `allocations` field counts every
+//! miss). Inter-op overhead is kept minimal — the `overhead_check`
 //! bench verifies the paper's "<1-2% outside of operations" property.
 
 use std::fmt;

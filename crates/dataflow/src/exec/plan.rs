@@ -1,13 +1,12 @@
 //! Planning: everything about a fetch set that is decided once and
 //! reused by every step — topological order, liveness, the dependency
-//! counts the pool driver counts down, per-op intra-op widths, static
-//! cost estimates and the arena census.
+//! counts the pool driver counts down, per-op intra-op widths and static
+//! cost estimates.
 
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
-use fathom_tensor::{BufferPool, ExecPool};
+use fathom_tensor::ExecPool;
 
 use super::pool::Scratch;
 use crate::cost::{self, OpCost};
@@ -80,16 +79,8 @@ impl Plan {
 
     /// Plans the subgraph `fetches` needs. `pool` is the session's
     /// intra-op pool; `pooled` says whether steps of this plan run on the
-    /// pool driver, which is what turns width molding on and makes the
-    /// arena census schedule-independent. The census is applied to
-    /// `recycler` before the plan is returned.
-    pub(super) fn build(
-        graph: &Graph,
-        fetches: &[NodeId],
-        pool: &ExecPool,
-        pooled: bool,
-        recycler: &BufferPool,
-    ) -> Plan {
+    /// pool driver, which is what turns width molding on.
+    pub(super) fn build(graph: &Graph, fetches: &[NodeId], pool: &ExecPool, pooled: bool) -> Plan {
         let mut needed = vec![false; graph.len()];
         let mut stack: Vec<NodeId> = fetches.to_vec();
         while let Some(id) = stack.pop() {
@@ -159,7 +150,6 @@ impl Plan {
             vec![full; total]
         };
         let wide_ops = widths.iter().filter(|&&w| w == full).count() as u64;
-        recycler.apply_plan(&arena_census(graph, &order, &last_use, pooled));
         Plan {
             widths,
             width_pools: (1..=full).map(|w| pool.with_width(w)).collect(),
@@ -226,56 +216,6 @@ fn molded_widths(consumers: &[Vec<u32>], costs: &[OpCost], full: usize) -> Vec<u
         .collect()
 }
 
-/// Static arena census: per exact buffer size, how many tensors must be
-/// provisioned so one step of the plan allocates nothing. On the serial
-/// walk the census mirrors plan-order eager release (a value dies when
-/// its last consumer runs; fetched values live to the end), giving the
-/// exact plan-order peak. The pool driver runs ops in whatever order its
-/// workers reach them, so *any* two same-sized tensors of the step may
-/// overlap in time — the only schedule-independent bound is the total
-/// number created per step, and that is what the census counts there
-/// (skipping the release walk). Kernel-internal temporaries the census
-/// cannot see ride on the plan slack, the miss-driven cap growth, and the
-/// dynamic fallback.
-fn arena_census(
-    graph: &Graph,
-    order: &[NodeId],
-    last_use: &[usize],
-    pooled: bool,
-) -> Vec<(usize, usize)> {
-    let mut live: HashMap<usize, usize> = HashMap::new();
-    let mut peak: HashMap<usize, usize> = HashMap::new();
-    let mut freed = vec![false; graph.len()];
-    for (pos, &id) in order.iter().enumerate() {
-        let len = graph.shape(id).num_elements();
-        if len > 0 {
-            let l = live.entry(len).or_insert(0);
-            *l += 1;
-            let p = peak.entry(len).or_insert(0);
-            *p = (*p).max(*l);
-        }
-        if pooled {
-            continue;
-        }
-        if last_use[id.index()] == pos && len > 0 && !freed[id.index()] {
-            freed[id.index()] = true;
-            *live.get_mut(&len).expect("made live above") -= 1;
-        }
-        for &input in &graph.node(id).inputs {
-            if last_use[input.index()] == pos && !freed[input.index()] {
-                freed[input.index()] = true;
-                let ilen = graph.shape(input).num_elements();
-                if ilen > 0 {
-                    *live.get_mut(&ilen).expect("produced before use") -= 1;
-                }
-            }
-        }
-    }
-    let mut census: Vec<(usize, usize)> = peak.into_iter().collect();
-    census.sort_unstable();
-    census
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,42 +239,56 @@ mod tests {
         assert_eq!(trace.events.len(), 2);
     }
 
-    #[test]
-    fn steady_state_steps_allocate_nothing_for_planned_tensors() {
-        // The plan's census prewarms the arena and planned misses grow
-        // the retention caps, so the per-step miss delta converges to
-        // zero on both executors. Warm-up length is interleaving-
-        // dependent (kernel temporaries can set late concurrency
-        // records), so the assertion is existential: within the step
-        // budget the session must reach four consecutive steps that
-        // allocate nothing for planned tensors.
-        for device in [Device::cpu(1), Device::cpu_inter_op(1, 2)] {
-            let mut g = Graph::new();
-            let x = g.placeholder("x", Shape::matrix(16, 16));
-            let v = g.variable("v", Tensor::filled([16, 16], 0.1));
-            let noise = g.random_normal([16, 16]);
-            let a = g.matmul(x, v);
-            let b = g.add_op(a, noise);
-            let loss = g.mean_all(b);
-            let grads = crate::grad::gradients(&mut g, loss, &[v]);
-            let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.05 }, &[v, grads[0]]);
-            let mut s = Session::with_seed(g, device.clone(), 7);
-            let feed = Tensor::filled([16, 16], 0.25);
-            let (mut quiet, mut last, mut spent) = (0u32, 0u64, 0usize);
-            while spent < 40 && quiet < 4 {
-                s.run(&[loss, apply], &[(x, feed.clone())]).unwrap();
-                spent += 1;
-                let now = s.runtime_counters().allocations;
-                quiet = if now == last { quiet + 1 } else { 0 };
-                last = now;
-            }
-            let counters = s.runtime_counters();
-            assert!(counters.arena_bytes > 0, "the plan must pin an arena ({device:?})");
-            assert!(
-                quiet >= 4,
-                "no allocation-free steady state within {spent} step(s) ({device:?})"
-            );
-        }
+    /// A one-variable SGD step with a matmul, an RNG draw and a scalar
+    /// loss: the session, `[loss, apply, x]` and the feed for `x`.
+    fn sgd_session(device: Device) -> (Session, [NodeId; 3], Tensor) {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", Shape::matrix(16, 16));
+        let v = g.variable("v", Tensor::filled([16, 16], 0.1));
+        let noise = g.random_normal([16, 16]);
+        let a = g.matmul(x, v);
+        let b = g.add_op(a, noise);
+        let loss = g.mean_all(b);
+        let grads = crate::grad::gradients(&mut g, loss, &[v]);
+        let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.05 }, &[v, grads[0]]);
+        (Session::with_seed(g, device, 7), [loss, apply, x], Tensor::filled([16, 16], 0.25))
     }
 
+    #[test]
+    fn serial_steps_after_the_second_allocate_nothing() {
+        // The serial walk replays the same takes and gives every step, so
+        // the arena learns each size's high-water mark in the first steps
+        // and steps 3-8 miss exactly zero times.
+        let (mut s, [loss, apply, x], feed) = sgd_session(Device::cpu(1));
+        let mut warm = 0;
+        for step in 1..=8 {
+            s.run(&[loss, apply], &[(x, feed.clone())]).unwrap();
+            if step == 2 {
+                warm = s.runtime_counters().allocations;
+            }
+        }
+        let counters = s.runtime_counters();
+        assert!(counters.arena_bytes > 0, "the arena learned nothing");
+        assert_eq!(counters.allocations, warm, "steps 3-8 allocated");
+    }
+
+    #[test]
+    fn pooled_steps_reach_an_allocation_free_steady_state() {
+        // The pool driver's interleaving varies from step to step, and
+        // the arena learns each new concurrency record one buffer at a
+        // time, so the warm-up length is not fixed: within the step
+        // budget the session must reach four consecutive steps that
+        // allocate nothing.
+        let (mut s, [loss, apply, x], feed) = sgd_session(Device::cpu_inter_op(1, 2));
+        let (mut quiet, mut last, mut spent) = (0u32, 0u64, 0usize);
+        while spent < 40 && quiet < 4 {
+            s.run(&[loss, apply], &[(x, feed.clone())]).unwrap();
+            spent += 1;
+            let now = s.runtime_counters().allocations;
+            quiet = if now == last { quiet + 1 } else { 0 };
+            last = now;
+        }
+        assert!(s.runtime_counters().arena_bytes > 0, "the arena learned nothing");
+        assert!(quiet >= 4, "no allocation-free steady state within {spent} step(s)");
+    }
 }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fathom_tensor::{BufferPool, ExecPool, Precision, RecycleStats, Rng, Runtime, Tensor};
+use fathom_tensor::{BufferPool, ExecPool, Precision, Rng, Runtime, Tensor};
 
 use super::dispatch::ExecCtx;
 use super::plan::Plan;
@@ -438,11 +438,6 @@ impl Session {
         self.step
     }
 
-    /// Usage counters of the session's buffer recycler.
-    pub fn recycle_stats(&self) -> RecycleStats {
-        self.recycler.stats()
-    }
-
     /// Current value of a variable.
     ///
     /// # Errors
@@ -531,7 +526,7 @@ impl Session {
         let rng_snapshot = self.state.rng.clone();
         // The arena is live for the whole run — including commit and
         // rollback, whose journal tensors must return to it — so a
-        // steady-state step touches the heap for no planned tensor.
+        // steady-state step touches the heap for no tensor.
         let recycler = Arc::clone(&self.recycler);
         let _arena = BufferPool::install(&recycler);
         let runtime = self.step_runtime().filter(|_| !self.calibrating).cloned();
@@ -623,7 +618,7 @@ impl Session {
     /// went to sleep since the previous run — so fleet-wide values are
     /// approximate.
     fn sample_counters(&mut self, pooled_plan: Option<&Plan>, inline_ops: u64) {
-        let misses = self.recycler.planned_misses();
+        let misses = self.recycler.misses();
         let allocations = misses.saturating_sub(self.last_misses);
         self.last_misses = misses;
         let (steals, parked) =
@@ -662,8 +657,7 @@ impl Session {
             return Arc::clone(plan);
         }
         let pooled = self.step_runtime().is_some();
-        let plan =
-            Arc::new(Plan::build(&self.graph, fetches, &self.pool, pooled, &self.recycler));
+        let plan = Arc::new(Plan::build(&self.graph, fetches, &self.pool, pooled));
         self.plan_cache.insert(fetches.to_vec(), Arc::clone(&plan));
         plan
     }

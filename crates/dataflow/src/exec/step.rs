@@ -116,9 +116,9 @@ pub(super) fn emit(
 /// Takes the fetched values out of a driver's value table (`take`) and
 /// returns *unpooled* copies of them, recycling the originals. Callers
 /// hold fetches arbitrarily long (and may drop them on threads with no
-/// arena installed), so handing out a pooled buffer would drain the
-/// session's static arena by one buffer per fetch per step; the copy
-/// keeps steady-state steps allocation-free for planned tensors.
+/// arena installed), so a pooled buffer handed out would never come
+/// back: every step would miss once per fetch and raise that size's cap
+/// again. The copy keeps steady-state steps allocation-free.
 pub(super) fn extract_fetches(
     fetches: &[NodeId],
     take: impl FnMut(NodeId) -> Option<Tensor>,
@@ -274,24 +274,6 @@ mod tests {
         let out = s.run(&[y, y], &[(x, Tensor::from(vec![1.0, 2.0, 3.0]))]).unwrap();
         assert_eq!(out[0], out[1]);
         assert_eq!(out[0].data(), &[-1.0, -2.0, -3.0]);
-    }
-
-    #[test]
-    fn recycler_reuses_buffers_across_runs() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(4096));
-        let mut node = x;
-        for _ in 0..4 {
-            node = g.tanh(node);
-        }
-        let mut s = Session::new(g, Device::cpu(1));
-        let feed = Tensor::filled([4096], 0.5);
-        s.run1(node, &[(x, feed.clone())]).unwrap();
-        let first = s.recycle_stats();
-        assert!(first.returned > 0, "freed intermediates must reach the pool");
-        s.run1(node, &[(x, feed)]).unwrap();
-        let second = s.recycle_stats();
-        assert!(second.hits > first.hits, "second run must draw from the pool");
     }
 
     #[test]

@@ -55,15 +55,17 @@ impl TraceEvent {
 /// Unified-runtime health counters, sampled per committed `run`.
 ///
 /// All fields are cumulative over the sampled window except
-/// `arena_bytes`, which is the current footprint of the static arena
-/// plan. A steady-state step of a planned graph reports `allocations ==
-/// 0`: every planned tensor is served from the prewarmed arena.
+/// `arena_bytes`, which is the arena's current learned footprint. A
+/// steady-state step reports `allocations == 0`: every buffer it takes
+/// is served from the arena.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeCounters {
-    /// Heap allocations for *planned* tensor sizes — arena misses. Zero
-    /// once the arena plan has warmed up.
+    /// Arena misses: takes that found no free buffer of their size and
+    /// went to the heap. Zero once the arena has learned every size's
+    /// high-water mark.
     pub allocations: u64,
-    /// Bytes the arena plan pins for the session's planned tensors.
+    /// The arena's learned footprint: per buffer size, its high-water
+    /// mark times its bytes, summed.
     pub arena_bytes: u64,
     /// Tasks stolen across worker deques in the shared work-stealing
     /// pool.

@@ -225,7 +225,7 @@ pub fn conv2d(
     let out_shape = spec.out_shape(input.shape(), filter.shape());
     let patches = PatchView::forward(input, filter.shape(), spec);
     let weights = Dense::matrix(filter.data(), filter.shape().dim(3), patches.kdim(), false);
-    let mut out = recycle::take_buffer(out_shape.num_elements());
+    let mut out = recycle::take(out_shape.num_elements());
     gemm::product(&mut out, Lhs::Patches(patches), weights, Precision::F32, epilogue, pool);
     Tensor::from_vec(out, out_shape)
 }
@@ -253,11 +253,11 @@ pub fn conv2d_backprop_input(
     let (kh, kw, _, oc) = dims4(filter.shape());
     if spec.stride != 1 {
         let (rows, kdim) = (n * expect.dim(1) * expect.dim(2), kh * kw * ic);
-        let mut dp = recycle::take_buffer(rows * kdim);
+        let mut dp = recycle::take(rows * kdim);
         let (g, f) = (grad.data(), filter.data());
         gemm::gemm_into(&mut dp, rows, kdim, oc, g, false, f, true, Precision::F32, None, pool);
         let dx = col2im(&dp, input_shape, kh, kw, spec, pool);
-        recycle::give_buffer(dp);
+        recycle::give(dp);
         return dx;
     }
     // dX[y, x] sums G over the windows that covered (y, x): itself a
@@ -266,7 +266,7 @@ pub fn conv2d_backprop_input(
     let pad = [kh as isize - 1 - spec.pad as isize, kw as isize - 1 - spec.pad as isize];
     let patches = PatchView::new(grad.data(), [n, expect.dim(1), expect.dim(2), oc], [kh, kw], 1, pad, [h, w]);
     let weights = Dense::flipped_filter(filter.data(), kh * kw, ic, oc);
-    let mut dx = recycle::take_buffer(input_shape.num_elements());
+    let mut dx = recycle::take(input_shape.num_elements());
     gemm::product(&mut dx, Lhs::Patches(patches), weights, Precision::F32, None, pool);
     Tensor::from_vec(dx, input_shape.clone())
 }
@@ -289,7 +289,7 @@ pub fn conv2d_backprop_filter(
     assert_eq!(grad.shape(), &expect, "grad shape {} != forward output {}", grad.shape(), expect);
     let patches = PatchView::forward(input, filter_shape, spec);
     let grads = Dense::matrix(grad.data(), filter_shape.dim(3), patches.pixels(), false);
-    let mut df = recycle::take_buffer(filter_shape.num_elements());
+    let mut df = recycle::take(filter_shape.num_elements());
     gemm::product(&mut df, Lhs::PatchesT(patches), grads, Precision::F32, None, pool);
     Tensor::from_vec(df, filter_shape.clone())
 }

@@ -92,9 +92,10 @@
 //! no sum order and the bitwise contract above carries over unchanged
 //! (see [`crate::kernels::epilogue`] for the formula-level contract).
 //!
-//! Up-front panels come from the thread's installed [`crate::BufferPool`]
-//! (see [`crate::recycle::take_buffer`]), so steady-state training does
-//! no kernel-scratch allocation.
+//! Up-front panels and the output buffer come from the thread's installed
+//! [`crate::BufferPool`] and the panels go back to it after the product,
+//! so once the pool has learned each panel size's high-water mark,
+//! training does no kernel-scratch allocation.
 
 use crate::kernels::conv::PatchView;
 use crate::kernels::epilogue::Epilogue;
@@ -217,7 +218,7 @@ pub fn matmul(
         Engine::PackedF32 => Precision::F32,
         Engine::PackedBf16 => Precision::Bf16,
     };
-    let mut c = recycle::take_buffer(m * n);
+    let mut c = recycle::take(m * n);
     gemm_into(&mut c, m, n, k, a.data(), transpose_a, b.data(), transpose_b, panels, epilogue, pool);
     Tensor::from_vec(c, [m, n])
 }
@@ -483,7 +484,7 @@ fn pack_operand<P: Panels, const W: usize>(src: &Dense<'_>, pool: &ExecPool) -> 
     let k = src.k;
     // The backing stays a `Vec<f32>` whatever the element type so the
     // buffer recycles through the same [`crate::BufferPool`].
-    let mut buf = recycle::take_buffer((P::depth(k) * pad * size_of::<P::Elem>()).div_ceil(4));
+    let mut buf = recycle::take((P::depth(k) * pad * size_of::<P::Elem>()).div_ceil(4));
     let out = SharedOut(buf.as_mut_ptr().cast::<P::Elem>());
     pool.for_indices(k.div_ceil(KC) * strips, KC * W, |idx| {
         let (p, s) = (idx / strips, idx % strips);
@@ -650,7 +651,7 @@ fn drive<P: Panels>(
         });
     });
     for panels in [a_panels, b_panels].into_iter().flatten() {
-        recycle::give_buffer(panels);
+        recycle::give(panels);
     }
 }
 

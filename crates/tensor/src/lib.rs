@@ -29,7 +29,7 @@ mod tensor;
 
 pub use kernels::quant::Precision;
 pub use pool::{ExecPool, DEFAULT_GRAIN};
-pub use recycle::{BufferPool, RecycleStats};
+pub use recycle::BufferPool;
 pub use runtime::{Latch, Runtime, Task};
 pub use rng::Rng;
 pub use shape::Shape;

@@ -247,13 +247,6 @@ impl ExecPool {
         acc
     }
 
-    /// The number of threads a dispatch with this much work would use —
-    /// the pool's sizing policy, exposed so analytic device models can
-    /// mirror it.
-    pub fn planned_workers(&self, total_work: usize, parallel_units: usize) -> usize {
-        self.workers_for(total_work, parallel_units)
-    }
-
     /// How many threads to use for a dispatch: at most `threads`, at most
     /// one per parallel unit, and at most one per `grain` of total work.
     fn workers_for(&self, total_work: usize, parallel_units: usize) -> usize {

@@ -1,37 +1,39 @@
-//! Size-bucketed recycling of tensor backing buffers, and the static
-//! arena plan that makes steady-state steps allocation-free.
+//! Size-bucketed recycling of tensor backing buffers: the session's
+//! buffer arena.
 //!
 //! A training step allocates and frees the same set of intermediate
 //! shapes every iteration, so the allocator sees a perfectly periodic
 //! churn of large short-lived `Vec<f32>`s. A [`BufferPool`] breaks that
-//! cycle: dead intermediates return their buffers (the executor gives
-//! them back eagerly at last use, and [`Tensor`] returns its buffer on
-//! drop whenever a pool is installed on the thread) and subsequent tensor
-//! constructors draw from the pool instead of the system allocator.
+//! cycle: dead intermediates return their buffers (the executor releases
+//! them eagerly at last use, and [`Tensor`](crate::Tensor) returns its
+//! buffer on drop whenever a pool is installed on the thread) and later
+//! tensor constructors draw from the pool instead of the system
+//! allocator.
 //!
-//! # The arena plan
+//! # One rule
 //!
-//! On top of that dynamic fallback sits a **static plan**: the session's
-//! per-step liveness analysis counts, per exact buffer size, how many
-//! tensors are simultaneously live during one step, and installs that
-//! census with [`BufferPool::apply_plan`]. Planned sizes are *always*
-//! pooled (even tiny scalars), their buckets are pre-warmed to the census
-//! count at plan time, and their retention caps start at census + slack.
-//! Out-of-order parallel execution can hold more same-sized tensors live
-//! than the serial-order census predicted, so every planned miss raises
-//! that bucket's cap by one — the arena learns the true high-water mark
-//! during warm-up, and from then on a step performs **zero heap
-//! allocations** for planned tensors.
-//! [`BufferPool::planned_misses`] counts the exceptions; the executor's
-//! `allocations` trace counter is the per-run delta of that number.
-//! Unplanned (dynamic-shape) sizes keep the classic recycling rules
-//! below — that path is the fallback, not the steady state.
+//! The pool learns, per exact buffer size, the most buffers of that size
+//! the workload has had out at once — its high-water mark — and keeps
+//! that many:
+//!
+//! * [`BufferPool::take`] pops a free buffer. When there is none it
+//!   counts a miss and raises that size's cap by one; the caller then
+//!   allocates, and the cap makes room to keep that buffer when it
+//!   returns.
+//! * [`BufferPool::give`] keeps a buffer only while that size's free list
+//!   is shorter than its cap. A size that was never taken has cap zero,
+//!   so it is never kept.
+//!
+//! A miss therefore marks a new record for its size, and once a periodic
+//! step has set its records it misses zero times.
+//! [`BufferPool::misses`] counts every miss — the executor's
+//! `allocations` trace counter is the per-run delta of that number — and
+//! [`BufferPool::arena_bytes`] is Σ cap × size, the learned footprint.
 //!
 //! The pool is *installed* per thread ([`BufferPool::install`]); while a
-//! guard is alive, every constant-fill tensor constructor on that thread
-//! transparently draws from the pool. Recycled buffers are re-filled with
-//! the requested value before use, so recycling never changes computed
-//! results — only where the bytes live.
+//! guard is alive, every pooled tensor constructor on that thread draws
+//! from it. Constructors overwrite a recycled buffer before use, so
+//! recycling never changes computed results — only where the bytes live.
 //!
 //! Buckets are keyed by exact element count. Workloads execute a fixed
 //! graph, so sizes repeat exactly; near-miss reuse (handing a 1000-element
@@ -40,69 +42,16 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::tensor::Tensor;
-
-/// Maximum buffers retained per *unplanned* size bucket; beyond this,
-/// `give` lets the buffer drop. Bounds worst-case retention on graphs
-/// with many same-shaped intermediates that are live simultaneously.
-const BUCKET_CAP: usize = 16;
-
-/// Buffers below this element count are not worth pooling dynamically: a
-/// small `Vec` costs less to allocate than a `HashMap` probe under a
-/// lock. Planned sizes ignore this floor — a scalar allocated every step
-/// is exactly the churn the arena plan exists to remove.
-const MIN_POOLED_LEN: usize = 256;
-
-/// Extra buffers a planned bucket may retain beyond its census count.
-/// Kernel-internal temporaries (a discarded softmax twin, selection
-/// masks) take same-sized buffers the liveness census cannot see; the
-/// slack lets the bucket absorb them so the steady state stays
-/// allocation-free instead of missing once per step.
-const PLAN_SLACK: usize = 8;
-
-/// Counters describing how a [`BufferPool`] has been used.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecycleStats {
-    /// Allocations served from the pool.
-    pub hits: u64,
-    /// Pool-eligible allocations that fell through to the allocator.
-    pub misses: u64,
-    /// Buffers returned with [`BufferPool::give`] (whether or not they
-    /// were retained).
-    pub returned: u64,
-}
-
-impl RecycleStats {
-    /// Fraction of pool-eligible allocations served from the pool.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One size class of pooled buffers.
 #[derive(Debug, Default)]
 struct Bucket {
-    bufs: Vec<Vec<f32>>,
-    /// Retention cap: `BUCKET_CAP` for dynamic buckets, census + slack
-    /// for planned ones.
+    free: Vec<Vec<f32>>,
+    /// Misses of this size so far: its high-water mark, and the most
+    /// free buffers it keeps.
     cap: usize,
-    /// Peak simultaneous live count from the liveness census; 0 for
-    /// dynamic buckets.
-    census: usize,
-}
-
-impl Bucket {
-    fn planned(&self) -> bool {
-        self.census > 0
-    }
 }
 
 /// A thread-safe free list of tensor backing buffers, bucketed by exact
@@ -110,13 +59,7 @@ impl Bucket {
 #[derive(Debug, Default)]
 pub struct BufferPool {
     buckets: Mutex<HashMap<usize, Bucket>>,
-    /// Fast-path gate: whether any planned size is below
-    /// `MIN_POOLED_LEN` (small takes/gives must then probe the map).
-    small_plan: AtomicBool,
-    hits: AtomicU64,
     misses: AtomicU64,
-    returned: AtomicU64,
-    planned_misses: AtomicU64,
 }
 
 impl BufferPool {
@@ -125,158 +68,49 @@ impl BufferPool {
         BufferPool::default()
     }
 
-    /// Takes a buffer of exactly `len` elements, if one is pooled.
-    /// Contents are unspecified; callers must overwrite them.
+    fn buckets(&self) -> MutexGuard<'_, HashMap<usize, Bucket>> {
+        self.buckets.lock().expect("buffer pool lock")
+    }
+
+    /// Takes a free buffer of exactly `len` elements. `None` is a miss:
+    /// the size's cap has grown by one and the caller allocates. Contents
+    /// are unspecified; callers must overwrite them.
     pub fn take(&self, len: usize) -> Option<Vec<f32>> {
-        if len < MIN_POOLED_LEN && !self.small_plan.load(Ordering::Relaxed) {
-            return None;
+        let mut buckets = self.buckets();
+        let bucket = buckets.entry(len).or_default();
+        let buf = bucket.free.pop();
+        if buf.is_none() {
+            bucket.cap += 1;
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let mut buckets = self.buckets.lock().expect("buffer pool lock");
-        let bucket = buckets.get_mut(&len)?;
-        if len < MIN_POOLED_LEN && !bucket.planned() {
-            return None;
-        }
-        match bucket.bufs.pop() {
-            Some(buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(buf)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if bucket.planned() {
-                    self.planned_misses.fetch_add(1, Ordering::Relaxed);
-                    // A planned miss means more same-sized buffers were
-                    // in use at once than the census predicted (kernel
-                    // temporaries the liveness walk cannot see, or an
-                    // unlucky parallel interleaving). Grow the bucket
-                    // past the record: the cap rises to retain both the
-                    // heap buffer the caller is about to allocate and
-                    // one spare provisioned here, so matching the same
-                    // high-water mark again hits the spare instead of
-                    // missing — misses only ever fire on a *new*
-                    // record, and the steady state converges to zero
-                    // allocations.
-                    bucket.cap += 2;
-                    bucket.bufs.push(vec![0.0; len]);
-                }
-                None
+        buf
+    }
+
+    /// Returns a dead buffer to the pool, which keeps it only while its
+    /// size's free list is shorter than the size's cap.
+    pub fn give(&self, buf: Vec<f32>) {
+        if let Some(bucket) = self.buckets().get_mut(&buf.len()) {
+            if bucket.free.len() < bucket.cap {
+                bucket.free.push(buf);
             }
         }
     }
 
-    /// Returns a dead tensor's buffer to the pool (or drops it if the
-    /// bucket is full or the buffer is too small to pool).
-    pub fn give(&self, tensor: Tensor) {
-        self.give_vec(tensor.into_vec());
+    /// Takes that found no free buffer, since the pool was created. Once
+    /// a periodic step has warmed the pool this number stops moving.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Returns a raw buffer to the pool (or drops it if the bucket is
-    /// full or the buffer is too small to pool).
-    pub fn give_vec(&self, buf: Vec<f32>) {
-        let len = buf.len();
-        if len < MIN_POOLED_LEN && !self.small_plan.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut buckets = self.buckets.lock().expect("buffer pool lock");
-        match buckets.get_mut(&len) {
-            Some(bucket) => {
-                if len < MIN_POOLED_LEN && !bucket.planned() {
-                    return;
-                }
-                self.returned.fetch_add(1, Ordering::Relaxed);
-                if bucket.bufs.len() < bucket.cap {
-                    bucket.bufs.push(buf);
-                }
-            }
-            None => {
-                if len >= MIN_POOLED_LEN {
-                    self.returned.fetch_add(1, Ordering::Relaxed);
-                    buckets.insert(len, Bucket { bufs: vec![buf], cap: BUCKET_CAP, census: 0 });
-                }
-            }
-        }
-    }
-
-    /// Installs a static arena plan: for each `(len, peak_live)` pair the
-    /// bucket is marked planned (always pooled, even below the dynamic
-    /// size floor), its retention cap raised to `peak_live + slack`, and
-    /// its free list pre-warmed with fresh buffers up to the census
-    /// count. Re-applying merges by maximum, so a session with several
-    /// cached plans (different fetch sets) ends up provisioned for the
-    /// largest.
-    pub fn apply_plan(&self, sizes: &[(usize, usize)]) {
-        let mut buckets = self.buckets.lock().expect("buffer pool lock");
-        for &(len, count) in sizes {
-            if len == 0 || count == 0 {
-                continue;
-            }
-            if len < MIN_POOLED_LEN {
-                self.small_plan.store(true, Ordering::Relaxed);
-            }
-            let bucket = buckets.entry(len).or_default();
-            bucket.census = bucket.census.max(count);
-            bucket.cap = bucket.cap.max(bucket.census + PLAN_SLACK);
-            while bucket.bufs.len() < bucket.census {
-                bucket.bufs.push(vec![0.0; len]);
-            }
-        }
-    }
-
-    /// Total bytes of the planned arena: census count x size over every
-    /// planned bucket. This is the compile-time steady-state footprint
-    /// number the trace reports as `arena_bytes`.
+    /// The learned footprint: Σ cap × len × 4 bytes over every size.
+    /// The trace reports it as `arena_bytes`.
     pub fn arena_bytes(&self) -> u64 {
-        self.buckets
-            .lock()
-            .expect("buffer pool lock")
-            .iter()
-            .map(|(len, b)| (len * b.census * 4) as u64)
-            .sum()
-    }
-
-    /// Takes of a *planned* size that fell through to the heap since the
-    /// pool was created. In steady state this number stops moving; the
-    /// executor asserts the per-step delta is zero.
-    pub fn planned_misses(&self) -> u64 {
-        self.planned_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of buffers currently held, across all buckets.
-    pub fn buffers_held(&self) -> usize {
-        self.buckets.lock().expect("buffer pool lock").values().map(|b| b.bufs.len()).sum()
-    }
-
-    /// Bytes currently held, across all buckets.
-    pub fn bytes_held(&self) -> usize {
-        self.buckets
-            .lock()
-            .expect("buffer pool lock")
-            .values()
-            .flat_map(|bucket| bucket.bufs.iter().map(|buf| buf.len() * 4))
-            .sum()
-    }
-
-    /// Usage counters since the pool was created.
-    pub fn stats(&self) -> RecycleStats {
-        RecycleStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            returned: self.returned.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops every held buffer (counters and plan configuration are
-    /// kept; planned buckets empty but stay planned).
-    pub fn clear(&self) {
-        self.buckets.lock().expect("buffer pool lock").retain(|_, bucket| {
-            bucket.bufs.clear();
-            bucket.planned()
-        });
+        self.buckets().iter().map(|(len, b)| (len * b.cap * 4) as u64).sum()
     }
 
     /// Installs `pool` as the calling thread's allocation source for
-    /// constant-fill tensor constructors. The previous installation (if
-    /// any) is restored when the returned guard drops, so installs nest.
+    /// pooled tensor constructors. The previous installation (if any) is
+    /// restored when the returned guard drops, so installs nest.
     pub fn install(pool: &Arc<BufferPool>) -> InstallGuard {
         let previous = ACTIVE.with(|active| active.replace(Some(Arc::clone(pool))));
         InstallGuard { previous }
@@ -301,253 +135,163 @@ impl Drop for InstallGuard {
     }
 }
 
-/// Allocates a buffer of `len` copies of `value`, drawing from the
-/// thread's installed pool when possible. Used by `Tensor::zeros`,
-/// `Tensor::filled`, and `Tensor::ones`.
-pub(crate) fn alloc_filled(len: usize, value: f32) -> Vec<f32> {
-    let pooled = ACTIVE.with(|active| {
-        active.borrow().as_ref().and_then(|pool| pool.take(len))
-    });
-    match pooled {
-        Some(mut buf) => {
-            buf.fill(value);
-            buf
-        }
-        None => vec![value; len],
-    }
-}
-
-/// Allocates a buffer holding a copy of `src`, drawing from the thread's
-/// installed pool when possible. Used by `Tensor::clone`, so the
-/// executor's per-step variable/constant clones recycle like every other
-/// intermediate.
-pub(crate) fn alloc_copy(src: &[f32]) -> Vec<f32> {
-    let pooled = ACTIVE.with(|active| {
-        active.borrow().as_ref().and_then(|pool| pool.take(src.len()))
-    });
-    match pooled {
-        Some(mut buf) => {
-            buf.copy_from_slice(src);
-            buf
-        }
-        None => src.to_vec(),
-    }
-}
-
-/// Returns a dead buffer to the thread's installed pool, if any. Called
-/// by `Tensor`'s drop glue so temporaries that never pass through the
-/// executor's liveness bookkeeping still recycle.
-pub(crate) fn drop_back(buf: Vec<f32>) {
-    ACTIVE.with(|active| {
-        if let Some(pool) = active.borrow().as_ref() {
-            pool.give_vec(buf);
-        }
-    });
-}
-
-/// Takes a kernel-scratch buffer of exactly `len` elements, drawing from
-/// the thread's installed pool when possible. **Contents are
-/// unspecified** — pooled buffers carry stale data; callers must
-/// overwrite every element before reading. Fresh allocations are zeroed.
-///
-/// Pair with [`give_buffer`] so steady-state kernel scratch (GEMM packing
-/// panels) costs no allocation.
-pub fn take_buffer(len: usize) -> Vec<f32> {
-    let pooled = ACTIVE.with(|active| active.borrow().as_ref().and_then(|pool| pool.take(len)));
+/// A buffer of `len` elements from the thread's installed pool, or a
+/// fresh zeroed one on a miss or when none is installed. **Contents are
+/// unspecified** — the caller fills, copies into or otherwise overwrites
+/// every element before reading. Empty buffers own no allocation and
+/// never touch the pool.
+pub(crate) fn take(len: usize) -> Vec<f32> {
+    let pooled = if len == 0 {
+        None
+    } else {
+        ACTIVE.with(|active| active.borrow().as_ref().and_then(|pool| pool.take(len)))
+    };
     pooled.unwrap_or_else(|| vec![0.0; len])
 }
 
-/// Returns a scratch buffer to the thread's installed pool. Drops it when
-/// no pool is installed.
-pub fn give_buffer(buf: Vec<f32>) {
-    drop_back(buf);
-}
-
-/// Recycles a dead intermediate tensor's backing buffer into the thread's
-/// installed pool (drops it when none is installed). Kernels use this for
-/// scratch tensors that never escape the call.
-pub fn reclaim(tensor: Tensor) {
-    give_buffer(tensor.into_vec());
+/// Returns a dead buffer to the thread's installed pool; drops it when
+/// none is installed. `Tensor`'s drop glue calls this, so temporaries
+/// that never pass through the executor's liveness bookkeeping recycle
+/// too, and kernels hand their scratch back through it.
+pub(crate) fn give(buf: Vec<f32>) {
+    ACTIVE.with(|active| {
+        if let Some(pool) = active.borrow().as_ref() {
+            pool.give(buf);
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
 
-    fn big(n: usize) -> Tensor {
-        Tensor::filled([n], 7.0)
+    /// `(held, cap)` of one size.
+    fn bucket(pool: &BufferPool, len: usize) -> (usize, usize) {
+        pool.buckets().get(&len).map_or((0, 0), |b| (b.free.len(), b.cap))
     }
 
     #[test]
-    fn take_returns_given_buffer() {
+    fn a_miss_raises_the_cap_by_exactly_one() {
         let pool = BufferPool::new();
-        pool.give(big(1000));
-        assert_eq!(pool.buffers_held(), 1);
-        let buf = pool.take(1000).expect("bucket has a buffer");
-        assert_eq!(buf.len(), 1000);
-        assert_eq!(pool.buffers_held(), 0);
-        assert!(pool.take(1000).is_none(), "bucket drained");
-        let s = pool.stats();
-        assert_eq!((s.hits, s.returned), (1, 1));
-        assert!(s.misses >= 1);
+        assert!(pool.take(512).is_none());
+        assert_eq!((pool.misses(), bucket(&pool, 512)), (1, (0, 1)));
+        assert!(pool.take(512).is_none());
+        assert_eq!((pool.misses(), bucket(&pool, 512)), (2, (0, 2)));
+        assert_eq!(pool.arena_bytes(), 2 * 512 * 4);
+        // Sizes keep separate caps, and a hit leaves the cap alone.
+        pool.give(vec![0.0; 512]);
+        assert!(pool.take(512).is_some());
+        assert!(pool.take(7).is_none());
+        assert_eq!((pool.misses(), bucket(&pool, 512), bucket(&pool, 7)), (3, (0, 2), (0, 1)));
     }
 
     #[test]
-    fn exact_size_match_only() {
-        let pool = BufferPool::new();
-        pool.give(big(1024));
-        assert!(pool.take(1000).is_none());
-        assert!(pool.take(1024).is_some());
-    }
-
-    #[test]
-    fn small_buffers_bypass_the_pool() {
-        let pool = BufferPool::new();
-        pool.give(big(MIN_POOLED_LEN - 1));
-        assert_eq!(pool.buffers_held(), 0);
-        assert_eq!(pool.stats().returned, 0);
-        assert!(pool.take(MIN_POOLED_LEN - 1).is_none());
-        assert_eq!(pool.stats().misses, 0, "small takes are not counted as misses");
-    }
-
-    #[test]
-    fn bucket_is_capped() {
-        let pool = BufferPool::new();
-        for _ in 0..BUCKET_CAP + 5 {
-            pool.give(big(512));
+    fn replaying_a_take_give_sequence_misses_zero_times() {
+        // One "step": three 64s and two 9s out at once at its peak, with
+        // gives interleaved, and every buffer back by the end.
+        fn step(pool: &BufferPool) {
+            let take = |len| pool.take(len).unwrap_or_else(|| vec![0.0; len]);
+            let (a, b) = (take(64), take(9));
+            let c = take(64);
+            pool.give(a);
+            let (d, e) = (take(64), take(64));
+            pool.give(c);
+            let f = take(9);
+            for buf in [b, d, e, f] {
+                pool.give(buf);
+            }
         }
-        assert_eq!(pool.buffers_held(), BUCKET_CAP);
-        assert_eq!(pool.stats().returned, (BUCKET_CAP + 5) as u64);
+        let pool = BufferPool::new();
+        step(&pool);
+        let learned = pool.misses();
+        assert_eq!((learned, bucket(&pool, 64).1, bucket(&pool, 9).1), (5, 3, 2));
+        for _ in 0..3 {
+            step(&pool);
+        }
+        assert_eq!(pool.misses(), learned, "a replayed step must not miss");
+    }
+
+    #[test]
+    fn a_size_never_taken_is_never_kept() {
+        let pool = BufferPool::new();
+        pool.give(vec![0.0; 1000]);
+        assert_eq!(bucket(&pool, 1000), (0, 0));
+        assert!(pool.take(1000).is_none(), "the given buffer was dropped");
+        assert_eq!(pool.arena_bytes(), 1000 * 4);
+    }
+
+    #[test]
+    fn held_never_exceeds_the_cap() {
+        let pool = BufferPool::new();
+        assert!(pool.take(256).is_none());
+        for _ in 0..5 {
+            pool.give(vec![0.0; 256]);
+        }
+        assert_eq!(bucket(&pool, 256), (1, 1));
+    }
+
+    #[test]
+    fn threads_sharing_sizes_keep_held_within_cap_and_misses_equal_to_caps() {
+        let pool = BufferPool::new();
+        let sizes = [16, 300, 4096];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut out = Vec::new();
+                    for i in 0..2000 {
+                        let len = sizes[(i + t) % sizes.len()];
+                        out.push(pool.take(len).unwrap_or_else(|| vec![0.0; len]));
+                        if i % 3 != 0 {
+                            pool.give(out.swap_remove((i * 7 + t) % out.len()));
+                        }
+                    }
+                    for buf in out {
+                        pool.give(buf);
+                    }
+                });
+            }
+        });
+        let mut caps = 0;
+        for len in sizes {
+            let (held, cap) = bucket(&pool, len);
+            assert!(held <= cap, "size {len}: {held} held over cap {cap}");
+            caps += cap as u64;
+        }
+        assert_eq!(pool.misses(), caps);
     }
 
     #[test]
     fn installed_pool_feeds_zeros_and_restores_on_drop() {
         let pool = Arc::new(BufferPool::new());
-        pool.give(big(4096));
         {
             let _guard = BufferPool::install(&pool);
+            drop(Tensor::filled([4096], 7.0));
             let t = Tensor::zeros([4096]);
             assert!(t.data().iter().all(|&v| v == 0.0), "recycled buffer must be re-filled");
-            assert_eq!(pool.stats().hits, 1);
-            // Dropping the tensor hands its buffer straight back.
+            assert_eq!(pool.misses(), 1, "the second tensor reused the first one's buffer");
             drop(t);
-            assert_eq!(pool.buffers_held(), 1);
+            assert_eq!(bucket(&pool, 4096), (1, 1));
         }
         // Guard dropped: allocations no longer touch the pool.
         let _t = Tensor::zeros([4096]);
-        assert_eq!(pool.stats().hits + pool.stats().misses, 1);
+        assert_eq!((pool.misses(), bucket(&pool, 4096)), (1, (1, 1)));
     }
 
     #[test]
     fn installs_nest() {
         let outer = Arc::new(BufferPool::new());
         let inner = Arc::new(BufferPool::new());
-        outer.give(big(2048));
-        inner.give(big(2048));
         let _outer_guard = BufferPool::install(&outer);
         {
             let _inner_guard = BufferPool::install(&inner);
-            let t = Tensor::ones([2048]);
-            assert_eq!(inner.stats().hits, 1, "inner pool shadows outer");
-            assert_eq!(outer.stats().hits, 0);
-            // Keep the buffer out of the pools for the outer check.
-            let _ = t.into_vec();
+            let _ = Tensor::ones([2048]);
+            assert_eq!((inner.misses(), outer.misses()), (1, 0), "inner pool shadows outer");
         }
         let _t = Tensor::ones([2048]);
-        assert_eq!(outer.stats().hits, 1, "outer pool restored");
-    }
-
-    #[test]
-    fn hit_rate_is_sane() {
-        let pool = BufferPool::new();
-        assert_eq!(pool.stats().hit_rate(), 0.0);
-        pool.give(big(512));
-        let _ = pool.take(512);
-        let _ = pool.take(512);
-        let s = pool.stats();
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn plan_prewarms_and_pools_small_sizes() {
-        let pool = BufferPool::new();
-        pool.apply_plan(&[(1, 2), (4096, 3)]);
-        // Pre-warmed to census counts, scalars included.
-        assert_eq!(pool.buffers_held(), 5);
-        assert_eq!(pool.arena_bytes(), (2 * 4 + 3 * 4096 * 4) as u64);
-        // A planned scalar take hits despite being below the size floor.
-        assert!(pool.take(1).is_some());
-        assert_eq!(pool.planned_misses(), 0);
-        // Draining the bucket counts planned misses.
-        assert!(pool.take(1).is_some());
-        assert!(pool.take(1).is_none());
-        assert_eq!(pool.planned_misses(), 1);
-        // Giving a planned small buffer back is accepted.
-        pool.give_vec(vec![0.0]);
-        assert!(pool.take(1).is_some());
-    }
-
-    #[test]
-    fn plan_merge_takes_the_maximum() {
-        let pool = BufferPool::new();
-        pool.apply_plan(&[(512, 2)]);
-        pool.apply_plan(&[(512, 5), (512, 1)]);
-        assert_eq!(pool.buffers_held(), 5);
-        assert_eq!(pool.arena_bytes(), 5 * 512 * 4);
-        // Retention cap is census + slack: give more than that and the
-        // bucket stays bounded.
-        for _ in 0..20 {
-            pool.give_vec(vec![0.0; 512]);
-        }
-        assert_eq!(pool.buffers_held(), 5 + PLAN_SLACK);
-    }
-
-    #[test]
-    fn planned_misses_grow_the_retention_cap() {
-        let pool = BufferPool::new();
-        pool.apply_plan(&[(512, 1)]);
-        // Simulate one step whose parallel interleaving needs more
-        // same-sized buffers than the census: drain well past the cap.
-        let demand = 1 + PLAN_SLACK + 3;
-        let mut held = Vec::new();
-        for _ in 0..demand {
-            held.push(pool.take(512).unwrap_or_else(|| vec![0.0; 512]));
-        }
-        let first_step_misses = pool.planned_misses();
-        assert!(first_step_misses > 0, "demand exceeded the prewarmed census");
-        // End of step: everything comes back. The grown cap retains it
-        // all, so the next identical step misses zero times.
-        for buf in held {
-            pool.give_vec(buf);
-        }
-        assert!(pool.buffers_held() >= demand, "grown cap retains the high-water mark");
-        for _ in 0..demand {
-            assert!(pool.take(512).is_some());
-        }
-        assert_eq!(pool.planned_misses(), first_step_misses, "steady state allocates nothing");
-    }
-
-    #[test]
-    fn clear_keeps_the_plan() {
-        let pool = BufferPool::new();
-        pool.apply_plan(&[(128, 2)]);
-        pool.give_vec(vec![0.0; 1024]);
-        pool.clear();
-        assert_eq!(pool.buffers_held(), 0);
-        // Planned bucket survives (still accepts/pools small buffers);
-        // the dynamic bucket is gone.
-        pool.give_vec(vec![0.0; 128]);
-        assert!(pool.take(128).is_some());
-    }
-
-    #[test]
-    fn unplanned_small_sizes_still_bypass_under_a_plan() {
-        let pool = BufferPool::new();
-        pool.apply_plan(&[(7, 1)]);
-        // 7 is planned, 9 is not: the small-size bypass must stay
-        // per-bucket once any small plan exists.
-        pool.give_vec(vec![0.0; 9]);
-        assert!(pool.take(9).is_none());
-        assert!(pool.take(7).is_some());
+        assert_eq!((inner.misses(), outer.misses()), (1, 1), "outer pool restored");
     }
 }

@@ -28,16 +28,18 @@ pub struct Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        Tensor { shape: self.shape.clone(), data: crate::recycle::alloc_copy(&self.data) }
+        let mut data = crate::recycle::take(self.data.len());
+        data.copy_from_slice(&self.data);
+        Tensor { shape: self.shape.clone(), data }
     }
 }
 
 impl Drop for Tensor {
     fn drop(&mut self) {
-        // Moved-out shells (`into_vec`) leave an empty buffer behind;
-        // recycling those would pollute the pool's zero-length bucket.
+        // Moved-out shells (`into_vec`) leave an empty buffer behind,
+        // which owns no allocation and never touches the pool.
         if !self.data.is_empty() {
-            crate::recycle::drop_back(std::mem::take(&mut self.data));
+            crate::recycle::give(std::mem::take(&mut self.data));
         }
     }
 }
@@ -63,9 +65,7 @@ impl Tensor {
     /// A tensor filled with zeros. Draws its backing buffer from the
     /// thread's installed [`crate::recycle::BufferPool`], when one is.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
-        let shape = shape.into();
-        let n = shape.num_elements();
-        Tensor { shape, data: crate::recycle::alloc_filled(n, 0.0) }
+        Tensor::filled(shape, 0.0)
     }
 
     /// A tensor filled with ones.
@@ -77,16 +77,17 @@ impl Tensor {
     /// thread's installed [`crate::recycle::BufferPool`], when one is.
     pub fn filled(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        let n = shape.num_elements();
-        Tensor { shape, data: crate::recycle::alloc_filled(n, value) }
+        let mut data = crate::recycle::take(shape.num_elements());
+        data.fill(value);
+        Tensor { shape, data }
     }
 
     /// A rank-0 tensor holding a single value. Draws its buffer from the
     /// thread's installed pool: scalars (losses, counters, step flags)
-    /// are produced every step, so under an arena plan even they must
-    /// not touch the allocator.
+    /// are produced every step, so even they must not touch the
+    /// allocator once the pool has warmed up.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: crate::recycle::alloc_filled(1, value) }
+        Tensor::filled(Shape::scalar(), value)
     }
 
     /// A tensor with elements drawn from `N(mean, std^2)` using the given
@@ -94,7 +95,7 @@ impl Tensor {
     pub fn randn(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut Rng) -> Self {
         let shape = shape.into();
         let n = shape.num_elements();
-        let mut data = crate::recycle::take_buffer(n);
+        let mut data = crate::recycle::take(n);
         for slot in data.iter_mut() {
             *slot = rng.normal() * std + mean;
         }
@@ -105,7 +106,7 @@ impl Tensor {
     pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut Rng) -> Self {
         let shape = shape.into();
         let n = shape.num_elements();
-        let mut data = crate::recycle::take_buffer(n);
+        let mut data = crate::recycle::take(n);
         for slot in data.iter_mut() {
             *slot = rng.uniform() * (hi - lo) + lo;
         }
