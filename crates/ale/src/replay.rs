@@ -39,10 +39,20 @@ pub struct ReplayBatch {
 pub struct ReplayMark {
     len: usize,
     cursor: usize,
-    saved: Vec<(usize, Transition)>,
+    /// `(slot, transition, stamp)` for every slot an overwrite would
+    /// destroy.
+    saved: Vec<(usize, Transition, u64)>,
 }
 
 /// A bounded uniform-sampling replay buffer.
+///
+/// Every stored transition carries a **stamp**, unique among the
+/// transitions this buffer has ever held: [`ReplayBuffer::push`] draws a
+/// fresh one, [`ReplayBuffer::rollback`] puts an overwritten slot's old
+/// stamp back with its transition, and [`ReplayBuffer::restore`] stamps
+/// afresh. A slot whose stamp has not changed holds the same transition,
+/// so a checkpoint writer can keep each slot's encoding until its stamp
+/// moves.
 ///
 /// # Examples
 ///
@@ -66,6 +76,10 @@ pub struct ReplayMark {
 pub struct ReplayBuffer {
     capacity: usize,
     items: Vec<Transition>,
+    /// One stamp per item, index for index.
+    stamps: Vec<u64>,
+    /// The stamp the next push takes.
+    next_stamp: u64,
     cursor: usize,
 }
 
@@ -77,7 +91,7 @@ impl ReplayBuffer {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        ReplayBuffer { capacity, items: Vec::new(), cursor: 0 }
+        ReplayBuffer { capacity, items: Vec::new(), stamps: Vec::new(), next_stamp: 0, cursor: 0 }
     }
 
     /// Number of stored transitions.
@@ -105,9 +119,16 @@ impl ReplayBuffer {
         &self.items
     }
 
+    /// Each stored transition's stamp, index for index with
+    /// [`ReplayBuffer::items`].
+    pub fn stamps(&self) -> &[u64] {
+        &self.stamps
+    }
+
     /// Rebuilds a buffer from checkpointed parts; paired with
     /// [`ReplayBuffer::items`] and [`ReplayBuffer::cursor`] this restores
-    /// the ring bitwise, eviction order included.
+    /// the ring bitwise, eviction order included. The restored
+    /// transitions get fresh stamps.
     ///
     /// # Panics
     ///
@@ -117,7 +138,8 @@ impl ReplayBuffer {
         assert!(capacity > 0, "capacity must be positive");
         assert!(items.len() <= capacity, "more items than capacity");
         assert!(cursor == 0 || cursor < capacity, "cursor out of range");
-        ReplayBuffer { capacity, items, cursor }
+        let stamps = (0..items.len() as u64).collect();
+        ReplayBuffer { capacity, next_stamp: items.len() as u64, items, stamps, cursor }
     }
 
     /// Records enough state to undo the next `max_pushes` pushes.
@@ -139,7 +161,7 @@ impl ReplayBuffer {
             for i in 0..overwrites {
                 let idx = (self.cursor + i) % self.capacity;
                 if idx < self.items.len() {
-                    saved.push((idx, self.items[idx].clone()));
+                    saved.push((idx, self.items[idx].clone(), self.stamps[idx]));
                 }
             }
         }
@@ -147,23 +169,30 @@ impl ReplayBuffer {
     }
 
     /// Undoes every push since `mark` was taken (at most the
-    /// `max_pushes` the mark was sized for).
+    /// `max_pushes` the mark was sized for). Restored slots get their
+    /// old stamps back; the stamps the undone pushes drew are not reused.
     pub fn rollback(&mut self, mark: ReplayMark) {
         self.items.truncate(mark.len);
+        self.stamps.truncate(mark.len);
         self.cursor = mark.cursor;
-        for (idx, t) in mark.saved {
+        for (idx, t, stamp) in mark.saved {
             if idx < self.items.len() {
                 self.items[idx] = t;
+                self.stamps[idx] = stamp;
             }
         }
     }
 
     /// Inserts a transition, evicting the oldest once at capacity.
     pub fn push(&mut self, t: Transition) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
         if self.items.len() < self.capacity {
             self.items.push(t);
+            self.stamps.push(stamp);
         } else {
             self.items[self.cursor] = t;
+            self.stamps[self.cursor] = stamp;
             self.cursor = (self.cursor + 1) % self.capacity;
         }
     }
@@ -289,9 +318,10 @@ mod tests {
             next_state: Tensor::from_vec(vec![v + 0.5; 4], [1, 4]),
             done: false,
         };
+        // Stamps included: a restored slot gets its old stamp back.
         let snapshot = |b: &ReplayBuffer| {
             let rewards: Vec<u32> = b.items().iter().map(|x| x.reward.to_bits()).collect();
-            (b.len(), b.cursor(), rewards)
+            (b.len(), b.cursor(), rewards, b.stamps().to_vec())
         };
         // Appends only, appends crossing the full boundary, and pure
         // ring overwrites (including cursor wrap-around).
@@ -308,5 +338,48 @@ mod tests {
             b.rollback(mark);
             assert_eq!(snapshot(&b), before, "prefill {prefill}");
         }
+    }
+
+    /// Every live transition's stamp differs from every other's.
+    fn assert_stamps_unique(b: &ReplayBuffer) {
+        let mut stamps = b.stamps().to_vec();
+        assert_eq!(stamps.len(), b.len());
+        stamps.sort_unstable();
+        stamps.dedup();
+        assert_eq!(stamps.len(), b.len(), "duplicate stamps in {:?}", b.stamps());
+    }
+
+    #[test]
+    fn stamps_stay_unique_through_push_overwrite_rollback_and_restore() {
+        let mut b = ReplayBuffer::new(5);
+        let mut seen = Vec::new();
+        // Appends, then overwrites wrapping the ring twice: every push
+        // draws a stamp no slot has held before.
+        for i in 0..13 {
+            b.push(transition(i as f32));
+            assert_stamps_unique(&b);
+            let newest = b.stamps()[(b.cursor() + b.len() - 1) % b.len()];
+            assert!(!seen.contains(&newest), "stamp {newest} reused");
+            seen.push(newest);
+        }
+        // Pushes that are rolled back leave their stamps unused; the
+        // next pushes draw fresh ones, not the rolled-back pushes' stamps.
+        let mark = b.mark(3);
+        for i in 0..3 {
+            b.push(transition(50.0 + i as f32));
+            seen.push(b.stamps()[(b.cursor() + b.len() - 1) % b.len()]);
+        }
+        b.rollback(mark);
+        assert_stamps_unique(&b);
+        b.push(transition(99.0));
+        let replayed = b.stamps()[(b.cursor() + b.len() - 1) % b.len()];
+        assert!(!seen.contains(&replayed), "stamp {replayed} reused after rollback");
+        assert_stamps_unique(&b);
+        // A restored buffer stamps its transitions afresh.
+        let restored = ReplayBuffer::restore(5, b.items().to_vec(), b.cursor());
+        assert_stamps_unique(&restored);
+        let mut r = restored.clone();
+        r.push(transition(7.0));
+        assert_stamps_unique(&r);
     }
 }

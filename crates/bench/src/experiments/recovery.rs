@@ -3,7 +3,8 @@
 //! The resilient training loop (`fathom::Trainer`) buys crash
 //! survivability with two standing taxes: the divergence guardrail
 //! (loss/grad-norm checks on every step) and the snapshot cadence
-//! (serialize + fsync + rename every N steps). Both must be cheap
+//! (a state capture every N steps, with serialize + fsync + rename on a
+//! background writer). Both must be cheap
 //! relative to a training step or nobody leaves them on, so this
 //! experiment measures each against a bare training loop, per workload,
 //! plus the one-off costs that matter at recovery time: snapshot size
@@ -44,11 +45,13 @@ pub struct RecoveryRow {
     /// Guardrail overhead relative to the same round's bare step
     /// (percent; inside its spread it can be negative).
     pub guard_overhead_pct: Spread,
-    /// Snapshot time as a percentage of step time on the snapshot leg.
+    /// Snapshot step-thread stall (capture plus any wait for the
+    /// previous write) as a percentage of step time on the snapshot leg.
     pub snapshot_overhead_pct: Spread,
     /// Newest snapshot generation's size on disk.
     pub snapshot_bytes: u64,
-    /// Mean serialize + fsync + promote latency per snapshot (ms).
+    /// Mean step-thread stall per snapshot (ms): capture plus any wait
+    /// for the previous write; the background write is not in it.
     pub save_ms: Spread,
     /// Wall time to resume from the newest generation (ms).
     pub load_ms: Spread,
@@ -110,6 +113,7 @@ pub fn measure(kind: ModelKind, effort: &Effort) -> RecoveryRow {
             .with_guardrail(GuardrailPolicy::default())
             .with_snapshots(SnapshotPolicy { every: cadence, keep: 3 }, &dir);
         snapped.run(warmup + steps).expect("snapshot leg");
+        snapped.flush().expect("snapshot leg's last write");
         let r = snapped.report();
         let per = |total: f64, of: f64| if of > 0.0 { total / of } else { 0.0 };
         let snapshot_pct = per(r.snapshot_nanos as f64 * 100.0, r.step_nanos as f64);
@@ -165,8 +169,9 @@ pub fn run(effort: &Effort) -> String {
     let _ = writeln!(
         out,
         "ABLATION: resilience overhead (bare vs guardrail vs snapshot cadence)\n\
-         (step times are means over the leg; snapshot % is serialize+fsync+rename\n\
-         time relative to step time at the leg's cadence; load is a full resume;\n\
+         (step times are means over the leg; snapshot % and save ms are the\n\
+         step-thread stall (capture + waiting for the previous background write)\n\
+         relative to step time at the leg's cadence; load is a full resume;\n\
          every number is the median over {} interleaved round(s), guard% with its\n\
          inter-quartile distance beside it)\n",
         effort.repeats

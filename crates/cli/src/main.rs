@@ -474,6 +474,9 @@ fn cmd_train(a: TrainArgs) -> Result<(), FathomError> {
         println!("resumed from step {at} in {dir}");
     }
     let outcome = trainer.run(a.steps)?;
+    // The last snapshot may still be in flight: land it, and fail the
+    // command if it could not be written.
+    trainer.flush()?;
     let report = trainer.report();
     match outcome {
         TrainOutcome::Completed => println!("completed: {} step(s) done", report.steps),
@@ -492,7 +495,7 @@ fn cmd_train(a: TrainArgs) -> Result<(), FathomError> {
     }
     if report.snapshots_written > 0 {
         println!(
-            "snapshots: {} written, {:.2} ms total overhead",
+            "snapshots: {} written, {:.2} ms step-thread stall",
             report.snapshots_written,
             report.snapshot_nanos as f64 / 1e6
         );

@@ -15,6 +15,8 @@
 //! the input is 64x64 with reduced channel counts; `Full` uses the paper's
 //! 224x224 / 96-384 channel configuration.
 
+use std::sync::Arc;
+
 use fathom_dataflow::{Optimizer, Session};
 use fathom_nn::{conv2d, dense, dropout, flatten, max_pool, Activation};
 use fathom_tensor::kernels::conv::Conv2dSpec;
@@ -134,8 +136,8 @@ impl Workload for Alexnet {
         self.inner.train_probes()
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
-        self.inner.export_pipeline()
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
+        self.inner.pipeline_parts()
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

@@ -7,6 +7,8 @@
 //! §IV) — the reparameterized `StandardRandomNormal` draw is on the
 //! forward path in both modes.
 
+use std::sync::Arc;
+
 use fathom_data::mnist::{DigitCorpus, PIXELS};
 use fathom_dataflow::{ExecError, NodeId, Optimizer, Session, TrainHandles};
 use fathom_nn::{dense, loss::bernoulli_nll, vae, Activation, Params};
@@ -182,10 +184,10 @@ impl Workload for Autoenc {
         self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
         e.rng(self.corpus.rng_state());
-        e.finish()
+        vec![e.finish().into()]
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

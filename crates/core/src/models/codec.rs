@@ -28,9 +28,15 @@ pub(crate) struct Enc {
 
 impl Enc {
     pub(crate) fn new(workload: &str) -> Self {
-        let mut e = Enc { buf: Vec::new() };
+        let mut e = Enc::part();
         e.bytes(workload.as_bytes());
         e
+    }
+
+    /// A later part of a blob that [`Enc::new`] began: no name stamp.
+    /// The parts' concatenation decodes as one blob.
+    pub(crate) fn part() -> Self {
+        Enc { buf: Vec::new() }
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
@@ -66,47 +72,30 @@ impl Enc {
 
     /// Shape-carrying tensor, palette-compressed when it holds at most
     /// four distinct values. The round trip is bitwise: palette entries
-    /// are the original f32 bit patterns.
+    /// are the original f32 bit patterns, in first-occurrence order.
+    ///
+    /// One pass: the palette grows and the 2-bit indices are packed as
+    /// the data is read; a fifth distinct value abandons the packing and
+    /// the tensor is written raw.
     pub(crate) fn tensor(&mut self, t: &Tensor) {
         self.u64(t.shape().rank() as u64);
         for &d in t.shape().dims() {
             self.u64(d as u64);
         }
-        let mut palette: Vec<u32> = Vec::new();
-        for &v in t.data() {
-            let bits = v.to_bits();
-            if !palette.contains(&bits) {
-                palette.push(bits);
-                if palette.len() > 4 {
-                    break;
+        match palette_pack(t.data()) {
+            Some((palette, packed)) => {
+                self.buf.push(TENSOR_PALETTE);
+                self.buf.push(palette.len() as u8);
+                for &bits in &palette {
+                    self.buf.extend_from_slice(&bits.to_le_bytes());
                 }
+                self.buf.extend_from_slice(&packed);
             }
-        }
-        if palette.len() <= 4 && !t.data().is_empty() {
-            self.buf.push(TENSOR_PALETTE);
-            self.buf.push(palette.len() as u8);
-            for &bits in &palette {
-                self.buf.extend_from_slice(&bits.to_le_bytes());
-            }
-            let mut packed = 0u8;
-            let mut filled = 0;
-            for &v in t.data() {
-                let idx = palette.iter().position(|&p| p == v.to_bits()).unwrap() as u8;
-                packed |= idx << (filled * 2);
-                filled += 1;
-                if filled == 4 {
-                    self.buf.push(packed);
-                    packed = 0;
-                    filled = 0;
+            None => {
+                self.buf.push(TENSOR_RAW);
+                for &v in t.data() {
+                    self.f32(v);
                 }
-            }
-            if filled > 0 {
-                self.buf.push(packed);
-            }
-        } else {
-            self.buf.push(TENSOR_RAW);
-            for &v in t.data() {
-                self.f32(v);
             }
         }
     }
@@ -114,6 +103,39 @@ impl Enc {
     pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
+}
+
+/// The palette (distinct bit patterns in first-occurrence order) and the
+/// 2-bit indices of `data`, four to a byte, low bits first; `None` when
+/// `data` is empty or holds a fifth distinct value.
+fn palette_pack(data: &[f32]) -> Option<(Vec<u32>, Vec<u8>)> {
+    let first = data.first()?.to_bits();
+    let mut palette: Vec<u32> = Vec::with_capacity(4);
+    palette.push(first);
+    let mut packed = Vec::with_capacity(data.len().div_ceil(4));
+    // Rendered frames are long runs of one value: the palette is only
+    // searched when an element differs from the one before it.
+    let (mut last_bits, mut last_idx) = (first, 0u8);
+    for chunk in data.chunks(4) {
+        let mut byte = 0u8;
+        for (slot, &v) in chunk.iter().enumerate() {
+            let bits = v.to_bits();
+            if bits != last_bits {
+                last_idx = match palette.iter().position(|&p| p == bits) {
+                    Some(idx) => idx as u8,
+                    None if palette.len() == 4 => return None,
+                    None => {
+                        palette.push(bits);
+                        (palette.len() - 1) as u8
+                    }
+                };
+                last_bits = bits;
+            }
+            byte |= last_idx << (slot * 2);
+        }
+        packed.push(byte);
+    }
+    Some((palette, packed))
 }
 
 /// Reads a pipeline blob written by [`Enc`].
@@ -253,6 +275,111 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass palette encoder [`Enc::tensor`] replaced: scan for
+    /// the palette, then search it per element. Kept as the oracle the
+    /// one-pass encoder must match byte for byte.
+    fn two_pass_tensor(t: &Tensor) -> Vec<u8> {
+        let mut e = Enc::part();
+        e.u64(t.shape().rank() as u64);
+        for &d in t.shape().dims() {
+            e.u64(d as u64);
+        }
+        let mut palette: Vec<u32> = Vec::new();
+        for &v in t.data() {
+            let bits = v.to_bits();
+            if !palette.contains(&bits) {
+                palette.push(bits);
+                if palette.len() > 4 {
+                    break;
+                }
+            }
+        }
+        if palette.len() <= 4 && !t.data().is_empty() {
+            e.buf.push(TENSOR_PALETTE);
+            e.buf.push(palette.len() as u8);
+            for &bits in &palette {
+                e.buf.extend_from_slice(&bits.to_le_bytes());
+            }
+            let mut packed = 0u8;
+            let mut filled = 0;
+            for &v in t.data() {
+                let idx = palette.iter().position(|&p| p == v.to_bits()).unwrap() as u8;
+                packed |= idx << (filled * 2);
+                filled += 1;
+                if filled == 4 {
+                    e.buf.push(packed);
+                    packed = 0;
+                    filled = 0;
+                }
+            }
+            if filled > 0 {
+                e.buf.push(packed);
+            }
+        } else {
+            e.buf.push(TENSOR_RAW);
+            for &v in t.data() {
+                e.f32(v);
+            }
+        }
+        e.finish()
+    }
+
+    /// Encodes `bits` with both encoders, asserts equal bytes, and
+    /// asserts the bitwise round trip.
+    fn assert_matches_oracle(bits: &[u32]) {
+        let t = Tensor::from_vec(bits.iter().map(|&b| f32::from_bits(b)).collect(), [bits.len()]);
+        let mut e = Enc::part();
+        e.tensor(&t);
+        let one_pass = e.finish();
+        assert_eq!(one_pass, two_pass_tensor(&t), "bits {bits:08x?}");
+        let mut blob = Enc::new("t").finish();
+        blob.extend_from_slice(&one_pass);
+        let mut d = Dec::new("t", &blob).unwrap();
+        let back: Vec<u32> = d.tensor().unwrap().data().iter().map(|v| v.to_bits()).collect();
+        d.done().unwrap();
+        assert_eq!(back, bits);
+    }
+
+    #[test]
+    fn one_pass_encoder_matches_the_two_pass_oracle_at_the_edges() {
+        let (a, b, c, d, e) = (1.0f32.to_bits(), 2.0f32.to_bits(), 0.6f32.to_bits(), 0, 7.5f32.to_bits());
+        // Exactly four distinct values (palette), exactly five (raw).
+        assert_matches_oracle(&[a, b, c, d, a, d, c, b, a]);
+        assert_matches_oracle(&[a, b, c, d, e, a, b]);
+        // A fifth value only in the trailing partial chunk.
+        assert_matches_oracle(&[a, b, c, d, d, c, b, a, e]);
+        assert_matches_oracle(&[a, b, c, d, a, b, c, d, a, e]);
+        // Every length 0..=9, with few values and with all-distinct ones.
+        for len in 0..=9u32 {
+            let few: Vec<u32> = (0..len).map(|i| [a, b, c][i as usize % 3]).collect();
+            assert_matches_oracle(&few);
+            let distinct: Vec<u32> = (0..len).map(|i| (i as f32).to_bits()).collect();
+            assert_matches_oracle(&distinct);
+        }
+        // +0.0 and -0.0 are different bit patterns, and so are NaNs with
+        // different payloads or signs.
+        assert_matches_oracle(&[0.0f32.to_bits(), (-0.0f32).to_bits(), a, 0, a]);
+        let nans = [0x7fc0_0000, 0x7fc0_0001, 0xffc0_0000, 0x7f80_0001];
+        assert_matches_oracle(&[nans[0], nans[1], nans[2], nans[3], nans[1], nans[0]]);
+        assert_matches_oracle(&[nans[0], nans[1], nans[2], nans[3], a]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random small palettes (1 to 6 values, so both sides of the
+        /// four-value limit) drawn at random lengths.
+        #[test]
+        fn one_pass_encoder_matches_the_two_pass_oracle(
+            palette in proptest::collection::vec(0u32..u32::MAX, 1..7),
+            picks in proptest::collection::vec(0usize..64, 0..40),
+        ) {
+            let bits: Vec<u32> = picks.iter().map(|&i| palette[i % palette.len()]).collect();
+            assert_matches_oracle(&bits);
+        }
+    }
 
     #[test]
     fn scalar_round_trip() {

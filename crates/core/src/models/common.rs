@@ -1,5 +1,7 @@
 //! Shared harness for the three ImageNet-style classifier workloads.
 
+use std::sync::Arc;
+
 use fathom_data::imagenet::ImageCorpus;
 use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
 use fathom_nn::Params;
@@ -156,10 +158,10 @@ impl Workload for ImageClassifier {
         self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
         e.rng(self.corpus.rng_state());
-        e.finish()
+        vec![e.finish().into()]
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

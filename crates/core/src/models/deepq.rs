@@ -11,6 +11,9 @@
 //! `fathom-ale` paddle game with identical observation/action/reward
 //! contracts (see DESIGN.md).
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use fathom_ale::{AleEnv, EnvState, GameState, ReplayBuffer, Transition, FRAME_SIDE, STACK};
 use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
 use fathom_nn::{Activation, Init, Params};
@@ -169,6 +172,10 @@ pub struct Deepq {
     session: Session,
     env: AleEnv,
     replay: ReplayBuffer,
+    /// Each replay slot's pipeline part, index for index with the
+    /// buffer, beside the stamp of the transition it encodes: a snapshot
+    /// encodes only the slots whose stamp moved since the last one.
+    slot_parts: RefCell<Vec<(u64, Arc<[u8]>)>>,
     rng: Rng,
     // Graph handles.
     act_state: NodeId,
@@ -240,6 +247,7 @@ impl Deepq {
             session,
             env,
             replay: ReplayBuffer::new(d.replay_capacity),
+            slot_parts: RefCell::new(Vec::new()),
             rng: Rng::seeded(cfg.seed ^ 0xE9),
             act_state,
             act_q,
@@ -461,7 +469,7 @@ impl Workload for Deepq {
         self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
         e.rng(self.rng.state());
         e.f32(self.epsilon);
@@ -483,14 +491,28 @@ impl Workload for Deepq {
         e.u64(self.replay.capacity() as u64);
         e.u64(self.replay.cursor() as u64);
         e.u64(self.replay.len() as u64);
-        for t in self.replay.items() {
-            e.tensor(&t.state);
-            e.u64(t.action as u64);
-            e.f32(t.reward);
-            e.tensor(&t.next_state);
-            e.bool(t.done);
+        let mut parts = Vec::with_capacity(1 + self.replay.len());
+        parts.push(e.finish().into());
+        let mut memo = self.slot_parts.borrow_mut();
+        memo.truncate(self.replay.len());
+        for (i, (t, &stamp)) in self.replay.items().iter().zip(self.replay.stamps()).enumerate() {
+            if memo.get(i).is_none_or(|&(held, _)| held != stamp) {
+                let mut e = Enc::part();
+                e.tensor(&t.state);
+                e.u64(t.action as u64);
+                e.f32(t.reward);
+                e.tensor(&t.next_state);
+                e.bool(t.done);
+                let part = (stamp, e.finish().into());
+                if i < memo.len() {
+                    memo[i] = part;
+                } else {
+                    memo.push(part);
+                }
+            }
+            parts.push(Arc::clone(&memo[i].1));
         }
-        e.finish()
+        parts
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
@@ -547,6 +569,8 @@ impl Workload for Deepq {
         self.episode_rewards = episode_rewards;
         self.env.load_state(&env);
         self.replay = ReplayBuffer::restore(capacity, items, cursor);
+        // The restored buffer's stamps start over: no held part matches.
+        self.slot_parts.get_mut().clear();
         Ok(())
     }
 
@@ -562,7 +586,7 @@ impl Workload for Deepq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fathom_dataflow::OpKind;
+    use fathom_dataflow::{Guardrail, OpKind};
 
     #[test]
     fn training_steps_run_and_sync() {
@@ -616,5 +640,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A deepq whose replay ring holds six transitions, so a few steps
+    /// fill and wrap it.
+    fn small_ring(seed: u64) -> Deepq {
+        let mut m = Deepq::build(&BuildConfig::training().with_seed(seed));
+        m.replay = ReplayBuffer::new(6);
+        m
+    }
+
+    #[test]
+    fn memoized_export_matches_a_cold_export_across_a_trip_and_an_import() {
+        // `warm` exports every other step, so its memo holds parts of
+        // earlier rings; its same-seed twin `cold` exports once, at the
+        // end. A third trajectory's young buffer is stamped 0..4 just as
+        // the twins' own first four transitions were, so importing it
+        // over a stale memo would hand back the wrong bytes.
+        let mut warm = small_ring(41);
+        let mut cold = small_ring(41);
+        let mut other = small_ring(42);
+        other.step();
+        let foreign = other.export_pipeline();
+        for m in [&mut warm, &mut cold] {
+            m.session_mut().set_guardrail(Some(Guardrail::finite()));
+        }
+        for step in 0..7 {
+            for (m, exports) in [(&mut warm, true), (&mut cold, false)] {
+                if step == 1 {
+                    m.import_pipeline(&foreign).unwrap();
+                    if exports {
+                        assert_eq!(m.export_pipeline(), foreign, "import must drop the memo");
+                    }
+                }
+                if step == 4 {
+                    // The ring is full: the failed step overwrote slots
+                    // and its rollback restores them, stamps included.
+                    let loss = m.loss;
+                    m.session_mut().poison_next_fetch(loss);
+                    assert!(matches!(m.try_step(), Err(ExecError::GuardTripped(_))));
+                }
+                m.step();
+                if exports && step % 2 == 0 {
+                    m.export_pipeline();
+                }
+            }
+        }
+        assert_eq!(warm.export_pipeline(), cold.export_pipeline());
     }
 }

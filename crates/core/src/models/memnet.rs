@@ -9,6 +9,8 @@
 //! small, skinny tensors — is exactly the operation mix the paper's
 //! Figure 6c shows refusing to parallelize.
 
+use std::sync::Arc;
+
 use fathom_data::babi::BabiTask;
 use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
 use fathom_nn::{Init, Params};
@@ -262,10 +264,10 @@ impl Workload for Memnet {
         self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
         e.rng(self.task.rng_state());
-        e.finish()
+        vec![e.finish().into()]
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

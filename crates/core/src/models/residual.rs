@@ -8,6 +8,8 @@
 //! The identity connections "effectively train these layers on the
 //! difference between input and output" (paper §IV).
 
+use std::sync::Arc;
+
 use fathom_dataflow::{Graph, NodeId, Optimizer, Session};
 use fathom_nn::{avg_pool, batch_norm, conv2d, dense, flatten, instance_norm, Activation, Params};
 use fathom_tensor::kernels::conv::Conv2dSpec;
@@ -234,8 +236,8 @@ impl Workload for Residual {
         self.inner.train_probes()
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
-        self.inner.export_pipeline()
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
+        self.inner.pipeline_parts()
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

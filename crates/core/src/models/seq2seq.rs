@@ -8,6 +8,8 @@
 //! multiplications, and the attention/loss plumbing the `Tile`/`Sum`/
 //! `Sub` traffic, that the paper's Figure 6b highlights.
 
+use std::sync::Arc;
+
 use fathom_data::wmt::{TranslationBatch, TranslationCorpus};
 use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
 use fathom_nn::{lstm_stack, Attention, Init, Params};
@@ -291,10 +293,10 @@ impl Workload for Seq2Seq {
         self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
         e.rng(self.corpus.rng_state());
-        e.finish()
+        vec![e.finish().into()]
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

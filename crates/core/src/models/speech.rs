@@ -11,6 +11,8 @@
 //! As in the paper, TIMIT-shaped data stands in for Baidu's proprietary
 //! corpus; here the TIMIT stand-in is itself synthesized (see DESIGN.md).
 
+use std::sync::Arc;
+
 use fathom_data::timit::SpeechCorpus;
 use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
 use fathom_nn::{bidirectional_rnn, Activation, Init, Params};
@@ -239,10 +241,10 @@ impl Workload for Speech {
         self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
         e.rng(self.corpus.rng_state());
-        e.finish()
+        vec![e.finish().into()]
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

@@ -9,6 +9,8 @@
 //! [conv3x3 x4, pool] [conv3x3 x4, pool] fc -> fc -> fc(classes)
 //! ```
 
+use std::sync::Arc;
+
 use fathom_dataflow::{Optimizer, Session};
 use fathom_nn::{conv2d, dense, flatten, max_pool, Activation};
 use fathom_tensor::kernels::conv::Conv2dSpec;
@@ -136,8 +138,8 @@ impl Workload for Vgg {
         self.inner.train_probes()
     }
 
-    fn export_pipeline(&self) -> Vec<u8> {
-        self.inner.export_pipeline()
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
+        self.inner.pipeline_parts()
     }
 
     fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {

@@ -9,7 +9,12 @@
 //! * **Snapshot cadence** ([`SnapshotPolicy`]): every N optimizer steps
 //!   a resume checkpoint — variables, optimizer slots, RNG streams, and
 //!   the workload's pipeline blob — is promoted crash-consistently into
-//!   a rotation of the K newest files.
+//!   a rotation of the K newest files. The step thread only captures
+//!   the state ([`ResumeImage::capture`]); one background writer
+//!   encodes, writes, fsyncs and renames it, with at most one snapshot
+//!   in flight. A snapshot is on disk once the next one is handed off,
+//!   [`Trainer::flush`] or [`Trainer::resume`] returns, [`Trainer::run`]
+//!   returns `Killed` or an error, or the trainer drops.
 //! * **Divergence guardrails** ([`GuardrailPolicy`]): the per-step loss
 //!   and global gradient norm are watched for NaN/Inf/explosion; a trip
 //!   rolls the step back transactionally inside the session and the
@@ -25,11 +30,13 @@
 //! and `ckpt-write` faults corrupt snapshot bytes on their way to disk.
 
 use std::fmt;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fathom_dataflow::checkpoint::{self, CheckpointError, TrainCursor};
+use fathom_dataflow::checkpoint::{self, CheckpointError, ResumeImage, TrainCursor};
 use fathom_dataflow::{ExecError, FaultAction, FaultPlan, FaultSite, Guardrail, Json, RuntimeCounters};
 
 use crate::workload::Workload;
@@ -141,9 +148,11 @@ pub struct TrainReport {
     pub final_grad_norm: Option<f32>,
     /// Guardrail trips, in order.
     pub trips: Vec<TripEvent>,
-    /// Snapshots promoted to disk.
+    /// Snapshots promoted to disk (counted when their write is joined).
     pub snapshots_written: u64,
-    /// Wall nanoseconds spent serializing + promoting snapshots.
+    /// Wall nanoseconds the step thread spent on snapshots: capturing
+    /// the state and waiting for the previous write, not the background
+    /// write itself.
     pub snapshot_nanos: u128,
     /// Wall nanoseconds spent inside workload steps.
     pub step_nanos: u128,
@@ -261,6 +270,8 @@ pub struct Trainer {
     dir: Option<PathBuf>,
     global_step: u64,
     report: TrainReport,
+    /// The snapshot write in flight, if any: at most one.
+    writer: Option<JoinHandle<Result<(), CheckpointError>>>,
 }
 
 impl Trainer {
@@ -283,6 +294,7 @@ impl Trainer {
             dir: None,
             global_step: 0,
             report: TrainReport { workload, ..TrainReport::default() },
+            writer: None,
         })
     }
 
@@ -366,47 +378,48 @@ impl Trainer {
         found
     }
 
-    /// Serializes, optionally corrupts (injected `ckpt-write` faults),
-    /// and atomically promotes one snapshot; prunes old generations.
+    /// Hands one snapshot to the background writer: waits for the
+    /// previous write, makes sure the directory exists, captures the
+    /// state, draws the `ckpt-write` fault here (so fault hit counts
+    /// follow the step sequence), and spawns the write.
     fn write_snapshot(&mut self) -> Result<(), TrainError> {
         let Some(dir) = self.dir.clone() else {
             return Ok(());
         };
         let began = Instant::now();
+        self.flush()?;
         std::fs::create_dir_all(&dir).map_err(CheckpointError::from)?;
-        let mut bytes = Vec::new();
-        checkpoint::save_resume(
-            self.model.session(),
-            self.cursor(),
-            &self.model.export_pipeline(),
-            &mut bytes,
-        )?;
-        if let Some(plan) = &self.fault {
-            if let Some(action) = plan.check(FaultSite::CheckpointWrite) {
-                plan.corrupt(&mut bytes, &action);
-            }
-        }
-        // tmp + fsync + rename, without re-verification: injected
-        // corruption must be allowed to land so resume's generation
-        // fallback gets exercised.
+        let image =
+            ResumeImage::capture(self.model.session(), self.cursor(), self.model.pipeline_parts());
+        let fault = self.fault.as_ref().and_then(|plan| {
+            plan.check(FaultSite::CheckpointWrite).map(|action| (Arc::clone(plan), action))
+        });
         let path = Self::snapshot_path(&dir, self.global_step);
-        let tmp = path.with_extension("tmp");
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp).map_err(CheckpointError::from)?;
-            f.write_all(&bytes).map_err(CheckpointError::from)?;
-            f.sync_all().map_err(CheckpointError::from)?;
-        }
-        std::fs::rename(&tmp, &path).map_err(CheckpointError::from)?;
-        let mut generations = Self::generations(&dir);
-        let keep = self.snapshot.keep.clamp(1, generations.len().max(1));
-        if generations.len() > keep {
-            for (_, old) in generations.split_off(keep) {
-                let _ = std::fs::remove_file(old);
-            }
-        }
-        self.report.snapshots_written += 1;
+        let keep = self.snapshot.keep;
+        let writer = std::thread::Builder::new()
+            .name("fathom-snapshot".into())
+            .spawn(move || write_generation(&image, fault, &dir, &path, keep))
+            .map_err(CheckpointError::from)?;
+        self.writer = Some(writer);
         self.report.snapshot_nanos += began.elapsed().as_nanos();
+        Ok(())
+    }
+
+    /// Waits for the snapshot write in flight, if any, and surfaces its
+    /// error. Afterwards every snapshot handed off so far is on disk.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::Checkpoint`] when the write failed (or its thread
+    /// panicked, reported as an I/O error).
+    pub fn flush(&mut self) -> Result<(), TrainError> {
+        let Some(writer) = self.writer.take() else {
+            return Ok(());
+        };
+        writer
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("snapshot writer panicked").into()))?;
+        self.report.snapshots_written += 1;
         Ok(())
     }
 
@@ -420,6 +433,7 @@ impl Trainer {
     /// generation's typed error), [`TrainError::Pipeline`] when the
     /// workload rejects its own pipeline blob.
     pub fn resume(&mut self, dir: impl AsRef<Path>) -> Result<u64, TrainError> {
+        self.flush()?;
         let dir = dir.as_ref();
         let generations = Self::generations(dir);
         if generations.is_empty() {
@@ -506,13 +520,28 @@ impl Trainer {
 
     /// Runs until `target_steps` total optimizer steps have completed
     /// (counting steps restored by [`Trainer::resume`]), snapshotting on
-    /// cadence and recovering from guardrail trips.
+    /// cadence and recovering from guardrail trips. A completed run may
+    /// leave its last snapshot in flight ([`Trainer::flush`] waits for
+    /// it); a killed or failed run waits for it before returning.
     ///
     /// # Errors
     ///
     /// [`TrainError::Diverged`] when a step exhausts its retry budget,
-    /// or the underlying exec/checkpoint failure.
+    /// or the underlying exec/checkpoint failure. When a step fails and
+    /// the write in flight fails too, the step's error is the one
+    /// returned.
     pub fn run(&mut self, target_steps: u64) -> Result<TrainOutcome, TrainError> {
+        match self.run_steps(target_steps) {
+            Ok(TrainOutcome::Completed) => Ok(TrainOutcome::Completed),
+            Ok(killed) => self.flush().map(|()| killed),
+            Err(e) => {
+                let _ = self.flush();
+                Err(e)
+            }
+        }
+    }
+
+    fn run_steps(&mut self, target_steps: u64) -> Result<TrainOutcome, TrainError> {
         while self.global_step < target_steps {
             if let StepEnd::Killed = self.guarded_step()? {
                 self.report.runtime = self.model.session().runtime_counters();
@@ -527,6 +556,51 @@ impl Trainer {
         self.report.runtime = self.model.session().runtime_counters();
         Ok(TrainOutcome::Completed)
     }
+}
+
+impl Drop for Trainer {
+    /// Lands the write in flight; its error, if any, is dropped with the
+    /// trainer ([`Trainer::flush`] is the way to see it).
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
+}
+
+/// The background half of a snapshot, into an existing `dir`: encodes
+/// the captured image, applies an injected `ckpt-write` corruption,
+/// writes `<path>.tmp`,
+/// fsyncs it, renames it over `path`, fsyncs the directory, and prunes
+/// generations past the newest `keep`. There is no re-verification:
+/// injected corruption must be allowed to land so resume's generation
+/// fallback gets exercised.
+fn write_generation(
+    image: &ResumeImage,
+    fault: Option<(Arc<FaultPlan>, FaultAction)>,
+    dir: &Path,
+    path: &Path,
+    keep: usize,
+) -> Result<(), CheckpointError> {
+    let mut bytes = Vec::new();
+    image.write(&mut bytes)?;
+    if let Some((plan, action)) = fault {
+        plan.corrupt(&mut bytes, &action);
+    }
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    checkpoint::sync_dir(dir);
+    let mut generations = Trainer::generations(dir);
+    let keep = keep.clamp(1, generations.len().max(1));
+    if generations.len() > keep {
+        for (_, old) in generations.split_off(keep) {
+            let _ = std::fs::remove_file(old);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -592,6 +666,7 @@ mod tests {
         let dir = tmp_dir("rotate");
         let mut t = autoenc_trainer(3).with_snapshots(SnapshotPolicy { every: 2, keep: 2 }, &dir);
         t.run(8).unwrap();
+        t.flush().unwrap();
         let gens = Trainer::generations(&dir);
         let steps: Vec<u64> = gens.iter().map(|(s, _)| *s).collect();
         assert_eq!(steps, vec![8, 6], "rotation kept {steps:?}");
@@ -648,6 +723,7 @@ mod tests {
         let dir = tmp_dir("fallback");
         let mut t = autoenc_trainer(13).with_snapshots(SnapshotPolicy { every: 2, keep: 3 }, &dir);
         t.run(6).unwrap();
+        t.flush().unwrap();
         // Tear the newest snapshot the way a dying writer would.
         let newest = Trainer::generations(&dir)[0].1.clone();
         let bytes = std::fs::read(&newest).unwrap();
@@ -755,12 +831,61 @@ mod tests {
             .with_snapshots(SnapshotPolicy { every: 2, keep: 3 }, &dir)
             .with_faults(plan.clone());
         t.run(6).unwrap();
+        t.flush().unwrap();
         assert_eq!(plan.fired_count(), 1, "the ckpt-write fault must fire");
         // The corrupted middle generation (step 4) must be skipped; 6 is
         // still good, so resume lands there.
         let mut resumed = autoenc_trainer(17);
         let at = resumed.resume(&dir).unwrap();
         assert_eq!(at, 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_snapshot_writes_are_typed_errors_never_panics() {
+        fn is_io<T>(r: Result<T, TrainError>) -> bool {
+            matches!(r, Err(TrainError::Checkpoint(CheckpointError::Io(_))))
+        }
+        let policy = SnapshotPolicy { every: 2, keep: 2 };
+
+        // A directory cannot be created under a regular file: the
+        // snapshot hand-off fails at once.
+        let file = tmp_dir("not-a-dir");
+        std::fs::write(&file, b"a file").unwrap();
+        let mut t = autoenc_trainer(3).with_snapshots(policy, file.join("snapshots"));
+        assert!(is_io(t.run(2)));
+        let _ = std::fs::remove_file(&file);
+
+        // A directory squatting on the step-2 tmp path fails the
+        // background write itself. That surfaces from flush()...
+        let dir = tmp_dir("blocked-tmp");
+        std::fs::create_dir_all(Trainer::snapshot_path(&dir, 2).with_extension("tmp")).unwrap();
+        let mut t = autoenc_trainer(3).with_snapshots(policy, &dir);
+        assert_eq!(t.run(2).unwrap(), TrainOutcome::Completed);
+        assert!(is_io(t.flush()));
+        assert_eq!(t.report().snapshots_written, 0);
+        // ...or from the next snapshot, which waits for it first.
+        let mut t = autoenc_trainer(3).with_snapshots(policy, &dir);
+        assert!(is_io(t.run(4)));
+        // Dropping a trainer whose write failed does not panic.
+        let mut t = autoenc_trainer(3).with_snapshots(policy, &dir);
+        t.run(2).unwrap();
+        drop(t);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshots_handed_off_while_one_is_in_flight_all_land() {
+        let dir = tmp_dir("inflight");
+        // Every step snapshots, so each hand-off finds the previous
+        // write in flight or just finished, and must wait for it.
+        let mut t = autoenc_trainer(5).with_snapshots(SnapshotPolicy { every: 1, keep: 100 }, &dir);
+        t.run(6).unwrap();
+        t.flush().unwrap();
+        assert_eq!(t.report().snapshots_written, 6);
+        let steps: Vec<u64> = Trainer::generations(&dir).iter().map(|(s, _)| *s).collect();
+        assert_eq!(steps, vec![6, 5, 4, 3, 2, 1]);
+        assert!(!Trainer::snapshot_path(&dir, 6).with_extension("tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,6 +5,8 @@
 //! inference, or simply inspecting the model's dataflow graph is
 //! straightforward." (paper §VI). [`Workload`] is that interface.
 
+use std::sync::Arc;
+
 use fathom_dataflow::{Device, ExecError, NodeId, Precision, Session};
 
 /// Whether a workload instance executes forward-only or full update steps.
@@ -199,12 +201,22 @@ pub trait Workload {
         None
     }
 
-    /// Serializes the workload-side data-pipeline state (corpus RNG
-    /// streams, replay buffers, environment state) into an opaque blob
-    /// for [`fathom_dataflow::checkpoint::save_resume`]. Workloads
-    /// without pipeline state return an empty blob.
-    fn export_pipeline(&self) -> Vec<u8> {
+    /// The workload-side data-pipeline state (corpus RNG streams, replay
+    /// buffers, environment state) as the parts of an opaque blob, in
+    /// order: [`Workload::export_pipeline`] is their concatenation. A
+    /// part is shared, so a workload may hand out the same part to
+    /// successive snapshots while the state it encodes is unchanged.
+    /// Workloads without pipeline state return no parts.
+    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         Vec::new()
+    }
+
+    /// The pipeline blob for
+    /// [`fathom_dataflow::checkpoint::save_resume`]: the concatenation of
+    /// [`Workload::pipeline_parts`]. Workloads implement the parts, not
+    /// this.
+    fn export_pipeline(&self) -> Vec<u8> {
+        self.pipeline_parts().concat()
     }
 
     /// Restores pipeline state captured by [`Workload::export_pipeline`].

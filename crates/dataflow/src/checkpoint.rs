@@ -14,6 +14,12 @@
 //! last snapshot and produces bitwise-identical losses from there on.
 //! Version 2 files (variables only) still load.
 //!
+//! Every writer goes through one encoder. [`save`] and [`save_resume`]
+//! encode straight from a live session; [`ResumeImage::capture`] copies
+//! the session's state (sharing the pipeline blob's parts) so that
+//! [`ResumeImage::write`] can encode the same bytes later, on another
+//! thread, while training continues.
+//!
 //! A second optional section behind [`FLAG_CALIB`] carries the session's
 //! int8 **calibration ranges** (DESIGN.md §18): per-GEMM, per-channel
 //! activation max-abs values recorded by a calibration pass. A serving
@@ -32,13 +38,16 @@
 //! fsyncs the parent directory. A crash at any point leaves either the
 //! old checkpoint or the new one, never a torn file.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use fathom_tensor::{Shape, Tensor};
 
 use crate::exec::{CalibrationRanges, Session};
+use crate::graph::NodeId;
 use crate::op::OpKind;
 
 const MAGIC: &[u8; 8] = b"FATHOMCK";
@@ -251,13 +260,52 @@ fn eof_is_truncation(e: io::Error) -> CheckpointError {
 
 /// The name a variable is stored under: its debug name when present,
 /// otherwise its node id.
-fn variable_key(session: &Session, id: crate::graph::NodeId) -> String {
+fn variable_key(session: &Session, id: NodeId) -> Cow<'_, str> {
+    match &session.graph().node(id).name {
+        Some(name) => Cow::Borrowed(name),
+        None => Cow::Owned(id.to_string()),
+    }
+}
+
+/// Every variable of `session` as `(key, value)`, in graph order.
+fn session_variables(session: &Session) -> Vec<(Cow<'_, str>, &Tensor)> {
     session
         .graph()
-        .node(id)
-        .name
-        .clone()
-        .unwrap_or_else(|| id.to_string())
+        .variables()
+        .into_iter()
+        .map(|id| {
+            let value = session.variable_value(id).expect("graph variables exist");
+            (variable_key(session, id), value)
+        })
+        .collect()
+}
+
+/// Calibration ranges worth writing: sessions that never calibrated
+/// write the exact pre-§18 byte layout.
+fn written_calibration(session: &Session) -> Option<&CalibrationRanges> {
+    session.calibration_ranges().filter(|c| !c.is_empty())
+}
+
+/// The contents of one checkpoint, borrowed. A live [`Session`] and a
+/// captured [`ResumeImage`] both encode through this one shape, so
+/// there is one encoder and one byte layout.
+struct Parts<'a> {
+    vars: Vec<(Cow<'a, str>, &'a Tensor)>,
+    resume: Option<ResumeParts<'a>>,
+    calib: Option<&'a CalibrationRanges>,
+}
+
+/// The resume section's contents, borrowed.
+struct ResumeParts<'a> {
+    rng: [u64; 4],
+    run_counter: u64,
+    cursor: TrainCursor,
+    /// Sorted by `(node index, name)`, so identical session state always
+    /// serializes to identical bytes.
+    slots: Vec<(NodeId, &'a str, &'a Tensor)>,
+    /// The pipeline blob in parts, written as one blob: their total
+    /// length, then each part in order.
+    pipeline: Vec<&'a [u8]>,
 }
 
 /// Writes every variable of `session` to `w`, followed by a checksum of
@@ -268,7 +316,12 @@ fn variable_key(session: &Session, id: crate::graph::NodeId) -> String {
 ///
 /// Returns any underlying I/O error.
 pub fn save(session: &Session, w: impl Write) -> Result<(), CheckpointError> {
-    save_with(session, None, w)
+    let parts = Parts {
+        vars: session_variables(session),
+        resume: None,
+        calib: written_calibration(session),
+    };
+    encode(&parts, w)
 }
 
 /// Writes a full resume checkpoint: variables plus the session RNG, run
@@ -285,7 +338,82 @@ pub fn save_resume(
     pipeline: &[u8],
     w: impl Write,
 ) -> Result<(), CheckpointError> {
-    save_with(session, Some((cursor, pipeline)), w)
+    let parts = Parts {
+        vars: session_variables(session),
+        resume: Some(ResumeParts {
+            rng: session.rng_state(),
+            run_counter: session.step(),
+            cursor,
+            slots: session.optimizer_slots(),
+            pipeline: vec![pipeline],
+        }),
+        calib: written_calibration(session),
+    };
+    encode(&parts, w)
+}
+
+/// An owned copy of a session's resume state, taken at one instant, so
+/// that it can be encoded and written elsewhere — on another thread —
+/// while the session trains on. [`ResumeImage::write`] produces exactly
+/// the bytes [`save_resume`] would have produced at capture time.
+///
+/// Variables, optimizer slots and calibration ranges are copied (the
+/// model's size); the pipeline parts are shared, not copied, which is
+/// what keeps a capture cheap next to a replay buffer.
+#[derive(Debug)]
+pub struct ResumeImage {
+    vars: Vec<(String, Tensor)>,
+    rng: [u64; 4],
+    run_counter: u64,
+    cursor: TrainCursor,
+    slots: Vec<(NodeId, &'static str, Tensor)>,
+    pipeline: Vec<Arc<[u8]>>,
+    calib: Option<CalibrationRanges>,
+}
+
+impl ResumeImage {
+    /// Captures `session`'s resume state with the caller's cursor and
+    /// the workload's pipeline blob, given as the parts whose
+    /// concatenation is the blob.
+    pub fn capture(session: &Session, cursor: TrainCursor, pipeline: Vec<Arc<[u8]>>) -> Self {
+        ResumeImage {
+            vars: session_variables(session)
+                .into_iter()
+                .map(|(key, value)| (key.into_owned(), value.clone()))
+                .collect(),
+            rng: session.rng_state(),
+            run_counter: session.step(),
+            cursor,
+            slots: session
+                .optimizer_slots()
+                .into_iter()
+                .map(|(id, name, value)| (id, name, value.clone()))
+                .collect(),
+            pipeline,
+            calib: written_calibration(session).cloned(),
+        }
+    }
+
+    /// Writes the captured state as a resume checkpoint, followed by its
+    /// checksum.
+    ///
+    /// # Errors
+    ///
+    /// Returns any underlying I/O error.
+    pub fn write(&self, w: impl Write) -> Result<(), CheckpointError> {
+        let parts = Parts {
+            vars: self.vars.iter().map(|(key, value)| (Cow::Borrowed(key.as_str()), value)).collect(),
+            resume: Some(ResumeParts {
+                rng: self.rng,
+                run_counter: self.run_counter,
+                cursor: self.cursor,
+                slots: self.slots.iter().map(|(id, name, value)| (*id, *name, value)).collect(),
+                pipeline: self.pipeline.iter().map(|part| &part[..]).collect(),
+            }),
+            calib: self.calib.as_ref(),
+        };
+        encode(&parts, w)
+    }
 }
 
 fn write_tensor(w: &mut impl Write, name: &str, value: &Tensor) -> io::Result<()> {
@@ -301,47 +429,41 @@ fn write_tensor(w: &mut impl Write, name: &str, value: &Tensor) -> io::Result<()
     Ok(())
 }
 
-fn save_with(
-    session: &Session,
-    resume: Option<(TrainCursor, &[u8])>,
-    w: impl Write,
-) -> Result<(), CheckpointError> {
+/// The one checkpoint encoder: header, variables, the optional resume
+/// and calibration sections, then the FNV-1a checksum of everything
+/// before it.
+fn encode(parts: &Parts<'_>, w: impl Write) -> Result<(), CheckpointError> {
     let mut w = HashingWriter::new(w);
-    let vars = session.graph().variables();
-    // Sessions that never calibrated write the exact pre-§18 byte layout.
-    let calib = session.calibration_ranges().filter(|c| !c.is_empty());
     w.write_all(MAGIC)?;
     write_u32(&mut w, VERSION)?;
     let flags = FLAG_VARS
-        | if resume.is_some() { FLAG_RESUME } else { 0 }
-        | if calib.is_some() { FLAG_CALIB } else { 0 };
+        | if parts.resume.is_some() { FLAG_RESUME } else { 0 }
+        | if parts.calib.is_some() { FLAG_CALIB } else { 0 };
     write_u32(&mut w, flags)?;
-    write_u64(&mut w, vars.len() as u64)?;
-    for id in vars {
-        let key = variable_key(session, id);
-        let value = session.variable_value(id).expect("graph variables exist");
-        write_tensor(&mut w, &key, value)?;
+    write_u64(&mut w, parts.vars.len() as u64)?;
+    for (key, value) in &parts.vars {
+        write_tensor(&mut w, key, value)?;
     }
-    if let Some((cursor, pipeline)) = resume {
-        for word in session.rng_state() {
+    if let Some(resume) = &parts.resume {
+        for word in resume.rng {
             write_u64(&mut w, word)?;
         }
-        write_u64(&mut w, session.step())?;
-        write_u64(&mut w, cursor.global_step)?;
-        write_u64(&mut w, cursor.epoch)?;
-        write_u64(&mut w, cursor.position)?;
-        // Slots come pre-sorted by (node index, name), so identical
-        // session state always serializes to identical bytes.
-        let slots = session.optimizer_slots();
-        write_u64(&mut w, slots.len() as u64)?;
-        for (id, name, value) in slots {
+        write_u64(&mut w, resume.run_counter)?;
+        write_u64(&mut w, resume.cursor.global_step)?;
+        write_u64(&mut w, resume.cursor.epoch)?;
+        write_u64(&mut w, resume.cursor.position)?;
+        write_u64(&mut w, resume.slots.len() as u64)?;
+        for (id, name, value) in &resume.slots {
             write_u64(&mut w, id.index() as u64)?;
             write_tensor(&mut w, name, value)?;
         }
-        write_u64(&mut w, pipeline.len() as u64)?;
-        w.write_all(pipeline)?;
+        let pipeline_len: usize = resume.pipeline.iter().map(|part| part.len()).sum();
+        write_u64(&mut w, pipeline_len as u64)?;
+        for part in &resume.pipeline {
+            w.write_all(part)?;
+        }
     }
-    if let Some(ranges) = calib {
+    if let Some(ranges) = parts.calib {
         // BTreeMap iteration is ordered by node index, so identical
         // calibration state always serializes to identical bytes.
         write_u64(&mut w, ranges.len() as u64)?;
@@ -647,7 +769,7 @@ pub fn load_resume(session: &mut Session, r: impl Read) -> Result<ResumeHeader, 
             )));
         }
         session
-            .restore_optimizer_slot(crate::graph::NodeId(node as u32), &name, value)
+            .restore_optimizer_slot(NodeId(node as u32), &name, value)
             .map_err(CheckpointError::Mismatch)?;
     }
     if let Some(ranges) = payload.calib {
@@ -670,7 +792,7 @@ fn restore_variables(
     }
     for id in vars {
         let key = variable_key(session, id);
-        let value = loaded.remove(&key).ok_or_else(|| {
+        let value = loaded.remove(&*key).ok_or_else(|| {
             CheckpointError::Mismatch(format!("variable '{key}' missing from checkpoint"))
         })?;
         let expected = session.variable_value(id).expect("graph variables exist").shape().clone();
@@ -736,14 +858,18 @@ fn promote_atomically(bytes: &[u8], path: &Path) -> Result<(), CheckpointError> 
     }
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
-        let dir = if dir.as_os_str().is_empty() { Path::new(".") } else { dir };
-        // Directory fsync makes the rename durable; some filesystems
-        // refuse to open directories, which is not worth failing over.
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(if dir.as_os_str().is_empty() { Path::new(".") } else { dir });
     }
     Ok(())
+}
+
+/// Fsyncs directory `dir`, which makes a rename inside it durable. Some
+/// filesystems refuse to open directories, which is not worth failing
+/// over.
+pub fn sync_dir(dir: &Path) {
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
 }
 
 /// Loads the checkpoint at `path` into `session` via [`load`].
@@ -1066,6 +1192,31 @@ mod tests {
             fresh.variable_value(w).unwrap(),
             "post-resume trajectories must agree bitwise"
         );
+    }
+
+    #[test]
+    fn a_captured_image_writes_the_bytes_save_resume_writes_at_capture() {
+        let (_, mut trained, w, _) = trained_session();
+        let cursor = TrainCursor { global_step: 20, epoch: 2, position: 6 };
+        let parts: Vec<Arc<[u8]>> =
+            vec![Arc::from(&b"head"[..]), Arc::from(&b""[..]), Arc::from(&[0u8, 255, 7][..])];
+        for calibrated in [false, true] {
+            if calibrated {
+                let mut ranges = crate::exec::CalibrationRanges::new();
+                ranges.insert(2, vec![3.0, 0.25]);
+                trained.set_calibration_ranges(ranges);
+            }
+            let mut direct = Vec::new();
+            save_resume(&trained, cursor, &parts.concat(), &mut direct).expect("saves");
+            let image = ResumeImage::capture(&trained, cursor, parts.clone());
+            // The image is a copy: the session moving on does not reach it.
+            trained.set_rng_state([9; 4]);
+            trained.set_run_counter(999);
+            trained.assign(w, Tensor::filled([2, 1], 0.5)).unwrap();
+            let mut imaged = Vec::new();
+            image.write(&mut imaged).expect("writes");
+            assert_eq!(direct, imaged, "calibrated={calibrated}");
+        }
     }
 
     #[test]
