@@ -4,7 +4,6 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fathom_dataflow::grad::gradients;
 use fathom_dataflow::optimize::optimize;
 use fathom_dataflow::{Device, Graph, NodeId, Optimizer, Session};
 use fathom_nn::{conv2d, dense, flatten, lstm_stack, max_pool, Activation, Params};
@@ -43,14 +42,7 @@ fn lstm_training_graph(seed: u64) -> (Graph, NodeId, NodeId, NodeId) {
     let last = *steps.last().expect("non-empty sequence");
     let sq = g.square(last);
     let loss = g.mean_all(sq);
-    let grads = gradients(&mut g, loss, p.trainable());
-    let applies: Vec<NodeId> = p
-        .trainable()
-        .iter()
-        .zip(&grads)
-        .map(|(&v, &d)| g.add(fathom_dataflow::OpKind::ApplyGradientDescent { lr: 0.01 }, &[v, d]))
-        .collect();
-    let train = g.add(fathom_dataflow::OpKind::Group, &applies);
+    let train = Optimizer::sgd(0.01).minimize(&mut g, loss, p.trainable());
     (g, x, loss, train)
 }
 

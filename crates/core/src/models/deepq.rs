@@ -630,15 +630,17 @@ mod tests {
     fn target_variables_are_not_trainable() {
         let m = Deepq::build(&BuildConfig::training());
         let g = m.session().graph();
-        // No Apply op may touch a target variable.
-        for (_, n) in g.iter() {
-            if matches!(n.kind, OpKind::ApplyRmsProp { .. }) {
-                let var = n.inputs[0];
-                assert!(
-                    m.online_vars.contains(&var),
-                    "optimizer updates a non-online variable"
-                );
-            }
+        // Every online variable has exactly one Apply op, and no Apply op
+        // touches a target variable.
+        let updated: Vec<_> = g
+            .iter()
+            .filter(|(_, n)| matches!(n.kind, OpKind::Apply(_)))
+            .map(|(_, n)| n.inputs[0])
+            .collect();
+        assert!(!updated.is_empty(), "deepq training has no optimizer updates");
+        assert_eq!(updated.len(), m.online_vars.len(), "one update per online variable");
+        for var in updated {
+            assert!(m.online_vars.contains(&var), "optimizer updates a non-online variable");
         }
     }
 

@@ -67,7 +67,7 @@ pub enum RetryPolicy {
     SkipBatch,
     /// Multiply every optimizer learning rate by `factor` first.
     LrBackoff {
-        /// Multiplier applied to each `Apply*` op's learning rate.
+        /// Multiplier applied to each `Apply` op's learning rate.
         factor: f32,
     },
 }

@@ -92,10 +92,7 @@ pub fn estimate(node: &Node, input_shapes: &[&Shape]) -> OpCost {
         }
         OpKind::StandardRandomNormal { .. } | OpKind::RandomUniform { .. }
         | OpKind::DropoutMask { .. } => 12.0 * out_elems,
-        OpKind::ApplyGradientDescent { .. } => 2.0 * out_elems,
-        OpKind::ApplyMomentum { .. } => 4.0 * out_elems,
-        OpKind::ApplyRmsProp { .. } => 8.0 * out_elems,
-        OpKind::ApplyAdam { .. } => 10.0 * out_elems,
+        OpKind::Apply(opt) => opt.flops_per_elem() * out_elems,
         // A fused group's arithmetic is the sum of its constituents'
         // (the default `bytes` above already counts only external
         // traffic, which is exactly the fusion win).

@@ -311,7 +311,7 @@ mod tests {
         let cost = OpCost { flops: 40_000.0, bytes: 0.0 };
         // 2 workers on a 3us op: Amdahl saving < dispatch cost -> serial.
         assert_eq!(m.model_nanos(3_000.0, cost, 8, true), 3_000.0);
-        // Non-pool-backed ops (Apply*, clones) never scale.
+        // Non-pool-backed ops (Apply, clones) never scale.
         let big = OpCost { flops: 1e8, bytes: 0.0 };
         assert_eq!(m.model_nanos(1e6, big, 8, false), 1e6);
     }

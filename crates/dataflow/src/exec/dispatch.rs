@@ -29,7 +29,7 @@ pub(super) struct ExecCtx<'a> {
     pub(super) quant: Option<&'a QuantPlan>,
 }
 
-/// Resolves the variable an `Apply*` node updates.
+/// Resolves the variable an `Apply` node updates.
 fn variable_target(graph: &Graph, state: &SessionState, apply: NodeId) -> Result<NodeId, ExecError> {
     let var_id = graph.node(apply).inputs[0];
     if state.variables.contains_key(&var_id) {
@@ -195,103 +195,28 @@ where
             mask
         }
 
-        OpKind::ApplyGradientDescent { lr } => {
+        // Class F: the node's optimizer names the slots to journal and
+        // the update to run. The slots leave the map for the update, so
+        // it borrows each one mutably without a copy.
+        OpKind::Apply(opt) => {
             let st = serial_state();
             let var_id = variable_target(graph, st, id)?;
             st.journal_variable(var_id);
-            let grad = input(1);
-            let lr = *lr;
+            let mut slots: Vec<Tensor> = opt
+                .slots()
+                .iter()
+                .map(|slot| {
+                    st.journal_slot((id, slot.name));
+                    st.slots.remove(&(id, slot.name)).unwrap_or_else(|| slot.init(&node.shape))
+                })
+                .collect();
             let var = st.variables.get_mut(&var_id).expect("checked above");
-            for (v, g) in var.data_mut().iter_mut().zip(grad.data()) {
-                *v -= lr * g;
+            opt.update(var.data_mut(), input(1).data(), &mut slots);
+            let out = var.clone();
+            for (slot, value) in opt.slots().iter().zip(slots) {
+                st.slots.insert((id, slot.name), value);
             }
-            var.clone()
-        }
-        OpKind::ApplyMomentum { lr, momentum } => {
-            let st = serial_state();
-            let var_id = variable_target(graph, st, id)?;
-            st.journal_variable(var_id);
-            st.journal_slot((id, "momentum"));
-            let grad = input(1);
-            let (lr, momentum) = (*lr, *momentum);
-            let accum = st
-                .slots
-                .entry((id, "momentum"))
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            for (m, g) in accum.data_mut().iter_mut().zip(grad.data()) {
-                *m = momentum * *m + g;
-            }
-            let var = st.variables.get_mut(&var_id).expect("checked above");
-            for (v, m) in var.data_mut().iter_mut().zip(accum.data()) {
-                *v -= lr * m;
-            }
-            var.clone()
-        }
-        OpKind::ApplyRmsProp { lr, decay, momentum, epsilon } => {
-            let st = serial_state();
-            let var_id = variable_target(graph, st, id)?;
-            st.journal_variable(var_id);
-            st.journal_slot((id, "ms"));
-            st.journal_slot((id, "mom"));
-            let grad = input(1);
-            let (lr, decay, momentum, epsilon) = (*lr, *decay, *momentum, *epsilon);
-            let ms = st
-                .slots
-                .entry((id, "ms"))
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            for (m, g) in ms.data_mut().iter_mut().zip(grad.data()) {
-                *m = decay * *m + (1.0 - decay) * g * g;
-            }
-            let ms = ms.clone();
-            let mom = st
-                .slots
-                .entry((id, "mom"))
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            for ((mo, g), m) in mom.data_mut().iter_mut().zip(grad.data()).zip(ms.data()) {
-                *mo = momentum * *mo + lr * g / (m.sqrt() + epsilon);
-            }
-            let var = st.variables.get_mut(&var_id).expect("checked above");
-            for (v, mo) in var.data_mut().iter_mut().zip(mom.data()) {
-                *v -= mo;
-            }
-            var.clone()
-        }
-        OpKind::ApplyAdam { lr, beta1, beta2, epsilon } => {
-            let st = serial_state();
-            let var_id = variable_target(graph, st, id)?;
-            st.journal_variable(var_id);
-            st.journal_slot((id, "t"));
-            st.journal_slot((id, "m"));
-            st.journal_slot((id, "v"));
-            let grad = input(1);
-            let (lr, beta1, beta2, epsilon) = (*lr, *beta1, *beta2, *epsilon);
-            let t_slot = st.slots.entry((id, "t")).or_insert_with(|| Tensor::scalar(0.0));
-            let t = t_slot.scalar_value() + 1.0;
-            *t_slot = Tensor::scalar(t);
-            let m = st
-                .slots
-                .entry((id, "m"))
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            for (mv, g) in m.data_mut().iter_mut().zip(grad.data()) {
-                *mv = beta1 * *mv + (1.0 - beta1) * g;
-            }
-            let m = m.clone();
-            let v2 = st
-                .slots
-                .entry((id, "v"))
-                .or_insert_with(|| Tensor::zeros(grad.shape().clone()));
-            for (vv, g) in v2.data_mut().iter_mut().zip(grad.data()) {
-                *vv = beta2 * *vv + (1.0 - beta2) * g * g;
-            }
-            let bc1 = 1.0 - beta1.powf(t);
-            let bc2 = 1.0 - beta2.powf(t);
-            let var = st.variables.get_mut(&var_id).expect("checked above");
-            for ((v, mv), vv) in var.data_mut().iter_mut().zip(m.data()).zip(v2.data()) {
-                let m_hat = mv / bc1;
-                let v_hat = vv / bc2;
-                *v -= lr * m_hat / (v_hat.sqrt() + epsilon);
-            }
-            var.clone()
+            out
         }
         OpKind::Group => Tensor::scalar(0.0),
 
@@ -355,6 +280,7 @@ mod tests {
     use super::*;
     use crate::device::Device;
     use crate::exec::Session;
+    use crate::optim::Optimizer;
     use fathom_tensor::Shape;
 
     #[test]
@@ -362,7 +288,7 @@ mod tests {
         let mut g = Graph::new();
         let v = g.variable("v", Tensor::from(vec![1.0, 1.0]));
         let grad = g.constant(Tensor::from(vec![0.5, -0.5]));
-        let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.1 }, &[v, grad]);
+        let apply = g.add(OpKind::Apply(Optimizer::Sgd { lr: 0.1 }), &[v, grad]);
         let mut s = Session::new(g, Device::cpu(1));
         s.run(&[apply], &[]).unwrap();
         let v_now = s.variable_value(v).unwrap();
@@ -375,7 +301,7 @@ mod tests {
         let mut g = Graph::new();
         let v = g.variable("v", Tensor::from(vec![0.0]));
         let grad = g.constant(Tensor::from(vec![1.0]));
-        let apply = g.add(OpKind::ApplyMomentum { lr: 1.0, momentum: 0.5 }, &[v, grad]);
+        let apply = g.add(OpKind::Apply(Optimizer::Momentum { lr: 1.0, momentum: 0.5 }), &[v, grad]);
         let mut s = Session::new(g, Device::cpu(1));
         s.run(&[apply], &[]).unwrap(); // velocity 1.0, v = -1.0
         s.run(&[apply], &[]).unwrap(); // velocity 1.5, v = -2.5
@@ -390,7 +316,7 @@ mod tests {
         let v = g.variable("v", Tensor::from(vec![5.0]));
         let grad = g.constant(Tensor::from(vec![2.0]));
         let apply = g.add(
-            OpKind::ApplyRmsProp { lr: 0.1, decay: 0.9, momentum: 0.0, epsilon: 1e-8 },
+            OpKind::Apply(Optimizer::RmsProp { lr: 0.1, decay: 0.9, momentum: 0.0, epsilon: 1e-8 }),
             &[v, grad],
         );
         let mut s = Session::new(g, Device::cpu(1));
@@ -412,10 +338,7 @@ mod tests {
         let diff = g.sub(v, target);
         let two = g.constant(Tensor::scalar(2.0));
         let grad = g.mul(diff, two);
-        let apply = g.add(
-            OpKind::ApplyAdam { lr: 0.1, beta1: 0.9, beta2: 0.999, epsilon: 1e-8 },
-            &[v, grad],
-        );
+        let apply = g.add(OpKind::Apply(Optimizer::adam(0.1)), &[v, grad]);
         let mut s = Session::new(g, Device::cpu(1));
         for _ in 0..200 {
             s.run(&[apply], &[]).unwrap();

@@ -28,7 +28,7 @@
 //!   [`Runtime`](fathom_tensor::Runtime) — the *same* pool that executes
 //!   intra-op kernel chunks, so there is no static split between
 //!   inter-op and intra-op workers. Stateful ops (`Variable` reads,
-//!   `Apply*` writes, RNG sampling) are chained in plan order and run
+//!   `Apply` writes, RNG sampling) are chained in plan order and run
 //!   only on the coordinating thread, so results are bitwise identical
 //!   to the serial driver regardless of worker timing.
 //!
@@ -79,7 +79,7 @@ pub enum ExecError {
     },
     /// A fetch or feed id does not belong to the session's graph.
     UnknownNode(NodeId),
-    /// An `Apply*` op's first input is not a `Variable` node.
+    /// An `Apply` op's first input is not a `Variable` node.
     NotAVariable(NodeId),
     /// A label tensor contained an invalid entry.
     BadLabels(String),

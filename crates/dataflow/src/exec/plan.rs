@@ -250,7 +250,7 @@ mod tests {
         let b = g.add_op(a, noise);
         let loss = g.mean_all(b);
         let grads = crate::grad::gradients(&mut g, loss, &[v]);
-        let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.05 }, &[v, grads[0]]);
+        let apply = g.add(OpKind::Apply(crate::optim::Optimizer::sgd(0.05)), &[v, grads[0]]);
         (Session::with_seed(g, device, 7), [loss, apply, x], Tensor::filled([16, 16], 0.25))
     }
 

@@ -484,7 +484,7 @@ mod tests {
             let d = g.add_op(c, noise);
             let loss = g.mean_all(d);
             let grads = crate::grad::gradients(&mut g, loss, &[v]);
-            let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.05 }, &[v, grads[0]]);
+            let apply = g.add(OpKind::Apply(crate::optim::Optimizer::sgd(0.05)), &[v, grads[0]]);
             (g, x, v, loss, apply)
         }
         let feed = Tensor::filled([16, 16], 0.25);

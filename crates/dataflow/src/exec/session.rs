@@ -64,7 +64,7 @@ impl Guardrail {
 /// and the random stream. Split out of [`Session`] so the step drivers can
 /// borrow it independently of the graph and pools.
 ///
-/// The undo journal makes a failed run recoverable: before an `Apply*`
+/// The undo journal makes a failed run recoverable: before an `Apply`
 /// op first mutates a variable or optimizer slot within a run, the prior
 /// value is recorded; if the run errors (or an op panics), [`Session::run`]
 /// replays the journal so the session lands back in exactly the state it
@@ -385,14 +385,16 @@ impl Session {
     }
 
     /// Restores one optimizer slot captured by
-    /// [`Session::optimizer_slots`]. The name must be one the executors
-    /// use (`"momentum"`, `"ms"`, `"mom"`, `"t"`, `"m"`, `"v"`); the keys
-    /// are interned so lookups during execution stay allocation-free.
+    /// [`Session::optimizer_slots`]. The node must be an
+    /// [`OpKind::Apply`] whose optimizer owns a slot of that name, and the
+    /// value must have that slot's shape; the key is the table's own
+    /// `&'static str`, so lookups during execution stay allocation-free.
     ///
     /// # Errors
     ///
     /// Returns a description of the problem when the node is out of range
-    /// or the slot name is unknown.
+    /// or not an `Apply`, its optimizer has no slot of that name, or the
+    /// value's shape differs from the slot's.
     pub fn restore_optimizer_slot(
         &mut self,
         id: NodeId,
@@ -402,20 +404,25 @@ impl Session {
         if id.index() >= self.graph.len() {
             return Err(format!("slot node {id} does not belong to this graph"));
         }
-        let interned: &'static str = match name {
-            "momentum" => "momentum",
-            "ms" => "ms",
-            "mom" => "mom",
-            "t" => "t",
-            "m" => "m",
-            "v" => "v",
-            other => return Err(format!("unknown optimizer slot name {other:?}")),
+        let node = self.graph.node(id);
+        let OpKind::Apply(opt) = &node.kind else {
+            return Err(format!("slot node {id} is a {}, not an optimizer update", node.kind));
         };
-        self.state.slots.insert((id, interned), value);
+        let slot = opt.slots().iter().find(|slot| slot.name == name).ok_or_else(|| {
+            format!("{} node {id} has no optimizer slot {name:?}", opt.name())
+        })?;
+        let expected = slot.shape(&node.shape);
+        if value.shape() != &expected {
+            return Err(format!(
+                "slot {name:?} of node {id} is {expected}, checkpoint holds {}",
+                value.shape()
+            ));
+        }
+        self.state.slots.insert((id, slot.name), value);
         Ok(())
     }
 
-    /// Scales the learning rate of every `Apply*` node by `factor` (the
+    /// Scales the learning rate of every `Apply` node by `factor` (the
     /// guardrail's LR-backoff lever) and drops the cached plans, whose
     /// fused programs may bake in optimizer hyperparameters. Returns the
     /// number of nodes rescaled.
@@ -473,7 +480,7 @@ impl Session {
     /// # Errors
     ///
     /// Returns an error for unknown ids, missing or mis-shaped feeds,
-    /// malformed labels, or `Apply*` ops whose target is not a variable.
+    /// malformed labels, or `Apply` ops whose target is not a variable.
     ///
     /// Feed and fetch validation (`UnknownNode`, `FeedShape`,
     /// `MissingFeed`) happens before any op executes and never mutates
@@ -485,7 +492,7 @@ impl Session {
     /// as it was when the failed `run` began. A failed step is therefore
     /// a no-op — retry it, skip it, or checkpoint afterwards; the session
     /// is never tainted. This holds for both step drivers: on the pool,
-    /// `Apply*` updates that committed before the abort was observed are
+    /// `Apply` updates that committed before the abort was observed are
     /// undone by the same journal. A failed step also leaves nothing in
     /// the trace.
     pub fn run(&mut self, fetches: &[NodeId], feeds: &[(NodeId, Tensor)]) -> Result<Vec<Tensor>, ExecError> {
@@ -521,7 +528,7 @@ impl Session {
             }
         }
         // Recovery point: the RNG snapshot plus the state journal filled
-        // by `Apply*` ops lets a failed run (typed error *or* op panic)
+        // by `Apply` ops lets a failed run (typed error *or* op panic)
         // be undone completely before it surfaces to the caller.
         let rng_snapshot = self.state.rng.clone();
         // The arena is live for the whole run — including commit and
@@ -695,6 +702,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::device::Device;
+    use crate::optim::Optimizer;
     use fathom_tensor::Shape;
 
     #[test]
@@ -743,7 +751,7 @@ mod tests {
         let v = g.variable("v", Tensor::from(vec![1.0, 1.0]));
         let grad = g.placeholder("grad", Shape::vector(2));
         let loss = g.sum_all(v);
-        let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.1 }, &[v, grad]);
+        let apply = g.add(OpKind::Apply(Optimizer::sgd(0.1)), &[v, grad]);
         (Session::new(g, Device::cpu(1)), v, loss, apply)
     }
 
@@ -787,7 +795,7 @@ mod tests {
         let sample = g.random_normal(Shape::vector(4));
         let v = g.variable("v", Tensor::from(vec![1.0]));
         let grad = g.placeholder("grad", Shape::vector(1));
-        let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.1 }, &[v, grad]);
+        let apply = g.add(OpKind::Apply(Optimizer::sgd(0.1)), &[v, grad]);
         let mut s = Session::new(g, Device::cpu(1));
         s.set_guardrail(Some(Guardrail::finite()));
         let rng_before = s.rng_state();
@@ -822,7 +830,7 @@ mod tests {
         let mut g = Graph::new();
         let v = g.variable("v", Tensor::from(vec![0.0]));
         let grad = g.constant(Tensor::from(vec![1.0]));
-        let apply = g.add(OpKind::ApplyAdam { lr: 0.1, beta1: 0.9, beta2: 0.999, epsilon: 1e-8 }, &[v, grad]);
+        let apply = g.add(OpKind::Apply(Optimizer::adam(0.1)), &[v, grad]);
         let mut s = Session::new(g, Device::cpu(1));
         s.run(&[apply], &[]).unwrap();
         s.run(&[apply], &[]).unwrap();
@@ -843,7 +851,29 @@ mod tests {
             fresh.variable_value(v).unwrap().data(),
             "restored slots must continue the trajectory bitwise"
         );
-        assert!(fresh.restore_optimizer_slot(v, "bogus", Tensor::scalar(0.0)).is_err());
+        // Rejected, leaving the restored slots as they were: a name no
+        // optimizer uses, a slot on a node that is not an update, another
+        // optimizer's slot, a slot of the wrong shape, a foreign node.
+        let restored: Vec<(NodeId, &'static str, Tensor)> =
+            fresh.optimizer_slots().into_iter().map(|(id, n, t)| (id, n, t.clone())).collect();
+        let rejected = [
+            (apply, "bogus", Tensor::scalar(0.0)),
+            (v, "m", Tensor::zeros([1])),
+            (apply, "momentum", Tensor::zeros([1])),
+            (apply, "m", Tensor::zeros([2])),
+            (apply, "t", Tensor::zeros([1])),
+            (NodeId(u32::MAX), "m", Tensor::zeros([1])),
+        ];
+        for (id, name, value) in rejected {
+            let shape = value.shape().clone();
+            assert!(
+                fresh.restore_optimizer_slot(id, name, value).is_err(),
+                "slot {name:?} shaped {shape} on node {id} must be rejected"
+            );
+        }
+        let after: Vec<(NodeId, &'static str, Tensor)> =
+            fresh.optimizer_slots().into_iter().map(|(id, n, t)| (id, n, t.clone())).collect();
+        assert_eq!(after, restored);
     }
 
     #[test]

@@ -14,77 +14,83 @@ use crate::device::Device;
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
+use crate::optim::Optimizer;
 
-/// A graph whose plan runs an SGD update *before* a CTC loss that can
+/// A graph whose plan runs an `opt` update *before* a CTC loss that can
 /// be made to fail via bad labels: the classic "state committed, then
 /// the step died" shape. Returns (graph, label placeholder, logits
 /// placeholder, variable, apply node, loss node).
-fn apply_then_failable_loss() -> (Graph, NodeId, NodeId, NodeId, NodeId, NodeId) {
+fn apply_then_failable_loss(opt: Optimizer) -> (Graph, NodeId, NodeId, NodeId, NodeId, NodeId) {
     let mut g = Graph::new();
     let v = g.variable("v", Tensor::from(vec![1.0, 2.0]));
     let grad = g.random_normal([2]);
-    let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.1 }, &[v, grad]);
+    let apply = g.add(OpKind::Apply(opt), &[v, grad]);
     let logits = g.placeholder("logits", Shape::new(vec![4, 1, 3]));
     let labels = g.placeholder("labels", Shape::matrix(1, 2));
     let loss = g.ctc_loss(logits, labels, 0);
     (g, labels, logits, v, apply, loss)
 }
 
-fn rollback_after_mid_run_error(device: Device) {
-    let (g, labels, logits, v, apply, loss) = apply_then_failable_loss();
+/// The four optimizers, one of each class-F table row.
+fn every_optimizer() -> [Optimizer; 4] {
+    [Optimizer::sgd(0.1), Optimizer::momentum(0.1), Optimizer::rms_prop(0.1), Optimizer::adam(0.1)]
+}
+
+/// A session's variable `v` and its every optimizer slot, by value.
+fn state_of(s: &Session, v: NodeId) -> (Tensor, Vec<(NodeId, &'static str, Tensor)>) {
+    let slots = s.optimizer_slots().into_iter().map(|(id, n, t)| (id, n, t.clone())).collect();
+    (s.variable_value(v).unwrap().clone(), slots)
+}
+
+fn rollback_after_mid_run_error(device: Device, opt: Optimizer) {
+    let (g, labels, logits, v, apply, loss) = apply_then_failable_loss(opt);
     let mut s = Session::with_seed(g, device, 42);
-    let before = s.variable_value(v).unwrap().clone();
+    let feeds = |fed: Vec<f32>| {
+        [(logits, Tensor::zeros([4, 1, 3])), (labels, Tensor::from_vec(fed, [1, 2]))]
+    };
     // Label 0 collides with the blank symbol: the run fails after the
-    // apply op already committed its variable update in plan order.
-    let err = s
-        .run(
-            &[apply, loss],
-            &[
-                (logits, Tensor::zeros([4, 1, 3])),
-                (labels, Tensor::from_vec(vec![0.0, 1.0], [1, 2])),
-            ],
-        )
-        .unwrap_err();
-    assert!(matches!(err, ExecError::BadLabels(_)));
+    // apply op already committed its update in plan order. The first
+    // failure is on step 0, before any slot exists (rollback must remove
+    // the slots the update created); the second is on step 1, after a
+    // good step (rollback must restore them).
+    for step in 0..2 {
+        let before = state_of(&s, v);
+        assert_eq!(before.1.len(), step * opt.slots().len(), "{opt:?} slots before step {step}");
+        let err = s.run(&[apply, loss], &feeds(vec![0.0, 1.0])).unwrap_err();
+        assert!(matches!(err, ExecError::BadLabels(_)));
+        assert_eq!(
+            state_of(&s, v),
+            before,
+            "{opt:?}: a failed step {step} must roll the variable and slots back"
+        );
+        // The RNG must be rewound too: the post-failure run draws the
+        // same gradient a never-failed session would.
+        s.run(&[apply, loss], &feeds(vec![1.0, 2.0])).expect("session recovered");
+    }
+    // A never-failed twin: the same builder, so the same node ids.
+    let mut fresh = Session::with_seed(apply_then_failable_loss(opt).0, Device::cpu(1), 42);
+    for _ in 0..2 {
+        fresh.run(&[apply, loss], &feeds(vec![1.0, 2.0])).expect("runs");
+    }
     assert_eq!(
-        s.variable_value(v).unwrap(),
-        &before,
-        "failed run must roll the committed SGD update back"
-    );
-    // The RNG must be rewound too: the post-failure run draws the
-    // same gradient a never-failed session would.
-    let good = [
-        (logits, Tensor::zeros([4, 1, 3])),
-        (labels, Tensor::from_vec(vec![1.0, 2.0], [1, 2])),
-    ];
-    s.run(&[apply, loss], &good).expect("session recovered");
-    let recovered = s.variable_value(v).unwrap().clone();
-    let (g2, labels2, logits2, v2, apply2, loss2) = apply_then_failable_loss();
-    let mut fresh = Session::with_seed(g2, Device::cpu(1), 42);
-    fresh
-        .run(
-            &[apply2, loss2],
-            &[
-                (logits2, Tensor::zeros([4, 1, 3])),
-                (labels2, Tensor::from_vec(vec![1.0, 2.0], [1, 2])),
-            ],
-        )
-        .expect("runs");
-    assert_eq!(
-        recovered,
-        fresh.variable_value(v2).unwrap().clone(),
-        "a rolled-back failure must leave no trace on later steps"
+        state_of(&s, v),
+        state_of(&fresh, v),
+        "{opt:?}: rolled-back failures must leave no trace on later steps"
     );
 }
 
 #[test]
 fn serial_executor_rolls_back_failed_runs() {
-    rollback_after_mid_run_error(Device::cpu(1));
+    for opt in every_optimizer() {
+        rollback_after_mid_run_error(Device::cpu(1), opt);
+    }
 }
 
 #[test]
 fn parallel_executor_rolls_back_failed_runs() {
-    rollback_after_mid_run_error(Device::cpu_inter_op(1, 4));
+    for opt in every_optimizer() {
+        rollback_after_mid_run_error(Device::cpu_inter_op(1, 4), opt);
+    }
 }
 
 #[test]
@@ -92,7 +98,7 @@ fn injected_op_panic_rolls_back_and_session_stays_usable() {
     let mut g = Graph::new();
     let v = g.variable("v", Tensor::from(vec![1.0, 1.0]));
     let grad = g.constant(Tensor::from(vec![0.5, -0.5]));
-    let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.1 }, &[v, grad]);
+    let apply = g.add(OpKind::Apply(Optimizer::sgd(0.1)), &[v, grad]);
     let mut s = Session::new(g, Device::cpu(1));
     // Fire after the apply committed (plan: variable, constant, apply).
     s.set_fault_plan(Some(Arc::new(
@@ -149,7 +155,7 @@ fn event_keys(trace: &crate::trace::RunTrace) -> Vec<(NodeId, &'static str, crat
 fn failed_steps_leave_no_op_events_on_either_driver() {
     let mut traces = Vec::new();
     for device in [Device::cpu(1), Device::cpu_inter_op(1, 4)] {
-        let (g, labels, logits, _v, apply, loss) = apply_then_failable_loss();
+        let (g, labels, logits, _v, apply, loss) = apply_then_failable_loss(Optimizer::sgd(0.1));
         let mut s = Session::with_seed(g, device, 42);
         s.enable_tracing();
         let feeds = |fed: Vec<f32>| {
@@ -227,7 +233,7 @@ fn molded_full_width_and_single_thread_training_agree_bitwise() {
         let c = g.add_op(a, b);
         let loss = g.mean_all(c);
         let grads = crate::grad::gradients(&mut g, loss, &[v]);
-        let apply = g.add(OpKind::ApplyGradientDescent { lr: 0.05 }, &[v, grads[0]]);
+        let apply = g.add(OpKind::Apply(Optimizer::sgd(0.05)), &[v, grads[0]]);
         let mut s = Session::with_seed(g, device, 7);
         let feed = Tensor::filled([16, 16], 0.25);
         let mut last = Tensor::scalar(0.0);

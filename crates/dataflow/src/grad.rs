@@ -22,7 +22,7 @@ use crate::op::OpKind;
 ///
 /// Panics if `loss` is not a scalar, or if the loss's ancestry contains an
 /// operation without a registered gradient (second-order gradients and
-/// the stateful `Apply*` ops).
+/// the stateful `Apply` op).
 pub fn gradients(g: &mut Graph, loss: NodeId, wrt: &[NodeId]) -> Vec<NodeId> {
     assert!(
         g.shape(loss).is_scalar(),
@@ -409,8 +409,7 @@ fn backward(
         ReluGrad | TanhGrad | SigmoidGrad | SoftmaxGrad
         | SoftmaxCrossEntropyGrad | CtcLossGrad { .. } | Conv2DBackpropInput { .. }
         | Conv2DBackpropFilter { .. } | MaxPoolGrad(_) | AvgPoolGrad { .. }
-        | ScatterAddRows { .. } | ApplyGradientDescent { .. } | ApplyMomentum { .. }
-        | ApplyRmsProp { .. } | ApplyAdam { .. } | Group | Fused(_) | GemmFused { .. } => {
+        | ScatterAddRows { .. } | Apply(_) | Group | Fused(_) | GemmFused { .. } => {
             panic!("no gradient registered for {kind}")
         }
     }

@@ -135,7 +135,7 @@ impl Graph {
             .collect()
     }
 
-    /// Scales the learning rate of every optimizer `Apply*` node by
+    /// Scales the learning rate of every optimizer `Apply` node by
     /// `factor`, returning how many nodes were rescaled. This is the
     /// guardrail's backoff lever: after a divergence the training loop
     /// can shrink the step size and replay the batch without rebuilding
@@ -144,15 +144,10 @@ impl Graph {
     pub fn scale_apply_lrs(&mut self, factor: f32) -> usize {
         let mut scaled = 0;
         for node in &mut self.nodes {
-            let lr = match &mut node.kind {
-                OpKind::ApplyGradientDescent { lr }
-                | OpKind::ApplyMomentum { lr, .. }
-                | OpKind::ApplyRmsProp { lr, .. }
-                | OpKind::ApplyAdam { lr, .. } => lr,
-                _ => continue,
-            };
-            *lr *= factor;
-            scaled += 1;
+            if let OpKind::Apply(opt) = &mut node.kind {
+                opt.scale_lr(factor);
+                scaled += 1;
+            }
         }
         scaled
     }

@@ -9,8 +9,9 @@
 //!   TensorFlow-style names and the paper's A-G [`OpClass`] taxonomy;
 //! * [`grad::gradients`]: symbolic reverse-mode autodiff that extends the
 //!   graph with first-class backward operations;
-//! * [`Optimizer`]: training-step construction through stateful `Apply*`
-//!   operations;
+//! * [`Optimizer`]: the class-F table — training-step construction
+//!   through the one stateful [`OpKind::Apply`] operation, and each
+//!   optimizer's update rule, state slots and flop weight;
 //! * [`Session`]: topological execution with feeds/fetches, per-op
 //!   [`trace::TraceEvent`] capture, and pluggable [`Device`]s (real CPU
 //!   pools, modeled GPU);

@@ -15,6 +15,7 @@ use fathom_tensor::kernels::pool2d::Pool2dSpec;
 use fathom_tensor::{Shape, Tensor};
 
 use crate::graph::GraphError;
+use crate::optim::Optimizer;
 
 /// The GEMM-backed root of a [`OpKind::GemmFused`] node: the operation
 /// whose packed-engine writeback carries the epilogue.
@@ -100,6 +101,12 @@ impl fmt::Display for OpClass {
 /// Attribute-carrying variants hold their static configuration (stride,
 /// axis, …); the tensors themselves always flow along graph edges, except
 /// for `Constant` and the initial value of `Variable`.
+///
+/// Two classes are tables rather than lists of variants. Each class-C
+/// kind maps to one [`FusedOp`] row ([`OpKind::class_c`]), which holds its
+/// name, flop weight and formula. Class F is one variant,
+/// [`OpKind::Apply`], whose [`Optimizer`] holds the update's name, state
+/// slots, flop weight, learning rate and rule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     // ---- graph inputs and state ----
@@ -108,8 +115,8 @@ pub enum OpKind {
         /// Static shape of the fed value.
         shape: Shape,
     },
-    /// Mutable model state, initialized from `init` and updated by the
-    /// `Apply*` optimizer operations.
+    /// Mutable model state, initialized from `init` and updated by
+    /// [`OpKind::Apply`].
     Variable {
         /// Initial value installed when a session is created.
         init: Tensor,
@@ -306,40 +313,10 @@ pub enum OpKind {
     },
 
     // ---- class F: optimization ----
-    /// In-place SGD update; inputs are `(variable, grad)`.
-    ApplyGradientDescent {
-        /// Learning rate.
-        lr: f32,
-    },
-    /// In-place momentum update; inputs are `(variable, grad)`.
-    ApplyMomentum {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum coefficient.
-        momentum: f32,
-    },
-    /// In-place RMSProp update; inputs are `(variable, grad)`.
-    ApplyRmsProp {
-        /// Learning rate.
-        lr: f32,
-        /// Moving-average decay of the squared gradient.
-        decay: f32,
-        /// Momentum coefficient.
-        momentum: f32,
-        /// Numerical-stability constant.
-        epsilon: f32,
-    },
-    /// In-place Adam update; inputs are `(variable, grad)`.
-    ApplyAdam {
-        /// Learning rate.
-        lr: f32,
-        /// First-moment decay.
-        beta1: f32,
-        /// Second-moment decay.
-        beta2: f32,
-        /// Numerical-stability constant.
-        epsilon: f32,
-    },
+    /// One optimizer update of a variable, in place; inputs are
+    /// `(variable, grad)`. The [`Optimizer`] names the op in profiles
+    /// and holds its slots, flop weight and update rule.
+    Apply(Optimizer),
     /// Executes its inputs for their side effects and yields a scalar 0;
     /// used as the train-step handle.
     Group,
@@ -451,10 +428,7 @@ impl OpKind {
             OpKind::StandardRandomNormal { .. } => "StandardRandomNormal",
             OpKind::RandomUniform { .. } => "RandomUniform",
             OpKind::DropoutMask { .. } => "DropoutMask",
-            OpKind::ApplyGradientDescent { .. } => "ApplyGradientDescent",
-            OpKind::ApplyMomentum { .. } => "ApplyMomentum",
-            OpKind::ApplyRmsProp { .. } => "ApplyRMSProp",
-            OpKind::ApplyAdam { .. } => "ApplyAdam",
+            OpKind::Apply(opt) => opt.name(),
             OpKind::Group => "NoOp",
             OpKind::Reshape(_) => "Reshape",
             OpKind::Transpose { .. } => "Transpose",
@@ -489,8 +463,7 @@ impl OpKind {
             StandardRandomNormal { .. } | RandomUniform { .. } | DropoutMask { .. } => {
                 OpClass::RandomSampling
             }
-            ApplyGradientDescent { .. } | ApplyMomentum { .. } | ApplyRmsProp { .. }
-            | ApplyAdam { .. } | Group => OpClass::Optimization,
+            Apply(_) | Group => OpClass::Optimization,
             Placeholder { .. } | Variable { .. } | Constant(_) | Identity | Reshape(_)
             | Transpose { .. } | Concat { .. } | Slice { .. } | Gather
             | ScatterAddRows { .. } | ShapeOf | StopGradient => OpClass::DataMovement,
@@ -499,7 +472,7 @@ impl OpKind {
 
     /// Whether this op's kernel dispatches through the intra-op thread
     /// pool. Clones (`Variable`, `Placeholder`, `Reshape`), random
-    /// generation, scatter accumulation, and the sequential `Apply*`
+    /// generation, scatter accumulation, and the sequential `Apply`
     /// optimizer updates are single-threaded in this runtime (as they
     /// were in contemporary TensorFlow) — which is why the optimizer's
     /// relative cost grows with thread count in Figure 6a.
@@ -518,10 +491,7 @@ impl OpKind {
                 | StandardRandomNormal { .. }
                 | RandomUniform { .. }
                 | DropoutMask { .. }
-                | ApplyGradientDescent { .. }
-                | ApplyMomentum { .. }
-                | ApplyRmsProp { .. }
-                | ApplyAdam { .. }
+                | Apply(_)
                 | Group
         )
     }
@@ -531,10 +501,7 @@ impl OpKind {
     pub fn is_stateful(&self) -> bool {
         matches!(
             self,
-            OpKind::ApplyGradientDescent { .. }
-                | OpKind::ApplyMomentum { .. }
-                | OpKind::ApplyRmsProp { .. }
-                | OpKind::ApplyAdam { .. }
+            OpKind::Apply(_)
                 | OpKind::StandardRandomNormal { .. }
                 | OpKind::RandomUniform { .. }
                 | OpKind::DropoutMask { .. }
@@ -543,7 +510,7 @@ impl OpKind {
 
     /// Whether the parallel executor must run this op on the coordinator
     /// thread, ordered by the plan's serialization chain: every op that
-    /// reads or writes session state. `Apply*` writes variables and
+    /// reads or writes session state. `Apply` writes variables and
     /// optimizer slots, `Variable` reads them (a read racing a concurrent
     /// update would be non-deterministic), and the sampling ops consume
     /// the session RNG stream, whose draw order defines determinism.
@@ -832,8 +799,7 @@ impl OpKind {
                 }
                 Ok(inputs[0].clone())
             }
-            ApplyGradientDescent { .. } | ApplyMomentum { .. } | ApplyRmsProp { .. }
-            | ApplyAdam { .. } => {
+            Apply(_) => {
                 want_arity(2)?;
                 if inputs[0] != inputs[1] {
                     return fail(format!("variable {} and grad {} differ", inputs[0], inputs[1]));
@@ -949,10 +915,7 @@ mod tests {
             .name(),
             "Conv2DBackpropFilter"
         );
-        assert_eq!(
-            OpKind::ApplyRmsProp { lr: 0.1, decay: 0.9, momentum: 0.0, epsilon: 1e-8 }.name(),
-            "ApplyRMSProp"
-        );
+        assert_eq!(OpKind::Apply(Optimizer::rms_prop(0.1)).name(), "ApplyRMSProp");
     }
 
     #[test]
@@ -965,7 +928,7 @@ mod tests {
             OpKind::StandardRandomNormal { shape: Shape::vector(2), mean: 0.0, std: 1.0 }.class(),
             OpClass::RandomSampling
         );
-        assert_eq!(OpKind::ApplyGradientDescent { lr: 0.1 }.class(), OpClass::Optimization);
+        assert_eq!(OpKind::Apply(Optimizer::sgd(0.1)).class(), OpClass::Optimization);
         assert_eq!(OpKind::Transpose { perm: vec![1, 0] }.class(), OpClass::DataMovement);
     }
 
@@ -1024,7 +987,7 @@ mod tests {
 
     #[test]
     fn stateful_ops_flagged() {
-        assert!(OpKind::ApplyAdam { lr: 0.1, beta1: 0.9, beta2: 0.99, epsilon: 1e-8 }.is_stateful());
+        assert!(OpKind::Apply(Optimizer::adam(0.1)).is_stateful());
         assert!(OpKind::DropoutMask { rate: 0.5 }.is_stateful());
         assert!(!OpKind::MatMul { transpose_a: false, transpose_b: false }.is_stateful());
     }

@@ -1,10 +1,17 @@
-//! Optimizers: gradient construction plus `Apply*` update operations.
+//! Optimizers and the class-F op table.
 //!
 //! An optimizer's `minimize` extends the graph with the backward pass and
-//! one stateful `Apply*` node per variable (op class F, "Optimization"),
-//! grouped behind a single train-step handle — exactly the structure whose
-//! cost becomes visible at high thread counts in the paper's Figure 6a
-//! ("the optimizer … rises to around 7% of the execution time").
+//! one stateful [`OpKind::Apply`] node per variable (op class F,
+//! "Optimization"), grouped behind a single train-step handle — exactly the
+//! structure whose cost becomes visible at high thread counts in the paper's
+//! Figure 6a ("the optimizer … rises to around 7% of the execution time").
+//!
+//! [`Optimizer`] is the class-F table. Each optimizer's profile name, state
+//! slots, flop weight, learning-rate lever and update rule are written once,
+//! in its arm of the methods below; the op vocabulary, cost model, dispatch,
+//! session and checkpoint restore all read them from here.
+
+use fathom_tensor::{Shape, Tensor};
 
 use crate::grad::gradients;
 use crate::graph::{Graph, NodeId};
@@ -61,6 +68,34 @@ pub enum Optimizer {
     },
 }
 
+/// One optimizer-state tensor an `Apply` node keeps between steps. The
+/// session stores it under `(node, name)`, and resume checkpoints save it
+/// under the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    /// The slot's key.
+    pub(crate) name: &'static str,
+    /// A scalar (Adam's step count) rather than a tensor shaped like the
+    /// variable.
+    scalar: bool,
+}
+
+impl Slot {
+    /// The slot's shape for a variable of shape `var`.
+    pub(crate) fn shape(&self, var: &Shape) -> Shape {
+        if self.scalar {
+            Shape::scalar()
+        } else {
+            var.clone()
+        }
+    }
+
+    /// The slot's value before the first update: zeros of [`Slot::shape`].
+    pub(crate) fn init(&self, var: &Shape) -> Tensor {
+        Tensor::zeros(self.shape(var))
+    }
+}
+
 impl Optimizer {
     /// SGD with a typical default rate.
     pub fn sgd(lr: f32) -> Self {
@@ -82,18 +117,118 @@ impl Optimizer {
         Optimizer::Adam { lr, beta1: 0.9, beta2: 0.999, epsilon: 1e-8 }
     }
 
-    /// The `Apply*` op kind this optimizer emits.
-    fn apply_kind(&self) -> OpKind {
-        match *self {
-            Optimizer::Sgd { lr } => OpKind::ApplyGradientDescent { lr },
-            Optimizer::Momentum { lr, momentum } => OpKind::ApplyMomentum { lr, momentum },
-            Optimizer::RmsProp { lr, decay, momentum, epsilon } => {
-                OpKind::ApplyRmsProp { lr, decay, momentum, epsilon }
+    /// The TensorFlow name of this optimizer's `Apply` op in profiles.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Optimizer::Sgd { .. } => "ApplyGradientDescent",
+            Optimizer::Momentum { .. } => "ApplyMomentum",
+            Optimizer::RmsProp { .. } => "ApplyRMSProp",
+            Optimizer::Adam { .. } => "ApplyAdam",
+        }
+    }
+
+    /// The state slots [`Optimizer::update`] reads and writes, in the
+    /// order it takes them.
+    pub(crate) fn slots(&self) -> &'static [Slot] {
+        match self {
+            Optimizer::Sgd { .. } => &[],
+            Optimizer::Momentum { .. } => &[Slot { name: "momentum", scalar: false }],
+            Optimizer::RmsProp { .. } => {
+                &[Slot { name: "ms", scalar: false }, Slot { name: "mom", scalar: false }]
             }
-            Optimizer::Adam { lr, beta1, beta2, epsilon } => {
-                OpKind::ApplyAdam { lr, beta1, beta2, epsilon }
+            Optimizer::Adam { .. } => &[
+                Slot { name: "t", scalar: true },
+                Slot { name: "m", scalar: false },
+                Slot { name: "v", scalar: false },
+            ],
+        }
+    }
+
+    /// Flops one update spends per variable element.
+    pub(crate) fn flops_per_elem(&self) -> f64 {
+        match self {
+            Optimizer::Sgd { .. } => 2.0,
+            Optimizer::Momentum { .. } => 4.0,
+            Optimizer::RmsProp { .. } => 8.0,
+            Optimizer::Adam { .. } => 10.0,
+        }
+    }
+
+    /// Multiplies the learning rate by `factor`.
+    pub(crate) fn scale_lr(&mut self, factor: f32) {
+        match self {
+            Optimizer::Sgd { lr }
+            | Optimizer::Momentum { lr, .. }
+            | Optimizer::RmsProp { lr, .. }
+            | Optimizer::Adam { lr, .. } => *lr *= factor,
+        }
+    }
+
+    /// Updates `var` in place by `grad`, reading and writing `slots`: one
+    /// tensor per entry of [`Optimizer::slots`], in that order, each of
+    /// that entry's shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` does not hold one tensor per slot.
+    pub(crate) fn update(&self, var: &mut [f32], grad: &[f32], slots: &mut [Tensor]) {
+        match (*self, slots) {
+            (Optimizer::Sgd { lr }, []) => {
+                for (v, g) in var.iter_mut().zip(grad) {
+                    *v -= lr * g;
+                }
+            }
+            (Optimizer::Momentum { lr, momentum }, [accum]) => {
+                for (m, g) in accum.data_mut().iter_mut().zip(grad) {
+                    *m = momentum * *m + g;
+                }
+                for (v, m) in var.iter_mut().zip(accum.data()) {
+                    *v -= lr * m;
+                }
+            }
+            (Optimizer::RmsProp { lr, decay, momentum, epsilon }, [ms, mom]) => {
+                for (m, g) in ms.data_mut().iter_mut().zip(grad) {
+                    *m = decay * *m + (1.0 - decay) * g * g;
+                }
+                for ((mo, g), m) in mom.data_mut().iter_mut().zip(grad).zip(ms.data()) {
+                    *mo = momentum * *mo + lr * g / (m.sqrt() + epsilon);
+                }
+                for (v, mo) in var.iter_mut().zip(mom.data()) {
+                    *v -= mo;
+                }
+            }
+            (Optimizer::Adam { lr, beta1, beta2, epsilon }, [t_slot, m, v2]) => {
+                let t = t_slot.scalar_value() + 1.0;
+                t_slot.data_mut()[0] = t;
+                for (mv, g) in m.data_mut().iter_mut().zip(grad) {
+                    *mv = beta1 * *mv + (1.0 - beta1) * g;
+                }
+                for (vv, g) in v2.data_mut().iter_mut().zip(grad) {
+                    *vv = beta2 * *vv + (1.0 - beta2) * g * g;
+                }
+                let bc1 = 1.0 - beta1.powf(t);
+                let bc2 = 1.0 - beta2.powf(t);
+                for ((v, mv), vv) in var.iter_mut().zip(m.data()).zip(v2.data()) {
+                    let m_hat = mv / bc1;
+                    let v_hat = vv / bc2;
+                    *v -= lr * m_hat / (v_hat.sqrt() + epsilon);
+                }
+            }
+            (opt, slots) => {
+                panic!("{} takes {} slots, got {}", opt.name(), opt.slots().len(), slots.len())
             }
         }
+    }
+
+    /// One `Apply` node per `(variable, gradient)` pair, behind the
+    /// train-step `Group` node.
+    fn apply_all(&self, g: &mut Graph, variables: &[NodeId], grads: &[NodeId]) -> NodeId {
+        let applies: Vec<NodeId> = variables
+            .iter()
+            .zip(grads)
+            .map(|(&var, &grad)| g.add(OpKind::Apply(*self), &[var, grad]))
+            .collect();
+        g.add(OpKind::Group, &applies)
     }
 
     /// Builds the backward pass for `loss` w.r.t. `variables` and one
@@ -106,12 +241,7 @@ impl Optimizer {
     /// op without a gradient (see [`gradients`]).
     pub fn minimize(&self, g: &mut Graph, loss: NodeId, variables: &[NodeId]) -> NodeId {
         let grads = gradients(g, loss, variables);
-        let applies: Vec<NodeId> = variables
-            .iter()
-            .zip(&grads)
-            .map(|(&var, &grad)| g.add(self.apply_kind(), &[var, grad]))
-            .collect();
-        g.add(OpKind::Group, &applies)
+        self.apply_all(g, variables, &grads)
     }
 
     /// Like [`Optimizer::minimize`], targeting every variable in the graph.
@@ -127,7 +257,7 @@ impl Optimizer {
     /// Like [`Optimizer::minimize`], additionally emitting a scalar node
     /// with the global gradient L2 norm (built from ordinary graph ops,
     /// so it shows up in profiles). The norm nodes are pure readers of
-    /// the gradients and never feed the `Apply*` updates, so the training
+    /// the gradients and never feed the `Apply` updates, so the training
     /// trajectory is bitwise-identical to [`Optimizer::minimize`].
     ///
     /// # Panics
@@ -149,55 +279,7 @@ impl Optimizer {
             .collect();
         let total = if sq_sums.len() == 1 { sq_sums[0] } else { g.add_n(&sq_sums) };
         let grad_norm = g.sqrt(total);
-        let applies: Vec<NodeId> = variables
-            .iter()
-            .zip(&grads)
-            .map(|(&var, &grad)| g.add(self.apply_kind(), &[var, grad]))
-            .collect();
-        TrainHandles { step: g.add(OpKind::Group, &applies), grad_norm }
-    }
-
-    /// Like [`Optimizer::minimize`], but rescales all gradients so their
-    /// global L2 norm never exceeds `clip_norm` (the clipped-gradient
-    /// recipe the original seq2seq training used). The clip itself is
-    /// built from ordinary graph ops, so it shows up in profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clip_norm` is not positive, plus the
-    /// [`Optimizer::minimize`] conditions.
-    pub fn minimize_clipped(
-        &self,
-        g: &mut Graph,
-        loss: NodeId,
-        variables: &[NodeId],
-        clip_norm: f32,
-    ) -> NodeId {
-        assert!(clip_norm > 0.0, "clip_norm must be positive, got {clip_norm}");
-        let grads = gradients(g, loss, variables);
-        // global_norm = sqrt(sum_i ||g_i||^2)
-        let sq_sums: Vec<NodeId> = grads
-            .iter()
-            .map(|&d| {
-                let sq = g.square(d);
-                g.sum_all(sq)
-            })
-            .collect();
-        let total = if sq_sums.len() == 1 { sq_sums[0] } else { g.add_n(&sq_sums) };
-        let norm = g.sqrt(total);
-        let clip = g.constant(fathom_tensor::Tensor::scalar(clip_norm));
-        // scale = clip / max(norm, clip)  (== 1 when norm <= clip)
-        let denom = g.maximum(norm, clip);
-        let scale = g.div(clip, denom);
-        let applies: Vec<NodeId> = variables
-            .iter()
-            .zip(&grads)
-            .map(|(&var, &grad)| {
-                let clipped = g.mul(grad, scale);
-                g.add(self.apply_kind(), &[var, clipped])
-            })
-            .collect();
-        g.add(OpKind::Group, &applies)
+        TrainHandles { step: self.apply_all(g, variables, &grads), grad_norm }
     }
 }
 
@@ -255,87 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn clipping_bounds_the_first_step() {
-        use fathom_tensor::Tensor;
-        // loss = 50 * v^2 at v = 10: raw gradient is 1000, far above the
-        // clip of 1.0, so the first SGD step must move by exactly lr * 1.
-        let mut g = Graph::new();
-        let v = g.variable("v", Tensor::scalar(10.0));
-        let sq = g.square(v);
-        let fifty = g.constant(Tensor::scalar(50.0));
-        let scaled = g.mul(sq, fifty);
-        let loss = g.mean_all(scaled);
-        let train = Optimizer::sgd(0.5).minimize_clipped(&mut g, loss, &[v], 1.0);
-        let mut sess = Session::new(g, Device::cpu(1));
-        sess.run(&[train], &[]).unwrap();
-        let moved = 10.0 - sess.variable_value(v).unwrap().scalar_value();
-        assert!((moved - 0.5).abs() < 1e-5, "step was {moved}, expected lr*clip = 0.5");
-    }
-
-    #[test]
-    fn clipping_leaves_small_gradients_alone() {
-        use fathom_tensor::Tensor;
-        // Gradient of mean((v - 1)^2) at v = 1.1 is 0.2, well below the
-        // clip: the update must match unclipped SGD exactly.
-        let build = |clip: Option<f32>| -> f32 {
-            let mut g = Graph::new();
-            let v = g.variable("v", Tensor::scalar(1.1));
-            let t = g.constant(Tensor::scalar(1.0));
-            let d = g.sub(v, t);
-            let sq = g.square(d);
-            let loss = g.mean_all(sq);
-            let train = match clip {
-                Some(c) => Optimizer::sgd(0.1).minimize_clipped(&mut g, loss, &[v], c),
-                None => Optimizer::sgd(0.1).minimize(&mut g, loss, &[v]),
-            };
-            let mut sess = Session::new(g, Device::cpu(1));
-            sess.run(&[train], &[]).unwrap();
-            sess.variable_value(v).unwrap().scalar_value()
-        };
-        let clipped = build(Some(5.0));
-        let raw = build(None);
-        assert!((clipped - raw).abs() < 1e-7, "{clipped} vs {raw}");
-    }
-
-    #[test]
-    fn clipped_training_survives_steep_starts() {
-        use fathom_tensor::{Rng, Shape, Tensor};
-        // Exponential loss with a large initial gradient diverges with
-        // plain SGD at this rate but converges when clipped.
-        let run = |clip: Option<f32>| -> f32 {
-            let mut rng = Rng::seeded(9);
-            let mut g = Graph::new();
-            let x = g.placeholder("x", Shape::matrix(8, 4));
-            let w = g.variable("w", Tensor::randn([4, 1], 3.0, 0.5, &mut rng));
-            let y = g.matmul(x, w);
-            let e = g.exp(y);
-            let loss = g.mean_all(e);
-            let train = match clip {
-                Some(c) => Optimizer::sgd(0.5).minimize_clipped(&mut g, loss, &[w], c),
-                None => Optimizer::sgd(0.5).minimize(&mut g, loss, &[w]),
-            };
-            let mut sess = Session::new(g, Device::cpu(1));
-            let xs = Tensor::rand_uniform([8, 4], 0.5, 1.5, &mut rng);
-            let mut last = f32::INFINITY;
-            for _ in 0..60 {
-                last = sess.run(&[loss, train], &[(x, xs.clone())]).unwrap()[0].scalar_value();
-            }
-            last
-        };
-        let clipped = run(Some(1.0));
-        assert!(clipped.is_finite() && clipped < 10.0, "clipped run ended at {clipped}");
-    }
-
-    #[test]
-    #[should_panic(expected = "clip_norm must be positive")]
-    fn zero_clip_is_rejected() {
-        let mut g = Graph::new();
-        let v = g.variable("v", fathom_tensor::Tensor::scalar(0.0));
-        let loss = g.mean_all(v);
-        Optimizer::sgd(0.1).minimize_clipped(&mut g, loss, &[v], 0.0);
-    }
-
-    #[test]
     fn tracked_norm_matches_hand_computed_gradient() {
         use fathom_tensor::Tensor;
         // loss = mean((v - 1)^2) at v = [3, 1]: grad = [2, 0]/1... per-
@@ -385,14 +386,20 @@ mod tests {
         let mut g = Graph::new();
         let x = g.placeholder("x", Shape::matrix(4, 2));
         let w = g.variable("w", Tensor::zeros([2, 1]));
-        let y = g.matmul(x, w);
+        let b = g.variable("b", Tensor::zeros([1]));
+        let xw = g.matmul(x, w);
+        let y = g.add_op(xw, b);
         let loss = g.mean_all(y);
-        let train = Optimizer::rms_prop(0.01).minimize_all(&mut g, loss);
-        let apply_count = g
-            .iter()
-            .filter(|(_, n)| matches!(n.kind, OpKind::ApplyRmsProp { .. }))
-            .count();
-        assert_eq!(apply_count, 1);
+        let opt = Optimizer::rms_prop(0.01);
+        let train = opt.minimize_all(&mut g, loss);
+        let applies: Vec<_> = g.iter().filter(|(_, n)| matches!(n.kind, OpKind::Apply(_))).collect();
+        assert_eq!(applies.len(), 2, "one Apply per variable");
+        for (_, n) in &applies {
+            assert_eq!(n.kind, OpKind::Apply(opt));
+            assert_eq!(n.kind.name(), "ApplyRMSProp");
+            assert_eq!(n.kind.class(), crate::op::OpClass::Optimization);
+        }
         assert!(matches!(g.node(train).kind, OpKind::Group));
+        assert_eq!(g.node(train).inputs, applies.iter().map(|(id, _)| *id).collect::<Vec<_>>());
     }
 }

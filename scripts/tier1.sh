@@ -49,10 +49,11 @@ stage serve-bench-closed ./target/release/fathom serve-bench memnet --clients 4 
 # the benchmarks run, with 8 workers on the 2-core CI host, through the
 # test files that drive the pool hardest: every workload's serial ==
 # parallel bits, the allocation-free steady state, bf16 at 4 workers,
-# and the trainer's background snapshot writer running beside the
-# workers (kill/resume/torn-snapshot recovery, and snapshot bytes pinned
-# through deepq's replay-ring wrap, which needs release speed).
+# the trainer's background snapshot writer running beside the workers
+# (kill/resume/torn-snapshot recovery, and snapshot bytes pinned through
+# deepq's replay-ring wrap, which needs release speed), and the 16 f32
+# checkpoints pinned on both drivers.
 # A spin loop that starves the very thread it is waiting for shows up
 # here as a hung stage, not in production.
 stage runtime-oversubscribed env FATHOM_WORKERS=8 cargo test --release -q --test scheduler \
-  --test precision --test training --test snapshots
+  --test precision --test training --test snapshots --test checkpoints

@@ -291,6 +291,36 @@ fn resume_truncation_at_every_boundary_is_typed_never_a_panic() {
 }
 
 #[test]
+fn resume_checkpoints_do_not_cross_optimizers() {
+    use fathom_suite::fathom_dataflow::{Device, Graph, Optimizer, Session};
+    use fathom_suite::fathom_tensor::{Shape, Tensor};
+
+    // Two sessions over the same variables, differing only in the
+    // optimizer: their `Apply` nodes sit at the same indices, so only the
+    // slot names tell a Momentum checkpoint from an Adam one.
+    let session = |opt: Optimizer| {
+        let mut g = Graph::new();
+        let x = g.placeholder("x", Shape::matrix(4, 3));
+        let w = g.variable("w", Tensor::filled([3, 2], 0.5));
+        let y = g.matmul(x, w);
+        let loss = g.mean_all(y);
+        let train = opt.minimize_all(&mut g, loss);
+        (Session::new(g, Device::cpu(1)), train, x)
+    };
+    let (mut momentum, train, x) = session(Optimizer::momentum(0.1));
+    momentum.run(&[train], &[(x, Tensor::filled([4, 3], 1.0))]).expect("steps");
+    let cursor = TrainCursor { global_step: 1, epoch: 0, position: 1 };
+    let mut buf = Vec::new();
+    checkpoint::save_resume(&momentum, cursor, &[], &mut buf).expect("saves");
+
+    let (mut twin, _, _) = session(Optimizer::momentum(0.1));
+    checkpoint::load_resume(&mut twin, buf.as_slice()).expect("a Momentum session resumes it");
+    let (mut adam, _, _) = session(Optimizer::adam(0.1));
+    let err = checkpoint::load_resume(&mut adam, buf.as_slice()).unwrap_err();
+    assert!(matches!(err, CheckpointError::Mismatch(_)), "got {err:?}");
+}
+
+#[test]
 fn every_workload_exports_dot_and_chrome_trace() {
     for kind in [ModelKind::Autoenc, ModelKind::Memnet, ModelKind::Deepq] {
         let mut model = kind.build(&BuildConfig::training());
