@@ -1,7 +1,7 @@
 //! An Arcade-Learning-Environment-style substrate for the `deepq`
 //! workload.
 //!
-//! The paper "leverage[s] the same Atari emulation environment which
+//! The paper "leverage\[s\] the same Atari emulation environment which
 //! powered the original implementation, the Arcade Learning Environment".
 //! An Atari 2600 emulator is out of scope for this reproduction, so this
 //! crate substitutes a deterministic pixel-rendered paddle game with the

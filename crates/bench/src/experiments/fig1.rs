@@ -1,7 +1,7 @@
 //! Figure 1 — stationarity of per-operation execution time.
 //!
 //! "Sampling the execution time of operations across the life of a
-//! program shows their execution time is stationary [and] has low
+//! program shows their execution time is stationary \[and\] has low
 //! variance." We trace many steps of one workload, bucket per-op times by
 //! step, and report coefficient of variation and first/second-half drift
 //! for the heaviest ops, plus a histogram of step totals.

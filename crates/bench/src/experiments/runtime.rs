@@ -1,6 +1,6 @@
 //! Unified-runtime ablation: every workload on the single work-stealing
-//! pool (the pool step driver at the planner's molded widths, as
-//! `Device::cpu_inter_op` gives it) against a **serial leg**, the same
+//! pool (the pool step driver, every op at the device's full intra-op
+//! width, as `Device::cpu_inter_op` gives it) against a **serial leg**, the same
 //! workload on one thread with no runtime at all (`Device::cpu(1)`), so
 //! the report says whether the pool beats not having one. The serial leg
 //! is the Figure 6 baseline every thread count is scaled against.
@@ -37,9 +37,10 @@ pub struct PoolPoint {
     pub arena_bytes: u64,
     /// Deque steals observed by the work-stealing pool.
     pub steal_count: u64,
-    /// Ops planned at the device's full intra-op width.
+    /// Ops run at the device's full intra-op width: every op the pool
+    /// leg ran.
     pub wide_ops: u64,
-    /// Ops molded narrower so independent peers co-schedule.
+    /// Ops run narrower than the full width: always 0.
     pub coscheduled_ops: u64,
 }
 

@@ -304,6 +304,14 @@ impl<'a> Flags<'a> {
         self.parsed(name, "a number")
     }
 
+    /// The value following flag `name`: a count of at least 1.
+    fn count(&mut self, name: &str) -> Result<usize, ParseError> {
+        match self.int(name)? {
+            0 => Err(ParseError(format!("{name} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
     /// The model-name positional of subcommand `sub`.
     fn model(&mut self, sub: &str) -> Result<&'a str, ParseError> {
         self.next().ok_or_else(|| ParseError(format!("'{sub}' needs a model name")))
@@ -360,13 +368,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     }
                     "--scale" => run.scale = parse_scale(flags.value("--scale")?)?,
                     "--steps" => run.steps = flags.int("--steps")?,
-                    "--threads" => run.threads = flags.int("--threads")?,
-                    "--inter-ops" => {
-                        run.inter_ops = flags.int("--inter-ops")?;
-                        if run.inter_ops == 0 {
-                            return Err(ParseError("--inter-ops must be at least 1".into()));
-                        }
-                    }
+                    "--threads" => run.threads = flags.count("--threads")?,
+                    "--inter-ops" => run.inter_ops = flags.count("--inter-ops")?,
                     "--seed" => run.seed = flags.int("--seed")?,
                     "--out" => run.out = Some(flags.value("--out")?.to_string()),
                     "--load" => run.load = Some(flags.value("--load")?.to_string()),
@@ -397,7 +400,7 @@ fn parse_train(mut flags: Flags<'_>) -> Result<Command, ParseError> {
     while let Some(flag) = flags.next() {
         match flag {
             "--steps" => a.steps = flags.num("--steps")?,
-            "--threads" => a.threads = flags.num("--threads")?,
+            "--threads" => a.threads = flags.count("--threads")?,
             "--seed" => a.seed = flags.num("--seed")?,
             "--dir" => a.dir = Some(flags.value("--dir")?.to_string()),
             "--resume" => a.resume = true,
@@ -412,8 +415,8 @@ fn parse_train(mut flags: Flags<'_>) -> Result<Command, ParseError> {
             other => return Err(unknown_flag(other)),
         }
     }
-    if a.steps == 0 || a.threads == 0 {
-        return Err(ParseError("train --steps and --threads must be positive".into()));
+    if a.steps == 0 {
+        return Err(ParseError("train --steps must be positive".into()));
     }
     if a.resume && a.dir.is_none() {
         return Err(ParseError("--resume needs --dir to find snapshots in".into()));
@@ -505,8 +508,8 @@ fn parse_serve_bench(mut flags: Flags<'_>) -> Result<Command, ParseError> {
             "--deadline-ms" => a.deadline_ms = Some(scaled(&mut flags, "--deadline-ms", 1e6)?),
             "--replicas" => a.replicas = flags.num("--replicas")?,
             "--seed" => a.seed = flags.num("--seed")?,
-            "--threads" => a.threads = flags.num("--threads")?,
-            "--inter-ops" => a.inter_ops = flags.num("--inter-ops")?,
+            "--threads" => a.threads = flags.count("--threads")?,
+            "--inter-ops" => a.inter_ops = flags.count("--inter-ops")?,
             "--load" => a.load = Some(flags.value("--load")?.to_string()),
             "--out" => a.out = Some(flags.value("--out")?.to_string()),
             "--fault-plan" => a.fault_plan = Some(flags.value("--fault-plan")?.to_string()),
@@ -853,9 +856,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_inter_ops_is_rejected() {
-        let err = parse(&s(&["run", "vgg", "--inter-ops", "0"])).unwrap_err();
-        assert!(err.0.contains("--inter-ops"));
+    fn zero_threads_and_inter_ops_are_rejected_on_every_subcommand() {
+        for argv in [
+            &["run", "vgg", "--threads", "0"][..],
+            &["run", "vgg", "--inter-ops", "0"],
+            &["profile", "vgg", "--threads", "0"],
+            &["profile", "vgg", "--inter-ops", "0"],
+            &["trace", "vgg", "--out", "t.json", "--threads", "0"],
+            &["trace", "vgg", "--out", "t.json", "--inter-ops", "0"],
+            &["dot", "vgg", "--out", "g.dot", "--threads", "0"],
+            &["dot", "vgg", "--out", "g.dot", "--inter-ops", "0"],
+            &["serve-bench", "vgg", "--threads", "0"],
+            &["serve-bench", "vgg", "--inter-ops", "0"],
+            &["train", "autoenc", "--threads", "0"],
+        ] {
+            let err = parse(&s(argv)).unwrap_err();
+            let flag = argv[argv.len() - 2];
+            assert_eq!(err.0, format!("{flag} must be at least 1"), "{argv:?}");
+        }
     }
 
     #[test]

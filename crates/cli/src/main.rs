@@ -106,8 +106,7 @@ fn build(a: &RunArgs) -> Box<dyn Workload> {
 fn cmd_run(a: RunArgs) -> Result<(), FathomError> {
     let mut model = build(&a);
     if let Some(path) = &a.load {
-        let file = std::fs::File::open(path)?;
-        checkpoint::load(model.session_mut(), std::io::BufReader::new(file))?;
+        checkpoint::load_from_path(model.session_mut(), std::path::Path::new(path))?;
         println!("restored variables from {path}");
     }
     println!(

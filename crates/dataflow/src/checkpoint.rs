@@ -48,7 +48,6 @@ use fathom_tensor::{Shape, Tensor};
 
 use crate::exec::{CalibrationRanges, Session};
 use crate::graph::NodeId;
-use crate::op::OpKind;
 
 const MAGIC: &[u8; 8] = b"FATHOMCK";
 const VERSION: u32 = 3;
@@ -824,23 +823,6 @@ pub fn save_to_path(session: &Session, path: &Path) -> Result<(), CheckpointErro
     promote_atomically(&bytes, path)
 }
 
-/// Crash-consistent [`save_resume`]: same tmp + fsync + verify + rename
-/// protocol as [`save_to_path`].
-///
-/// # Errors
-///
-/// Same as [`save_to_path`].
-pub fn save_resume_to_path(
-    session: &Session,
-    cursor: TrainCursor,
-    pipeline: &[u8],
-    path: &Path,
-) -> Result<(), CheckpointError> {
-    let mut bytes = Vec::new();
-    save_resume(session, cursor, pipeline, &mut bytes)?;
-    promote_atomically(&bytes, path)
-}
-
 fn promote_atomically(bytes: &[u8], path: &Path) -> Result<(), CheckpointError> {
     let tmp = path.with_extension("tmp");
     {
@@ -892,12 +874,6 @@ pub fn load_resume_from_path(
     path: &Path,
 ) -> Result<ResumeHeader, CheckpointError> {
     load_resume(session, std::io::BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Is a variable node kind (used by tests).
-#[allow(dead_code)]
-fn is_variable(kind: &OpKind) -> bool {
-    matches!(kind, OpKind::Variable { .. })
 }
 
 #[cfg(test)]

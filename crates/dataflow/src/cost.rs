@@ -28,20 +28,6 @@ impl OpCost {
             self.flops / self.bytes
         }
     }
-
-    /// The op's work in abstract "elements" — the larger of its flop
-    /// count and the f32 elements it moves. This is the unit
-    /// [`crate::sched::chosen_width`] compares against the intra-op
-    /// pool's grain when deciding how wide to run the op.
-    pub fn work_elements(&self) -> usize {
-        let elems = (self.bytes / 4.0).max(0.0);
-        let work = self.flops.max(elems);
-        if work >= usize::MAX as f64 {
-            usize::MAX
-        } else {
-            work.max(0.0) as usize
-        }
-    }
 }
 
 /// Estimates the cost of executing `node` once, given resolved input
@@ -155,15 +141,42 @@ mod tests {
         assert_eq!(cost.bytes, 4.0 * (8.0 * 16.0 + 16.0 * 4.0 + 8.0 * 4.0));
     }
 
+    /// Forward, backprop-input and backprop-filter each count the same
+    /// `2 * out * kh*kw*ic` flops: the formula `tensor.kernels.gflops`
+    /// divides by, which must stay put for that metric to compare across
+    /// commits.
     #[test]
     fn conv_flops() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::new(vec![1, 8, 8, 3]));
-        let f = g.variable("f", Tensor::zeros([3, 3, 3, 16]));
-        let y = g.conv2d(x, f, Conv2dSpec::same(3));
-        let cost = estimate(g.node(y), &[g.shape(x), g.shape(f)]);
-        // out elems = 8*8*16 = 1024; per-output macs = 3*3*3 = 27
-        assert_eq!(cost.flops, 2.0 * 1024.0 * 27.0);
+        // (batch, h, k, ic, oc)
+        let geometries =
+            [(1, 8, 3, 3, 16), (2, 32, 3, 16, 16), (2, 16, 3, 32, 32), (2, 20, 8, 4, 16), (2, 2, 3, 128, 128)];
+        for (n, h, k, ic, oc) in geometries {
+            let mut g = Graph::new();
+            let x = g.placeholder("x", Shape::new(vec![n, h, h, ic]));
+            let f = g.variable("f", Tensor::zeros([k, k, ic, oc]));
+            let y = g.conv2d(x, f, Conv2dSpec::same(k));
+            let loss = g.sum_all(y);
+            crate::grad::gradients(&mut g, loss, &[x, f]);
+            let macs = (g.shape(y).num_elements() * k * k * ic) as f64;
+            if (n, h, k, ic, oc) == (1, 8, 3, 3, 16) {
+                // out elems = 8*8*16 = 1024; per-output macs = 3*3*3 = 27
+                assert_eq!(macs, 1024.0 * 27.0);
+            }
+            let mut seen = 0;
+            for (id, node) in g.iter() {
+                if !matches!(
+                    node.kind,
+                    OpKind::Conv2D(_) | OpKind::Conv2DBackpropInput { .. } | OpKind::Conv2DBackpropFilter { .. }
+                ) {
+                    continue;
+                }
+                seen += 1;
+                let shapes: Vec<&Shape> = node.inputs.iter().map(|&i| g.shape(i)).collect();
+                let cost = estimate(g.node(id), &shapes);
+                assert_eq!(cost.flops, 2.0 * macs, "{:?} flops for {h}x{h} {k}x{k} c{ic}->{oc}", node.kind);
+            }
+            assert_eq!(seen, 3, "forward, backprop-input and backprop-filter");
+        }
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //!
 //! Operations are "the smallest schedulable unit" (paper §V-A). A
 //! [`Session`] plans the fetched subgraph once (`plan`: topological
-//! order, per-node liveness, dependency counts and per-op widths) and
-//! then runs every step of it through **one node path under one of two
-//! step drivers**:
+//! order, per-node liveness and dependency counts) and then runs every
+//! step of it through **one node path under one of two step drivers**:
 //!
-//! * the node path (`step`): `run_node` dispatches the op at its planned
-//!   width (`dispatch::dispatch_op`), probes the armed fault plan and
-//!   takes the op's timestamp; after a step that ran to completion,
-//!   `emit` walks the per-position timestamps in plan order, applies the
-//!   [`Device`](crate::Device) time model and records one
+//! * the node path (`step`): `run_node` dispatches the op on the
+//!   session's pool (`dispatch::dispatch_op`), probes the armed fault
+//!   plan and takes the op's timestamp; after a step that ran to
+//!   completion, `emit` walks the per-position timestamps in plan order,
+//!   applies the [`Device`](crate::Device) time model and records one
 //!   [`crate::trace::TraceEvent`] per execution; `extract_fetches` hands
 //!   the fetched values out. [`Session::run`] wraps both drivers in the
 //!   same validation, rollback, guardrail and epilogue. A profile
@@ -36,13 +35,18 @@
 //! itself: the serial walk must not depend on the slot protocol it is
 //! the reference for.
 //!
-//! At plan time, on the pool driver, the cost model molds each op's
-//! intra-op width to its work and to the independent peers at its depth
-//! ([`crate::sched::chosen_width`]); everywhere else every op gets the
-//! device's full width. Both drivers honor the plan's widths, which
-//! keeps them bitwise interchangeable. Both drivers release
-//! intermediates eagerly at their last use; freed buffers flow back to
-//! the session's arena, a [`BufferPool`](fathom_tensor::BufferPool), via
+//! There is one width rule, and it is the kernel's: both drivers hand
+//! every op the device's full intra-op width, and each dispatch takes one
+//! worker per grain of its work (see [`fathom_tensor::ExecPool`]). A
+//! worker busy with a co-scheduled op costs a dispatch nothing — the
+//! caller runs the unclaimed chunks — so ops share the machine without a
+//! plan-time split. Kernels compute the same bits at every width and on
+//! whichever thread runs a chunk, which keeps the drivers bitwise
+//! interchangeable.
+//!
+//! Both drivers release intermediates eagerly at their last use; freed
+//! buffers flow back to the session's arena, a
+//! [`BufferPool`](fathom_tensor::BufferPool), via
 //! [`Tensor`](fathom_tensor::Tensor)'s drop hook. The arena learns each
 //! buffer size's high-water mark from its own misses, so once a step has
 //! repeated, steps perform zero heap allocations (the

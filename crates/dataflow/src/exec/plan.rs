@@ -1,24 +1,19 @@
 //! Planning: everything about a fetch set that is decided once and
-//! reused by every step — topological order, liveness, the dependency
-//! counts the pool driver counts down, per-op intra-op widths and static
-//! cost estimates.
+//! reused by every step — topological order, liveness and the dependency
+//! counts the pool driver counts down.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
-use fathom_tensor::ExecPool;
-
 use super::pool::Scratch;
 use crate::cost::{self, OpCost};
 use crate::graph::{Graph, NodeId};
-use crate::sched;
 
 /// A cached execution plan: topological order, per-node liveness, and the
 /// dependency structure the pool driver counts down at run time.
 ///
-/// `indegree`, `consumers`, `use_count`, `serial`, `widths` and
-/// `op_nanos` are indexed by plan position; `last_use` and `pos_of` by
-/// graph node index.
+/// `indegree`, `consumers`, `use_count`, `serial` and `op_nanos` are
+/// indexed by plan position; `last_use` and `pos_of` by graph node index.
 #[derive(Debug)]
 pub(super) struct Plan {
     pub(super) order: Vec<NodeId>,
@@ -41,21 +36,8 @@ pub(super) struct Plan {
     /// Whether the op at a position must run on the coordinating thread,
     /// in plan order (see [`crate::OpKind::needs_serial`]).
     pub(super) serial: Vec<bool>,
-    /// Intra-op width per position, decided at plan time by the cost
-    /// model ([`sched::chosen_width`]). Both step drivers dispatch each
-    /// op's kernels at exactly this width, so serial and pooled runs
-    /// stay bitwise interchangeable.
-    widths: Vec<usize>,
-    /// The session pool viewed at each width `1..=full` (index
-    /// `width - 1`), built once so dispatching an op never touches the
-    /// runtime's shared reference count.
-    width_pools: Vec<ExecPool>,
-    /// Ops whose width equals the device's full intra-op width.
-    pub(super) wide_ops: u64,
-    /// Ops molded narrower so independent peers co-schedule.
-    pub(super) cosched_ops: u64,
-    /// Static cost estimate per position, filled on first use: at plan
-    /// time when widths are molded, else by the first traced step.
+    /// Static cost estimate per position, filled by the first traced
+    /// step.
     costs: OnceLock<Vec<OpCost>>,
     /// Measured duration of each position's op in the latest traced step
     /// (f64 bits), written by `run_node` and read by the post-step
@@ -67,20 +49,24 @@ pub(super) struct Plan {
 }
 
 impl Plan {
-    /// The pool view the op at `pos` dispatches its kernels through.
-    pub(super) fn pool_for(&self, pos: usize) -> &ExecPool {
-        &self.width_pools[self.widths[pos] - 1]
-    }
-
     /// Static cost estimates, by plan position.
     pub(super) fn costs(&self, graph: &Graph) -> &[OpCost] {
-        self.costs.get_or_init(|| estimate_costs(graph, &self.order))
+        self.costs.get_or_init(|| {
+            self.order
+                .iter()
+                .map(|&id| {
+                    let node = graph.node(id);
+                    let input_shapes: Vec<_> = node.inputs.iter().map(|&i| graph.shape(i)).collect();
+                    cost::estimate(node, &input_shapes)
+                })
+                .collect()
+        })
     }
 
-    /// Plans the subgraph `fetches` needs. `pool` is the session's
-    /// intra-op pool; `pooled` says whether steps of this plan run on the
-    /// pool driver, which is what turns width molding on.
-    pub(super) fn build(graph: &Graph, fetches: &[NodeId], pool: &ExecPool, pooled: bool) -> Plan {
+    /// Plans the subgraph `fetches` needs. `pooled` says whether steps of
+    /// this plan run on the pool driver, which alone needs the scratch
+    /// tables.
+    pub(super) fn build(graph: &Graph, fetches: &[NodeId], pooled: bool) -> Plan {
         let mut needed = vec![false; graph.len()];
         let mut stack: Vec<NodeId> = fetches.to_vec();
         while let Some(id) = stack.pop() {
@@ -137,25 +123,8 @@ impl Plan {
             use_count[pos_of[f.index()]] += 1;
             last_use[f.index()] = usize::MAX;
         }
-        // Per-op widths: on the pool driver the cost model molds each op
-        // to its work and to the peers of comparable work at its depth;
-        // everywhere else every op gets the full intra-op width. Both
-        // drivers dispatch at exactly these widths, so serial and pooled
-        // runs of the same plan stay bitwise interchangeable.
-        let full = pool.threads();
-        let costs = OnceLock::new();
-        let widths = if pooled && full > 1 {
-            molded_widths(&consumers, costs.get_or_init(|| estimate_costs(graph, &order)), full)
-        } else {
-            vec![full; total]
-        };
-        let wide_ops = widths.iter().filter(|&&w| w == full).count() as u64;
         Plan {
-            widths,
-            width_pools: (1..=full).map(|w| pool.with_width(w)).collect(),
-            wide_ops,
-            cosched_ops: total as u64 - wide_ops,
-            costs,
+            costs: OnceLock::new(),
             op_nanos: (0..total).map(|_| AtomicU64::new(0)).collect(),
             scratch: if pooled { Scratch::new(graph.len(), total) } else { Scratch::new(0, 0) },
             order,
@@ -167,53 +136,6 @@ impl Plan {
             serial,
         }
     }
-}
-
-/// [`cost::estimate`] for every node of `order`.
-fn estimate_costs(graph: &Graph, order: &[NodeId]) -> Vec<OpCost> {
-    order
-        .iter()
-        .map(|&id| {
-            let node = graph.node(id);
-            let input_shapes: Vec<_> = node.inputs.iter().map(|&i| graph.shape(i)).collect();
-            cost::estimate(node, &input_shapes)
-        })
-        .collect()
-}
-
-/// The width [`sched::chosen_width`] gives each position on a machine of
-/// `full` threads.
-fn molded_widths(consumers: &[Vec<u32>], costs: &[OpCost], full: usize) -> Vec<usize> {
-    let total = consumers.len();
-    // Longest-path depth per position over dataflow plus
-    // serialization-chain edges (`consumers` holds both): positions
-    // sharing a depth cannot depend on one another, so they are the
-    // co-runnable set the width rule divides the machine between.
-    let mut level = vec![0u32; total];
-    for pos in 0..total {
-        for &c in &consumers[pos] {
-            let c = c as usize;
-            level[c] = level[c].max(level[pos] + 1);
-        }
-    }
-    let work: Vec<usize> = costs.iter().map(OpCost::work_elements).collect();
-    let mut by_level: Vec<Vec<usize>> = Vec::new();
-    for (pos, &l) in level.iter().enumerate() {
-        let l = l as usize;
-        if by_level.len() <= l {
-            by_level.resize_with(l + 1, Vec::new);
-        }
-        by_level[l].push(work[pos]);
-    }
-    for works in &mut by_level {
-        works.sort_unstable();
-    }
-    (0..total)
-        .map(|pos| {
-            let peers = sched::comparable_peers(&by_level[level[pos] as usize], work[pos]);
-            sched::chosen_width(work[pos], peers, full, sched::SPLIT_GRAIN)
-        })
-        .collect()
 }
 
 #[cfg(test)]

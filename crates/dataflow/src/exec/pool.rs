@@ -24,14 +24,13 @@ use crate::graph::NodeId;
 /// runs next *on the same thread* (chain-following: no queue round
 /// trip, and the value it reads is still in that core's cache); any
 /// further ones are queued as tasks on the [`Runtime`] — the same
-/// workers that claim intra-op kernel chunks, so an op molded wider
-/// than one thread shares its chunks with whichever workers are idle
-/// (moldable tasks; there is no static inter-op/intra-op worker
-/// split). A serial op that becomes ready is handed to the
-/// coordinating thread, which alone runs them; the serialization
-/// chain built at plan time guarantees at most one is ready at any
-/// moment, and in plan order, so variable reads/writes and RNG draws
-/// happen in exactly the order the serial walk would perform
+/// workers that claim intra-op kernel chunks, so an op split across
+/// threads shares its chunks with whichever workers are idle (there is
+/// no static inter-op/intra-op worker split). A serial op that becomes
+/// ready is handed to the coordinating thread, which alone runs them;
+/// the serialization chain built at plan time guarantees at most one is
+/// ready at any moment, and in plan order, so variable reads/writes and
+/// RNG draws happen in exactly the order the serial walk would perform
 /// them. With no serial op ready the coordinator helps the runtime.
 pub(super) fn run_pooled(
     step: &Step<'_>,
@@ -231,10 +230,10 @@ impl TaskFrame<'_> {
         }
     }
 
-    /// Executes the op at `pos` at its planned width — with exclusive
-    /// access to the session state when it is a serial op, which only
-    /// the coordinator runs — and returns the consumer to run next on
-    /// this thread, if it made one ready.
+    /// Executes the op at `pos` — with exclusive access to the session
+    /// state when it is a serial op, which only the coordinator runs —
+    /// and returns the consumer to run next on this thread, if it made
+    /// one ready.
     fn run_op(&self, pos: usize, state: Option<&mut SessionState>) -> Option<usize> {
         if self.abort.load(Ordering::Acquire) {
             return None;

@@ -249,7 +249,8 @@ impl Session {
 
     /// Switches devices (e.g. to sweep intra-op thread counts or inter-op
     /// worker counts). Variable state is preserved; cached plans are
-    /// dropped because they bake in per-op widths for the old device.
+    /// dropped because whether they carry the pool driver's scratch
+    /// tables depends on the old device.
     pub fn set_device(&mut self, device: Device) {
         self.pool = device.pool();
         (self.last_steals, self.last_parks) =
@@ -258,9 +259,8 @@ impl Session {
         self.plan_cache.clear();
     }
 
-    /// Cumulative unified-runtime counters (arena misses, steals, and
-    /// wide/co-scheduled op decisions) over this session's committed
-    /// runs.
+    /// Cumulative unified-runtime counters (arena misses, steals, parks
+    /// and the ops pooled steps ran) over this session's committed runs.
     pub fn runtime_counters(&self) -> RuntimeCounters {
         self.counters
     }
@@ -540,6 +540,7 @@ impl Session {
         let step = Step {
             graph: &self.graph,
             plan: &plan,
+            pool: &self.pool,
             feeds: &feed_map,
             fetches,
             fault: self.fault.as_deref(),
@@ -634,14 +635,13 @@ impl Session {
         self.last_steals = steals;
         let parks = parked.saturating_sub(self.last_parks);
         self.last_parks = parked;
-        let (wide_ops, coscheduled_ops) =
-            pooled_plan.map_or((0, 0), |p| (p.wide_ops, p.cosched_ops));
         let sample = RuntimeCounters {
             allocations,
             arena_bytes: self.recycler.arena_bytes(),
             steal_count,
-            wide_ops,
-            coscheduled_ops,
+            // Every op of a pooled step runs at the full intra-op width.
+            wide_ops: pooled_plan.map_or(0, |p| p.order.len() as u64),
+            coscheduled_ops: 0,
             parks,
             inline_ops,
         };
@@ -664,7 +664,7 @@ impl Session {
             return Arc::clone(plan);
         }
         let pooled = self.step_runtime().is_some();
-        let plan = Arc::new(Plan::build(&self.graph, fetches, &self.pool, pooled));
+        let plan = Arc::new(Plan::build(&self.graph, fetches, pooled));
         self.plan_cache.insert(fetches.to_vec(), Arc::clone(&plan));
         plan
     }

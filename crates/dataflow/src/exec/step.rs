@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use fathom_tensor::Tensor;
+use fathom_tensor::{ExecPool, Tensor};
 
 use super::dispatch::{dispatch_op, ExecCtx};
 use super::plan::Plan;
@@ -26,6 +26,9 @@ use crate::trace::{push_trace_events, TraceEvent};
 pub(super) struct Step<'a> {
     pub(super) graph: &'a Graph,
     pub(super) plan: &'a Plan,
+    /// The session's intra-op pool: every op dispatches its kernels at
+    /// its full width, and the pool sizes each dispatch by its work.
+    pub(super) pool: &'a ExecPool,
     pub(super) feeds: &'a HashMap<NodeId, &'a Tensor>,
     pub(super) fetches: &'a [NodeId],
     /// Armed fault schedule, probed once per executed op.
@@ -48,7 +51,7 @@ pub(super) struct StepOutput {
 }
 
 impl Step<'_> {
-    /// Executes the op at plan position `pos` at its planned width: the
+    /// Executes the op at plan position `pos` on the session's pool: the
     /// dispatch, the [`FaultSite::ExecOp`] probe and the op's timestamp.
     /// `resolve` maps an input id to its computed value; `state` is
     /// `Some` exactly for serial ops (see `dispatch_op`).
@@ -62,7 +65,7 @@ impl Step<'_> {
         let t0 = self.timed.then(Instant::now);
         let mut value = dispatch_op(
             self.graph,
-            self.plan.pool_for(pos),
+            self.pool,
             id,
             self.feeds,
             resolve,

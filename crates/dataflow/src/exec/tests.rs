@@ -1,7 +1,7 @@
 //! Driver-parity tests: what must hold on the serial walk and on the
 //! pool driver alike — rollback of failed steps, what a failed step
 //! leaves in the trace, event-for-event equal traces, and bitwise-equal
-//! training at molded and full widths.
+//! training at every thread count.
 
 #![cfg(test)]
 
@@ -219,11 +219,11 @@ fn both_drivers_record_the_same_trace_of_fused_nodes() {
     assert_eq!(traces[0], traces[1]);
 }
 
-/// Molded widths change only where kernel chunks run, never what they
-/// compute: the pool driver at molded widths, the serial walk at full
-/// width and one thread train to the same bits.
+/// Thread counts change only where kernel chunks run, never what they
+/// compute: the pool driver at two and eight workers, the serial walk at
+/// two threads and at one train to the same bits.
 #[test]
-fn molded_full_width_and_single_thread_training_agree_bitwise() {
+fn training_agrees_bitwise_across_drivers_and_thread_counts() {
     let train = |device: Device| {
         let mut g = Graph::new();
         let x = g.placeholder("x", Shape::matrix(16, 16));
@@ -241,15 +241,12 @@ fn molded_full_width_and_single_thread_training_agree_bitwise() {
             let out = s.run(&[loss, apply], &[(x, feed.clone())]).unwrap();
             last = out.into_iter().next().unwrap();
         }
-        let var = s.variable_value(v).unwrap().clone();
-        (last, var, s.runtime_counters())
+        (last, s.variable_value(v).unwrap().clone())
     };
-    let (loss_m, var_m, counters_m) = train(Device::cpu_inter_op(2, 2));
-    assert!(counters_m.coscheduled_ops > 0, "tiny co-runnable ops must be molded narrow");
-    for device in [Device::cpu(2), Device::cpu(1)] {
-        let (loss, var, counters) = train(device.clone());
-        assert_eq!(loss, loss_m, "loss bits differ on {device:?}");
-        assert_eq!(var, var_m, "variable bits differ on {device:?}");
-        assert_eq!(counters.coscheduled_ops, 0, "the serial walk reports no width decisions");
+    let (loss_p, var_p) = train(Device::cpu_inter_op(2, 2));
+    for device in [Device::cpu_inter_op(8, 8), Device::cpu(2), Device::cpu(1)] {
+        let (loss, var) = train(device.clone());
+        assert_eq!(loss, loss_p, "loss bits differ on {device:?}");
+        assert_eq!(var, var_p, "variable bits differ on {device:?}");
     }
 }

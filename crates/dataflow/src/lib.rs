@@ -63,7 +63,6 @@ mod graph;
 mod op;
 mod optim;
 pub mod optimize;
-pub mod sched;
 pub mod trace;
 
 pub use device::{CpuModel, Device, GpuModel};

@@ -70,10 +70,12 @@ pub struct RuntimeCounters {
     /// Tasks stolen across worker deques in the shared work-stealing
     /// pool.
     pub steal_count: u64,
-    /// Ops the cost model ran at the full intra-op width.
+    /// Ops the pool driver ran at the full intra-op width: every op of
+    /// every pooled step.
     pub wide_ops: u64,
-    /// Ops the cost model molded narrower so independent peers could
-    /// co-schedule.
+    /// Ops run narrower than the full intra-op width. None are: every op
+    /// dispatches at the device's width and the pool sizes each kernel by
+    /// its work, so this stays 0; reports keep the key.
     pub coscheduled_ops: u64,
     /// Times a thread of the pool — a worker with nothing to run, a
     /// waiter, a kernel barrier — spun its budget out and actually went

@@ -127,7 +127,7 @@ impl OpProfile {
     }
 
     /// Drops entries below a time-share threshold (Figure 3 "only
-    /// include[s] operations with more than 1% execution time").
+    /// include\[s\] operations with more than 1% execution time").
     pub fn filtered(&self, min_fraction: f64) -> OpProfile {
         let entries: BTreeMap<String, OpEntry> = self
             .entries

@@ -1,12 +1,12 @@
 //! Session workers: one pre-built inference graph per (workload,
 //! replica), executing coalesced request batches.
 //!
-//! A [`SessionWorker`] owns a warm [`Session`] built at the batcher's
+//! A [`SessionWorker`] owns a warm
+//! [`Session`](fathom_dataflow::Session) built at the batcher's
 //! `max_batch` extent. Each dispatch packs the requests' tensors into
 //! the graph's fixed-shape placeholders (zero-padding unused slots),
-//! runs the single fetch named by the workload's
-//! [`BatchSpec`](fathom::BatchSpec), and splits the result back into one
-//! tensor per request. The event loop talks to workers only through the
+//! runs the single fetch named by the workload's [`BatchSpec`], and
+//! splits the result back into one tensor per request. The event loop talks to workers only through the
 //! [`BatchRunner`] trait, so deterministic tests substitute fake runners
 //! with injected service times.
 

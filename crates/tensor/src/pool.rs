@@ -5,16 +5,20 @@
 //! sweep intra-op parallelism from 1 to 8 threads. [`ExecPool`] is this
 //! suite's equivalent: a *width-limited view* over the shared
 //! work-stealing [`Runtime`], whose dispatch splits an output buffer into
-//! disjoint contiguous chunks. Several views of different widths can sit
-//! on one runtime — that is how the executor runs one op wide while
-//! co-scheduling others on the same worker set.
+//! disjoint contiguous chunks. Several views can sit on one runtime —
+//! that is how a device's kernels and its ready operations share one
+//! worker set, and how serving replicas share one process's workers.
 //!
-//! Work below a per-worker grain runs serially on the calling thread,
-//! modeling the thread-dispatch avoidance of production linear algebra
-//! libraries — which is exactly the behavior that keeps skinny-tensor
-//! operations flat in the Figure 6 reproduction ("the trip count is too
-//! low for thread-level parallelism, so the underlying library avoids
-//! it").
+//! Each dispatch decides its own width: one worker per grain of work,
+//! at most one per parallel unit, at most the view's `threads`
+//! (`ExecPool::workers_for`). Work below a grain runs serially on the
+//! calling thread, modeling the thread-dispatch avoidance of production
+//! linear algebra libraries — which is exactly the behavior that keeps
+//! skinny-tensor operations flat in the Figure 6 reproduction ("the trip
+//! count is too low for thread-level parallelism, so the underlying
+//! library avoids it"). It is the only width rule: the executor hands
+//! every op the device's full intra-op width and lets this one size the
+//! kernel.
 //!
 //! Chunk boundaries depend only on the dispatch width and the work
 //! estimate — never on timing or on which thread runs a chunk — so for a
@@ -91,15 +95,6 @@ impl ExecPool {
     pub fn on_runtime(rt: &Arc<Runtime>, width: usize) -> Self {
         let threads = width.clamp(1, rt.threads());
         ExecPool { threads, grain: DEFAULT_GRAIN, rt: Some(Arc::clone(rt)) }
-    }
-
-    /// A view of this pool with a different dispatch width (clamped to
-    /// the backing runtime's thread count). Cheap: shares the runtime.
-    pub fn with_width(&self, width: usize) -> Self {
-        match &self.rt {
-            Some(rt) => ExecPool { threads: width.clamp(1, rt.threads()), grain: self.grain, rt: Some(Arc::clone(rt)) },
-            None => ExecPool { threads: 1, grain: self.grain, rt: None },
-        }
     }
 
     /// The backing runtime, when this pool dispatches at all.
@@ -282,6 +277,7 @@ impl Default for ExecPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn serial_and_parallel_agree() {
@@ -419,29 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn width_views_share_one_runtime() {
-        let pool = ExecPool::new(4).with_grain(1);
-        let narrow = pool.with_width(2);
-        assert_eq!(narrow.threads(), 2);
-        assert!(Arc::ptr_eq(pool.runtime().unwrap(), narrow.runtime().unwrap()));
-        // Width above the runtime's thread count clamps.
-        assert_eq!(pool.with_width(64).threads(), 4);
-        // A narrow view still computes correctly.
-        let mut out = vec![0.0f32; 512];
-        narrow.for_spans(&mut out, 1, 0, |i, s| s[0] = i as f32);
-        assert_eq!(out[511], 511.0);
-    }
-
-    #[test]
-    fn serial_view_of_a_runtime_does_not_dispatch() {
-        let pool = ExecPool::new(4).with_grain(1);
-        let serial = pool.with_width(1);
-        let order = std::sync::Mutex::new(Vec::new());
-        serial.for_spans(&mut vec![0.0f32; 64], 1, 0, |i, _| order.lock().unwrap().push(i));
-        assert_eq!(order.into_inner().unwrap(), (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn repeated_dispatches_are_stable() {
         // Exercise the queue/latch plumbing under churn.
         let pool = ExecPool::new(8).with_grain(1);
@@ -467,6 +440,44 @@ mod tests {
         let mut out = vec![0.0f32; 64];
         pool.for_spans(&mut out, 1, 0, |i, s| s[0] = i as f32);
         assert_eq!(out[63], 63.0);
+    }
+
+    /// A view of `threads` width and `grain` for sizing questions alone:
+    /// `workers_for` never touches the runtime, so none is spawned.
+    fn sizing_view(threads: usize, grain: usize) -> ExecPool {
+        ExecPool { threads, grain, rt: None }
+    }
+
+    proptest! {
+        /// A dispatch's width is a usable thread count, at most one per
+        /// parallel unit and at most one per grain of work.
+        #[test]
+        fn workers_for_stays_within_its_caps(
+            threads in 1usize..64,
+            work in 0usize..1_000_000_000,
+            units in 1usize..4_096,
+            grain in 1usize..100_000,
+        ) {
+            let w = sizing_view(threads, grain).workers_for(work, units);
+            prop_assert!((1..=threads).contains(&w), "{w} at {threads} threads");
+            prop_assert!(w <= units, "{w} > {units} units");
+            prop_assert!(w <= (work / grain).max(1), "{w} for {work} work");
+        }
+
+        /// A wider view never shrinks a dispatch.
+        #[test]
+        fn workers_for_never_shrinks_as_threads_grow(
+            work in 0usize..1_000_000_000,
+            units in 1usize..4_096,
+            grain in 1usize..100_000,
+        ) {
+            let mut prev = 0usize;
+            for threads in 1..=32 {
+                let w = sizing_view(threads, grain).workers_for(work, units);
+                prop_assert!(w >= prev, "shrank from {prev} to {w} at {threads} threads");
+                prev = w;
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,11 @@ stage build cargo build --workspace --release
 stage test cargo test -q
 stage unit cargo test -q --workspace --exclude fathom-suite
 stage clippy cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc warnings are errors too, so a deleted item cannot leave a
+# dangling intra-doc link behind. Links to private items stay allowed:
+# module docs name the private functions that implement them.
+stage doc env RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps --lib -q
 
 # Serving smoke: the batcher, admission control, and report must survive a
 # real open-loop run end to end.
