@@ -15,14 +15,12 @@
 //! the input is 64x64 with reduced channel counts; `Full` uses the paper's
 //! 224x224 / 96-384 channel configuration.
 
-use std::sync::Arc;
-
-use fathom_dataflow::{Optimizer, Session};
+use fathom_dataflow::Optimizer;
 use fathom_nn::{conv2d, dense, dropout, flatten, max_pool, Activation};
 use fathom_tensor::kernels::conv::Conv2dSpec;
 
-use crate::models::common::ImageClassifier;
-use crate::workload::{BuildConfig, Mode, ModelScale, StepStats, Workload, WorkloadMetadata};
+use crate::models::common::{image_classifier, ImageClassifier};
+use crate::workload::{BuildConfig, Mode, ModelScale, WorkloadMetadata};
 
 /// Dimensions per scale.
 struct Dims {
@@ -67,96 +65,47 @@ pub fn metadata() -> WorkloadMetadata {
     }
 }
 
-/// The `alexnet` workload.
-pub struct Alexnet {
-    inner: ImageClassifier,
-}
-
-impl Alexnet {
-    /// Builds the workload per the configuration.
-    pub fn build(cfg: &BuildConfig) -> Self {
-        let mut d = dims(cfg.scale);
-        d.batch = cfg.batch_or(d.batch);
-        let training = cfg.mode == Mode::Training;
-        let inner = ImageClassifier::new(
-            metadata(),
-            cfg,
-            d.batch,
-            d.side,
-            d.classes,
-            Optimizer::momentum(0.01),
-            |g, p, images| {
-                let [c1, c2, c3, c4, c5] = d.conv_channels;
-                let x = conv2d(g, p, "conv1", images, 11, c1, Conv2dSpec { stride: 4, pad: 2 }, Activation::Relu);
-                let x = max_pool(g, x, 3, 2);
-                let x = conv2d(g, p, "conv2", x, 5, c2, Conv2dSpec::same(5), Activation::Relu);
-                let x = max_pool(g, x, 3, 2);
-                let x = conv2d(g, p, "conv3", x, 3, c3, Conv2dSpec::same(3), Activation::Relu);
-                let x = conv2d(g, p, "conv4", x, 3, c4, Conv2dSpec::same(3), Activation::Relu);
-                let x = conv2d(g, p, "conv5", x, 3, c5, Conv2dSpec::same(3), Activation::Relu);
-                let x = max_pool(g, x, 3, 2);
-                let x = flatten(g, x);
-                let x = dense(g, p, "fc6", x, d.fc, Activation::Relu);
-                let x = if training { dropout(g, x, 0.5) } else { x };
-                let x = dense(g, p, "fc7", x, d.fc, Activation::Relu);
-                let x = if training { dropout(g, x, 0.5) } else { x };
-                dense(g, p, "fc8", x, d.classes, Activation::Linear)
-            },
-        );
-        Alexnet { inner }
-    }
-}
-
-impl Workload for Alexnet {
-    fn metadata(&self) -> &WorkloadMetadata {
-        self.inner.metadata()
-    }
-
-    fn mode(&self) -> Mode {
-        self.inner.mode()
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, fathom_dataflow::ExecError> {
-        self.inner.try_step()
-    }
-
-    fn session(&self) -> &Session {
-        self.inner.session()
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        self.inner.session_mut()
-    }
-
-    fn batch_spec(&self) -> Option<crate::workload::BatchSpec> {
-        self.inner.batch_spec()
-    }
-
-    fn train_probes(&self) -> Option<crate::workload::TrainProbes> {
-        self.inner.train_probes()
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        self.inner.pipeline_parts()
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        self.inner.import_pipeline(blob)
-    }
-
-    fn skip_batch(&mut self) {
-        self.inner.skip_batch()
-    }
+/// Builds the `alexnet` workload per the configuration.
+pub fn build(cfg: &BuildConfig) -> ImageClassifier {
+    let mut d = dims(cfg.scale);
+    d.batch = cfg.batch_or(d.batch);
+    let training = cfg.mode == Mode::Training;
+    image_classifier(
+        metadata(),
+        cfg,
+        d.batch,
+        d.side,
+        d.classes,
+        Optimizer::momentum(0.01),
+        |g, p, images| {
+            let [c1, c2, c3, c4, c5] = d.conv_channels;
+            let x = conv2d(g, p, "conv1", images, 11, c1, Conv2dSpec { stride: 4, pad: 2 }, Activation::Relu);
+            let x = max_pool(g, x, 3, 2);
+            let x = conv2d(g, p, "conv2", x, 5, c2, Conv2dSpec::same(5), Activation::Relu);
+            let x = max_pool(g, x, 3, 2);
+            let x = conv2d(g, p, "conv3", x, 3, c3, Conv2dSpec::same(3), Activation::Relu);
+            let x = conv2d(g, p, "conv4", x, 3, c4, Conv2dSpec::same(3), Activation::Relu);
+            let x = conv2d(g, p, "conv5", x, 3, c5, Conv2dSpec::same(3), Activation::Relu);
+            let x = max_pool(g, x, 3, 2);
+            let x = flatten(g, x);
+            let x = dense(g, p, "fc6", x, d.fc, Activation::Relu);
+            let x = if training { dropout(g, x, 0.5) } else { x };
+            let x = dense(g, p, "fc7", x, d.fc, Activation::Relu);
+            let x = if training { dropout(g, x, 0.5) } else { x };
+            dense(g, p, "fc8", x, d.classes, Activation::Linear)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use fathom_dataflow::OpKind;
 
     #[test]
     fn builds_and_steps_training() {
-        let mut m = Alexnet::build(&BuildConfig::training());
+        let mut m = build(&BuildConfig::training());
         let stats = m.step();
         let loss = stats.loss.expect("training reports loss");
         assert!(loss.is_finite() && loss > 0.0);
@@ -164,7 +113,7 @@ mod tests {
 
     #[test]
     fn inference_reports_accuracy() {
-        let mut m = Alexnet::build(&BuildConfig::inference());
+        let mut m = build(&BuildConfig::inference());
         let stats = m.step();
         let acc = stats.metric.expect("inference reports accuracy");
         assert!((0.0..=1.0).contains(&acc));
@@ -172,9 +121,9 @@ mod tests {
 
     #[test]
     fn training_graph_contains_dropout_but_inference_does_not() {
-        let train = Alexnet::build(&BuildConfig::training());
-        let infer = Alexnet::build(&BuildConfig::inference());
-        let has_dropout = |m: &Alexnet| {
+        let train = build(&BuildConfig::training());
+        let infer = build(&BuildConfig::inference());
+        let has_dropout = |m: &ImageClassifier| {
             m.session()
                 .graph()
                 .iter()
@@ -186,7 +135,7 @@ mod tests {
 
     #[test]
     fn has_five_conv_layers() {
-        let m = Alexnet::build(&BuildConfig::inference());
+        let m = build(&BuildConfig::inference());
         let convs = m
             .session()
             .graph()

@@ -7,16 +7,14 @@
 //! §IV) — the reparameterized `StandardRandomNormal` draw is on the
 //! forward path in both modes.
 
-use std::sync::Arc;
-
 use fathom_data::mnist::{DigitCorpus, PIXELS};
-use fathom_dataflow::{ExecError, NodeId, Optimizer, Session, TrainHandles};
+use fathom_dataflow::{NodeId, Optimizer};
 use fathom_nn::{dense, loss::bernoulli_nll, vae, Activation, Params};
+use fathom_tensor::Tensor;
 
-use crate::models::codec::{Dec, Enc};
+use crate::models::common::{BatchSource, Metric, Parts, Shell};
 use crate::workload::{
-    BatchSpec, BuildConfig, InputPort, Mode, ModelScale, OutputPort, PortDomain, StepStats,
-    TrainProbes, Workload, WorkloadMetadata,
+    BatchSpec, BuildConfig, InputPort, ModelScale, OutputPort, PortDomain, WorkloadMetadata,
 };
 
 struct Dims {
@@ -48,16 +46,29 @@ pub fn metadata() -> WorkloadMetadata {
 }
 
 /// The `autoenc` workload (variational autoencoder).
-pub struct Autoenc {
-    meta: WorkloadMetadata,
-    mode: Mode,
-    session: Session,
+pub type Autoenc = Shell<Digits>;
+
+/// `autoenc`'s batch source: MNIST-shaped images, labels unused.
+pub struct Digits {
     corpus: DigitCorpus,
     images: NodeId,
-    loss: NodeId,
     reconstruction: NodeId,
-    train: Option<TrainHandles>,
     batch: usize,
+}
+
+impl BatchSource for Digits {
+    fn draw(&mut self) -> Vec<(NodeId, Tensor)> {
+        let (images, _) = self.corpus.batch(self.batch);
+        vec![(self.images, images)]
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.corpus.rng_state()
+    }
+
+    fn set_rng_state(&mut self, state: [u64; 4]) {
+        self.corpus.set_rng_state(state);
+    }
 }
 
 impl Autoenc {
@@ -83,129 +94,50 @@ impl Autoenc {
         let recon = bernoulli_nll(&mut g, reconstruction, images);
         let loss = vae::elbo_loss(&mut g, recon, sample.kl, 1.0);
 
-        let train = match cfg.mode {
-            Mode::Training => {
-                Some(Optimizer::adam(1e-3).minimize_tracked(&mut g, loss, p.trainable()))
-            }
-            Mode::Inference => None,
-        };
-        let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
-        if cfg.fusion.enabled() {
-            let mut keep = vec![loss, reconstruction];
-            keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion(&keep);
-        }
-        Autoenc {
-            meta: metadata(),
-            mode: cfg.mode,
-            session,
-            corpus: DigitCorpus::new(cfg.seed ^ 0xD161),
-            images,
-            loss,
-            reconstruction,
-            train,
-            batch: d.batch,
-        }
-    }
-
-    /// Reconstructs a batch, returning `(input, reconstruction)` — used by
-    /// the examples to visualize learned structure.
-    pub fn reconstruct(&mut self) -> (fathom_tensor::Tensor, fathom_tensor::Tensor) {
-        let (images, _) = self.corpus.batch(self.batch);
-        let out = self
-            .session
-            .run(&[self.reconstruction], &[(self.images, images.clone())])
-            .expect("workload graphs are well-formed");
-        (images, out.into_iter().next().expect("one fetch"))
-    }
-}
-
-impl Workload for Autoenc {
-    fn metadata(&self) -> &WorkloadMetadata {
-        &self.meta
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, ExecError> {
-        let rng_before = self.corpus.rng_state();
-        let (images, _) = self.corpus.batch(self.batch);
-        let result = match self.mode {
-            Mode::Training => {
-                let train = self.train.expect("training graph was built");
-                self.session
-                    .run(&[self.loss, train.grad_norm, train.step], &[(self.images, images)])
-                    .map(|out| StepStats {
-                        loss: Some(out[0].scalar_value()),
-                        metric: None,
-                        grad_norm: Some(out[1].scalar_value()),
-                    })
-            }
-            Mode::Inference => {
-                self.session.run(&[self.loss], &[(self.images, images)]).map(|out| StepStats {
-                    loss: None,
-                    metric: Some(out[0].scalar_value()),
-                    grad_norm: None,
-                })
-            }
-        };
-        if result.is_err() {
-            self.corpus.set_rng_state(rng_before);
-        }
-        result
-    }
-
-    fn session(&self) -> &Session {
-        &self.session
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    fn batch_spec(&self) -> Option<BatchSpec> {
-        if self.mode != Mode::Inference {
-            return None;
-        }
         // The latent draw consumes the session RNG row-major, so row i of
         // a batched run reads the same stream values as the i-th batch-1
         // run of a same-seed session — sampling stays bitwise aligned for
         // full batches.
-        Some(BatchSpec {
-            inputs: vec![InputPort { node: self.images, batch_axis: 0, domain: PortDomain::Real }],
-            output: OutputPort { node: self.reconstruction, batch_axis: 0 },
-            capacity: self.batch,
-        })
+        let spec = BatchSpec {
+            inputs: vec![InputPort { node: images, batch_axis: 0, domain: PortDomain::Real }],
+            output: OutputPort { node: reconstruction, batch_axis: 0 },
+            capacity: d.batch,
+        };
+        let corpus = DigitCorpus::new(cfg.seed ^ 0xD161);
+        Shell::new(
+            metadata(),
+            cfg,
+            Parts {
+                graph: g,
+                params: p,
+                optimizer: Optimizer::adam(1e-3),
+                loss,
+                infer: loss,
+                metric: Metric::Value,
+                keep: vec![loss, reconstruction],
+                spec: Some(spec),
+                source: Digits { corpus, images, reconstruction, batch: d.batch },
+            },
+        )
     }
 
-    fn train_probes(&self) -> Option<TrainProbes> {
-        self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        let mut e = Enc::new(self.meta.name);
-        e.rng(self.corpus.rng_state());
-        vec![e.finish().into()]
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut d = Dec::new(self.meta.name, blob)?;
-        let state = d.rng()?;
-        d.done()?;
-        self.corpus.set_rng_state(state);
-        Ok(())
-    }
-
-    fn skip_batch(&mut self) {
-        let _ = self.corpus.batch(self.batch);
+    /// Reconstructs a batch, returning `(input, reconstruction)` — used by
+    /// the examples to visualize learned structure.
+    pub fn reconstruct(&mut self) -> (Tensor, Tensor) {
+        let src = &mut self.source;
+        let (images, _) = src.corpus.batch(src.batch);
+        let out = self
+            .session
+            .run1(src.reconstruction, &[(src.images, images.clone())])
+            .expect("workload graphs are well-formed");
+        (images, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use fathom_dataflow::OpKind;
 
     #[test]

@@ -1,4 +1,13 @@
-//! Shared harness for the three ImageNet-style classifier workloads.
+//! The workload shell: the one session builder every model calls, the
+//! one [`Workload`] implementation the seven dataset-driven models share,
+//! and the harness the three ImageNet classifiers share.
+//!
+//! A model file contributes what differs: its dimensions and metadata,
+//! its graph, a [`BatchSource`] that draws its feeds, its inference
+//! metric and its serving ports. Everything a step, a checkpoint or a
+//! guardrail retry needs beyond that is written here once: the
+//! failed-step rewind, the train probes, the one-RNG pipeline codec and
+//! `skip_batch`.
 
 use std::sync::Arc;
 
@@ -13,85 +22,126 @@ use crate::workload::{
     Workload, WorkloadMetadata,
 };
 
-/// An image classifier driven by the synthetic ImageNet stand-in: feeds a
-/// fresh minibatch per step, runs cross-entropy training or batched
-/// inference, and reports loss/accuracy.
-pub(crate) struct ImageClassifier {
-    meta: WorkloadMetadata,
-    mode: Mode,
-    session: Session,
-    corpus: ImageCorpus,
-    images: NodeId,
-    labels: NodeId,
-    logits: NodeId,
+/// Turns a finished forward graph into a workload's session: in training
+/// mode `optimizer` minimizes `loss` over the trainable `params` (with
+/// the gradient norm tracked); the session is seeded with the config's
+/// seed, runs at its precision and, when fusion is on, fuses with `keep`
+/// and the train handles left materialized.
+pub(super) fn build_session(
+    cfg: &BuildConfig,
+    mut g: Graph,
+    params: &Params,
     loss: NodeId,
-    train: Option<TrainHandles>,
-    batch: usize,
+    optimizer: Optimizer,
+    mut keep: Vec<NodeId>,
+) -> (Session, Option<TrainHandles>) {
+    let train = (cfg.mode == Mode::Training)
+        .then(|| optimizer.minimize_tracked(&mut g, loss, params.trainable()));
+    let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
+    session.set_precision(cfg.precision);
+    if cfg.fusion.enabled() {
+        keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
+        session.enable_fusion(&keep);
+    }
+    (session, train)
 }
 
-impl ImageClassifier {
-    /// Builds the harness around a model-specific logits builder.
-    ///
-    /// `build_logits` receives `(graph, params, images_node)` and must
-    /// return a `[batch, classes]` logits node.
-    pub(crate) fn new(
-        meta: WorkloadMetadata,
-        cfg: &BuildConfig,
-        batch: usize,
-        side: usize,
-        classes: usize,
-        optimizer: Optimizer,
-        build_logits: impl FnOnce(&mut Graph, &mut Params, NodeId) -> NodeId,
-    ) -> Self {
-        let mut g = Graph::new();
-        let mut p = Params::seeded(cfg.seed);
-        let images = g.placeholder("images", [batch, side, side, 3]);
-        let labels = g.placeholder("labels", [batch]);
-        let logits = build_logits(&mut g, &mut p, images);
-        assert_eq!(
-            g.shape(logits).dims(),
-            &[batch, classes],
-            "model produced wrong logits shape"
-        );
-        let loss = g.softmax_cross_entropy(logits, labels);
-        let train = match cfg.mode {
-            Mode::Training => Some(optimizer.minimize_tracked(&mut g, loss, p.trainable())),
-            Mode::Inference => None,
-        };
-        let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
-        if cfg.fusion.enabled() {
-            let mut keep = vec![loss, logits];
-            keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion(&keep);
-        }
-        let corpus = ImageCorpus::new(side, 3, classes, cfg.seed ^ 0xDA7A);
-        ImageClassifier {
+/// A dataset-driven model's data side: the feeds of each step, drawn
+/// from one seeded corpus stream.
+pub trait BatchSource {
+    /// Draws the next batch's feeds, advancing the corpus RNG.
+    fn draw(&mut self) -> Vec<(NodeId, Tensor)>;
+
+    /// The corpus RNG's state.
+    fn rng_state(&self) -> [u64; 4];
+
+    /// Rewinds (or restores) the corpus RNG.
+    fn set_rng_state(&mut self, state: [u64; 4]);
+}
+
+/// What an inference step reports as its metric.
+pub(super) enum Metric {
+    /// The inference fetch's scalar value (the model's loss).
+    Value,
+    /// The largest entry of the inference fetch.
+    Peak,
+    /// Argmax accuracy of the fetched logits against the labels fed to
+    /// this placeholder.
+    Accuracy(NodeId),
+}
+
+/// What a model hands the shell.
+pub(super) struct Parts<S> {
+    /// The forward graph, loss included.
+    pub graph: Graph,
+    /// The variables `graph` was built with.
+    pub params: Params,
+    /// The training-mode optimizer.
+    pub optimizer: Optimizer,
+    /// The scalar training loss.
+    pub loss: NodeId,
+    /// The node an inference step fetches.
+    pub infer: NodeId,
+    /// What an inference step reports from it.
+    pub metric: Metric,
+    /// Nodes fusion must keep materialized, besides the train handles.
+    pub keep: Vec<NodeId>,
+    /// The serving ports; the shell offers them in inference mode only.
+    pub spec: Option<BatchSpec>,
+    /// The model's data side.
+    pub source: S,
+}
+
+/// The standard interface around one dataset-driven model (every
+/// workload but `deepq`): a step draws a batch from the model's
+/// [`BatchSource`] and runs `[loss, grad_norm, step]` in training or the
+/// inference fetch in inference.
+pub struct Shell<S> {
+    meta: WorkloadMetadata,
+    mode: Mode,
+    pub(super) session: Session,
+    pub(super) source: S,
+    loss: NodeId,
+    train: Option<TrainHandles>,
+    infer: NodeId,
+    metric: Metric,
+    spec: Option<BatchSpec>,
+}
+
+impl<S: BatchSource> Shell<S> {
+    pub(super) fn new(meta: WorkloadMetadata, cfg: &BuildConfig, parts: Parts<S>) -> Self {
+        let Parts { graph, params, optimizer, loss, infer, metric, keep, spec, source } = parts;
+        let (session, train) = build_session(cfg, graph, &params, loss, optimizer, keep);
+        Shell {
             meta,
             mode: cfg.mode,
             session,
-            corpus,
-            images,
-            labels,
-            logits,
+            source,
             loss,
             train,
-            batch,
+            infer,
+            metric,
+            spec: spec.filter(|_| cfg.mode == Mode::Inference),
         }
     }
 
-    fn accuracy(logits: &Tensor, labels: &Tensor) -> f32 {
-        let pred = logits.argmax_last_axis();
-        let correct = pred
-            .data()
-            .iter()
-            .zip(labels.data())
-            .filter(|(a, b)| a == b)
-            .count();
-        correct as f32 / labels.len().max(1) as f32
+    /// Runs the inference fetch on `feeds` and scores it.
+    pub(super) fn infer(&mut self, feeds: &[(NodeId, Tensor)]) -> Result<f32, ExecError> {
+        let out = self.session.run1(self.infer, feeds)?;
+        Ok(match self.metric {
+            Metric::Value => out.scalar_value(),
+            Metric::Peak => out.max(),
+            Metric::Accuracy(node) => {
+                let (_, labels) = feeds.iter().find(|(id, _)| *id == node).expect("labels are fed");
+                let pred = out.argmax_last_axis();
+                let correct = pred.data().iter().zip(labels.data()).filter(|(a, b)| a == b).count();
+                correct as f32 / labels.len().max(1) as f32
+            }
+        })
     }
 }
 
-impl Workload for ImageClassifier {
+impl<S: BatchSource> Workload for Shell<S> {
     fn metadata(&self) -> &WorkloadMetadata {
         &self.meta
     }
@@ -101,36 +151,26 @@ impl Workload for ImageClassifier {
     }
 
     fn try_step(&mut self) -> Result<StepStats, ExecError> {
-        // Draw the batch from a probe of the stream, and only advance
-        // the corpus RNG after the run commits: a failed (or tripped)
-        // step must leave the pipeline exactly where it started.
-        let rng_before = self.corpus.rng_state();
-        let (images, labels) = self.corpus.batch(self.batch);
-        let result = match self.mode {
-            Mode::Training => {
-                let train = self.train.expect("training graph was built");
-                self.session
-                    .run(
-                        &[self.loss, train.grad_norm, train.step],
-                        &[(self.images, images), (self.labels, labels)],
-                    )
-                    .map(|out| StepStats {
-                        loss: Some(out[0].scalar_value()),
-                        metric: None,
-                        grad_norm: Some(out[1].scalar_value()),
-                    })
-            }
-            Mode::Inference => self
+        // Draw the batch from a probe of the stream, and rewind the
+        // corpus RNG if the run fails: a failed (or tripped) step must
+        // leave the pipeline exactly where it started.
+        let rng_before = self.source.rng_state();
+        let feeds = self.source.draw();
+        let result = match self.train {
+            Some(train) => self
                 .session
-                .run(&[self.logits], &[(self.images, images), (self.labels, labels.clone())])
+                .run(&[self.loss, train.grad_norm, train.step], &feeds)
                 .map(|out| StepStats {
-                    loss: None,
-                    metric: Some(Self::accuracy(&out[0], &labels)),
-                    grad_norm: None,
+                    loss: Some(out[0].scalar_value()),
+                    metric: None,
+                    grad_norm: Some(out[1].scalar_value()),
                 }),
+            None => self
+                .infer(&feeds)
+                .map(|metric| StepStats { loss: None, metric: Some(metric), grad_norm: None }),
         };
         if result.is_err() {
-            self.corpus.set_rng_state(rng_before);
+            self.source.set_rng_state(rng_before);
         }
         result
     }
@@ -144,14 +184,7 @@ impl Workload for ImageClassifier {
     }
 
     fn batch_spec(&self) -> Option<BatchSpec> {
-        if self.mode != Mode::Inference {
-            return None;
-        }
-        Some(BatchSpec {
-            inputs: vec![InputPort { node: self.images, batch_axis: 0, domain: PortDomain::Real }],
-            output: OutputPort { node: self.logits, batch_axis: 0 },
-            capacity: self.batch,
-        })
+        self.spec.clone()
     }
 
     fn train_probes(&self) -> Option<TrainProbes> {
@@ -160,7 +193,7 @@ impl Workload for ImageClassifier {
 
     fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
         let mut e = Enc::new(self.meta.name);
-        e.rng(self.corpus.rng_state());
+        e.rng(self.source.rng_state());
         vec![e.finish().into()]
     }
 
@@ -168,11 +201,83 @@ impl Workload for ImageClassifier {
         let mut d = Dec::new(self.meta.name, blob)?;
         let state = d.rng()?;
         d.done()?;
-        self.corpus.set_rng_state(state);
+        self.source.set_rng_state(state);
         Ok(())
     }
 
     fn skip_batch(&mut self) {
-        let _ = self.corpus.batch(self.batch);
+        let _ = self.source.draw();
     }
+}
+
+/// The three ImageNet classifiers (`alexnet`, `vgg`, `residual`): the
+/// shell over a synthetic ImageNet stand-in, reporting argmax accuracy
+/// in inference.
+pub type ImageClassifier = Shell<Images>;
+
+/// An image classifier's batch source: a fresh minibatch of images and
+/// labels per step.
+pub struct Images {
+    corpus: ImageCorpus,
+    images: NodeId,
+    labels: NodeId,
+    batch: usize,
+}
+
+impl BatchSource for Images {
+    fn draw(&mut self) -> Vec<(NodeId, Tensor)> {
+        let (images, labels) = self.corpus.batch(self.batch);
+        vec![(self.images, images), (self.labels, labels)]
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.corpus.rng_state()
+    }
+
+    fn set_rng_state(&mut self, state: [u64; 4]) {
+        self.corpus.set_rng_state(state);
+    }
+}
+
+/// Builds an image classifier around a model-specific logits builder.
+///
+/// `build_logits` receives `(graph, params, images_node)` and must
+/// return a `[batch, classes]` logits node.
+pub(super) fn image_classifier(
+    meta: WorkloadMetadata,
+    cfg: &BuildConfig,
+    batch: usize,
+    side: usize,
+    classes: usize,
+    optimizer: Optimizer,
+    build_logits: impl FnOnce(&mut Graph, &mut Params, NodeId) -> NodeId,
+) -> ImageClassifier {
+    let mut g = Graph::new();
+    let mut p = Params::seeded(cfg.seed);
+    let images = g.placeholder("images", [batch, side, side, 3]);
+    let labels = g.placeholder("labels", [batch]);
+    let logits = build_logits(&mut g, &mut p, images);
+    assert_eq!(g.shape(logits).dims(), &[batch, classes], "model produced wrong logits shape");
+    let loss = g.softmax_cross_entropy(logits, labels);
+    let spec = BatchSpec {
+        inputs: vec![InputPort { node: images, batch_axis: 0, domain: PortDomain::Real }],
+        output: OutputPort { node: logits, batch_axis: 0 },
+        capacity: batch,
+    };
+    let corpus = ImageCorpus::new(side, 3, classes, cfg.seed ^ 0xDA7A);
+    Shell::new(
+        meta,
+        cfg,
+        Parts {
+            graph: g,
+            params: p,
+            optimizer,
+            loss,
+            infer: logits,
+            metric: Metric::Accuracy(labels),
+            keep: vec![loss, logits],
+            spec: Some(spec),
+            source: Images { corpus, images, labels, batch },
+        },
+    )
 }

@@ -21,6 +21,7 @@ use fathom_tensor::kernels::conv::Conv2dSpec;
 use fathom_tensor::{Rng, Tensor};
 
 use crate::models::codec::{Dec, Enc};
+use crate::models::common::build_session;
 use crate::workload::{
     BatchSpec, BuildConfig, InputPort, Mode, ModelScale, OutputPort, PortDomain, StepStats,
     TrainProbes, Workload, WorkloadMetadata,
@@ -229,18 +230,8 @@ impl Deepq {
         let target_states = g.placeholder("next_states", [d.batch, FRAME_SIDE, FRAME_SIDE, STACK]);
         let target_next_q = target.apply(&mut g, target_states);
 
-        let train = match cfg.mode {
-            Mode::Training => {
-                Some(Optimizer::rms_prop(1e-3).minimize_tracked(&mut g, loss, p.trainable()))
-            }
-            Mode::Inference => None,
-        };
-        let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
-        if cfg.fusion.enabled() {
-            let mut keep = vec![act_q, q_values, loss, target_next_q];
-            keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion(&keep);
-        }
+        let keep = vec![act_q, q_values, loss, target_next_q];
+        let (session, train) = build_session(cfg, g, &p, loss, Optimizer::rms_prop(1e-3), keep);
         Deepq {
             meta: metadata(),
             mode: cfg.mode,

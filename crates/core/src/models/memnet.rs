@@ -9,16 +9,14 @@
 //! small, skinny tensors — is exactly the operation mix the paper's
 //! Figure 6c shows refusing to parallelize.
 
-use std::sync::Arc;
-
 use fathom_data::babi::BabiTask;
-use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
+use fathom_dataflow::{Graph, NodeId, Optimizer};
 use fathom_nn::{Init, Params};
+use fathom_tensor::Tensor;
 
-use crate::models::codec::{Dec, Enc};
+use crate::models::common::{BatchSource, Metric, Parts, Shell};
 use crate::workload::{
-    BatchSpec, BuildConfig, InputPort, Mode, ModelScale, OutputPort, PortDomain, StepStats,
-    TrainProbes, Workload, WorkloadMetadata,
+    BatchSpec, BuildConfig, InputPort, ModelScale, OutputPort, PortDomain, WorkloadMetadata,
 };
 
 struct Dims {
@@ -52,18 +50,30 @@ pub fn metadata() -> WorkloadMetadata {
 }
 
 /// The `memnet` workload (end-to-end memory network, 3 hops).
-pub struct Memnet {
-    meta: WorkloadMetadata,
-    mode: Mode,
-    session: Session,
+pub type Memnet = Shell<Stories>;
+
+/// `memnet`'s batch source: bAbI stories, questions and answers.
+pub struct Stories {
     task: BabiTask,
     stories: NodeId,
     questions: NodeId,
     answers: NodeId,
-    logits: NodeId,
-    loss: NodeId,
-    train: Option<TrainHandles>,
     batch: usize,
+}
+
+impl BatchSource for Stories {
+    fn draw(&mut self) -> Vec<(NodeId, Tensor)> {
+        let (stories, questions, answers) = self.task.batch(self.batch);
+        vec![(self.stories, stories), (self.questions, questions), (self.answers, answers)]
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.task.rng_state()
+    }
+
+    fn set_rng_state(&mut self, state: [u64; 4]) {
+        self.task.set_rng_state(state);
+    }
 }
 
 impl Memnet {
@@ -126,166 +136,43 @@ impl Memnet {
         let out_w = p.variable(&mut g, "out_w", [dim, classes], Init::Xavier);
         let logits = g.matmul(u, out_w);
         let loss = g.softmax_cross_entropy(logits, answers);
-        let train = match cfg.mode {
-            Mode::Training => {
-                Some(Optimizer::adam(5e-3).minimize_tracked(&mut g, loss, p.trainable()))
-            }
-            Mode::Inference => None,
+        let spec = BatchSpec {
+            inputs: vec![
+                InputPort { node: stories, batch_axis: 0, domain: PortDomain::Tokens { vocab } },
+                InputPort { node: questions, batch_axis: 0, domain: PortDomain::Tokens { vocab } },
+            ],
+            output: OutputPort { node: logits, batch_axis: 0 },
+            capacity: d.batch,
         };
-        let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
-        if cfg.fusion.enabled() {
-            let mut keep = vec![loss, logits];
-            keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion(&keep);
-        }
-        Memnet {
-            meta: metadata(),
-            mode: cfg.mode,
-            session,
-            task,
-            stories,
-            questions,
-            answers,
-            logits,
-            loss,
-            train,
-            batch: d.batch,
-        }
+        Shell::new(
+            metadata(),
+            cfg,
+            Parts {
+                graph: g,
+                params: p,
+                optimizer: Optimizer::adam(5e-3),
+                loss,
+                infer: logits,
+                metric: Metric::Accuracy(answers),
+                keep: vec![loss, logits],
+                spec: Some(spec),
+                source: Stories { task, stories, questions, answers, batch: d.batch },
+            },
+        )
     }
 
     /// Classification accuracy over one fresh batch (used by tests and
     /// examples).
     pub fn evaluate_accuracy(&mut self) -> f32 {
-        let (stories, questions, answers) = self.task.batch(self.batch);
-        let out = self
-            .session
-            .run(
-                &[self.logits],
-                &[(self.stories, stories), (self.questions, questions)],
-            )
-            .expect("workload graphs are well-formed");
-        let pred = out[0].argmax_last_axis();
-        let correct = pred
-            .data()
-            .iter()
-            .zip(answers.data())
-            .filter(|(a, b)| a == b)
-            .count();
-        correct as f32 / self.batch as f32
-    }
-}
-
-impl Workload for Memnet {
-    fn metadata(&self) -> &WorkloadMetadata {
-        &self.meta
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, ExecError> {
-        let rng_before = self.task.rng_state();
-        let (stories, questions, answers) = self.task.batch(self.batch);
-        let result = match self.mode {
-            Mode::Training => {
-                let train = self.train.expect("training graph was built");
-                self.session
-                    .run(
-                        &[self.loss, train.grad_norm, train.step],
-                        &[
-                            (self.stories, stories),
-                            (self.questions, questions),
-                            (self.answers, answers),
-                        ],
-                    )
-                    .map(|out| StepStats {
-                        loss: Some(out[0].scalar_value()),
-                        metric: None,
-                        grad_norm: Some(out[1].scalar_value()),
-                    })
-            }
-            Mode::Inference => self
-                .session
-                .run(
-                    &[self.logits],
-                    &[(self.stories, stories), (self.questions, questions)],
-                )
-                .map(|out| {
-                    let pred = out[0].argmax_last_axis();
-                    let acc = pred
-                        .data()
-                        .iter()
-                        .zip(answers.data())
-                        .filter(|(a, b)| a == b)
-                        .count() as f32
-                        / self.batch as f32;
-                    StepStats { loss: None, metric: Some(acc), grad_norm: None }
-                }),
-        };
-        if result.is_err() {
-            self.task.set_rng_state(rng_before);
-        }
-        result
-    }
-
-    fn session(&self) -> &Session {
-        &self.session
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    fn batch_spec(&self) -> Option<BatchSpec> {
-        if self.mode != Mode::Inference {
-            return None;
-        }
-        let vocab = self.task.vocab();
-        Some(BatchSpec {
-            inputs: vec![
-                InputPort {
-                    node: self.stories,
-                    batch_axis: 0,
-                    domain: PortDomain::Tokens { vocab },
-                },
-                InputPort {
-                    node: self.questions,
-                    batch_axis: 0,
-                    domain: PortDomain::Tokens { vocab },
-                },
-            ],
-            output: OutputPort { node: self.logits, batch_axis: 0 },
-            capacity: self.batch,
-        })
-    }
-
-    fn train_probes(&self) -> Option<TrainProbes> {
-        self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        let mut e = Enc::new(self.meta.name);
-        e.rng(self.task.rng_state());
-        vec![e.finish().into()]
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut d = Dec::new(self.meta.name, blob)?;
-        let state = d.rng()?;
-        d.done()?;
-        self.task.set_rng_state(state);
-        Ok(())
-    }
-
-    fn skip_batch(&mut self) {
-        let _ = self.task.batch(self.batch);
+        let feeds = self.source.draw();
+        self.infer(&feeds).expect("workload graphs are well-formed")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use fathom_dataflow::OpKind;
 
     #[test]

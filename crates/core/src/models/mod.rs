@@ -3,6 +3,8 @@
 mod codec;
 mod common;
 
+pub use common::{BatchSource, ImageClassifier, Images, Shell};
+
 pub mod alexnet;
 pub mod autoenc;
 pub mod deepq;

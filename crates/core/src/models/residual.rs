@@ -8,14 +8,12 @@
 //! The identity connections "effectively train these layers on the
 //! difference between input and output" (paper §IV).
 
-use std::sync::Arc;
-
-use fathom_dataflow::{Graph, NodeId, Optimizer, Session};
+use fathom_dataflow::{Graph, NodeId, Optimizer};
 use fathom_nn::{avg_pool, batch_norm, conv2d, dense, flatten, instance_norm, Activation, Params};
 use fathom_tensor::kernels::conv::Conv2dSpec;
 
-use crate::models::common::ImageClassifier;
-use crate::workload::{BuildConfig, Mode, ModelScale, StepStats, Workload, WorkloadMetadata};
+use crate::models::common::{image_classifier, ImageClassifier};
+use crate::workload::{BuildConfig, Mode, ModelScale, WorkloadMetadata};
 
 /// Blocks per stage in ResNet-34.
 const STAGE_BLOCKS: [usize; 4] = [3, 4, 6, 3];
@@ -130,135 +128,86 @@ fn basic_block(
     g.relu(sum)
 }
 
-/// The `residual` workload (ResNet-34).
-pub struct Residual {
-    inner: ImageClassifier,
-}
-
-impl Residual {
-    /// Builds the workload per the configuration.
-    pub fn build(cfg: &BuildConfig) -> Self {
-        let mut d = dims(cfg.scale);
-        d.batch = cfg.batch_or(d.batch);
-        let full = cfg.scale == ModelScale::Full;
-        let norm = norm_for(cfg.mode);
-        let inner = ImageClassifier::new(
-            metadata(),
-            cfg,
-            d.batch,
-            d.side,
-            d.classes,
-            Optimizer::momentum(0.01),
-            |g, p, images| {
-                // Stem: 7x7/2 + maxpool at full scale, 3x3 at reference
-                // (the standard CIFAR-style adaptation for small inputs).
-                let mut x = if full {
-                    let c = conv2d(
+/// Builds the `residual` workload per the configuration.
+pub fn build(cfg: &BuildConfig) -> ImageClassifier {
+    let mut d = dims(cfg.scale);
+    d.batch = cfg.batch_or(d.batch);
+    let full = cfg.scale == ModelScale::Full;
+    let norm = norm_for(cfg.mode);
+    image_classifier(
+        metadata(),
+        cfg,
+        d.batch,
+        d.side,
+        d.classes,
+        Optimizer::momentum(0.01),
+        |g, p, images| {
+            // Stem: 7x7/2 + maxpool at full scale, 3x3 at reference
+            // (the standard CIFAR-style adaptation for small inputs).
+            let mut x = if full {
+                let c = conv2d(
+                    g,
+                    p,
+                    "stem",
+                    images,
+                    7,
+                    d.stage_channels[0],
+                    Conv2dSpec { stride: 2, pad: 3 },
+                    Activation::Linear,
+                );
+                let b = norm(g, p, "stem_bn", c, 1e-5);
+                let r = g.relu(b);
+                fathom_nn::max_pool(g, r, 3, 2)
+            } else {
+                let c = conv2d(
+                    g,
+                    p,
+                    "stem",
+                    images,
+                    3,
+                    d.stage_channels[0],
+                    Conv2dSpec::same(3),
+                    Activation::Linear,
+                );
+                let b = norm(g, p, "stem_bn", c, 1e-5);
+                g.relu(b)
+            };
+            for (stage, (&blocks, &channels)) in
+                STAGE_BLOCKS.iter().zip(&d.stage_channels).enumerate()
+            {
+                for block in 0..blocks {
+                    let stride = if stage > 0 && block == 0 { 2 } else { 1 };
+                    x = basic_block(
                         g,
                         p,
-                        "stem",
-                        images,
-                        7,
-                        d.stage_channels[0],
-                        Conv2dSpec { stride: 2, pad: 3 },
-                        Activation::Linear,
+                        &format!("stage{}/block{}", stage + 1, block + 1),
+                        x,
+                        channels,
+                        stride,
+                        norm,
                     );
-                    let b = norm(g, p, "stem_bn", c, 1e-5);
-                    let r = g.relu(b);
-                    fathom_nn::max_pool(g, r, 3, 2)
-                } else {
-                    let c = conv2d(
-                        g,
-                        p,
-                        "stem",
-                        images,
-                        3,
-                        d.stage_channels[0],
-                        Conv2dSpec::same(3),
-                        Activation::Linear,
-                    );
-                    let b = norm(g, p, "stem_bn", c, 1e-5);
-                    g.relu(b)
-                };
-                for (stage, (&blocks, &channels)) in
-                    STAGE_BLOCKS.iter().zip(&d.stage_channels).enumerate()
-                {
-                    for block in 0..blocks {
-                        let stride = if stage > 0 && block == 0 { 2 } else { 1 };
-                        x = basic_block(
-                            g,
-                            p,
-                            &format!("stage{}/block{}", stage + 1, block + 1),
-                            x,
-                            channels,
-                            stride,
-                            norm,
-                        );
-                    }
                 }
-                // Global average pooling.
-                let spatial = g.shape(x).dim(1);
-                let pooled = avg_pool(g, x, spatial, spatial);
-                let flat = flatten(g, pooled);
-                dense(g, p, "fc", flat, d.classes, Activation::Linear)
-            },
-        );
-        Residual { inner }
-    }
-}
-
-impl Workload for Residual {
-    fn metadata(&self) -> &WorkloadMetadata {
-        self.inner.metadata()
-    }
-
-    fn mode(&self) -> Mode {
-        self.inner.mode()
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, fathom_dataflow::ExecError> {
-        self.inner.try_step()
-    }
-
-    fn session(&self) -> &Session {
-        self.inner.session()
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        self.inner.session_mut()
-    }
-
-    fn batch_spec(&self) -> Option<crate::workload::BatchSpec> {
-        self.inner.batch_spec()
-    }
-
-    fn train_probes(&self) -> Option<crate::workload::TrainProbes> {
-        self.inner.train_probes()
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        self.inner.pipeline_parts()
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        self.inner.import_pipeline(blob)
-    }
-
-    fn skip_batch(&mut self) {
-        self.inner.skip_batch()
-    }
+            }
+            // Global average pooling.
+            let spatial = g.shape(x).dim(1);
+            let pooled = avg_pool(g, x, spatial, spatial);
+            let flat = flatten(g, pooled);
+            dense(g, p, "fc", flat, d.classes, Activation::Linear)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use fathom_dataflow::OpKind;
 
     #[test]
     fn weight_layer_count_is_34() {
         // 34 = stem + 32 block convs + final dense; projection shortcuts
         // are extra parameters but not counted as layers (per the paper).
-        let m = Residual::build(&BuildConfig::inference());
+        let m = build(&BuildConfig::inference());
         let g = m.session().graph();
         let convs = g.iter().filter(|(_, n)| matches!(n.kind, OpKind::Conv2D(_))).count();
         let projections = STAGE_BLOCKS.len() - 1; // stages 2-4 change shape
@@ -273,7 +222,7 @@ mod tests {
     #[test]
     fn shortcut_addition_present_in_every_block() {
         // Each of the 16 blocks ends in an Add feeding a Relu.
-        let m = Residual::build(&BuildConfig::inference());
+        let m = build(&BuildConfig::inference());
         let g = m.session().graph();
         let mut shortcut_adds = 0;
         for (id, n) in g.iter() {
@@ -292,7 +241,7 @@ mod tests {
 
     #[test]
     fn training_step_produces_finite_loss() {
-        let mut m = Residual::build(&BuildConfig::training());
+        let mut m = build(&BuildConfig::training());
         let stats = m.step();
         assert!(stats.loss.unwrap().is_finite());
     }

@@ -8,17 +8,14 @@
 //! multiplications, and the attention/loss plumbing the `Tile`/`Sum`/
 //! `Sub` traffic, that the paper's Figure 6b highlights.
 
-use std::sync::Arc;
-
 use fathom_data::wmt::{TranslationBatch, TranslationCorpus};
-use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
+use fathom_dataflow::{Graph, NodeId, Optimizer};
 use fathom_nn::{lstm_stack, Attention, Init, Params};
 use fathom_tensor::Tensor;
 
-use crate::models::codec::{Dec, Enc};
+use crate::models::common::{BatchSource, Metric, Parts, Shell};
 use crate::workload::{
-    BatchSpec, BuildConfig, InputPort, Mode, ModelScale, OutputPort, PortDomain, StepStats,
-    TrainProbes, Workload, WorkloadMetadata,
+    BatchSpec, BuildConfig, InputPort, Mode, ModelScale, OutputPort, PortDomain, WorkloadMetadata,
 };
 
 struct Dims {
@@ -72,20 +69,50 @@ pub fn metadata() -> WorkloadMetadata {
 }
 
 /// The `seq2seq` workload (attention encoder-decoder).
-pub struct Seq2Seq {
-    meta: WorkloadMetadata,
-    mode: Mode,
-    session: Session,
+pub type Seq2Seq = Shell<Sentences>;
+
+/// `seq2seq`'s batch source: WMT-shaped sentence pairs, fed as source
+/// tokens, teacher-forced target tokens and one label vector per
+/// decoder step.
+pub struct Sentences {
     corpus: TranslationCorpus,
     source: NodeId,
     target_in: NodeId,
     target_out_steps: Vec<NodeId>,
     logit_steps: Vec<NodeId>,
-    serve_logits: Option<NodeId>,
-    loss: NodeId,
-    train: Option<TrainHandles>,
-    vocab: usize,
     batch: usize,
+}
+
+impl Sentences {
+    fn feeds(&self, batch: &TranslationBatch) -> Vec<(NodeId, Tensor)> {
+        let mut feeds = vec![
+            (self.source, batch.source.clone()),
+            (self.target_in, batch.target_in.clone()),
+        ];
+        for (t, &ph) in self.target_out_steps.iter().enumerate() {
+            let mut labels = Tensor::zeros([self.batch]);
+            for b in 0..self.batch {
+                labels.set(&[b], batch.target_out.at(&[b, t]));
+            }
+            feeds.push((ph, labels));
+        }
+        feeds
+    }
+}
+
+impl BatchSource for Sentences {
+    fn draw(&mut self) -> Vec<(NodeId, Tensor)> {
+        let batch = self.corpus.batch(self.batch);
+        self.feeds(&batch)
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.corpus.rng_state()
+    }
+
+    fn set_rng_state(&mut self, state: [u64; 4]) {
+        self.corpus.set_rng_state(state);
+    }
 }
 
 impl Seq2Seq {
@@ -147,12 +174,6 @@ impl Seq2Seq {
         let scale = g.constant(Tensor::scalar(1.0 / tgt_len as f32));
         let loss = g.mul(total, scale);
 
-        let train = match cfg.mode {
-            Mode::Training => {
-                Some(Optimizer::adam(2e-3).minimize_tracked(&mut g, loss, p.trainable()))
-            }
-            Mode::Inference => None,
-        };
         // A single `[b, tgt_len * vocab]` fetch for the serving layer:
         // per-step logits concatenated along the feature axis, so one
         // node carries the whole decode and splits per request on axis 0.
@@ -160,61 +181,54 @@ impl Seq2Seq {
             Mode::Inference => Some(g.concat(&logit_steps, 1)),
             Mode::Training => None,
         };
-        let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
-        if cfg.fusion.enabled() {
-            let mut keep = vec![loss];
-            keep.extend_from_slice(&logit_steps);
-            keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            keep.extend(serve_logits);
-            session.enable_fusion(&keep);
-        }
-        Seq2Seq {
-            meta: metadata(),
-            mode: cfg.mode,
-            session,
-            corpus: TranslationCorpus::new(d.vocab, d.src_len, cfg.seed ^ 0x3E92),
-            source,
-            target_in,
-            target_out_steps,
-            logit_steps,
-            serve_logits,
-            loss,
-            train,
-            vocab: d.vocab,
-            batch: d.batch,
-        }
-    }
-
-    fn feeds(&self, batch: &TranslationBatch) -> Vec<(NodeId, Tensor)> {
-        let mut feeds = vec![
-            (self.source, batch.source.clone()),
-            (self.target_in, batch.target_in.clone()),
-        ];
-        let tgt_len = self.target_out_steps.len();
-        for (t, &ph) in self.target_out_steps.iter().enumerate() {
-            let mut labels = Tensor::zeros([self.batch]);
-            for b in 0..self.batch {
-                labels.set(&[b], batch.target_out.at(&[b, t]));
-            }
-            feeds.push((ph, labels));
-            debug_assert!(t < tgt_len);
-        }
-        feeds
+        let tokens = PortDomain::Tokens { vocab: d.vocab };
+        let spec = serve_logits.map(|node| BatchSpec {
+            inputs: vec![
+                InputPort { node: source, batch_axis: 0, domain: tokens },
+                InputPort { node: target_in, batch_axis: 0, domain: tokens },
+            ],
+            output: OutputPort { node, batch_axis: 0 },
+            capacity: d.batch,
+        });
+        let mut keep = vec![loss];
+        keep.extend_from_slice(&logit_steps);
+        keep.extend(serve_logits);
+        let corpus = TranslationCorpus::new(d.vocab, d.src_len, cfg.seed ^ 0x3E92);
+        Shell::new(
+            metadata(),
+            cfg,
+            Parts {
+                graph: g,
+                params: p,
+                optimizer: Optimizer::adam(2e-3),
+                loss,
+                infer: loss,
+                metric: Metric::Value,
+                keep,
+                spec,
+                source: Sentences {
+                    corpus,
+                    source,
+                    target_in,
+                    target_out_steps,
+                    logit_steps,
+                    batch: d.batch,
+                },
+            },
+        )
     }
 
     /// Greedy next-token accuracy under teacher forcing over one batch.
     pub fn evaluate_accuracy(&mut self) -> f32 {
-        let batch = self.corpus.batch(self.batch);
-        let feeds = self.feeds(&batch);
-        let out = self
-            .session
-            .run(&self.logit_steps.clone(), &feeds)
-            .expect("workload graphs are well-formed");
+        let src = &mut self.source;
+        let batch = src.corpus.batch(src.batch);
+        let feeds = src.feeds(&batch);
+        let out = self.session.run(&src.logit_steps, &feeds).expect("workload graphs are well-formed");
         let mut correct = 0;
         let mut total = 0;
         for (t, logits) in out.iter().enumerate() {
             let pred = logits.argmax_last_axis();
-            for b in 0..self.batch {
+            for b in 0..src.batch {
                 if pred.data()[b] == batch.target_out.at(&[b, t]) {
                     correct += 1;
                 }
@@ -225,96 +239,10 @@ impl Seq2Seq {
     }
 }
 
-impl Workload for Seq2Seq {
-    fn metadata(&self) -> &WorkloadMetadata {
-        &self.meta
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, ExecError> {
-        let rng_before = self.corpus.rng_state();
-        let batch = self.corpus.batch(self.batch);
-        let feeds = self.feeds(&batch);
-        let result = match self.mode {
-            Mode::Training => {
-                let train = self.train.expect("training graph was built");
-                self.session
-                    .run(&[self.loss, train.grad_norm, train.step], &feeds)
-                    .map(|out| StepStats {
-                        loss: Some(out[0].scalar_value()),
-                        metric: None,
-                        grad_norm: Some(out[1].scalar_value()),
-                    })
-            }
-            Mode::Inference => self.session.run(&[self.loss], &feeds).map(|out| StepStats {
-                loss: None,
-                metric: Some(out[0].scalar_value()),
-                grad_norm: None,
-            }),
-        };
-        if result.is_err() {
-            self.corpus.set_rng_state(rng_before);
-        }
-        result
-    }
-
-    fn session(&self) -> &Session {
-        &self.session
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    fn batch_spec(&self) -> Option<BatchSpec> {
-        let serve_logits = self.serve_logits?;
-        Some(BatchSpec {
-            inputs: vec![
-                InputPort {
-                    node: self.source,
-                    batch_axis: 0,
-                    domain: PortDomain::Tokens { vocab: self.vocab },
-                },
-                InputPort {
-                    node: self.target_in,
-                    batch_axis: 0,
-                    domain: PortDomain::Tokens { vocab: self.vocab },
-                },
-            ],
-            output: OutputPort { node: serve_logits, batch_axis: 0 },
-            capacity: self.batch,
-        })
-    }
-
-    fn train_probes(&self) -> Option<TrainProbes> {
-        self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        let mut e = Enc::new(self.meta.name);
-        e.rng(self.corpus.rng_state());
-        vec![e.finish().into()]
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut d = Dec::new(self.meta.name, blob)?;
-        let state = d.rng()?;
-        d.done()?;
-        self.corpus.set_rng_state(state);
-        Ok(())
-    }
-
-    fn skip_batch(&mut self) {
-        let _ = self.corpus.batch(self.batch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
 
     #[test]
     fn training_reduces_loss() {

@@ -11,17 +11,14 @@
 //! As in the paper, TIMIT-shaped data stands in for Baidu's proprietary
 //! corpus; here the TIMIT stand-in is itself synthesized (see DESIGN.md).
 
-use std::sync::Arc;
-
 use fathom_data::timit::SpeechCorpus;
-use fathom_dataflow::{ExecError, Graph, NodeId, Optimizer, Session, TrainHandles};
+use fathom_dataflow::{Graph, NodeId, Optimizer};
 use fathom_nn::{bidirectional_rnn, Activation, Init, Params};
 use fathom_tensor::Tensor;
 
-use crate::models::codec::{Dec, Enc};
+use crate::models::common::{BatchSource, Metric, Parts, Shell};
 use crate::workload::{
-    BatchSpec, BuildConfig, InputPort, Mode, ModelScale, OutputPort, PortDomain, StepStats,
-    TrainProbes, Workload, WorkloadMetadata,
+    BatchSpec, BuildConfig, InputPort, ModelScale, OutputPort, PortDomain, WorkloadMetadata,
 };
 
 struct Dims {
@@ -67,17 +64,40 @@ pub fn metadata() -> WorkloadMetadata {
 }
 
 /// The `speech` workload (Deep Speech).
-pub struct Speech {
-    meta: WorkloadMetadata,
-    mode: Mode,
-    session: Session,
+pub type Speech = Shell<Utterances>;
+
+/// `speech`'s batch source: TIMIT-shaped utterances, padded with
+/// silence to the graph's fixed time extent, and their phoneme labels.
+pub struct Utterances {
     corpus: SpeechCorpus,
     frames: NodeId,
     labels: NodeId,
-    loss: NodeId,
-    logits: NodeId,
-    train: Option<TrainHandles>,
     d: Dims,
+}
+
+impl BatchSource for Utterances {
+    fn draw(&mut self) -> Vec<(NodeId, Tensor)> {
+        let t = self.d.time();
+        let (frames, labels) = self.corpus.batch(self.d.batch, self.d.label_len);
+        let t_actual = frames.shape().dim(0);
+        let mut padded = Tensor::zeros([t, self.d.batch, self.d.features]);
+        for ti in 0..t_actual.min(t) {
+            for b in 0..self.d.batch {
+                for f in 0..self.d.features {
+                    padded.set(&[ti, b, f], frames.at(&[ti, b, f]));
+                }
+            }
+        }
+        vec![(self.frames, padded), (self.labels, labels)]
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.corpus.rng_state()
+    }
+
+    fn set_rng_state(&mut self, state: [u64; 4]) {
+        self.corpus.set_rng_state(state);
+    }
 }
 
 impl Speech {
@@ -132,137 +152,38 @@ impl Speech {
         let logits = g.concat(&steps, 0);
         let loss = g.ctc_loss(logits, labels, 0);
 
-        let train = match cfg.mode {
-            Mode::Training => {
-                Some(Optimizer::adam(1e-3).minimize_tracked(&mut g, loss, p.trainable()))
-            }
-            Mode::Inference => None,
-        };
-        let mut session = Session::with_seed(g, cfg.device.clone(), cfg.seed);
-        if cfg.fusion.enabled() {
-            let mut keep = vec![loss, logits];
-            keep.extend(train.iter().flat_map(|h| [h.step, h.grad_norm]));
-            session.enable_fusion(&keep);
-        }
-        Speech {
-            meta: metadata(),
-            mode: cfg.mode,
-            session,
-            corpus: SpeechCorpus::new(d.phonemes, d.features, cfg.seed ^ 0x71417),
-            frames,
-            labels,
-            loss,
-            logits,
-            train,
-            d,
-        }
-    }
-
-    /// Generates one padded batch `(frames, labels)` at the graph's fixed
-    /// time extent.
-    fn batch(&mut self) -> (Tensor, Tensor) {
-        let t = self.d.time();
-        let (frames, labels) = self.corpus.batch(self.d.batch, self.d.label_len);
-        // Pad the time axis with silence up to the fixed extent.
-        let t_actual = frames.shape().dim(0);
-        let mut padded = Tensor::zeros([t, self.d.batch, self.d.features]);
-        for ti in 0..t_actual.min(t) {
-            for b in 0..self.d.batch {
-                for f in 0..self.d.features {
-                    padded.set(&[ti, b, f], frames.at(&[ti, b, f]));
-                }
-            }
-        }
-        (padded, labels)
-    }
-}
-
-impl Workload for Speech {
-    fn metadata(&self) -> &WorkloadMetadata {
-        &self.meta
-    }
-
-    fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, ExecError> {
-        let rng_before = self.corpus.rng_state();
-        let (frames, labels) = self.batch();
-        let result = match self.mode {
-            Mode::Training => {
-                let train = self.train.expect("training graph was built");
-                self.session
-                    .run(
-                        &[self.loss, train.grad_norm, train.step],
-                        &[(self.frames, frames), (self.labels, labels)],
-                    )
-                    .map(|out| StepStats {
-                        loss: Some(out[0].scalar_value()),
-                        metric: None,
-                        grad_norm: Some(out[1].scalar_value()),
-                    })
-            }
-            Mode::Inference => self
-                .session
-                .run(&[self.logits], &[(self.frames, frames), (self.labels, labels)])
-                // Mean greedy-path confidence as the inference metric.
-                .map(|out| StepStats { loss: None, metric: Some(out[0].max()), grad_norm: None }),
-        };
-        if result.is_err() {
-            self.corpus.set_rng_state(rng_before);
-        }
-        result
-    }
-
-    fn session(&self) -> &Session {
-        &self.session
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    fn batch_spec(&self) -> Option<BatchSpec> {
-        if self.mode != Mode::Inference {
-            return None;
-        }
         // Deep Speech is time-major: both the frames placeholder and the
         // CTC logits are `[time, batch, features]`, so requests pack and
         // split on axis 1.
-        Some(BatchSpec {
-            inputs: vec![InputPort { node: self.frames, batch_axis: 1, domain: PortDomain::Real }],
-            output: OutputPort { node: self.logits, batch_axis: 1 },
-            capacity: self.d.batch,
-        })
-    }
-
-    fn train_probes(&self) -> Option<TrainProbes> {
-        self.train.map(|h| TrainProbes { loss: self.loss, grad_norm: h.grad_norm })
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        let mut e = Enc::new(self.meta.name);
-        e.rng(self.corpus.rng_state());
-        vec![e.finish().into()]
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut d = Dec::new(self.meta.name, blob)?;
-        let state = d.rng()?;
-        d.done()?;
-        self.corpus.set_rng_state(state);
-        Ok(())
-    }
-
-    fn skip_batch(&mut self) {
-        let _ = self.batch();
+        let spec = BatchSpec {
+            inputs: vec![InputPort { node: frames, batch_axis: 1, domain: PortDomain::Real }],
+            output: OutputPort { node: logits, batch_axis: 1 },
+            capacity: d.batch,
+        };
+        let corpus = SpeechCorpus::new(d.phonemes, d.features, cfg.seed ^ 0x71417);
+        Shell::new(
+            metadata(),
+            cfg,
+            Parts {
+                graph: g,
+                params: p,
+                optimizer: Optimizer::adam(1e-3),
+                loss,
+                // The greedy path's peak logit as the inference metric.
+                infer: logits,
+                metric: Metric::Peak,
+                keep: vec![loss, logits],
+                spec: Some(spec),
+                source: Utterances { corpus, frames, labels, d },
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use fathom_dataflow::OpKind;
 
     #[test]

@@ -9,14 +9,12 @@
 //! [conv3x3 x4, pool] [conv3x3 x4, pool] fc -> fc -> fc(classes)
 //! ```
 
-use std::sync::Arc;
-
-use fathom_dataflow::{Optimizer, Session};
+use fathom_dataflow::Optimizer;
 use fathom_nn::{conv2d, dense, flatten, max_pool, Activation};
 use fathom_tensor::kernels::conv::Conv2dSpec;
 
-use crate::models::common::ImageClassifier;
-use crate::workload::{BuildConfig, Mode, ModelScale, StepStats, Workload, WorkloadMetadata};
+use crate::models::common::{image_classifier, ImageClassifier};
+use crate::workload::{BuildConfig, ModelScale, WorkloadMetadata};
 
 /// Convolutions per stage in VGG-19.
 const STAGE_CONVS: [usize; 5] = [2, 2, 4, 4, 4];
@@ -63,102 +61,53 @@ pub fn metadata() -> WorkloadMetadata {
     }
 }
 
-/// The `vgg` workload (VGG-19).
-pub struct Vgg {
-    inner: ImageClassifier,
-}
-
-impl Vgg {
-    /// Builds the workload per the configuration.
-    pub fn build(cfg: &BuildConfig) -> Self {
-        let mut d = dims(cfg.scale);
-        d.batch = cfg.batch_or(d.batch);
-        let inner = ImageClassifier::new(
-            metadata(),
-            cfg,
-            d.batch,
-            d.side,
-            d.classes,
-            Optimizer::momentum(0.01),
-            |g, p, images| {
-                let mut x = images;
-                for (stage, (&convs, &channels)) in
-                    STAGE_CONVS.iter().zip(&d.stage_channels).enumerate()
-                {
-                    for i in 0..convs {
-                        x = conv2d(
-                            g,
-                            p,
-                            &format!("conv{}_{}", stage + 1, i + 1),
-                            x,
-                            3,
-                            channels,
-                            Conv2dSpec::same(3),
-                            Activation::Relu,
-                        );
-                    }
-                    x = max_pool(g, x, 2, 2);
+/// Builds the `vgg` workload per the configuration.
+pub fn build(cfg: &BuildConfig) -> ImageClassifier {
+    let mut d = dims(cfg.scale);
+    d.batch = cfg.batch_or(d.batch);
+    image_classifier(
+        metadata(),
+        cfg,
+        d.batch,
+        d.side,
+        d.classes,
+        Optimizer::momentum(0.01),
+        |g, p, images| {
+            let mut x = images;
+            for (stage, (&convs, &channels)) in
+                STAGE_CONVS.iter().zip(&d.stage_channels).enumerate()
+            {
+                for i in 0..convs {
+                    x = conv2d(
+                        g,
+                        p,
+                        &format!("conv{}_{}", stage + 1, i + 1),
+                        x,
+                        3,
+                        channels,
+                        Conv2dSpec::same(3),
+                        Activation::Relu,
+                    );
                 }
-                let x = flatten(g, x);
-                let x = dense(g, p, "fc6", x, d.fc, Activation::Relu);
-                let x = dense(g, p, "fc7", x, d.fc, Activation::Relu);
-                dense(g, p, "fc8", x, d.classes, Activation::Linear)
-            },
-        );
-        Vgg { inner }
-    }
-}
-
-impl Workload for Vgg {
-    fn metadata(&self) -> &WorkloadMetadata {
-        self.inner.metadata()
-    }
-
-    fn mode(&self) -> Mode {
-        self.inner.mode()
-    }
-
-    fn try_step(&mut self) -> Result<StepStats, fathom_dataflow::ExecError> {
-        self.inner.try_step()
-    }
-
-    fn session(&self) -> &Session {
-        self.inner.session()
-    }
-
-    fn session_mut(&mut self) -> &mut Session {
-        self.inner.session_mut()
-    }
-
-    fn batch_spec(&self) -> Option<crate::workload::BatchSpec> {
-        self.inner.batch_spec()
-    }
-
-    fn train_probes(&self) -> Option<crate::workload::TrainProbes> {
-        self.inner.train_probes()
-    }
-
-    fn pipeline_parts(&self) -> Vec<Arc<[u8]>> {
-        self.inner.pipeline_parts()
-    }
-
-    fn import_pipeline(&mut self, blob: &[u8]) -> Result<(), String> {
-        self.inner.import_pipeline(blob)
-    }
-
-    fn skip_batch(&mut self) {
-        self.inner.skip_batch()
-    }
+                x = max_pool(g, x, 2, 2);
+            }
+            let x = flatten(g, x);
+            let x = dense(g, p, "fc6", x, d.fc, Activation::Relu);
+            let x = dense(g, p, "fc7", x, d.fc, Activation::Relu);
+            dense(g, p, "fc8", x, d.classes, Activation::Linear)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use fathom_dataflow::OpKind;
 
     #[test]
     fn has_sixteen_convs_and_three_dense() {
-        let m = Vgg::build(&BuildConfig::inference());
+        let m = build(&BuildConfig::inference());
         let g = m.session().graph();
         let convs = g.iter().filter(|(_, n)| matches!(n.kind, OpKind::Conv2D(_))).count();
         assert_eq!(convs, 16);
@@ -172,7 +121,7 @@ mod tests {
 
     #[test]
     fn all_filters_are_3x3() {
-        let m = Vgg::build(&BuildConfig::inference());
+        let m = build(&BuildConfig::inference());
         for (_, n) in m.session().graph().iter() {
             if matches!(n.kind, OpKind::Conv2D(_)) {
                 let filter = m.session().graph().shape(n.inputs[1]);
@@ -184,7 +133,7 @@ mod tests {
 
     #[test]
     fn training_step_produces_finite_loss() {
-        let mut m = Vgg::build(&BuildConfig::training());
+        let mut m = build(&BuildConfig::training());
         let stats = m.step();
         assert!(stats.loss.unwrap().is_finite());
     }

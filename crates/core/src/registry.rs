@@ -68,23 +68,21 @@ impl ModelKind {
         }
     }
 
-    /// Builds the workload. The session inherits the config's compute
-    /// [`precision`](BuildConfig::precision) — applied here, at the one
-    /// choke point every workload construction passes through, so no
-    /// model builder needs to know precision exists.
+    /// Builds the workload. Every model's session comes out of the one
+    /// session builder in `models/common.rs`, which applies the whole
+    /// config (seed, device, precision, fusion), so a model built
+    /// directly (`Autoenc::build(&cfg)`) is the same as one built here.
     pub fn build(&self, cfg: &BuildConfig) -> Box<dyn Workload> {
-        let mut model: Box<dyn Workload> = match self {
+        match self {
             ModelKind::Seq2Seq => Box::new(seq2seq::Seq2Seq::build(cfg)),
             ModelKind::Memnet => Box::new(memnet::Memnet::build(cfg)),
             ModelKind::Speech => Box::new(speech::Speech::build(cfg)),
             ModelKind::Autoenc => Box::new(autoenc::Autoenc::build(cfg)),
-            ModelKind::Residual => Box::new(residual::Residual::build(cfg)),
-            ModelKind::Vgg => Box::new(vgg::Vgg::build(cfg)),
-            ModelKind::Alexnet => Box::new(alexnet::Alexnet::build(cfg)),
+            ModelKind::Residual => Box::new(residual::build(cfg)),
+            ModelKind::Vgg => Box::new(vgg::build(cfg)),
+            ModelKind::Alexnet => Box::new(alexnet::build(cfg)),
             ModelKind::Deepq => Box::new(deepq::Deepq::build(cfg)),
-        };
-        model.session_mut().set_precision(cfg.precision);
-        model
+        }
     }
 }
 

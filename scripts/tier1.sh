@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green.
 #   build (release) -> integration tests -> crate unit tests -> lint
-#   (warnings are errors) -> the two serving smokes through the binary's
-#   argument path -> the runtime protocols in release, oversubscribed
+#   (warnings are errors) -> docs -> the benchmark harness against the
+#   crates' API -> the two serving smokes through the binary's argument
+#   path -> the runtime protocols in release, oversubscribed
 #
 # Every property is stated once, as a test: bitwise serial == parallel,
 # fused == unfused, resumed == uninterrupted, batched == alone, the
@@ -38,6 +39,12 @@ stage clippy cargo clippy --workspace --all-targets -- -D warnings
 # module docs name the private functions that implement them.
 stage doc env RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
   cargo doc --workspace --no-deps --lib -q
+# The benchmark package (benchmark/, its own lock file) compiles against
+# the crates' public API: type-check it, tests included, so an API change
+# that breaks the harness fails here rather than at the next benchmark
+# run. `--locked` keeps its lock file as it is.
+stage bench-api env CARGO_TARGET_DIR=.bench_build cargo check --offline --locked -q \
+  --manifest-path benchmark/Cargo.toml --all-targets
 
 # Serving smoke: the batcher, admission control, and report must survive a
 # real open-loop run end to end.

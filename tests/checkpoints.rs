@@ -13,11 +13,17 @@
 //! same bits on every host; bf16 is left out because its bits depend on
 //! whether the host has native bf16 dot products.
 //!
+//! A second test pins, per workload, the whole resume state after 3
+//! steps (variables, optimizer slots, session RNG and the workload's
+//! pipeline blob) and the inference metrics of its first 3 steps: what
+//! the workload shell around each model draws, runs and encodes.
+//!
 //! Sixteen training runs take seconds in release and minutes in debug, so
-//! the test runs in the release build only (tier-1's
+//! the tests run in the release build only (tier-1's
 //! `runtime-oversubscribed` stage).
 
 use fathom_suite::fathom::{BuildConfig, ModelKind};
+use fathom_suite::fathom_dataflow::checkpoint::TrainCursor;
 use fathom_suite::fathom_dataflow::{checkpoint, Device};
 
 /// FNV-1a, 64-bit, over a whole checkpoint.
@@ -56,4 +62,48 @@ fn f32_checkpoints_keep_their_bytes_on_both_drivers() {
         }
     }
     assert!(moved.is_empty(), "checkpoints changed bytes:\n{}", moved.join("\n"));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "8 three-step training runs: run with --release")]
+fn resume_states_and_inference_metrics_keep_their_bits() {
+    // (workload, resume checkpoint after 3 training steps, the bits of
+    // inference steps 1-3's metrics), all at seed 7 on `cpu(1)`. Three
+    // zero accuracies (residual, vgg at batch 2) and three rewardless
+    // frames (deepq) share one metrics hash.
+    let pinned = [
+        (ModelKind::Seq2Seq, 0x093c_a0c0_8493_8e67_u64, 0x1062_f3ba_2caa_d97d_u64),
+        (ModelKind::Memnet, 0xfea8_2b40_66c7_93b3, 0xe418_66ac_b38e_b05b),
+        (ModelKind::Speech, 0x5d52_1126_409b_7445, 0xb9f7_de82_0ad5_a0e2),
+        (ModelKind::Autoenc, 0xf747_5c32_3ea3_1bc5, 0xc3fa_7c00_27b5_ac59),
+        (ModelKind::Residual, 0xd5e3_32c1_3939_14d2, 0x5467_b0da_1d10_6495),
+        (ModelKind::Vgg, 0x9448_6ad0_c688_1a6f, 0x5467_b0da_1d10_6495),
+        (ModelKind::Alexnet, 0xabba_b1f3_c2c0_a868, 0xee09_5dfe_3b9b_afab),
+        (ModelKind::Deepq, 0xe1ed_ec90_18d7_4a04, 0x5467_b0da_1d10_6495),
+    ];
+    let mut moved = Vec::new();
+    for (kind, want_resume, want_metrics) in pinned {
+        let mut model = kind.build(&BuildConfig::training().with_seed(7));
+        for _ in 0..3 {
+            model.step();
+        }
+        let cursor = TrainCursor { global_step: 3, epoch: 0, position: 3 };
+        let mut bytes = Vec::new();
+        checkpoint::save_resume(model.session(), cursor, &model.export_pipeline(), &mut bytes)
+            .expect("saves");
+        let resume = fnv1a(&bytes);
+
+        let mut model = kind.build(&BuildConfig::inference().with_seed(7));
+        let bits: Vec<u8> = (0..3)
+            .flat_map(|_| model.step().metric.expect("inference reports a metric").to_bits().to_le_bytes())
+            .collect();
+        let metrics = fnv1a(&bits);
+        if (resume, metrics) != (want_resume, want_metrics) {
+            moved.push(format!(
+                "{}: resume {resume:#018x} (pinned {want_resume:#018x}), metrics {metrics:#018x} (pinned {want_metrics:#018x})",
+                kind.name()
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "resume states or inference metrics changed bits:\n{}", moved.join("\n"));
 }

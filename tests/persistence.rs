@@ -189,14 +189,12 @@ fn fuzzed_flag_words_are_typed_unsupported_or_rejected_and_never_panic() {
 
 #[test]
 fn resume_checkpoints_round_trip_byte_identically() {
-    // The full-fidelity property behind deterministic resume: for a
-    // spread of workloads and seeds, save -> load -> save must emit the
-    // exact same bytes. Any drift (a lossy pipeline codec, an unordered
-    // optimizer-slot walk, an RNG word dropped) shows up here as a
-    // byte-level diff before it ever becomes a subtle training fork.
-    for (kind, seed) in
-        [(ModelKind::Autoenc, 3u64), (ModelKind::Memnet, 9), (ModelKind::Deepq, 21)]
-    {
+    // The full-fidelity property behind deterministic resume: for every
+    // workload, each at a seed of its own, save -> load -> save must
+    // emit the exact same bytes. Any drift (a lossy pipeline codec, an
+    // unordered optimizer-slot walk, an RNG word dropped) shows up here
+    // as a byte-level diff before it ever becomes a subtle training fork.
+    for (kind, seed) in ModelKind::ALL.into_iter().zip((3u64..).step_by(6)) {
         let cfg = BuildConfig::training().with_seed(seed);
         let mut model = kind.build(&cfg);
         for _ in 0..3 {

@@ -9,6 +9,7 @@
 //!    quantize, serve the next `STEPS` — keeps the mean metric within
 //!    `TOLERANCE` of the reference's tail.
 
+use fathom_suite::fathom::models::{autoenc::Autoenc, deepq::Deepq, memnet::Memnet, seq2seq::Seq2Seq};
 use fathom_suite::fathom::{BuildConfig, ModelKind, Precision, Workload};
 use fathom_suite::fathom_dataflow::Device;
 
@@ -61,5 +62,21 @@ fn bf16_and_int8_hold_accuracy_and_bf16_is_deterministic_on_every_workload() {
         }
         let dev = deviation(&metrics(&mut *int8, STEPS), &reference[STEPS..]);
         assert!(dev <= TOLERANCE, "{kind}: int8 deviates {dev} from f32");
+    }
+}
+
+#[test]
+fn a_direct_model_build_runs_at_the_configured_precision() {
+    // The examples and the convergence tests build models without going
+    // through `ModelKind::build`; the precision must hold there too.
+    let cfg = BuildConfig::training().with_precision(Precision::Bf16);
+    let built: [(&str, Box<dyn Workload>); 4] = [
+        ("autoenc", Box::new(Autoenc::build(&cfg))),
+        ("seq2seq", Box::new(Seq2Seq::build(&cfg))),
+        ("memnet", Box::new(Memnet::build(&cfg))),
+        ("deepq", Box::new(Deepq::build(&cfg))),
+    ];
+    for (name, model) in built {
+        assert_eq!(model.session().precision(), Precision::Bf16, "{name}");
     }
 }

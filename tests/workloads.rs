@@ -4,6 +4,7 @@
 //! dataflow graph is straightforward" contract.
 
 use fathom_suite::fathom::{BuildConfig, Mode, ModelKind};
+use fathom_suite::fathom_dataflow::{ExecError, Guardrail};
 
 #[test]
 fn all_eight_workloads_train_one_step() {
@@ -77,4 +78,26 @@ fn different_seeds_give_different_runs() {
     let mut a = ModelKind::Autoenc.build(&BuildConfig::training().with_seed(1));
     let mut b = ModelKind::Autoenc.build(&BuildConfig::training().with_seed(2));
     assert_ne!(a.step().loss, b.step().loss);
+}
+
+#[test]
+fn supervised_pipelines_rewind_on_a_tripped_step_and_skip_one_batch() {
+    // The pipeline contract of every dataset-driven workload: a step the
+    // guardrail trips leaves the corpus where it was, and `skip_batch`
+    // moves it exactly as far as one committed step does.
+    for kind in ModelKind::ALL.into_iter().filter(|&k| k != ModelKind::Deepq) {
+        let cfg = BuildConfig::training().with_seed(11);
+        let mut model = kind.build(&cfg);
+        model.session_mut().set_guardrail(Some(Guardrail::finite()));
+        let before = model.export_pipeline();
+        let loss = model.train_probes().expect("training tracks its loss").loss;
+        model.session_mut().poison_next_fetch(loss);
+        assert!(matches!(model.try_step(), Err(ExecError::GuardTripped(_))), "{kind}");
+        assert_eq!(model.export_pipeline(), before, "{kind}: a tripped step moved the pipeline");
+
+        model.skip_batch();
+        let mut twin = kind.build(&cfg);
+        twin.step();
+        assert_eq!(model.export_pipeline(), twin.export_pipeline(), "{kind}: skip_batch != one step");
+    }
 }
