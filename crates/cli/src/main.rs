@@ -430,14 +430,15 @@ fn print_runtime(rc: &fathom_dataflow::RuntimeCounters) {
     if rc.any() {
         println!(
             "runtime: allocations {}  arena {} B  steals {}  wide ops {}  co-scheduled ops {}  \
-             parks {}  inline ops {}",
+             parks {}  inline ops {}  copied {} B",
             rc.allocations,
             rc.arena_bytes,
             rc.steal_count,
             rc.wide_ops,
             rc.coscheduled_ops,
             rc.parks,
-            rc.inline_ops
+            rc.inline_ops,
+            rc.copied_bytes
         );
     }
 }

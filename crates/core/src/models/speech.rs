@@ -81,13 +81,10 @@ impl BatchSource for Utterances {
         let (frames, labels) = self.corpus.batch(self.d.batch, self.d.label_len);
         let t_actual = frames.shape().dim(0);
         let mut padded = Tensor::zeros([t, self.d.batch, self.d.features]);
-        for ti in 0..t_actual.min(t) {
-            for b in 0..self.d.batch {
-                for f in 0..self.d.features {
-                    padded.set(&[ti, b, f], frames.at(&[ti, b, f]));
-                }
-            }
-        }
+        // Both are [time, batch, features]: the first frames are one
+        // contiguous prefix of each.
+        let n = t_actual.min(t) * self.d.batch * self.d.features;
+        padded.data_mut()[..n].copy_from_slice(&frames.data()[..n]);
         vec![(self.frames, padded), (self.labels, labels)]
     }
 

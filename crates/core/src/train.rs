@@ -757,6 +757,7 @@ mod tests {
             coscheduled_ops: 11,
             parks: 13,
             inline_ops: 17,
+            copied_bytes: 0,
         };
         let trip = |step, reason: &str, attempt, action| TripEvent { step, reason: reason.into(), attempt, action };
         let report = TrainReport {

@@ -96,14 +96,14 @@ impl SpeechCorpus {
         let t_max = utterances.iter().map(|u| u.frames.len()).max().unwrap_or(1);
         let mut frames = Tensor::zeros([t_max, batch, self.features]);
         let mut labels = Tensor::filled([batch, label_len], -1.0);
+        let (dst, label_dst) = (frames.data_mut(), labels.data_mut());
         for (b, u) in utterances.iter().enumerate() {
             for (t, frame) in u.frames.iter().enumerate() {
-                for (f, &v) in frame.iter().enumerate() {
-                    frames.set(&[t, b, f], v);
-                }
+                let at = (t * batch + b) * self.features;
+                dst[at..at + frame.len()].copy_from_slice(frame);
             }
             for (l, &p) in u.labels.iter().enumerate() {
-                labels.set(&[b, l], p as f32);
+                label_dst[b * label_len + l] = p as f32;
             }
         }
         (frames, labels)

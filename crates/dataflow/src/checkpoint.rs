@@ -351,14 +351,17 @@ pub fn save_resume(
     encode(&parts, w)
 }
 
-/// An owned copy of a session's resume state, taken at one instant, so
-/// that it can be encoded and written elsewhere — on another thread —
-/// while the session trains on. [`ResumeImage::write`] produces exactly
-/// the bytes [`save_resume`] would have produced at capture time.
+/// A session's resume state, taken at one instant, so that it can be
+/// encoded and written elsewhere — on another thread — while the session
+/// trains on. [`ResumeImage::write`] produces exactly the bytes
+/// [`save_resume`] would have produced at capture time.
 ///
-/// Variables, optimizer slots and calibration ranges are copied (the
-/// model's size); the pipeline parts are shared, not copied, which is
-/// what keeps a capture cheap next to a replay buffer.
+/// Nothing the size of the model is copied. Variables and optimizer slots
+/// are shared tensors: `Apply` writes its results into fresh buffers, so
+/// the buffers an image holds are ones the next step no longer writes,
+/// and they go back to the session's arena when the writer drops the
+/// image. The pipeline parts are shared too; only the calibration ranges
+/// are copied.
 #[derive(Debug)]
 pub struct ResumeImage {
     vars: Vec<(String, Tensor)>,

@@ -121,15 +121,18 @@ impl Default for CpuModel {
 /// Where (and how) a session executes operations.
 #[derive(Debug, Clone)]
 pub enum Device {
-    /// Real execution on the host CPU. Two independent parallelism knobs,
-    /// mirroring TensorFlow's thread-pool pair: `pool` bounds *intra*-op
-    /// threads (workers splitting one kernel), `inter_ops` bounds how many
-    /// independent operations the session scheduler may run concurrently.
+    /// Real execution on the host CPU. `pool` is the intra-op thread pool
+    /// (workers splitting one kernel); `inter_ops` only picks the step
+    /// driver. At `1` the session walks the plan serially; above `1` it
+    /// runs the pool driver, which releases every ready op onto `pool`'s
+    /// runtime. How many ops are then in flight at once is bounded by
+    /// that runtime's worker count, not by `inter_ops`: nothing else
+    /// reads the number.
     Cpu {
         /// The intra-op thread pool shared by every kernel.
         pool: ExecPool,
-        /// Maximum concurrently executing operations (`1` = serial plan
-        /// walk, the classic single-stream executor).
+        /// `1` selects the serial plan walk, anything above it the pool
+        /// driver.
         inter_ops: usize,
     },
     /// Serial execution with durations scaled by an analytic multi-core
@@ -152,12 +155,12 @@ impl Device {
         Device::Cpu { pool: ExecPool::new(threads), inter_ops: 1 }
     }
 
-    /// CPU device with both parallelism knobs: `intra_threads` workers
-    /// per kernel and up to `inter_ops` independent operations in flight.
-    /// Both knobs draw from **one** work-stealing runtime sized
-    /// `max(intra, inter)` — kernel chunks and whole ready operations
-    /// share the same worker set, so the thread budget is exactly that
-    /// maximum regardless of how the two knobs divide it.
+    /// CPU device with `intra_threads` workers per kernel on **one**
+    /// work-stealing runtime sized `max(intra, inter)`. An `inter_ops`
+    /// above 1 selects the pool driver, which co-schedules every ready
+    /// operation on that same runtime; it does not cap how many are in
+    /// flight. Kernel chunks and whole ready operations share the one
+    /// worker set, so the thread budget is exactly that maximum.
     pub fn cpu_inter_op(intra_threads: usize, inter_ops: usize) -> Self {
         let intra = intra_threads.max(1);
         let inter = inter_ops.max(1);
@@ -207,9 +210,11 @@ impl Device {
         }
     }
 
-    /// How many operations the session may execute concurrently. Modeled
-    /// devices execute serially (their op durations are scaled
-    /// analytically instead), so they report 1.
+    /// The device's `inter_ops` setting: above 1 the session steps on the
+    /// pool driver, at 1 it walks the plan serially. It is not a cap on
+    /// concurrent ops (see [`Device::Cpu`]). Modeled devices execute
+    /// serially (their op durations are scaled analytically instead), so
+    /// they report 1.
     pub fn inter_ops(&self) -> usize {
         match self {
             Device::Cpu { inter_ops, .. } => (*inter_ops).max(1),

@@ -196,8 +196,10 @@ where
         }
 
         // Class F: the node's optimizer names the slots to journal and
-        // the update to run. The slots leave the map for the update, so
-        // it borrows each one mutably without a copy.
+        // the update to run. The update is out of place: the journal
+        // shares the prior variable and slot buffers (no copy), the
+        // update reads them and writes fresh ones, and the output shares
+        // the new variable.
         OpKind::Apply(opt) => {
             let st = serial_state();
             let var_id = variable_target(graph, st, id)?;
@@ -210,13 +212,12 @@ where
                     st.slots.remove(&(id, slot.name)).unwrap_or_else(|| slot.init(&node.shape))
                 })
                 .collect();
-            let var = st.variables.get_mut(&var_id).expect("checked above");
-            opt.update(var.data_mut(), input(1).data(), &mut slots);
-            let out = var.clone();
+            let var = opt.update(&st.variables[&var_id], input(1).data(), &mut slots, pool);
             for (slot, value) in opt.slots().iter().zip(slots) {
                 st.slots.insert((id, slot.name), value);
             }
-            out
+            st.variables.insert(var_id, var.clone());
+            var
         }
         OpKind::Group => Tensor::scalar(0.0),
 

@@ -65,10 +65,12 @@ impl Guardrail {
 /// borrow it independently of the graph and pools.
 ///
 /// The undo journal makes a failed run recoverable: before an `Apply`
-/// op first mutates a variable or optimizer slot within a run, the prior
+/// op first replaces a variable or optimizer slot within a run, the prior
 /// value is recorded; if the run errors (or an op panics), [`Session::run`]
 /// replays the journal so the session lands back in exactly the state it
-/// had when the failed run began.
+/// had when the failed run began. `Apply` writes out of place, so the
+/// journal shares the prior buffers instead of copying them, and a
+/// rollback puts those same buffers back.
 #[derive(Debug)]
 pub(super) struct SessionState {
     pub(super) variables: HashMap<NodeId, Tensor>,
@@ -82,17 +84,18 @@ pub(super) struct SessionState {
 }
 
 impl SessionState {
-    /// Records a variable's value before its first mutation this run.
+    /// Records a variable's value before its first update this run, by
+    /// sharing its buffer.
     pub(super) fn journal_variable(&mut self, id: NodeId) {
         if !self.journal_vars.contains_key(&id) {
             if let Some(v) = self.variables.get(&id) {
-                let v = v.clone();
-                self.journal_vars.insert(id, v);
+                self.journal_vars.insert(id, v.clone());
             }
         }
     }
 
-    /// Records an optimizer slot's value before its first mutation this run.
+    /// Records an optimizer slot's value before its first update this run,
+    /// by sharing its buffer.
     pub(super) fn journal_slot(&mut self, key: (NodeId, &'static str)) {
         if !self.journal_slots.contains_key(&key) {
             let prior = self.slots.get(&key).cloned();
@@ -182,6 +185,8 @@ pub struct Session {
     counters: RuntimeCounters,
     /// Recycler miss count at the last counter sample (delta base).
     last_misses: u64,
+    /// Recycler copied bytes at the last counter sample (delta base).
+    last_copied: u64,
     /// Runtime steal count at the last counter sample (delta base).
     last_steals: u64,
     /// Runtime park count at the last counter sample (delta base).
@@ -232,6 +237,7 @@ impl Session {
             calibrating: false,
             counters: RuntimeCounters::default(),
             last_misses: 0,
+            last_copied: 0,
             last_steals,
             last_parks,
         }
@@ -259,8 +265,9 @@ impl Session {
         self.plan_cache.clear();
     }
 
-    /// Cumulative unified-runtime counters (arena misses, steals, parks
-    /// and the ops pooled steps ran) over this session's committed runs.
+    /// Cumulative unified-runtime counters (arena misses, copied bytes,
+    /// steals, parks and the ops pooled steps ran) over this session's
+    /// committed runs.
     pub fn runtime_counters(&self) -> RuntimeCounters {
         self.counters
     }
@@ -629,6 +636,9 @@ impl Session {
         let misses = self.recycler.misses();
         let allocations = misses.saturating_sub(self.last_misses);
         self.last_misses = misses;
+        let copied = self.recycler.copied_bytes();
+        let copied_bytes = copied.saturating_sub(self.last_copied);
+        self.last_copied = copied;
         let (steals, parked) =
             self.pool.runtime().map_or((0, 0), |rt| (rt.steal_count(), rt.park_count()));
         let steal_count = steals.saturating_sub(self.last_steals);
@@ -644,6 +654,7 @@ impl Session {
             coscheduled_ops: 0,
             parks,
             inline_ops,
+            copied_bytes,
         };
         self.counters.merge(&sample);
         if self.tracing {

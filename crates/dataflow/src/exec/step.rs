@@ -118,10 +118,11 @@ pub(super) fn emit(
 
 /// Takes the fetched values out of a driver's value table (`take`) and
 /// returns *unpooled* copies of them, recycling the originals. Callers
-/// hold fetches arbitrarily long (and may drop them on threads with no
-/// arena installed), so a pooled buffer handed out would never come
-/// back: every step would miss once per fetch and raise that size's cap
-/// again. The copy keeps steady-state steps allocation-free.
+/// hold fetches arbitrarily long, so an arena buffer handed out would
+/// stay out of the arena that long: every fetch a caller kept would
+/// raise its size's cap, and the arena would keep that much memory for
+/// good. The copy keeps steady-state steps allocation-free and the
+/// arena's footprint the step's own.
 pub(super) fn extract_fetches(
     fetches: &[NodeId],
     take: impl FnMut(NodeId) -> Option<Tensor>,

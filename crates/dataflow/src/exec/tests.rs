@@ -1,7 +1,8 @@
 //! Driver-parity tests: what must hold on the serial walk and on the
-//! pool driver alike — rollback of failed steps, what a failed step
-//! leaves in the trace, event-for-event equal traces, and bitwise-equal
-//! training at every thread count.
+//! pool driver alike — rollback of failed steps, isolation of shared
+//! state from later steps, what a failed step leaves in the trace,
+//! event-for-event equal traces, and bitwise-equal training at every
+//! thread count.
 
 #![cfg(test)]
 
@@ -9,7 +10,8 @@ use std::sync::Arc;
 
 use fathom_tensor::{Shape, Tensor};
 
-use super::{ExecError, Session};
+use super::{ExecError, Guardrail, Session};
+use crate::checkpoint::{ResumeImage, TrainCursor};
 use crate::device::Device;
 use crate::fault::{FaultAction, FaultPlan, FaultSite};
 use crate::graph::{Graph, NodeId};
@@ -115,6 +117,61 @@ fn injected_op_panic_rolls_back_and_session_stays_usable() {
     assert!((s.variable_value(v).unwrap().data()[0] - 0.95).abs() < 1e-6);
 }
 
+
+/// A resume image shares the session's variable and slot buffers rather
+/// than copying them, so nothing the session does next may write them:
+/// not a committed step, not a step the guardrail trips and not one an
+/// injected op panic aborts after its update ran.
+fn captured_state_stays_put(device: Device, opt: Optimizer) {
+    let mut g = Graph::new();
+    let v = g.variable("v", Tensor::from(vec![1.0, 2.0]));
+    let grad = g.placeholder("grad", Shape::vector(2));
+    let apply = g.add(OpKind::Apply(opt), &[v, grad]);
+    let mut s = Session::with_seed(g, device, 42);
+    s.set_guardrail(Some(Guardrail::finite()));
+    let feed = |x: f32| [(grad, Tensor::from(vec![x, -x]))];
+    let written = |image: &ResumeImage| {
+        let mut bytes = Vec::new();
+        image.write(&mut bytes).expect("writes to memory");
+        bytes
+    };
+    // Captured before the first step (no slots yet) and before a later
+    // one (every slot live).
+    for step in 0..2 {
+        let image = ResumeImage::capture(&s, TrainCursor::default(), Vec::new());
+        let before = written(&image);
+        s.run(&[apply], &feed(0.5)).expect("a committed step");
+        assert_eq!(written(&image), before, "{opt:?} step {step}: a committed step wrote the capture");
+        let err = s.run(&[apply], &feed(f32::NAN)).unwrap_err();
+        assert!(matches!(err, ExecError::GuardTripped(_)), "{opt:?}: got {err:?}");
+        assert_eq!(written(&image), before, "{opt:?} step {step}: a tripped step wrote the capture");
+        // Plan order: variable, placeholder, apply; the third probe fires
+        // after the update ran.
+        s.set_fault_plan(Some(Arc::new(
+            FaultPlan::new(0).with(FaultSite::ExecOp, 2, FaultAction::Panic),
+        )));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = s.run(&[apply], &feed(0.25));
+        }));
+        s.set_fault_plan(None);
+        assert!(panicked.is_err(), "injected panic must surface");
+        assert_eq!(written(&image), before, "{opt:?} step {step}: an aborted step wrote the capture");
+    }
+}
+
+#[test]
+fn captured_state_stays_put_on_the_serial_walk() {
+    for opt in every_optimizer() {
+        captured_state_stays_put(Device::cpu(1), opt);
+    }
+}
+
+#[test]
+fn captured_state_stays_put_on_the_pool_driver() {
+    for opt in every_optimizer() {
+        captured_state_stays_put(Device::cpu_inter_op(1, 4), opt);
+    }
+}
 
 /// Labels the CTC kernel would assert on (out of range) or silently
 /// misread (non-finite) must come back as a typed error from either

@@ -11,7 +11,8 @@
 //! in its arm of the methods below; the op vocabulary, cost model, dispatch,
 //! session and checkpoint restore all read them from here.
 
-use fathom_tensor::{Shape, Tensor};
+use fathom_tensor::kernels::elementwise::generate;
+use fathom_tensor::{ExecPool, Shape, Tensor};
 
 use crate::grad::gradients;
 use crate::graph::{Graph, NodeId};
@@ -164,55 +165,101 @@ impl Optimizer {
         }
     }
 
-    /// Updates `var` in place by `grad`, reading and writing `slots`: one
-    /// tensor per entry of [`Optimizer::slots`], in that order, each of
-    /// that entry's shape.
+    /// The update of `var` by `grad`, written out of place: returns the
+    /// new variable and replaces each of `slots` — one tensor per entry of
+    /// [`Optimizer::slots`], in that order, each of that entry's shape —
+    /// with its new value. The old buffers are read and never written,
+    /// so whoever else holds them (the undo journal, a snapshot, a
+    /// variable read still in flight) keeps its bits. Each pass is
+    /// elementwise and runs through `pool`; an element's arithmetic is
+    /// the same, in the same order, at any width.
     ///
     /// # Panics
     ///
-    /// Panics if `slots` does not hold one tensor per slot.
-    pub(crate) fn update(&self, var: &mut [f32], grad: &[f32], slots: &mut [Tensor]) {
+    /// Panics if `slots` does not hold one tensor per slot, or `grad` is
+    /// not the variable's length.
+    pub(crate) fn update(&self, var: &Tensor, grad: &[f32], slots: &mut [Tensor], pool: &ExecPool) -> Tensor {
+        // Each pass writes one fresh arena buffer of the variable's shape
+        // (every slot but Adam's scalar `t` has it), one span at a time;
+        // no element's arithmetic depends on its span, so the bits are
+        // the same at any width.
+        let pass = |fill: &(dyn Fn(usize, &mut [f32]) + Sync)| generate(var.shape().clone(), 0, pool, fill);
+        let v = var.data();
+        let (n, name) = (v.len(), self.name());
+        assert_eq!(grad.len(), n, "{name} of {n} elements by a {}-element gradient", grad.len());
         match (*self, slots) {
-            (Optimizer::Sgd { lr }, []) => {
-                for (v, g) in var.iter_mut().zip(grad) {
-                    *v -= lr * g;
+            (Optimizer::Sgd { lr }, []) => pass(&|at, out| {
+                for ((o, v), g) in out.iter_mut().zip(&v[at..]).zip(&grad[at..]) {
+                    *o = v - lr * g;
                 }
-            }
+            }),
             (Optimizer::Momentum { lr, momentum }, [accum]) => {
-                for (m, g) in accum.data_mut().iter_mut().zip(grad) {
-                    *m = momentum * *m + g;
-                }
-                for (v, m) in var.iter_mut().zip(accum.data()) {
-                    *v -= lr * m;
-                }
+                let old = accum.data();
+                let m = pass(&|at, out| {
+                    for ((o, m), g) in out.iter_mut().zip(&old[at..]).zip(&grad[at..]) {
+                        *o = momentum * m + g;
+                    }
+                });
+                let new = m.data();
+                let var = pass(&|at, out| {
+                    for ((o, v), m) in out.iter_mut().zip(&v[at..]).zip(&new[at..]) {
+                        *o = v - lr * m;
+                    }
+                });
+                *accum = m;
+                var
             }
             (Optimizer::RmsProp { lr, decay, momentum, epsilon }, [ms, mom]) => {
-                for (m, g) in ms.data_mut().iter_mut().zip(grad) {
-                    *m = decay * *m + (1.0 - decay) * g * g;
-                }
-                for ((mo, g), m) in mom.data_mut().iter_mut().zip(grad).zip(ms.data()) {
-                    *mo = momentum * *mo + lr * g / (m.sqrt() + epsilon);
-                }
-                for (v, mo) in var.iter_mut().zip(mom.data()) {
-                    *v -= mo;
-                }
+                let old = ms.data();
+                let ms_new = pass(&|at, out| {
+                    for ((o, m), g) in out.iter_mut().zip(&old[at..]).zip(&grad[at..]) {
+                        *o = decay * m + (1.0 - decay) * g * g;
+                    }
+                });
+                let (old, m) = (mom.data(), ms_new.data());
+                let mom_new = pass(&|at, out| {
+                    let inputs = old[at..].iter().zip(&grad[at..]).zip(&m[at..]);
+                    for (o, ((mo, g), m)) in out.iter_mut().zip(inputs) {
+                        *o = momentum * mo + lr * g / (m.sqrt() + epsilon);
+                    }
+                });
+                let mo = mom_new.data();
+                let var = pass(&|at, out| {
+                    for ((o, v), mo) in out.iter_mut().zip(&v[at..]).zip(&mo[at..]) {
+                        *o = v - mo;
+                    }
+                });
+                (*ms, *mom) = (ms_new, mom_new);
+                var
             }
             (Optimizer::Adam { lr, beta1, beta2, epsilon }, [t_slot, m, v2]) => {
                 let t = t_slot.scalar_value() + 1.0;
-                t_slot.data_mut()[0] = t;
-                for (mv, g) in m.data_mut().iter_mut().zip(grad) {
-                    *mv = beta1 * *mv + (1.0 - beta1) * g;
-                }
-                for (vv, g) in v2.data_mut().iter_mut().zip(grad) {
-                    *vv = beta2 * *vv + (1.0 - beta2) * g * g;
-                }
+                *t_slot = Tensor::scalar(t);
+                let old = m.data();
+                let m_new = pass(&|at, out| {
+                    for ((o, mv), g) in out.iter_mut().zip(&old[at..]).zip(&grad[at..]) {
+                        *o = beta1 * mv + (1.0 - beta1) * g;
+                    }
+                });
+                let old = v2.data();
+                let v2_new = pass(&|at, out| {
+                    for ((o, vv), g) in out.iter_mut().zip(&old[at..]).zip(&grad[at..]) {
+                        *o = beta2 * vv + (1.0 - beta2) * g * g;
+                    }
+                });
                 let bc1 = 1.0 - beta1.powf(t);
                 let bc2 = 1.0 - beta2.powf(t);
-                for ((v, mv), vv) in var.iter_mut().zip(m.data()).zip(v2.data()) {
-                    let m_hat = mv / bc1;
-                    let v_hat = vv / bc2;
-                    *v -= lr * m_hat / (v_hat.sqrt() + epsilon);
-                }
+                let (mv, vv) = (m_new.data(), v2_new.data());
+                let var = pass(&|at, out| {
+                    let inputs = v[at..].iter().zip(&mv[at..]).zip(&vv[at..]);
+                    for (o, ((v, mv), vv)) in out.iter_mut().zip(inputs) {
+                        let m_hat = mv / bc1;
+                        let v_hat = vv / bc2;
+                        *o = v - lr * m_hat / (v_hat.sqrt() + epsilon);
+                    }
+                });
+                (*m, *v2) = (m_new, v2_new);
+                var
             }
             (opt, slots) => {
                 panic!("{} takes {} slots, got {}", opt.name(), opt.slots().len(), slots.len())

@@ -84,6 +84,11 @@ pub struct RuntimeCounters {
     /// Ops the parallel executor ran by chain-following: on the thread
     /// that made them ready, without a queue round trip.
     pub inline_ops: u64,
+    /// Bytes copied because a shared tensor buffer was written: the
+    /// arena's [`BufferPool::copied_bytes`](fathom_tensor::BufferPool::copied_bytes).
+    /// Values are shared, not copied, so a steady inference step copies
+    /// nothing.
+    pub copied_bytes: u64,
 }
 
 impl RuntimeCounters {
@@ -107,6 +112,7 @@ impl RuntimeCounters {
             coscheduled_ops: self.coscheduled_ops.saturating_sub(base.coscheduled_ops),
             parks: self.parks.saturating_sub(base.parks),
             inline_ops: self.inline_ops.saturating_sub(base.inline_ops),
+            copied_bytes: self.copied_bytes.saturating_sub(base.copied_bytes),
         }
     }
 
@@ -126,12 +132,13 @@ impl RuntimeCounters {
         self.coscheduled_ops += other.coscheduled_ops;
         self.parks += other.parks;
         self.inline_ops += other.inline_ops;
+        self.copied_bytes += other.copied_bytes;
     }
 }
 
-/// The `runtime` block of every report. `parks` and `inline_ops` appear
-/// only when nonzero, so reports of runs that never park or chain-follow
-/// are unchanged.
+/// The `runtime` block of every report. `parks`, `inline_ops` and
+/// `copied_bytes` appear only when nonzero, so reports of runs that never
+/// park, chain-follow or copy are unchanged.
 impl From<RuntimeCounters> for Json {
     fn from(c: RuntimeCounters) -> Json {
         Json::obj()
@@ -142,6 +149,7 @@ impl From<RuntimeCounters> for Json {
             .with("coscheduled_ops", c.coscheduled_ops)
             .with_nondefault("parks", c.parks)
             .with_nondefault("inline_ops", c.inline_ops)
+            .with_nondefault("copied_bytes", c.copied_bytes)
     }
 }
 
@@ -373,6 +381,7 @@ mod tests {
             coscheduled_ops: 1,
             parks: 6,
             inline_ops: 0,
+            copied_bytes: 0,
         };
         let b = RuntimeCounters {
             allocations: 1,
@@ -382,6 +391,7 @@ mod tests {
             coscheduled_ops: 4,
             parks: 1,
             inline_ops: 9,
+            copied_bytes: 0,
         };
         a.merge(&b);
         assert_eq!(a.parks, 7);
@@ -409,6 +419,15 @@ mod tests {
             "{\"allocations\": 0, \"arena_bytes\": 0, \"steal_count\": 0, \
              \"wide_ops\": 0, \"coscheduled_ops\": 0, \"inline_ops\": 2}",
             "each of the two is omitted on its own"
+        );
+        let mut copied = RuntimeCounters { copied_bytes: 8, ..RuntimeCounters::default() };
+        copied.merge(&copied.clone());
+        assert_eq!(copied.delta_since(&RuntimeCounters { copied_bytes: 4, ..copied }).copied_bytes, 12);
+        assert_eq!(
+            copied.to_json(),
+            "{\"allocations\": 0, \"arena_bytes\": 0, \"steal_count\": 0, \
+             \"wide_ops\": 0, \"coscheduled_ops\": 0, \"copied_bytes\": 16}",
+            "copied bytes add up and appear only when nonzero"
         );
     }
 }

@@ -225,9 +225,9 @@ pub fn conv2d(
     let out_shape = spec.out_shape(input.shape(), filter.shape());
     let patches = PatchView::forward(input, filter.shape(), spec);
     let weights = Dense::matrix(filter.data(), filter.shape().dim(3), patches.kdim(), false);
-    let mut out = recycle::take(out_shape.num_elements());
-    gemm::product(&mut out, Lhs::Patches(patches), weights, Precision::F32, epilogue, pool);
-    Tensor::from_vec(out, out_shape)
+    let mut out = Tensor::pooled(out_shape);
+    gemm::product(out.data_mut(), Lhs::Patches(patches), weights, Precision::F32, epilogue, pool);
+    out
 }
 
 /// Gradient of the convolution with respect to its input
@@ -266,9 +266,9 @@ pub fn conv2d_backprop_input(
     let pad = [kh as isize - 1 - spec.pad as isize, kw as isize - 1 - spec.pad as isize];
     let patches = PatchView::new(grad.data(), [n, expect.dim(1), expect.dim(2), oc], [kh, kw], 1, pad, [h, w]);
     let weights = Dense::flipped_filter(filter.data(), kh * kw, ic, oc);
-    let mut dx = recycle::take(input_shape.num_elements());
-    gemm::product(&mut dx, Lhs::Patches(patches), weights, Precision::F32, None, pool);
-    Tensor::from_vec(dx, input_shape.clone())
+    let mut dx = Tensor::pooled(input_shape.clone());
+    gemm::product(dx.data_mut(), Lhs::Patches(patches), weights, Precision::F32, None, pool);
+    dx
 }
 
 /// Gradient of the convolution with respect to its filter
@@ -289,9 +289,9 @@ pub fn conv2d_backprop_filter(
     assert_eq!(grad.shape(), &expect, "grad shape {} != forward output {}", grad.shape(), expect);
     let patches = PatchView::forward(input, filter_shape, spec);
     let grads = Dense::matrix(grad.data(), filter_shape.dim(3), patches.pixels(), false);
-    let mut df = recycle::take(filter_shape.num_elements());
-    gemm::product(&mut df, Lhs::PatchesT(patches), grads, Precision::F32, None, pool);
-    Tensor::from_vec(df, filter_shape.clone())
+    let mut df = Tensor::pooled(filter_shape.clone());
+    gemm::product(df.data_mut(), Lhs::PatchesT(patches), grads, Precision::F32, None, pool);
+    df
 }
 
 /// Folds a patch-matrix gradient `[n*oh*ow, kh*kw*ic]` back onto the

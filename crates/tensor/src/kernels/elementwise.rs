@@ -15,24 +15,35 @@ use crate::tensor::Tensor;
 /// Span length used when chunking flat elementwise loops.
 const FLAT_SPAN: usize = 1024;
 
+/// A fresh tensor of `shape` written in flat spans through `pool`:
+/// `fill(at, dst)` writes the elements `at..at + dst.len()`
+/// (`work_per_span` sizes the dispatch, as in [`ExecPool::for_spans`]).
+/// An elementwise `fill` computes each element the same way whichever
+/// worker runs its span, so the result is bitwise the same at any width.
+pub fn generate(
+    shape: impl Into<Shape>,
+    work_per_span: usize,
+    pool: &ExecPool,
+    fill: impl Fn(usize, &mut [f32]) + Sync,
+) -> Tensor {
+    let mut out = Tensor::pooled(shape);
+    let dst = out.data_mut();
+    let span = FLAT_SPAN.min(dst.len().max(1));
+    // Process the aligned prefix in parallel, the remainder serially.
+    let aligned = dst.len() - dst.len() % span;
+    pool.for_spans(&mut dst[..aligned], span, work_per_span, |i, chunk| fill(i * span, chunk));
+    fill(aligned, &mut dst[aligned..]);
+    out
+}
+
 /// Applies `f` to every element, producing a new tensor.
 pub fn unary(x: &Tensor, pool: &ExecPool, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    let mut out = Tensor::zeros(x.shape().clone());
     let src = x.data();
-    let span = FLAT_SPAN.min(src.len().max(1));
-    let tail = src.len() % span;
-    // Process the aligned prefix in parallel, the remainder serially.
-    let aligned = src.len() - tail;
-    pool.for_spans(&mut out.data_mut()[..aligned], span, 0, |i, dst| {
-        let base = i * span;
+    generate(x.shape().clone(), 0, pool, |at, dst| {
         for (j, d) in dst.iter_mut().enumerate() {
-            *d = f(src[base + j]);
+            *d = f(src[at + j]);
         }
-    });
-    for (d, &s) in out.data_mut()[aligned..].iter_mut().zip(&src[aligned..]) {
-        *d = f(s);
-    }
-    out
+    })
 }
 
 /// Applies `f(a, b)` elementwise with broadcasting.
@@ -48,20 +59,12 @@ pub fn binary(a: &Tensor, b: &Tensor, pool: &ExecPool, f: impl Fn(f32, f32) -> f
 
     // Fast path: identical shapes.
     if a.shape() == b.shape() {
-        let mut out = Tensor::zeros(out_shape);
         let (x, y) = (a.data(), b.data());
-        let span = FLAT_SPAN.min(x.len().max(1));
-        let aligned = x.len() - x.len() % span;
-        pool.for_spans(&mut out.data_mut()[..aligned], span, 0, |i, dst| {
-            let base = i * span;
+        return generate(out_shape, 0, pool, |at, dst| {
             for (j, d) in dst.iter_mut().enumerate() {
-                *d = f(x[base + j], y[base + j]);
+                *d = f(x[at + j], y[at + j]);
             }
         });
-        for j in aligned..x.len() {
-            out.data_mut()[j] = f(x[j], y[j]);
-        }
-        return out;
     }
 
     // Fast path: one side is a scalar (or single element).
@@ -177,20 +180,11 @@ pub fn fold_n(inputs: &[&Tensor], pool: &ExecPool, f: impl Fn(f32, f32) -> f32 +
         assert_eq!(t.shape(), &shape, "fold_n inputs must share a shape");
     }
     let at = |j: usize| inputs[1..].iter().fold(inputs[0].data()[j], |s, t| f(s, t.data()[j]));
-    let mut out = Tensor::zeros(shape);
-    let span = FLAT_SPAN.min(out.len().max(1));
-    let aligned = out.len() - out.len() % span;
-    let n = out.len();
-    pool.for_spans(&mut out.data_mut()[..aligned], span, inputs.len(), |i, dst| {
-        let base = i * span;
+    generate(shape, inputs.len(), pool, |base, dst| {
         for (j, d) in dst.iter_mut().enumerate() {
             *d = at(base + j);
         }
-    });
-    for j in aligned..n {
-        out.data_mut()[j] = at(j);
-    }
-    out
+    })
 }
 
 /// The standalone (unfused) kernel of one class-C op over `inputs`, with

@@ -218,9 +218,9 @@ pub fn matmul(
         Engine::PackedF32 => Precision::F32,
         Engine::PackedBf16 => Precision::Bf16,
     };
-    let mut c = recycle::take(m * n);
-    gemm_into(&mut c, m, n, k, a.data(), transpose_a, b.data(), transpose_b, panels, epilogue, pool);
-    Tensor::from_vec(c, [m, n])
+    let mut c = Tensor::pooled([m, n]);
+    gemm_into(c.data_mut(), m, n, k, a.data(), transpose_a, b.data(), transpose_b, panels, epilogue, pool);
+    c
 }
 
 /// Writes `op(A) * op(B)` into `c` through the packed driver (`c` is

@@ -1,14 +1,13 @@
 //! Size-bucketed recycling of tensor backing buffers: the session's
-//! buffer arena.
+//! buffer arena, and the shared storage a [`Tensor`](crate::Tensor) sits
+//! on.
 //!
 //! A training step allocates and frees the same set of intermediate
 //! shapes every iteration, so the allocator sees a perfectly periodic
 //! churn of large short-lived `Vec<f32>`s. A [`BufferPool`] breaks that
-//! cycle: dead intermediates return their buffers (the executor releases
-//! them eagerly at last use, and [`Tensor`](crate::Tensor) returns its
-//! buffer on drop whenever a pool is installed on the thread) and later
-//! tensor constructors draw from the pool instead of the system
-//! allocator.
+//! cycle: every pooled tensor constructor draws from the pool installed
+//! on its thread, and the buffer goes back to *that* pool when its last
+//! owner drops (the executor drops intermediates eagerly at last use).
 //!
 //! # One rule
 //!
@@ -35,6 +34,20 @@
 //! from it. Constructors overwrite a recycled buffer before use, so
 //! recycling never changes computed results — only where the bytes live.
 //!
+//! # Shared storage
+//!
+//! A tensor's buffer is shared, not owned: cloning a tensor bumps a
+//! count. The buffer remembers the pool that issued it and returns there
+//! when the last owner drops, on whatever thread that happens — a
+//! snapshot writer or a caller with no pool installed included. A write
+//! to a shared buffer first copies it ([`Tensor::data_mut`]); the pool
+//! the copy is drawn from counts those bytes as
+//! [`BufferPool::copied_bytes`]. A buffer the caller built
+//! ([`Tensor::from_vec`]) belongs to no pool and is simply freed.
+//!
+//! [`Tensor::data_mut`]: crate::Tensor::data_mut
+//! [`Tensor::from_vec`]: crate::Tensor::from_vec
+//!
 //! Buckets are keyed by exact element count. Workloads execute a fixed
 //! graph, so sizes repeat exactly; near-miss reuse (handing a 1000-element
 //! request a 1024-element buffer) would silently change `capacity` and
@@ -43,7 +56,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// One size class of pooled buffers.
 #[derive(Debug, Default)]
@@ -60,6 +73,7 @@ struct Bucket {
 pub struct BufferPool {
     buckets: Mutex<HashMap<usize, Bucket>>,
     misses: AtomicU64,
+    copied: AtomicU64,
 }
 
 impl BufferPool {
@@ -102,6 +116,14 @@ impl BufferPool {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Bytes copied because a shared buffer was written or taken
+    /// ([`Tensor::data_mut`](crate::Tensor::data_mut),
+    /// [`Tensor::into_vec`](crate::Tensor::into_vec)), counted on the pool
+    /// the shared buffer came from, else on the copying thread's pool.
+    pub fn copied_bytes(&self) -> u64 {
+        self.copied.load(Ordering::Relaxed)
+    }
+
     /// The learned footprint: Σ cap × len × 4 bytes over every size.
     /// The trace reports it as `arena_bytes`.
     pub fn arena_bytes(&self) -> u64 {
@@ -135,30 +157,117 @@ impl Drop for InstallGuard {
     }
 }
 
+/// `f` of the calling thread's installed pool, if any.
+fn with_installed<R>(f: impl FnOnce(Option<&Arc<BufferPool>>) -> R) -> R {
+    ACTIVE.with(|active| f(active.borrow().as_ref()))
+}
+
+/// A buffer of `len` elements from `pool`, or a fresh zeroed one on a
+/// miss or without a pool. Contents are unspecified.
+fn take_from(pool: Option<&Arc<BufferPool>>, len: usize) -> Vec<f32> {
+    pool.filter(|_| len > 0).and_then(|pool| pool.take(len)).unwrap_or_else(|| vec![0.0; len])
+}
+
 /// A buffer of `len` elements from the thread's installed pool, or a
 /// fresh zeroed one on a miss or when none is installed. **Contents are
 /// unspecified** — the caller fills, copies into or otherwise overwrites
 /// every element before reading. Empty buffers own no allocation and
-/// never touch the pool.
+/// never touch the pool. Kernels take their scratch here and hand it
+/// back through [`give`].
 pub(crate) fn take(len: usize) -> Vec<f32> {
-    let pooled = if len == 0 {
-        None
-    } else {
-        ACTIVE.with(|active| active.borrow().as_ref().and_then(|pool| pool.take(len)))
-    };
-    pooled.unwrap_or_else(|| vec![0.0; len])
+    with_installed(|pool| take_from(pool, len))
 }
 
-/// Returns a dead buffer to the thread's installed pool; drops it when
-/// none is installed. `Tensor`'s drop glue calls this, so temporaries
-/// that never pass through the executor's liveness bookkeeping recycle
-/// too, and kernels hand their scratch back through it.
+/// Returns a dead scratch buffer to the thread's installed pool; drops it
+/// when none is installed.
 pub(crate) fn give(buf: Vec<f32>) {
-    ACTIVE.with(|active| {
-        if let Some(pool) = active.borrow().as_ref() {
+    with_installed(|pool| {
+        if let Some(pool) = pool {
             pool.give(buf);
         }
     });
+}
+
+/// A tensor's backing buffer and the pool it returns to when dropped.
+/// [`Tensor`](crate::Tensor) shares one behind an `Arc`, so this drops
+/// when the buffer's last owner does.
+#[derive(Debug)]
+pub(crate) struct Storage {
+    data: Vec<f32>,
+    /// The issuing pool; dangling for a caller's buffer, and once the
+    /// pool itself is gone.
+    home: Weak<BufferPool>,
+}
+
+impl Storage {
+    /// `data` drawn from `pool`, returning there.
+    fn issued(data: Vec<f32>, pool: Option<&Arc<BufferPool>>) -> Self {
+        Storage { data, home: pool.map_or_else(Weak::new, Arc::downgrade) }
+    }
+
+    /// `len` elements from the thread's installed pool, homed there.
+    /// Contents are unspecified.
+    pub(crate) fn take(len: usize) -> Self {
+        with_installed(|pool| Storage::issued(take_from(pool, len), pool))
+    }
+
+    /// A caller's buffer: no pool issued it, so none gets it back.
+    pub(crate) fn adopt(data: Vec<f32>) -> Self {
+        Storage { data, home: Weak::new() }
+    }
+
+    /// The pool a copy of this buffer is drawn from and counted on: the
+    /// issuing pool while it lives, else the thread's installed one.
+    fn copy_pool(&self) -> Option<Arc<BufferPool>> {
+        let pool = self.home.upgrade().or_else(|| with_installed(|pool| pool.cloned()));
+        if let Some(pool) = &pool {
+            pool.copied.fetch_add(self.data.len() as u64 * 4, Ordering::Relaxed);
+        }
+        pool
+    }
+
+    /// The elements as a fresh caller-owned `Vec`, counted as a copy.
+    pub(crate) fn to_vec(&self) -> Vec<f32> {
+        self.copy_pool();
+        self.data.clone()
+    }
+
+    /// The buffer itself, which leaves its pool for good.
+    pub(crate) fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
+    }
+
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+}
+
+/// The copy-on-write copy (`Arc::make_mut` in
+/// [`Tensor::data_mut`](crate::Tensor::data_mut)): a private buffer for a
+/// writer that shares this one, counted as copied bytes.
+impl Clone for Storage {
+    fn clone(&self) -> Self {
+        let pool = self.copy_pool();
+        let mut data = take_from(pool.as_ref(), self.data.len());
+        data.copy_from_slice(&self.data);
+        Storage::issued(data, pool.as_ref())
+    }
+}
+
+impl Drop for Storage {
+    fn drop(&mut self) {
+        // A taken buffer (`into_vec`) leaves an empty one behind, which
+        // owns no allocation.
+        if !self.data.is_empty() {
+            if let Some(pool) = self.home.upgrade() {
+                pool.give(std::mem::take(&mut self.data));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -279,6 +388,36 @@ mod tests {
         // Guard dropped: allocations no longer touch the pool.
         let _t = Tensor::zeros([4096]);
         assert_eq!((pool.misses(), bucket(&pool, 4096)), (1, (1, 1)));
+    }
+
+    #[test]
+    fn a_buffer_whose_last_owner_drops_on_another_thread_returns_to_its_issuer() {
+        let pool = Arc::new(BufferPool::new());
+        // One "step": a pooled tensor and a clone of it, the original
+        // dropped here and the clone on a thread with no pool installed.
+        let step = || {
+            let t = {
+                let _guard = BufferPool::install(&pool);
+                Tensor::filled([4096], 1.0)
+            };
+            let shared = t.clone();
+            drop(t);
+            std::thread::spawn(move || drop(shared)).join().expect("drop thread");
+        };
+        step();
+        assert_eq!((pool.misses(), bucket(&pool, 4096)), (1, (1, 1)), "the buffer came home");
+        for _ in 0..3 {
+            step();
+        }
+        assert_eq!(pool.misses(), 1, "a replayed clone/drop sequence must not miss");
+        // A buffer that outlives its pool is simply freed.
+        let orphan = {
+            let gone = Arc::new(BufferPool::new());
+            let _guard = BufferPool::install(&gone);
+            Tensor::filled([4096], 2.0)
+        };
+        drop(orphan);
+        assert_eq!(bucket(&pool, 4096), (1, 1), "another pool's buffer is not this one's");
     }
 
     #[test]

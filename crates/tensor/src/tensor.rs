@@ -1,15 +1,23 @@
 //! The dense `f32` tensor type used throughout the suite.
 
 use std::fmt;
+use std::sync::Arc;
 
+use crate::recycle::Storage;
 use crate::rng::Rng;
 use crate::shape::Shape;
 
 /// A dense, contiguous, row-major tensor of `f32` values.
 ///
 /// `Tensor` is the single value type flowing through the dataflow graph.
-/// It is deliberately simple: owned storage, row-major layout, no views.
-/// Kernels that need strided access compute offsets through [`Shape`].
+/// It is a shape over a shared, copy-on-write buffer: [`Clone`] and
+/// [`Tensor::reshaped`] hand out the same buffer under a new owner or a
+/// new shape without copying a byte, and [`Tensor::data_mut`] copies only
+/// when the buffer has another owner. A buffer drawn from a
+/// [`BufferPool`](crate::BufferPool) goes back to that pool when its last
+/// owner drops, whichever thread that happens on. There are no strided
+/// views: kernels that need strided access compute offsets through
+/// [`Shape`].
 ///
 /// # Examples
 ///
@@ -19,33 +27,38 @@ use crate::shape::Shape;
 /// let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
 /// assert_eq!(t.at(&[1, 0]), 3.0);
 /// assert_eq!(t.shape().num_elements(), 4);
+/// let shared = t.clone();
+/// assert_eq!(shared.data().as_ptr(), t.data().as_ptr());
 /// ```
-#[derive(PartialEq)]
+#[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    storage: Arc<Storage>,
 }
 
-impl Clone for Tensor {
-    fn clone(&self) -> Self {
-        let mut data = crate::recycle::take(self.data.len());
-        data.copy_from_slice(&self.data);
-        Tensor { shape: self.shape.clone(), data }
-    }
-}
-
-impl Drop for Tensor {
-    fn drop(&mut self) {
-        // Moved-out shells (`into_vec`) leave an empty buffer behind,
-        // which owns no allocation and never touches the pool.
-        if !self.data.is_empty() {
-            crate::recycle::give(std::mem::take(&mut self.data));
-        }
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data()
     }
 }
 
 impl Tensor {
-    /// Creates a tensor from a flat row-major buffer and a shape.
+    fn with_storage(shape: Shape, storage: Storage) -> Self {
+        Tensor { shape, storage: Arc::new(storage) }
+    }
+
+    /// A tensor of `shape` on a buffer from the thread's installed
+    /// [`BufferPool`](crate::BufferPool), or a fresh one. **Contents are
+    /// unspecified**: the caller overwrites every element before reading.
+    pub(crate) fn pooled(shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        let storage = Storage::take(shape.num_elements());
+        Tensor::with_storage(shape, storage)
+    }
+
+    /// Creates a tensor from a flat row-major buffer and a shape. The
+    /// buffer is the caller's: it belongs to no pool and is freed when
+    /// its last owner drops.
     ///
     /// # Panics
     ///
@@ -59,7 +72,7 @@ impl Tensor {
             data.len(),
             shape
         );
-        Tensor { shape, data }
+        Tensor::with_storage(shape, Storage::adopt(data))
     }
 
     /// A tensor filled with zeros. Draws its backing buffer from the
@@ -76,10 +89,9 @@ impl Tensor {
     /// A tensor filled with `value`. Draws its backing buffer from the
     /// thread's installed [`crate::recycle::BufferPool`], when one is.
     pub fn filled(shape: impl Into<Shape>, value: f32) -> Self {
-        let shape = shape.into();
-        let mut data = crate::recycle::take(shape.num_elements());
-        data.fill(value);
-        Tensor { shape, data }
+        let mut t = Tensor::pooled(shape);
+        t.data_mut().fill(value);
+        t
     }
 
     /// A rank-0 tensor holding a single value. Draws its buffer from the
@@ -93,24 +105,20 @@ impl Tensor {
     /// A tensor with elements drawn from `N(mean, std^2)` using the given
     /// deterministic generator.
     pub fn randn(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut Rng) -> Self {
-        let shape = shape.into();
-        let n = shape.num_elements();
-        let mut data = crate::recycle::take(n);
-        for slot in data.iter_mut() {
+        let mut t = Tensor::pooled(shape);
+        for slot in t.data_mut() {
             *slot = rng.normal() * std + mean;
         }
-        Tensor { shape, data }
+        t
     }
 
     /// A tensor with elements drawn uniformly from `[lo, hi)`.
     pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let shape = shape.into();
-        let n = shape.num_elements();
-        let mut data = crate::recycle::take(n);
-        for slot in data.iter_mut() {
+        let mut t = Tensor::pooled(shape);
+        for slot in t.data_mut() {
             *slot = rng.uniform() * (hi - lo) + lo;
         }
-        Tensor { shape, data }
+        t
     }
 
     /// The tensor's shape.
@@ -120,28 +128,37 @@ impl Tensor {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// Returns `true` if the tensor has no elements (some axis has extent 0).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data().is_empty()
     }
 
     /// The flat row-major data buffer.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        self.storage.data()
     }
 
-    /// Mutable access to the flat row-major buffer.
+    /// Mutable access to the flat row-major buffer. When another tensor
+    /// shares the buffer, this tensor first moves to a private copy (the
+    /// one copy-on-write copy, counted by
+    /// [`BufferPool::copied_bytes`](crate::BufferPool::copied_bytes)), so
+    /// the other owners never see the write.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.storage).data_mut()
     }
 
-    /// Consumes the tensor and returns its buffer. The buffer is *not*
-    /// recycled — ownership passes to the caller.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
+    /// Consumes the tensor and returns its buffer, which leaves any pool
+    /// for good. The buffer is taken as it is when this tensor owns it
+    /// alone, and copied (counted like [`Tensor::data_mut`]'s copy) when
+    /// it is shared.
+    pub fn into_vec(self) -> Vec<f32> {
+        match Arc::try_unwrap(self.storage) {
+            Ok(storage) => storage.into_vec(),
+            Err(shared) => shared.to_vec(),
+        }
     }
 
     /// Element at a multi-dimensional index.
@@ -150,7 +167,7 @@ impl Tensor {
     ///
     /// Panics if the index rank does not match the tensor's rank.
     pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
+        self.data()[self.shape.offset(index)]
     }
 
     /// Sets the element at a multi-dimensional index.
@@ -160,7 +177,7 @@ impl Tensor {
     /// Panics if the index rank does not match the tensor's rank.
     pub fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index);
-        self.data[off] = value;
+        self.data_mut()[off] = value;
     }
 
     /// The single value of a scalar (or single-element) tensor.
@@ -170,10 +187,11 @@ impl Tensor {
     /// Panics if the tensor has more than one element.
     pub fn scalar_value(&self) -> f32 {
         assert_eq!(self.len(), 1, "scalar_value on tensor of shape {}", self.shape);
-        self.data[0]
+        self.data()[0]
     }
 
-    /// Reinterprets the buffer under a new shape with the same element count.
+    /// The same buffer under a new shape with the same element count:
+    /// nothing is copied, and a clone taken before keeps its own shape.
     ///
     /// # Panics
     ///
@@ -193,26 +211,26 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Mean of all elements (0 for empty tensors).
     pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            self.sum() / self.data.len() as f32
+            self.sum() / self.len() as f32
         }
     }
 
     /// Maximum element (negative infinity for empty tensors).
     pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        self.data().iter().copied().fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// Minimum element (positive infinity for empty tensors).
     pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
+        self.data().iter().copied().fold(f32::INFINITY, f32::min)
     }
 
     /// Index of the maximum element along the last axis, returned as a
@@ -228,7 +246,7 @@ impl Tensor {
         let outer = self.len() / inner;
         let mut out = Vec::with_capacity(outer);
         for row in 0..outer {
-            let slice = &self.data[row * inner..(row + 1) * inner];
+            let slice = &self.data()[row * inner..(row + 1) * inner];
             let mut best = 0;
             for (i, &v) in slice.iter().enumerate() {
                 if v > slice[best] {
@@ -243,7 +261,7 @@ impl Tensor {
 
     /// Returns `true` if every element is finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        self.data().iter().all(|v| v.is_finite())
     }
 
     /// Maximum absolute difference with `other`, for approximate equality
@@ -254,9 +272,9 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "shape mismatch in max_abs_diff");
-        self.data
+        self.data()
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
@@ -272,10 +290,11 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor({} ", self.shape)?;
         const PREVIEW: usize = 8;
-        if self.data.len() <= PREVIEW {
-            write!(f, "{:?})", self.data)
+        let data = self.data();
+        if data.len() <= PREVIEW {
+            write!(f, "{data:?})")
         } else {
-            write!(f, "{:?}...)", &self.data[..PREVIEW])
+            write!(f, "{:?}...)", &data[..PREVIEW])
         }
     }
 }
@@ -378,6 +397,61 @@ mod tests {
         let t = Tensor::rand_uniform([1000], -2.0, 3.0, &mut rng);
         assert!(t.min() >= -2.0);
         assert!(t.max() < 3.0);
+    }
+
+    /// A pool installed for the test's tensors, so copies are counted.
+    fn arena() -> std::sync::Arc<crate::BufferPool> {
+        std::sync::Arc::new(crate::BufferPool::new())
+    }
+
+    #[test]
+    fn clone_shares_the_buffer() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
+        let c = t.clone();
+        assert_eq!(c.data().as_ptr(), t.data().as_ptr());
+        assert_eq!(c, t);
+    }
+
+    #[test]
+    fn data_mut_on_a_shared_tensor_copies_once_and_leaves_the_sibling_alone() {
+        let pool = arena();
+        let _guard = crate::BufferPool::install(&pool);
+        let t = Tensor::filled([1024], 1.5);
+        let mut c = t.clone();
+        c.data_mut()[0] = -2.0;
+        assert_eq!(pool.copied_bytes(), 1024 * 4, "one copy of the whole buffer");
+        assert_ne!(c.data().as_ptr(), t.data().as_ptr());
+        assert!(t.data().iter().all(|v| v.to_bits() == 1.5f32.to_bits()), "the sibling's bits moved");
+        assert_eq!((c.data()[0], c.data()[1]), (-2.0, 1.5));
+        // Both now own their buffers alone: further writes copy nothing.
+        c.data_mut()[1] = 0.0;
+        let mut t = t;
+        t.set(&[2], 7.0);
+        assert_eq!(pool.copied_bytes(), 1024 * 4);
+    }
+
+    #[test]
+    fn reshaped_shares_the_buffer() {
+        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
+        let r = t.clone().reshaped([4]);
+        assert_eq!(r.data().as_ptr(), t.data().as_ptr());
+        assert_eq!((r.shape(), t.shape()), (&Shape::vector(4), &Shape::matrix(2, 2)));
+    }
+
+    #[test]
+    fn into_vec_takes_a_unique_buffer_and_copies_a_shared_one() {
+        let pool = arena();
+        let _guard = crate::BufferPool::install(&pool);
+        let t = Tensor::filled([256], 3.0);
+        let ptr = t.data().as_ptr();
+        let taken = t.into_vec();
+        assert_eq!((taken.as_ptr(), pool.copied_bytes()), (ptr, 0), "a unique buffer is taken");
+        let t = Tensor::filled([256], 4.0);
+        let sibling = t.clone();
+        let copied = t.into_vec();
+        assert_ne!(copied.as_ptr(), sibling.data().as_ptr());
+        assert_eq!(copied, sibling.data());
+        assert_eq!(pool.copied_bytes(), 256 * 4, "a shared buffer is copied, and counted");
     }
 
     #[test]

@@ -63,9 +63,10 @@ stage serve-bench-closed ./target/release/fathom serve-bench memnet --clients 4 
 # parallel bits, the allocation-free steady state, bf16 at 4 workers,
 # the trainer's background snapshot writer running beside the workers
 # (kill/resume/torn-snapshot recovery, and snapshot bytes pinned through
-# deepq's replay-ring wrap, which needs release speed), and the 16 f32
-# checkpoints pinned on both drivers.
+# deepq's replay-ring wrap, which needs release speed), the 16 f32
+# checkpoints pinned on both drivers, and the copy pins (steady steps of
+# every workload share values instead of copying them, on both drivers).
 # A spin loop that starves the very thread it is waiting for shows up
 # here as a hung stage, not in production.
 stage runtime-oversubscribed env FATHOM_WORKERS=8 cargo test --release -q --test scheduler \
-  --test precision --test training --test snapshots --test checkpoints
+  --test precision --test training --test snapshots --test checkpoints --test copies
