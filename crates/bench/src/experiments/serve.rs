@@ -6,9 +6,9 @@
 //! twice the batch, zero think time) drives one `SessionWorker` built at
 //! that batch extent. Service times are real wall-clock measurements of
 //! the inference session; queueing, batching, and latency accounting run
-//! in the serving loop's deterministic virtual time (`serve` is the
-//! 1 model x 1 shard x N replica case of the cluster loop, so the sweep
-//! and the cluster scenario below exercise the same code). The sweep reports
+//! in the serving loop's deterministic virtual time (the sweep is
+//! `serve_cluster` over one model on one shard, so it and the cluster
+//! scenario below exercise the same code). The sweep reports
 //! throughput and tail latency per configuration — the classic
 //! batching trade: larger batches amortize per-op overhead (throughput
 //! up) while requests wait longer for a slot (p99 up). Every cell and
@@ -21,8 +21,8 @@ use std::fmt::Write as _;
 use fathom::{BuildConfig, ModelKind};
 use fathom_dataflow::Json;
 use fathom_serve::{
-    serve, serve_cluster, synth_inputs, BatchRunner, ClusterConfig, ClusterReport,
-    ClusterRunner, LoadModel, ModelSpec, ServeConfig, ServeReport, SessionWorker, SloClass,
+    serve_cluster, synth_inputs, ClosedLoop, ClusterConfig, ClusterReport, ClusterRunner,
+    ModelSpec, SessionWorker, SloClass, SloMix, SloPolicy,
 };
 
 use crate::measure::{emit, envelope, rounds, Spread, WithSpread};
@@ -63,42 +63,45 @@ pub struct ServePoint {
 pub fn measure(kind: ModelKind, max_batch: usize, effort: &Effort) -> ServePoint {
     let ([throughput_rps, p50_ms, p99_ms, mean_batch], completed) = rounds(effort, || {
         let report = serve_closed_loop(kind, max_batch, effort);
+        let latency = report.latency();
         let numbers = [
             report.throughput_rps(),
-            report.latency.quantile(0.50) / 1e6,
-            report.latency.quantile(0.99) / 1e6,
-            report.mean_batch_size(),
+            latency.quantile(0.50) / 1e6,
+            latency.quantile(0.99) / 1e6,
+            report.models[0].mean_batch(),
         ];
-        (numbers, report.completed)
+        (numbers, report.completed())
     });
     ServePoint { workload: kind.name(), max_batch, throughput_rps, p50_ms, p99_ms, mean_batch, completed }
 }
 
-/// One closed-loop run of one (workload, batch size) cell.
-fn serve_closed_loop(kind: ModelKind, max_batch: usize, effort: &Effort) -> ServeReport {
+/// One closed-loop run of one (workload, batch size) cell: one model on
+/// one shard of one replica, every request Standard with no deadline.
+fn serve_closed_loop(kind: ModelKind, max_batch: usize, effort: &Effort) -> ClusterReport {
     let cfg = BuildConfig::inference().with_batch(max_batch);
     let mut worker = SessionWorker::new(kind, &cfg).expect("every workload is servable");
     let shapes = worker.item_shapes();
     let domains = worker.domains();
-    let serve_cfg = ServeConfig {
-        // Closed loops with zero think time never outrun the queue cap;
-        // a generous bound keeps shed == 0 so throughput is comparable.
-        queue_cap: 64 * max_batch.max(1),
-        ..ServeConfig::new(max_batch)
-    };
     // Enough completions that the p99 is a real tail statistic rather
     // than the max of a handful of samples (>= 128 per point).
     let requests = (effort.steps.max(1) * 32).max(128).max(2 * max_batch);
-    let load = LoadModel::Closed { clients: 2 * max_batch, requests };
-    let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut worker];
-    serve(
-        &mut runners,
-        &serve_cfg,
-        &load,
-        &mut |rng, _| synth_inputs(&shapes, &domains, rng),
-        kind.name(),
-    )
-    .expect("serving a well-formed workload succeeds")
+    let serve_cfg = ClusterConfig {
+        // Closed loops with zero think time never outrun the queue cap;
+        // a generous bound keeps shed == 0 so throughput is comparable.
+        queue_cap: 64 * max_batch.max(1),
+        slo: SloPolicy { deadline_nanos: [None; SloClass::COUNT] },
+        mix: SloMix::pure(SloClass::Standard),
+        closed_loop: Some(ClosedLoop { clients: 2 * max_batch, requests }),
+        seed: 0xFA7408,
+        ..ClusterConfig::new(max_batch)
+    };
+    let mut models = [ModelSpec {
+        name: kind.name().to_string(),
+        shards: vec![vec![&mut worker as &mut dyn ClusterRunner]],
+        rps: 0.0,
+        synth: Box::new(move |rng, _| synth_inputs(&shapes, &domains, rng)),
+    }];
+    serve_cluster(&mut models, &serve_cfg).expect("serving a well-formed workload succeeds")
 }
 
 /// Runs one cluster leg: each workload behind [`CLUSTER_SHARDS`] shards

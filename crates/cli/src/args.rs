@@ -3,6 +3,7 @@
 use std::fmt;
 
 use fathom::{Mode, ModelKind, ModelScale, Precision, RetryPolicy};
+use fathom_serve::{ClosedLoop, ClusterConfig, SloClass, SloMix, SloPolicy};
 
 /// A fully parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +21,8 @@ pub enum Command {
     Trace(RunArgs),
     /// `fathom dot <model> --out <file> [options]` — Graphviz export.
     Dot(RunArgs),
-    /// `fathom serve-bench <model> [options]` — batched serving benchmark.
+    /// `fathom serve-bench <model>[,<model>...] [options]` — batched
+    /// serving benchmark over a fleet.
     ServeBench(ServeArgs),
     /// `fathom train <model> [options]` — resilient training loop with
     /// snapshots, guardrails, and deterministic resume.
@@ -134,21 +136,16 @@ impl TrainArgs {
 /// Options for the serving benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
-    /// Which workload to serve (the first of `models`).
-    pub model: ModelKind,
-    /// Every workload named in the positional (comma-separated); more
-    /// than one requires `--cluster`.
+    /// Every workload named in the positional (comma-separated).
     pub models: Vec<ModelKind>,
-    /// Serve as a fleet (sharded routing, SLO classes, continuous
-    /// batching) instead of as the single-model case of the same loop.
-    pub cluster: bool,
-    /// Shard groups per model in cluster mode.
+    /// Shard groups per model.
     pub shards: usize,
-    /// SLO traffic mix, `interactive,standard,batch` weights.
-    pub slo_mix: Option<String>,
+    /// SLO traffic mix, `interactive,standard,batch` weights (absent =
+    /// every request Standard).
+    pub slo_mix: Option<SloMix>,
     /// Reference (default) or full scale.
     pub scale: ModelScale,
-    /// Open-loop offered rate, requests/second.
+    /// Open-loop offered rate per model, requests/second.
     pub rps: f64,
     /// Open-loop arrival window, seconds.
     pub duration: f64,
@@ -158,11 +155,12 @@ pub struct ServeArgs {
     pub requests: Option<usize>,
     /// Batcher coalescing limit (also the graph's batch extent).
     pub max_batch: usize,
-    /// Admission bound (default `8 * max_batch`).
+    /// Admission bound per shard (default `8 * max_batch`).
     pub queue_cap: Option<usize>,
-    /// Per-request deadline, ms (absent = never time out).
+    /// Standard-class deadline, ms (absent = the policy's own: none
+    /// without `--slo-mix`).
     pub deadline_ms: Option<f64>,
-    /// Session workers serving in parallel.
+    /// Session workers per shard.
     pub replicas: usize,
     /// Random seed for arrivals and request payloads.
     pub seed: u64,
@@ -170,7 +168,7 @@ pub struct ServeArgs {
     pub threads: usize,
     /// Inter-op workers per session.
     pub inter_ops: usize,
-    /// Warm-start checkpoint to restore before serving.
+    /// Warm-start checkpoint to restore before serving (one model only).
     pub load: Option<String>,
     /// Write the full JSON report here.
     pub out: Option<String>,
@@ -180,12 +178,10 @@ pub struct ServeArgs {
 }
 
 impl ServeArgs {
-    fn new(model: ModelKind) -> Self {
+    fn new(models: Vec<ModelKind>) -> Self {
         ServeArgs {
-            model,
-            models: vec![model],
-            cluster: false,
-            shards: 2,
+            models,
+            shards: 1,
             slo_mix: None,
             scale: ModelScale::Reference,
             rps: 50.0,
@@ -202,6 +198,37 @@ impl ServeArgs {
             load: None,
             out: None,
             fault_plan: None,
+        }
+    }
+
+    /// The fleet's serving parameters. Without `--slo-mix` every request
+    /// is Standard and `--deadline-ms` (or nothing) is its deadline; a
+    /// mix selects the default serving policy, whose Standard deadline
+    /// `--deadline-ms` overrides. `--clients`/`--requests` select the
+    /// closed loop: `2 * max_batch` clients and `8` requests per client
+    /// unless given.
+    pub fn cluster_config(&self) -> ClusterConfig {
+        let (mut slo, mix) = match self.slo_mix {
+            Some(mix) => (SloPolicy::default_serving(), mix),
+            None => {
+                let none = SloPolicy { deadline_nanos: [None; SloClass::COUNT] };
+                (none, SloMix::pure(SloClass::Standard))
+            }
+        };
+        let standard = &mut slo.deadline_nanos[SloClass::Standard.idx()];
+        *standard = self.deadline_ms.map(|ms| (ms * 1e6) as u64).or(*standard);
+        let closed_loop = (self.clients.is_some() || self.requests.is_some()).then(|| {
+            let clients = self.clients.unwrap_or(2 * self.max_batch);
+            ClosedLoop { clients, requests: self.requests.unwrap_or(clients.saturating_mul(8)) }
+        });
+        ClusterConfig {
+            queue_cap: self.queue_cap.unwrap_or(8 * self.max_batch),
+            slo,
+            mix,
+            duration_nanos: (self.duration * 1e9) as u64,
+            closed_loop,
+            seed: self.seed,
+            ..ClusterConfig::new(self.max_batch)
         }
     }
 }
@@ -233,10 +260,10 @@ USAGE:
     fathom serve-bench <model>[,<model>...]
                    [--rps R --duration S | --clients N --requests N]
                    [--max-batch N] [--queue-cap N] [--deadline-ms MS]
-                   [--replicas N] [--scale reference|full]
-                   [--threads N] [--inter-ops N] [--seed N]
-                   [--load FILE.ck] [--out FILE.json] [--fault-plan SPEC]
-                   [--cluster] [--shards N] [--slo-mix I,S,B]
+                   [--shards N] [--replicas N] [--slo-mix I,S,B]
+                   [--scale reference|full] [--threads N] [--inter-ops N]
+                   [--seed N] [--load FILE.ck] [--out FILE.json]
+                   [--fault-plan SPEC]
     fathom train   <model> [--steps N] [--threads N] [--seed N]
                    [--dir DIR] [--resume] [--snap-every N] [--snap-keep K]
                    [--max-loss X] [--max-grad-norm X] [--max-retries N]
@@ -246,12 +273,16 @@ USAGE:
 MODELS:
     seq2seq memnet speech autoenc residual vgg alexnet deepq
 
-CLUSTER MODE:
-    `--cluster` serves one or more comma-separated models through the
-    fleet layer: per-model shard groups (`--shards`, `--replicas` per
-    shard), consistent-hash routing with load-aware spill, SLO-class
-    admission (`--slo-mix I,S,B` weights, default 50,30,20), and
-    continuous batching. `--rps` is the offered rate per model.
+SERVING:
+    `serve-bench` serves one or more comma-separated models as one fleet
+    on one runtime: per-model shard groups (`--shards`, default 1, with
+    `--replicas` per shard), consistent-hash routing with load-aware
+    spill, continuous batching, and admission by SLO class. Every request
+    is Standard with `--deadline-ms` as its deadline unless `--slo-mix
+    I,S,B` weights select the default serving policy (`--deadline-ms`
+    then overrides the Standard deadline). `--rps` is the offered rate
+    per model; `--clients` binds client i to model i mod M. `--load`
+    warm-starts a one-model fleet.
 
 RESILIENT TRAINING:
     `fathom train` drives a workload with snapshot cadence (`--dir` +
@@ -477,8 +508,7 @@ fn parse_serve_bench(mut flags: Flags<'_>) -> Result<Command, ParseError> {
         .split(',')
         .map(|part| parse_model(part.trim()))
         .collect::<Result<_, _>>()?;
-    let mut a = ServeArgs::new(models[0]);
-    a.models = models;
+    let mut a = ServeArgs::new(models);
     /// A rate or a span of time, `per_unit` virtual nanoseconds to
     /// the unit: finite, not negative, and inside `u64` once scaled
     /// (`inf` never ends an arrival trace, `nan` slips past `<= 0`
@@ -496,17 +526,18 @@ fn parse_serve_bench(mut flags: Flags<'_>) -> Result<Command, ParseError> {
     while let Some(flag) = flags.next() {
         match flag {
             "--scale" => a.scale = parse_scale(flags.value("--scale")?)?,
-            "--cluster" => a.cluster = true,
-            "--shards" => a.shards = flags.num("--shards")?,
-            "--slo-mix" => a.slo_mix = Some(flags.value("--slo-mix")?.to_string()),
+            "--shards" => a.shards = flags.count("--shards")?,
+            "--slo-mix" => {
+                a.slo_mix = Some(SloMix::parse(flags.value("--slo-mix")?).map_err(ParseError)?)
+            }
             "--rps" => a.rps = scaled(&mut flags, "--rps", 1.0)?,
             "--duration" => a.duration = scaled(&mut flags, "--duration", 1e9)?,
-            "--clients" => a.clients = Some(flags.num("--clients")?),
+            "--clients" => a.clients = Some(flags.count("--clients")?),
             "--requests" => a.requests = Some(flags.num("--requests")?),
-            "--max-batch" => a.max_batch = flags.num("--max-batch")?,
+            "--max-batch" => a.max_batch = flags.count("--max-batch")?,
             "--queue-cap" => a.queue_cap = Some(flags.num("--queue-cap")?),
             "--deadline-ms" => a.deadline_ms = Some(scaled(&mut flags, "--deadline-ms", 1e6)?),
-            "--replicas" => a.replicas = flags.num("--replicas")?,
+            "--replicas" => a.replicas = flags.count("--replicas")?,
             "--seed" => a.seed = flags.num("--seed")?,
             "--threads" => a.threads = flags.count("--threads")?,
             "--inter-ops" => a.inter_ops = flags.count("--inter-ops")?,
@@ -516,37 +547,11 @@ fn parse_serve_bench(mut flags: Flags<'_>) -> Result<Command, ParseError> {
             other => return Err(unknown_flag(other)),
         }
     }
-    if a.max_batch == 0 {
-        return Err(ParseError("--max-batch must be at least 1".into()));
-    }
-    if a.replicas == 0 {
-        return Err(ParseError("--replicas must be at least 1".into()));
-    }
     if a.rps <= 0.0 || a.duration <= 0.0 {
         return Err(ParseError("--rps and --duration must be positive".into()));
     }
-    if a.clients == Some(0) {
-        return Err(ParseError("--clients must be at least 1".into()));
-    }
-    if a.models.len() > 1 && !a.cluster {
-        return Err(ParseError(
-            "serving several models at once needs --cluster".into(),
-        ));
-    }
-    if a.shards == 0 {
-        return Err(ParseError("--shards must be at least 1".into()));
-    }
-    if a.cluster && a.clients.is_some() {
-        return Err(ParseError(
-            "--cluster serves an open-loop load; --clients/--requests do not apply".into(),
-        ));
-    }
-    if let Some(mix) = &a.slo_mix {
-        if !a.cluster {
-            return Err(ParseError("--slo-mix only applies with --cluster".into()));
-        }
-        // Validate eagerly so a typo fails at parse time, not mid-run.
-        fathom_serve::SloMix::parse(mix).map_err(ParseError)?;
+    if a.load.is_some() && a.models.len() > 1 {
+        return Err(ParseError("--load warm-starts a one-model fleet only".into()));
     }
     Ok(Command::ServeBench(a))
 }
@@ -608,9 +613,9 @@ mod tests {
         let Command::ServeBench(a) = parse(&s(&["serve-bench", "alexnet"])).unwrap() else {
             panic!("expected ServeBench");
         };
-        assert_eq!(a.model, ModelKind::Alexnet);
+        assert_eq!(a.models, [ModelKind::Alexnet]);
         assert_eq!(a.max_batch, 4);
-        assert_eq!(a.replicas, 1);
+        assert_eq!((a.shards, a.replicas), (1, 1));
         assert_eq!(a.clients, None);
         assert!((a.rps - 50.0).abs() < 1e-9);
     }
@@ -626,7 +631,7 @@ mod tests {
         .unwrap() else {
             panic!("expected ServeBench");
         };
-        assert_eq!(a.model, ModelKind::Speech);
+        assert_eq!(a.models, [ModelKind::Speech]);
         assert!((a.rps - 120.5).abs() < 1e-9);
         assert_eq!(a.max_batch, 8);
         assert_eq!(a.queue_cap, Some(32));
@@ -698,34 +703,74 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_cluster_flags() {
+    fn serve_bench_fleet_flags() {
         let Command::ServeBench(a) = parse(&s(&[
-            "serve-bench", "memnet,alexnet", "--cluster", "--shards", "3",
-            "--slo-mix", "60,25,15", "--rps", "200",
+            "serve-bench", "memnet,alexnet", "--shards", "3", "--slo-mix", "60,25,15", "--rps",
+            "200",
         ]))
         .unwrap() else {
             panic!("expected ServeBench");
         };
-        assert!(a.cluster);
-        assert_eq!(a.models, vec![ModelKind::Memnet, ModelKind::Alexnet]);
-        assert_eq!(a.model, ModelKind::Memnet);
+        assert_eq!(a.models, [ModelKind::Memnet, ModelKind::Alexnet]);
         assert_eq!(a.shards, 3);
-        assert_eq!(a.slo_mix.as_deref(), Some("60,25,15"));
+        assert_eq!(a.slo_mix, Some(SloMix { weights: [60.0, 25.0, 15.0] }));
     }
 
     #[test]
-    fn serve_bench_cluster_rejects_bad_combinations() {
-        // A model list without --cluster is ambiguous.
-        assert!(parse(&s(&["serve-bench", "memnet,alexnet"])).is_err());
+    fn serve_bench_rejects_bad_fleets() {
         // A malformed mix fails at parse time.
-        assert!(parse(&s(&["serve-bench", "memnet", "--cluster", "--slo-mix", "1,2"])).is_err());
-        // The mix means nothing outside cluster mode.
-        assert!(parse(&s(&["serve-bench", "memnet", "--slo-mix", "1,2,3"])).is_err());
-        // Cluster mode is open-loop only.
-        assert!(parse(&s(&["serve-bench", "memnet", "--cluster", "--clients", "3"])).is_err());
-        assert!(parse(&s(&["serve-bench", "memnet", "--cluster", "--shards", "0"])).is_err());
+        assert!(parse(&s(&["serve-bench", "memnet", "--slo-mix", "1,2"])).is_err());
+        assert!(parse(&s(&["serve-bench", "memnet", "--shards", "0"])).is_err());
         // An unknown name anywhere in the list is rejected.
-        assert!(parse(&s(&["serve-bench", "memnet,gpt", "--cluster"])).is_err());
+        assert!(parse(&s(&["serve-bench", "memnet,gpt"])).is_err());
+        // A checkpoint belongs to one model.
+        assert!(parse(&s(&["serve-bench", "memnet,alexnet", "--load", "w.ck"])).is_err());
+        assert!(parse(&s(&["serve-bench", "memnet", "--shards", "2", "--load", "w.ck"])).is_ok());
+        assert!(parse(&s(&["serve-bench", "memnet,alexnet", "--clients", "3"])).is_ok());
+    }
+
+    fn config(argv: &[&str]) -> ClusterConfig {
+        let mut full = vec!["serve-bench"];
+        full.extend_from_slice(argv);
+        let Command::ServeBench(a) = parse(&s(&full)).unwrap() else {
+            panic!("expected ServeBench");
+        };
+        a.cluster_config()
+    }
+
+    #[test]
+    fn deadline_ms_is_the_standard_deadline_with_and_without_shards_or_a_mix() {
+        let standard = |cfg: &ClusterConfig| cfg.slo.deadline(SloClass::Standard);
+        let fleets: [&[&str]; 4] = [
+            &[],
+            &["--shards", "2"],
+            &["--slo-mix", "50,30,20"],
+            &["--shards", "2", "--slo-mix", "50,30,20"],
+        ];
+        for extra in fleets {
+            let mut argv = vec!["memnet,autoenc", "--deadline-ms", "20"];
+            argv.extend_from_slice(extra);
+            assert_eq!(standard(&config(&argv)), Some(20_000_000), "{argv:?}");
+        }
+        // Without the flag: no deadline, or the serving policy's own.
+        assert_eq!(standard(&config(&["memnet"])), None);
+        let mixed = config(&["memnet", "--slo-mix", "50,30,20"]);
+        assert_eq!(mixed.slo, SloPolicy::default_serving());
+        assert_eq!(mixed.mix, SloMix { weights: [50.0, 30.0, 20.0] });
+    }
+
+    #[test]
+    fn one_model_defaults_are_one_shard_one_class_and_an_eight_batch_queue() {
+        let cfg = config(&["alexnet", "--max-batch", "3", "--rps", "70", "--duration", "0.5"]);
+        assert_eq!((cfg.max_batch, cfg.queue_cap), (3, 24));
+        assert_eq!(cfg.mix, SloMix::pure(SloClass::Standard));
+        assert_eq!(cfg.slo.deadline_nanos, [None; SloClass::COUNT]);
+        assert_eq!((cfg.duration_nanos, cfg.closed_loop, cfg.seed), (500_000_000, None, 0xFA7408));
+        let closed = config(&["alexnet", "--clients", "5", "--queue-cap", "9"]);
+        assert_eq!(closed.closed_loop, Some(ClosedLoop { clients: 5, requests: 40 }));
+        assert_eq!(closed.queue_cap, 9);
+        let budget = config(&["alexnet", "--requests", "7"]);
+        assert_eq!(budget.closed_loop, Some(ClosedLoop { clients: 8, requests: 7 }));
     }
 
     #[test]

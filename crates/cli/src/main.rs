@@ -20,9 +20,8 @@ use fathom::{
 use fathom_dataflow::{checkpoint, export, Device, FaultPlan, Json};
 use fathom_profile::{report, runner, OpProfile};
 use fathom_serve::{
-    serve, serve_cluster, synth_inputs, BatchRunner, ClusterConfig, ClusterReport, ClusterRunner,
-    FaultyRunner, LoadModel, ModelSpec, RecoveryCounters, RecoveryPolicy, ServeConfig,
-    SessionWorker, SloClass, SloMix,
+    serve_cluster, synth_inputs, ClusterReport, ClusterRunner, FaultyRunner, ModelSpec,
+    RecoveryCounters, SessionWorker, SloClass,
 };
 use fathom_suite::FathomError;
 
@@ -162,110 +161,10 @@ fn cmd_trace(a: RunArgs) -> Result<(), FathomError> {
     Ok(())
 }
 
+/// `serve-bench`: every named model behind `--shards` shard groups of
+/// `--replicas` replicas on one runtime, offered its load through
+/// [`serve_cluster`] under [`ServeArgs::cluster_config`].
 fn cmd_serve_bench(a: ServeArgs) -> Result<(), FathomError> {
-    if a.cluster {
-        return cmd_serve_cluster(a);
-    }
-    let cfg = BuildConfig::inference()
-        .with_scale(a.scale)
-        .with_device(Device::cpu_inter_op(a.threads, a.inter_ops))
-        .with_seed(a.seed)
-        .with_batch(a.max_batch);
-    let mut workers = Vec::with_capacity(a.replicas);
-    for _ in 0..a.replicas {
-        let mut w = SessionWorker::new(a.model, &cfg)?;
-        if let Some(path) = &a.load {
-            let file = std::fs::File::open(path)?;
-            w.warm_start(std::io::BufReader::new(file))?;
-        }
-        w.enable_tracing();
-        workers.push(w);
-    }
-    if a.load.is_some() {
-        println!("restored variables from {} into {} replica(s)", a.load.as_deref().unwrap(), a.replicas);
-    }
-    let shapes = workers[0].item_shapes();
-    let domains = workers[0].domains();
-
-    let serve_cfg = ServeConfig {
-        max_batch: a.max_batch,
-        queue_cap: a.queue_cap.unwrap_or(8 * a.max_batch),
-        deadline_nanos: a.deadline_ms.map(|ms| (ms * 1e6) as u64),
-        seed: a.seed,
-        recovery: RecoveryPolicy::default(),
-    };
-    let load = match (a.clients, a.requests) {
-        (None, None) => {
-            LoadModel::Open { rps: a.rps, duration_nanos: (a.duration * 1e9) as u64 }
-        }
-        (clients, requests) => {
-            let clients = clients.unwrap_or(2 * a.max_batch);
-            LoadModel::Closed { clients, requests: requests.unwrap_or(8 * clients) }
-        }
-    };
-
-    // Every replica rides the same seeded plan (empty without
-    // `--fault-plan`, which makes the wrapper a pass-through);
-    // `replica<N>` specs target runners by their position here.
-    let plan = fault_plan(&a)?;
-    let mut replicas: Vec<FaultyRunner<SessionWorker>> = workers
-        .into_iter()
-        .enumerate()
-        .map(|(i, w)| FaultyRunner::new(w, plan.clone(), i))
-        .collect();
-    let mut runners: Vec<&mut dyn BatchRunner> =
-        replicas.iter_mut().map(|w| w as &mut dyn BatchRunner).collect();
-    let report = serve(
-        &mut runners,
-        &serve_cfg,
-        &load,
-        &mut |rng, _id| synth_inputs(&shapes, &domains, rng),
-        a.model.name(),
-    )?;
-
-    let ms = |nanos: f64| nanos / 1e6;
-    println!("{} | serve-bench | {:?}", a.model.name(), load);
-    println!(
-        "issued {}  completed {}  shed {}  timed-out {}",
-        report.issued, report.completed, report.shed, report.timed_out
-    );
-    println!(
-        "throughput {:.1} req/s over {:.1} ms of virtual time",
-        report.throughput_rps(),
-        report.makespan_nanos as f64 / 1e6
-    );
-    println!(
-        "latency ms: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}",
-        ms(report.latency.quantile(0.50)),
-        ms(report.latency.quantile(0.95)),
-        ms(report.latency.quantile(0.99)),
-        ms(report.latency.max()),
-    );
-    println!(
-        "batches {}  mean size {:.2}  max queue depth {}",
-        report.batches(),
-        report.mean_batch_size(),
-        report.max_queue_depth()
-    );
-    print_recovery(&report.recovery);
-    print_runtime(&report.runtime);
-    if let Some(path) = &a.out {
-        std::fs::write(path, report.to_json())?;
-        println!("wrote report to {path}");
-    }
-    Ok(())
-}
-
-/// `serve-bench --cluster`: every named model behind `--shards` shard
-/// groups of `--replicas` replicas, offered `--rps` each through the
-/// fleet layer (consistent-hash routing, SLO-class admission, continuous
-/// batching).
-fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
-    if a.load.is_some() {
-        return Err(FathomError::Message(
-            "--load does not apply in cluster mode (reloads are per model)".into(),
-        ));
-    }
     let plan = fault_plan(&a)?;
 
     // One work-stealing runtime for the whole fleet: every model's
@@ -288,13 +187,19 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
         for _ in 0..a.shards {
             let mut replicas = Vec::with_capacity(a.replicas);
             for _ in 0..a.replicas {
-                let w = SessionWorker::new(*kind, &cfg)?;
+                let mut w = SessionWorker::new(*kind, &cfg)?;
+                if let Some(path) = &a.load {
+                    w.warm_start(std::io::BufReader::new(std::fs::File::open(path)?))?;
+                }
                 replicas.push(FaultyRunner::new(w, plan.clone(), replica_idx));
                 replica_idx += 1;
             }
             shards.push(replicas);
         }
         fleet.push(shards);
+    }
+    if let Some(path) = &a.load {
+        println!("restored variables from {path} into {replica_idx} replica(s)");
     }
 
     let mut specs: Vec<ModelSpec<'_>> = Vec::with_capacity(a.models.len());
@@ -311,28 +216,20 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
             synth: Box::new(move |rng, _id| synth_inputs(&shapes, &domains, rng)),
         });
     }
-
-    let mix = match &a.slo_mix {
-        Some(spec) => SloMix::parse(spec).map_err(FathomError::Message)?,
-        None => SloMix::default_mix(),
-    };
-    let cfg = ClusterConfig {
-        queue_cap: a.queue_cap.unwrap_or(16 * a.max_batch),
-        mix,
-        duration_nanos: (a.duration * 1e9) as u64,
-        seed: a.seed,
-        ..ClusterConfig::new(a.max_batch)
-    };
+    let cfg = a.cluster_config();
     let report = serve_cluster(&mut specs, &cfg)?;
     drop(specs);
 
+    let names: Vec<&str> = a.models.iter().map(|k| k.name()).collect();
+    let load = match cfg.closed_loop {
+        Some(c) => format!("closed loop, {} client(s), {} request(s)", c.clients, c.requests),
+        None => format!("{:.0} rps/model over {:.1} s", a.rps, a.duration),
+    };
     println!(
-        "cluster | {} model(s) x {} shard(s) x {} replica(s) | {:.0} rps/model over {:.1} s",
-        a.models.len(),
+        "{} | serve-bench | {} shard(s) x {} replica(s) per model | {load}",
+        names.join(","),
         a.shards,
-        a.replicas,
-        a.rps,
-        a.duration
+        a.replicas
     );
     print_cluster_report(&report);
     if let Some(path) = &a.out {
@@ -342,7 +239,7 @@ fn cmd_serve_cluster(a: ServeArgs) -> Result<(), FathomError> {
     Ok(())
 }
 
-/// Human-readable per-class and per-model summary of a cluster run.
+/// Human-readable fleet, per-class and per-model summary of a run.
 fn print_cluster_report(report: &ClusterReport) {
     let ms = |nanos: f64| nanos / 1e6;
     println!(
@@ -358,6 +255,14 @@ fn print_cluster_report(report: &ClusterReport) {
         "throughput {:.1} req/s over {:.1} ms of virtual time",
         report.throughput_rps(),
         report.makespan_nanos as f64 / 1e6
+    );
+    let latency = report.latency();
+    println!(
+        "latency ms: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}",
+        ms(latency.quantile(0.50)),
+        ms(latency.quantile(0.95)),
+        ms(latency.quantile(0.99)),
+        ms(latency.max()),
     );
     for class in SloClass::ALL {
         let c = &report.per_class[class.idx()];
@@ -379,12 +284,13 @@ fn print_cluster_report(report: &ClusterReport) {
     for m in &report.models {
         println!(
             "  model {:<9} issued {:>5}  completed {:>5}  batches {:>5}  mean size {:.2}  \
-             spilled {}  reloads {}",
+             max queue depth {}  spilled {}  reloads {}",
             m.model,
             m.issued(),
             m.completed(),
             m.batches,
             m.mean_batch(),
+            m.max_queue_depth,
             m.spilled,
             m.reloads
         );

@@ -27,18 +27,17 @@
 //!   batch re-queues at the front for a healthy replica, each request
 //!   within a retry budget; replicas that keep failing are retired.
 //! * **Hot reload** — a [`ReloadPlan`] swaps a model's weights from a
-//!   v2 checkpoint at a virtual time, rolling: one replica per shard at
+//!   checkpoint at a virtual time, rolling: one replica per shard at
 //!   a time drains (finishes its in-flight batch), swaps via
 //!   [`ClusterRunner::reload`], and rejoins. Queued work is never
 //!   dropped; it is served by the not-currently-swapping replicas and
 //!   replayed onto the reloaded ones.
 //!
-//! Two public entries feed the loop. [`serve_cluster`] lays out one
-//! open-loop Poisson trace per model. [`serve`](crate::engine::serve)
-//! is the 1 model x 1 shard x N replica case — one SLO class, no
-//! spill, no reloads: its open loop goes through `serve_cluster`, and
-//! it is the only caller with a closed loop, where each resolved
-//! request lets a client issue its next one.
+//! [`serve_cluster`] is the one entry. It offers each model an
+//! open-loop Poisson trace, or, with [`ClusterConfig::closed_loop`]
+//! set, a closed loop in which each resolved request lets its client
+//! issue the next one. A single model on one shard is simply the
+//! smallest fleet.
 //!
 //! Time is *virtual*: arrivals come from a seeded process and each batch
 //! advances the clock by its measured (or, in tests, injected) service
@@ -56,7 +55,6 @@ use fathom_tensor::{Rng, Tensor};
 
 use fathom_dataflow::{Json, RuntimeCounters};
 
-use crate::engine::RecoveryPolicy;
 use crate::metrics::{LatencyHistogram, RecoveryCounters, ShedBreakdown};
 use crate::router::Router;
 use crate::slo::{SloClass, SloMix, SloPolicy};
@@ -66,8 +64,9 @@ use crate::worker::{BatchRunner, Request, ServeError, SessionWorker};
 /// checkpoint byte stream — the contract the cluster's reload machinery
 /// needs on top of [`BatchRunner`].
 pub trait ClusterRunner: BatchRunner {
-    /// Replaces the served weights with `checkpoint` (format v2 bytes).
-    /// Called only while the replica is drained (no batch in flight).
+    /// Replaces the served weights with `checkpoint`, a checkpoint
+    /// stream `checkpoint::load` accepts. Called only while the replica
+    /// is drained (no batch in flight).
     ///
     /// # Errors
     ///
@@ -77,7 +76,7 @@ pub trait ClusterRunner: BatchRunner {
 }
 
 impl ClusterRunner for SessionWorker {
-    /// Swapping a `SessionWorker` is a `warm_start`: load the v2
+    /// Swapping a `SessionWorker` is a `warm_start`: load the
     /// checkpoint and make it the new recovery baseline, so a replica
     /// crashed *after* a reload recovers into the reloaded weights.
     fn reload(&mut self, checkpoint: &[u8]) -> Result<(), ServeError> {
@@ -92,8 +91,43 @@ pub struct ReloadPlan {
     pub model: String,
     /// Virtual time the rollout begins.
     pub at_nanos: u64,
-    /// Checkpoint (format v2) the replicas reload from.
+    /// What the replicas reload from: a checkpoint stream
+    /// `checkpoint::load` accepts.
     pub checkpoint: Vec<u8>,
+}
+
+/// Supervisor policy: what happens to a replica that fails a batch and
+/// to the requests that were riding it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryPolicy {
+    /// Times one request may be re-queued after riding a failed batch
+    /// before it is dropped (dropped requests count as shed).
+    pub max_retries: u32,
+    /// Quarantine length after a replica's first failure, in virtual
+    /// nanoseconds; doubles with each subsequent restart of the same
+    /// replica (exponential backoff).
+    pub backoff_nanos: u64,
+    /// Rebuilds attempted before a replica is retired for good.
+    pub max_restarts: u32,
+}
+
+impl Default for RecoveryPolicy {
+    /// Two retries per request, 5 ms initial backoff, two restarts per
+    /// replica.
+    fn default() -> Self {
+        RecoveryPolicy { max_retries: 2, backoff_nanos: 5_000_000, max_restarts: 2 }
+    }
+}
+
+/// A closed-loop load: `clients` concurrent callers, each issuing its
+/// next request the moment the previous one resolves, until `requests`
+/// have been issued in total. Client `i` calls model `i mod M`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClosedLoop {
+    /// Concurrent callers.
+    pub clients: usize,
+    /// Total requests across all callers.
+    pub requests: usize,
 }
 
 /// Cluster-wide batching, admission, and reload parameters.
@@ -109,6 +143,9 @@ pub struct ClusterConfig {
     pub mix: SloMix,
     /// Open-loop arrival window, virtual nanoseconds.
     pub duration_nanos: u64,
+    /// Offer a closed loop instead of the open one; when set,
+    /// `duration_nanos` and every [`ModelSpec::rps`] go unread.
+    pub closed_loop: Option<ClosedLoop>,
     /// Seed for arrivals, class draws, and payload synthesis.
     pub seed: u64,
     /// Supervisor behavior for failed replicas.
@@ -124,8 +161,8 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A queue of `16 * max_batch` per shard, the default SLO policy
-    /// and mix, load-aware spill at `2 * max_batch`, a 1 ms swap, and
-    /// no reloads.
+    /// and mix, a 1 s open loop, load-aware spill at `2 * max_batch`, a
+    /// 1 ms swap, and no reloads.
     pub fn new(max_batch: usize) -> Self {
         ClusterConfig {
             max_batch,
@@ -133,6 +170,7 @@ impl ClusterConfig {
             slo: SloPolicy::default_serving(),
             mix: SloMix::default_mix(),
             duration_nanos: 1_000_000_000,
+            closed_loop: None,
             seed: 0xC1057E4,
             recovery: RecoveryPolicy::default(),
             spill_threshold: Some(2 * max_batch),
@@ -154,7 +192,8 @@ pub struct ModelSpec<'a> {
     /// `shards[s]` holds the replicas of shard `s`; every shard shares
     /// one queue.
     pub shards: Vec<Vec<&'a mut dyn ClusterRunner>>,
-    /// Offered open-loop Poisson rate, requests per second.
+    /// Offered open-loop Poisson rate, requests per second (unread
+    /// under a closed loop).
     pub rps: f64,
     /// Synthesizes one admitted request's payload.
     pub synth: SynthFn<'a>,
@@ -215,8 +254,6 @@ pub struct ModelReport {
     /// Op time by paper class A-G, summed over those batches (zeros
     /// unless the replicas trace).
     pub class_nanos: [f64; 7],
-    /// Requests admitted to a queue.
-    pub admitted: u64,
     /// Deepest shard queue any admission left behind.
     pub max_queue_depth: usize,
     /// Requests the load-aware rule moved off their hashed shard.
@@ -291,6 +328,15 @@ impl ClusterReport {
     /// Requests timed out across the cluster.
     pub fn timed_out(&self) -> u64 {
         self.per_class.iter().map(|c| c.timed_out).sum()
+    }
+
+    /// End-to-end latency of every completed request, all classes.
+    pub fn latency(&self) -> LatencyHistogram {
+        let mut total = LatencyHistogram::new();
+        for c in &self.per_class {
+            total.merge(&c.latency);
+        }
+        total
     }
 
     /// Shed reasons merged across every class.
@@ -472,7 +518,7 @@ fn failure_verdict(
 /// far, earliest first, and — closed loop only — how many more the
 /// clients will issue, one per resolved request.
 #[derive(Default)]
-pub(crate) struct Arrivals {
+struct Arrivals {
     /// `(virtual time, model)`. Ties pop in model order; arrivals of one
     /// model at one instant are interchangeable (ids are given out as
     /// they pop).
@@ -513,12 +559,24 @@ impl Arrivals {
         }
     }
 
-    /// A closed loop on model 0: `clients` callers issue at time 0 and
-    /// again the moment their request resolves, until `requests` have
-    /// been issued in total.
-    pub(crate) fn closed(clients: usize, requests: usize) -> Self {
+    /// A closed loop over `models` models: `clients` callers, client `i`
+    /// bound to model `i % models`, issue at time 0 and again the moment
+    /// their request resolves, until `requests` have been issued in
+    /// total.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::Unservable`] when there are requests to
+    /// issue and no client to issue them.
+    fn closed(load: ClosedLoop, models: usize) -> Result<Self, ServeError> {
+        let ClosedLoop { clients, requests } = load;
+        if clients == 0 && requests > 0 {
+            return Err(ServeError::Unservable("closed-loop load needs at least one client".into()));
+        }
         let first = clients.min(requests);
-        Arrivals { due: (0..first).map(|_| Reverse((0, 0))).collect(), budget: requests - first }
+        // `max(1)`: an empty fleet is refused by the loop, not here.
+        let due = (0..first).map(|i| Reverse((0, i % models.max(1)))).collect();
+        Ok(Arrivals { due, budget: requests - first })
     }
 
     /// `n` requests of `model` resolved (completed, shed, timed out or
@@ -532,10 +590,12 @@ impl Arrivals {
     }
 }
 
-/// Runs one cluster experiment: offers each model's open-loop load to
-/// its shard group under `cfg`, routing through consistent hashing with
-/// load-aware spill, admitting by SLO class, and applying any scheduled
-/// hot reloads. Returns when every admitted request has resolved.
+/// Runs one cluster experiment: offers each model its load under `cfg`
+/// (an open-loop Poisson trace at [`ModelSpec::rps`], or the closed
+/// loop of [`ClusterConfig::closed_loop`]), routing through consistent
+/// hashing with load-aware spill, admitting by SLO class, and applying
+/// any scheduled hot reloads. Returns when every admitted request has
+/// resolved (graceful drain, never mid-flight abandonment).
 ///
 /// A runner failure does not abort the run: a crashed batch requeues
 /// (front of its class queues) with per-request retry budgets, the
@@ -548,28 +608,33 @@ impl Arrivals {
 /// # Errors
 ///
 /// Returns [`ServeError::Unservable`] on an empty or zero-capacity
-/// fleet or a rate that is not finite and positive, and
+/// fleet, an open-loop rate that is not finite and positive, or a
+/// closed loop with requests to issue and no client; and
 /// [`ServeError::Fault`] if the event loop ever stalls (a bug in the
 /// loop, not a replica failure).
 pub fn serve_cluster(
     models: &mut [ModelSpec<'_>],
     cfg: &ClusterConfig,
 ) -> Result<ClusterReport, ServeError> {
-    // One Poisson trace per model; the heap merges them into one
-    // deterministic timeline.
-    let mut arrivals = Arrivals::default();
-    for (m, spec) in models.iter().enumerate() {
-        let mut rng = Rng::seeded(cfg.seed ^ (0x9E37_79B9 + m as u64));
-        arrivals.poisson(&mut rng, m, spec.rps, cfg.duration_nanos)?;
-    }
+    let arrivals = match cfg.closed_loop {
+        Some(closed) => Arrivals::closed(closed, models.len())?,
+        None => {
+            // One Poisson trace per model; the heap merges them into one
+            // deterministic timeline.
+            let mut arrivals = Arrivals::default();
+            for (m, spec) in models.iter().enumerate() {
+                let mut rng = Rng::seeded(cfg.seed ^ (0x9E37_79B9 + m as u64));
+                arrivals.poisson(&mut rng, m, spec.rps, cfg.duration_nanos)?;
+            }
+            arrivals
+        }
+    };
     run(models, cfg, arrivals, Rng::seeded(cfg.seed))
 }
 
-/// The event loop under [`serve_cluster`] and
-/// [`serve`](crate::engine::serve): serves `arrivals` (which replace
-/// `ModelSpec::rps` and `cfg.duration_nanos`) and draws request classes
-/// and payloads from `rng`.
-pub(crate) fn run(
+/// The event loop under [`serve_cluster`]: serves `arrivals` and draws
+/// request classes and payloads from `rng`.
+fn run(
     models: &mut [ModelSpec<'_>],
     cfg: &ClusterConfig,
     mut arrivals: Arrivals,
@@ -644,7 +709,6 @@ pub(crate) fn run(
                 batches: 0,
                 batched_requests: 0,
                 class_nanos: [0.0; 7],
-                admitted: 0,
                 max_queue_depth: 0,
                 spilled: 0,
                 reloads: 0,
@@ -842,7 +906,6 @@ pub(crate) fn run(
                 deadline,
                 retries: 0,
             });
-            model.admitted += 1;
             model.max_queue_depth = model.max_queue_depth.max(shard.queued());
         }
 
@@ -1083,17 +1146,25 @@ mod tests {
     use crate::worker::BatchResult;
 
     /// Deterministic runner with a fixed per-batch service time; records
-    /// the ids it served and the reload checkpoints it applied.
+    /// the ids it served, its batch sizes and the reload checkpoints it
+    /// applied.
     struct FakeRunner {
         capacity: usize,
         service_nanos: f64,
         served: Vec<u64>,
+        batches: Vec<usize>,
         reloaded: Vec<Vec<u8>>,
     }
 
     impl FakeRunner {
         fn new(capacity: usize, service_nanos: f64) -> Self {
-            FakeRunner { capacity, service_nanos, served: Vec::new(), reloaded: Vec::new() }
+            FakeRunner {
+                capacity,
+                service_nanos,
+                served: Vec::new(),
+                batches: Vec::new(),
+                reloaded: Vec::new(),
+            }
         }
     }
 
@@ -1104,6 +1175,7 @@ mod tests {
 
         fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError> {
             self.served.extend(reqs.iter().map(|r| r.id));
+            self.batches.push(reqs.len());
             Ok(BatchResult {
                 outputs: reqs.iter().map(|_| Tensor::zeros([1])).collect(),
                 service_nanos: self.service_nanos,
@@ -1371,5 +1443,398 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    // The smallest fleet: one model on one shard, every request in
+    // class Standard. The `numbers` literals pin same-seed behaviour: a
+    // change meant to keep it keeps them to the digit.
+
+    /// One model on one shard at `max_batch`: a queue of `8 * max_batch`,
+    /// every request Standard with `deadline`, seed `0xFA7408`.
+    fn one_model(max_batch: usize, deadline: Option<u64>) -> ClusterConfig {
+        let mut slo = SloPolicy { deadline_nanos: [None; SloClass::COUNT] };
+        slo.deadline_nanos[SloClass::Standard.idx()] = deadline;
+        ClusterConfig {
+            queue_cap: 8 * max_batch,
+            slo,
+            mix: SloMix::pure(SloClass::Standard),
+            seed: 0xFA7408,
+            ..ClusterConfig::new(max_batch)
+        }
+    }
+
+    fn open(rps: f64, duration_nanos: u64, cfg: ClusterConfig) -> (f64, ClusterConfig) {
+        (rps, ClusterConfig { duration_nanos, ..cfg })
+    }
+
+    fn closed(clients: usize, requests: usize, cfg: ClusterConfig) -> (f64, ClusterConfig) {
+        (0.0, ClusterConfig { closed_loop: Some(ClosedLoop { clients, requests }), ..cfg })
+    }
+
+    /// Serves `load` (a rate and a config) on one shard of `replicas`.
+    fn serve_one(
+        replicas: Vec<&mut dyn ClusterRunner>,
+        (rps, cfg): (f64, ClusterConfig),
+    ) -> Result<ClusterReport, ServeError> {
+        serve_cluster(&mut [spec("fake", vec![replicas], rps)], &cfg)
+    }
+
+    /// The numbers a one-model run is pinned by, rendered as the report
+    /// renders them.
+    fn numbers(r: &ClusterReport) -> String {
+        let model = &r.models[0];
+        Json::obj()
+            .with("issued", r.issued())
+            .with("completed", r.completed())
+            .with("shed", r.shed())
+            .with("timed_out", r.timed_out())
+            .with("makespan_ms", Json::fixed(r.makespan_nanos as f64 / 1e6, 3))
+            .with("latency_ms", r.latency().json_ms())
+            .with("batches", model.batches)
+            .with("max_queue_depth", model.max_queue_depth)
+            .with("recovery", r.recovery)
+            .render()
+    }
+
+    const NO_RECOVERY: &str = r#""recovery": {"crashes": 0, "retried": 0, "dropped": 0, "quarantines": 0, "recoveries": 0, "dead_replicas": 0}"#;
+
+    #[test]
+    fn one_model_open_loop_conserves_requests() {
+        let mut runner = FakeRunner::new(4, 1_000_000.0);
+        let r = serve_one(vec![&mut runner], open(200.0, 1_000_000_000, one_model(4, None))).unwrap();
+        assert!(r.issued() > 100, "Poisson(200 rps, 1 s) should issue ~200, got {}", r.issued());
+        assert!(r.conserved());
+        assert_eq!(r.completed(), runner.batches.iter().sum::<usize>() as u64);
+        assert!(r.throughput_rps() > 0.0);
+    }
+
+    #[test]
+    fn heavy_load_fills_batches() {
+        // Service is slow relative to arrivals, so the queue backs up and
+        // dispatches run at the coalescing limit.
+        let mut runner = FakeRunner::new(4, 50_000_000.0);
+        let cfg = ClusterConfig { queue_cap: 64, ..one_model(4, None) };
+        let r = serve_one(vec![&mut runner], open(1000.0, 200_000_000, cfg)).unwrap();
+        let full = runner.batches.iter().filter(|&&size| size == 4).count();
+        assert_eq!(r.models[0].batches, runner.batches.len() as u64);
+        assert!(full * 2 > runner.batches.len(), "expected mostly full batches, sizes {:?}", runner.batches);
+        assert!(r.models[0].max_queue_depth > 4);
+    }
+
+    #[test]
+    fn closed_loop_issues_exactly_the_request_budget() {
+        let mut runner = FakeRunner::new(8, 3_000_000.0);
+        let r = serve_one(vec![&mut runner], closed(6, 40, one_model(4, None))).unwrap();
+        assert_eq!((r.issued(), r.completed(), r.shed()), (40, 40, 0));
+        assert_eq!(r.models[0].mean_batch(), 4.0);
+        assert!((r.throughput_rps() - 40.0 / 0.03).abs() < 1e-6);
+        assert_eq!(
+            numbers(&r),
+            format!(
+                r#"{{
+  "issued": 40,
+  "completed": 40,
+  "shed": 0,
+  "timed_out": 0,
+  "makespan_ms": 30.000,
+  "latency_ms": {{"p50": 3.000, "p95": 6.000, "p99": 6.000, "mean": 4.350, "max": 6.000}},
+  "batches": 10,
+  "max_queue_depth": 6,
+  {NO_RECOVERY}
+}}
+"#
+            )
+        );
+        // 6 clients with zero think time never batch above the client count.
+        assert!(runner.batches.iter().all(|&s| s <= 6));
+    }
+
+    #[test]
+    fn tiny_queue_sheds_under_overload() {
+        let mut runner = FakeRunner::new(2, 100_000_000.0);
+        let cfg = ClusterConfig { queue_cap: 2, ..one_model(2, None) };
+        let r = serve_one(vec![&mut runner], open(500.0, 500_000_000, cfg)).unwrap();
+        assert!(r.shed() > 0, "queue_cap=2 under 500 rps must shed");
+        assert!(r.conserved(), "every shed carries a reason");
+        assert_eq!(r.shed_reasons().queue_full, r.shed(), "admission sheds are queue-full");
+        assert!(r.to_json().contains("\"shed_reasons\": {\"queue_full\": 238,"));
+        assert_eq!(
+            numbers(&r),
+            format!(
+                r#"{{
+  "issued": 249,
+  "completed": 11,
+  "shed": 238,
+  "timed_out": 0,
+  "makespan_ms": 602.130,
+  "latency_ms": {{"p50": 194.869, "p95": 199.341, "p99": 199.341, "mean": 186.834, "max": 199.341}},
+  "batches": 6,
+  "max_queue_depth": 2,
+  {NO_RECOVERY}
+}}
+"#
+            )
+        );
+    }
+
+    #[test]
+    fn deadlines_time_out_queued_work() {
+        // One replica at 8 ms a request, a 10 ms deadline. An arrival
+        // that finds the replica just started is admitted (one 8 ms
+        // round fits) and then blows its deadline waiting for the
+        // replica to free; one that finds a request already queued is
+        // refused outright by deadline-aware admission.
+        let mut runner = FakeRunner::new(1, 8_000_000.0);
+        let cfg = ClusterConfig { queue_cap: 64, ..one_model(1, Some(10_000_000)) };
+        let r = serve_one(vec![&mut runner], open(100.0, 1_000_000_000, cfg)).unwrap();
+        assert!(r.timed_out() > 0, "expected deadline expirations");
+        assert!(r.shed_reasons().deadline_infeasible > 0, "expected deadline-aware sheds");
+        assert!(r.conserved());
+        // In-flight work is never cancelled: every dispatched batch completes.
+        assert_eq!(r.completed(), runner.batches.iter().sum::<usize>() as u64);
+        assert!(r.latency().max() <= 10_000_000.0, "no completion is late: {}", r.latency().max());
+    }
+
+    #[test]
+    fn two_replicas_share_the_queue() {
+        let mut a = FakeRunner::new(4, 20_000_000.0);
+        let mut b = FakeRunner::new(4, 20_000_000.0);
+        let cfg = ClusterConfig { queue_cap: 64, ..one_model(4, None) };
+        let r = serve_one(vec![&mut a, &mut b], open(400.0, 300_000_000, cfg)).unwrap();
+        assert_eq!(r.models[0].replicas, 2);
+        assert!(!a.batches.is_empty() && !b.batches.is_empty(), "both replicas must serve");
+        assert_eq!(r.completed(), (a.served.len() + b.served.len()) as u64);
+    }
+
+    #[test]
+    fn one_model_same_seed_is_bit_identical() {
+        let run = || {
+            let mut runner = FakeRunner::new(4, 5_000_000.0);
+            serve_one(vec![&mut runner], open(300.0, 400_000_000, one_model(4, None))).unwrap()
+        };
+        let first = run();
+        assert_eq!(first.to_json(), run().to_json());
+        assert!(!first.to_json().contains("shed_reasons"), "a run that sheds nothing has no reasons");
+        assert_eq!(
+            numbers(&first),
+            format!(
+                r#"{{
+  "issued": 127,
+  "completed": 127,
+  "shed": 0,
+  "timed_out": 0,
+  "makespan_ms": 404.666,
+  "latency_ms": {{"p50": 7.226, "p95": 9.841, "p99": 11.086, "mean": 7.349, "max": 11.943}},
+  "batches": 70,
+  "max_queue_depth": 6,
+  {NO_RECOVERY}
+}}
+"#
+            )
+        );
+    }
+
+    #[test]
+    fn crashed_batch_retries_on_a_healthy_replica() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        let plan = Arc::new(
+            FaultPlan::new(7).with(FaultSite::ServeBatch { replica: 0 }, 0, FaultAction::Crash),
+        );
+        let mut a = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), plan.clone(), 0);
+        let mut b = FakeRunner::new(4, 5_000_000.0);
+        let r = serve_one(vec![&mut a, &mut b], closed(4, 24, one_model(4, None))).unwrap();
+        // One crash, every rider retried within budget: nothing is lost.
+        assert_eq!((r.issued(), r.completed()), (24, 24), "retried requests must complete");
+        assert!(r.conserved());
+        assert_eq!(plan.fired_count(), 1, "the injected crash must have fired");
+        assert_eq!(
+            numbers(&r),
+            r#"{
+  "issued": 24,
+  "completed": 24,
+  "shed": 0,
+  "timed_out": 0,
+  "makespan_ms": 30.000,
+  "latency_ms": {"p50": 5.000, "p95": 5.000, "p99": 5.000, "mean": 5.000, "max": 5.000},
+  "batches": 6,
+  "max_queue_depth": 4,
+  "recovery": {"crashes": 1, "retried": 4, "dropped": 0, "quarantines": 1, "recoveries": 1, "dead_replicas": 0}
+}
+"#
+        );
+    }
+
+    #[test]
+    fn all_replicas_dead_sheds_everything_and_terminates() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        // Crash every dispatch: initial failure plus both restart
+        // attempts (max_restarts = 2) retire the only replica.
+        let mut plan = FaultPlan::new(3);
+        for hit in 0..8 {
+            plan = plan.with(FaultSite::ServeBatch { replica: 0 }, hit, FaultAction::Crash);
+        }
+        let mut only = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), Arc::new(plan), 0);
+        let r = serve_one(vec![&mut only], closed(4, 16, one_model(4, None))).unwrap();
+        assert!(r.conserved());
+        assert_eq!(r.shed(), r.issued(), "every issued request is reported shed");
+        assert_eq!(
+            r.shed_reasons().replica_loss,
+            r.shed(),
+            "dead-fleet sheds are all attributed to replica loss"
+        );
+        assert_eq!(
+            numbers(&r),
+            r#"{
+  "issued": 16,
+  "completed": 0,
+  "shed": 16,
+  "timed_out": 0,
+  "makespan_ms": 0.000,
+  "latency_ms": {"p50": 0.000, "p95": 0.000, "p99": 0.000, "mean": 0.000, "max": 0.000},
+  "batches": 0,
+  "max_queue_depth": 4,
+  "recovery": {"crashes": 3, "retried": 8, "dropped": 4, "quarantines": 2, "recoveries": 2, "dead_replicas": 1}
+}
+"#
+        );
+    }
+
+    #[test]
+    fn the_last_replica_dying_with_retries_left_still_terminates() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        // No restarts: the first crash retires the only replica while
+        // its batch, retry budget intact, goes back on the queue. Every
+        // client is waiting on that batch, so nothing else is scheduled.
+        let plan = FaultPlan::new(5).with(FaultSite::ServeBatch { replica: 0 }, 0, FaultAction::Crash);
+        let mut only = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), Arc::new(plan), 0);
+        let cfg = ClusterConfig {
+            recovery: RecoveryPolicy { max_restarts: 0, ..RecoveryPolicy::default() },
+            ..one_model(4, None)
+        };
+        let r = serve_one(vec![&mut only], closed(2, 4, cfg)).unwrap();
+        assert_eq!((r.issued(), r.completed(), r.shed()), (4, 0, 4));
+        assert_eq!(r.shed_reasons().replica_loss, 4);
+        assert_eq!((r.recovery.retried, r.recovery.dropped, r.recovery.dead_replicas), (2, 0, 1));
+    }
+
+    #[test]
+    fn stalled_replica_inflates_service_time_deterministically() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
+        use std::sync::Arc;
+
+        let plan = Arc::new(FaultPlan::new(1).with(
+            FaultSite::ServeBatch { replica: 0 },
+            0,
+            FaultAction::Stall { nanos: 40_000_000 },
+        ));
+        let mut runner = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), plan, 0);
+        let r = serve_one(vec![&mut runner], closed(2, 2, one_model(4, None))).unwrap();
+        assert_eq!((r.completed(), r.models[0].batches), (2, 1));
+        assert_eq!(r.makespan_nanos, 45_000_000, "stall adds to service time");
+    }
+
+    #[test]
+    fn same_fault_plan_seed_reproduces_the_identical_report() {
+        use crate::chaos::FaultyRunner;
+        use fathom_dataflow::FaultPlan;
+        use std::sync::Arc;
+
+        let run = || {
+            let plan = Arc::new(
+                FaultPlan::parse("replica0@2=crash;replica1@5=stall:30000000", 9).unwrap(),
+            );
+            let mut a = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), plan.clone(), 0);
+            let mut b = FaultyRunner::new(FakeRunner::new(4, 5_000_000.0), plan, 1);
+            let cfg = ClusterConfig { queue_cap: 64, ..one_model(4, None) };
+            serve_one(vec![&mut a, &mut b], open(400.0, 300_000_000, cfg)).unwrap()
+        };
+        let first = run();
+        assert!(first.to_json().contains("\"recovery\""), "faulted run must report recovery counters");
+        assert_eq!(first.to_json(), run().to_json());
+        assert_eq!(
+            numbers(&first),
+            r#"{
+  "issued": 127,
+  "completed": 127,
+  "shed": 0,
+  "timed_out": 0,
+  "makespan_ms": 303.500,
+  "latency_ms": {"p50": 5.905, "p95": 9.279, "p99": 11.457, "mean": 6.532, "max": 36.720},
+  "batches": 91,
+  "max_queue_depth": 6,
+  "recovery": {"crashes": 1, "retried": 2, "dropped": 0, "quarantines": 1, "recoveries": 1, "dead_replicas": 0}
+}
+"#
+        );
+    }
+
+    #[test]
+    fn degenerate_loads_are_unservable_not_a_hang() {
+        for rps in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let mut runner = FakeRunner::new(4, 1_000_000.0);
+            let err = serve_one(vec![&mut runner], open(rps, 1_000_000_000, one_model(4, None)))
+                .unwrap_err();
+            assert!(matches!(err, ServeError::Unservable(_)), "rps {rps}: got {err}");
+        }
+        // Requests to issue and nobody to issue them.
+        let mut runner = FakeRunner::new(4, 1_000_000.0);
+        let err = serve_one(vec![&mut runner], closed(0, 3, one_model(4, None))).unwrap_err();
+        assert!(matches!(err, ServeError::Unservable(_)), "got {err}");
+        // A closed loop on an empty replica set.
+        let err = serve_one(vec![], closed(1, 1, one_model(4, None))).unwrap_err();
+        assert!(matches!(err, ServeError::Unservable(_)), "got {err}");
+    }
+
+    #[test]
+    fn a_deadline_of_u64_max_means_never() {
+        // Deadlines are arrival + span; at u64::MAX the sum must stay in
+        // the future (nothing times out), not wrap into the past.
+        let mut runner = FakeRunner::new(4, 1_000_000.0);
+        let cfg = ClusterConfig { queue_cap: 1024, ..one_model(4, Some(u64::MAX)) };
+        let r = serve_one(vec![&mut runner], open(300.0, 200_000_000, cfg)).unwrap();
+        assert!(r.issued() > 20);
+        assert_eq!((r.completed(), r.shed(), r.timed_out()), (r.issued(), 0, 0));
+    }
+
+    #[test]
+    fn a_closed_loop_over_two_models_binds_clients_round_robin() {
+        let run = || {
+            let mut a0 = FakeRunner::new(4, 2_000_000.0);
+            let mut a1 = FakeRunner::new(4, 2_000_000.0);
+            let mut b0 = FakeRunner::new(4, 5_000_000.0);
+            let mut models = vec![
+                spec("alpha", vec![vec![&mut a0], vec![&mut a1]], 0.0),
+                spec("beta", vec![vec![&mut b0]], 0.0),
+            ];
+            let cfg = ClusterConfig {
+                closed_loop: Some(ClosedLoop { clients: 5, requests: 60 }),
+                ..ClusterConfig::new(4)
+            };
+            let r = serve_cluster(&mut models, &cfg).expect("serves");
+            drop(models);
+            let served = [&a0, &a1, &b0].map(|f| f.served.len() as u64);
+            (r, served)
+        };
+        let (r, [a0, a1, b0]) = run();
+        assert!(r.conserved());
+        assert_eq!(r.issued(), 60, "the budget is fleet-wide");
+        assert_eq!(r.completed(), a0 + a1 + b0);
+        let [alpha, beta] = &r.models[..] else { panic!("two models reported") };
+        assert_eq!((alpha.completed(), beta.completed()), (a0 + a1, b0));
+        // Three clients call alpha and two call beta; each re-issues to
+        // its own model, so both keep their callers to the end.
+        assert!(alpha.issued() > 0 && beta.issued() > 0);
+        assert!(r.models.iter().all(|m| m.batches > 0));
+        assert_eq!(r.to_json(), run().0.to_json(), "same seed, same bytes");
     }
 }

@@ -13,17 +13,20 @@
 //!   `fathom-dataflow`) per replica, packing and splitting request
 //!   tensors via `fathom_dataflow::batch` along each workload's declared
 //!   [`BatchSpec`](fathom::BatchSpec);
-//! * [`cluster`] — the crate's one event loop, in deterministic virtual
-//!   time: per-shard queues behind consistent-hash routing with
-//!   load-aware spill ([`router::Router`]), per-request SLO classes and
-//!   deadline-aware admission ([`slo::SloClass`]), continuous batching
-//!   up to `max_batch`, bounded-queue load shedding, graceful drain, and zero-drop hot
-//!   model reload from a v2 checkpoint ([`cluster::ReloadPlan`]).
-//!   [`cluster::serve_cluster`] offers it an open-loop load per model;
-//! * [`engine::serve`] — the adapter for the 1 model x 1 shard x N
-//!   replica case of that loop (one class, open- or closed-loop load), returning the flat [`metrics::ServeReport`]:
-//!   latency quantiles, queue depth, batch shape, shed/timeout counters
-//!   and op-class time slices fed from the session trace;
+//! * [`cluster`] — the crate's one event loop and its one entry,
+//!   [`cluster::serve_cluster`], in deterministic virtual time: per-shard
+//!   queues behind consistent-hash routing with load-aware spill
+//!   ([`router::Router`]), per-request SLO classes and deadline-aware
+//!   admission ([`slo::SloClass`]), continuous batching up to
+//!   `max_batch`, bounded-queue load shedding, graceful drain, and
+//!   zero-drop hot model reload from a checkpoint stream
+//!   `checkpoint::load` accepts ([`cluster::ReloadPlan`]). Each model is
+//!   offered an open-loop Poisson load, or the fleet a closed loop
+//!   ([`cluster::ClosedLoop`]); one model on one shard is the smallest
+//!   fleet, not a separate path;
+//! * [`cluster::ClusterReport`] — per-class and per-model counts,
+//!   latency quantiles, batch shape, queue depth and shed reasons, with
+//!   the histogram and counter blocks of [`metrics`];
 //! * supervised recovery, in the loop — a failed replica is quarantined
 //!   with exponential backoff and rebuilt from its checkpoint, its
 //!   in-flight batch retries on a healthy replica, and
@@ -41,7 +44,6 @@
 
 pub mod chaos;
 pub mod cluster;
-pub mod engine;
 pub mod metrics;
 pub mod router;
 pub mod slo;
@@ -49,11 +51,10 @@ pub mod worker;
 
 pub use chaos::FaultyRunner;
 pub use cluster::{
-    serve_cluster, ClassStats, ClusterConfig, ClusterReport, ClusterRunner,
-    ModelReport, ModelSpec, ReloadPlan, SynthFn,
+    serve_cluster, ClassStats, ClosedLoop, ClusterConfig, ClusterReport, ClusterRunner,
+    ModelReport, ModelSpec, RecoveryPolicy, ReloadPlan, SynthFn,
 };
-pub use engine::{serve, LoadModel, RecoveryPolicy, ServeConfig};
-pub use metrics::{LatencyHistogram, RecoveryCounters, ServeReport, ShedBreakdown};
+pub use metrics::{LatencyHistogram, RecoveryCounters, ShedBreakdown};
 pub use router::{HashRing, Placement, Router};
 pub use slo::{SloClass, SloMix, SloPolicy};
 pub use worker::{synth_inputs, BatchResult, BatchRunner, Request, ServeError, SessionWorker};

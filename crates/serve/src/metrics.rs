@@ -1,16 +1,15 @@
-//! Per-request observability: latency distribution, queue pressure,
-//! batch shape, and op-class time slices for a serving run.
+//! Per-request observability: the latency distribution, supervisor
+//! counters and shed reasons of a serving run.
 //!
-//! Everything here is plain data plus a [`Json`] tree per report,
-//! rendered by the workspace's one writer (`fathom_dataflow::json`:
-//! escaping, non-finite floats as `null` and omitted all-default blocks
-//! are its rules, not this module's), so a [`ServeReport`] can be
-//! dropped next to the other `BENCH_*.json` artifacts and diffed across
-//! runs. The blocks it shares with
-//! [`ClusterReport`](crate::cluster::ClusterReport) — `latency_ms`,
-//! `recovery`, `shed_reasons` — are built here, once.
+//! Everything here is plain data plus a [`Json`] block each, rendered
+//! by the workspace's one writer (`fathom_dataflow::json`: escaping,
+//! non-finite floats as `null` and omitted all-default blocks are its
+//! rules, not this module's). [`ClusterReport`](crate::cluster::ClusterReport)
+//! assembles them — `latency_ms`, `recovery`, `shed_reasons` — into a
+//! document that can be dropped next to the other `BENCH_*.json`
+//! artifacts and diffed across runs.
 
-use fathom_dataflow::{Json, OpClass, RuntimeCounters};
+use fathom_dataflow::Json;
 
 /// An exact-quantile latency recorder. Samples are kept raw (a serving
 /// run records at most a few thousand requests), so percentiles are
@@ -109,7 +108,7 @@ pub struct RecoveryCounters {
     /// Requests re-queued for another attempt after their batch failed.
     pub retried: u64,
     /// Requests dropped after exhausting the retry budget (these are
-    /// also counted in [`ServeReport::shed`] so conservation holds).
+    /// also counted as shed, `replica_loss`, so conservation holds).
     pub dropped: u64,
     /// Times a replica entered quarantine after a failure.
     pub quarantines: u64,
@@ -124,7 +123,6 @@ impl RecoveryCounters {
     pub fn any(&self) -> bool {
         *self != RecoveryCounters::default()
     }
-
 }
 
 /// The `recovery` block of a report.
@@ -177,12 +175,6 @@ impl ShedBreakdown {
         self.priority_evicted += other.priority_evicted;
         self.replica_loss += other.replica_loss;
     }
-
-    /// The breakdown as a JSON object string, as it appears inside a
-    /// report.
-    pub fn to_json(&self) -> String {
-        Json::from(*self).render_nested()
-    }
 }
 
 /// The `shed_reasons` block of a report.
@@ -193,133 +185,6 @@ impl From<ShedBreakdown> for Json {
             .with("deadline_infeasible", b.deadline_infeasible)
             .with("priority_evicted", b.priority_evicted)
             .with("replica_loss", b.replica_loss)
-    }
-}
-
-/// Everything measured over one single-model serving run: the flat view
-/// [`serve`](crate::engine::serve) takes of its one-model
-/// [`ClusterReport`](crate::cluster::ClusterReport).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Workload short name.
-    pub workload: String,
-    /// Batcher coalescing limit.
-    pub max_batch: usize,
-    /// Session workers serving in parallel.
-    pub replicas: usize,
-    /// Requests generated by the load model.
-    pub issued: u64,
-    /// Requests that returned a result.
-    pub completed: u64,
-    /// Requests refused at admission (queue full).
-    pub shed: u64,
-    /// Why each shed happened; `shed_reasons.total() == shed` always.
-    pub shed_reasons: ShedBreakdown,
-    /// Requests dropped from the queue past their deadline.
-    pub timed_out: u64,
-    /// Virtual time from the first arrival to the last completion, ns.
-    pub makespan_nanos: u64,
-    /// End-to-end request latency (admission to batch completion).
-    pub latency: LatencyHistogram,
-    /// Supervisor counters: crashes, retries, quarantines, recoveries.
-    pub recovery: RecoveryCounters,
-    /// Unified-runtime counters folded across all replica sessions.
-    pub runtime: RuntimeCounters,
-    /// Requests admitted to the queue; each sampled the queue depth.
-    pub(crate) admitted: u64,
-    pub(crate) max_queue_depth: usize,
-    pub(crate) batches: u64,
-    /// Requests carried across the executed batches.
-    pub(crate) batched_requests: u64,
-    pub(crate) class_nanos: [f64; 7],
-}
-
-impl ServeReport {
-    /// Creates an empty report shell for `workload`.
-    pub fn new(workload: &str, max_batch: usize, replicas: usize) -> Self {
-        ServeReport {
-            workload: workload.to_string(),
-            max_batch,
-            replicas,
-            issued: 0,
-            completed: 0,
-            shed: 0,
-            shed_reasons: ShedBreakdown::default(),
-            timed_out: 0,
-            makespan_nanos: 0,
-            latency: LatencyHistogram::new(),
-            recovery: RecoveryCounters::default(),
-            runtime: RuntimeCounters::default(),
-            admitted: 0,
-            max_queue_depth: 0,
-            batches: 0,
-            batched_requests: 0,
-            class_nanos: [0.0; 7],
-        }
-    }
-
-    /// Completed requests per second of virtual makespan.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.makespan_nanos == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1e9 / self.makespan_nanos as f64
-    }
-
-    /// Executed batches.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Mean carried batch size across executed batches (0 when none ran).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.batched_requests as f64 / self.batches as f64
-    }
-
-    /// Deepest queue observed at any admission.
-    pub fn max_queue_depth(&self) -> usize {
-        self.max_queue_depth
-    }
-
-    /// Total op time attributed to each paper class across all traced
-    /// batches, A-G order.
-    pub fn class_nanos(&self) -> [f64; 7] {
-        self.class_nanos
-    }
-
-    /// Serializes the report to a JSON document. `shed_reasons`,
-    /// `recovery` and `runtime` appear only when something was shed, the
-    /// supervisor acted, or the unified runtime recorded something, so
-    /// runs that exercise none of them keep byte-identical output.
-    pub fn to_json(&self) -> String {
-        let classes = OpClass::ALL
-            .iter()
-            .zip(self.class_nanos)
-            .fold(Json::obj(), |o, (c, nanos)| o.with(&c.letter().to_string(), Json::fixed(nanos, 0)));
-        Json::obj()
-            .with("workload", self.workload.as_str())
-            .with("max_batch", self.max_batch)
-            .with("replicas", self.replicas)
-            .with("issued", self.issued)
-            .with("completed", self.completed)
-            .with("shed", self.shed)
-            .with_nondefault("shed_reasons", self.shed_reasons)
-            .with("timed_out", self.timed_out)
-            .with("makespan_ms", Json::fixed(self.makespan_nanos as f64 / 1e6, 3))
-            .with("throughput_rps", Json::fixed(self.throughput_rps(), 3))
-            .with("latency_ms", self.latency.json_ms())
-            .with("queue_depth", Json::obj().with("max", self.max_queue_depth).with("samples", self.admitted))
-            .with(
-                "batches",
-                Json::obj().with("count", self.batches).with("mean_size", Json::fixed(self.mean_batch_size(), 3)),
-            )
-            .with_nondefault("recovery", self.recovery)
-            .with_nondefault("runtime", self.runtime)
-            .with("class_nanos", classes)
-            .render()
     }
 }
 
@@ -433,68 +298,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 10);
         assert!(!ShedBreakdown::default().any());
-    }
-
-    #[test]
-    fn shed_reasons_appear_in_json_only_when_nonzero() {
-        let mut r = ServeReport::new("vgg", 4, 1);
-        assert!(!r.to_json().contains("shed_reasons"));
-        r.shed = 3;
-        r.shed_reasons.queue_full = 2;
-        r.shed_reasons.replica_loss = 1;
-        let json = r.to_json();
-        assert!(json.contains("\"shed_reasons\""));
-        assert!(json.contains("\"queue_full\": 2"));
-        assert!(json.contains("\"replica_loss\": 1"));
-    }
-
-    #[test]
-    fn report_derives_means_from_its_aggregates() {
-        let mut r = ServeReport::new("alexnet", 4, 1);
-        assert_eq!(r.mean_batch_size(), 0.0, "no batch ran");
-        r.batches = 2;
-        r.batched_requests = 6;
-        r.completed = 6;
-        r.makespan_nanos = 3_000_000_000;
-        assert_eq!(r.batches(), 2);
-        assert_eq!(r.mean_batch_size(), 3.0);
-        assert!((r.throughput_rps() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn non_finite_samples_degrade_to_null_not_bare_tokens() {
-        let mut r = ServeReport::new("speech", 4, 1);
-        r.issued = 2;
-        r.completed = 2;
-        r.latency.record(f64::NAN);
-        r.latency.record(f64::INFINITY);
-        r.class_nanos[3] = f64::NEG_INFINITY;
-        let json = r.to_json();
-        assert!(json.contains("null"), "poisoned fields should emit null: {json}");
-        for token in ["NaN", "inf", "Infinity"] {
-            assert!(!json.contains(token), "bare {token} leaked into JSON: {json}");
-        }
-        // Integer-derived fields are untouched by the degradation.
-        assert!(json.contains("\"issued\": 2"));
-    }
-
-    #[test]
-    fn json_has_the_headline_fields() {
-        let mut r = ServeReport::new("vgg", 8, 2);
-        r.issued = 3;
-        r.completed = 3;
-        r.latency.record(1_000_000.0);
-        let json = r.to_json();
-        for key in [
-            "\"workload\": \"vgg\"",
-            "\"max_batch\": 8",
-            "\"replicas\": 2",
-            "\"throughput_rps\"",
-            "\"latency_ms\"",
-            "\"p99\"",
-            "\"class_nanos\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

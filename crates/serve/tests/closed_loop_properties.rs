@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
 use fathom_serve::{
-    serve, BatchResult, BatchRunner, FaultyRunner, LoadModel, Request, ServeConfig, ServeError,
+    serve_cluster, BatchResult, BatchRunner, ClosedLoop, ClusterConfig, ClusterRunner,
+    FaultyRunner, ModelSpec, Request, ServeError, SloClass, SloMix, SloPolicy,
 };
 use fathom_tensor::Tensor;
 use proptest::prelude::*;
@@ -31,6 +32,12 @@ impl BatchRunner for Recording {
             service_nanos: 3_000_000.0,
             class_nanos: [0.0; 7],
         })
+    }
+}
+
+impl ClusterRunner for Recording {
+    fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
+        Ok(())
     }
 }
 
@@ -57,27 +64,37 @@ proptest! {
                 FaultyRunner::new(Recording { capacity: 4, batches: Vec::new() }, plan.clone(), i)
             })
             .collect();
-        let mut runners: Vec<&mut dyn BatchRunner> =
-            fleet.iter_mut().map(|r| r as &mut dyn BatchRunner).collect();
-        let cfg = ServeConfig { queue_cap, ..ServeConfig::new(max_batch) };
-        let load = LoadModel::Closed { clients, requests };
+        let mut models = [ModelSpec {
+            name: "fake".into(),
+            shards: vec![fleet.iter_mut().map(|r| r as &mut dyn ClusterRunner).collect()],
+            rps: 0.0,
+            synth: Box::new(|_rng, _id| Vec::new()),
+        }];
+        // No deadline: every request is one class with none.
+        let cfg = ClusterConfig {
+            queue_cap,
+            slo: SloPolicy { deadline_nanos: [None; SloClass::COUNT] },
+            mix: SloMix::pure(SloClass::Standard),
+            closed_loop: Some(ClosedLoop { clients, requests }),
+            ..ClusterConfig::new(max_batch)
+        };
         // Returning at all is the termination property.
-        let r = serve(&mut runners, &cfg, &load, &mut |_rng, _id| Vec::new(), "fake");
+        let r = serve_cluster(&mut models, &cfg);
+        drop(models);
         prop_assert!(r.is_ok(), "a closed loop with clients is servable: {:?} {:?}", r.err(), (replicas, max_batch, clients, requests, queue_cap, &crashes));
         let r = r.expect("checked above");
 
-        prop_assert_eq!(r.issued, requests as u64);
-        prop_assert_eq!(r.issued, r.completed + r.shed + r.timed_out);
-        prop_assert_eq!(r.timed_out, 0, "no deadline was set");
-        prop_assert_eq!(r.shed_reasons.total(), r.shed);
-        prop_assert!(r.recovery.dropped <= r.shed_reasons.replica_loss);
+        prop_assert_eq!(r.issued(), requests as u64);
+        prop_assert!(r.conserved(), "issued == completed + shed + timed_out, reasons itemized");
+        prop_assert_eq!(r.timed_out(), 0, "no deadline was set");
+        prop_assert!(r.recovery.dropped <= r.shed_reasons().replica_loss);
 
         let mut completed: Vec<u64> =
             fleet.iter().flat_map(|f| f.inner().batches.iter().flatten().copied()).collect();
-        prop_assert_eq!(completed.len() as u64, r.completed);
+        prop_assert_eq!(completed.len() as u64, r.completed());
         completed.sort_unstable();
         completed.dedup();
-        prop_assert_eq!(completed.len() as u64, r.completed, "an id completed twice");
+        prop_assert_eq!(completed.len() as u64, r.completed(), "an id completed twice");
         prop_assert!(completed.iter().all(|&id| id < requests as u64));
 
         let limit = max_batch.min(clients);
@@ -85,6 +102,6 @@ proptest! {
             prop_assert!(batch.len() <= limit, "batch of {} over min(max_batch, clients) = {}", batch.len(), limit);
         }
         let batches: usize = fleet.iter().map(|f| f.inner().batches.len()).sum();
-        prop_assert_eq!(r.batches(), batches as u64);
+        prop_assert_eq!(r.models[0].batches, batches as u64);
     }
 }

@@ -2,7 +2,7 @@
 # Tier-1 gate: everything a PR must keep green.
 #   build (release) -> integration tests -> crate unit tests -> lint
 #   (warnings are errors) -> docs -> the benchmark harness against the
-#   crates' API -> the two serving smokes through the binary's argument
+#   crates' API -> the three serving smokes through the binary's argument
 #   path -> the runtime protocols in release, oversubscribed
 #
 # Every property is stated once, as a test: bitwise serial == parallel,
@@ -50,11 +50,16 @@ stage bench-api env CARGO_TARGET_DIR=.bench_build cargo check --offline --locked
 # real open-loop run end to end.
 stage serve-bench ./target/release/fathom serve-bench alexnet --rps 50 --duration 1 --seed 7
 
-# Closed-loop faulted smoke (the README's own example): the single-model
-# adapter's closed loop and the supervisor's crash -> requeue -> recover
-# path on the one event loop, two replicas under an injected crash.
+# Closed-loop faulted smoke (the README's own example): the closed loop
+# of `serve_cluster` on a one-model, one-shard fleet and the supervisor's
+# crash -> requeue -> recover path, two replicas under an injected crash.
 stage serve-bench-closed ./target/release/fathom serve-bench memnet --clients 4 --requests 32 \
   --replicas 2 --fault-plan "seed=7;replica0@1=crash"
+
+# Fleet smoke: two models over two shards each on one runtime, a mixed
+# SLO load and a Standard deadline from the command line.
+stage serve-bench-fleet ./target/release/fathom serve-bench memnet,autoenc --shards 2 \
+  --slo-mix 50,30,20 --rps 200 --duration 0.5 --deadline-ms 20
 
 # Oversubscription: the runtime's own protocols (spin-then-park
 # workers, barriers that spin for their last chunk) in the release build

@@ -15,8 +15,8 @@ use fathom_suite::fathom_dataflow::cost::OpCost;
 use fathom_suite::fathom_dataflow::trace::{RunTrace, TraceEvent};
 use fathom_suite::fathom_dataflow::{export, Json, NodeId, OpClass, RuntimeCounters};
 use fathom_suite::fathom_serve::{
-    serve, serve_cluster, BatchResult, BatchRunner, ClusterConfig, ClusterRunner, LoadModel,
-    ModelSpec, Request, ServeConfig, ServeError,
+    serve_cluster, BatchResult, BatchRunner, ClosedLoop, ClusterConfig, ClusterReport,
+    ClusterRunner, ModelSpec, Request, ServeError,
 };
 use fathom_suite::fathom_tensor::{Rng, Tensor};
 use proptest::prelude::*;
@@ -225,29 +225,38 @@ impl ClusterRunner for FixedRunner {
     }
 }
 
-#[test]
-fn serve_report_json_round_trips_clean_and_poisoned() {
-    let run = |class_nanos: [f64; 7]| {
-        let mut runner = FixedRunner { class_nanos };
-        let cfg = ServeConfig { queue_cap: 2, ..ServeConfig::new(4) };
-        let load = LoadModel::Closed { clients: 5, requests: 10 };
-        serve(&mut [&mut runner], &cfg, &load, &mut |_rng, _id| Vec::new(), "speech")
-            .expect("serves")
+/// One model of one `FixedRunner`, offered a closed loop of `clients`
+/// callers and `requests` requests into a queue of `queue_cap`.
+fn closed_loop(name: &str, clients: usize, requests: usize, queue_cap: usize) -> ClusterReport {
+    let mut runner = FixedRunner { class_nanos: [1.0; 7] };
+    let mut models = vec![ModelSpec {
+        name: name.into(),
+        shards: vec![vec![&mut runner]],
+        rps: 0.0,
+        synth: Box::new(|_rng: &mut Rng, _id| Vec::new()),
+    }];
+    let cfg = ClusterConfig {
+        queue_cap,
+        closed_loop: Some(ClosedLoop { clients, requests }),
+        ..ClusterConfig::new(4)
     };
-    let r = run([1.0; 7]);
-    assert!(r.completed > 0 && r.shed > 0, "the fixture both serves and sheds");
-    assert_round_trips("ServeReport (clean)", &r.to_json());
+    serve_cluster(&mut models, &cfg).expect("serves")
+}
 
-    // Poison it the way a broken clock or divided-by-zero trace would:
-    // a class-time sum through the loop, latencies directly.
-    let mut poisoned = [0.0; 7];
-    poisoned[2] = f64::NAN;
-    let mut r = run(poisoned);
-    r.latency.record(f64::NAN);
-    r.latency.record(f64::INFINITY);
+#[test]
+fn closed_loop_cluster_report_json_round_trips_clean_and_poisoned() {
+    let mut r = closed_loop("speech", 5, 10, 2);
+    assert!(r.completed() > 0 && r.shed() > 0, "the fixture both serves and sheds");
+    assert!(r.to_json().contains("\"shed_reasons\""));
+    assert_round_trips("ClusterReport, closed loop (clean)", &r.to_json());
+
+    // Poison it the way a broken clock would: latencies at both
+    // aggregation levels.
+    r.per_class[1].latency.record(f64::NAN);
+    r.models[0].per_class[1].latency.record(f64::INFINITY);
     let json = r.to_json();
-    assert!(json.contains("\"C\": null"), "a poisoned class sum degrades to null:\n{json}");
-    assert_round_trips("ServeReport (poisoned)", &json);
+    assert!(json.contains("null"), "a poisoned latency degrades to null:\n{json}");
+    assert_round_trips("ClusterReport, closed loop (poisoned)", &json);
 }
 
 /// A name that breaks a writer which interpolates it raw: a quote, a
@@ -255,15 +264,13 @@ fn serve_report_json_round_trips_clean_and_poisoned() {
 const HOSTILE_NAME: &str = "a\"b\\c\n\u{1}";
 const HOSTILE_NAME_JSON: &str = "\"a\\\"b\\\\c\\n\\u0001\"";
 
+/// A closed loop serves one model, so its name is the serve report's
+/// workload name.
 #[test]
 fn a_hostile_workload_name_is_escaped_in_the_serve_report() {
-    let mut runner = FixedRunner { class_nanos: [0.0; 7] };
-    let load = LoadModel::Closed { clients: 2, requests: 4 };
-    let json = serve(&mut [&mut runner], &ServeConfig::new(4), &load, &mut |_rng, _id| Vec::new(), HOSTILE_NAME)
-        .expect("serves")
-        .to_json();
-    assert!(json.contains(&format!("\"workload\": {HOSTILE_NAME_JSON}")), "{json}");
-    assert_round_trips("ServeReport (hostile name)", &json);
+    let json = closed_loop(HOSTILE_NAME, 2, 4, 16).to_json();
+    assert!(json.contains(&format!("\"model\": {HOSTILE_NAME_JSON}")), "{json}");
+    assert_round_trips("ClusterReport, closed loop (hostile name)", &json);
 }
 
 #[test]

@@ -12,7 +12,8 @@
 use fathom_suite::fathom::{BuildConfig, ModelKind};
 use fathom_suite::fathom_dataflow::checkpoint;
 use fathom_suite::fathom_serve::{
-    serve, synth_inputs, BatchRunner, LoadModel, Request, ServeConfig, SessionWorker,
+    serve_cluster, synth_inputs, BatchRunner, ClosedLoop, ClusterConfig, ClusterReport,
+    ClusterRunner, ModelSpec, Request, SessionWorker, SloClass, SloMix, SloPolicy, SynthFn,
 };
 use fathom_suite::fathom_tensor::Rng;
 
@@ -32,6 +33,30 @@ fn requests_for(worker: &SessionWorker, n: usize) -> Vec<Request> {
             inputs: synth_inputs(&shapes, &domains, &mut rng),
         })
         .collect()
+}
+
+/// One model on one shard at `max_batch`, every request Standard with
+/// no deadline, a queue of 64.
+fn one_class(max_batch: usize) -> ClusterConfig {
+    ClusterConfig {
+        queue_cap: 64,
+        slo: SloPolicy { deadline_nanos: [None; SloClass::COUNT] },
+        mix: SloMix::pure(SloClass::Standard),
+        seed: 0xFA7408,
+        ..ClusterConfig::new(max_batch)
+    }
+}
+
+/// Serves `replicas` as one model on one shard, offered `rps` (unread
+/// under a closed loop) under `cfg`.
+fn serve_one_shard<'a>(
+    replicas: Vec<&'a mut dyn ClusterRunner>,
+    synth: SynthFn<'a>,
+    rps: f64,
+    cfg: &ClusterConfig,
+) -> ClusterReport {
+    let mut models = [ModelSpec { name: "one".into(), shards: vec![replicas], rps, synth }];
+    serve_cluster(&mut models, cfg).expect("serves")
 }
 
 #[test]
@@ -115,12 +140,12 @@ fn warm_start_accepts_training_checkpoints() {
 #[test]
 fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
     use fathom_suite::fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
-    use fathom_suite::fathom_serve::{BatchResult, FaultyRunner, LoadModel, ServeError};
+    use fathom_suite::fathom_serve::{BatchResult, FaultyRunner, ServeError};
     use fathom_suite::fathom_tensor::Tensor;
     use std::sync::Arc;
 
     /// Fixed service time per batch — the only nondeterminism left is
-    /// whatever the fault plan and the engine introduce, which is none.
+    /// whatever the fault plan and the loop introduce, which is none.
     struct FixedRunner {
         capacity: usize,
         service_nanos: f64,
@@ -137,6 +162,12 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
                 service_nanos: self.service_nanos,
                 class_nanos: [0.0; 7],
             })
+        }
+    }
+
+    impl ClusterRunner for FixedRunner {
+        fn reload(&mut self, _checkpoint: &[u8]) -> Result<(), ServeError> {
+            Ok(())
         }
     }
 
@@ -160,10 +191,8 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
             plan,
             1,
         );
-        let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut r0, &mut r1];
-        let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(2) };
-        let load = LoadModel::Open { rps: 4_000.0, duration_nanos: 5_000_000 };
-        serve(&mut runners, &cfg, &load, &mut |_rng, _id| Vec::new(), "fixed").expect("serves")
+        let cfg = ClusterConfig { duration_nanos: 5_000_000, ..one_class(2) };
+        serve_one_shard(vec![&mut r0, &mut r1], Box::new(|_rng, _id| Vec::new()), 4_000.0, &cfg)
     };
 
     let first = run();
@@ -174,25 +203,37 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
         second.to_json(),
         "the same fault-plan seed must reproduce the report bitwise"
     );
-    // An open-loop `serve` is `serve_cluster` on one model and one
-    // shard: its trace, its continuous batching, its report.
+    // The report of one model on one shard: its counts, makespan,
+    // latency, batches and recovery counters, with the queue's depth
+    // beside it.
+    assert_eq!(first.models[0].max_queue_depth, 17);
     assert_eq!(
         first.to_json(),
         r#"{
-  "workload": "fixed",
+  "batching": "continuous",
   "max_batch": 2,
-  "replicas": 2,
   "issued": 25,
   "completed": 25,
   "shed": 0,
   "timed_out": 0,
+  "spilled": 0,
+  "reloads": 0,
   "makespan_ms": 10.266,
   "throughput_rps": 2435.178,
-  "latency_ms": {"p50": 4.083, "p95": 5.278, "p99": 5.293, "mean": 3.701, "max": 5.293},
-  "queue_depth": {"max": 17, "samples": 25},
-  "batches": {"count": 14, "mean_size": 1.786},
-  "recovery": {"crashes": 1, "retried": 2, "dropped": 0, "quarantines": 1, "recoveries": 1, "dead_replicas": 0},
-  "class_nanos": {"A": 0, "B": 0, "C": 0, "D": 0, "E": 0, "F": 0, "G": 0}
+  "classes": [
+    {"class": "interactive", "issued": 0, "completed": 0, "shed": 0, "timed_out": 0, "latency_ms": {"p50": 0.000, "p95": 0.000, "p99": 0.000, "mean": 0.000, "max": 0.000}},
+    {"class": "standard", "issued": 25, "completed": 25, "shed": 0, "timed_out": 0, "latency_ms": {"p50": 4.083, "p95": 5.278, "p99": 5.293, "mean": 3.701, "max": 5.293}},
+    {"class": "batch", "issued": 0, "completed": 0, "shed": 0, "timed_out": 0, "latency_ms": {"p50": 0.000, "p95": 0.000, "p99": 0.000, "mean": 0.000, "max": 0.000}}
+  ],
+  "models": [
+    {"model": "one", "shards": 1, "replicas": 2, "issued": 25, "completed": 25, "shed": 0, "timed_out": 0, "spilled": 0, "reloads": 0, "batches": 14, "mean_batch": 1.79,
+      "classes": [
+        {"class": "interactive", "issued": 0, "completed": 0, "shed": 0, "timed_out": 0, "latency_ms": {"p50": 0.000, "p95": 0.000, "p99": 0.000, "mean": 0.000, "max": 0.000}},
+        {"class": "standard", "issued": 25, "completed": 25, "shed": 0, "timed_out": 0, "latency_ms": {"p50": 4.083, "p95": 5.278, "p99": 5.293, "mean": 3.701, "max": 5.293}},
+        {"class": "batch", "issued": 0, "completed": 0, "shed": 0, "timed_out": 0, "latency_ms": {"p50": 0.000, "p95": 0.000, "p99": 0.000, "mean": 0.000, "max": 0.000}}
+      ]}
+  ],
+  "recovery": {"crashes": 1, "retried": 2, "dropped": 0, "quarantines": 1, "recoveries": 1, "dead_replicas": 0}
 }
 "#
     );
@@ -201,7 +242,7 @@ fn fault_injected_runs_are_deterministic_for_a_fixed_seed() {
 #[test]
 fn a_replica_crash_mid_run_loses_no_accepted_requests() {
     use fathom_suite::fathom_dataflow::{FaultAction, FaultPlan, FaultSite};
-    use fathom_suite::fathom_serve::{FaultyRunner, LoadModel};
+    use fathom_suite::fathom_serve::FaultyRunner;
     use std::sync::Arc;
 
     let build = BuildConfig::inference().with_seed(SEED).with_batch(2);
@@ -220,24 +261,19 @@ fn a_replica_crash_mid_run_loses_no_accepted_requests() {
     ));
     let mut r0 = FaultyRunner::new(w0, plan.clone(), 0);
     let mut r1 = FaultyRunner::new(w1, plan, 1);
-    let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut r0, &mut r1];
-    let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(2) };
-    let load = LoadModel::Closed { clients: 3, requests: 10 };
-    let report = serve(
-        &mut runners,
-        &cfg,
-        &load,
-        &mut |rng, _| synth_inputs(&shapes, &domains, rng),
-        "memnet",
-    )
-    .expect("serves");
+    let cfg = ClusterConfig {
+        closed_loop: Some(ClosedLoop { clients: 3, requests: 10 }),
+        ..one_class(2)
+    };
+    let synth = Box::new(move |rng: &mut Rng, _| synth_inputs(&shapes, &domains, rng));
+    let report = serve_one_shard(vec![&mut r0, &mut r1], synth, 0.0, &cfg);
 
     assert!(report.recovery.crashes >= 1, "the planned crash must fire: {:?}", report.recovery);
     assert!(report.recovery.retried >= 1, "the crashed batch must be requeued");
-    assert_eq!(report.issued, 10);
-    assert_eq!(report.completed, 10, "no accepted request may be lost to the crash");
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.timed_out, 0);
+    assert_eq!(report.issued(), 10);
+    assert_eq!(report.completed(), 10, "no accepted request may be lost to the crash");
+    assert_eq!(report.shed(), 0);
+    assert_eq!(report.timed_out(), 0);
 }
 
 #[test]
@@ -247,24 +283,20 @@ fn engine_resolves_every_closed_loop_request_with_a_real_worker() {
             .expect("servable");
     let shapes = worker.item_shapes();
     let domains = worker.domains();
-    let cfg = ServeConfig { queue_cap: 64, ..ServeConfig::new(2) };
-    let load = LoadModel::Closed { clients: 3, requests: 12 };
-    let mut runners: Vec<&mut dyn BatchRunner> = vec![&mut worker];
-    let report = serve(
-        &mut runners,
-        &cfg,
-        &load,
-        &mut |rng, _| synth_inputs(&shapes, &domains, rng),
-        "memnet",
-    )
-    .expect("serves");
-    assert_eq!(report.issued, 12);
-    assert_eq!(report.completed, 12, "closed loop with no deadline resolves everything");
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.timed_out, 0);
-    assert_eq!(report.latency.count(), 12);
-    assert!(report.batches() >= 6, "12 requests at 2 a batch: {}", report.batches());
-    assert!(report.mean_batch_size() <= 2.0);
+    let cfg = ClusterConfig {
+        closed_loop: Some(ClosedLoop { clients: 3, requests: 12 }),
+        ..one_class(2)
+    };
+    let synth = Box::new(move |rng: &mut Rng, _| synth_inputs(&shapes, &domains, rng));
+    let report = serve_one_shard(vec![&mut worker], synth, 0.0, &cfg);
+    assert_eq!(report.issued(), 12);
+    assert_eq!(report.completed(), 12, "closed loop with no deadline resolves everything");
+    assert_eq!(report.shed(), 0);
+    assert_eq!(report.timed_out(), 0);
+    assert_eq!(report.latency().count(), 12);
+    let model = &report.models[0];
+    assert!(model.batches >= 6, "12 requests at 2 a batch: {}", model.batches);
+    assert!(model.mean_batch() <= 2.0);
 }
 
 #[test]
