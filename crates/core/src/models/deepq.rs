@@ -283,22 +283,6 @@ impl Deepq {
         }
     }
 
-    /// Current exploration rate (diagnostics).
-    pub fn debug_epsilon(&self) -> f32 {
-        self.epsilon
-    }
-
-    /// `(min, mean, max)` of the acting tower's Q-values on the current
-    /// observation (diagnostics).
-    pub fn debug_q_summary(&mut self) -> (f32, f32, f32) {
-        let obs = self.env.observation();
-        let q = self
-            .session
-            .run1(self.act_q, &[(self.act_state, obs)])
-            .expect("workload graphs are well-formed");
-        (q.min(), q.mean(), q.max())
-    }
-
     /// Mean reward over the most recent completed episodes.
     pub fn recent_reward(&self) -> f32 {
         let window = self.episode_rewards.len().min(20);

@@ -202,6 +202,7 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use fathom_dataflow::OpKind;
+    use fathom_tensor::kernels::fused::FusedOp;
 
     #[test]
     fn weight_layer_count_is_34() {
@@ -226,9 +227,9 @@ mod tests {
         let g = m.session().graph();
         let mut shortcut_adds = 0;
         for (id, n) in g.iter() {
-            if matches!(n.kind, OpKind::Relu) {
+            if matches!(n.kind, OpKind::Elementwise(FusedOp::Relu)) {
                 let input = g.node(n.inputs[0]);
-                if matches!(input.kind, OpKind::Add)
+                if matches!(input.kind, OpKind::Elementwise(FusedOp::Add))
                     && g.shape(id).rank() == 4
                     && g.shape(input.inputs[0]) == g.shape(input.inputs[1])
                 {

@@ -182,6 +182,7 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
     use fathom_dataflow::OpKind;
+    use fathom_tensor::kernels::fused::FusedOp;
 
     #[test]
     fn training_reduces_ctc_loss() {
@@ -204,7 +205,7 @@ mod tests {
             .session()
             .graph()
             .iter()
-            .filter(|(_, n)| matches!(n.kind, OpKind::Sigmoid))
+            .filter(|(_, n)| matches!(n.kind, OpKind::Elementwise(FusedOp::Sigmoid)))
             .count();
         assert_eq!(sigmoids, 0, "Deep Speech must not contain gate sigmoids");
     }

@@ -105,14 +105,7 @@ pub fn estimate(node: &Node, input_shapes: &[&Shape]) -> OpCost {
         }
         OpKind::Sum { .. } | OpKind::Mean { .. } | OpKind::MaxReduce { .. } => in_elems,
         // Class-C ops cost what their op table row says, fused or not.
-        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::Maximum | OpKind::Pow
-        | OpKind::Greater | OpKind::GreaterEqual | OpKind::Equal | OpKind::Select
-        | OpKind::Neg | OpKind::Exp | OpKind::Log | OpKind::Sqrt | OpKind::Square
-        | OpKind::Tanh | OpKind::Sigmoid | OpKind::Relu | OpKind::ReluGrad | OpKind::TanhGrad
-        | OpKind::SigmoidGrad | OpKind::AddN => {
-            let op = node.kind.class_c().expect("class-C kinds have a table row");
-            op.flops_per_elem(input_shapes.len()) * out_elems
-        }
+        OpKind::Elementwise(op) => op.flops_per_elem(input_shapes.len()) * out_elems,
         // Pure movement and metadata.
         OpKind::Placeholder { .. } | OpKind::Variable { .. } | OpKind::Constant(_)
         | OpKind::Identity | OpKind::Reshape(_) | OpKind::Transpose { .. }

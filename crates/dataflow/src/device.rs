@@ -237,6 +237,7 @@ impl Default for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fathom_tensor::kernels::fused::FusedOp;
 
     #[test]
     fn big_matmul_is_compute_bound() {
@@ -255,7 +256,7 @@ mod tests {
     fn tiny_op_is_launch_bound() {
         let m = GpuModel::gtx960();
         let cost = OpCost { flops: 100.0, bytes: 400.0 };
-        let nanos = m.model_nanos(&OpKind::Add, cost);
+        let nanos = m.model_nanos(&OpKind::Elementwise(FusedOp::Add), cost);
         // Essentially pure launch overhead (1.5us).
         assert!((nanos - 1_500.0).abs() < 100.0, "nanos {nanos}");
     }
@@ -265,7 +266,7 @@ mod tests {
         let m = GpuModel::gtx960();
         // 100M-element add: 0.1 GFLOP over 1.2 GB.
         let cost = OpCost { flops: 1e8, bytes: 1.2e9 };
-        let nanos = m.model_nanos(&OpKind::Add, cost);
+        let nanos = m.model_nanos(&OpKind::Elementwise(FusedOp::Add), cost);
         let memory_ns = cost.bytes / m.bandwidth * 1e9;
         assert!((nanos - memory_ns - m.launch_overhead * 1e9).abs() < 1.0);
     }
@@ -275,7 +276,7 @@ mod tests {
         let m = GpuModel::gtx960();
         let cost = OpCost { flops: 1e9, bytes: 1000.0 };
         let mm = m.model_nanos(&OpKind::MatMul { transpose_a: false, transpose_b: false }, cost);
-        let ew = m.model_nanos(&OpKind::Tanh, cost);
+        let ew = m.model_nanos(&OpKind::Elementwise(FusedOp::Tanh), cost);
         assert!(ew > 5.0 * mm, "elementwise {ew} should be much slower than matmul {mm}");
     }
 

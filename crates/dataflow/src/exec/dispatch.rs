@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use fathom_tensor::kernels::conv as kconv;
 use fathom_tensor::kernels::ctc as kctc;
 use fathom_tensor::kernels::elementwise as kew;
-use fathom_tensor::kernels::epilogue::Epilogue;
+use fathom_tensor::kernels::fused::FusedProgram;
 use fathom_tensor::kernels::gemm as kgemm;
 use fathom_tensor::kernels::pool2d as kpool;
 use fathom_tensor::kernels::reduce as kred;
@@ -51,7 +51,7 @@ fn run_matmul(
     b: &Tensor,
     transpose_a: bool,
     transpose_b: bool,
-    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    epilogue: Option<(&FusedProgram, &[&[f32]])>,
     pool: &ExecPool,
 ) -> Tensor {
     let quantized = (!transpose_a)
@@ -122,14 +122,9 @@ where
         }
 
         // Class C: the standalone kernel of the kind's op table row.
-        OpKind::Add | OpKind::Sub | OpKind::Mul | OpKind::Div | OpKind::Maximum | OpKind::Pow
-        | OpKind::Greater | OpKind::GreaterEqual | OpKind::Equal | OpKind::Select
-        | OpKind::Neg | OpKind::Exp | OpKind::Log | OpKind::Sqrt | OpKind::Square
-        | OpKind::Tanh | OpKind::Sigmoid | OpKind::Relu | OpKind::ReluGrad | OpKind::TanhGrad
-        | OpKind::SigmoidGrad | OpKind::AddN => {
-            let op = node.kind.class_c().expect("class-C kinds have a table row");
+        OpKind::Elementwise(op) => {
             let tensors: Vec<&Tensor> = (0..inputs.len()).map(input).collect();
-            kew::eval(op, &tensors, pool)
+            kew::eval(*op, &tensors, pool)
         }
         OpKind::Fused(program) => {
             let tensors: Vec<&Tensor> = (0..inputs.len()).map(input).collect();

@@ -16,7 +16,7 @@ use crate::op::OpClass;
 use crate::trace::RunTrace;
 
 /// Fill colors per op class for the DOT rendering, in A-G order.
-fn class_color(class: OpClass) -> &'static str {
+fn fill_color(class: OpClass) -> &'static str {
     match class {
         OpClass::MatrixOps => "#8dd3c7",
         OpClass::Convolution => "#80b1d3",
@@ -59,7 +59,7 @@ pub fn to_dot(g: &Graph) -> String {
             node.kind.name(),
             name,
             node.shape,
-            class_color(node.kind.class())
+            fill_color(node.kind.class())
         );
         for input in &node.inputs {
             let _ = writeln!(out, "  {input} -> {id};");

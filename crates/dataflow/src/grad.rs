@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use fathom_tensor::kernels::fused::FusedOp;
 use fathom_tensor::{Shape, Tensor};
 
 use crate::graph::{Graph, NodeId};
@@ -163,77 +164,7 @@ fn backward(
             vec![(x, dx)]
         }
 
-        Add => {
-            let da = broadcast_grad(g, upstream, inputs[0]);
-            let db = broadcast_grad(g, upstream, inputs[1]);
-            vec![(inputs[0], da), (inputs[1], db)]
-        }
-        Sub => {
-            let da = broadcast_grad(g, upstream, inputs[0]);
-            let neg = g.neg(upstream);
-            let db = broadcast_grad(g, neg, inputs[1]);
-            vec![(inputs[0], da), (inputs[1], db)]
-        }
-        Mul => {
-            let (a, b) = (inputs[0], inputs[1]);
-            let ga = g.mul(upstream, b);
-            let da = broadcast_grad(g, ga, a);
-            let gb = g.mul(upstream, a);
-            let db = broadcast_grad(g, gb, b);
-            vec![(a, da), (b, db)]
-        }
-        Div => {
-            let (a, b) = (inputs[0], inputs[1]);
-            let ga = g.div(upstream, b);
-            let da = broadcast_grad(g, ga, a);
-            // db = -g * (a / b^2) = -g * out / b
-            let out_over_b = g.div(node, b);
-            let gb0 = g.mul(upstream, out_over_b);
-            let gb = g.neg(gb0);
-            let db = broadcast_grad(g, gb, b);
-            vec![(a, da), (b, db)]
-        }
-        Maximum => {
-            // d/da = g where a >= b; d/db = g where b > a.
-            let (a, b) = (inputs[0], inputs[1]);
-            let a_wins = g.add(GreaterEqual, &[a, b]);
-            let ga0 = g.mul(upstream, a_wins);
-            let da = broadcast_grad(g, ga0, a);
-            let b_wins = g.add(Greater, &[b, a]);
-            let gb0 = g.mul(upstream, b_wins);
-            let db = broadcast_grad(g, gb0, b);
-            vec![(a, da), (b, db)]
-        }
-        Pow => {
-            // d/da = g * b * a^(b-1); d/db = g * a^b * ln(a).
-            // The ln(a) term is only finite for positive bases, matching
-            // the mathematical domain of d(a^b)/db.
-            let (a, b) = (inputs[0], inputs[1]);
-            let one = g.constant(Tensor::scalar(1.0));
-            let b_minus_1 = g.sub(b, one);
-            let pow_bm1 = g.add(Pow, &[a, b_minus_1]);
-            let scaled = g.mul(b, pow_bm1);
-            let ga0 = g.mul(upstream, scaled);
-            let da = broadcast_grad(g, ga0, a);
-            let ln_a = g.log(a);
-            let out_ln = g.mul(node, ln_a);
-            let gb0 = g.mul(upstream, out_ln);
-            let db = broadcast_grad(g, gb0, b);
-            vec![(a, da), (b, db)]
-        }
-        Select => {
-            // cond gets no gradient; a gets g*mask, b gets g*(1-mask).
-            let (cond, a, b) = (inputs[0], inputs[1], inputs[2]);
-            let zero = g.constant(Tensor::scalar(0.0));
-            let mask = g.add(Greater, &[cond, zero]); // normalize to 0/1
-            let ga0 = g.mul(upstream, mask);
-            let da = broadcast_grad(g, ga0, a);
-            let one = g.constant(Tensor::scalar(1.0));
-            let inv = g.sub(one, mask);
-            let gb0 = g.mul(upstream, inv);
-            let db = broadcast_grad(g, gb0, b);
-            vec![(a, da), (b, db)]
-        }
+        Elementwise(op) => elementwise_backward(g, node, *op, inputs, upstream),
         MaxReduce { axis, keep_dims } => {
             // Route gradient to the max positions, split evenly on ties.
             let x = inputs[0];
@@ -244,7 +175,7 @@ fn backward(
                 let s = x_shape.with_axis_one(*axis);
                 g.reshape(node, s)
             };
-            let mask = g.add(Equal, &[x, max_kept]); // broadcasts
+            let mask = g.add(Elementwise(FusedOp::Equal), &[x, max_kept]); // broadcasts
             let count = g.sum_axis_keep(mask, *axis);
             let share = g.div(mask, count);
             let g_kept = if *keep_dims {
@@ -256,44 +187,6 @@ fn backward(
             let dx = g.mul(share, g_kept);
             vec![(x, dx)]
         }
-        Neg => {
-            let dx = g.neg(upstream);
-            vec![(inputs[0], dx)]
-        }
-        Exp => {
-            let dx = g.mul(upstream, node);
-            vec![(inputs[0], dx)]
-        }
-        Log => {
-            let dx = g.div(upstream, inputs[0]);
-            vec![(inputs[0], dx)]
-        }
-        Sqrt => {
-            let two = g.constant(Tensor::scalar(2.0));
-            let denom = g.mul(two, node);
-            let dx = g.div(upstream, denom);
-            vec![(inputs[0], dx)]
-        }
-        Square => {
-            let two = g.constant(Tensor::scalar(2.0));
-            let gx = g.mul(upstream, inputs[0]);
-            let dx = g.mul(two, gx);
-            vec![(inputs[0], dx)]
-        }
-        Tanh => {
-            let dx = g.add(TanhGrad, &[node, upstream]);
-            vec![(inputs[0], dx)]
-        }
-        Sigmoid => {
-            let dx = g.add(SigmoidGrad, &[node, upstream]);
-            vec![(inputs[0], dx)]
-        }
-        Relu => {
-            let dx = g.add(ReluGrad, &[inputs[0], upstream]);
-            vec![(inputs[0], dx)]
-        }
-        AddN => inputs.iter().map(|&i| (i, upstream)).collect(),
-
         Sum { axis, keep_dims } => {
             let x_shape = g.shape(inputs[0]).clone();
             let dx = expand_reduction_grad(g, upstream, &x_shape, *axis, *keep_dims, None);
@@ -402,16 +295,141 @@ fn backward(
             vec![(table, dtable)]
         }
 
-        Greater | GreaterEqual | Equal => Vec::new(),
-
         // Fusion runs after autodiff (like CSE); a Fused node in a graph
         // still being differentiated is a pipeline-ordering bug.
-        ReluGrad | TanhGrad | SigmoidGrad | SoftmaxGrad
+        SoftmaxGrad
         | SoftmaxCrossEntropyGrad | CtcLossGrad { .. } | Conv2DBackpropInput { .. }
         | Conv2DBackpropFilter { .. } | MaxPoolGrad(_) | AvgPoolGrad { .. }
         | ScatterAddRows { .. } | Apply(_) | Group | Fused(_) | GemmFused { .. } => {
             panic!("no gradient registered for {kind}")
         }
+    }
+}
+
+/// Emits the gradient subgraph of one class-C node: one rule per op of
+/// the table.
+fn elementwise_backward(
+    g: &mut Graph,
+    node: NodeId,
+    op: FusedOp,
+    inputs: &[NodeId],
+    upstream: NodeId,
+) -> Vec<(NodeId, NodeId)> {
+    use FusedOp::*;
+    let ew = |op: FusedOp| OpKind::Elementwise(op);
+    match op {
+        Add => {
+            let da = broadcast_grad(g, upstream, inputs[0]);
+            let db = broadcast_grad(g, upstream, inputs[1]);
+            vec![(inputs[0], da), (inputs[1], db)]
+        }
+        Sub => {
+            let da = broadcast_grad(g, upstream, inputs[0]);
+            let neg = g.neg(upstream);
+            let db = broadcast_grad(g, neg, inputs[1]);
+            vec![(inputs[0], da), (inputs[1], db)]
+        }
+        Mul => {
+            let (a, b) = (inputs[0], inputs[1]);
+            let ga = g.mul(upstream, b);
+            let da = broadcast_grad(g, ga, a);
+            let gb = g.mul(upstream, a);
+            let db = broadcast_grad(g, gb, b);
+            vec![(a, da), (b, db)]
+        }
+        Div => {
+            let (a, b) = (inputs[0], inputs[1]);
+            let ga = g.div(upstream, b);
+            let da = broadcast_grad(g, ga, a);
+            // db = -g * (a / b^2) = -g * out / b
+            let out_over_b = g.div(node, b);
+            let gb0 = g.mul(upstream, out_over_b);
+            let gb = g.neg(gb0);
+            let db = broadcast_grad(g, gb, b);
+            vec![(a, da), (b, db)]
+        }
+        Maximum => {
+            // d/da = g where a >= b; d/db = g where b > a.
+            let (a, b) = (inputs[0], inputs[1]);
+            let a_wins = g.add(ew(GreaterEqual), &[a, b]);
+            let ga0 = g.mul(upstream, a_wins);
+            let da = broadcast_grad(g, ga0, a);
+            let b_wins = g.add(ew(Greater), &[b, a]);
+            let gb0 = g.mul(upstream, b_wins);
+            let db = broadcast_grad(g, gb0, b);
+            vec![(a, da), (b, db)]
+        }
+        Pow => {
+            // d/da = g * b * a^(b-1); d/db = g * a^b * ln(a).
+            // The ln(a) term is only finite for positive bases, matching
+            // the mathematical domain of d(a^b)/db.
+            let (a, b) = (inputs[0], inputs[1]);
+            let one = g.constant(Tensor::scalar(1.0));
+            let b_minus_1 = g.sub(b, one);
+            let pow_bm1 = g.add(ew(Pow), &[a, b_minus_1]);
+            let scaled = g.mul(b, pow_bm1);
+            let ga0 = g.mul(upstream, scaled);
+            let da = broadcast_grad(g, ga0, a);
+            let ln_a = g.log(a);
+            let out_ln = g.mul(node, ln_a);
+            let gb0 = g.mul(upstream, out_ln);
+            let db = broadcast_grad(g, gb0, b);
+            vec![(a, da), (b, db)]
+        }
+        Select => {
+            // cond gets no gradient; a gets g*mask, b gets g*(1-mask).
+            // The mask is the forward predicate itself (`cond != 0`, so
+            // a negative or NaN condition picks `a`), as 0/1.
+            let (cond, a, b) = (inputs[0], inputs[1], inputs[2]);
+            let one = g.constant(Tensor::scalar(1.0));
+            let zero = g.constant(Tensor::scalar(0.0));
+            let mask = g.select(cond, one, zero);
+            let ga0 = g.mul(upstream, mask);
+            let da = broadcast_grad(g, ga0, a);
+            let inv = g.sub(one, mask);
+            let gb0 = g.mul(upstream, inv);
+            let db = broadcast_grad(g, gb0, b);
+            vec![(a, da), (b, db)]
+        }
+        Neg => {
+            let dx = g.neg(upstream);
+            vec![(inputs[0], dx)]
+        }
+        Exp => {
+            let dx = g.mul(upstream, node);
+            vec![(inputs[0], dx)]
+        }
+        Log => {
+            let dx = g.div(upstream, inputs[0]);
+            vec![(inputs[0], dx)]
+        }
+        Sqrt => {
+            let two = g.constant(Tensor::scalar(2.0));
+            let denom = g.mul(two, node);
+            let dx = g.div(upstream, denom);
+            vec![(inputs[0], dx)]
+        }
+        Square => {
+            let two = g.constant(Tensor::scalar(2.0));
+            let gx = g.mul(upstream, inputs[0]);
+            let dx = g.mul(two, gx);
+            vec![(inputs[0], dx)]
+        }
+        Tanh => {
+            let dx = g.add(ew(TanhGrad), &[node, upstream]);
+            vec![(inputs[0], dx)]
+        }
+        Sigmoid => {
+            let dx = g.add(ew(SigmoidGrad), &[node, upstream]);
+            vec![(inputs[0], dx)]
+        }
+        Relu => {
+            let dx = g.add(ew(ReluGrad), &[inputs[0], upstream]);
+            vec![(inputs[0], dx)]
+        }
+        AddN => inputs.iter().map(|&i| (i, upstream)).collect(),
+        Greater | GreaterEqual | Equal => Vec::new(),
+        ReluGrad | TanhGrad | SigmoidGrad => panic!("no gradient registered for {}", op.name()),
     }
 }
 
@@ -685,7 +703,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.placeholder("x", Shape::vector(4));
         let e = g.constant(Tensor::from(vec![2.0, 3.0, 0.5, 1.5]));
-        let p = g.add(OpKind::Pow, &[x, e]);
+        let p = g.add(OpKind::Elementwise(FusedOp::Pow), &[x, e]);
         let loss = g.sum_all(p);
         let grads = gradients(&mut g, loss, &[x]);
         let x_val = Tensor::rand_uniform([4], 0.5, 2.0, &mut rng);
@@ -694,16 +712,24 @@ mod tests {
 
     #[test]
     fn select_gradient_masks_branches() {
+        // The gradient follows the branch the forward pass took: `x`
+        // wherever `cond != 0`, negative and NaN conditions included.
         let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(4));
-        let cond = g.constant(Tensor::from(vec![1.0, 0.0, 1.0, 0.0]));
-        let fallback = g.constant(Tensor::from(vec![9.0, 9.0, 9.0, 9.0]));
+        let x = g.placeholder("x", Shape::vector(5));
+        let fallback = g.placeholder("fallback", Shape::vector(5));
+        let cond = g.constant(Tensor::from(vec![1.0, 0.0, -1.0, f32::NAN, 2.0]));
         let sel = g.select(cond, x, fallback);
         let loss = g.sum_all(sel);
-        let grads = gradients(&mut g, loss, &[x]);
+        let grads = gradients(&mut g, loss, &[x, fallback]);
         let mut sess = Session::new(g, Device::cpu(1));
-        let dx = sess.run1(grads[0], &[(x, Tensor::zeros([4]))]).unwrap();
-        assert_eq!(dx.data(), &[1.0, 0.0, 1.0, 0.0]);
+        let feeds = [
+            (x, Tensor::from(vec![1.0, 2.0, 3.0, 4.0, 5.0])),
+            (fallback, Tensor::from(vec![7.0, 8.0, 9.0, 10.0, 11.0])),
+        ];
+        let out = sess.run(&[sel, grads[0], grads[1]], &feeds).unwrap();
+        assert_eq!(out[0].data(), &[1.0, 8.0, 3.0, 4.0, 5.0]);
+        assert_eq!(out[1].data(), &[1.0, 0.0, 1.0, 1.0, 1.0]);
+        assert_eq!(out[2].data(), &[0.0, 1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

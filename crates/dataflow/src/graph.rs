@@ -3,6 +3,7 @@
 use std::fmt;
 
 use fathom_tensor::kernels::conv::Conv2dSpec;
+use fathom_tensor::kernels::fused::FusedOp;
 use fathom_tensor::kernels::pool2d::Pool2dSpec;
 use fathom_tensor::{Shape, Tensor};
 
@@ -281,37 +282,37 @@ impl Graph {
 
     /// Broadcasting `a + b`.
     pub fn add_op(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Add, &[a, b])
+        self.add(OpKind::Elementwise(FusedOp::Add), &[a, b])
     }
 
     /// Broadcasting `a - b`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Sub, &[a, b])
+        self.add(OpKind::Elementwise(FusedOp::Sub), &[a, b])
     }
 
     /// Broadcasting `a * b`.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Mul, &[a, b])
+        self.add(OpKind::Elementwise(FusedOp::Mul), &[a, b])
     }
 
     /// Broadcasting `a / b`.
     pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Div, &[a, b])
+        self.add(OpKind::Elementwise(FusedOp::Div), &[a, b])
     }
 
     /// Broadcasting elementwise maximum.
     pub fn maximum(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Maximum, &[a, b])
+        self.add(OpKind::Elementwise(FusedOp::Maximum), &[a, b])
     }
 
     /// Broadcasting elementwise `a > b` as 0/1 values.
     pub fn greater(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Greater, &[a, b])
+        self.add(OpKind::Elementwise(FusedOp::Greater), &[a, b])
     }
 
     /// Elementwise ternary select: `cond != 0 ? a : b`.
     pub fn select(&mut self, cond: NodeId, a: NodeId, b: NodeId) -> NodeId {
-        self.add(OpKind::Select, &[cond, a, b])
+        self.add(OpKind::Elementwise(FusedOp::Select), &[cond, a, b])
     }
 
     /// Maximum along `axis`, optionally keeping the axis.
@@ -321,47 +322,47 @@ impl Graph {
 
     /// Elementwise negation.
     pub fn neg(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Neg, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Neg), &[x])
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Exp, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Exp), &[x])
     }
 
     /// Elementwise logarithm.
     pub fn log(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Log, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Log), &[x])
     }
 
     /// Elementwise square root.
     pub fn sqrt(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Sqrt, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Sqrt), &[x])
     }
 
     /// Elementwise square.
     pub fn square(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Square, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Square), &[x])
     }
 
     /// Elementwise tanh.
     pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Tanh, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Tanh), &[x])
     }
 
     /// Elementwise sigmoid.
     pub fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Sigmoid, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Sigmoid), &[x])
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        self.add(OpKind::Relu, &[x])
+        self.add(OpKind::Elementwise(FusedOp::Relu), &[x])
     }
 
     /// Sum of same-shaped tensors.
     pub fn add_n(&mut self, inputs: &[NodeId]) -> NodeId {
-        self.add(OpKind::AddN, inputs)
+        self.add(OpKind::Elementwise(FusedOp::AddN), inputs)
     }
 
     /// Sum along `axis` (dropping it).
@@ -503,7 +504,7 @@ mod tests {
         let mut g2 = Graph::new();
         let x = g1.placeholder("x", Shape::vector(2));
         let _ = g1.placeholder("pad", Shape::vector(2));
-        let err = g2.try_add(OpKind::Neg, &[x]).unwrap_err();
+        let err = g2.try_add(OpKind::Elementwise(FusedOp::Neg), &[x]).unwrap_err();
         assert_eq!(err, GraphError::UnknownNode(x));
     }
 

@@ -9,7 +9,6 @@
 use std::fmt;
 
 use fathom_tensor::kernels::conv::Conv2dSpec;
-use fathom_tensor::kernels::epilogue::{Epilogue, OperandKind};
 use fathom_tensor::kernels::fused::{FusedOp, FusedProgram};
 use fathom_tensor::kernels::pool2d::Pool2dSpec;
 use fathom_tensor::{Shape, Tensor};
@@ -102,9 +101,9 @@ impl fmt::Display for OpClass {
 /// axis, …); the tensors themselves always flow along graph edges, except
 /// for `Constant` and the initial value of `Variable`.
 ///
-/// Two classes are tables rather than lists of variants. Each class-C
-/// kind maps to one [`FusedOp`] row ([`OpKind::class_c`]), which holds its
-/// name, flop weight and formula. Class F is one variant,
+/// Two classes are tables rather than lists of variants. Class C is one
+/// variant, [`OpKind::Elementwise`], whose [`FusedOp`] row holds the op's
+/// name, arity, flop weight and formula. Class F is one variant,
 /// [`OpKind::Apply`], whose [`Optimizer`] holds the update's name, state
 /// slots, flop weight, learning rate and rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,69 +167,30 @@ pub enum OpKind {
     },
 
     // ---- class C: elementwise arithmetic ----
-    /// Broadcasting addition.
-    Add,
-    /// Broadcasting subtraction.
-    Sub,
-    /// Broadcasting multiplication.
-    Mul,
-    /// Broadcasting division.
-    Div,
-    /// Broadcasting elementwise maximum.
-    Maximum,
-    /// Broadcasting elementwise power.
-    Pow,
-    /// Broadcasting elementwise `a > b`, producing 0/1 values.
-    Greater,
-    /// Broadcasting elementwise `a >= b`, producing 0/1 values.
-    GreaterEqual,
-    /// Broadcasting elementwise `a == b`, producing 0/1 values.
-    Equal,
-    /// Elementwise ternary select: inputs are `(cond, a, b)`; yields `a`
-    /// where `cond != 0`, else `b`. All three shapes must broadcast
-    /// together.
-    Select,
-    /// Elementwise negation.
-    Neg,
-    /// Elementwise exponential.
-    Exp,
-    /// Elementwise natural logarithm.
-    Log,
-    /// Elementwise square root.
-    Sqrt,
-    /// Elementwise square.
-    Square,
-    /// Elementwise hyperbolic tangent.
-    Tanh,
-    /// Elementwise logistic sigmoid.
-    Sigmoid,
-    /// Elementwise rectified linear unit.
-    Relu,
-    /// Backward ReLU; inputs are `(forward_input, grad)`.
-    ReluGrad,
-    /// Backward tanh; inputs are `(forward_output, grad)`.
-    TanhGrad,
-    /// Backward sigmoid; inputs are `(forward_output, grad)`.
-    SigmoidGrad,
-    /// Sum of N same-shaped tensors.
-    AddN,
+    /// One op of the class-C table, applied to its inputs. Fixed-arity
+    /// ops broadcast their inputs together; the gradient ops
+    /// (`(forward value, grad)`) and the variadic `AddN` take one shared
+    /// shape. Profiles name it by the table row ("Add", "Relu", …).
+    Elementwise(FusedOp),
     /// A group of pure elementwise ops collapsed by the fusion pass into
     /// one register program, evaluated in a single loop-jammed pass (see
     /// [`crate::optimize::fuse_in_place`]). Inputs are the group's
     /// external inputs, each either output-shaped or a broadcast scalar.
     Fused(FusedProgram),
     /// A MatMul/Conv2D whose elementwise consumer chain has been
-    /// absorbed into the packed GEMM writeback as an [`Epilogue`]
-    /// program (see [`crate::optimize::fuse_gemm_epilogues`]). Inputs
-    /// are the GEMM's two operands followed by the epilogue's external
-    /// operands in program order. Classified under its root's op class
-    /// — the trace layer re-expands the epilogue's constituents for
+    /// absorbed into the packed GEMM writeback as an epilogue (see
+    /// [`crate::optimize::fuse_gemm_epilogues`]). Inputs are the GEMM's
+    /// two operands followed by the epilogue's operands, which bind to
+    /// registers 1.. in order. Classified under its root's op class —
+    /// the trace layer re-expands the epilogue's constituents for
     /// Figure 3 attribution.
     GemmFused {
         /// The GEMM-backed root operation.
         gemm: GemmOp,
-        /// Post-ops applied to the accumulator before writeback.
-        epilogue: Epilogue,
+        /// Post-ops applied to the accumulator before writeback: a
+        /// chain over register 0 (see
+        /// [`FusedProgram::validate_epilogue`]).
+        epilogue: FusedProgram,
     },
 
     // ---- class D: reduction and expansion ----
@@ -360,45 +320,10 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// The class-C op table row this kind evaluates through, or `None`
-    /// for every other kind (non-elementwise, stateful, or control ops).
-    /// The row carries the op's name, arity, flop weight and scalar
-    /// formula; the standalone kernel and both fusion passes read it.
-    pub fn class_c(&self) -> Option<FusedOp> {
-        Some(match self {
-            OpKind::Add => FusedOp::Add,
-            OpKind::Sub => FusedOp::Sub,
-            OpKind::Mul => FusedOp::Mul,
-            OpKind::Div => FusedOp::Div,
-            OpKind::Maximum => FusedOp::Maximum,
-            OpKind::Pow => FusedOp::Pow,
-            OpKind::Greater => FusedOp::Greater,
-            OpKind::GreaterEqual => FusedOp::GreaterEqual,
-            OpKind::Equal => FusedOp::Equal,
-            OpKind::Select => FusedOp::Select,
-            OpKind::Neg => FusedOp::Neg,
-            OpKind::Exp => FusedOp::Exp,
-            OpKind::Log => FusedOp::Log,
-            OpKind::Sqrt => FusedOp::Sqrt,
-            OpKind::Square => FusedOp::Square,
-            OpKind::Tanh => FusedOp::Tanh,
-            OpKind::Sigmoid => FusedOp::Sigmoid,
-            OpKind::Relu => FusedOp::Relu,
-            OpKind::ReluGrad => FusedOp::ReluGrad,
-            OpKind::TanhGrad => FusedOp::TanhGrad,
-            OpKind::SigmoidGrad => FusedOp::SigmoidGrad,
-            OpKind::AddN => FusedOp::AddN,
-            _ => return None,
-        })
-    }
-
     /// The TensorFlow-style operation type name used in profiles.
     pub fn name(&self) -> &'static str {
-        use OpKind::*;
         match self {
-            Add | Sub | Mul | Div | Maximum | Pow | Greater | GreaterEqual | Equal | Select
-            | Neg | Exp | Log | Sqrt | Square | Tanh | Sigmoid | Relu | ReluGrad | TanhGrad
-            | SigmoidGrad | AddN => self.class_c().expect("class-C kinds have a table row").name(),
+            OpKind::Elementwise(op) => op.name(),
             OpKind::Placeholder { .. } => "Placeholder",
             OpKind::Variable { .. } => "Variable",
             OpKind::Constant(_) => "Const",
@@ -454,9 +379,7 @@ impl OpKind {
             | MaxPoolGrad(_)
             | AvgPool(_)
             | AvgPoolGrad { .. } => OpClass::Convolution,
-            Add | Sub | Mul | Div | Maximum | Pow | Greater | GreaterEqual | Equal | Select
-            | Neg | Exp | Log | Sqrt | Square | Tanh | Sigmoid | Relu | ReluGrad | TanhGrad
-            | SigmoidGrad | AddN | Fused(_) => OpClass::ElementwiseArithmetic,
+            Elementwise(_) | Fused(_) => OpClass::ElementwiseArithmetic,
             Sum { .. } | Mean { .. } | MaxReduce { .. } | Softmax | LogSoftmax | SoftmaxGrad
             | SoftmaxCrossEntropy | SoftmaxCrossEntropyGrad | CtcLoss { .. }
             | CtcLossGrad { .. } | Tile { .. } => OpClass::ReductionExpansion,
@@ -601,49 +524,26 @@ impl OpKind {
                 want_arity(1)?;
                 Ok(input_shape.clone())
             }
-            Add | Sub | Mul | Div | Maximum | Pow | Greater | GreaterEqual | Equal => {
-                want_arity(2)?;
-                inputs[0]
-                    .broadcast(inputs[1])
-                    .ok_or_else(|| GraphError::Shape {
-                        op: self.name(),
-                        msg: format!("cannot broadcast {} with {}", inputs[0], inputs[1]),
-                    })
-            }
-            Select => {
-                want_arity(3)?;
-                inputs[0]
-                    .broadcast(inputs[1])
-                    .and_then(|ab| ab.broadcast(inputs[2]))
-                    .ok_or_else(|| GraphError::Shape {
-                        op: self.name(),
-                        msg: format!(
-                            "cannot broadcast {}, {}, {} together",
-                            inputs[0], inputs[1], inputs[2]
-                        ),
-                    })
-            }
-            Neg | Exp | Log | Sqrt | Square | Tanh | Sigmoid | Relu => {
-                want_arity(1)?;
-                Ok(inputs[0].clone())
-            }
-            ReluGrad | TanhGrad | SigmoidGrad => {
-                want_arity(2)?;
-                if inputs[0] != inputs[1] {
-                    return fail(format!("activation {} and grad {} differ", inputs[0], inputs[1]));
+            Elementwise(op) => {
+                match op.arity() {
+                    Some(n) => want_arity(n)?,
+                    None if inputs.is_empty() => return fail("needs at least one input".into()),
+                    None => {}
                 }
-                Ok(inputs[0].clone())
-            }
-            AddN => {
-                if inputs.is_empty() {
-                    return fail("AddN needs at least one input".into());
-                }
-                for s in inputs {
-                    if *s != inputs[0] {
-                        return fail(format!("inputs must share a shape, got {} and {s}", inputs[0]));
-                    }
-                }
-                Ok(inputs[0].clone())
+                let same_shape = matches!(
+                    op,
+                    FusedOp::ReluGrad | FusedOp::TanhGrad | FusedOp::SigmoidGrad | FusedOp::AddN
+                );
+                let out = if same_shape {
+                    inputs.iter().all(|s| *s == inputs[0]).then(|| inputs[0].clone())
+                } else {
+                    inputs[1..].iter().try_fold(inputs[0].clone(), |out, s| out.broadcast(s))
+                };
+                out.ok_or_else(|| {
+                    let rule = if same_shape { "share a shape" } else { "broadcast together" };
+                    let list: Vec<String> = inputs.iter().map(ToString::to_string).collect();
+                    GraphError::Shape { op: self.name(), msg: format!("inputs {} do not {rule}", list.join(", ")) }
+                })
             }
             GemmFused { gemm, epilogue } => {
                 if inputs.len() < 2 {
@@ -657,28 +557,21 @@ impl OpKind {
                     .infer_shape(&inputs[..2])?,
                     GemmOp::Conv2D(spec) => OpKind::Conv2D(*spec).infer_shape(&inputs[..2])?,
                 };
-                if let Err(msg) = epilogue.validate() {
+                if let Err(msg) = epilogue.validate_epilogue() {
                     return fail(msg);
                 }
-                if epilogue.n_operands != inputs.len() - 2 {
+                if epilogue.n_inputs != inputs.len() - 1 {
                     return fail(format!(
                         "epilogue expects {} operands, got {}",
-                        epilogue.n_operands,
+                        epilogue.n_inputs - 1,
                         inputs.len() - 2
                     ));
                 }
-                // The kernel flattens the output to [rows, cols] with
-                // cols = the trailing axis; operand element counts must
-                // match their broadcast kind against that view.
-                let cols = root.dim(root.rank() - 1);
+                // The kernel binds each operand by its length against the
+                // [rows, cols] view of the output, so only shapes whose
+                // unfused broadcast reads those same values are legal.
                 for (i, s) in inputs[2..].iter().enumerate() {
-                    let ok = match epilogue.operand_kind(i) {
-                        Some(OperandKind::Scalar) => s.num_elements() == 1,
-                        Some(OperandKind::Col) => s.num_elements() == cols,
-                        Some(OperandKind::Full) => s.num_elements() == root.num_elements(),
-                        None => true,
-                    };
-                    if !ok {
+                    if !epilogue_operand_fits(s, &root) {
                         return fail(format!(
                             "epilogue operand {i} shape {s} incompatible with output {root}"
                         ));
@@ -894,6 +787,22 @@ impl OpKind {
     }
 }
 
+/// Whether a tensor of `shape` can feed a GEMM epilogue whose output has
+/// shape `out`. The kernel flattens the output to `[rows, cols]`, with
+/// `cols` its trailing axis, and binds an operand by its length: one
+/// element (a broadcast scalar), `cols` elements whose trailing axis is
+/// `cols` (`[cols]` or `[1, .., 1, cols]`, a bias), or exactly `out` (a
+/// residual). These are the broadcasts for which the unfused elementwise
+/// kernels read the values the kernel reads, which is what makes the
+/// fused writeback bitwise identical. A `[cols, 1]` operand has a bias's
+/// length but broadcasts as a row, so it does not fit.
+pub(crate) fn epilogue_operand_fits(shape: &Shape, out: &Shape) -> bool {
+    let cols = out.dims().last().copied().unwrap_or(1);
+    shape.num_elements() == 1
+        || shape == out
+        || (shape.num_elements() == cols && shape.dims().last() == Some(&cols))
+}
+
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -922,7 +831,7 @@ mod tests {
     fn class_taxonomy() {
         assert_eq!(OpKind::MatMul { transpose_a: false, transpose_b: false }.class(), OpClass::MatrixOps);
         assert_eq!(OpKind::Conv2D(Conv2dSpec::valid()).class(), OpClass::Convolution);
-        assert_eq!(OpKind::Mul.class(), OpClass::ElementwiseArithmetic);
+        assert_eq!(OpKind::Elementwise(FusedOp::Mul).class(), OpClass::ElementwiseArithmetic);
         assert_eq!(OpKind::Softmax.class(), OpClass::ReductionExpansion);
         assert_eq!(
             OpKind::StandardRandomNormal { shape: Shape::vector(2), mean: 0.0, std: 1.0 }.class(),
@@ -952,7 +861,59 @@ mod tests {
     fn broadcast_shape_inference() {
         let a = Shape::new(vec![4, 1]);
         let b = Shape::new(vec![1, 5]);
-        assert_eq!(OpKind::Add.infer_shape(&[&a, &b]).unwrap(), Shape::new(vec![4, 5]));
+        let add = OpKind::Elementwise(FusedOp::Add);
+        assert_eq!(add.infer_shape(&[&a, &b]).unwrap(), Shape::new(vec![4, 5]));
+        let select = OpKind::Elementwise(FusedOp::Select);
+        let c = Shape::scalar();
+        assert_eq!(select.infer_shape(&[&c, &a, &b]).unwrap(), Shape::new(vec![4, 5]));
+        assert!(add.infer_shape(&[&a, &Shape::new(vec![3, 5])]).is_err());
+    }
+
+    #[test]
+    fn gradient_ops_and_add_n_take_one_shared_shape() {
+        let (x, row) = (Shape::matrix(4, 5), Shape::new(vec![1, 5]));
+        for op in [FusedOp::ReluGrad, FusedOp::TanhGrad, FusedOp::SigmoidGrad, FusedOp::AddN] {
+            let kind = OpKind::Elementwise(op);
+            assert_eq!(kind.infer_shape(&[&x, &x]).unwrap(), x, "{}", op.name());
+            let err = kind.infer_shape(&[&x, &row]).unwrap_err();
+            assert!(err.to_string().contains("share a shape"), "{}: {err}", op.name());
+        }
+        let add_n = OpKind::Elementwise(FusedOp::AddN);
+        assert_eq!(add_n.infer_shape(&[&x]).unwrap(), x);
+        assert!(add_n.infer_shape(&[]).is_err());
+    }
+
+    /// A `[2, cols]` matmul with the given epilogue operand shapes, under
+    /// an `add` chain over each of them in turn.
+    fn gemm_fused_shape(operands: &[Shape], cols: usize) -> Result<Shape, GraphError> {
+        let links = (0..operands.len() as u16).map(|i| (FusedOp::Add, vec![None, Some(i)]));
+        let kind = OpKind::GemmFused {
+            gemm: GemmOp::MatMul { transpose_a: false, transpose_b: false },
+            epilogue: FusedProgram::epilogue(operands.len(), links),
+        };
+        let (a, b) = (Shape::matrix(2, 3), Shape::matrix(3, cols));
+        let inputs: Vec<&Shape> = [&a, &b].into_iter().chain(operands).collect();
+        kind.infer_shape(&inputs)
+    }
+
+    #[test]
+    fn gemm_fused_operands_must_broadcast_as_the_kernel_reads_them() {
+        let out = Shape::matrix(2, 4);
+        for ok in [Shape::scalar(), Shape::vector(1), Shape::vector(4), Shape::new(vec![1, 4]), out.clone()] {
+            assert_eq!(gemm_fused_shape(std::slice::from_ref(&ok), 4).unwrap(), out, "{ok}");
+        }
+        // `[cols, 1]` has a bias's length but broadcasts as a row; `[8]`
+        // has the output's length but not its shape.
+        for bad in [Shape::new(vec![4, 1]), Shape::vector(8), Shape::vector(2)] {
+            let err = gemm_fused_shape(std::slice::from_ref(&bad), 4).unwrap_err();
+            assert!(err.to_string().contains("incompatible"), "{bad}: {err}");
+        }
+        // One output column: a rank-0 operand is a scalar and a column
+        // vector at once, and is accepted.
+        assert_eq!(gemm_fused_shape(&[Shape::scalar()], 1).unwrap(), Shape::matrix(2, 1));
+        // Operands bind to registers 1.. in input order.
+        let two = gemm_fused_shape(&[Shape::scalar(), Shape::vector(4)], 4).unwrap();
+        assert_eq!(two, out);
     }
 
     #[test]
@@ -981,8 +942,9 @@ mod tests {
 
     #[test]
     fn arity_is_checked() {
-        assert!(OpKind::Add.infer_shape(&[&Shape::scalar()]).is_err());
-        assert!(OpKind::Neg.infer_shape(&[]).is_err());
+        assert!(OpKind::Elementwise(FusedOp::Add).infer_shape(&[&Shape::scalar()]).is_err());
+        assert!(OpKind::Elementwise(FusedOp::Neg).infer_shape(&[]).is_err());
+        assert!(OpKind::Elementwise(FusedOp::Select).infer_shape(&[&Shape::scalar(); 2]).is_err());
     }
 
     #[test]

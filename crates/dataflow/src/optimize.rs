@@ -28,16 +28,13 @@
 
 use std::collections::HashMap;
 
-use fathom_tensor::kernels::epilogue::{
-    Epilogue, EpilogueArg, EpilogueInstr, OperandKind, MAX_EPILOGUE_ARGS, MAX_EPILOGUE_INSTRS,
-};
+use fathom_tensor::kernels::epilogue::{MAX_EPILOGUE_ARGS, MAX_EPILOGUE_INSTRS};
 use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
-use fathom_tensor::Shape;
 
 use crate::device::Device;
 use crate::exec::Session;
 use crate::graph::{Graph, NodeId};
-use crate::op::{GemmOp, OpKind};
+use crate::op::{epilogue_operand_fits, GemmOp, OpKind};
 
 /// What the optimizer did, for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,18 +119,7 @@ fn fold(kind: &OpKind, inputs: &[&OpKind]) -> Option<fathom_tensor::Tensor> {
 /// Panics if a kept id does not belong to `g`.
 pub fn optimize(g: &Graph, keep: &[NodeId]) -> OptimizedGraph {
     let mut stats = OptimizeStats { original_nodes: g.len(), ..OptimizeStats::default() };
-
-    // Reachability from the kept set.
-    let mut needed = vec![false; g.len()];
-    let mut stack: Vec<NodeId> = keep.to_vec();
-    while let Some(id) = stack.pop() {
-        assert!(id.index() < g.len(), "kept node {id} is not in this graph");
-        if needed[id.index()] {
-            continue;
-        }
-        needed[id.index()] = true;
-        stack.extend(g.node(id).inputs.iter().copied());
-    }
+    let needed = reachable(g, keep);
 
     let mut out = Graph::new();
     let mut map: Vec<Option<NodeId>> = vec![None; g.len()];
@@ -216,6 +202,56 @@ pub struct FusionStats {
     pub gemm_ops: usize,
 }
 
+/// Marks every ancestor of `keep`, the kept nodes included.
+///
+/// # Panics
+///
+/// Panics if a kept id does not belong to `g`.
+fn reachable(g: &Graph, keep: &[NodeId]) -> Vec<bool> {
+    let mut seen = vec![false; g.len()];
+    let mut stack: Vec<NodeId> = keep.to_vec();
+    while let Some(id) = stack.pop() {
+        assert!(id.index() < g.len(), "kept node {id} is not in this graph");
+        if !seen[id.index()] {
+            seen[id.index()] = true;
+            stack.extend(g.node(id).inputs.iter().copied());
+        }
+    }
+    seen
+}
+
+/// The tables both fusion passes start from. Only nodes reachable from
+/// the kept set are touched or counted as consumers; unreachable ones
+/// stay behind as the unfused originals either way.
+struct Reach {
+    /// Ancestors of the kept set, the kept nodes included.
+    reachable: Vec<bool>,
+    /// Each node's consumers among the reachable nodes, in graph order;
+    /// a consumer that reads a node twice is listed twice.
+    consumers: Vec<Vec<u32>>,
+    /// The kept nodes themselves.
+    kept: Vec<bool>,
+}
+
+impl Reach {
+    fn new(g: &Graph, keep: &[NodeId]) -> Self {
+        let reachable = reachable(g, keep);
+        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
+        for (id, node) in g.iter() {
+            if reachable[id.index()] {
+                for i in &node.inputs {
+                    consumers[i.index()].push(id.0);
+                }
+            }
+        }
+        let mut kept = vec![false; g.len()];
+        for k in keep {
+            kept[k.index()] = true;
+        }
+        Reach { reachable, consumers, kept }
+    }
+}
+
 /// Largest member count of one fused group. Bounds the register file
 /// (which lives on the stack of every evaluating worker) and keeps
 /// programs trivially within the `u16` register index space.
@@ -233,7 +269,7 @@ const MAX_GROUP: usize = 64;
 /// Legality rules (each guarantees the fused single-flat-loop evaluation
 /// is **bitwise identical** to the unfused kernels):
 ///
-/// * members come from the fusible class-C set ([`OpKind::class_c`]) — pure,
+/// * members are class-C [`OpKind::Elementwise`] ops — pure,
 ///   elementwise, no session state, no RNG;
 /// * every member produces exactly the root's shape, and every member
 ///   input is either another member, a root-shaped external, or a
@@ -255,34 +291,7 @@ const MAX_GROUP: usize = 64;
 /// Panics if a kept id does not belong to `g`.
 pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
     let n = g.len();
-
-    // Reachability from the kept set: unreachable nodes are never
-    // touched (and never counted as consumers — they stay behind as the
-    // unfused originals either way).
-    let mut reachable = vec![false; n];
-    let mut stack: Vec<NodeId> = keep.to_vec();
-    while let Some(id) = stack.pop() {
-        assert!(id.index() < n, "kept node {id} is not in this graph");
-        if reachable[id.index()] {
-            continue;
-        }
-        reachable[id.index()] = true;
-        stack.extend(g.node(id).inputs.iter().copied());
-    }
-
-    // Consumer lists among reachable nodes.
-    let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (id, node) in g.iter() {
-        if reachable[id.index()] {
-            for i in &node.inputs {
-                consumers[i.index()].push(id.0);
-            }
-        }
-    }
-    let mut kept = vec![false; n];
-    for k in keep {
-        kept[k.index()] = true;
-    }
+    let Reach { reachable, consumers, kept } = Reach::new(g, keep);
 
     let mut interior = vec![false; n]; // absorbed as a non-root member
     let mut rooted = vec![false; n]; // already the root of a group
@@ -294,7 +303,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         if !reachable[root_idx] || interior[root_idx] || rooted[root_idx] {
             continue;
         }
-        if g.node(root).kind.class_c().is_none() {
+        if !matches!(g.node(root).kind, OpKind::Elementwise(_)) {
             continue;
         }
         let root_shape = g.shape(root).clone();
@@ -326,7 +335,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
                     {
                         continue;
                     }
-                    if g.node(cand).kind.class_c().is_none()
+                    if !matches!(g.node(cand).kind, OpKind::Elementwise(_))
                         || g.shape(cand) != &root_shape
                         || !g.node(cand).inputs.iter().all(|&i| input_ok(g, i))
                         || !consumers[c].iter().all(|&u| member[u as usize])
@@ -356,7 +365,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         let mut raw_instrs: Vec<(FusedOp, Vec<NodeId>)> = Vec::new();
         for (k, &m) in members.iter().enumerate() {
             let node = g.node(NodeId(m as u32));
-            let op = node.kind.class_c().expect("members are fusible");
+            let OpKind::Elementwise(op) = node.kind else { unreachable!("members are class C") };
             raw_instrs.push((op, node.inputs.clone()));
             member_reg.insert(m, k);
         }
@@ -414,30 +423,6 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
     stats
 }
 
-/// Classifies a non-accumulator input of an epilogue chain member against
-/// the GEMM root's shape. `None` means the operand cannot be fed to the
-/// microkernel writeback and the chain must stop before this member.
-///
-/// The three legal classes mirror the broadcast fast paths of the unfused
-/// elementwise kernels, which is what makes the fused writeback bitwise
-/// identical: a single element (`Scalar`), a trailing-axis vector of
-/// exactly `cols` elements such as a bias (`Col`), or a tensor of the
-/// root's exact shape such as a residual (`Full`).
-fn classify_operand(shape: &Shape, root_shape: &Shape, cols: usize) -> Option<OperandKind> {
-    if shape.num_elements() == 1 {
-        Some(OperandKind::Scalar)
-    } else if shape == root_shape {
-        Some(OperandKind::Full)
-    } else if shape.num_elements() == cols && shape.dim(shape.rank() - 1) == cols {
-        // [cols] or [1, .., 1, cols]: broadcasts along the trailing axis.
-        // The chain member's output shape already equals the root's, so
-        // the unfused broadcast aligned this operand with the last axis.
-        Some(OperandKind::Col)
-    } else {
-        None
-    }
-}
-
 /// Absorbs single-consumer elementwise chains hanging off packed-engine
 /// `MatMul`/`Conv2D` nodes into [`OpKind::GemmFused`] nodes, **in
 /// place**: the *last* chain member is rewritten (keeping its id, so
@@ -460,14 +445,16 @@ fn classify_operand(shape: &Shape, root_shape: &Shape, cols: usize) -> Option<Op
 ///   matmuls per step, the dispatch savings on the fallback path are
 ///   most of the win);
 /// * the chain grows along *unique* reachable consumers: each tip has
-///   exactly one distinct consumer, which is a [`OpKind::class_c`] op producing
-///   exactly the root's shape, with every non-chain input classifiable
-///   by [`classify_operand`];
+///   exactly one distinct consumer, which is an [`OpKind::Elementwise`]
+///   op producing exactly the root's shape, with every non-chain input a
+///   scalar, a trailing-axis bias or a root-shaped tensor (the operands
+///   the kernel reads as the unfused broadcast does; see
+///   `epilogue_operand_fits`);
 /// * interior chain members (and the GEMM root) must not be in `keep`;
 ///   the final member may be, since its id survives the rewrite;
 /// * chains stop at nodes already claimed by another group, so two GEMMs
 ///   feeding one `Add` resolve greedily — the first claims the chain and
-///   the second stays a plain node feeding a `Full` operand;
+///   the second stays a plain node feeding a root-shaped operand;
 /// * at most [`MAX_EPILOGUE_INSTRS`] members per chain.
 ///
 /// Returns stats with only the `gemm_*` fields populated.
@@ -477,32 +464,7 @@ fn classify_operand(shape: &Shape, root_shape: &Shape, cols: usize) -> Option<Op
 /// Panics if a kept id does not belong to `g`.
 pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
     let n = g.len();
-
-    let mut reachable = vec![false; n];
-    let mut stack: Vec<NodeId> = keep.to_vec();
-    while let Some(id) = stack.pop() {
-        assert!(id.index() < n, "kept node {id} is not in this graph");
-        if reachable[id.index()] {
-            continue;
-        }
-        reachable[id.index()] = true;
-        stack.extend(g.node(id).inputs.iter().copied());
-    }
-
-    // Consumer lists among reachable nodes (duplicates preserved: a
-    // member consuming the tip twice contributes two `Acc` args).
-    let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (id, node) in g.iter() {
-        if reachable[id.index()] {
-            for i in &node.inputs {
-                consumers[i.index()].push(id.0);
-            }
-        }
-    }
-    let mut kept = vec![false; n];
-    for k in keep {
-        kept[k.index()] = true;
-    }
+    let Reach { reachable, consumers, kept } = Reach::new(g, keep);
 
     // Nodes already absorbed into some group (GEMM roots and members).
     let mut claimed = vec![false; n];
@@ -522,18 +484,15 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
             _ => continue,
         };
         let root_shape = g.shape(root).clone();
-        let cols = root_shape.dim(root_shape.rank() - 1);
 
-        // Walk the unique-consumer chain off the GEMM.
+        // Walk the unique-consumer chain off the GEMM. Each link's args
+        // are `None` for the running accumulator, else an operand's
+        // index (see `FusedProgram::epilogue`).
         let mut members: Vec<NodeId> = Vec::new();
-        let mut instrs: Vec<EpilogueInstr> = Vec::new();
+        let mut links: Vec<(FusedOp, Vec<Option<u16>>)> = Vec::new();
         let mut operands: Vec<NodeId> = Vec::new();
-        let mut operand_reg: HashMap<NodeId, u16> = HashMap::new();
         let mut tip = root;
-        loop {
-            if instrs.len() >= MAX_EPILOGUE_INSTRS {
-                break;
-            }
+        while links.len() < MAX_EPILOGUE_INSTRS {
             let mut cs = consumers[tip.index()].clone();
             cs.sort_unstable();
             cs.dedup();
@@ -545,50 +504,42 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
             if claimed[c] {
                 break;
             }
-            let Some(op) = g.node(next).kind.class_c() else { break };
+            let OpKind::Elementwise(op) = g.node(next).kind else { break };
+            let inputs = &g.node(next).inputs;
             if g.shape(next) != &root_shape
-                || g.node(next).inputs.len() > MAX_EPILOGUE_ARGS
+                || inputs.len() > MAX_EPILOGUE_ARGS
+                || !inputs.iter().all(|&i| i == tip || epilogue_operand_fits(g.shape(i), &root_shape))
             {
                 break;
             }
-            let mut args: Vec<EpilogueArg> = Vec::new();
-            let mut ok = true;
-            for &inp in &g.node(next).inputs {
-                if inp == tip {
-                    args.push(EpilogueArg::Acc);
-                    continue;
-                }
-                let Some(kind) = classify_operand(g.shape(inp), &root_shape, cols) else {
-                    ok = false;
-                    break;
-                };
-                let index = *operand_reg.entry(inp).or_insert_with(|| {
-                    let reg = operands.len() as u16;
-                    operands.push(inp);
-                    reg
-                });
-                args.push(EpilogueArg::Operand { index, kind });
-            }
-            if !ok {
-                break;
-            }
+            let args = inputs
+                .iter()
+                .map(|&i| {
+                    (i != tip).then(|| {
+                        let at = operands.iter().position(|&o| o == i).unwrap_or_else(|| {
+                            operands.push(i);
+                            operands.len() - 1
+                        });
+                        at as u16
+                    })
+                })
+                .collect();
             // Interior members must not be kept (their values would need
             // the unfused chain anyway); the final member may be, so add
             // the node and then stop extending past it.
-            let next_kept = kept[c];
             members.push(next);
-            instrs.push(EpilogueInstr { op, args });
+            links.push((op, args));
             tip = next;
-            if next_kept {
+            if kept[c] {
                 break;
             }
         }
-        if instrs.is_empty() {
+        if links.is_empty() {
             continue;
         }
 
-        let epilogue = Epilogue { n_operands: operands.len(), instrs };
-        debug_assert!(epilogue.validate().is_ok(), "built epilogue must validate");
+        let epilogue = FusedProgram::epilogue(operands.len(), links);
+        debug_assert!(epilogue.validate_epilogue().is_ok(), "built epilogue must validate");
 
         claimed[root_idx] = true;
         for &m in &members {
@@ -784,7 +735,7 @@ mod tests {
         assert_eq!(program.instrs.len(), 3);
         assert_eq!(g.node(y).inputs, vec![x]);
         // Interiors are untouched and still fetchable.
-        assert!(matches!(g.node(t).kind, OpKind::Tanh));
+        assert!(matches!(g.node(t).kind, OpKind::Elementwise(FusedOp::Tanh)));
 
         let x_val = Tensor::randn([3, 4], 0.0, 1.0, &mut fathom_tensor::Rng::seeded(7));
         let mut a = Session::new(unfused, Device::cpu(1));
@@ -806,7 +757,7 @@ mod tests {
         let stats = fuse_in_place(&mut g, &[y, t]);
         // t is kept, so the only possible group {t, y} is blocked.
         assert_eq!(stats.groups, 0);
-        assert!(matches!(g.node(y).kind, OpKind::Neg));
+        assert!(matches!(g.node(y).kind, OpKind::Elementwise(FusedOp::Neg)));
     }
 
     #[test]
@@ -834,8 +785,8 @@ mod tests {
         let stats = fuse_in_place(&mut g, &[keep_a, keep_b]);
         assert_eq!(stats, FusionStats { groups: 1, ops_fused: 3, ..FusionStats::default() });
         assert!(matches!(g.node(keep_a).kind, OpKind::Fused(_)));
-        assert!(matches!(g.node(keep_b).kind, OpKind::Neg));
-        assert!(matches!(g.node(shifted).kind, OpKind::Add));
+        assert!(matches!(g.node(keep_b).kind, OpKind::Elementwise(FusedOp::Neg)));
+        assert!(matches!(g.node(shifted).kind, OpKind::Elementwise(FusedOp::Add)));
     }
 
     #[test]
@@ -875,7 +826,6 @@ mod tests {
 
     #[test]
     fn gemm_bias_relu_chain_fuses_into_epilogue() {
-        use fathom_tensor::kernels::epilogue::{EpilogueArg, OperandKind};
         use fathom_tensor::Rng;
         let (mut g, x, mm, biased, b) = packed_matmul_graph();
         let act = g.relu(biased);
@@ -887,18 +837,16 @@ mod tests {
             panic!("last member should be rewritten, got {:?}", g.node(act).kind)
         };
         assert!(matches!(gemm, GemmOp::MatMul { transpose_a: false, transpose_b: false }));
-        assert_eq!(epilogue.instrs.len(), 2);
-        assert_eq!(epilogue.n_operands, 1);
-        assert_eq!(
-            epilogue.instrs[0].args,
-            vec![EpilogueArg::Acc, EpilogueArg::Operand { index: 0, kind: OperandKind::Col }]
-        );
+        // acc + bias into register 2, then relu of register 2.
+        assert_eq!(epilogue.n_inputs, 2);
+        let ops: Vec<(FusedOp, &[u16])> = epilogue.instrs.iter().map(|i| (i.op, &i.args[..])).collect();
+        assert_eq!(ops, [(FusedOp::Add, &[0, 1][..]), (FusedOp::Relu, &[2][..])]);
         // Inputs are [a, b, operands...]; the GEMM root and the interior
         // Add stay behind as dead nodes.
         let w = unfused.node(mm).inputs[1];
         assert_eq!(g.node(act).inputs, vec![x, w, b]);
         assert!(matches!(g.node(mm).kind, OpKind::MatMul { .. }));
-        assert!(matches!(g.node(biased).kind, OpKind::Add));
+        assert!(matches!(g.node(biased).kind, OpKind::Elementwise(FusedOp::Add)));
 
         let x_val = Tensor::randn([4, 64], 0.0, 1.0, &mut Rng::seeded(22));
         for threads in [1, 4] {
@@ -951,7 +899,7 @@ mod tests {
         assert_eq!(stats.gemm_groups, 1);
         assert_eq!(stats.gemm_ops, 2); // matmul + add only
         assert!(matches!(g.node(biased).kind, OpKind::GemmFused { .. }));
-        assert!(matches!(g.node(act).kind, OpKind::Relu));
+        assert!(matches!(g.node(act).kind, OpKind::Elementwise(FusedOp::Relu)));
         assert!(matches!(g.node(mm).kind, OpKind::MatMul { .. }));
     }
 

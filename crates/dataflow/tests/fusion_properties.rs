@@ -4,52 +4,26 @@
 //! must respect its own legality rules (kept nodes stay fetchable).
 
 use fathom_dataflow::optimize::fuse_in_place;
-use fathom_dataflow::{Device, Graph, NodeId, OpClass, Session};
+use fathom_dataflow::{Device, Graph, NodeId, OpClass, OpKind, Session};
+use fathom_tensor::kernels::fused::FusedOp;
 use fathom_tensor::{Rng, Shape, Tensor};
 use proptest::prelude::*;
 
-/// One randomly chosen elementwise op applied to random prior nodes.
-#[derive(Debug, Clone, Copy)]
-enum OpChoice {
-    Add,
-    Sub,
-    Mul,
-    Maximum,
-    Select,
-    Neg,
-    Exp,
-    Square,
-    Tanh,
-    Sigmoid,
-    Relu,
-    AddN3,
-}
-
-fn op_choice() -> impl Strategy<Value = OpChoice> {
-    prop_oneof![
-        Just(OpChoice::Add),
-        Just(OpChoice::Sub),
-        Just(OpChoice::Mul),
-        Just(OpChoice::Maximum),
-        Just(OpChoice::Select),
-        Just(OpChoice::Neg),
-        Just(OpChoice::Exp),
-        Just(OpChoice::Square),
-        Just(OpChoice::Tanh),
-        Just(OpChoice::Sigmoid),
-        Just(OpChoice::Relu),
-        Just(OpChoice::AddN3),
-    ]
+/// One op of the class-C table, drawn uniformly.
+fn table_op() -> impl Strategy<Value = FusedOp> {
+    (0..FusedOp::ALL.len()).prop_map(|i| FusedOp::ALL[i])
 }
 
 /// Grows a random elementwise DAG over two same-shaped placeholders and
 /// one scalar constant, then funnels every matrix-shaped node into a
-/// final `add_n` so the whole DAG is reachable from one fetch. Operands
-/// are drawn from *all* prior nodes, so the DAG has shared
-/// subexpressions, multi-consumer interiors, and scalar broadcasts — the
-/// shapes the fusion grouping has to reason about, not just chains.
+/// final `add_n` so the whole DAG is reachable from one fetch. Each step
+/// applies a table op to as many prior nodes as its arity takes (three
+/// for `AddN`). Operands are drawn from *all* prior nodes, so the DAG has
+/// shared subexpressions, multi-consumer interiors, and scalar
+/// broadcasts — the shapes the fusion grouping has to reason about, not
+/// just chains.
 fn dag_graph(
-    ops: &[(OpChoice, u8, u8, u8)],
+    ops: &[(FusedOp, u8, u8, u8)],
     cols: usize,
     seed: u64,
 ) -> (Graph, NodeId, NodeId, NodeId) {
@@ -59,31 +33,20 @@ fn dag_graph(
     let s = g.constant(Tensor::scalar((seed % 7) as f32 * 0.3 - 0.9));
     let mut nodes = vec![x, y, s];
     for &(op, ra, rb, rc) in ops {
-        let pick = |raw: u8| nodes[raw as usize % nodes.len()];
-        // `AddN` requires one shared shape (no scalar broadcast), so its
-        // operands come from the matrix-shaped nodes only.
-        let mats: Vec<NodeId> =
-            nodes.iter().copied().filter(|&n| g.shape(n).num_elements() > 1).collect();
-        let pick_mat = |raw: u8| mats[raw as usize % mats.len()];
-        let (a, b, c) = (pick(ra), pick(rb), pick(rc));
-        let node = match op {
-            OpChoice::Add => g.add_op(a, b),
-            OpChoice::Sub => g.sub(a, b),
-            OpChoice::Mul => g.mul(a, b),
-            OpChoice::Maximum => g.maximum(a, b),
-            OpChoice::Select => g.select(a, b, c),
-            OpChoice::Neg => g.neg(a),
-            OpChoice::Exp => g.exp(a),
-            OpChoice::Square => g.square(a),
-            OpChoice::Tanh => g.tanh(a),
-            OpChoice::Sigmoid => g.sigmoid(a),
-            OpChoice::Relu => g.relu(a),
-            OpChoice::AddN3 => {
-                let (a, b, c) = (pick_mat(ra), pick_mat(rb), pick_mat(rc));
-                g.add_n(&[a, b, c])
-            }
-        };
-        nodes.push(node);
+        // The gradient ops and `AddN` require one shared shape (no scalar
+        // broadcast), so their operands come from the matrix-shaped nodes
+        // only.
+        let same_shape =
+            matches!(op, FusedOp::ReluGrad | FusedOp::TanhGrad | FusedOp::SigmoidGrad | FusedOp::AddN);
+        let candidates: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&n| !same_shape || g.shape(n).num_elements() > 1)
+            .collect();
+        let arity = op.arity().unwrap_or(3);
+        let args: Vec<NodeId> =
+            [ra, rb, rc][..arity].iter().map(|&r| candidates[r as usize % candidates.len()]).collect();
+        nodes.push(g.add(OpKind::Elementwise(op), &args));
     }
     let sinks: Vec<NodeId> =
         nodes.iter().copied().filter(|&n| g.shape(n).num_elements() > 1).collect();
@@ -117,7 +80,7 @@ proptest! {
     #[test]
     fn fused_dag_matches_unfused_bitwise(
         ops in proptest::collection::vec(
-            (op_choice(), 0u8..255, 0u8..255, 0u8..255), 1..12),
+            (table_op(), 0u8..255, 0u8..255, 0u8..255), 1..12),
         cols in 1usize..6,
         seed in 0u64..1000,
     ) {
@@ -136,7 +99,7 @@ proptest! {
     #[test]
     fn kept_interior_nodes_survive_fusion(
         ops in proptest::collection::vec(
-            (op_choice(), 0u8..255, 0u8..255, 0u8..255), 2..10),
+            (table_op(), 0u8..255, 0u8..255, 0u8..255), 2..10),
         keep_raw in 0u8..255,
         seed in 0u64..1000,
     ) {

@@ -30,7 +30,7 @@
 //! every output whose window covers it (`0 * inf = NaN`) exactly as it
 //! does through a zero activation. Convolution always runs f32 panels.
 
-use crate::kernels::epilogue::Epilogue;
+use crate::kernels::fused::FusedProgram;
 use crate::kernels::gemm::{self, Dense, Lhs};
 use crate::kernels::quant::Precision;
 use crate::pool::ExecPool;
@@ -208,7 +208,7 @@ impl<'a> PatchView<'a> {
 /// `[n*oh*ow, oc]`, so a column operand is a per-output-channel bias and
 /// a full operand is an output-shaped residual — the same broadcast
 /// classes the matmul path uses. Bitwise identical to the same call
-/// without an epilogue followed by [`Epilogue::apply_flat`].
+/// without an epilogue followed by [`FusedProgram::apply_flat`].
 ///
 /// # Panics
 ///
@@ -219,7 +219,7 @@ pub fn conv2d(
     input: &Tensor,
     filter: &Tensor,
     spec: Conv2dSpec,
-    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    epilogue: Option<(&FusedProgram, &[&[f32]])>,
     pool: &ExecPool,
 ) -> Tensor {
     let out_shape = spec.out_shape(input.shape(), filter.shape());

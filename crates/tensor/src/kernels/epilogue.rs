@@ -1,21 +1,24 @@
-//! GEMM epilogue programs: small elementwise post-ops applied to the
-//! packed engine's accumulator tiles before they are stored to C.
+//! GEMM epilogues: a [`FusedProgram`] applied to the packed engine's
+//! accumulator tiles before they are stored to C.
 //!
 //! A dense layer is `matmul -> add bias -> activation`; lowered naively,
 //! the matmul writes `[m, n]` to memory and each elementwise consumer
-//! reads and rewrites it. An [`Epilogue`] instead rides the microkernel
+//! reads and rewrites it. An epilogue instead rides the microkernel
 //! writeback in [`crate::kernels::gemm`]: the accumulator tile is still
 //! in registers when the bias add and activation run, so the chain costs
 //! one store instead of a store plus two round trips (the BLIS/cuBLAS
 //! "fused epilogue" idiom).
 //!
-//! The program is a straight-line chain over one output element: each
-//! instruction reads the running accumulator value (at least one
-//! [`EpilogueArg::Acc`] operand) plus external operands, and writes the
-//! accumulator back. External operands come in three broadcast kinds —
-//! [`OperandKind::Scalar`] (one value), [`OperandKind::Col`] (one value
-//! per output column, e.g. a bias `[n]`), and [`OperandKind::Full`] (one
-//! value per output element, e.g. a residual input).
+//! An epilogue is an ordinary [`FusedProgram`] in one shape, checked by
+//! [`FusedProgram::validate_epilogue`]: register 0 is the accumulator,
+//! registers `1..n_inputs` are the external operands, and the program is
+//! a chain — instruction *k* reads the previous result (the accumulator
+//! for *k* = 0) at least once and otherwise only operands, so every
+//! instruction rewrites the accumulator in place. An operand binds by its
+//! length against the `[m, n]` output: 1 (a broadcast scalar), `n` (one
+//! value per output column, e.g. a bias) or `m * n` (one value per
+//! element, e.g. a residual). Where two readings fit one length (`n ==
+//! 1`, `m == 1`) they read the same values.
 //!
 //! # Bitwise contract
 //!
@@ -23,16 +26,17 @@
 //! standalone kernel it replaces, by construction: the ops are
 //! [`crate::kernels::fused::FusedOp`]s, evaluated through the same op
 //! table and row evaluator as the fused elementwise interpreter, with
-//! the accumulator as the destination row. Element evaluation is pure (no cross-element reduction),
-//! so applying the program per register tile ([`Epilogue::apply_row`]
-//! inside the GEMM writeback), per flat row ([`Epilogue::apply_flat`] on
-//! the fallback paths), serially, or in parallel all produce identical
-//! bits; and because the unfused elementwise kernels broadcast a `[n]`
-//! bias against `[m, n]` by reading `b[j]` per element — the same value
-//! `Col` reads — a fused evaluation is bit-identical to running the
-//! unfused matmul-then-elementwise chain.
+//! the accumulator as the destination row. Element evaluation is pure (no
+//! cross-element reduction), so applying the program per register tile
+//! ([`FusedProgram::apply_block`] inside the GEMM writeback), per flat
+//! row ([`FusedProgram::apply_flat`] on the fallback paths), serially, or
+//! in parallel all produce identical bits; and because the unfused
+//! elementwise kernels broadcast a `[n]` bias against `[m, n]` by reading
+//! `b[j]` per element — the same value a column operand reads — a fused
+//! evaluation is bit-identical to running the unfused
+//! matmul-then-elementwise chain.
 
-use crate::kernels::fused::{FusedOp, Rows, Src};
+use crate::kernels::fused::{FusedInstr, FusedOp, FusedProgram, Rows, Src};
 use crate::pool::ExecPool;
 
 /// Epilogues longer than this are not worth holding in the writeback
@@ -44,164 +48,108 @@ pub const MAX_EPILOGUE_INSTRS: usize = 8;
 /// interpreter.
 pub const MAX_EPILOGUE_ARGS: usize = 8;
 
-/// Broadcast class of an external epilogue operand against the `[m, n]`
-/// GEMM output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OperandKind {
-    /// One element, broadcast everywhere.
-    Scalar,
-    /// `n` elements, indexed by output column (a bias over the trailing
-    /// dimension).
-    Col,
-    /// `m * n` elements, indexed like the output (a residual input).
-    Full,
-}
+impl FusedProgram {
+    /// Builds an epilogue over `n_operands` external operands from one
+    /// `(op, args)` link per instruction, in order: an arg is `None` for
+    /// the running accumulator (the GEMM accumulator for the first link,
+    /// the previous link's result after that) and `Some(i)` for operand
+    /// `i`, which binds to register `i + 1`.
+    pub fn epilogue(
+        n_operands: usize,
+        links: impl IntoIterator<Item = (FusedOp, Vec<Option<u16>>)>,
+    ) -> Self {
+        let mut program = FusedProgram { n_inputs: n_operands + 1, instrs: Vec::new() };
+        for (op, args) in links {
+            let prev = program.chain_register(program.instrs.len());
+            let args = args.into_iter().map(|a| a.map_or(prev, |i| i + 1)).collect();
+            program.instrs.push(FusedInstr { op, args });
+        }
+        program
+    }
 
-/// One operand of an epilogue instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpilogueArg {
-    /// The running accumulator value for this element.
-    Acc,
-    /// External operand `index`, fetched per `kind`.
-    Operand {
-        /// Index into the operand list.
-        index: u16,
-        /// Broadcast class (fixed per operand across the program).
-        kind: OperandKind,
-    },
-}
+    /// The register instruction `k` of an epilogue chain reads as the
+    /// running accumulator: register 0 for the first, else the previous
+    /// instruction's result.
+    fn chain_register(&self, k: usize) -> u16 {
+        if k == 0 {
+            0
+        } else {
+            (self.n_inputs + k - 1) as u16
+        }
+    }
 
-/// One instruction: a scalar op over accumulator/operand values whose
-/// result becomes the new accumulator value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpilogueInstr {
-    /// Scalar operation (shared with the fused elementwise interpreter).
-    pub op: FusedOp,
-    /// Operands in the replaced graph op's argument order.
-    pub args: Vec<EpilogueArg>,
-}
-
-/// A straight-line epilogue program over the GEMM accumulator.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Epilogue {
-    /// External operand count.
-    pub n_operands: usize,
-    /// Instructions in evaluation (original graph) order.
-    pub instrs: Vec<EpilogueInstr>,
-}
-
-impl Epilogue {
-    /// Checks structural validity: at least one instruction, instruction
-    /// and operand counts within the hot-loop caps, arities respected,
-    /// at least one [`EpilogueArg::Acc`] per instruction (the program
-    /// must be a chain over the accumulator), operand indices in range,
-    /// and each operand used with one consistent broadcast kind.
+    /// Checks that the program is a GEMM epilogue: structurally valid
+    /// ([`FusedProgram::validate`]), within the hot-loop caps
+    /// ([`MAX_EPILOGUE_INSTRS`], [`MAX_EPILOGUE_ARGS`]), and a chain —
+    /// instruction *k* reads the previous result at least once and
+    /// otherwise only operand registers `1..n_inputs`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.instrs.is_empty() {
-            return Err("epilogue needs at least one instruction".into());
-        }
+    /// Returns a description of the first violation.
+    pub fn validate_epilogue(&self) -> Result<(), String> {
+        self.validate()?;
         if self.instrs.len() > MAX_EPILOGUE_INSTRS {
             return Err(format!(
                 "epilogue has {} instructions (max {MAX_EPILOGUE_INSTRS})",
                 self.instrs.len()
             ));
         }
-        let mut kinds: Vec<Option<OperandKind>> = vec![None; self.n_operands];
-        for (i, instr) in self.instrs.iter().enumerate() {
-            if let Some(arity) = instr.op.arity() {
-                if instr.args.len() != arity {
-                    return Err(format!(
-                        "epilogue instruction {i} ({}) takes {arity} operands, got {}",
-                        instr.op.name(),
-                        instr.args.len()
-                    ));
-                }
-            } else if instr.args.is_empty() {
-                return Err(format!("epilogue instruction {i} (AddN) needs at least one operand"));
-            }
+        for (k, instr) in self.instrs.iter().enumerate() {
             if instr.args.len() > MAX_EPILOGUE_ARGS {
                 return Err(format!(
-                    "epilogue instruction {i} has {} operands (max {MAX_EPILOGUE_ARGS})",
+                    "epilogue instruction {k} has {} operands (max {MAX_EPILOGUE_ARGS})",
                     instr.args.len()
                 ));
             }
-            if !instr.args.contains(&EpilogueArg::Acc) {
+            let prev = self.chain_register(k);
+            if !instr.args.contains(&prev) {
                 return Err(format!(
-                    "epilogue instruction {i} ({}) never reads the accumulator",
+                    "epilogue instruction {k} ({}) never reads register {prev}, the accumulator",
                     instr.op.name()
                 ));
             }
-            for arg in &instr.args {
-                if let EpilogueArg::Operand { index, kind } = *arg {
-                    let slot = kinds
-                        .get_mut(usize::from(index))
-                        .ok_or_else(|| format!("epilogue instruction {i} reads operand {index} (have {})", self.n_operands))?;
-                    match slot {
-                        None => *slot = Some(kind),
-                        Some(k) if *k == kind => {}
-                        Some(k) => {
-                            return Err(format!(
-                                "epilogue operand {index} used as both {k:?} and {kind:?}"
-                            ))
-                        }
-                    }
-                }
+            let operand = |a: u16| a != 0 && usize::from(a) < self.n_inputs;
+            if let Some(a) = instr.args.iter().find(|&&a| a != prev && !operand(a)) {
+                return Err(format!("epilogue instruction {k} reads stale register {a}"));
             }
         }
         Ok(())
     }
 
-    /// The broadcast kind operand `index` is used with, or `None` if the
-    /// program never reads it.
-    pub fn operand_kind(&self, index: usize) -> Option<OperandKind> {
-        self.instrs.iter().flat_map(|i| &i.args).find_map(|a| match *a {
-            EpilogueArg::Operand { index: at, kind } if usize::from(at) == index => Some(kind),
-            _ => None,
-        })
-    }
-
-    /// Validates the program and asserts every operand slice has the
-    /// length its broadcast kind demands against an `[m, n]` output.
-    /// Kernel entry points call this once before the hot loops.
+    /// Validates the epilogue and asserts there is one operand slice per
+    /// operand register, each of length 1, `n` or `m * n` against an
+    /// `[m, n]` output. Kernel entry points call this once before the
+    /// hot loops.
     ///
     /// # Panics
     ///
-    /// Panics on a structurally invalid program or a mis-sized operand.
+    /// Panics on an invalid epilogue or a mis-sized operand.
     pub fn check_operands(&self, m: usize, n: usize, operands: &[&[f32]]) {
-        self.validate().expect("epilogue is structurally valid");
-        assert_eq!(operands.len(), self.n_operands, "epilogue operand count mismatch");
+        self.validate_epilogue().expect("epilogue is a valid chain");
+        assert_eq!(operands.len() + 1, self.n_inputs, "epilogue operand count mismatch");
         for (i, op) in operands.iter().enumerate() {
-            match self.operand_kind(i) {
-                Some(OperandKind::Scalar) => {
-                    assert_eq!(op.len(), 1, "epilogue scalar operand {i} length");
-                }
-                Some(OperandKind::Col) => {
-                    assert_eq!(op.len(), n, "epilogue column operand {i} length");
-                }
-                Some(OperandKind::Full) => {
-                    assert_eq!(op.len(), m * n, "epilogue full operand {i} length");
-                }
-                None => {}
-            }
+            assert!(
+                [1, n, m * n].contains(&op.len()),
+                "epilogue operand {i} has {} elements, not 1, {n} or {}",
+                op.len(),
+                m * n
+            );
         }
     }
 
-    /// Applies the program to `acc`, a row fragment of the output whose
+    /// Applies the epilogue to `acc`, a row fragment of the output whose
     /// first element is output element `(row, col0)` of an `[_, n]`
     /// matrix — the degenerate one-row block.
     ///
-    /// Assumes [`Epilogue::check_operands`] ran at the kernel entry.
+    /// Assumes [`FusedProgram::check_operands`] ran at the kernel entry.
     #[inline]
     pub fn apply_row(&self, acc: &mut [f32], row: usize, col0: usize, n: usize, operands: &[&[f32]]) {
         let len = acc.len();
         self.apply_block(acc, row, col0, 1, len, len, n, operands);
     }
 
-    /// Applies the program to a `rows x cols` accumulator block stored
+    /// Applies the epilogue to a `rows x cols` accumulator block stored
     /// with row stride `stride`, whose top-left element is output
     /// element `(row0, col0)` of an `[_, n]` matrix. This is what the
     /// packed GEMM writeback calls on each macro tile: instructions run
@@ -212,9 +160,9 @@ impl Epilogue {
     /// costs as much as the arithmetic it guards (measurably slower than
     /// the unfused elementwise kernels on conv-sized outputs). Every
     /// instruction is pure per element, so the instruction-outer order is
-    /// bitwise identical to [`Epilogue::apply_row`] row by row.
+    /// bitwise identical to [`FusedProgram::apply_row`] row by row.
     ///
-    /// Assumes [`Epilogue::check_operands`] ran at the kernel entry.
+    /// Assumes [`FusedProgram::check_operands`] ran at the kernel entry.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn apply_block(
@@ -228,22 +176,24 @@ impl Epilogue {
         n: usize,
         operands: &[&[f32]],
     ) {
-        for instr in &self.instrs {
-            // A `Full` operand's slice moves with the row; `Scalar`/`Col`
-            // resolve to the same source each time, cheaply enough not
-            // to be worth hoisting.
-            let src = |r: usize, i: usize| match instr.args[i] {
-                EpilogueArg::Acc => Src::Dst,
-                EpilogueArg::Operand { index, kind } => {
-                    let data = operands[usize::from(index)];
-                    match kind {
-                        OperandKind::Scalar => Src::Scalar(data[0]),
-                        OperandKind::Col => Src::Row(&data[col0..col0 + cols]),
-                        OperandKind::Full => {
-                            let at = (row0 + r) * n + col0;
-                            Src::Row(&data[at..at + cols])
-                        }
-                    }
+        for (k, instr) in self.instrs.iter().enumerate() {
+            let prev = self.chain_register(k);
+            // The operand's length picks its broadcast: a scalar or a
+            // column vector resolves to the same source on every row, a
+            // full operand's slice moves with the row.
+            let src = |r: usize, i: usize| {
+                let reg = instr.args[i];
+                if reg == prev {
+                    return Src::Dst;
+                }
+                let data = operands[usize::from(reg) - 1];
+                if data.len() == 1 {
+                    Src::Scalar(data[0])
+                } else if data.len() == n {
+                    Src::Row(&data[col0..col0 + cols])
+                } else {
+                    let at = (row0 + r) * n + col0;
+                    Src::Row(&data[at..at + cols])
                 }
             };
             let dsts = block.chunks_mut(stride.max(1)).take(rows).map(|row| &mut row[..cols]);
@@ -251,7 +201,7 @@ impl Epilogue {
         }
     }
 
-    /// Applies the program to a whole `[m, n]` buffer in place — the
+    /// Applies the epilogue to a whole `[m, n]` buffer in place — the
     /// fallback for GEMM paths that never hold tiles in registers (the
     /// row-parallel kernel, the direct conv kernel, `k == 0` products).
     /// Bitwise identical to the tile path: evaluation is pure per
@@ -259,7 +209,7 @@ impl Epilogue {
     ///
     /// # Panics
     ///
-    /// Panics if the program is invalid, `data.len() != m * n`, or an
+    /// Panics if the epilogue is invalid, `data.len() != m * n`, or an
     /// operand is mis-sized.
     pub fn apply_flat(&self, data: &mut [f32], m: usize, n: usize, operands: &[&[f32]], pool: &ExecPool) {
         assert_eq!(data.len(), m * n, "epilogue output length mismatch");
@@ -284,23 +234,16 @@ mod tests {
         ExecPool::new(4).with_grain(1)
     }
 
-    fn acc() -> EpilogueArg {
-        EpilogueArg::Acc
-    }
-
-    fn operand(index: u16, kind: OperandKind) -> EpilogueArg {
-        EpilogueArg::Operand { index, kind }
+    /// A program over `n_inputs` registers (the accumulator plus the
+    /// operands) from `(op, registers)` rows.
+    fn program(n_inputs: usize, instrs: &[(FusedOp, &[u16])]) -> FusedProgram {
+        let instrs = instrs.iter().map(|&(op, args)| FusedInstr { op, args: args.to_vec() }).collect();
+        FusedProgram { n_inputs, instrs }
     }
 
     /// bias-add + relu: the canonical dense-layer epilogue.
-    fn bias_relu() -> Epilogue {
-        Epilogue {
-            n_operands: 1,
-            instrs: vec![
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(0, OperandKind::Col)] },
-                EpilogueInstr { op: FusedOp::Relu, args: vec![acc()] },
-            ],
-        }
+    fn bias_relu() -> FusedProgram {
+        program(2, &[(FusedOp::Add, &[0, 1]), (FusedOp::Relu, &[2])])
     }
 
     #[test]
@@ -323,14 +266,7 @@ mod tests {
         let x = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
         let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
         let res = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
-        let ep = Epilogue {
-            n_operands: 2,
-            instrs: vec![
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(0, OperandKind::Col)] },
-                EpilogueInstr { op: FusedOp::Tanh, args: vec![acc()] },
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(1, OperandKind::Full)] },
-            ],
-        };
+        let ep = program(3, &[(FusedOp::Add, &[0, 1]), (FusedOp::Tanh, &[3]), (FusedOp::Add, &[4, 2])]);
         let ops = [bias.data(), res.data()];
         let mut flat = x.clone();
         ep.apply_flat(flat.data_mut(), m, n, &ops, &pool());
@@ -354,15 +290,15 @@ mod tests {
         let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
         let res = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
         let s = Tensor::scalar(-0.75);
-        let ep = Epilogue {
-            n_operands: 3,
-            instrs: vec![
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(0, OperandKind::Col)] },
-                EpilogueInstr { op: FusedOp::Maximum, args: vec![acc(), operand(2, OperandKind::Scalar)] },
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(1, OperandKind::Full)] },
-                EpilogueInstr { op: FusedOp::Sigmoid, args: vec![acc()] },
+        let ep = program(
+            4,
+            &[
+                (FusedOp::Add, &[0, 1]),
+                (FusedOp::Maximum, &[4, 3]),
+                (FusedOp::Add, &[5, 2]),
+                (FusedOp::Sigmoid, &[6]),
             ],
-        };
+        );
         let ops = [bias.data(), res.data(), s.data()];
         ep.check_operands(m, n, &ops);
         // A (rows=4, cols=7) tile at output position (3, 6), laid out in
@@ -392,13 +328,7 @@ mod tests {
         let x = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
         let r = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
         let s = Tensor::scalar(0.125);
-        let ep = Epilogue {
-            n_operands: 2,
-            instrs: vec![
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(0, OperandKind::Full)] },
-                EpilogueInstr { op: FusedOp::Mul, args: vec![acc(), operand(1, OperandKind::Scalar)] },
-            ],
-        };
+        let ep = program(3, &[(FusedOp::Add, &[0, 1]), (FusedOp::Mul, &[3, 2])]);
         let p = pool();
         let mut fused = x.clone();
         ep.apply_flat(fused.data_mut(), m, n, &[r.data(), s.data()], &p);
@@ -407,61 +337,74 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_malformed_programs() {
-        // No instructions.
-        assert!(Epilogue::default().validate().is_err());
-        // Wrong arity.
-        assert!(Epilogue {
-            n_operands: 0,
-            instrs: vec![EpilogueInstr { op: FusedOp::Add, args: vec![acc()] }],
+    fn ambiguous_lengths_read_the_same_values() {
+        // One output row: an `n`-long operand is both a column vector and
+        // the full output. One output column: a 1-long operand is both a
+        // scalar and a column vector. Each reading must give the unfused
+        // broadcast's values.
+        let mut rng = Rng::seeded(9);
+        let p = pool();
+        for (m, n) in [(1, 5), (6, 1), (1, 1)] {
+            let x = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
+            let col = Tensor::randn([n], 0.0, 1.0, &mut rng);
+            let full = Tensor::randn([m, n], 0.0, 1.0, &mut rng);
+            let ep = program(3, &[(FusedOp::Sub, &[1, 0]), (FusedOp::Mul, &[3, 2])]);
+            let mut fused = x.clone();
+            ep.apply_flat(fused.data_mut(), m, n, &[col.data(), full.data()], &p);
+            let unfused = ew::eval(FusedOp::Mul, &[&ew::eval(FusedOp::Sub, &[&col, &x], &p), &full], &p);
+            assert_eq!(fused.data(), unfused.data(), "m={m} n={n}");
         }
-        .validate()
-        .is_err());
-        // Never reads the accumulator.
-        assert!(Epilogue {
-            n_operands: 1,
-            instrs: vec![EpilogueInstr {
-                op: FusedOp::Neg,
-                args: vec![operand(0, OperandKind::Col)],
-            }],
-        }
-        .validate()
-        .is_err());
-        // Operand index out of range.
-        assert!(Epilogue {
-            n_operands: 1,
-            instrs: vec![EpilogueInstr {
-                op: FusedOp::Add,
-                args: vec![acc(), operand(3, OperandKind::Col)],
-            }],
-        }
-        .validate()
-        .is_err());
-        // Inconsistent operand kind.
-        assert!(Epilogue {
-            n_operands: 1,
-            instrs: vec![
-                EpilogueInstr { op: FusedOp::Add, args: vec![acc(), operand(0, OperandKind::Col)] },
-                EpilogueInstr { op: FusedOp::Mul, args: vec![acc(), operand(0, OperandKind::Full)] },
-            ],
-        }
-        .validate()
-        .is_err());
-        // Valid: bias + relu.
-        assert!(bias_relu().validate().is_ok());
-        // Valid: the accumulator may appear several times (x * x).
-        assert!(Epilogue {
-            n_operands: 0,
-            instrs: vec![EpilogueInstr { op: FusedOp::Mul, args: vec![acc(), acc()] }],
-        }
-        .validate()
-        .is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "not 1, 4 or 12")]
+    fn an_operand_of_no_broadcast_length_is_rejected() {
+        let mut data = vec![0.0; 12];
+        bias_relu().apply_flat(&mut data, 3, 4, &[&[1.0, 2.0, 3.0]], &ExecPool::serial());
+    }
+
+    #[test]
+    fn validate_epilogue_rejects_non_chains() {
+        let rejects = |ep: FusedProgram, why: &str| {
+            let err = ep.validate_epilogue().expect_err(why);
+            assert!(err.contains(why), "{why}: got {err:?}");
+        };
+        // No instructions; wrong arity (structural, as any program).
+        rejects(program(1, &[]), "at least one instruction");
+        rejects(program(1, &[(FusedOp::Add, &[0])]), "takes 2 operands");
+        // An operand register that does not exist.
+        rejects(program(2, &[(FusedOp::Add, &[0, 3])]), "before it is written");
+        // The first instruction skips the accumulator.
+        rejects(program(2, &[(FusedOp::Neg, &[1])]), "never reads register 0");
+        // A later instruction skips the previous result.
+        rejects(program(2, &[(FusedOp::Relu, &[0]), (FusedOp::Add, &[0, 1])]), "never reads register 2");
+        // A later instruction reads the stale accumulator beside the
+        // previous result, or an older intermediate.
+        rejects(program(1, &[(FusedOp::Relu, &[0]), (FusedOp::Add, &[1, 0])]), "stale register 0");
+        rejects(
+            program(1, &[(FusedOp::Relu, &[0]), (FusedOp::Neg, &[1]), (FusedOp::Add, &[2, 1])]),
+            "stale register 1",
+        );
+        // The caps.
+        let chain = |len: usize| FusedProgram {
+            n_inputs: 1,
+            instrs: (0..len as u16).map(|k| FusedInstr { op: FusedOp::Relu, args: vec![k] }).collect(),
+        };
+        rejects(chain(MAX_EPILOGUE_INSTRS + 1), "9 instructions (max 8)");
+        let wide: Vec<u16> = std::iter::once(0).chain(std::iter::repeat_n(1, MAX_EPILOGUE_ARGS)).collect();
+        rejects(program(2, &[(FusedOp::AddN, &wide)]), "9 operands (max 8)");
+        // Valid: bias + relu; the accumulator read twice (x * x); a chain
+        // at both caps.
+        assert!(bias_relu().validate_epilogue().is_ok());
+        assert!(program(1, &[(FusedOp::Mul, &[0, 0])]).validate_epilogue().is_ok());
+        assert!(chain(MAX_EPILOGUE_INSTRS).validate_epilogue().is_ok());
+        assert!(program(2, &[(FusedOp::AddN, &wide[..MAX_EPILOGUE_ARGS])]).validate_epilogue().is_ok());
     }
 
     /// Applies `ep` to a copy of `x` (`[m, n]`) three ways — one flat
     /// pass, ragged row fragments, and one strided block — and returns
     /// the result after checking the three agree bitwise.
-    fn on_every_path(ep: &Epilogue, x: &Tensor, ops: &[&[f32]]) -> Tensor {
+    fn on_every_path(ep: &FusedProgram, x: &Tensor, ops: &[&[f32]]) -> Tensor {
         let (m, n) = (x.shape().dim(0), x.shape().dim(1));
         let mut flat = x.clone();
         ep.apply_flat(flat.data_mut(), m, n, ops, &pool());
@@ -504,7 +447,6 @@ mod tests {
     /// operands full-sized or a broadcast scalar) must agree bitwise.
     #[test]
     fn every_op_agrees_bitwise_on_every_path_over_special_values() {
-        use crate::kernels::fused::{FusedInstr, FusedProgram};
         let specials = [
             0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-40, 3.0e38, -3.0e38,
             1.0, -2.5, 0.5,
@@ -524,23 +466,17 @@ mod tests {
                 .collect();
             let refs: Vec<&Tensor> = inputs.iter().collect();
             let want = ew::eval(op, &refs, &p);
-            let program = FusedProgram {
-                n_inputs: arity,
-                instrs: vec![FusedInstr { op, args: (0..arity as u16).collect() }],
-            };
-            assert_bitwise(&program.eval(&refs, &p), &want, &format!("{} fused", op.name()));
+            let registers: Vec<u16> = (0..arity as u16).collect();
+            let fused = program(arity, &[(op, &registers)]);
+            assert_bitwise(&fused.eval(&refs, &p), &want, &format!("{} fused", op.name()));
+            // The accumulator in position `acc_at`, the other inputs as
+            // operand registers 1.. in order.
             for acc_at in 0..arity {
-                let mut ops: Vec<&[f32]> = Vec::new();
-                let args = (0..arity)
-                    .map(|i| {
-                        if i == acc_at {
-                            return acc();
-                        }
-                        ops.push(inputs[i].data());
-                        operand(ops.len() as u16 - 1, OperandKind::Full)
-                    })
-                    .collect();
-                let ep = Epilogue { n_operands: arity - 1, instrs: vec![EpilogueInstr { op, args }] };
+                let others: Vec<usize> = (0..arity).filter(|&i| i != acc_at).collect();
+                let ops: Vec<&[f32]> = others.iter().map(|&i| inputs[i].data()).collect();
+                let args: Vec<u16> =
+                    (0..arity).map(|i| others.iter().position(|&o| o == i).map_or(0, |at| at as u16 + 1)).collect();
+                let ep = program(arity, &[(op, &args)]);
                 let got = on_every_path(&ep, &inputs[acc_at], &ops);
                 assert_bitwise(&got, &want, &format!("{} epilogue, acc at {acc_at}", op.name()));
             }
@@ -555,43 +491,27 @@ mod tests {
                 refs[arity - 1] = &scalar;
                 let want = ew::eval(op, &refs, &p);
                 let what = format!("{} with scalar {s}", op.name());
-                assert_bitwise(&program.eval(&refs, &p), &want, &format!("{what}, fused"));
-                let mut ops: Vec<&[f32]> = refs[1..arity - 1].iter().map(|t| t.data()).collect();
-                ops.push(scalar.data());
-                let args = std::iter::once(acc())
-                    .chain((1..arity - 1).map(|i| operand(i as u16 - 1, OperandKind::Full)))
-                    .chain([operand(arity as u16 - 2, OperandKind::Scalar)])
-                    .collect();
-                let ep = Epilogue { n_operands: arity - 1, instrs: vec![EpilogueInstr { op, args }] };
-                assert_bitwise(&on_every_path(&ep, &inputs[0], &ops), &want, &format!("{what}, epilogue"));
+                assert_bitwise(&fused.eval(&refs, &p), &want, &format!("{what}, fused"));
+                let ops: Vec<&[f32]> = refs[1..].iter().map(|t| t.data()).collect();
+                assert_bitwise(&on_every_path(&fused, &inputs[0], &ops), &want, &format!("{what}, epilogue"));
             }
         }
     }
 
     #[test]
     fn addn_folds_in_operand_order() {
-        use crate::kernels::fused::{FusedInstr, FusedProgram};
         // The last column is all -0.0: a fold that mixed in a +0.0
         // identity would turn it into +0.0.
         let x = Tensor::from_vec(vec![1.0, -0.0, -0.0, 0.0, 2.5, -0.0], [2, 3]);
         let a = Tensor::from_vec(vec![10.0, 0.0, -0.0, -0.0, 1.5, -0.0], [2, 3]);
         let b = Tensor::from_vec(vec![-10.0, -0.0, -0.0, -0.0, -4.0, -0.0], [2, 3]);
-        let ep = Epilogue {
-            n_operands: 2,
-            instrs: vec![EpilogueInstr {
-                op: FusedOp::AddN,
-                args: vec![operand(0, OperandKind::Full), acc(), operand(1, OperandKind::Full)],
-            }],
-        };
+        let ep = program(3, &[(FusedOp::AddN, &[1, 0, 2])]);
         let p = pool();
         let unfused = ew::eval(FusedOp::AddN, &[&a, &x, &b], &p);
         assert_eq!(unfused.data()[2].to_bits(), (-0.0f32).to_bits());
         assert_eq!(unfused.data()[5].to_bits(), (-0.0f32).to_bits());
         assert_bitwise(&on_every_path(&ep, &x, &[a.data(), b.data()]), &unfused, "epilogue");
-        let program = FusedProgram {
-            n_inputs: 3,
-            instrs: vec![FusedInstr { op: FusedOp::AddN, args: vec![0, 1, 2] }],
-        };
-        assert_bitwise(&program.eval(&[&a, &x, &b], &p), &unfused, "fused program");
+        let fused = program(3, &[(FusedOp::AddN, &[0, 1, 2])]);
+        assert_bitwise(&fused.eval(&[&a, &x, &b], &p), &unfused, "fused program");
     }
 }

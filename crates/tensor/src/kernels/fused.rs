@@ -2,16 +2,20 @@
 //! elementwise expression programs.
 //!
 //! [`FusedOp::visit`] is the one definition of every class-C op (name,
-//! arity, flop weight, scalar formula); `Rows` is the one row evaluator,
-//! shared with the GEMM epilogue.
+//! arity, flop weight, scalar formula); `Rows` is the one row evaluator.
 //!
 //! A [`FusedProgram`] is a tiny register program over one output element:
 //! registers `0..n_inputs` hold the input tensors' values at that element,
-//! and instruction `k` writes register `n_inputs + k`. The evaluator
-//! jams the whole program into one pass over the output, processing it a
-//! flat span at a time: within a span every register is a span-length
-//! row in one cache-resident scratch block, and each instruction runs a
-//! tight vectorizable inner loop over its rows. Intermediates never
+//! and instruction `k` writes register `n_inputs + k`. It is the one
+//! program format of class C: a `Fused` graph node runs it through
+//! [`FusedProgram::eval`] below, and a GEMM epilogue is a program of one
+//! shape (a chain over register 0, the accumulator) that the GEMM
+//! writeback runs through the methods in [`crate::kernels::epilogue`].
+//!
+//! The evaluator jams the whole program into one pass over the output,
+//! processing it a flat span at a time: within a span every register is
+//! a span-length row in one cache-resident scratch block, and each
+//! instruction runs a tight vectorizable inner loop over its rows. Intermediates never
 //! round-trip through tensor-sized buffers — one memory pass per input
 //! and output — and spans parallelize across the [`ExecPool`] like every
 //! other kernel in this module.
@@ -254,8 +258,8 @@ impl Src<'_> {
     }
 }
 
-/// The row evaluator shared by [`FusedProgram::eval`] and
-/// [`crate::kernels::epilogue::Epilogue`]: applies one op to each
+/// The row evaluator shared by [`FusedProgram::eval`] and the GEMM
+/// epilogue ([`FusedProgram::apply_block`]): applies one op to each
 /// destination row in `dsts`, reading operand `i` of row `r` from
 /// `src(r, i)`. Visiting an op with this dispatches on the op once, then
 /// per row on the operand sources, then runs a tight loop.

@@ -84,7 +84,7 @@
 //!
 //! # Epilogue fusion
 //!
-//! An [`Epilogue`] program rides the writeback: because the tile
+//! An epilogue [`FusedProgram`] rides the writeback: because the tile
 //! accumulator holds each element's final K-reduced value before any
 //! store, bias adds / activations / residual adds apply to registers and
 //! C is written exactly once, already post-processed. The epilogue runs
@@ -98,7 +98,7 @@
 //! training does no kernel-scratch allocation.
 
 use crate::kernels::conv::PatchView;
-use crate::kernels::epilogue::Epilogue;
+use crate::kernels::fused::FusedProgram;
 use crate::kernels::matmul::{matmul_rows, product_dims};
 use crate::kernels::quant::{bf16_from_f32, bf16_to_f32, Precision};
 use crate::pool::ExecPool;
@@ -189,7 +189,7 @@ pub fn select(k: usize, n: usize, precision: Precision) -> Engine {
 /// `a` must be `[m, k]` (or `[k, m]` when `transpose_a`), `b` must be
 /// `[k, n]` (or `[n, k]` when `transpose_b`). The result is `[m, n]`. On
 /// every engine the result is bitwise identical to the same call without
-/// an epilogue followed by [`Epilogue::apply_flat`] — and so to the
+/// an epilogue followed by [`FusedProgram::apply_flat`] — and so to the
 /// unfused elementwise chain the epilogue replaced.
 ///
 /// # Panics
@@ -203,7 +203,7 @@ pub fn matmul(
     transpose_a: bool,
     transpose_b: bool,
     precision: Precision,
-    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    epilogue: Option<(&FusedProgram, &[&[f32]])>,
     pool: &ExecPool,
 ) -> Tensor {
     let (m, k, n) = product_dims(a, b, transpose_a, transpose_b);
@@ -233,7 +233,7 @@ pub fn matmul(
 /// With an `epilogue` the program is applied to each accumulator tile
 /// before it is stored. It sees the final K-reduced element values in
 /// registers, so the result is bitwise identical to the same call
-/// without one followed by [`Epilogue::apply_flat`].
+/// without one followed by [`FusedProgram::apply_flat`].
 ///
 /// # Panics
 ///
@@ -250,7 +250,7 @@ pub fn gemm_into(
     b: &[f32],
     transpose_b: bool,
     precision: Precision,
-    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    epilogue: Option<(&FusedProgram, &[&[f32]])>,
     pool: &ExecPool,
 ) {
     let a = Lhs::Matrix(Dense::matrix(a, m, k, !transpose_a));
@@ -269,7 +269,7 @@ pub(crate) fn product(
     a: Lhs<'_>,
     b: Dense<'_>,
     precision: Precision,
-    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    epilogue: Option<(&FusedProgram, &[&[f32]])>,
     pool: &ExecPool,
 ) {
     let (m, n, k) = (a.lanes(), b.lanes, b.k);
@@ -559,7 +559,7 @@ fn drive<P: Panels>(
     c: &mut [f32],
     a: Lhs<'_>,
     b: Dense<'_>,
-    epilogue: Option<(&Epilogue, &[&[f32]])>,
+    epilogue: Option<(&FusedProgram, &[&[f32]])>,
     pool: &ExecPool,
 ) {
     let (m, n, k) = (a.lanes(), b.lanes, b.k);
@@ -1081,8 +1081,7 @@ fn axpy2(acc: &mut [f32; NR], a0: f32, b0: &[f32; NR], a1: f32, b1: &[f32; NR]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::epilogue::{EpilogueArg, EpilogueInstr, OperandKind};
-    use crate::kernels::fused::FusedOp;
+    use crate::kernels::fused::{FusedInstr, FusedOp};
     use crate::kernels::matmul::matmul_naive;
     use crate::rng::Rng;
 
@@ -1225,18 +1224,12 @@ mod tests {
         assert_eq!(select(32, 512, Precision::Bf16), Engine::PackedF32);
     }
 
-    fn bias_relu_epilogue() -> Epilogue {
-        Epilogue {
-            n_operands: 1,
+    fn bias_relu_epilogue() -> FusedProgram {
+        FusedProgram {
+            n_inputs: 2,
             instrs: vec![
-                EpilogueInstr {
-                    op: FusedOp::Add,
-                    args: vec![
-                        EpilogueArg::Acc,
-                        EpilogueArg::Operand { index: 0, kind: OperandKind::Col },
-                    ],
-                },
-                EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] },
+                FusedInstr { op: FusedOp::Add, args: vec![0, 1] },
+                FusedInstr { op: FusedOp::Relu, args: vec![2] },
             ],
         }
     }

@@ -19,7 +19,7 @@
 //! scale), -127, 127)`, which keeps zero exact, keeps `q(-x) == -q(x)`,
 //! and lets the GEMM skip zero-point correction terms entirely.
 
-use crate::kernels::epilogue::Epilogue;
+use crate::kernels::fused::FusedProgram;
 use crate::pool::ExecPool;
 use crate::tensor::Tensor;
 
@@ -179,8 +179,8 @@ impl QuantizedGemm {
         self.matmul_fused(a, None, pool)
     }
 
-    /// [`QuantizedGemm::matmul`] with an optional [`Epilogue`] (the
-    /// program and the operand slices it reads) applied as a flat pass
+    /// [`QuantizedGemm::matmul`] with an optional epilogue (the
+    /// [`FusedProgram`] and the operand slices it reads) applied as a flat pass
     /// over the dequantized f32 output — the same program the f32 path
     /// would have fused into its writeback.
     ///
@@ -191,7 +191,7 @@ impl QuantizedGemm {
     pub fn matmul_fused(
         &self,
         a: &Tensor,
-        epilogue: Option<(&Epilogue, &[&[f32]])>,
+        epilogue: Option<(&FusedProgram, &[&[f32]])>,
         pool: &ExecPool,
     ) -> Tensor {
         assert_eq!(a.shape().rank(), 2, "quantized matmul lhs must be rank 2, got {}", a.shape());
@@ -323,24 +323,17 @@ mod tests {
 
     #[test]
     fn fused_epilogue_matches_unfused_then_flat() {
-        use crate::kernels::epilogue::{EpilogueArg, EpilogueInstr, OperandKind};
-        use crate::kernels::fused::FusedOp;
+        use crate::kernels::fused::{FusedInstr, FusedOp};
         let mut rng = Rng::seeded(31);
         let (m, k, n) = (5, 24, 9);
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let w = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
         let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
-        let ep = Epilogue {
-            n_operands: 1,
+        let ep = FusedProgram {
+            n_inputs: 2,
             instrs: vec![
-                EpilogueInstr {
-                    op: FusedOp::Add,
-                    args: vec![
-                        EpilogueArg::Acc,
-                        EpilogueArg::Operand { index: 0, kind: OperandKind::Col },
-                    ],
-                },
-                EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] },
+                FusedInstr { op: FusedOp::Add, args: vec![0, 1] },
+                FusedInstr { op: FusedOp::Relu, args: vec![2] },
             ],
         };
         let q = QuantizedGemm::from_weights(w.data(), k, n, false, 4.0);

@@ -11,7 +11,7 @@
 //!    what serving's batched == alone contract needs of every kernel.
 //!    (Backprop-filter sums over the batch, so it has no such property.)
 //! 4. **Epilogue fusion**: the fused forward equals the unfused one
-//!    followed by `Epilogue::apply_flat`, bitwise.
+//!    followed by `FusedProgram::apply_flat`, bitwise.
 //! 5. **The view is the matrix**: forward and backprop-filter equal
 //!    `gemm_into` over a patch matrix materialized by the test, bitwise,
 //!    with the other operand handed over plain (read in place where the
@@ -22,8 +22,7 @@ use fathom_tensor::kernels::conv::{
     conv2d, conv2d_backprop_filter, conv2d_backprop_filter_naive, conv2d_backprop_input,
     conv2d_backprop_input_naive, conv2d_naive, Conv2dSpec,
 };
-use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr, OperandKind};
-use fathom_tensor::kernels::fused::FusedOp;
+use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
 use fathom_tensor::kernels::gemm::gemm_into;
 use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 use proptest::prelude::*;
@@ -103,19 +102,15 @@ fn transposed(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     (0..rows * cols).map(|i| data[i % rows * cols + i / rows]).collect()
 }
 
-fn bias_relu() -> Epilogue {
-    Epilogue {
-        n_operands: 2,
+/// `relu(residual + (acc + bias))`: register 1 is the per-channel bias,
+/// register 2 the output-shaped residual.
+fn bias_relu() -> FusedProgram {
+    FusedProgram {
+        n_inputs: 3,
         instrs: vec![
-            EpilogueInstr {
-                op: FusedOp::Add,
-                args: vec![EpilogueArg::Acc, EpilogueArg::Operand { index: 0, kind: OperandKind::Col }],
-            },
-            EpilogueInstr {
-                op: FusedOp::Add,
-                args: vec![EpilogueArg::Operand { index: 1, kind: OperandKind::Full }, EpilogueArg::Acc],
-            },
-            EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] },
+            FusedInstr { op: FusedOp::Add, args: vec![0, 1] },
+            FusedInstr { op: FusedOp::Add, args: vec![2, 3] },
+            FusedInstr { op: FusedOp::Relu, args: vec![4] },
         ],
     }
 }

@@ -22,8 +22,7 @@
 //!    rests on.
 
 use fathom_tensor::kernels::elementwise as kew;
-use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr, OperandKind};
-use fathom_tensor::kernels::fused::FusedOp;
+use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
 use fathom_tensor::kernels::gemm::{gemm_into, matmul, select, Engine};
 use fathom_tensor::kernels::matmul::matmul_naive;
 use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32};
@@ -113,13 +112,25 @@ proptest! {
     }
 }
 
+/// How an external epilogue operand broadcasts against the `[m, n]`
+/// output; the kernel reads it from the operand's length.
+#[derive(Clone, Copy, Debug)]
+enum Broadcast {
+    /// One element.
+    Scalar,
+    /// `n` elements, one per output column.
+    Col,
+    /// `m * n` elements, one per output element.
+    Full,
+}
+
 /// One randomly drawn epilogue instruction: a unary activation on the
 /// accumulator, or a binary op against one external operand of a random
 /// broadcast class, on either side.
 #[derive(Clone, Copy, Debug)]
 enum InstrSpec {
     Unary(FusedOp),
-    Binary { op: FusedOp, kind: OperandKind, swapped: bool },
+    Binary { op: FusedOp, kind: Broadcast, swapped: bool },
 }
 
 fn instr_spec() -> impl Strategy<Value = InstrSpec> {
@@ -136,11 +147,7 @@ fn instr_spec() -> impl Strategy<Value = InstrSpec> {
         Just(FusedOp::Mul),
         Just(FusedOp::Maximum),
     ];
-    let kind = prop_oneof![
-        Just(OperandKind::Scalar),
-        Just(OperandKind::Col),
-        Just(OperandKind::Full),
-    ];
+    let kind = prop_oneof![Just(Broadcast::Scalar), Just(Broadcast::Col), Just(Broadcast::Full)];
     prop_oneof![
         unary.prop_map(InstrSpec::Unary),
         (binary, kind, prop_oneof![Just(false), Just(true)])
@@ -168,30 +175,22 @@ proptest! {
 
         // Build the epilogue program and its operand tensors.
         let mut operands: Vec<Tensor> = Vec::new();
-        let mut instrs = Vec::new();
+        let mut links = Vec::new();
         for spec in &specs {
             match *spec {
-                InstrSpec::Unary(op) => {
-                    instrs.push(EpilogueInstr { op, args: vec![EpilogueArg::Acc] });
-                }
+                InstrSpec::Unary(op) => links.push((op, vec![None])),
                 InstrSpec::Binary { op, kind, swapped } => {
-                    let index = operands.len() as u16;
+                    let ext = Some(operands.len() as u16);
                     operands.push(match kind {
-                        OperandKind::Scalar => Tensor::randn([1], 0.0, 1.0, &mut rng),
-                        OperandKind::Col => Tensor::randn([n], 0.0, 1.0, &mut rng),
-                        OperandKind::Full => Tensor::randn([m, n], 0.0, 1.0, &mut rng),
+                        Broadcast::Scalar => Tensor::randn([1], 0.0, 1.0, &mut rng),
+                        Broadcast::Col => Tensor::randn([n], 0.0, 1.0, &mut rng),
+                        Broadcast::Full => Tensor::randn([m, n], 0.0, 1.0, &mut rng),
                     });
-                    let ext = EpilogueArg::Operand { index, kind };
-                    let args = if swapped {
-                        vec![ext, EpilogueArg::Acc]
-                    } else {
-                        vec![EpilogueArg::Acc, ext]
-                    };
-                    instrs.push(EpilogueInstr { op, args });
+                    links.push((op, if swapped { vec![ext, None] } else { vec![None, ext] }));
                 }
             }
         }
-        let ep = Epilogue { n_operands: operands.len(), instrs };
+        let ep = FusedProgram::epilogue(operands.len(), links);
 
         // Reference: the same entry point without an epilogue, then the
         // standalone elementwise kernels. Operands are materialized to
@@ -206,14 +205,14 @@ proptest! {
                 InstrSpec::Binary { op, kind, swapped } => {
                     let t = next_operand.next().expect("one operand per binary instr");
                     let full = match kind {
-                        OperandKind::Scalar => {
+                        Broadcast::Scalar => {
                             Tensor::from_vec(vec![t.data()[0]; m * n], [m, n])
                         }
-                        OperandKind::Col => Tensor::from_vec(
+                        Broadcast::Col => Tensor::from_vec(
                             (0..m * n).map(|i| t.data()[i % n]).collect(),
                             [m, n],
                         ),
-                        OperandKind::Full => t.clone(),
+                        Broadcast::Full => t.clone(),
                     };
                     let (x, y) = if swapped { (&full, &want) } else { (&want, &full) };
                     kew::eval(op, &[x, y], &serial)
@@ -252,7 +251,7 @@ fn a_256x512x192_product_at_eight_workers_agrees_fuses_and_is_deterministic() {
     let (m, k, n) = (256, 512, 192);
     let mut rng = Rng::seeded(0xFA7408);
     let (serial, wide) = (ExecPool::serial(), ExecPool::new(8));
-    type Fused<'a> = Option<(&'a Epilogue, &'a [&'a [f32]])>;
+    type Fused<'a> = Option<(&'a FusedProgram, &'a [&'a [f32]])>;
     let packed = |a: &Tensor, ta, b: &Tensor, tb, precision, ep: Fused<'_>, pool: &ExecPool| {
         let mut c = vec![f32::NAN; m * n];
         gemm_into(&mut c, m, n, k, a.data(), ta, b.data(), tb, precision, ep, pool);
@@ -269,17 +268,11 @@ fn a_256x512x192_product_at_eight_workers_agrees_fuses_and_is_deterministic() {
     let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
     let (a_t, b_t) = (stored_t(&a), stored_t(&b));
     let bias = Tensor::randn([n], 0.0, 1.0, &mut rng);
-    let ep = Epilogue {
-        n_operands: 1,
+    let ep = FusedProgram {
+        n_inputs: 2,
         instrs: vec![
-            EpilogueInstr {
-                op: FusedOp::Add,
-                args: vec![
-                    EpilogueArg::Acc,
-                    EpilogueArg::Operand { index: 0, kind: OperandKind::Col },
-                ],
-            },
-            EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] },
+            FusedInstr { op: FusedOp::Add, args: vec![0, 1] },
+            FusedInstr { op: FusedOp::Relu, args: vec![2] },
         ],
     };
     let ops: [&[f32]; 1] = [bias.data()];

@@ -15,8 +15,7 @@
 //!    sides of the packing threshold and of the bf16 depth rule — the
 //!    reduction order is width-independent.
 
-use fathom_tensor::kernels::epilogue::{Epilogue, EpilogueArg, EpilogueInstr};
-use fathom_tensor::kernels::fused::FusedOp;
+use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
 use fathom_tensor::kernels::gemm::matmul;
 use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32, quant_scale, quantize_i8};
 use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
@@ -139,9 +138,9 @@ proptest! {
         let mut rng = Rng::seeded(seed);
         let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
-        let relu = Epilogue {
-            n_operands: 0,
-            instrs: vec![EpilogueInstr { op: FusedOp::Relu, args: vec![EpilogueArg::Acc] }],
+        let relu = FusedProgram {
+            n_inputs: 1,
+            instrs: vec![FusedInstr { op: FusedOp::Relu, args: vec![0] }],
         };
         let run = |threads: usize| {
             let ep = with_epilogue.then_some((&relu, &[][..]));

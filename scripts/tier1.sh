@@ -69,9 +69,11 @@ stage serve-bench-fleet ./target/release/fathom serve-bench memnet,autoenc --sha
 # the trainer's background snapshot writer running beside the workers
 # (kill/resume/torn-snapshot recovery, and snapshot bytes pinned through
 # deepq's replay-ring wrap, which needs release speed), the 16 f32
-# checkpoints pinned on both drivers, and the copy pins (steady steps of
-# every workload share values instead of copying them, on both drivers).
+# checkpoints pinned on both drivers, the copy pins (steady steps of
+# every workload share values instead of copying them, on both drivers),
+# and fused == unfused on all eight workloads in the build the benchmark
+# runs (its GEMM writeback runs the epilogue only under fusion).
 # A spin loop that starves the very thread it is waiting for shows up
 # here as a hung stage, not in production.
 stage runtime-oversubscribed env FATHOM_WORKERS=8 cargo test --release -q --test scheduler \
-  --test precision --test training --test snapshots --test checkpoints --test copies
+  --test precision --test training --test snapshots --test checkpoints --test copies --test fusion
