@@ -1,8 +1,7 @@
 //! Mixed-precision ablation: bf16 storage / f32 accumulate through the
-//! packed GEMM engine, and per-channel int8 quantized inference, across
-//! all eight workloads.
+//! packed GEMM engine, across all eight workloads.
 //!
-//! Three questions per workload, all in inference mode:
+//! Two questions per workload, all in inference mode:
 //!
 //! 1. **bf16 GEMM speedup** — the flop-dominant MatMul of the
 //!    workload's *full-scale* (paper dimension) graph is timed
@@ -13,9 +12,6 @@
 //!    below the packing threshold fall back to f32 and report ~1.0x.
 //! 2. **bf16 accuracy** — mean inference metric deviation from the f32
 //!    reference over the measured steps.
-//! 3. **int8 accuracy** — calibrate activation ranges over the first
-//!    half of the reference's batch stream, quantize, and compare the
-//!    served metric against the reference's second half.
 //!
 //! Besides the human-readable table, the experiment emits
 //! `BENCH_precision.json` through `crate::measure` (every timed leg in
@@ -34,9 +30,8 @@ use fathom_tensor::{ExecPool, Rng, Tensor};
 use crate::measure::{emit, envelope, rounds, timed_ms, Spread, WithSpread};
 use crate::{write_artifact, Effort};
 
-/// Accuracy gate applied to both reduced-precision paths: mean-metric
-/// deviation beyond this fails the workload (the bound
-/// `tests/precision.rs` asserts).
+/// Accuracy gate on the bf16 leg: mean-metric deviation beyond this
+/// fails the workload (the bound `tests/precision.rs` asserts).
 pub const TOLERANCE: f64 = 0.05;
 
 const SEED: u64 = 0xFA7408;
@@ -59,10 +54,6 @@ pub struct PrecisionRow {
     pub step_ms_bf16: Spread,
     /// Mean-metric deviation of the bf16 leg from the f32 reference.
     pub bf16_dev: f64,
-    /// Mean-metric deviation of the int8 leg from the f32 reference.
-    pub int8_dev: f64,
-    /// GEMM nodes the calibration pass quantized.
-    pub int8_gemms: usize,
 }
 
 impl PrecisionRow {
@@ -76,9 +67,9 @@ impl PrecisionRow {
         ratio(self.step_ms_f32, self.step_ms_bf16)
     }
 
-    /// True when both reduced-precision paths hold the accuracy gate.
+    /// True when the bf16 leg holds the accuracy gate.
     pub fn within_tolerance(&self) -> bool {
-        self.bf16_dev <= TOLERANCE && self.int8_dev <= TOLERANCE
+        self.bf16_dev <= TOLERANCE
     }
 }
 
@@ -162,11 +153,10 @@ fn time_gemm(dims: [usize; 3], effort: &Effort, pool: &ExecPool) -> [Spread; 2] 
     rounds(effort, || ([leg(Precision::F32), leg(Precision::Bf16)], ())).0
 }
 
-/// Steps a fresh `kind` at `precision` `2 * steps` times and returns
-/// (median step ms, per-step metrics). The doubled horizon matches the
-/// int8 leg's calibrate-then-serve split so every leg sees the same
-/// batch stream; warm-up therefore steps a throwaway build, which leaves
-/// the timed one at the head of that stream.
+/// Steps a fresh `kind` at `precision` `steps` times and returns
+/// (median step ms, per-step metrics). Warm-up steps a throwaway build,
+/// which leaves the timed one at the head of the batch stream, so both
+/// legs see the same batches.
 fn run_steps(kind: ModelKind, precision: Precision, effort: &Effort) -> (f64, Vec<f64>) {
     let mut warm = build(kind, precision);
     for _ in 0..effort.warmup {
@@ -174,16 +164,14 @@ fn run_steps(kind: ModelKind, precision: Precision, effort: &Effort) -> (f64, Ve
     }
     let mut model = build(kind, precision);
     let mut metrics = Vec::new();
-    let ms = timed_ms(0, 2 * effort.steps.max(1), || {
+    let ms = timed_ms(0, effort.steps.max(1), || {
         metrics.push(f64::from(model.step().metric.expect("inference reports a metric")));
     });
     (ms, metrics)
 }
 
-/// Measures one workload across the three precision legs.
+/// Measures one workload on the f32 and bf16 legs.
 pub fn compare(kind: ModelKind, effort: &Effort, pool: &ExecPool) -> PrecisionRow {
-    let steps = effort.steps.max(1);
-
     // The f32 and bf16 step legs in interleaved rounds; their metrics
     // are deterministic, the same every round.
     let ([step_ms_f32, step_ms_bf16], (ref_metrics, bf16_metrics)) = rounds(effort, || {
@@ -192,24 +180,6 @@ pub fn compare(kind: ModelKind, effort: &Effort, pool: &ExecPool) -> PrecisionRo
         ([f32_ms, bf16_ms], (reference, bf16))
     });
     let bf16_dev = deviation(mean_metric(&bf16_metrics), mean_metric(&ref_metrics));
-
-    // int8: calibrate over the first half of the stream, quantize, and
-    // serve the second half against the reference's tail.
-    let mut quant = build(kind, Precision::F32);
-    quant.session_mut().begin_calibration();
-    for _ in 0..steps {
-        quant.step();
-    }
-    quant.session_mut().finish_calibration();
-    let (int8_gemms, int8_dev) = match quant.session_mut().quantize_from_calibration() {
-        Ok(gemms) => {
-            let metrics: Vec<f64> = (0..steps)
-                .map(|_| f64::from(quant.step().metric.expect("inference reports a metric")))
-                .collect();
-            (gemms, deviation(mean_metric(&metrics), mean_metric(&ref_metrics[steps..])))
-        }
-        Err(_) => (0, f64::INFINITY),
-    };
 
     let gemm = dominant_gemm(kind).unwrap_or([0; 3]);
     let [gemm_ms_f32, gemm_ms_bf16] =
@@ -223,8 +193,6 @@ pub fn compare(kind: ModelKind, effort: &Effort, pool: &ExecPool) -> PrecisionRo
         step_ms_f32,
         step_ms_bf16,
         bf16_dev,
-        int8_dev,
-        int8_gemms,
     }
 }
 
@@ -239,8 +207,6 @@ pub fn document(rows: &[PrecisionRow], effort: &Effort) -> Json {
             .with_legs("step_ms", &[("f32", r.step_ms_f32), ("bf16", r.step_ms_bf16)], 4)
             .with("step_speedup", Json::fixed(r.step_speedup(), 3))
             .with("bf16_metric_dev", Json::fixed(r.bf16_dev, 5))
-            .with("int8_metric_dev", Json::fixed(r.int8_dev, 5))
-            .with("int8_gemms", r.int8_gemms)
             .with("within_tolerance", r.within_tolerance())
     });
     // The GEMM legs run `ExecPool::new(0)` and the step legs
@@ -258,7 +224,7 @@ pub fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "ABLATION: mixed precision (inference) -- bf16 packed GEMM + per-channel int8\n\
+        "ABLATION: mixed precision (inference) -- bf16 packed GEMM\n\
          (gemm = flop-dominant MatMul of the full-scale model, timed standalone through\n\
          the packed engine; accuracy legs run the reference-scale model end to end;\n\
          dev = mean-metric deviation from the f32 reference, gate {TOLERANCE};\n\
@@ -268,17 +234,16 @@ pub fn run(effort: &Effort) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<12} {:>16} {:>9} {:>9} {:>7} {:>9} {:>9} {:>7} {:>9} {:>9} {:>5} {:>6}",
+        "{:<12} {:>16} {:>9} {:>9} {:>7} {:>9} {:>9} {:>7} {:>9} {:>6}",
         "workload", "gemm m*k*n", "f32 ms", "bf16 ms", "gemm-x", "step f32", "step b16",
-        "step-x", "bf16 dev", "int8 dev", "gemms", "within"
+        "step-x", "bf16 dev", "within"
     );
     let rows: Vec<PrecisionRow> =
         ModelKind::ALL.iter().map(|&k| compare(k, effort, &pool)).collect();
     for r in &rows {
         let _ = writeln!(
             out,
-            "{:<12} {:>16} {:>9.3} {:>9.3} {:>6.2}x {:>9.3} {:>9.3} {:>6.2}x {:>9.5} {:>9.5} \
-             {:>5} {:>6}",
+            "{:<12} {:>16} {:>9.3} {:>9.3} {:>6.2}x {:>9.3} {:>9.3} {:>6.2}x {:>9.5} {:>6}",
             r.workload,
             format!("{}x{}x{}", r.gemm[0], r.gemm[1], r.gemm[2]),
             r.gemm_ms_f32.median,
@@ -288,8 +253,6 @@ pub fn run(effort: &Effort) -> String {
             r.step_ms_bf16.median,
             r.step_speedup(),
             r.bf16_dev,
-            r.int8_dev,
-            r.int8_gemms,
             r.within_tolerance(),
         );
     }
@@ -298,7 +261,7 @@ pub fn run(effort: &Effort) -> String {
     let _ = writeln!(
         out,
         "\nbf16 gemm speedup >= 1.2x on {fast}/{} workloads; \
-         both precisions within tolerance on {within}/{}",
+         bf16 within tolerance on {within}/{}",
         rows.len(),
         rows.len(),
     );
@@ -312,15 +275,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compare_measures_all_three_legs() {
+    fn compare_measures_both_legs() {
         let pool = ExecPool::new(2);
         let r = compare(ModelKind::Memnet, &Effort::quick(), &pool);
         assert_eq!(r.workload, "memnet");
         assert!(r.step_ms_f32.median > 0.0 && r.step_ms_bf16.median > 0.0);
         assert_ne!(r.gemm, [0; 3], "memnet's graph must hold a MatMul");
         assert!(r.gemm_ms_f32.median > 0.0 && r.gemm_ms_bf16.median > 0.0);
-        assert!(r.int8_gemms >= 1, "memnet has quantizable GEMMs");
-        assert!(r.bf16_dev.is_finite() && r.int8_dev.is_finite());
+        assert!(r.bf16_dev.is_finite());
     }
 
     #[test]

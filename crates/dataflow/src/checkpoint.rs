@@ -20,17 +20,16 @@
 //! [`ResumeImage::write`] can encode the same bytes later, on another
 //! thread, while training continues.
 //!
-//! A second optional section behind [`FLAG_CALIB`] carries the session's
-//! int8 **calibration ranges** (DESIGN.md §18): per-GEMM, per-channel
-//! activation max-abs values recorded by a calibration pass. A serving
-//! worker that restores such a checkpoint can rebuild its quantization
-//! plan without re-running calibration. Files written by sessions that
-//! never calibrated are byte-identical to the pre-§18 format.
+//! Loading is all or nothing: every variable and optimizer-slot record
+//! is matched against the session by name and shape before the first
+//! assignment, so a load that fails leaves the session as it was.
 //!
 //! Flag bits this build does not understand are a *forward*-compatibility
 //! problem, not corruption, and surface as the typed
 //! [`CheckpointError::UnsupportedVersion`] — callers can tell "newer
 //! writer" apart from "damaged bytes" ([`CheckpointError::Corrupt`]).
+//! Bit `0x4` once marked a quantization-calibration section that no
+//! reader uses any more; it is unknown again, like any other bit.
 //!
 //! Durability: [`save_to_path`] is crash-consistent. It writes to a
 //! temporary file in the same directory, fsyncs it, re-reads and
@@ -46,7 +45,7 @@ use std::sync::Arc;
 
 use fathom_tensor::{Shape, Tensor};
 
-use crate::exec::{CalibrationRanges, Session};
+use crate::exec::Session;
 use crate::graph::NodeId;
 
 const MAGIC: &[u8; 8] = b"FATHOMCK";
@@ -56,11 +55,8 @@ const VERSION: u32 = 3;
 const FLAG_VARS: u32 = 1;
 /// A resume section follows the variables.
 const FLAG_RESUME: u32 = 2;
-/// An int8 calibration-ranges section follows the resume section (or the
-/// variables, when no resume section is present).
-const FLAG_CALIB: u32 = 4;
 /// Every flag bit this build knows how to read.
-const KNOWN_FLAGS: u32 = FLAG_VARS | FLAG_RESUME | FLAG_CALIB;
+const KNOWN_FLAGS: u32 = FLAG_VARS | FLAG_RESUME;
 
 /// Caps on self-described sizes. A corrupt length field must fail with a
 /// typed error before it can drive a pathological allocation.
@@ -279,19 +275,12 @@ fn session_variables(session: &Session) -> Vec<(Cow<'_, str>, &Tensor)> {
         .collect()
 }
 
-/// Calibration ranges worth writing: sessions that never calibrated
-/// write the exact pre-§18 byte layout.
-fn written_calibration(session: &Session) -> Option<&CalibrationRanges> {
-    session.calibration_ranges().filter(|c| !c.is_empty())
-}
-
 /// The contents of one checkpoint, borrowed. A live [`Session`] and a
 /// captured [`ResumeImage`] both encode through this one shape, so
 /// there is one encoder and one byte layout.
 struct Parts<'a> {
     vars: Vec<(Cow<'a, str>, &'a Tensor)>,
     resume: Option<ResumeParts<'a>>,
-    calib: Option<&'a CalibrationRanges>,
 }
 
 /// The resume section's contents, borrowed.
@@ -315,12 +304,7 @@ struct ResumeParts<'a> {
 ///
 /// Returns any underlying I/O error.
 pub fn save(session: &Session, w: impl Write) -> Result<(), CheckpointError> {
-    let parts = Parts {
-        vars: session_variables(session),
-        resume: None,
-        calib: written_calibration(session),
-    };
-    encode(&parts, w)
+    encode(&Parts { vars: session_variables(session), resume: None }, w)
 }
 
 /// Writes a full resume checkpoint: variables plus the session RNG, run
@@ -346,7 +330,6 @@ pub fn save_resume(
             slots: session.optimizer_slots(),
             pipeline: vec![pipeline],
         }),
-        calib: written_calibration(session),
     };
     encode(&parts, w)
 }
@@ -360,8 +343,7 @@ pub fn save_resume(
 /// are shared tensors: `Apply` writes its results into fresh buffers, so
 /// the buffers an image holds are ones the next step no longer writes,
 /// and they go back to the session's arena when the writer drops the
-/// image. The pipeline parts are shared too; only the calibration ranges
-/// are copied.
+/// image. The pipeline parts are shared too.
 #[derive(Debug)]
 pub struct ResumeImage {
     vars: Vec<(String, Tensor)>,
@@ -370,7 +352,6 @@ pub struct ResumeImage {
     cursor: TrainCursor,
     slots: Vec<(NodeId, &'static str, Tensor)>,
     pipeline: Vec<Arc<[u8]>>,
-    calib: Option<CalibrationRanges>,
 }
 
 impl ResumeImage {
@@ -392,7 +373,6 @@ impl ResumeImage {
                 .map(|(id, name, value)| (id, name, value.clone()))
                 .collect(),
             pipeline,
-            calib: written_calibration(session).cloned(),
         }
     }
 
@@ -412,7 +392,6 @@ impl ResumeImage {
                 slots: self.slots.iter().map(|(id, name, value)| (*id, *name, value)).collect(),
                 pipeline: self.pipeline.iter().map(|part| &part[..]).collect(),
             }),
-            calib: self.calib.as_ref(),
         };
         encode(&parts, w)
     }
@@ -432,15 +411,12 @@ fn write_tensor(w: &mut impl Write, name: &str, value: &Tensor) -> io::Result<()
 }
 
 /// The one checkpoint encoder: header, variables, the optional resume
-/// and calibration sections, then the FNV-1a checksum of everything
-/// before it.
+/// section, then the FNV-1a checksum of everything before it.
 fn encode(parts: &Parts<'_>, w: impl Write) -> Result<(), CheckpointError> {
     let mut w = HashingWriter::new(w);
     w.write_all(MAGIC)?;
     write_u32(&mut w, VERSION)?;
-    let flags = FLAG_VARS
-        | if parts.resume.is_some() { FLAG_RESUME } else { 0 }
-        | if parts.calib.is_some() { FLAG_CALIB } else { 0 };
+    let flags = FLAG_VARS | if parts.resume.is_some() { FLAG_RESUME } else { 0 };
     write_u32(&mut w, flags)?;
     write_u64(&mut w, parts.vars.len() as u64)?;
     for (key, value) in &parts.vars {
@@ -465,18 +441,6 @@ fn encode(parts: &Parts<'_>, w: impl Write) -> Result<(), CheckpointError> {
             w.write_all(part)?;
         }
     }
-    if let Some(ranges) = parts.calib {
-        // BTreeMap iteration is ordered by node index, so identical
-        // calibration state always serializes to identical bytes.
-        write_u64(&mut w, ranges.len() as u64)?;
-        for (node, chans) in ranges {
-            write_u64(&mut w, u64::from(*node))?;
-            write_u64(&mut w, chans.len() as u64)?;
-            for &v in chans {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-    }
     let digest = w.hash.digest();
     w.inner.write_all(&digest.to_le_bytes())?;
     w.inner.flush()?;
@@ -487,7 +451,6 @@ fn encode(parts: &Parts<'_>, w: impl Write) -> Result<(), CheckpointError> {
 struct Payload {
     vars: HashMap<String, Tensor>,
     resume: Option<RawResume>,
-    calib: Option<CalibrationRanges>,
 }
 
 /// The parsed resume section, before it is applied to a session.
@@ -592,47 +555,6 @@ fn read_resume_section(r: &mut impl Read) -> Result<RawResume, CheckpointError> 
     Ok(RawResume { rng, run_counter, cursor, slots, pipeline })
 }
 
-/// Reads the [`FLAG_CALIB`] section: `count`, then per GEMM a node
-/// index, a channel count, and that many f32 max-abs values.
-fn read_calib_section(r: &mut impl Read) -> Result<CalibrationRanges, CheckpointError> {
-    let count = read_u64(r).map_err(eof_is_truncation)?;
-    if count > MAX_VARIABLES {
-        return Err(CheckpointError::BadHeader(format!(
-            "implausible calibration entry count {count} (cap {MAX_VARIABLES})"
-        )));
-    }
-    let mut ranges = CalibrationRanges::new();
-    for _ in 0..count {
-        let node = read_u64(r).map_err(eof_is_truncation)?;
-        if node > u64::from(u32::MAX) {
-            return Err(CheckpointError::BadHeader(format!(
-                "calibration node index {node} out of range"
-            )));
-        }
-        let len = read_u64(r).map_err(eof_is_truncation)?;
-        if len > MAX_ELEMENTS {
-            return Err(CheckpointError::BadHeader(format!(
-                "implausible calibration channel count {len} (cap {MAX_ELEMENTS})"
-            )));
-        }
-        // Chunked like tensor data: a corrupt length hits EOF, not OOM.
-        let mut chans = Vec::with_capacity((len as usize).min(CHUNK_ELEMS));
-        let mut byte_buf = vec![0u8; CHUNK_ELEMS * 4];
-        let mut remaining = len as usize;
-        while remaining > 0 {
-            let n = remaining.min(CHUNK_ELEMS);
-            let chunk = &mut byte_buf[..n * 4];
-            r.read_exact(chunk).map_err(eof_is_truncation)?;
-            for c in chunk.chunks_exact(4) {
-                chans.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-            }
-            remaining -= n;
-        }
-        ranges.insert(node as u32, chans);
-    }
-    Ok(ranges)
-}
-
 /// Parses header and sections from `r`, enforcing the size caps, then
 /// validates the trailing checksum. Everything before the checksum is
 /// hashed; the checksum itself is read from the raw inner stream.
@@ -691,11 +613,6 @@ fn read_payload(r: impl Read) -> Result<Payload, CheckpointError> {
     } else {
         None
     };
-    let calib = if flags & FLAG_CALIB != 0 {
-        Some(read_calib_section(&mut r)?)
-    } else {
-        None
-    };
     let expected = r.digest();
     let mut tail = [0u8; 8];
     r.inner.read_exact(&mut tail).map_err(eof_is_truncation)?;
@@ -705,7 +622,7 @@ fn read_payload(r: impl Read) -> Result<Payload, CheckpointError> {
             "checksum mismatch: stored {stored:#018x}, computed {expected:#018x}"
         )));
     }
-    Ok(Payload { vars, resume, calib })
+    Ok(Payload { vars, resume })
 }
 
 /// Structurally validates checkpoint bytes — header, records, size caps,
@@ -722,7 +639,8 @@ pub fn verify(r: impl Read) -> Result<usize, CheckpointError> {
 /// Restores variables saved by [`save`] into `session`, matching by
 /// variable name. Every variable in the session must be present in the
 /// checkpoint with an identical shape; extra checkpoint entries are an
-/// error too, so topology drift is caught loudly.
+/// error too, so topology drift is caught loudly. Every record is checked
+/// before the first assignment, so a failed load changes nothing.
 ///
 /// # Errors
 ///
@@ -734,9 +652,8 @@ pub fn verify(r: impl Read) -> Result<usize, CheckpointError> {
 /// session, or an I/O error for genuine transport failures.
 pub fn load(session: &mut Session, r: impl Read) -> Result<(), CheckpointError> {
     let payload = read_payload(r)?;
-    restore_variables(session, payload.vars)?;
-    if let Some(ranges) = payload.calib {
-        session.set_calibration_ranges(ranges);
+    for (id, value) in match_variables(session, payload.vars)? {
+        session.assign(id, value).expect("shape verified by match_variables");
     }
     Ok(())
 }
@@ -745,10 +662,10 @@ pub fn load(session: &mut Session, r: impl Read) -> Result<(), CheckpointError> 
 /// RNG stream, run counter, and optimizer slots go back into `session`;
 /// the [`TrainCursor`] and pipeline blob come back to the caller, whose
 /// workload knows how to re-seat its data pipeline. Nothing is applied
-/// unless the whole payload parsed and checksummed cleanly, and variables
-/// are restored before slots, so a `Mismatch` on a slot record cannot
-/// leave RNG state from one checkpoint mixed with variables from another
-/// — callers should treat any error as "retry an older snapshot".
+/// unless the whole payload parsed, checksummed cleanly, and every
+/// variable and slot record matched the session, so a failed load
+/// leaves the session exactly as it was — callers should treat any error
+/// as "retry an older snapshot".
 ///
 /// # Errors
 ///
@@ -760,30 +677,35 @@ pub fn load_resume(session: &mut Session, r: impl Read) -> Result<ResumeHeader, 
     let resume = payload.resume.ok_or_else(|| {
         CheckpointError::BadHeader("checkpoint has no resume section (variables only)".into())
     })?;
-    restore_variables(session, payload.vars)?;
+    let vars = match_variables(session, payload.vars)?;
+    let mut slots = Vec::with_capacity(resume.slots.len());
+    for (node, name, value) in resume.slots {
+        let id = u32::try_from(node).map(NodeId).map_err(|_| {
+            CheckpointError::Mismatch(format!("slot node index {node} out of range"))
+        })?;
+        let key = session
+            .check_optimizer_slot(id, &name, value.shape())
+            .map_err(CheckpointError::Mismatch)?;
+        slots.push((id, key, value));
+    }
+    for (id, value) in vars {
+        session.assign(id, value).expect("shape verified by match_variables");
+    }
     session.set_rng_state(resume.rng);
     session.set_run_counter(resume.run_counter);
     session.clear_optimizer_slots();
-    for (node, name, value) in resume.slots {
-        if node > u64::from(u32::MAX) {
-            return Err(CheckpointError::Mismatch(format!(
-                "slot node index {node} out of range"
-            )));
-        }
-        session
-            .restore_optimizer_slot(NodeId(node as u32), &name, value)
-            .map_err(CheckpointError::Mismatch)?;
-    }
-    if let Some(ranges) = payload.calib {
-        session.set_calibration_ranges(ranges);
+    for (id, key, value) in slots {
+        session.restore_optimizer_slot(id, key, value).expect("slot verified above");
     }
     Ok(ResumeHeader { cursor: resume.cursor, pipeline: resume.pipeline })
 }
 
-fn restore_variables(
-    session: &mut Session,
+/// Pairs every session variable with its checkpoint record, checking
+/// names, count and shapes without assigning anything.
+fn match_variables(
+    session: &Session,
     mut loaded: HashMap<String, Tensor>,
-) -> Result<(), CheckpointError> {
+) -> Result<Vec<(NodeId, Tensor)>, CheckpointError> {
     let vars = session.graph().variables();
     if vars.len() != loaded.len() {
         return Err(CheckpointError::Mismatch(format!(
@@ -792,22 +714,23 @@ fn restore_variables(
             vars.len()
         )));
     }
-    for id in vars {
-        let key = variable_key(session, id);
-        let value = loaded.remove(&*key).ok_or_else(|| {
-            CheckpointError::Mismatch(format!("variable '{key}' missing from checkpoint"))
-        })?;
-        let expected = session.variable_value(id).expect("graph variables exist").shape().clone();
-        if value.shape() != &expected {
-            return Err(CheckpointError::Mismatch(format!(
-                "variable '{key}' is {} in checkpoint but {} in session",
-                value.shape(),
-                expected
-            )));
-        }
-        session.assign(id, value).expect("shape verified above");
-    }
-    Ok(())
+    vars.into_iter()
+        .map(|id| {
+            let key = variable_key(session, id);
+            let value = loaded.remove(&*key).ok_or_else(|| {
+                CheckpointError::Mismatch(format!("variable '{key}' missing from checkpoint"))
+            })?;
+            let expected = session.variable_value(id).expect("graph variables exist").shape();
+            if value.shape() != expected {
+                return Err(CheckpointError::Mismatch(format!(
+                    "variable '{key}' is {} in checkpoint but {} in session",
+                    value.shape(),
+                    expected
+                )));
+            }
+            Ok((id, value))
+        })
+        .collect()
 }
 
 /// Crash-consistent save: writes `<path>.tmp`, fsyncs it, re-reads and
@@ -888,6 +811,12 @@ mod tests {
     use fathom_tensor::{Rng, Shape};
 
     fn trained_session() -> (Graph, Session, crate::graph::NodeId, crate::graph::NodeId) {
+        trained_with(Optimizer::sgd(0.1))
+    }
+
+    /// `y = x·w + b` fitted for 20 steps by `opt`; returns the graph, the
+    /// trained session and the `w` and `b` variables.
+    fn trained_with(opt: Optimizer) -> (Graph, Session, crate::graph::NodeId, crate::graph::NodeId) {
         let mut g = Graph::new();
         let x = g.placeholder("x", Shape::matrix(4, 2));
         let t = g.placeholder("t", Shape::matrix(4, 1));
@@ -899,7 +828,7 @@ mod tests {
         let e = g.sub(y, t);
         let sq = g.square(e);
         let loss = g.mean_all(sq);
-        let train = Optimizer::sgd(0.1).minimize_all(&mut g, loss);
+        let train = opt.minimize_all(&mut g, loss);
         let mut s = Session::new(g.clone(), Device::cpu(1));
         let xs = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, -1.0], [4, 2]);
         let ts = Tensor::from_vec(vec![1.0, 2.0, 3.0, 0.0], [4, 1]);
@@ -907,6 +836,18 @@ mod tests {
             s.run(&[train], &[(x, xs.clone()), (t, ts.clone())]).expect("trains");
         }
         (g, s, w, b)
+    }
+
+    /// Everything a load may write: variables, RNG, run counter, slots.
+    #[allow(clippy::type_complexity)]
+    fn session_state(
+        s: &Session,
+    ) -> (Vec<Vec<u32>>, [u64; 4], u64, Vec<(NodeId, &'static str, Vec<u32>)>) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let vars =
+            s.graph().variables().into_iter().map(|id| bits(s.variable_value(id).unwrap())).collect();
+        let slots = s.optimizer_slots().into_iter().map(|(id, name, t)| (id, name, bits(t))).collect();
+        (vars, s.rng_state(), s.step(), slots)
     }
 
     #[test]
@@ -1034,6 +975,17 @@ mod tests {
             ("b", trained.variable_value(b).unwrap()),
         ]);
         assert_eq!(verify(legacy.as_slice()).expect("v2 verifies"), 2);
+        let mut current = Vec::new();
+        save(&trained, &mut current).expect("saves");
+        // Plain v2 and v3 streams restore the same state: either one,
+        // loaded and saved again, gives the v3 bytes.
+        for bytes in [&current, &legacy] {
+            let mut fresh = Session::new(g.clone(), Device::cpu(1));
+            load(&mut fresh, bytes.as_slice()).expect("loads");
+            let mut again = Vec::new();
+            save(&fresh, &mut again).expect("saves again");
+            assert_eq!(again, current);
+        }
         let mut fresh = Session::new(g, Device::cpu(1));
         load(&mut fresh, legacy.as_slice()).expect("v2 loads");
         assert_eq!(fresh.variable_value(w).unwrap(), trained.variable_value(w).unwrap());
@@ -1061,74 +1013,77 @@ mod tests {
 
     #[test]
     fn unknown_flag_bits_are_unsupported_not_corrupt() {
-        let (_, trained, _, _) = trained_session();
-        let mut buf = Vec::new();
-        save(&trained, &mut buf).expect("saves");
+        let (g, trained, _, _) = trained_session();
+        let cursor = TrainCursor { global_step: 20, epoch: 2, position: 6 };
+        let (mut plain, mut resume) = (Vec::new(), Vec::new());
+        save(&trained, &mut plain).expect("saves");
+        save_resume(&trained, cursor, &[1, 2, 3], &mut resume).expect("saves");
+        let mut fresh = Session::new(g, Device::cpu(1));
+        let before = session_state(&fresh);
         // The flags word sits at offset 12 (magic + version). Set a bit
-        // this build has never heard of.
-        for alien in [8u32, 16, 0x8000_0000] {
+        // this build does not read: 0x4 is the retired calibration
+        // section, the others were never written.
+        for (buf, alien) in [&plain, &resume].into_iter().flat_map(|buf| {
+            [4u32, 8, 16, 0x8000_0000].map(|alien| (buf, alien))
+        }) {
             let mut bytes = buf.clone();
             let flags = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) | alien;
             bytes[12..16].copy_from_slice(&flags.to_le_bytes());
-            let err = verify(bytes.as_slice()).unwrap_err();
-            assert!(
-                matches!(err, CheckpointError::UnsupportedVersion(_)),
-                "flag {alien:#x}: got {err}"
-            );
-            assert!(err.to_string().contains("unknown section flags"), "got {err}");
+            for err in [
+                verify(bytes.as_slice()).unwrap_err(),
+                load(&mut fresh, bytes.as_slice()).unwrap_err(),
+                load_resume(&mut fresh, bytes.as_slice()).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, CheckpointError::UnsupportedVersion(_)),
+                    "flag {alien:#x}: got {err}"
+                );
+                let named = format!("unknown section flags {alien:#x} ");
+                assert!(err.to_string().contains(&named), "got {err}");
+            }
+            assert_eq!(session_state(&fresh), before, "a refused stream must change nothing");
         }
     }
 
     #[test]
-    fn calibration_ranges_ride_along_and_absence_is_byte_identical() {
-        let (g, trained, _, _) = trained_session();
-        let mut plain = Vec::new();
+    fn a_shape_mismatch_on_the_last_variable_leaves_every_variable_unchanged() {
+        let (_, trained, _, _) = trained_session();
+        let cursor = TrainCursor { global_step: 20, epoch: 2, position: 6 };
+        let (mut plain, mut resume) = (Vec::new(), Vec::new());
         save(&trained, &mut plain).expect("saves");
-
-        // Attach calibration ranges: the flags word grows FLAG_CALIB and
-        // a section appears, but the plain file above is untouched.
-        let mut calibrated = Session::new(g.clone(), Device::cpu(1));
-        load(&mut calibrated, plain.as_slice()).expect("loads");
-        let mut ranges = crate::exec::CalibrationRanges::new();
-        ranges.insert(4, vec![0.5, 2.0]);
-        ranges.insert(9, vec![1.25]);
-        calibrated.set_calibration_ranges(ranges.clone());
-        let mut with_calib = Vec::new();
-        save(&calibrated, &mut with_calib).expect("saves");
-        assert_ne!(plain, with_calib);
-        assert_eq!(
-            u32::from_le_bytes(plain[12..16].try_into().unwrap()) | FLAG_CALIB,
-            u32::from_le_bytes(with_calib[12..16].try_into().unwrap()),
-        );
-
-        // Restoring brings the ranges back; a second save is the
-        // identity (the section is canonical).
-        let mut fresh = Session::new(g, Device::cpu(1));
-        assert!(fresh.calibration_ranges().is_none());
-        load(&mut fresh, with_calib.as_slice()).expect("loads");
-        assert_eq!(fresh.calibration_ranges(), Some(&ranges));
-        let mut again = Vec::new();
-        save(&fresh, &mut again).expect("saves again");
-        assert_eq!(with_calib, again, "calibrated checkpoints must be byte-stable");
+        save_resume(&trained, cursor, &[], &mut resume).expect("saves");
+        // `w` matches the checkpoint; `b`, restored after it, does not.
+        let mut g = Graph::new();
+        let _w = g.variable("w", Tensor::filled([2, 1], 0.25));
+        let _b = g.variable("b", Tensor::zeros([3]));
+        let mut other = Session::new(g, Device::cpu(1));
+        let before = session_state(&other);
+        let err = load(&mut other, plain.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "got {err}");
+        assert!(err.to_string().contains("'b'"), "got {err}");
+        assert_eq!(session_state(&other), before, "load must not half-restore");
+        let err = load_resume(&mut other, resume.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "got {err}");
+        assert_eq!(session_state(&other), before, "load_resume must not half-restore");
     }
 
     #[test]
-    fn calibration_section_rides_with_resume_too() {
-        let (g, mut trained, _, _) = trained_session();
-        let mut ranges = crate::exec::CalibrationRanges::new();
-        ranges.insert(2, vec![3.0, 0.25, 1.5]);
-        trained.set_calibration_ranges(ranges.clone());
+    fn a_foreign_slot_record_leaves_variables_rng_run_counter_and_slots_unchanged() {
+        // The same graph trained by two optimizers: the variables match,
+        // but momentum's slot records are foreign to an Adam session.
+        let (_, momentum, _, _) = trained_with(Optimizer::momentum(0.1));
+        let (_, mut adam, _, _) = trained_with(Optimizer::adam(0.1));
+        adam.set_rng_state([5, 6, 7, 8]);
         let cursor = TrainCursor { global_step: 20, epoch: 2, position: 6 };
         let mut buf = Vec::new();
-        save_resume(&trained, cursor, &[1, 2, 3], &mut buf).expect("saves");
-
-        let mut fresh = Session::new(g, Device::cpu(1));
-        let header = load_resume(&mut fresh, buf.as_slice()).expect("resumes");
-        assert_eq!(header.cursor, cursor);
-        assert_eq!(fresh.calibration_ranges(), Some(&ranges));
-        let mut again = Vec::new();
-        save_resume(&fresh, cursor, &[1, 2, 3], &mut again).expect("saves again");
-        assert_eq!(buf, again, "resume + calib checkpoints must be byte-stable");
+        save_resume(&momentum, cursor, &[4, 2], &mut buf).expect("saves");
+        let before = session_state(&adam);
+        assert!(!before.3.is_empty(), "the Adam session holds slots to lose");
+        assert_ne!(before.0, session_state(&momentum).0, "the variables must differ to show a write");
+        let err = load_resume(&mut adam, buf.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "got {err}");
+        assert!(err.to_string().contains("momentum"), "got {err}");
+        assert_eq!(session_state(&adam), before, "a failed resume must change nothing");
     }
 
     #[test]
@@ -1179,23 +1134,16 @@ mod tests {
         let cursor = TrainCursor { global_step: 20, epoch: 2, position: 6 };
         let parts: Vec<Arc<[u8]>> =
             vec![Arc::from(&b"head"[..]), Arc::from(&b""[..]), Arc::from(&[0u8, 255, 7][..])];
-        for calibrated in [false, true] {
-            if calibrated {
-                let mut ranges = crate::exec::CalibrationRanges::new();
-                ranges.insert(2, vec![3.0, 0.25]);
-                trained.set_calibration_ranges(ranges);
-            }
-            let mut direct = Vec::new();
-            save_resume(&trained, cursor, &parts.concat(), &mut direct).expect("saves");
-            let image = ResumeImage::capture(&trained, cursor, parts.clone());
-            // The image is a copy: the session moving on does not reach it.
-            trained.set_rng_state([9; 4]);
-            trained.set_run_counter(999);
-            trained.assign(w, Tensor::filled([2, 1], 0.5)).unwrap();
-            let mut imaged = Vec::new();
-            image.write(&mut imaged).expect("writes");
-            assert_eq!(direct, imaged, "calibrated={calibrated}");
-        }
+        let mut direct = Vec::new();
+        save_resume(&trained, cursor, &parts.concat(), &mut direct).expect("saves");
+        let image = ResumeImage::capture(&trained, cursor, parts);
+        // The image is a copy: the session moving on does not reach it.
+        trained.set_rng_state([9; 4]);
+        trained.set_run_counter(999);
+        trained.assign(w, Tensor::filled([2, 1], 0.5)).unwrap();
+        let mut imaged = Vec::new();
+        image.write(&mut imaged).expect("writes");
+        assert_eq!(direct, imaged);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use fathom_tensor::kernels::conv as kconv;
 use fathom_tensor::kernels::ctc as kctc;
 use fathom_tensor::kernels::elementwise as kew;
-use fathom_tensor::kernels::fused::FusedProgram;
 use fathom_tensor::kernels::gemm as kgemm;
 use fathom_tensor::kernels::pool2d as kpool;
 use fathom_tensor::kernels::reduce as kred;
@@ -15,19 +14,10 @@ use fathom_tensor::kernels::softmax as ksm;
 use fathom_tensor::kernels::transform as ktf;
 use fathom_tensor::{ExecPool, Precision, Tensor};
 
-use super::quant::QuantPlan;
 use super::session::SessionState;
 use super::ExecError;
 use crate::graph::{Graph, NodeId};
 use crate::op::{GemmOp, OpKind};
-
-/// Immutable per-run compute context threaded to every op dispatch: the
-/// session's precision knob plus the quantized-inference plan, if any.
-#[derive(Clone, Copy)]
-pub(super) struct ExecCtx<'a> {
-    pub(super) precision: Precision,
-    pub(super) quant: Option<&'a QuantPlan>,
-}
 
 /// Resolves the variable an `Apply` node updates.
 fn variable_target(graph: &Graph, state: &SessionState, apply: NodeId) -> Result<NodeId, ExecError> {
@@ -39,39 +29,12 @@ fn variable_target(graph: &Graph, state: &SessionState, apply: NodeId) -> Result
     }
 }
 
-/// `op(a) * op(b)` for node `id`, with `epilogue` (a program and its
-/// operand slices) applied if given: through the node's int8 plan when
-/// the session has one, else on the engine the GEMM kernel selects for
-/// the geometry and the session's precision.
-#[allow(clippy::too_many_arguments)]
-fn run_matmul(
-    ctx: ExecCtx<'_>,
-    id: NodeId,
-    a: &Tensor,
-    b: &Tensor,
-    transpose_a: bool,
-    transpose_b: bool,
-    epilogue: Option<(&FusedProgram, &[&[f32]])>,
-    pool: &ExecPool,
-) -> Tensor {
-    let quantized = (!transpose_a)
-        .then(|| ctx.quant.and_then(|q| q.per_node.get(&(id.index() as u32))))
-        .flatten();
-    match quantized {
-        // f32 dequant lands in the writeback; a fused epilogue then
-        // applies to the dequantized output, exactly as on the float
-        // paths.
-        Some(qg) => qg.matmul_fused(a, epilogue, pool),
-        None => kgemm::matmul(a, b, transpose_a, transpose_b, ctx.precision, epilogue, pool),
-    }
-}
-
 /// Computes one node's value. `resolve` maps an input id to its computed
 /// tensor; `state` must be `Some` for ops where [`OpKind::needs_serial`]
 /// is true (the schedulers guarantee those run with exclusive access to
-/// the session state, on one thread, in plan order). `ctx` carries the
-/// session's precision knob and int8 plan; MatMul-family dispatch
-/// consults the plan first, then the knob, then takes the f32 path.
+/// the session state, on one thread, in plan order). `precision` is the
+/// session's knob; MatMul-family dispatch hands it to `gemm::select`,
+/// which alone picks the engine for the geometry.
 #[allow(clippy::too_many_lines)]
 pub(super) fn dispatch_op<'v, F>(
     graph: &Graph,
@@ -80,7 +43,7 @@ pub(super) fn dispatch_op<'v, F>(
     feeds: &HashMap<NodeId, &Tensor>,
     resolve: F,
     mut state: Option<&mut SessionState>,
-    ctx: ExecCtx<'_>,
+    precision: Precision,
 ) -> Result<Tensor, ExecError>
 where
     F: Fn(NodeId) -> &'v Tensor,
@@ -101,7 +64,7 @@ where
         OpKind::Identity | OpKind::StopGradient => input(0).clone(),
 
         OpKind::MatMul { transpose_a, transpose_b } => {
-            run_matmul(ctx, id, input(0), input(1), *transpose_a, *transpose_b, None, pool)
+            kgemm::matmul(input(0), input(1), *transpose_a, *transpose_b, precision, None, pool)
         }
 
         // Convolution is the GEMM engine under a patch view of its
@@ -139,7 +102,7 @@ where
             let fused = Some((epilogue, operands.as_slice()));
             match gemm {
                 GemmOp::MatMul { transpose_a, transpose_b } => {
-                    run_matmul(ctx, id, input(0), input(1), *transpose_a, *transpose_b, fused, pool)
+                    kgemm::matmul(input(0), input(1), *transpose_a, *transpose_b, precision, fused, pool)
                 }
                 GemmOp::Conv2D(spec) => kconv::conv2d(input(0), input(1), *spec, fused, pool),
             }

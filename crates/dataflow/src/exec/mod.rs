@@ -61,12 +61,10 @@ use crate::graph::NodeId;
 mod dispatch;
 mod plan;
 mod pool;
-mod quant;
 mod session;
 mod step;
 mod tests;
 
-pub use quant::{CalibrationRanges, QuantPlan};
 pub use session::{Guardrail, Session};
 
 /// Errors produced while running a graph.

@@ -8,12 +8,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use fathom_tensor::{BufferPool, ExecPool, Precision, Rng, Runtime, Tensor};
+use fathom_tensor::{BufferPool, ExecPool, Precision, Rng, Runtime, Shape, Tensor};
 
-use super::dispatch::ExecCtx;
 use super::plan::Plan;
 use super::pool::run_pooled;
-use super::quant::{CalibrationRanges, QuantPlan};
 use super::step::{emit, run_serial, Step};
 use super::ExecError;
 use crate::cost;
@@ -173,14 +171,6 @@ pub struct Session {
     plan_cache: HashMap<Vec<NodeId>, Arc<Plan>>,
     /// GEMM operand-panel precision for eligible ops (DESIGN.md §18).
     precision: Precision,
-    /// Armed int8 inference plan; consulted before the precision knob.
-    pub(super) quant: Option<Arc<QuantPlan>>,
-    /// Activation ranges accumulated by calibration runs (and restored
-    /// from checkpoints), keyed by graph node index.
-    pub(super) calib: Option<CalibrationRanges>,
-    /// While set, runs record activation ranges and take the serial
-    /// walk (recording needs exclusive session state per op).
-    pub(super) calibrating: bool,
     /// Cumulative unified-runtime counters over committed runs.
     counters: RuntimeCounters,
     /// Recycler miss count at the last counter sample (delta base).
@@ -232,9 +222,6 @@ impl Session {
             trace: RunTrace::new(),
             plan_cache: HashMap::new(),
             precision: Precision::default(),
-            quant: None,
-            calib: None,
-            calibrating: false,
             counters: RuntimeCounters::default(),
             last_misses: 0,
             last_copied: 0,
@@ -392,22 +379,41 @@ impl Session {
     }
 
     /// Restores one optimizer slot captured by
-    /// [`Session::optimizer_slots`]. The node must be an
-    /// [`OpKind::Apply`] whose optimizer owns a slot of that name, and the
-    /// value must have that slot's shape; the key is the table's own
-    /// `&'static str`, so lookups during execution stay allocation-free.
+    /// [`Session::optimizer_slots`], after
+    /// [`Session::check_optimizer_slot`] accepts it; the key is the
+    /// table's own `&'static str`, so lookups during execution stay
+    /// allocation-free.
     ///
     /// # Errors
     ///
-    /// Returns a description of the problem when the node is out of range
-    /// or not an `Apply`, its optimizer has no slot of that name, or the
-    /// value's shape differs from the slot's.
+    /// Same as [`Session::check_optimizer_slot`]; nothing is stored then.
     pub fn restore_optimizer_slot(
         &mut self,
         id: NodeId,
         name: &str,
         value: Tensor,
     ) -> Result<(), String> {
+        let key = self.check_optimizer_slot(id, name, value.shape())?;
+        self.state.slots.insert((id, key), value);
+        Ok(())
+    }
+
+    /// Checks that a slot `name` of `shape` fits node `id`, without
+    /// storing anything: the node must be an [`OpKind::Apply`] whose
+    /// optimizer owns a slot of that name and shape. Returns the table's
+    /// key for the slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the problem when the node is out of range
+    /// or not an `Apply`, its optimizer has no slot of that name, or
+    /// `shape` differs from the slot's.
+    pub fn check_optimizer_slot(
+        &self,
+        id: NodeId,
+        name: &str,
+        shape: &Shape,
+    ) -> Result<&'static str, String> {
         if id.index() >= self.graph.len() {
             return Err(format!("slot node {id} does not belong to this graph"));
         }
@@ -419,14 +425,10 @@ impl Session {
             format!("{} node {id} has no optimizer slot {name:?}", opt.name())
         })?;
         let expected = slot.shape(&node.shape);
-        if value.shape() != &expected {
-            return Err(format!(
-                "slot {name:?} of node {id} is {expected}, checkpoint holds {}",
-                value.shape()
-            ));
+        if shape != &expected {
+            return Err(format!("slot {name:?} of node {id} is {expected}, checkpoint holds {shape}"));
         }
-        self.state.slots.insert((id, slot.name), value);
-        Ok(())
+        Ok(slot.name)
     }
 
     /// Scales the learning rate of every `Apply` node by `factor` (the
@@ -543,7 +545,7 @@ impl Session {
         // steady-state step touches the heap for no tensor.
         let recycler = Arc::clone(&self.recycler);
         let _arena = BufferPool::install(&recycler);
-        let runtime = self.step_runtime().filter(|_| !self.calibrating).cloned();
+        let runtime = self.step_runtime().cloned();
         let step = Step {
             graph: &self.graph,
             plan: &plan,
@@ -551,15 +553,13 @@ impl Session {
             feeds: &feed_map,
             fetches,
             fault: self.fault.as_deref(),
-            ctx: ExecCtx { precision: self.precision, quant: self.quant.as_deref() },
+            precision: self.precision,
             timed: self.tracing,
         };
         let state = &mut self.state;
-        let calib =
-            self.calibrating.then(|| self.calib.get_or_insert_with(CalibrationRanges::new));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &runtime {
             Some(rt) => run_pooled(&step, state, rt, &recycler),
-            None => run_serial(&step, state, calib),
+            None => run_serial(&step, state),
         }));
         let done = match outcome {
             Ok(Ok(done)) => done,

@@ -9,11 +9,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use fathom_tensor::{ExecPool, Tensor};
+use fathom_tensor::{ExecPool, Precision, Tensor};
 
-use super::dispatch::{dispatch_op, ExecCtx};
+use super::dispatch::dispatch_op;
 use super::plan::Plan;
-use super::quant::{record_calibration, CalibrationRanges};
 use super::session::SessionState;
 use super::ExecError;
 use crate::device::Device;
@@ -33,8 +32,8 @@ pub(super) struct Step<'a> {
     pub(super) fetches: &'a [NodeId],
     /// Armed fault schedule, probed once per executed op.
     pub(super) fault: Option<&'a FaultPlan>,
-    /// The session's precision knob and int8 plan.
-    pub(super) ctx: ExecCtx<'a>,
+    /// The session's GEMM precision knob.
+    pub(super) precision: Precision,
     /// Whether the session is tracing, so each op is timed.
     pub(super) timed: bool,
 }
@@ -70,7 +69,7 @@ impl Step<'_> {
             self.feeds,
             resolve,
             state,
-            self.ctx,
+            self.precision,
         )?;
         // A fired fault meets the same recovery machinery a real kernel
         // failure does: `Panic` aborts the run (the session rolls back),
@@ -140,14 +139,8 @@ pub(super) fn extract_fetches(
     // Dropping `originals` under the installed arena recycles them.
 }
 
-/// Executes a plan one op at a time in plan order. While `calib` is
-/// given (a calibration run) each eligible GEMM's activation ranges are
-/// recorded into it first.
-pub(super) fn run_serial(
-    step: &Step<'_>,
-    state: &mut SessionState,
-    mut calib: Option<&mut CalibrationRanges>,
-) -> Result<StepOutput, ExecError> {
+/// Executes a plan one op at a time in plan order.
+pub(super) fn run_serial(step: &Step<'_>, state: &mut SessionState) -> Result<StepOutput, ExecError> {
     let (graph, plan) = (step.graph, step.plan);
     let mut values: Vec<Option<Tensor>> = vec![None; graph.len()];
     // Liveness-based eager release: drop intermediates after their
@@ -157,9 +150,6 @@ pub(super) fn run_serial(
     let mut live_bytes: usize = 0;
     let mut peak_bytes: usize = 0;
     for (pos, &id) in plan.order.iter().enumerate() {
-        if let Some(ranges) = calib.as_deref_mut() {
-            record_calibration(ranges, graph, id, &values);
-        }
         let resolve = |n: NodeId| values[n.index()].as_ref().expect("input executed before use");
         let value = step.run_node(pos, resolve, Some(&mut *state))?;
         live_bytes += value.len() * 4;

@@ -1,14 +1,15 @@
 //! Driver-parity tests: what must hold on the serial walk and on the
 //! pool driver alike — rollback of failed steps, isolation of shared
 //! state from later steps, what a failed step leaves in the trace,
-//! event-for-event equal traces, and bitwise-equal training at every
-//! thread count.
+//! event-for-event equal traces, bitwise-equal training at every
+//! thread count, and the bf16 knob switching the GEMM engine on both.
 
 #![cfg(test)]
 
 use std::sync::Arc;
 
-use fathom_tensor::{Shape, Tensor};
+use fathom_tensor::kernels::gemm as kgemm;
+use fathom_tensor::{ExecPool, Precision, Rng, Shape, Tensor};
 
 use super::{ExecError, Guardrail, Session};
 use crate::checkpoint::{ResumeImage, TrainCursor};
@@ -306,4 +307,58 @@ fn training_agrees_bitwise_across_drivers_and_thread_counts() {
         assert_eq!(loss, loss_p, "loss bits differ on {device:?}");
         assert_eq!(var, var_p, "variable bits differ on {device:?}");
     }
+}
+
+/// Graph with one bf16-eligible GEMM: x:[4,128] @ w:[128,64]
+/// (k = 128 ≥ 64, n = 64 ≥ 16, k·n = 8192 — [`kgemm::select`]
+/// routes it to the bf16 panels).
+fn gemm_session(device: Device) -> (Session, NodeId, Tensor, Tensor) {
+    let mut rng = Rng::seeded(0x18);
+    let xv = Tensor::randn([4, 128], 0.0, 1.0, &mut rng);
+    let wv = Tensor::randn([128, 64], 0.0, 0.5, &mut rng);
+    let mut g = Graph::new();
+    let x = g.placeholder("x", Shape::matrix(4, 128));
+    let w = g.variable("w", wv.clone());
+    let y = g.matmul(x, w);
+    (Session::new(g, device), y, xv, wv)
+}
+
+#[test]
+fn bf16_precision_switches_the_gemm_kernel() {
+    let (mut s, y, xv, wv) = gemm_session(Device::cpu(2));
+    let x = s.graph().iter().find(|(_, n)| n.name.as_deref() == Some("x")).unwrap().0;
+    let f32_out = s.run1(y, &[(x, xv.clone())]).unwrap();
+
+    assert_eq!(s.precision(), Precision::F32);
+    s.set_precision(Precision::Bf16);
+    assert_eq!(s.precision(), Precision::Bf16);
+    let bf16_out = s.run1(y, &[(x, xv.clone())]).unwrap();
+
+    // The bf16 session output is bitwise the packed driver's over
+    // bf16 panels.
+    let mut expect = vec![0.0; 4 * 64];
+    let pool = ExecPool::new(2);
+    kgemm::gemm_into(
+        &mut expect, 4, 64, 128, xv.data(), false, wv.data(), false, Precision::Bf16, None, &pool,
+    );
+    assert_eq!(bf16_out.data(), &expect[..], "session must use the bf16 engine");
+    // And it genuinely lost mantissa bits relative to f32.
+    assert!(bf16_out.max_abs_diff(&f32_out) > 0.0, "bf16 path was a no-op");
+
+    // Switching back restores the f32 result bitwise.
+    s.set_precision(Precision::F32);
+    assert_eq!(s.run1(y, &[(x, xv)]).unwrap().data(), f32_out.data());
+}
+
+#[test]
+fn bf16_session_is_bitwise_identical_serial_vs_parallel() {
+    let (mut serial, y, xv, _) = gemm_session(Device::cpu(1));
+    let (mut par, yp, _, _) = gemm_session(Device::cpu_inter_op(2, 4));
+    let x = serial.graph().iter().find(|(_, n)| n.name.as_deref() == Some("x")).unwrap().0;
+    let xq = par.graph().iter().find(|(_, n)| n.name.as_deref() == Some("x")).unwrap().0;
+    serial.set_precision(Precision::Bf16);
+    par.set_precision(Precision::Bf16);
+    let a = serial.run1(y, &[(x, xv.clone())]).unwrap();
+    let b = par.run1(yp, &[(xq, xv)]).unwrap();
+    assert_eq!(a.data(), b.data(), "bf16 must stay executor-independent");
 }

@@ -66,7 +66,7 @@ pub mod optimize;
 pub mod trace;
 
 pub use device::{CpuModel, Device, GpuModel};
-pub use exec::{CalibrationRanges, ExecError, Guardrail, QuantPlan, Session};
+pub use exec::{ExecError, Guardrail, Session};
 pub use fathom_tensor::Precision;
 pub use trace::RuntimeCounters;
 pub use fault::{FaultAction, FaultPlan, FaultSite, FaultSpec};

@@ -176,71 +176,13 @@ impl SessionWorker {
     /// Returns [`ServeError::Checkpoint`] when the stream is invalid or
     /// disagrees with the graph.
     pub fn warm_start(&mut self, r: impl Read) -> Result<(), ServeError> {
-        // The checkpoint is the source of truth for the deployment:
-        // drop any held ranges/plan so a stream without a calibration
-        // section yields an f32 worker, not one quantized from stale
-        // ranges.
-        self.model.session_mut().clear_calibration();
         checkpoint::load(self.model.session_mut(), r)?;
-        // A checkpoint that carries calibration ranges restores a
-        // quantized deployment: re-derive the int8 plan from the
-        // persisted ranges instead of serving f32.
-        if self.model.session().calibration_ranges().is_some() {
-            self.model.session_mut().quantize_from_calibration().map_err(ServeError::Unservable)?;
-        }
         // The restored weights become the recovery baseline: a replica
         // rebuilt after a crash serves the warm-started model, not the
         // random initialization.
         self.baseline.clear();
         checkpoint::save(self.model.session(), &mut self.baseline)?;
         Ok(())
-    }
-
-    /// Calibrates per-channel activation ranges over `batches` synthetic
-    /// full batches and switches the session's eligible GEMMs to the
-    /// per-channel int8 path. Returns how many GEMMs were quantized.
-    ///
-    /// The calibration ranges ride in the worker's recovery baseline
-    /// (the checkpoint format persists them), so a replica rebuilt after
-    /// a crash re-quantizes itself and keeps serving int8 — see
-    /// [`recover`](Self::recover).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Unservable`] when the workload has no
-    /// quantizable GEMM, or a calibration batch fails to execute.
-    pub fn quantize(&mut self, batches: usize, rng: &mut Rng) -> Result<usize, ServeError> {
-        let shapes = self.item_shapes();
-        let domains = self.domains();
-        self.model.session_mut().begin_calibration();
-        for _ in 0..batches {
-            let reqs: Vec<Request> = (0..self.spec.capacity)
-                .map(|id| Request {
-                    id: id as u64,
-                    arrival: 0,
-                    inputs: synth_inputs(&shapes, &domains, rng),
-                })
-                .collect();
-            let refs: Vec<&Request> = reqs.iter().collect();
-            if let Err(e) = self.run_batch(&refs) {
-                // Leave the session out of calibration mode on failure.
-                self.model.session_mut().finish_calibration();
-                return Err(e);
-            }
-        }
-        self.model.session_mut().finish_calibration();
-        let gemms =
-            self.model.session_mut().quantize_from_calibration().map_err(ServeError::Unservable)?;
-        // Re-save the baseline so recovery restores the calibration
-        // ranges along with the weights.
-        self.baseline.clear();
-        checkpoint::save(self.model.session(), &mut self.baseline)?;
-        Ok(gemms)
-    }
-
-    /// True when this worker serves through the int8 quantized plan.
-    pub fn is_quantized(&self) -> bool {
-        self.model.session().quant_plan().is_some()
     }
 
     /// The shape one request must supply for each input port (batch axis
@@ -331,12 +273,6 @@ impl BatchRunner for SessionWorker {
         self.model = model;
         self.spec = spec;
         checkpoint::load(self.model.session_mut(), self.baseline.as_slice())?;
-        // If the baseline was saved by a quantized worker it carries the
-        // calibration ranges; re-quantize so the rebuilt replica serves
-        // the same int8 plan it crashed with.
-        if self.model.session().calibration_ranges().is_some() {
-            self.model.session_mut().quantize_from_calibration().map_err(ServeError::Unservable)?;
-        }
         Ok(())
     }
 
@@ -436,61 +372,47 @@ mod tests {
     }
 
     #[test]
-    fn quantize_switches_serving_and_survives_recovery() {
+    fn recover_after_a_warm_start_serves_the_warm_started_weights() {
         let cfg = BuildConfig::inference().with_batch(2);
+        let donor = SessionWorker::new(ModelKind::Memnet, &cfg.clone().with_seed(99)).expect("servable");
+        let mut ckpt = Vec::new();
+        checkpoint::save(donor.model.session(), &mut ckpt).expect("saves");
         let mut w = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
         let mut rng = Rng::seeded(31);
         let req = request(0, &w, &mut rng);
-        let f32_out = w.run_batch(&[&req]).expect("f32 baseline");
-        assert!(!w.is_quantized());
+        let initial = w.run_batch(&[&req]).expect("runs");
+        w.warm_start(ckpt.as_slice()).expect("warm starts");
+        let warm = w.run_batch(&[&req]).expect("runs warm");
+        assert_ne!(initial.outputs[0].data(), warm.outputs[0].data(), "the warm start must engage");
 
-        let gemms = w.quantize(2, &mut rng).expect("memnet has dense GEMMs");
-        assert!(gemms >= 1, "at least one GEMM should quantize");
-        assert!(w.is_quantized());
-        let q_out = w.run_batch(&[&req]).expect("quantized run");
-        assert_ne!(
-            f32_out.outputs[0].data(),
-            q_out.outputs[0].data(),
-            "the int8 path must actually engage"
-        );
-        for o in &q_out.outputs {
-            assert!(o.all_finite());
-        }
-
-        // A replica rebuilt after a crash must come back quantized (the
-        // baseline persists the calibration ranges) and serve bitwise
-        // the same outputs.
+        // A replica rebuilt after a crash serves the warm-started weights
+        // bitwise, not its random initialization.
         w.recover().expect("recovers");
-        assert!(w.is_quantized(), "recovery must restore the int8 plan");
-        let r_out = w.run_batch(&[&req]).expect("runs after recovery");
-        assert_eq!(q_out.outputs[0].data(), r_out.outputs[0].data());
+        let recovered = w.run_batch(&[&req]).expect("runs after recovery");
+        assert_eq!(warm.outputs[0].data(), recovered.outputs[0].data());
     }
 
     #[test]
-    fn warm_start_moves_a_quantized_deployment_between_workers() {
+    fn warm_start_moves_a_deployment_between_workers() {
         let cfg = BuildConfig::inference().with_batch(2);
-        let mut a = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
+        let mut a = SessionWorker::new(ModelKind::Memnet, &cfg.clone().with_seed(47)).expect("servable");
         let mut rng = Rng::seeded(47);
-        a.quantize(2, &mut rng).expect("quantizes");
         let req = request(0, &a, &mut rng);
         let a_out = a.run_batch(&[&req]).expect("runs");
         let mut ckpt = Vec::new();
         checkpoint::save(a.workload_mut().session(), &mut ckpt).expect("saves");
 
-        // The calibrated checkpoint restores a quantized deployment.
         let mut b = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
+        let b_own = b.run_batch(&[&req]).expect("runs");
+        let mut b_ckpt = Vec::new();
+        checkpoint::save(b.model.session(), &mut b_ckpt).expect("saves");
         b.warm_start(ckpt.as_slice()).expect("warm starts");
-        assert!(b.is_quantized(), "calibrated checkpoint must re-quantize");
-        let b_out = b.run_batch(&[&req]).expect("runs");
-        assert_eq!(a_out.outputs[0].data(), b_out.outputs[0].data());
+        assert_eq!(a_out.outputs[0].data(), b.run_batch(&[&req]).expect("runs").outputs[0].data());
 
-        // A plain (uncalibrated) checkpoint restores an f32 deployment,
-        // even on a worker that was quantized before.
-        let plain = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
-        let mut plain_ckpt = Vec::new();
-        checkpoint::save(plain.model.session(), &mut plain_ckpt).expect("saves");
-        b.warm_start(plain_ckpt.as_slice()).expect("warm starts");
-        assert!(!b.is_quantized(), "plain checkpoint must clear the int8 plan");
+        // Warm-starting again replaces the deployment: b's own
+        // checkpoint brings its own outputs back.
+        b.warm_start(b_ckpt.as_slice()).expect("warm starts");
+        assert_eq!(b_own.outputs[0].data(), b.run_batch(&[&req]).expect("runs").outputs[0].data());
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Property tests for the reduced-precision paths (DESIGN.md §18).
 //!
-//! Three families of claims:
+//! Two families of claims:
 //!
 //! 1. **bf16 conversion**: widening is exact (bf16 is an f32 prefix), so
 //!    values already on the bf16 grid round-trip bit for bit; off-grid
 //!    finite values round-trip within one part in 2⁸ (the dropped
 //!    mantissa width), and conversion is monotone and sign-preserving.
-//! 2. **int8 quantize→dequantize**: symmetric (`q(-x) == -q(x)`), zero-
-//!    preserving, monotone in the input, and within half a grid step for
-//!    in-range values.
-//! 3. **GEMM determinism at either precision**: `matmul` is bitwise
+//! 2. **GEMM determinism at either precision**: `matmul` is bitwise
 //!    identical serial vs pooled at workers {1, 2, 8} whatever the
 //!    requested precision, with or without a fused epilogue, on both
 //!    sides of the packing threshold and of the bf16 depth rule — the
@@ -17,7 +14,7 @@
 
 use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
 use fathom_tensor::kernels::gemm::matmul;
-use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32, quant_scale, quantize_i8};
+use fathom_tensor::kernels::quant::{bf16_to_f32, bf16_from_f32};
 use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 use proptest::prelude::*;
 
@@ -74,51 +71,6 @@ proptest! {
             "rounding must preserve order: {} vs {}",
             lo, hi
         );
-    }
-
-    #[test]
-    fn int8_quantization_is_symmetric_and_zero_preserving(
-        x in -100.0f32..100.0,
-        max_abs in 0.0f32..100.0,
-    ) {
-        let s = quant_scale(max_abs);
-        prop_assert_eq!(quantize_i8(0.0, s), 0);
-        prop_assert_eq!(quantize_i8(-x, s), -quantize_i8(x, s), "asymmetric at {}", x);
-    }
-
-    #[test]
-    fn int8_quantization_is_monotone(
-        a in -100.0f32..100.0,
-        b in -100.0f32..100.0,
-        max_abs in 0.1f32..100.0,
-    ) {
-        let s = quant_scale(max_abs);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(
-            quantize_i8(lo, s) <= quantize_i8(hi, s),
-            "quantization must preserve order: {} vs {} at scale {}",
-            lo, hi, s
-        );
-    }
-
-    #[test]
-    fn int8_dequantization_is_within_half_a_step(
-        x in -50.0f32..50.0,
-        max_abs in 0.1f32..50.0,
-    ) {
-        // In-range values land within scale/2 of their dequantized
-        // image; out-of-range values clamp to the grid edge.
-        let s = quant_scale(max_abs);
-        let deq = f32::from(quantize_i8(x, s)) * s;
-        if x.abs() <= max_abs {
-            prop_assert!(
-                (deq - x).abs() <= s / 2.0 + 1e-6,
-                "|{} - {}| exceeds half a grid step ({})",
-                deq, x, s
-            );
-        } else {
-            prop_assert_eq!(deq.abs(), 127.0 * s);
-        }
     }
 }
 

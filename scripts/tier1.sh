@@ -7,7 +7,7 @@
 #
 # Every property is stated once, as a test: bitwise serial == parallel,
 # fused == unfused, resumed == uninterrupted, batched == alone, the
-# arena's steady state and the precision gates live under tests/ and
+# arena's steady state and the bf16 precision gate live under tests/ and
 # the crates' tests, so the `test` and `unit` stages run them.
 #
 # Each stage runs under `stage <name> <cmd...>`: on failure the gate

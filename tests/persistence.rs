@@ -166,11 +166,12 @@ fn fuzzed_flag_words_are_typed_unsupported_or_rejected_and_never_panic() {
             continue;
         }
         let err = result.expect_err("an altered flags word must not checksum");
-        // Bits beyond VARS|RESUME|CALIB (0b111) announce sections this
-        // build cannot parse: typed as UnsupportedVersion before any
-        // payload is read. Known-bit combinations fail later — missing
-        // variables section, unparsable phantom sections, or checksum.
-        if flags & !0b111 != 0 {
+        // Bits beyond VARS|RESUME (0b11), the retired calibration bit
+        // 0x4 included, announce sections this build cannot parse: typed
+        // as UnsupportedVersion before any payload is read. Known-bit
+        // combinations fail later — missing variables section, an
+        // unparsable phantom section, or checksum.
+        if flags & !0b11 != 0 {
             assert!(
                 matches!(err, CheckpointError::UnsupportedVersion(_)),
                 "flags {flags:#010x} gave {err:?}"

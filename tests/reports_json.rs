@@ -436,9 +436,7 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
         gemm_ms_bf16: ms(1.0, 0.05),
         step_ms_f32: ms(10.0, 1.0),
         step_ms_bf16: ms(8.0, 0.5),
-        bf16_dev: 0.001,
-        int8_dev: f64::INFINITY,
-        int8_gemms: 0,
+        bf16_dev: f64::INFINITY,
     };
     let recovery_row = recovery::RecoveryRow {
         workload: "autoenc",
@@ -519,8 +517,7 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
                 ("workloads.0.gemm_ms_iqr.bf16", fixed(0.05, 4)),
                 ("workloads.0.gemm_speedup", fixed(2.0, 3)),
                 ("workloads.0.step_speedup", fixed(1.25, 3)),
-                ("workloads.0.bf16_metric_dev", fixed(0.001, 5)),
-                ("workloads.0.int8_metric_dev", Json::Null),
+                ("workloads.0.bf16_metric_dev", Json::Null),
                 ("workloads.0.within_tolerance", false.into()),
             ],
         ),

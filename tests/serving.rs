@@ -505,40 +505,45 @@ fn cluster_hot_reload_with_real_workers_drops_nothing() {
 }
 
 #[test]
-fn cluster_routes_quantized_replicas_and_hot_swaps_a_fleet_to_int8() {
+fn cluster_routes_warm_started_replicas_and_hot_swaps_a_fleet_to_trained_weights() {
     use fathom_suite::fathom_serve::{
         serve_cluster, ClusterConfig, ModelSpec, ReloadPlan, SloPolicy,
     };
 
-    // Calibrate one worker and checkpoint it: the stream carries the
-    // per-channel activation ranges, so it describes an int8 deployment
-    // any replica can restore.
+    // Train a few steps and checkpoint: these are the weights one fleet
+    // serves from the start and the other hot-swaps to.
+    let mut trained = ModelKind::Memnet.build(&BuildConfig::training().with_seed(11));
+    for _ in 0..2 {
+        trained.step();
+    }
+    let mut ck = Vec::new();
+    checkpoint::save(trained.session(), &mut ck).expect("saves");
+    drop(trained);
+    let variables = |w: &mut SessionWorker| {
+        let mut out = Vec::new();
+        checkpoint::save(w.workload_mut().session(), &mut out).expect("saves");
+        out
+    };
+
+    // Fleet A serves the trained weights from the start (both shards
+    // warm-started from the checkpoint). Fleet B starts from its own
+    // initialisation and is hot-swapped to the trained weights mid-run.
     let build = BuildConfig::inference().with_seed(SEED).with_batch(BATCH);
-    let mut donor = SessionWorker::new(ModelKind::Memnet, &build).expect("servable");
-    let mut calib_rng = Rng::seeded(0xCA11B);
-    donor.quantize(2, &mut calib_rng).expect("memnet quantizes");
-    let mut int8_ck = Vec::new();
-    checkpoint::save(donor.workload_mut().session(), &mut int8_ck).expect("saves");
-    drop(donor);
-
-    // Fleet A serves int8 from the start (both shards warm-started from
-    // the calibrated checkpoint). Fleet B starts f32 and is hot-swapped
-    // to the int8 deployment mid-run.
-    let mut q0 = SessionWorker::new(ModelKind::Memnet, &build).expect("servable");
-    let mut q1 = SessionWorker::new(ModelKind::Memnet, &build).expect("servable");
-    q0.warm_start(int8_ck.as_slice()).expect("warm starts");
-    q1.warm_start(int8_ck.as_slice()).expect("warm starts");
-    assert!(q0.is_quantized() && q1.is_quantized());
+    let mut w0 = SessionWorker::new(ModelKind::Memnet, &build).expect("servable");
+    let mut w1 = SessionWorker::new(ModelKind::Memnet, &build).expect("servable");
+    w0.warm_start(ck.as_slice()).expect("warm starts");
+    w1.warm_start(ck.as_slice()).expect("warm starts");
+    assert!(variables(&mut w0) == ck && variables(&mut w1) == ck);
     let mut f0 = SessionWorker::new(ModelKind::Memnet, &build).expect("servable");
-    assert!(!f0.is_quantized());
+    assert!(variables(&mut f0) != ck, "a fresh replica must not already hold the trained weights");
 
-    let shapes = q0.item_shapes();
-    let domains = q0.domains();
+    let shapes = w0.item_shapes();
+    let domains = w0.domains();
     let (shapes2, domains2) = (shapes.clone(), domains.clone());
     let mut models = vec![
         ModelSpec {
-            name: "memnet-int8".into(),
-            shards: vec![vec![&mut q0], vec![&mut q1]],
+            name: "memnet-trained".into(),
+            shards: vec![vec![&mut w0], vec![&mut w1]],
             rps: 200.0,
             synth: Box::new(move |rng, _id| synth_inputs(&shapes, &domains, rng)),
         },
@@ -560,7 +565,7 @@ fn cluster_routes_quantized_replicas_and_hot_swaps_a_fleet_to_int8() {
         reloads: vec![ReloadPlan {
             model: "memnet".into(),
             at_nanos: 100_000_000,
-            checkpoint: int8_ck,
+            checkpoint: ck.clone(),
         }],
         ..ClusterConfig::new(BATCH)
     };
@@ -573,10 +578,13 @@ fn cluster_routes_quantized_replicas_and_hot_swaps_a_fleet_to_int8() {
     for m in &report.models {
         assert!(m.completed() > 0, "model {} served nothing", m.model);
     }
-    assert_eq!(report.reloads(), 1, "the f32 replica swaps once");
+    assert_eq!(report.reloads(), 1, "the fresh replica swaps once");
 
-    // The quantized fleet stayed quantized, and the hot swap really
-    // moved the f32 fleet onto the int8 plan.
-    assert!(q0.is_quantized() && q1.is_quantized(), "int8 shards must stay quantized");
-    assert!(f0.is_quantized(), "the reload must re-quantize from the persisted ranges");
+    // The warm-started fleet kept its weights, and the hot swap really
+    // moved the fresh fleet onto the trained ones.
+    assert!(
+        variables(&mut w0) == ck && variables(&mut w1) == ck,
+        "warm-started shards keep their weights"
+    );
+    assert!(variables(&mut f0) == ck, "the reload must install the checkpoint's variables");
 }
