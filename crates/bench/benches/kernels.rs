@@ -3,9 +3,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fathom_tensor::kernels::conv::{conv2d, conv2d_backprop_filter, conv2d_backprop_input, Conv2dSpec};
+use fathom_tensor::kernels::elementwise as ew;
+use fathom_tensor::kernels::fused::FusedOp;
 use fathom_tensor::kernels::gemm::matmul;
 use fathom_tensor::kernels::reduce::{reduce_axis, ReduceKind};
 use fathom_tensor::kernels::softmax::softmax;
+use fathom_tensor::kernels::transform::tile;
 use fathom_tensor::{ExecPool, Precision, Rng, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -63,6 +66,31 @@ fn bench_small_ops(c: &mut Criterion) {
     let logits = Tensor::randn([16, 10], 0.0, 1.0, &mut rng);
     let pool = ExecPool::new(1);
     group.bench_function("softmax_16x10", |bench| bench.iter(|| softmax(&logits, &pool)));
+    // The class C and D shapes the small-op workloads run most: speech's
+    // gradient AddN, memnet's attention Tile and Sum, and residual's
+    // batch-norm Div by a per-channel row.
+    let grads: Vec<Tensor> = (0..4).map(|_| Tensor::randn([16, 2048], 0.0, 1.0, &mut rng)).collect();
+    let grad_refs: Vec<&Tensor> = grads.iter().collect();
+    group.bench_function("add_n_4x16x2048", |bench| {
+        bench.iter(|| ew::eval(FusedOp::AddN, &grad_refs, &pool))
+    });
+    let weights = Tensor::randn([32, 20, 1], 0.0, 1.0, &mut rng);
+    group.bench_function("tile_32x20x1_to_32x20x64", |bench| {
+        bench.iter(|| tile(&weights, &[1, 1, 64], &pool))
+    });
+    let query = Tensor::randn([32, 1, 64], 0.0, 1.0, &mut rng);
+    group.bench_function("tile_32x1x64_to_32x20x64", |bench| {
+        bench.iter(|| tile(&query, &[1, 20, 1], &pool))
+    });
+    let scored = Tensor::randn([32, 20, 64], 0.0, 1.0, &mut rng);
+    group.bench_function("sum_last_axis_32x20x64", |bench| {
+        bench.iter(|| reduce_axis(&scored, 2, ReduceKind::Sum, false, &pool))
+    });
+    let act = Tensor::randn([8, 16, 16, 64], 0.0, 1.0, &mut rng);
+    let scale = Tensor::randn([64], 1.0, 0.1, &mut rng);
+    group.bench_function("div_row_8x16x16x64_by_64", |bench| {
+        bench.iter(|| ew::eval(FusedOp::Div, &[&act, &scale], &pool))
+    });
     group.finish();
 }
 

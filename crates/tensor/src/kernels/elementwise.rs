@@ -7,13 +7,13 @@
 //! broadcasting. All kernels parallelize across flat output chunks
 //! through an [`ExecPool`].
 
-use crate::kernels::fused::{FusedOp, OpVisitor};
+use crate::kernels::fused::{FusedOp, OpVisitor, Rows, Src};
 use crate::pool::ExecPool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Span length used when chunking flat elementwise loops.
-const FLAT_SPAN: usize = 1024;
+pub(crate) const FLAT_SPAN: usize = 1024;
 
 /// A fresh tensor of `shape` written in flat spans through `pool`:
 /// `fill(at, dst)` writes the elements `at..at + dst.len()`
@@ -26,9 +26,22 @@ pub fn generate(
     pool: &ExecPool,
     fill: impl Fn(usize, &mut [f32]) + Sync,
 ) -> Tensor {
+    generate_in(shape, FLAT_SPAN, work_per_span, pool, fill)
+}
+
+/// [`generate`] in spans of `span` elements. Every span starts at a
+/// multiple of `span`, and the last one may be shorter; a `span` that is
+/// a multiple of a row length gives every `fill` whole rows.
+pub(crate) fn generate_in(
+    shape: impl Into<Shape>,
+    span: usize,
+    work_per_span: usize,
+    pool: &ExecPool,
+    fill: impl Fn(usize, &mut [f32]) + Sync,
+) -> Tensor {
     let mut out = Tensor::pooled(shape);
     let dst = out.data_mut();
-    let span = FLAT_SPAN.min(dst.len().max(1));
+    let span = span.min(dst.len()).max(1);
     // Process the aligned prefix in parallel, the remainder serially.
     let aligned = dst.len() - dst.len() % span;
     pool.for_spans(&mut dst[..aligned], span, work_per_span, |i, chunk| fill(i * span, chunk));
@@ -36,12 +49,19 @@ pub fn generate(
     out
 }
 
+/// A span of about [`FLAT_SPAN`] elements made of whole `row`-element
+/// rows (one row when a row is longer).
+pub(crate) fn row_span(row: usize) -> usize {
+    let row = row.max(1);
+    row * (FLAT_SPAN / row).max(1)
+}
+
 /// Applies `f` to every element, producing a new tensor.
 pub fn unary(x: &Tensor, pool: &ExecPool, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let src = x.data();
     generate(x.shape().clone(), 0, pool, |at, dst| {
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = f(src[at + j]);
+        for (d, &v) in dst.iter_mut().zip(&src[at..]) {
+            *d = f(v);
         }
     })
 }
@@ -57,42 +77,88 @@ pub fn binary(a: &Tensor, b: &Tensor, pool: &ExecPool, f: impl Fn(f32, f32) -> f
         .broadcast(b.shape())
         .unwrap_or_else(|| panic!("cannot broadcast {} with {}", a.shape(), b.shape()));
 
-    // Fast path: identical shapes.
-    if a.shape() == b.shape() {
-        let (x, y) = (a.data(), b.data());
-        return generate(out_shape, 0, pool, |at, dst| {
-            for (j, d) in dst.iter_mut().enumerate() {
-                *d = f(x[at + j], y[at + j]);
-            }
+    // Fast path: each operand is a scalar, a trailing block (same shape,
+    // or a row) or a column.
+    if let Some((row_len, [sa, sb])) = Operand::classify([a, b], &out_shape) {
+        return generate_in(out_shape, row_span(row_len), 0, pool, |at, dst| {
+            let src = |r: usize, i: usize| [sa, sb][i].at(at + r * row_len);
+            Rows { dsts: dst.chunks_mut(row_len), n_args: 2, src }.binary("", 0.0, &f);
         });
-    }
-
-    // Fast path: one side is a scalar (or single element).
-    if a.len() == 1 {
-        let s = a.data()[0];
-        return unary(b, pool, |v| f(s, v)).reshaped(out_shape);
-    }
-    if b.len() == 1 {
-        let s = b.data()[0];
-        let out = unary(a, pool, |v| f(v, s));
-        return out.reshaped(out_shape);
     }
 
     // General strided broadcast.
     let rank = out_shape.rank();
     let out_dims = out_shape.dims().to_vec();
     let strides = [a, b].map(|t| broadcast_strides(t.shape(), rank, &out_dims));
-    let mut out = Tensor::zeros(out_shape.clone());
-    let inner = if rank == 0 { 1 } else { out_dims[rank - 1] };
-    let a_data = a.data();
-    let b_data = b.data();
-    pool.for_spans(out.data_mut(), inner.max(1), 0, |row, dst| {
-        let ([a_off, b_off], [a_inner, b_inner]) = row_cursor(row, &out_dims, &strides);
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = f(a_data[a_off + j * a_inner], b_data[b_off + j * b_inner]);
+    let inner = out_dims.last().map_or(1, |&n| n.max(1));
+    let (a_data, b_data) = (a.data(), b.data());
+    generate_in(out_shape, row_span(inner), 0, pool, |at, dst| {
+        for (r, dst) in dst.chunks_mut(inner).enumerate() {
+            let ([a_off, b_off], [a_inner, b_inner]) = row_cursor(at / inner + r, &out_dims, &strides);
+            for (j, d) in dst.iter_mut().enumerate() {
+                *d = f(a_data[a_off + j * a_inner], b_data[b_off + j * b_inner]);
+            }
         }
-    });
-    out
+    })
+}
+
+/// How a broadcast operand reads along the output's rows (its runs
+/// along the last axis) when every row sees one run of it or one value
+/// of it. Shapes that fit none of these take [`row_cursor`]'s walk.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// One element for the whole output.
+    Scalar(f32),
+    /// Dims that end the output's, leading 1s aside: the full shape, a
+    /// row (`[n]` or `[1, …, 1, n]`), or `[m, n]` against `[…, m, n]`.
+    /// It repeats every `len` output elements, so a row reads one run.
+    Tail(&'a [f32]),
+    /// Dims that end the output's leading dims, then 1: a column
+    /// (`[…, m, 1]` against `[…, m, n]`). Row `r` of the output, whose
+    /// rows are `n` long, reads element `r % len`.
+    Column(&'a [f32], usize),
+}
+
+impl<'a> Operand<'a> {
+    /// Classifies each of `inputs` against the broadcast output shape,
+    /// with the row length to walk the output in: its last axis when some
+    /// operand repeats within the output, otherwise a flat span.
+    fn classify<const N: usize>(inputs: [&'a Tensor; N], out: &Shape) -> Option<(usize, [Self; N])> {
+        let len = out.num_elements();
+        let dims = out.dims();
+        let lead = &dims[..dims.len().saturating_sub(1)];
+        let inner = dims.last().copied().unwrap_or(1);
+        if len == 0 {
+            return None;
+        }
+        let mut ops = [Operand::Scalar(0.0); N];
+        for (op, t) in ops.iter_mut().zip(inputs) {
+            let own = t.shape().dims();
+            let own = &own[own.iter().take_while(|&&d| d == 1).count()..];
+            *op = match own.split_last() {
+                _ if t.len() == 1 => Operand::Scalar(t.data()[0]),
+                _ if dims.ends_with(own) => Operand::Tail(t.data()),
+                Some((1, head)) if lead.ends_with(head) => Operand::Column(t.data(), inner),
+                _ => return None,
+            };
+        }
+        let repeats = |o: &Operand| match o {
+            Operand::Tail(d) => d.len() < len,
+            Operand::Column(..) => true,
+            Operand::Scalar(_) => false,
+        };
+        Some((if ops.iter().any(repeats) { inner } else { FLAT_SPAN }, ops))
+    }
+
+    /// Where the output row starting at flat offset `at` reads this
+    /// operand.
+    fn at(self, at: usize) -> Src<'a> {
+        match self {
+            Operand::Scalar(s) => Src::Scalar(s),
+            Operand::Tail(d) => Src::Row(&d[at % d.len()..]),
+            Operand::Column(d, inner) => Src::Scalar(d[at / inner % d.len()]),
+        }
+    }
 }
 
 /// Where output row `row` (a run along the last axis) starts in each of
@@ -148,23 +214,30 @@ pub fn ternary(
         .unwrap_or_else(|| {
             panic!("cannot broadcast {}, {}, {} together", a.shape(), b.shape(), c.shape())
         });
+    // Fast path, as in `binary`.
+    if let Some((row_len, ops)) = Operand::classify([a, b, c], &out_shape) {
+        return generate_in(out_shape, row_span(row_len), 0, pool, |at, dst| {
+            let src = |r: usize, i: usize| ops[i].at(at + r * row_len);
+            Rows { dsts: dst.chunks_mut(row_len), n_args: 3, src }.ternary("", 0.0, &f);
+        });
+    }
     let rank = out_shape.rank();
     let dims = out_shape.dims().to_vec();
     let strides = [a, b, c].map(|t| broadcast_strides(t.shape(), rank, &dims));
     let data = [a.data(), b.data(), c.data()];
-    let inner = if rank == 0 { 1 } else { dims[rank - 1] };
-    let mut out = Tensor::zeros(out_shape);
-    pool.for_spans(out.data_mut(), inner.max(1), 0, |row, dst| {
-        let (off, step) = row_cursor(row, &dims, &strides);
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = f(
-                data[0][off[0] + j * step[0]],
-                data[1][off[1] + j * step[1]],
-                data[2][off[2] + j * step[2]],
-            );
+    let inner = dims.last().map_or(1, |&n| n.max(1));
+    generate_in(out_shape, row_span(inner), 0, pool, |at, dst| {
+        for (r, dst) in dst.chunks_mut(inner).enumerate() {
+            let (off, step) = row_cursor(at / inner + r, &dims, &strides);
+            for (j, d) in dst.iter_mut().enumerate() {
+                *d = f(
+                    data[0][off[0] + j * step[0]],
+                    data[1][off[1] + j * step[1]],
+                    data[2][off[2] + j * step[2]],
+                );
+            }
         }
-    });
-    out
+    })
 }
 
 /// Left fold of `f` over `n >= 1` same-shaped tensors, elementwise,
@@ -179,10 +252,14 @@ pub fn fold_n(inputs: &[&Tensor], pool: &ExecPool, f: impl Fn(f32, f32) -> f32 +
     for t in inputs {
         assert_eq!(t.shape(), &shape, "fold_n inputs must share a shape");
     }
-    let at = |j: usize| inputs[1..].iter().fold(inputs[0].data()[j], |s, t| f(s, t.data()[j]));
-    generate(shape, inputs.len(), pool, |base, dst| {
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = at(base + j);
+    // Operand 0, then one pass per further operand: each element folds
+    // left to right.
+    generate(shape, inputs.len(), pool, |at, dst| {
+        dst.copy_from_slice(&inputs[0].data()[at..at + dst.len()]);
+        for t in &inputs[1..] {
+            for (d, &v) in dst.iter_mut().zip(&t.data()[at..]) {
+                *d = f(*d, v);
+            }
         }
     })
 }

@@ -30,8 +30,9 @@
 //!
 //! # Span-length limitation
 //!
-//! Spans are `FLAT_SPAN` elements, so a tensor with at most `FLAT_SPAN`
-//! elements is a *single* span: the whole program runs on one worker and
+//! Spans are [`FLAT_SPAN`](crate::kernels::elementwise::FLAT_SPAN)
+//! elements, so a tensor with at most that many elements is a *single*
+//! span: the whole program runs on one worker and
 //! fusion's only win is skipping intermediate tensor round trips that
 //! already fit in L1/L2. This is why workloads dominated by many small
 //! fused groups (speech's per-timestep `[batch, hidden]` RNN chains —
@@ -43,12 +44,9 @@
 //! [`crate::kernels::epilogue`]), which eliminates both the round trip
 //! and the per-group dispatch.
 
+use crate::kernels::elementwise::generate;
 use crate::pool::ExecPool;
 use crate::tensor::Tensor;
-
-/// Span length used when chunking the flat output loop (matches the
-/// elementwise kernels).
-const FLAT_SPAN: usize = 1024;
 
 /// One class-C scalar operation. Its name, arity, flop weight and scalar
 /// formula are defined once, in the op table ([`FusedOp::visit`]); the
@@ -462,10 +460,6 @@ impl FusedProgram {
                 t.shape()
             );
         }
-        let n = out_shape.num_elements();
-        let mut out = Tensor::zeros(out_shape);
-        let span = FLAT_SPAN.min(n.max(1));
-        let aligned = n - n % span;
         // Instruction-major within each span: every intermediate register
         // is a span-length row in one cache-resident scratch block, and
         // each instruction runs a tight inner loop over its operand rows.
@@ -499,16 +493,7 @@ impl FusedProgram {
         };
         // Each span reads every input and runs the whole program, so the
         // worker-count heuristic sees instrs-per-element extra work.
-        pool.for_spans(&mut out.data_mut()[..aligned], span, self.instrs.len(), |i, dst| {
-            run_span(i * span, dst);
-        });
-        let tail = &mut out.data_mut()[aligned..n];
-        if !tail.is_empty() {
-            let mut scratch = vec![0.0f32; tail.len()];
-            run_span(aligned, &mut scratch);
-            tail.copy_from_slice(&scratch);
-        }
-        out
+        generate(out_shape, self.instrs.len(), pool, run_span)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Reduction and expansion kernels (op class D in the paper's taxonomy).
 
+use crate::kernels::elementwise::{generate_in, FLAT_SPAN};
 use crate::pool::ExecPool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -30,16 +31,33 @@ pub fn reduce_axis(x: &Tensor, axis: usize, kind: ReduceKind, keep_dims: bool, p
     if matches!(kind, ReduceKind::Max) {
         assert!(extent > 0, "max reduction along empty axis");
     }
-    let outer: usize = x.shape().dims()[..axis].iter().product();
     let inner: usize = x.shape().dims()[axis + 1..].iter().product();
     let out_shape = if keep_dims { x.shape().with_axis_one(axis) } else { x.shape().without_axis(axis) };
-    let mut out = Tensor::zeros(out_shape);
-    if out.is_empty() {
-        return out;
+    if out_shape.num_elements() == 0 {
+        return Tensor::zeros(out_shape);
     }
     let src = x.data();
-    let span = inner.max(1);
-    pool.for_spans(out.data_mut(), span, extent * inner, |o, dst| {
+    let inv = 1.0 / extent as f32;
+    if inner == 1 {
+        // The last axis: output `o` folds the contiguous run
+        // `o * extent..` from the identity, the same order as the
+        // strided walk below, and a span holds many outputs.
+        let span = (FLAT_SPAN / extent.max(1)).max(1);
+        return generate_in(out_shape, span, span * extent, pool, |at, dst| {
+            for (o, d) in dst.iter_mut().enumerate() {
+                let run = &src[(at + o) * extent..(at + o + 1) * extent];
+                *d = match kind {
+                    ReduceKind::Max => run.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m }),
+                    _ => run.iter().fold(0.0, |s, &v| s + v),
+                };
+                if matches!(kind, ReduceKind::Mean) && extent > 0 {
+                    *d *= inv;
+                }
+            }
+        });
+    }
+    let mut out = Tensor::pooled(out_shape);
+    pool.for_spans(out.data_mut(), inner, extent * inner, |o, dst| {
         match kind {
             ReduceKind::Max => dst.fill(f32::NEG_INFINITY),
             _ => dst.fill(0.0),
@@ -63,25 +81,37 @@ pub fn reduce_axis(x: &Tensor, axis: usize, kind: ReduceKind, keep_dims: bool, p
             }
         }
         if matches!(kind, ReduceKind::Mean) && extent > 0 {
-            let inv = 1.0 / extent as f32;
             for d in dst.iter_mut() {
                 *d *= inv;
             }
         }
     });
-    let _ = outer;
     out
 }
 
+/// Elements per partial sum of [`reduce_all_sum`]: the partials are
+/// fixed by the data alone, so the association is the same at any width.
+const SUM_BLOCK: usize = 16 * 1024;
+
 /// Sum of all elements as a scalar tensor (`Sum` with no axis argument).
+/// Each [`SUM_BLOCK`] of elements is summed in `f64`, and the partials
+/// are added in block order whichever workers produced them.
 pub fn reduce_all_sum(x: &Tensor, pool: &ExecPool) -> Tensor {
-    let total = pool.map_reduce(
-        x.len(),
-        1,
-        0.0f64,
-        |r| x.data()[r].iter().map(|&v| v as f64).sum::<f64>(),
-        |a, b| a + b,
+    let data = x.data();
+    let partials = pool.map_reduce(
+        data.len().div_ceil(SUM_BLOCK),
+        SUM_BLOCK,
+        Vec::new(),
+        |blocks| {
+            let block = |b: usize| &data[b * SUM_BLOCK..((b + 1) * SUM_BLOCK).min(data.len())];
+            blocks.map(|b| block(b).iter().map(|&v| v as f64).sum::<f64>()).collect()
+        },
+        |mut all: Vec<f64>, part| {
+            all.extend(part);
+            all
+        },
     );
+    let total = partials.into_iter().fold(0.0f64, |acc, p| acc + p);
     Tensor::scalar(total as f32)
 }
 
@@ -178,6 +208,22 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
         assert_eq!(reduce_all_sum(&x, &pool()).scalar_value(), 10.0);
         assert_eq!(reduce_all_mean(&x, &pool()).scalar_value(), 2.5);
+    }
+
+    #[test]
+    fn full_sum_bits_do_not_depend_on_the_width() {
+        // 1 + 1e18 rounds the 1 away in f64 while 1e18 - 1e18 does not,
+        // so the value shows how the partials were associated.
+        let n = 65_536;
+        let mut data = vec![0.0f32; n];
+        data[0] = 1.0;
+        data[n / 2] = 1e18;
+        data[n - 1] = -1e18;
+        let x = Tensor::from_vec(data, [n]);
+        for width in [1, 2, 4, 8] {
+            let sum = reduce_all_sum(&x, &ExecPool::new(width)).scalar_value();
+            assert_eq!(sum.to_bits(), 0.0f32.to_bits(), "sum at width {width} is {sum}");
+        }
     }
 
     #[test]

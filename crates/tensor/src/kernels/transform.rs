@@ -4,6 +4,7 @@
 //! These are the "smaller, data-dependent operations" whose refusal to
 //! scale limits Amdahl speedups in the paper's Figure 6.
 
+use crate::kernels::elementwise::{generate_in, row_span};
 use crate::pool::ExecPool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -145,26 +146,34 @@ pub fn tile(x: &Tensor, reps: &[usize], pool: &ExecPool) -> Tensor {
     let in_dims = x.shape().dims().to_vec();
     let out_dims: Vec<usize> = in_dims.iter().zip(reps).map(|(d, r)| d * r).collect();
     let in_strides = x.shape().strides();
-    let mut out = Tensor::zeros(Shape::new(out_dims.clone()));
-    if out.is_empty() {
-        return out;
+    let out_len: usize = out_dims.iter().product();
+    if out_len == 0 {
+        return Tensor::zeros(Shape::new(out_dims));
     }
     let src = x.data();
     let inner = if rank == 0 { 1 } else { out_dims[rank - 1] };
     let inner_dim = if rank == 0 { 1 } else { in_dims[rank - 1] };
-    pool.for_spans(out.data_mut(), inner, 0, |row, dst| {
-        let mut rem = row;
-        let mut src_off = 0;
-        for axis in (0..rank.saturating_sub(1)).rev() {
-            let coord = rem % out_dims[axis];
-            rem /= out_dims[axis];
-            src_off += (coord % in_dims[axis]) * in_strides[axis];
+    // Each output row repeats one input row along the last axis: one
+    // fill when that row is a single element, else a run of copies.
+    generate_in(Shape::new(out_dims.clone()), row_span(inner), 0, pool, |at, dst| {
+        for (r, dst) in dst.chunks_mut(inner).enumerate() {
+            let mut rem = at / inner + r;
+            let mut src_off = 0;
+            for axis in (0..rank.saturating_sub(1)).rev() {
+                let coord = rem % out_dims[axis];
+                rem /= out_dims[axis];
+                src_off += (coord % in_dims[axis]) * in_strides[axis];
+            }
+            if inner_dim == 1 {
+                dst.fill(src[src_off]);
+            } else {
+                let run = &src[src_off..src_off + inner_dim];
+                for rep in dst.chunks_exact_mut(inner_dim) {
+                    rep.copy_from_slice(run);
+                }
+            }
         }
-        for (j, d) in dst.iter_mut().enumerate() {
-            *d = src[src_off + j % inner_dim];
-        }
-    });
-    out
+    })
 }
 
 /// Gathers rows of a `[vocab, dim]` table by index: the embedding-lookup

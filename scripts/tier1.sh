@@ -71,9 +71,12 @@ stage serve-bench-fleet ./target/release/fathom serve-bench memnet,autoenc --sha
 # deepq's replay-ring wrap, which needs release speed), the 16 f32
 # checkpoints pinned on both drivers, the copy pins (steady steps of
 # every workload share values instead of copying them, on both drivers),
-# and fused == unfused on all eight workloads in the build the benchmark
-# runs (its GEMM writeback runs the epilogue only under fusion).
+# fused == unfused on all eight workloads in the build the benchmark
+# runs (its GEMM writeback runs the epilogue only under fusion), the
+# Fig. 3 op-time share floors, and the class C and D kernels against
+# their one-element-at-a-time oracles at widths 1, 2 and 8.
 # A spin loop that starves the very thread it is waiting for shows up
 # here as a hung stage, not in production.
-stage runtime-oversubscribed env FATHOM_WORKERS=8 cargo test --release -q --test scheduler \
-  --test precision --test training --test snapshots --test checkpoints --test copies --test fusion
+stage runtime-oversubscribed env FATHOM_WORKERS=8 cargo test --release -q -p fathom-suite \
+  -p fathom-tensor --test scheduler --test precision --test training --test snapshots \
+  --test checkpoints --test copies --test fusion --test profiles --test elementwise_properties
