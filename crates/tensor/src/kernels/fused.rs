@@ -32,9 +32,8 @@
 //!
 //! Spans are [`FLAT_SPAN`](crate::kernels::elementwise::FLAT_SPAN)
 //! elements, so a tensor with at most that many elements is a *single*
-//! span: the whole program runs on one worker and
-//! fusion's only win is skipping intermediate tensor round trips that
-//! already fit in L1/L2. This is why workloads dominated by many small
+//! span: the whole program runs on one worker and fusion's only win is
+//! skipping intermediate tensor round trips that already fit in L1/L2. This is why workloads dominated by many small
 //! fused groups (speech's per-timestep `[batch, hidden]` RNN chains —
 //! 54 groups, ~1.00× end to end) see almost nothing from elementwise
 //! fusion: per-group bookkeeping roughly cancels the saved traffic.
