@@ -16,7 +16,7 @@
 //! 224x224 / 96-384 channel configuration.
 
 use fathom_dataflow::Optimizer;
-use fathom_nn::{conv2d, dense, dropout, flatten, max_pool, Activation};
+use fathom_nn::{conv2d, dense, dropout, flatten, max_pool, Activation, Params};
 use fathom_tensor::kernels::conv::Conv2dSpec;
 
 use crate::models::common::{image_classifier, ImageClassifier};
@@ -67,12 +67,18 @@ pub fn metadata() -> WorkloadMetadata {
 
 /// Builds the `alexnet` workload per the configuration.
 pub fn build(cfg: &BuildConfig) -> ImageClassifier {
+    build_with(cfg, Params::seeded(cfg.seed))
+}
+
+/// Builds the workload with its variables drawn from, or adopted by, `p`.
+pub(crate) fn build_with(cfg: &BuildConfig, p: Params) -> ImageClassifier {
     let mut d = dims(cfg.scale);
     d.batch = cfg.batch_or(d.batch);
     let training = cfg.mode == Mode::Training;
     image_classifier(
         metadata(),
         cfg,
+        p,
         d.batch,
         d.side,
         d.classes,

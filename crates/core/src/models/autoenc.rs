@@ -74,10 +74,15 @@ impl BatchSource for Digits {
 impl Autoenc {
     /// Builds the workload per the configuration.
     pub fn build(cfg: &BuildConfig) -> Self {
+        Self::build_with(cfg, Params::seeded(cfg.seed))
+    }
+
+    /// Builds the workload with its variables drawn from, or adopted
+    /// by, `p` (see [`crate::ModelKind::build_adopting`]).
+    pub(crate) fn build_with(cfg: &BuildConfig, mut p: Params) -> Self {
         let mut d = dims(cfg.scale);
         d.batch = cfg.batch_or(d.batch);
         let mut g = fathom_dataflow::Graph::new();
-        let mut p = Params::seeded(cfg.seed);
         let images = g.placeholder("images", [d.batch, PIXELS]);
 
         // Encoder.

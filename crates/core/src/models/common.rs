@@ -241,11 +241,14 @@ impl BatchSource for Images {
 
 /// Builds an image classifier around a model-specific logits builder.
 ///
-/// `build_logits` receives `(graph, params, images_node)` and must
-/// return a `[batch, classes]` logits node.
+/// `build_logits` receives `(graph, p, images_node)`, where `p` draws
+/// (or adopts) the variables, and must return a `[batch, classes]`
+/// logits node.
+#[allow(clippy::too_many_arguments)] // each classifier's geometry, spelled out
 pub(super) fn image_classifier(
     meta: WorkloadMetadata,
     cfg: &BuildConfig,
+    mut p: Params,
     batch: usize,
     side: usize,
     classes: usize,
@@ -253,7 +256,6 @@ pub(super) fn image_classifier(
     build_logits: impl FnOnce(&mut Graph, &mut Params, NodeId) -> NodeId,
 ) -> ImageClassifier {
     let mut g = Graph::new();
-    let mut p = Params::seeded(cfg.seed);
     let images = g.placeholder("images", [batch, side, side, 3]);
     let labels = g.placeholder("labels", [batch]);
     let logits = build_logits(&mut g, &mut p, images);

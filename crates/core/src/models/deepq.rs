@@ -106,7 +106,7 @@ impl QNetwork {
             if trainable {
                 p.variable(g, name, shape, init)
             } else {
-                let value = init.materialize(&shape.clone().into(), p.rng());
+                let value = p.initial(&name, &shape.into(), init);
                 g.variable(name, value)
             }
         };
@@ -201,12 +201,17 @@ pub struct Deepq {
 impl Deepq {
     /// Builds the workload per the configuration.
     pub fn build(cfg: &BuildConfig) -> Self {
+        Self::build_with(cfg, Params::seeded(cfg.seed))
+    }
+
+    /// Builds the workload with its variables drawn from, or adopted
+    /// by, `p` (see [`crate::ModelKind::build_adopting`]).
+    pub(crate) fn build_with(cfg: &BuildConfig, mut p: Params) -> Self {
         let mut d = dims(cfg.scale);
         d.batch = cfg.batch_or(d.batch);
         let env = AleEnv::new(cfg.seed ^ 0xA7A21);
         let actions = env.num_actions();
         let mut g = Graph::new();
-        let mut p = Params::seeded(cfg.seed);
 
         let online = QNetwork::new(&mut g, &mut p, "online", &d, actions, true);
         let target = QNetwork::new(&mut g, &mut p, "target", &d, actions, false);

@@ -79,6 +79,12 @@ impl BatchSource for Stories {
 impl Memnet {
     /// Builds the workload per the configuration.
     pub fn build(cfg: &BuildConfig) -> Self {
+        Self::build_with(cfg, Params::seeded(cfg.seed))
+    }
+
+    /// Builds the workload with its variables drawn from, or adopted
+    /// by, `p` (see [`crate::ModelKind::build_adopting`]).
+    pub(crate) fn build_with(cfg: &BuildConfig, mut p: Params) -> Self {
         let mut d = dims(cfg.scale);
         d.batch = cfg.batch_or(d.batch);
         let task = BabiTask::new(d.sentences, cfg.seed ^ 0xBAB1);
@@ -88,7 +94,6 @@ impl Memnet {
         let (b, s, w, dim) = (d.batch, d.sentences, words, d.embed);
 
         let mut g = Graph::new();
-        let mut p = Params::seeded(cfg.seed);
         let stories = g.placeholder("stories", [b, s, w]);
         let questions = g.placeholder("questions", [b, w]);
         let answers = g.placeholder("answers", [b]);

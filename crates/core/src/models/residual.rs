@@ -130,6 +130,11 @@ fn basic_block(
 
 /// Builds the `residual` workload per the configuration.
 pub fn build(cfg: &BuildConfig) -> ImageClassifier {
+    build_with(cfg, Params::seeded(cfg.seed))
+}
+
+/// Builds the workload with its variables drawn from, or adopted by, `p`.
+pub(crate) fn build_with(cfg: &BuildConfig, p: Params) -> ImageClassifier {
     let mut d = dims(cfg.scale);
     d.batch = cfg.batch_or(d.batch);
     let full = cfg.scale == ModelScale::Full;
@@ -137,6 +142,7 @@ pub fn build(cfg: &BuildConfig) -> ImageClassifier {
     image_classifier(
         metadata(),
         cfg,
+        p,
         d.batch,
         d.side,
         d.classes,

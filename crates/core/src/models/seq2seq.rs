@@ -118,11 +118,16 @@ impl BatchSource for Sentences {
 impl Seq2Seq {
     /// Builds the workload per the configuration.
     pub fn build(cfg: &BuildConfig) -> Self {
+        Self::build_with(cfg, Params::seeded(cfg.seed))
+    }
+
+    /// Builds the workload with its variables drawn from, or adopted
+    /// by, `p` (see [`crate::ModelKind::build_adopting`]).
+    pub(crate) fn build_with(cfg: &BuildConfig, mut p: Params) -> Self {
         let mut d = dims(cfg.scale);
         d.batch = cfg.batch_or(d.batch);
         let tgt_len = d.src_len + 1; // GO/EOS shifted sequences
         let mut g = Graph::new();
-        let mut p = Params::seeded(cfg.seed);
         let source = g.placeholder("source", [d.batch, d.src_len]);
         let target_in = g.placeholder("target_in", [d.batch, tgt_len]);
         // Per-step label placeholders (the fused loss takes [batch]).

@@ -100,11 +100,16 @@ impl BatchSource for Utterances {
 impl Speech {
     /// Builds the workload per the configuration.
     pub fn build(cfg: &BuildConfig) -> Self {
+        Self::build_with(cfg, Params::seeded(cfg.seed))
+    }
+
+    /// Builds the workload with its variables drawn from, or adopted
+    /// by, `p` (see [`crate::ModelKind::build_adopting`]).
+    pub(crate) fn build_with(cfg: &BuildConfig, mut p: Params) -> Self {
         let mut d = dims(cfg.scale);
         d.batch = cfg.batch_or(d.batch);
         let t = d.time();
         let mut g = Graph::new();
-        let mut p = Params::seeded(cfg.seed);
         let frames = g.placeholder("frames", [t, d.batch, d.features]);
         let labels = g.placeholder("labels", [d.batch, d.label_len]);
 

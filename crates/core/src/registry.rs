@@ -1,7 +1,11 @@
 //! Enumeration and construction of the eight workloads.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
+
+use fathom_nn::Params;
+use fathom_tensor::Tensor;
 
 use crate::models::{alexnet, autoenc, deepq, memnet, residual, seq2seq, speech, vgg};
 use crate::workload::{BuildConfig, Workload, WorkloadMetadata};
@@ -73,15 +77,33 @@ impl ModelKind {
     /// config (seed, device, precision, fusion), so a model built
     /// directly (`Autoenc::build(&cfg)`) is the same as one built here.
     pub fn build(&self, cfg: &BuildConfig) -> Box<dyn Workload> {
+        self.build_with(cfg, Params::seeded(cfg.seed))
+    }
+
+    /// Builds the workload around an existing weight set: every variable
+    /// whose name and shape match an entry of `weights` shares that
+    /// tensor instead of drawing its own ([`Params::adopting`]), and the
+    /// rest are drawn with the bits [`ModelKind::build`] gives them. A
+    /// serving replica uses it to add graphs at other batch extents
+    /// that hold no weights of their own.
+    pub fn build_adopting(
+        &self,
+        cfg: &BuildConfig,
+        weights: &HashMap<String, Tensor>,
+    ) -> Box<dyn Workload> {
+        self.build_with(cfg, Params::adopting(cfg.seed, weights.clone()))
+    }
+
+    fn build_with(&self, cfg: &BuildConfig, p: Params) -> Box<dyn Workload> {
         match self {
-            ModelKind::Seq2Seq => Box::new(seq2seq::Seq2Seq::build(cfg)),
-            ModelKind::Memnet => Box::new(memnet::Memnet::build(cfg)),
-            ModelKind::Speech => Box::new(speech::Speech::build(cfg)),
-            ModelKind::Autoenc => Box::new(autoenc::Autoenc::build(cfg)),
-            ModelKind::Residual => Box::new(residual::build(cfg)),
-            ModelKind::Vgg => Box::new(vgg::build(cfg)),
-            ModelKind::Alexnet => Box::new(alexnet::build(cfg)),
-            ModelKind::Deepq => Box::new(deepq::Deepq::build(cfg)),
+            ModelKind::Seq2Seq => Box::new(seq2seq::Seq2Seq::build_with(cfg, p)),
+            ModelKind::Memnet => Box::new(memnet::Memnet::build_with(cfg, p)),
+            ModelKind::Speech => Box::new(speech::Speech::build_with(cfg, p)),
+            ModelKind::Autoenc => Box::new(autoenc::Autoenc::build_with(cfg, p)),
+            ModelKind::Residual => Box::new(residual::build_with(cfg, p)),
+            ModelKind::Vgg => Box::new(vgg::build_with(cfg, p)),
+            ModelKind::Alexnet => Box::new(alexnet::build_with(cfg, p)),
+            ModelKind::Deepq => Box::new(deepq::Deepq::build_with(cfg, p)),
         }
     }
 }
@@ -150,5 +172,43 @@ mod tests {
             assert_eq!(kind.name().parse::<ModelKind>().unwrap(), kind);
         }
         assert!("gpt4".parse::<ModelKind>().is_err());
+    }
+
+    /// Every named variable of `model`, sharing its buffer.
+    fn weights(model: &dyn Workload) -> HashMap<String, Tensor> {
+        let s = model.session();
+        s.graph()
+            .variables()
+            .into_iter()
+            .map(|id| {
+                let name = s.graph().node(id).name.clone().expect("model variables are named");
+                (name, s.variable_value(id).expect("variable").clone())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn adopted_variables_are_shared_and_the_rest_keep_their_bits() {
+        for kind in ModelKind::ALL {
+            let cfg = BuildConfig::inference().with_batch(2);
+            let own = weights(kind.build(&cfg).as_ref());
+            let other = weights(kind.build(&cfg.clone().with_seed(99)).as_ref());
+            // Adopt every other variable of the seed-99 build: the rest
+            // must still be drawn exactly as the seed-7 build draws them.
+            let mut names: Vec<&String> = other.keys().collect();
+            names.sort();
+            let given: HashMap<String, Tensor> =
+                names.iter().step_by(2).map(|&n| (n.clone(), other[n].clone())).collect();
+            let adopted = weights(kind.build_adopting(&cfg, &given).as_ref());
+            assert_eq!(adopted.len(), own.len(), "{kind}");
+            for (name, value) in &adopted {
+                match given.get(name) {
+                    Some(t) => {
+                        assert_eq!(value.data().as_ptr(), t.data().as_ptr(), "{kind}: {name}")
+                    }
+                    None => assert_eq!(value.data(), own[name].data(), "{kind}: {name} drawn"),
+                }
+            }
+        }
     }
 }

@@ -142,7 +142,8 @@ pub struct BatchSpec {
     /// The per-request result.
     pub output: OutputPort,
     /// The graph's fixed batch extent — at most this many requests fit in
-    /// one run; short batches are zero-padded up to it.
+    /// one run. A serving replica also holds graphs at smaller extents
+    /// and zero-pads a short batch to the smallest that holds it.
     pub capacity: usize,
 }
 

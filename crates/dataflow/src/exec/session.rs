@@ -279,6 +279,20 @@ impl Session {
         self.tracing = true;
     }
 
+    /// Whether op events are being recorded.
+    pub fn is_tracing(&self) -> bool {
+        self.tracing
+    }
+
+    /// Appends a trace another session recorded to this one's, as if its
+    /// runs had been traced here (see [`RunTrace::merge`]). Its events
+    /// keep the node ids and run numbers of the session that ran them: a
+    /// serving replica runs each batch on the graph sized to it and
+    /// gathers the events where its caller reads them.
+    pub fn merge_trace(&mut self, trace: RunTrace) {
+        self.trace.merge(trace);
+    }
+
     /// Arms (or clears) a fault-injection plan. When set, every executed
     /// op probes [`crate::FaultSite::ExecOp`]; a firing `Panic` aborts the run
     /// with an "injected fault" panic and a firing `PoisonNan` replaces

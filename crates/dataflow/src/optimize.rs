@@ -297,6 +297,9 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
     let mut rooted = vec![false; n]; // already the root of a group
     let mut stats = FusionStats::default();
     let mut rewrites: Vec<(NodeId, FusedProgram, Vec<NodeId>)> = Vec::new();
+    // The group being grown: its members, and membership by node.
+    let mut member = vec![false; n];
+    let mut members: Vec<usize> = Vec::new();
 
     for root_idx in (0..n).rev() {
         let root = NodeId(root_idx as u32);
@@ -306,18 +309,21 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         if !matches!(g.node(root).kind, OpKind::Elementwise(_)) {
             continue;
         }
-        let root_shape = g.shape(root).clone();
+        let root_shape = g.shape(root);
         let input_ok = |g: &Graph, i: NodeId| {
-            g.shape(i) == &root_shape || g.shape(i).num_elements() == 1
+            g.shape(i) == root_shape || g.shape(i).num_elements() == 1
         };
         if !g.node(root).inputs.iter().all(|&i| input_ok(g, i)) {
             continue;
         }
 
-        // Grow the group to a fixpoint.
-        let mut member = vec![false; n];
+        // Grow the group to a fixpoint, from a clean slate.
+        for &m in &members {
+            member[m] = false;
+        }
+        members.clear();
         member[root_idx] = true;
-        let mut members = vec![root_idx];
+        members.push(root_idx);
         loop {
             let mut grew = false;
             for mi in 0..members.len() {
@@ -336,7 +342,7 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
                         continue;
                     }
                     if !matches!(g.node(cand).kind, OpKind::Elementwise(_))
-                        || g.shape(cand) != &root_shape
+                        || g.shape(cand) != root_shape
                         || !g.node(cand).inputs.iter().all(|&i| input_ok(g, i))
                         || !consumers[c].iter().all(|&u| member[u as usize])
                     {
@@ -360,21 +366,10 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         // register per member in ascending (graph) order; the root is the
         // maximal member, so the last register is the output.
         let mut ext_inputs: Vec<NodeId> = Vec::new();
-        let mut ext_reg: HashMap<NodeId, u16> = HashMap::new();
-        let mut member_reg: HashMap<usize, usize> = HashMap::new();
-        let mut raw_instrs: Vec<(FusedOp, Vec<NodeId>)> = Vec::new();
-        for (k, &m) in members.iter().enumerate() {
-            let node = g.node(NodeId(m as u32));
-            let OpKind::Elementwise(op) = node.kind else { unreachable!("members are class C") };
-            raw_instrs.push((op, node.inputs.clone()));
-            member_reg.insert(m, k);
-        }
-        for (_, inputs) in &raw_instrs {
-            for &i in inputs {
-                if !member[i.index()] && !ext_reg.contains_key(&i) {
-                    let reg = ext_inputs.len() as u16;
+        for &m in &members {
+            for &i in &g.node(NodeId(m as u32)).inputs {
+                if !member[i.index()] && !ext_inputs.contains(&i) {
                     ext_inputs.push(i);
-                    ext_reg.insert(i, reg);
                 }
             }
         }
@@ -385,23 +380,22 @@ pub fn fuse_in_place(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
             .find(|&&i| g.shape(i).num_elements() != 1)
             .or(ext_inputs.first())
             .map(|&i| g.shape(i).clone());
-        if inferred.as_ref() != Some(&root_shape) {
+        if inferred.as_ref() != Some(root_shape) {
             continue;
         }
         let n_inputs = ext_inputs.len();
-        let instrs: Vec<FusedInstr> = raw_instrs
+        // An input's register: its member's slot when it is a member
+        // (`members` is sorted), else its place among the external inputs.
+        let reg = |i: NodeId| match members.binary_search(&i.index()) {
+            Ok(k) => (n_inputs + k) as u16,
+            Err(_) => ext_inputs.iter().position(|&e| e == i).expect("an external input") as u16,
+        };
+        let instrs: Vec<FusedInstr> = members
             .iter()
-            .map(|(op, inputs)| FusedInstr {
-                op: *op,
-                args: inputs
-                    .iter()
-                    .map(|i| {
-                        member_reg.get(&i.index()).map_or_else(
-                            || ext_reg[i],
-                            |&k| (n_inputs + k) as u16,
-                        )
-                    })
-                    .collect(),
+            .map(|&m| {
+                let node = g.node(NodeId(m as u32));
+                let OpKind::Elementwise(op) = node.kind else { unreachable!("members are class C") };
+                FusedInstr { op, args: node.inputs.iter().map(|&i| reg(i)).collect() }
             })
             .collect();
 
@@ -493,13 +487,12 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
         let mut operands: Vec<NodeId> = Vec::new();
         let mut tip = root;
         while links.len() < MAX_EPILOGUE_INSTRS {
-            let mut cs = consumers[tip.index()].clone();
-            cs.sort_unstable();
-            cs.dedup();
-            if cs.len() != 1 {
+            // Exactly one distinct consumer (which may read the tip twice).
+            let Some((&first, rest)) = consumers[tip.index()].split_first() else { break };
+            if rest.iter().any(|&c| c != first) {
                 break;
             }
-            let next = NodeId(cs[0]);
+            let next = NodeId(first);
             let c = next.index();
             if claimed[c] {
                 break;

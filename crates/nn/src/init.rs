@@ -1,5 +1,7 @@
 //! Weight initialization and parameter tracking.
 
+use std::collections::HashMap;
+
 use fathom_dataflow::{Graph, NodeId};
 use fathom_tensor::{Rng, Shape, Tensor};
 
@@ -44,6 +46,16 @@ impl Init {
             }
         }
     }
+
+    /// Raw 64-bit draws [`materialize`](Self::materialize) takes from
+    /// the RNG for `shape`: two per element (Box-Muller) for the random
+    /// schemes, none for the constant ones.
+    fn draws(&self, shape: &Shape) -> usize {
+        match self {
+            Init::Zeros | Init::Ones | Init::Const(_) => 0,
+            Init::Normal(_) | Init::Xavier | Init::He => 2 * shape.num_elements(),
+        }
+    }
 }
 
 fn fans(shape: &Shape) -> (usize, usize) {
@@ -77,13 +89,57 @@ fn fans(shape: &Shape) -> (usize, usize) {
 #[derive(Debug, Clone)]
 pub struct Params {
     rng: Rng,
+    /// Draws adopted variables owe `rng`, taken when it is next used: a
+    /// build that adopts every variable never pays for them.
+    owed: usize,
     vars: Vec<NodeId>,
+    /// Values to take instead of drawing, by variable name.
+    adopt: HashMap<String, Tensor>,
 }
 
 impl Params {
     /// A parameter set with a deterministic seed.
     pub fn seeded(seed: u64) -> Self {
-        Params { rng: Rng::seeded(seed), vars: Vec::new() }
+        Params::adopting(seed, HashMap::new())
+    }
+
+    /// A seeded parameter set that takes its values from `weights`: a
+    /// variable whose name and shape match an entry shares that tensor
+    /// instead of drawing one, and the RNG still advances as the draw
+    /// would have, so every later value keeps its bits. A variable with
+    /// no match is drawn as under [`Params::seeded`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::collections::HashMap;
+    /// use fathom_dataflow::Graph;
+    /// use fathom_nn::{Init, Params};
+    /// use fathom_tensor::Tensor;
+    ///
+    /// let w = Tensor::ones([3, 4]);
+    /// let mut g = Graph::new();
+    /// let mut p = Params::adopting(7, HashMap::from([("w".to_string(), w.clone())]));
+    /// p.variable(&mut g, "w", [3, 4], Init::Xavier);
+    /// let mut drawn = Params::seeded(7);
+    /// drawn.variable(&mut Graph::new(), "w", [3, 4], Init::Xavier);
+    /// assert_eq!(p.rng().state(), drawn.rng().state());
+    /// ```
+    pub fn adopting(seed: u64, weights: HashMap<String, Tensor>) -> Self {
+        Params { rng: Rng::seeded(seed), owed: 0, vars: Vec::new(), adopt: weights }
+    }
+
+    /// The initial value of variable `name`: the adopted tensor when one
+    /// of that name and shape was given, otherwise a fresh draw. Either
+    /// way the RNG ends where [`Init::materialize`] leaves it.
+    pub fn initial(&mut self, name: &str, shape: &Shape, init: Init) -> Tensor {
+        match self.adopt.get(name).filter(|t| t.shape() == shape) {
+            Some(value) => {
+                self.owed += init.draws(shape);
+                value.clone()
+            }
+            None => init.materialize(shape, self.rng()),
+        }
     }
 
     /// Adds a trainable variable.
@@ -94,17 +150,30 @@ impl Params {
         shape: impl Into<Shape>,
         init: Init,
     ) -> NodeId {
-        let shape = shape.into();
-        let value = init.materialize(&shape, &mut self.rng);
+        let (name, shape) = (name.into(), shape.into());
+        let value = self.initial(&name, &shape, init);
         let id = g.variable(name, value);
         self.vars.push(id);
         id
     }
 
-    /// Records an externally created variable as trainable (used when a
-    /// layer needs a custom initial value).
-    pub fn record(&mut self, var: NodeId) {
-        self.vars.push(var);
+    /// Adds a trainable variable with a custom initial value (used when a
+    /// layer needs one no [`Init`] scheme draws); an adopted tensor of
+    /// that name and shape takes its place.
+    pub fn variable_from(
+        &mut self,
+        g: &mut Graph,
+        name: impl Into<String>,
+        value: Tensor,
+    ) -> NodeId {
+        let name = name.into();
+        let value = match self.adopt.get(&name).filter(|t| t.shape() == value.shape()) {
+            Some(adopted) => adopted.clone(),
+            None => value,
+        };
+        let id = g.variable(name, value);
+        self.vars.push(id);
+        id
     }
 
     /// All variables created so far, in creation order.
@@ -118,8 +187,12 @@ impl Params {
     }
 
     /// Draws from the internal RNG (for data-side randomness that should
-    /// share the parameter seed).
+    /// share the parameter seed), after taking the draws adopted
+    /// variables owe it.
     pub fn rng(&mut self) -> &mut Rng {
+        for _ in 0..std::mem::take(&mut self.owed) {
+            self.rng.next_u64();
+        }
         &mut self.rng
     }
 }
@@ -165,6 +238,28 @@ mod tests {
             _ => unreachable!(),
         };
         assert_eq!(va, vb);
+    }
+
+    #[test]
+    fn adopting_advances_the_rng_as_materialize_does() {
+        let shape = Shape::new(vec![2, 3, 4, 5]);
+        for init in
+            [Init::Zeros, Init::Ones, Init::Const(0.5), Init::Normal(0.1), Init::Xavier, Init::He]
+        {
+            let mut drawn = Params::seeded(17);
+            let fresh = drawn.initial("w", &shape, init);
+            let given = Tensor::filled(shape.clone(), 3.0);
+            let mut adopted = Params::adopting(17, HashMap::from([("w".into(), given.clone())]));
+            let took = adopted.initial("w", &shape, init);
+            assert_eq!(took.data().as_ptr(), given.data().as_ptr(), "{init:?}: shares, not copies");
+            assert_eq!(adopted.rng().state(), drawn.rng().state(), "{init:?}");
+            // The next draw keeps its bits.
+            assert_eq!(adopted.rng().uniform(), drawn.rng().uniform(), "{init:?}");
+
+            let wrong = HashMap::from([("w".into(), Tensor::ones([2]))]);
+            let drawn_again = Params::adopting(17, wrong).initial("w", &shape, init);
+            assert_eq!(drawn_again, fresh, "{init:?}: a wrong shape draws");
+        }
     }
 
     #[test]

@@ -36,11 +36,7 @@ impl LstmCell {
         for i in hidden..2 * hidden {
             bias_init.data_mut()[i] = 1.0;
         }
-        let bias = g.variable(format!("{name}/bias"), bias_init);
-        // Register the bias as trainable through Params' bookkeeping.
-        // (Params::variable would re-initialize, so push manually via a
-        // zero-cost trick: create and immediately record.)
-        p.record(bias);
+        let bias = p.variable_from(g, format!("{name}/bias"), bias_init);
         LstmCell { kernel, bias, hidden }
     }
 

@@ -76,9 +76,10 @@ pub trait ClusterRunner: BatchRunner {
 }
 
 impl ClusterRunner for SessionWorker {
-    /// Swapping a `SessionWorker` is a `warm_start`: load the
-    /// checkpoint and make it the new recovery baseline, so a replica
-    /// crashed *after* a reload recovers into the reloaded weights.
+    /// Swapping a `SessionWorker` is a `warm_start`: decode the
+    /// checkpoint once into the weight set all its graphs share, so
+    /// every batch extent serves it and a replica crashed *after* a
+    /// reload recovers into the reloaded weights.
     fn reload(&mut self, checkpoint: &[u8]) -> Result<(), ServeError> {
         self.warm_start(checkpoint)
     }
@@ -753,7 +754,7 @@ fn run(
                         }
                         RepState::Quarantined { until } if until <= now => {
                             match runner.recover() {
-                                // A replica rebuilt from its baseline may
+                                // A replica rebuilt from its weights may
                                 // predate a reload that rolled out while
                                 // it was down; step 2 catches it up.
                                 Ok(()) => {

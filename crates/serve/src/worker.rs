@@ -1,21 +1,23 @@
-//! Session workers: one pre-built inference graph per (workload,
-//! replica), executing coalesced request batches.
+//! Session workers: pre-built inference graphs per (workload, replica),
+//! executing coalesced request batches.
 //!
-//! A [`SessionWorker`] owns a warm
-//! [`Session`](fathom_dataflow::Session) built at the batcher's
-//! `max_batch` extent. Each dispatch packs the requests' tensors into
-//! the graph's fixed-shape placeholders (zero-padding unused slots),
-//! runs the single fetch named by the workload's [`BatchSpec`], and
-//! splits the result back into one tensor per request. The event loop talks to workers only through the
+//! A [`SessionWorker`] owns warm [`Session`]s built at the batcher's
+//! `max_batch` extent and at the smaller extents of [`EXTENTS`], all
+//! sharing one set of weight tensors. Each dispatch packs the requests'
+//! tensors into the placeholders of the smallest graph that holds them
+//! (zero-padding its unused slots), runs the single fetch named by the
+//! workload's [`BatchSpec`], and splits the result back into one tensor
+//! per request. The event loop talks to workers only through the
 //! [`BatchRunner`] trait, so deterministic tests substitute fake runners
 //! with injected service times.
 
+use std::collections::HashMap;
 use std::io::Read;
 use std::time::Instant;
 
 use fathom::{BatchSpec, BuildConfig, Mode, ModelKind, PortDomain, Workload};
 use fathom_dataflow::checkpoint::{self, CheckpointError};
-use fathom_dataflow::{batch, ExecError, OpClass, RuntimeCounters};
+use fathom_dataflow::{batch, ExecError, NodeId, OpClass, RuntimeCounters, Session};
 use fathom_tensor::{Rng, Shape, Tensor};
 
 /// A failure while serving.
@@ -115,19 +117,114 @@ pub trait BatchRunner {
     }
 }
 
-/// A [`BatchRunner`] backed by a real workload session.
-pub struct SessionWorker {
+/// Batch extents a replica builds graphs at besides `max_batch`, so a
+/// short batch is padded to the smallest of them that holds it, not to
+/// `max_batch`. Below saturation most batches carry one or two requests;
+/// an extent-4 graph cost set-up time and memory and bought no median
+/// latency (EXPERIMENTS.md, "Serving batches cost what they carry").
+const EXTENTS: [usize; 2] = [1, 2];
+
+/// One inference graph of a replica, at one batch extent.
+struct Plan {
     model: Box<dyn Workload>,
     spec: BatchSpec,
+}
+
+impl Plan {
+    fn new(kind: ModelKind, model: Box<dyn Workload>) -> Result<Self, ServeError> {
+        let spec = model.batch_spec().ok_or_else(|| {
+            ServeError::Unservable(format!("{} does not support batched serving", kind.name()))
+        })?;
+        Ok(Plan { model, spec })
+    }
+
+    fn session(&self) -> &Session {
+        self.model.session()
+    }
+
+    fn session_mut(&mut self) -> &mut Session {
+        self.model.session_mut()
+    }
+}
+
+/// Runs `plan` once on zeros. A replica's first batch otherwise also pays
+/// the thread's first-use costs (allocator, kernel scratch) and runs
+/// several times slower than later ones; warming its cheapest plan pays
+/// them at construction. Warming every plan cost set-up time for no
+/// latency gain. The run's random draws are discarded: every batch
+/// starts from the replica's stream.
+fn warm(plan: &mut Plan) -> Result<(), ServeError> {
+    let session = plan.model.session_mut();
+    let feeds: Vec<(NodeId, Tensor)> = plan
+        .spec
+        .inputs
+        .iter()
+        .map(|p| (p.node, Tensor::zeros(session.graph().shape(p.node).clone())))
+        .collect();
+    session.run1(plan.spec.output.node, &feeds)?;
+    Ok(())
+}
+
+/// A replica's weights, by variable name.
+type Weights = HashMap<String, Tensor>;
+
+/// Every named variable of `session`, sharing its buffer.
+fn weight_set(session: &Session) -> Weights {
+    let graph = session.graph();
+    graph
+        .variables()
+        .into_iter()
+        .filter_map(|id| {
+            let name = graph.node(id).name.clone()?;
+            Some((name, session.variable_value(id).expect("graph variables exist").clone()))
+        })
+        .collect()
+}
+
+/// Points every variable of `session` at its tensor in `weights`. Only
+/// placeholder shapes depend on the batch extent, so a graph of the same
+/// model at another extent has exactly the same variables.
+fn install(session: &mut Session, weights: &Weights) -> Result<(), ServeError> {
+    let vars = session.graph().variables();
+    if vars.len() != weights.len() {
+        return Err(ServeError::Unservable(format!(
+            "graph has {} variables, the weight set {}",
+            vars.len(),
+            weights.len()
+        )));
+    }
+    for id in vars {
+        let name = session.graph().node(id).name.as_deref().unwrap_or_default();
+        let value = weights.get(name).ok_or_else(|| {
+            ServeError::Unservable(format!("variable '{name}' is not in the weight set"))
+        })?;
+        session.assign(id, value.clone())?;
+    }
+    Ok(())
+}
+
+/// A [`BatchRunner`] backed by real workload sessions: one graph at the
+/// batcher's `max_batch` (the *full* plan) and one at each smaller
+/// extent of [`EXTENTS`], all serving one weight set.
+pub struct SessionWorker {
+    /// The graph at the batcher's `max_batch`.
+    full: Plan,
+    /// The graphs at the extents of [`EXTENTS`] below `max_batch`,
+    /// ascending.
+    smaller: Vec<Plan>,
+    /// The shape one request supplies per input port, the same at every
+    /// extent.
+    shapes: Vec<Shape>,
     trace: bool,
     kind: ModelKind,
     cfg: BuildConfig,
-    /// Checkpoint of the variables this worker should serve with — the
-    /// initial weights at construction, replaced by [`warm_start`].
-    /// [`recover`](Self::recover) rebuilds the session from these bytes.
+    /// The weights every plan serves — the initial draw at construction,
+    /// replaced by [`warm_start`]. Inference never writes a variable, so
+    /// [`recover`](Self::recover) rebuilds the plans around these
+    /// tensors.
     ///
     /// [`warm_start`]: Self::warm_start
-    baseline: Vec<u8>,
+    weights: Weights,
 }
 
 impl SessionWorker {
@@ -141,23 +238,64 @@ impl SessionWorker {
     /// publish a [`BatchSpec`] (it has no batch-independent fetch).
     pub fn new(kind: ModelKind, cfg: &BuildConfig) -> Result<Self, ServeError> {
         let cfg = BuildConfig { mode: Mode::Inference, ..cfg.clone() };
-        let model = kind.build(&cfg);
-        let spec = model.batch_spec().ok_or_else(|| {
-            ServeError::Unservable(format!("{} does not support batched serving", kind.name()))
-        })?;
-        let mut baseline = Vec::new();
-        checkpoint::save(model.session(), &mut baseline)?;
-        Ok(SessionWorker { model, spec, trace: false, kind, cfg, baseline })
+        let full = Plan::new(kind, kind.build(&cfg))?;
+        let weights = weight_set(full.session());
+        let shapes = full
+            .spec
+            .inputs
+            .iter()
+            .map(|p| batch::item_shape(full.session().graph().shape(p.node), p.batch_axis))
+            .collect();
+        let mut worker = SessionWorker {
+            full,
+            smaller: Vec::new(),
+            shapes,
+            trace: false,
+            kind,
+            cfg,
+            weights,
+        };
+        worker.smaller = worker.smaller_plans()?;
+        Ok(worker)
     }
 
-    /// The workload's batching contract.
+    /// Builds a plan at every extent of [`EXTENTS`] below `max_batch`
+    /// around the weight set.
+    fn smaller_plans(&self) -> Result<Vec<Plan>, ServeError> {
+        let capacity = self.capacity();
+        EXTENTS
+            .iter()
+            .filter(|&&extent| extent < capacity)
+            .map(|&extent| {
+                let cfg = self.cfg.clone().with_batch(extent);
+                let mut plan =
+                    Plan::new(self.kind, self.kind.build_adopting(&cfg, &self.weights))?;
+                // Adoption already shares every variable a model makes
+                // through `Params`; installing checks that none was missed.
+                install(plan.session_mut(), &self.weights)?;
+                if extent == EXTENTS[0] {
+                    warm(&mut plan)?;
+                }
+                Ok(plan)
+            })
+            .collect()
+    }
+
+    /// Every plan, ascending by extent.
+    fn plans(&self) -> impl Iterator<Item = &Plan> {
+        self.smaller.iter().chain(std::iter::once(&self.full))
+    }
+
+    /// The workload's batching contract at the full extent.
     pub fn spec(&self) -> &BatchSpec {
-        &self.spec
+        &self.full.spec
     }
 
-    /// The underlying workload (e.g. to checkpoint or inspect).
+    /// The workload at the full extent (e.g. to checkpoint or inspect).
+    /// Its session's RNG is the replica's random stream and its trace
+    /// receives every batch's events while the caller traces it.
     pub fn workload_mut(&mut self) -> &mut dyn Workload {
-        self.model.as_mut()
+        self.full.model.as_mut()
     }
 
     /// Captures per-batch op traces so [`BatchResult::class_nanos`] (and
@@ -169,54 +307,60 @@ impl SessionWorker {
     /// Restores trained variables from a checkpoint stream before
     /// serving. Training and inference graphs share their variable set
     /// (optimizer state lives outside graph variables), so training
-    /// checkpoints load directly.
+    /// checkpoints load directly. The stream is decoded once, into the
+    /// full plan, and every other plan shares the decoded tensors.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Checkpoint`] when the stream is invalid or
-    /// disagrees with the graph.
+    /// disagrees with the graph; every plan then keeps serving the
+    /// weights it had.
     pub fn warm_start(&mut self, r: impl Read) -> Result<(), ServeError> {
-        checkpoint::load(self.model.session_mut(), r)?;
-        // The restored weights become the recovery baseline: a replica
-        // rebuilt after a crash serves the warm-started model, not the
-        // random initialization.
-        self.baseline.clear();
-        checkpoint::save(self.model.session(), &mut self.baseline)?;
+        checkpoint::load(self.full.session_mut(), r)?;
+        // The restored weights are the set a replica rebuilt after a
+        // crash serves, not the random initialization.
+        self.weights = weight_set(self.full.session());
+        for plan in &mut self.smaller {
+            install(plan.session_mut(), &self.weights)?;
+        }
         Ok(())
     }
 
     /// The shape one request must supply for each input port (batch axis
     /// pinned to extent 1), in port order.
     pub fn item_shapes(&self) -> Vec<Shape> {
-        self.spec
-            .inputs
-            .iter()
-            .map(|p| batch::item_shape(self.model.session().graph().shape(p.node), p.batch_axis))
-            .collect()
+        self.shapes.clone()
     }
 
     /// The value domain of each input port, in port order.
     pub fn domains(&self) -> Vec<PortDomain> {
-        self.spec.inputs.iter().map(|p| p.domain).collect()
+        self.spec().inputs.iter().map(|p| p.domain).collect()
     }
 }
 
 impl BatchRunner for SessionWorker {
     fn capacity(&self) -> usize {
-        self.spec.capacity
+        self.spec().capacity
     }
 
     fn run_batch(&mut self, reqs: &[&Request]) -> Result<BatchResult, ServeError> {
-        if reqs.is_empty() || reqs.len() > self.spec.capacity {
+        if reqs.is_empty() || reqs.len() > self.capacity() {
             return Err(ServeError::Unservable(format!(
                 "batch of {} requests does not fit capacity {}",
                 reqs.len(),
-                self.spec.capacity
+                self.capacity()
             )));
         }
-        let shapes = self.item_shapes();
-        let mut feeds = Vec::with_capacity(self.spec.inputs.len());
-        for (j, port) in self.spec.inputs.iter().enumerate() {
+        // The smallest plan that holds the batch; `full` is the full plan
+        // when that is a different one.
+        let (plan, full) =
+            match self.smaller.iter_mut().find(|p| p.spec.capacity >= reqs.len()) {
+                Some(plan) => (plan, Some(&mut self.full)),
+                None => (&mut self.full, None),
+            };
+        let spec = &plan.spec;
+        let mut feeds = Vec::with_capacity(spec.inputs.len());
+        for (j, port) in spec.inputs.iter().enumerate() {
             let mut items = Vec::with_capacity(reqs.len());
             for r in reqs {
                 let t = r.inputs.get(j).ok_or_else(|| {
@@ -224,60 +368,78 @@ impl BatchRunner for SessionWorker {
                         "request {} supplies {} inputs, graph has {} ports",
                         r.id,
                         r.inputs.len(),
-                        self.spec.inputs.len()
+                        spec.inputs.len()
                     ))
                 })?;
-                if t.shape() != &shapes[j] {
+                if t.shape() != &self.shapes[j] {
                     return Err(ServeError::Unservable(format!(
                         "request {} port {j} is {} but the graph wants {}",
                         r.id,
                         t.shape(),
-                        shapes[j]
+                        self.shapes[j]
                     )));
                 }
                 items.push(t);
             }
-            feeds.push((port.node, batch::pack(&items, port.batch_axis, self.spec.capacity)));
+            feeds.push((port.node, batch::pack(&items, port.batch_axis, spec.capacity)));
         }
 
-        if self.trace {
-            self.model.session_mut().enable_tracing();
+        // A smaller plan draws from the replica's one random stream, the
+        // full plan's, and traces into the full plan's trace while the
+        // caller records one there.
+        let caller_traces = full.as_ref().is_some_and(|f| f.session().is_tracing());
+        if let Some(full) = &full {
+            let stream = full.session().rng_state();
+            plan.session_mut().set_rng_state(stream);
+        }
+        if self.trace || caller_traces {
+            plan.session_mut().enable_tracing();
         }
         let started = Instant::now();
-        let fetched =
-            self.model.session_mut().run1(self.spec.output.node, &feeds).map_err(ServeError::Exec)?;
+        let fetched = plan.model.session_mut().run1(plan.spec.output.node, &feeds);
         let service_nanos = started.elapsed().as_nanos() as f64;
+        let trace = (self.trace || caller_traces).then(|| plan.session_mut().take_trace());
         let mut class_nanos = [0.0; 7];
-        if self.trace {
-            let trace = self.model.session_mut().take_trace();
-            for e in &trace.events {
-                // Invariant: every TraceEvent carries one of the seven
-                // paper classes, and OpClass::ALL enumerates all seven,
-                // so the position lookup cannot fail.
-                let slot = OpClass::ALL.iter().position(|c| *c == e.class).expect("A-G class");
-                class_nanos[slot] += e.nanos;
+        for e in trace.iter().filter(|_| self.trace).flat_map(|t| &t.events) {
+            // Invariant: every TraceEvent carries one of the seven paper
+            // classes, and OpClass::ALL enumerates all seven, so the
+            // position lookup cannot fail.
+            let slot = OpClass::ALL.iter().position(|c| *c == e.class).expect("A-G class");
+            class_nanos[slot] += e.nanos;
+        }
+        if let Some(full) = full {
+            full.session_mut().set_rng_state(plan.session().rng_state());
+            if let Some(trace) = trace.filter(|_| caller_traces) {
+                full.session_mut().merge_trace(trace);
             }
         }
-        let outputs = batch::split(&fetched, self.spec.output.batch_axis, reqs.len());
+        let fetched = fetched.map_err(ServeError::Exec)?;
+        let outputs = batch::split(&fetched, plan.spec.output.batch_axis, reqs.len());
         Ok(BatchResult { outputs, service_nanos, class_nanos })
     }
 
-    /// Rebuilds the workload session from scratch and reloads the
-    /// baseline checkpoint — the supervised-recovery path after a
-    /// replica crash. Tracing preference survives the rebuild.
+    /// Rebuilds every plan from scratch around the served weight set —
+    /// the supervised-recovery path after a replica crash. Tracing
+    /// preference survives the rebuild; the random stream restarts from
+    /// the seed, as in a fresh replica.
     fn recover(&mut self) -> Result<(), ServeError> {
-        let model = self.kind.build(&self.cfg);
-        let spec = model.batch_spec().ok_or_else(|| {
-            ServeError::Unservable(format!("{} does not support batched serving", self.kind.name()))
-        })?;
-        self.model = model;
-        self.spec = spec;
-        checkpoint::load(self.model.session_mut(), self.baseline.as_slice())?;
+        let mut full = Plan::new(self.kind, self.kind.build_adopting(&self.cfg, &self.weights))?;
+        install(full.session_mut(), &self.weights)?;
+        self.full = full;
+        self.smaller = self.smaller_plans()?;
         Ok(())
     }
 
+    /// Every plan's counters merged; `arena_bytes` is their sum, the
+    /// replica's whole footprint.
     fn runtime_counters(&self) -> RuntimeCounters {
-        self.model.session().runtime_counters()
+        let (mut total, mut arena_bytes) = (RuntimeCounters::default(), 0);
+        for plan in self.plans() {
+            let c = plan.session().runtime_counters();
+            arena_bytes += c.arena_bytes;
+            total.merge(&c);
+        }
+        RuntimeCounters { arena_bytes, ..total }
     }
 }
 
@@ -376,7 +538,7 @@ mod tests {
         let cfg = BuildConfig::inference().with_batch(2);
         let donor = SessionWorker::new(ModelKind::Memnet, &cfg.clone().with_seed(99)).expect("servable");
         let mut ckpt = Vec::new();
-        checkpoint::save(donor.model.session(), &mut ckpt).expect("saves");
+        checkpoint::save(donor.full.session(), &mut ckpt).expect("saves");
         let mut w = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
         let mut rng = Rng::seeded(31);
         let req = request(0, &w, &mut rng);
@@ -405,7 +567,7 @@ mod tests {
         let mut b = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
         let b_own = b.run_batch(&[&req]).expect("runs");
         let mut b_ckpt = Vec::new();
-        checkpoint::save(b.model.session(), &mut b_ckpt).expect("saves");
+        checkpoint::save(b.full.session(), &mut b_ckpt).expect("saves");
         b.warm_start(ckpt.as_slice()).expect("warm starts");
         assert_eq!(a_out.outputs[0].data(), b.run_batch(&[&req]).expect("runs").outputs[0].data());
 
@@ -413,6 +575,74 @@ mod tests {
         // checkpoint brings its own outputs back.
         b.warm_start(b_ckpt.as_slice()).expect("warm starts");
         assert_eq!(b_own.outputs[0].data(), b.run_batch(&[&req]).expect("runs").outputs[0].data());
+    }
+
+    /// Asserts every plan's variables share the full plan's buffers and
+    /// the worker's weight set.
+    fn assert_one_weight_set(w: &SessionWorker, kind: ModelKind) {
+        let full = weight_set(w.full.session());
+        assert_eq!(full.len(), w.weights.len());
+        for plan in w.plans() {
+            let session = plan.session();
+            for id in session.graph().variables() {
+                let name = session.graph().node(id).name.as_deref().expect("named");
+                let ptr = session.variable_value(id).expect("variable").data().as_ptr();
+                let at = plan.spec.capacity;
+                assert_eq!(ptr, full[name].data().as_ptr(), "{kind}: {name} at {at}");
+                assert_eq!(ptr, w.weights[name].data().as_ptr(), "{kind}: {name}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_plan_serves_the_one_weight_set() {
+        for kind in [ModelKind::Alexnet, ModelKind::Seq2Seq, ModelKind::Speech, ModelKind::Memnet] {
+            let cfg = BuildConfig::inference().with_batch(8);
+            let mut w = SessionWorker::new(kind, &cfg).expect("servable");
+            let extents: Vec<usize> = w.plans().map(|p| p.spec.capacity).collect();
+            assert_eq!(extents, [1, 2, 8], "{kind}");
+            assert_one_weight_set(&w, kind);
+
+            let donor = SessionWorker::new(kind, &cfg.clone().with_seed(99)).expect("servable");
+            let mut ckpt = Vec::new();
+            checkpoint::save(donor.full.session(), &mut ckpt).expect("saves");
+            w.warm_start(ckpt.as_slice()).expect("warm starts");
+            assert_one_weight_set(&w, kind);
+            w.recover().expect("recovers");
+            assert_one_weight_set(&w, kind);
+        }
+    }
+
+    #[test]
+    fn a_batch_runs_on_the_smallest_plan_that_holds_it() {
+        let cfg = BuildConfig::inference().with_batch(8);
+        let mut w = SessionWorker::new(ModelKind::Memnet, &cfg).expect("servable");
+        let mut rng = Rng::seeded(13);
+        let reqs: Vec<Request> = (0..8).map(|i| request(i, &w, &mut rng)).collect();
+        let refs: Vec<&Request> = reqs.iter().collect();
+        for (n, ran) in [(1, 0), (2, 1), (3, 2), (8, 2)] {
+            let before: Vec<u64> = w.plans().map(|p| p.session().step()).collect();
+            w.run_batch(&refs[..n]).expect("runs");
+            for (i, plan) in w.plans().enumerate() {
+                assert_eq!(plan.session().step(), before[i] + u64::from(i == ran), "batch of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_batch_traces_and_counts_where_the_caller_reads() {
+        let cfg = BuildConfig::inference().with_batch(4);
+        let mut w = SessionWorker::new(ModelKind::Alexnet, &cfg).expect("servable");
+        let mut rng = Rng::seeded(17);
+        let req = request(0, &w, &mut rng);
+        w.workload_mut().session_mut().enable_tracing();
+        w.run_batch(&[&req]).expect("runs");
+        let trace = w.workload_mut().session_mut().take_trace();
+        assert_eq!(w.full.session().step(), 0, "the batch ran on the extent-1 plan");
+        assert_eq!(trace.steps, 1);
+        assert!(trace.events.iter().any(|e| e.class == OpClass::Convolution), "{trace:?}");
+        assert!(!w.smaller[0].session().is_tracing(), "the extent-1 plan stops tracing");
+        assert!(w.runtime_counters().allocations > 0, "the extent-1 plan's counters count");
     }
 
     #[test]

@@ -73,10 +73,13 @@ stage serve-bench-fleet ./target/release/fathom serve-bench memnet,autoenc --sha
 # every workload share values instead of copying them, on both drivers),
 # fused == unfused on all eight workloads in the build the benchmark
 # runs (its GEMM writeback runs the epilogue only under fusion), the
-# Fig. 3 op-time share floors, and the class C and D kernels against
-# their one-element-at-a-time oracles at widths 1, 2 and 8.
+# Fig. 3 op-time share floors, the class C and D kernels against
+# their one-element-at-a-time oracles at widths 1, 2 and 8, and serving:
+# each batch on the smallest of a replica's graphs, which all share one
+# weight set and one random stream, with the bits of the padded graph.
 # A spin loop that starves the very thread it is waiting for shows up
 # here as a hung stage, not in production.
 stage runtime-oversubscribed env FATHOM_WORKERS=8 cargo test --release -q -p fathom-suite \
   -p fathom-tensor --test scheduler --test precision --test training --test snapshots \
-  --test checkpoints --test copies --test fusion --test profiles --test elementwise_properties
+  --test checkpoints --test copies --test fusion --test profiles --test elementwise_properties \
+  --test serving

@@ -588,3 +588,131 @@ fn cluster_routes_warm_started_replicas_and_hot_swaps_a_fleet_to_trained_weights
     );
     assert!(variables(&mut f0) == ck, "the reload must install the checkpoint's variables");
 }
+
+/// The batcher's `max_batch` in serving: the extents below it that a
+/// replica adds plans at are 1 and 2.
+const MAX_BATCH: usize = 8;
+
+#[test]
+fn every_batch_size_matches_the_padded_graph_and_serving_alone() {
+    use fathom_suite::fathom_dataflow::batch;
+
+    // autoenc samples noise per row, so its rows depend on the stream's
+    // position; `short_batches_share_the_replicas_noise_stream` covers it.
+    for kind in ModelKind::ALL.into_iter().filter(|k| *k != ModelKind::Autoenc) {
+        let cfg = BuildConfig::inference().with_seed(SEED);
+        let mut replica = SessionWorker::new(kind, &cfg.clone().with_batch(MAX_BATCH))
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let mut alone = SessionWorker::new(kind, &cfg.clone().with_batch(1)).expect("servable");
+        // The padded path: every batch packed to `max_batch` in one graph.
+        let mut padded = kind.build(&cfg.clone().with_batch(MAX_BATCH));
+        let spec = padded.batch_spec().expect("servable");
+        if kind == ModelKind::Speech {
+            assert_eq!(spec.inputs[0].batch_axis, 1, "speech packs time-major, on axis 1");
+        }
+
+        let reqs = requests_for(&replica, MAX_BATCH);
+        let singles: Vec<_> = reqs
+            .iter()
+            .map(|r| alone.run_batch(&[r]).expect("runs alone").outputs.remove(0))
+            .collect();
+        for n in 1..=MAX_BATCH {
+            let refs: Vec<&Request> = reqs[..n].iter().collect();
+            let served = replica.run_batch(&refs).expect("batch runs");
+            let feeds: Vec<_> = spec
+                .inputs
+                .iter()
+                .enumerate()
+                .map(|(j, port)| {
+                    let items: Vec<_> = refs.iter().map(|r| &r.inputs[j]).collect();
+                    (port.node, batch::pack(&items, port.batch_axis, MAX_BATCH))
+                })
+                .collect();
+            let fetched = padded.session_mut().run1(spec.output.node, &feeds).expect("padded runs");
+            let rows = batch::split(&fetched, spec.output.batch_axis, n);
+            assert_eq!(served.outputs.len(), n);
+            for (i, out) in served.outputs.iter().enumerate() {
+                let at = format!("{kind}: batch of {n}, request {i}");
+                assert_eq!(out.data(), rows[i].data(), "{at} vs the padded graph");
+                assert_eq!(out.data(), singles[i].data(), "{at} vs served alone");
+            }
+        }
+    }
+}
+
+#[test]
+fn short_batches_share_the_replicas_noise_stream() {
+    // autoenc draws one noise row per request slot. A batch of 1 and then
+    // a batch of 2 on a max_batch-8 replica run on its extent-1 and
+    // extent-2 plans, which read the replica's one stream in turn: the
+    // rows are those a batch-1 worker draws for the same three requests.
+    let cfg = BuildConfig::inference().with_seed(SEED);
+    let worker = |batch| SessionWorker::new(ModelKind::Autoenc, &cfg.clone().with_batch(batch));
+    let mut replica = worker(MAX_BATCH).expect("servable");
+    let mut alone = worker(1).expect("servable");
+    let reqs = requests_for(&replica, 3);
+    let mut served = replica.run_batch(&[&reqs[0]]).expect("runs").outputs;
+    served.extend(replica.run_batch(&[&reqs[1], &reqs[2]]).expect("runs").outputs);
+    for (i, req) in reqs.iter().enumerate() {
+        let single = alone.run_batch(&[req]).expect("runs alone");
+        assert_eq!(served[i].data(), single.outputs[0].data(), "request {i} read other noise");
+    }
+}
+
+/// A briefly trained `kind`, checkpointed.
+fn trained_checkpoint(kind: ModelKind) -> Vec<u8> {
+    let mut trained = kind.build(&BuildConfig::training().with_seed(11));
+    for _ in 0..2 {
+        trained.step();
+    }
+    let mut ck = Vec::new();
+    checkpoint::save(trained.session(), &mut ck).expect("saves");
+    ck
+}
+
+/// Outputs of batches of 1, 2 and `MAX_BATCH` requests, each batch
+/// starting from the first request.
+fn short_and_full_batches(worker: &mut SessionWorker, reqs: &[Request]) -> Vec<Vec<f32>> {
+    [1, 2, MAX_BATCH]
+        .iter()
+        .flat_map(|&n| {
+            let refs: Vec<&Request> = reqs[..n].iter().collect();
+            worker.run_batch(&refs).expect("runs").outputs
+        })
+        .map(|t| t.data().to_vec())
+        .collect()
+}
+
+#[test]
+fn warm_start_reload_and_recovery_reach_every_plan() {
+    // seq2seq carries an LSTM bias made outside `Params`, memnet only
+    // `Params` variables.
+    for kind in [ModelKind::Memnet, ModelKind::Seq2Seq] {
+        let ck = trained_checkpoint(kind);
+        let build = BuildConfig::inference().with_batch(MAX_BATCH);
+        // The reference is warm-started from another initialization, so a
+        // plan left on its own initial weights cannot agree with it.
+        let mut reference =
+            SessionWorker::new(kind, &build.clone().with_seed(SEED ^ 1)).expect("servable");
+        reference.warm_start(ck.as_slice()).expect("warm starts");
+        let reqs = requests_for(&reference, MAX_BATCH);
+        let want = short_and_full_batches(&mut reference, &reqs);
+
+        let mut warm = SessionWorker::new(kind, &build.clone().with_seed(SEED)).expect("servable");
+        let initial = short_and_full_batches(&mut warm, &reqs);
+        assert_ne!(initial, want, "{kind}: the trained weights must change the outputs");
+        warm.warm_start(ck.as_slice()).expect("warm starts");
+        assert_eq!(short_and_full_batches(&mut warm, &reqs), want, "{kind}: after warm_start");
+        warm.recover().expect("recovers");
+        assert_eq!(short_and_full_batches(&mut warm, &reqs), want, "{kind}: after recover");
+
+        let mut reloaded = SessionWorker::new(kind, &build.with_seed(SEED)).expect("servable");
+        reloaded.reload(&ck).expect("reloads");
+        assert_eq!(short_and_full_batches(&mut reloaded, &reqs), want, "{kind}: after reload");
+
+        // A truncated checkpoint is refused and every plan keeps serving
+        // the weights it had.
+        assert!(reloaded.warm_start(&ck[..ck.len() / 2]).is_err(), "{kind}: truncation loads");
+        assert_eq!(short_and_full_batches(&mut reloaded, &reqs), want, "{kind}: after truncation");
+    }
+}
