@@ -25,6 +25,7 @@
 
 mod env;
 mod game;
+mod part;
 mod replay;
 
 pub use env::{AleEnv, EnvState, StepResult, STACK};

@@ -1,7 +1,11 @@
 //! Experience replay, the "innovative strategy" that made DQN trainable
 //! on decoupled feedback (paper §IV).
 
+use std::sync::Arc;
+
 use fathom_tensor::{Rng, Shape, Tensor};
+
+use crate::part::{self, Slot};
 
 /// One stored transition `(s, a, r, s', done)`.
 #[derive(Debug, Clone)]
@@ -39,20 +43,19 @@ pub struct ReplayBatch {
 pub struct ReplayMark {
     len: usize,
     cursor: usize,
-    /// `(slot, transition, stamp)` for every slot an overwrite would
-    /// destroy.
-    saved: Vec<(usize, Transition, u64)>,
+    /// `(index, slot)` for every slot an overwrite would destroy.
+    saved: Vec<(usize, Slot)>,
 }
 
 /// A bounded uniform-sampling replay buffer.
 ///
-/// Every stored transition carries a **stamp**, unique among the
-/// transitions this buffer has ever held: [`ReplayBuffer::push`] draws a
-/// fresh one, [`ReplayBuffer::rollback`] puts an overwritten slot's old
-/// stamp back with its transition, and [`ReplayBuffer::restore`] stamps
-/// afresh. A slot whose stamp has not changed holds the same transition,
-/// so a checkpoint writer can keep each slot's encoding until its stamp
-/// moves.
+/// Each transition is held once, as its encoded *part* (see
+/// [`ReplayBuffer::part`]): the two observations in the 2-bit palette
+/// form a rendered frame fits, about 7 KB each where the f32 stacks take
+/// 113 KB. The part is also the transition's piece of a resume
+/// checkpoint, so a snapshot shares it instead of encoding it. A sample
+/// decodes the observations it draws straight into the batch, bit for
+/// bit.
 ///
 /// # Examples
 ///
@@ -75,12 +78,12 @@ pub struct ReplayMark {
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     capacity: usize,
-    items: Vec<Transition>,
-    /// One stamp per item, index for index.
-    stamps: Vec<u64>,
-    /// The stamp the next push takes.
-    next_stamp: u64,
+    slots: Vec<Slot>,
     cursor: usize,
+    /// The last push's next state and its slot: a push whose state is
+    /// that very tensor (the usual trajectory, `s'` becoming `s`) copies
+    /// its encoding instead of encoding it again.
+    last_next: Option<(Tensor, Slot)>,
 }
 
 impl ReplayBuffer {
@@ -91,17 +94,17 @@ impl ReplayBuffer {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        ReplayBuffer { capacity, items: Vec::new(), stamps: Vec::new(), next_stamp: 0, cursor: 0 }
+        ReplayBuffer { capacity, slots: Vec::new(), cursor: 0, last_next: None }
     }
 
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.slots.len()
     }
 
     /// Returns `true` while the buffer holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.slots.is_empty()
     }
 
     /// Maximum number of stored transitions.
@@ -114,32 +117,60 @@ impl ReplayBuffer {
         self.cursor
     }
 
-    /// The stored transitions in internal (ring) order, for checkpointing.
-    pub fn items(&self) -> &[Transition] {
-        &self.items
-    }
-
-    /// Each stored transition's stamp, index for index with
-    /// [`ReplayBuffer::items`].
-    pub fn stamps(&self) -> &[u64] {
-        &self.stamps
-    }
-
-    /// Rebuilds a buffer from checkpointed parts; paired with
-    /// [`ReplayBuffer::items`] and [`ReplayBuffer::cursor`] this restores
-    /// the ring bitwise, eviction order included. The restored
-    /// transitions get fresh stamps.
+    /// The encoded transition in slot `i` of the ring: the state tensor,
+    /// the action (`u64`), the reward (`f32`), the next-state tensor and
+    /// the done flag (`u8`), little-endian. A tensor is its rank and
+    /// dimensions (`u64` each), then tag 1, the palette size, the
+    /// palette's f32 bit patterns in first-occurrence order and the 2-bit
+    /// indices four to a byte when it holds at most four distinct
+    /// values, or tag 0 and the raw f32s.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`, `items.len() > capacity`, or the cursor
-    /// is out of range.
-    pub fn restore(capacity: usize, items: Vec<Transition>, cursor: usize) -> Self {
+    /// Panics if `i >= self.len()`.
+    pub fn part(&self, i: usize) -> &Arc<[u8]> {
+        &self.slots[i].part
+    }
+
+    /// Every slot's part, in ring order, for checkpointing: with
+    /// [`ReplayBuffer::capacity`] and [`ReplayBuffer::cursor`] they are
+    /// what [`ReplayBuffer::import`] restores the ring from bitwise,
+    /// eviction order included.
+    pub fn parts(&self) -> impl ExactSizeIterator<Item = &Arc<[u8]>> {
+        self.slots.iter().map(|s| &s.part)
+    }
+
+    /// Rebuilds a buffer from `len` parts laid end to end in `blob` from
+    /// offset `at` on, and returns it with the offset just past the last
+    /// part. Each part is checked field by field; an error names the
+    /// first fault (`"pipeline blob truncated: ..."`, `"implausible
+    /// tensor rank ..."`, `"bad palette size ..."`, ...). A valid part is
+    /// kept as its bytes, except one the encoder would not have written
+    /// (pad bits set, a palette entry unused, repeated or out of
+    /// first-use order, a raw tensor of at most four values, a done byte
+    /// above 1), which is encoded afresh from the values it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`, `len > capacity`, or the cursor is out
+    /// of range.
+    pub fn import(
+        capacity: usize,
+        cursor: usize,
+        len: usize,
+        blob: &[u8],
+        mut at: usize,
+    ) -> Result<(Self, usize), String> {
         assert!(capacity > 0, "capacity must be positive");
-        assert!(items.len() <= capacity, "more items than capacity");
+        assert!(len <= capacity, "more items than capacity");
         assert!(cursor == 0 || cursor < capacity, "cursor out of range");
-        let stamps = (0..items.len() as u64).collect();
-        ReplayBuffer { capacity, next_stamp: items.len() as u64, items, stamps, cursor }
+        let mut slots = Vec::with_capacity(len);
+        for _ in 0..len {
+            let (slot, end) = part::read_part(blob, at)?;
+            slots.push(slot);
+            at = end;
+        }
+        Ok((ReplayBuffer { capacity, slots, cursor, last_next: None }, at))
     }
 
     /// Records enough state to undo the next `max_pushes` pushes.
@@ -147,52 +178,58 @@ impl ReplayBuffer {
     /// A training step that fails mid-flight (guardrail trip, injected
     /// fault) must leave the buffer exactly as it found it, or a
     /// replayed step trains on duplicated experience and determinism is
-    /// lost. The mark clones at most `max_pushes` transitions — only
-    /// the ring slots an overwrite would destroy — never the whole
-    /// buffer.
+    /// lost. The mark shares at most `max_pushes` parts — only the ring
+    /// slots an overwrite would destroy — never the whole buffer.
     pub fn mark(&self, max_pushes: usize) -> ReplayMark {
         let mut saved = Vec::new();
         // Pushes append until the ring fills; the remainder overwrite
         // slots starting at the cursor. Slots created by this step's own
         // appends need no saving — rollback truncates them away.
-        let appends = self.capacity - self.items.len();
+        let appends = self.capacity - self.slots.len();
         if max_pushes > appends {
             let overwrites = (max_pushes - appends).min(self.capacity);
             for i in 0..overwrites {
                 let idx = (self.cursor + i) % self.capacity;
-                if idx < self.items.len() {
-                    saved.push((idx, self.items[idx].clone(), self.stamps[idx]));
+                if idx < self.slots.len() {
+                    saved.push((idx, self.slots[idx].clone()));
                 }
             }
         }
-        ReplayMark { len: self.items.len(), cursor: self.cursor, saved }
+        ReplayMark { len: self.slots.len(), cursor: self.cursor, saved }
     }
 
     /// Undoes every push since `mark` was taken (at most the
-    /// `max_pushes` the mark was sized for). Restored slots get their
-    /// old stamps back; the stamps the undone pushes drew are not reused.
+    /// `max_pushes` the mark was sized for): the restored slots hold the
+    /// very parts they held before.
     pub fn rollback(&mut self, mark: ReplayMark) {
-        self.items.truncate(mark.len);
-        self.stamps.truncate(mark.len);
+        self.slots.truncate(mark.len);
         self.cursor = mark.cursor;
-        for (idx, t, stamp) in mark.saved {
-            if idx < self.items.len() {
-                self.items[idx] = t;
-                self.stamps[idx] = stamp;
+        for (idx, slot) in mark.saved {
+            if idx < self.slots.len() {
+                self.slots[idx] = slot;
             }
         }
     }
 
-    /// Inserts a transition, evicting the oldest once at capacity.
+    /// Inserts a transition, evicting the oldest once at capacity. The
+    /// transition is encoded here, once.
     pub fn push(&mut self, t: Transition) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(t);
-            self.stamps.push(stamp);
+        let dims = t.state.shape().dims();
+        let mut buf = Vec::with_capacity(2 * part::palette_len(dims) + 16);
+        match &self.last_next {
+            Some((prev, slot))
+                if prev.shape() == t.state.shape() && prev.data().as_ptr() == t.state.data().as_ptr() =>
+            {
+                buf.extend_from_slice(slot.next_bytes());
+            }
+            _ => part::put_tensor(&mut buf, dims, t.state.data()),
+        }
+        let slot = Slot::finish(buf, t.action, t.reward, &t.next_state, t.done);
+        self.last_next = Some((t.next_state, slot.clone()));
+        if self.slots.len() < self.capacity {
+            self.slots.push(slot);
         } else {
-            self.items[self.cursor] = t;
-            self.stamps[self.cursor] = stamp;
+            self.slots[self.cursor] = slot;
             self.cursor = (self.cursor + 1) % self.capacity;
         }
     }
@@ -205,8 +242,9 @@ impl ReplayBuffer {
     ///
     /// Panics if the buffer is empty.
     pub fn sample(&self, batch: usize, rng: &mut Rng) -> ReplayBatch {
-        assert!(!self.items.is_empty(), "cannot sample an empty replay buffer");
-        let obs_dims: Vec<usize> = self.items[0].state.shape().dims()[1..].to_vec();
+        assert!(!self.slots.is_empty(), "cannot sample an empty replay buffer");
+        let (dims, _) = part::tensor_dims(self.slots[0].state_bytes());
+        let obs_dims = &dims[1..];
         let obs_len: usize = obs_dims.iter().product();
         let mut states = Vec::with_capacity(batch * obs_len);
         let mut next_states = Vec::with_capacity(batch * obs_len);
@@ -214,15 +252,15 @@ impl ReplayBuffer {
         let mut rewards = Vec::with_capacity(batch);
         let mut dones = Vec::with_capacity(batch);
         for _ in 0..batch {
-            let t = &self.items[rng.below(self.items.len())];
-            states.extend_from_slice(t.state.data());
-            next_states.extend_from_slice(t.next_state.data());
-            actions.push(t.action as f32);
-            rewards.push(t.reward);
-            dones.push(if t.done { 1.0 } else { 0.0 });
+            let slot = &self.slots[rng.below(self.slots.len())];
+            part::decode_into(slot.state_bytes(), &mut states);
+            part::decode_into(slot.next_bytes(), &mut next_states);
+            actions.push(slot.action as f32);
+            rewards.push(slot.reward);
+            dones.push(if slot.done { 1.0 } else { 0.0 });
         }
         let mut batched_dims = vec![batch];
-        batched_dims.extend(&obs_dims);
+        batched_dims.extend(obs_dims);
         let shape = Shape::new(batched_dims);
         ReplayBatch {
             states: Tensor::from_vec(states, shape.clone()),
@@ -230,6 +268,20 @@ impl ReplayBuffer {
             rewards: Tensor::from_vec(rewards, [batch]),
             next_states: Tensor::from_vec(next_states, shape),
             dones: Tensor::from_vec(dones, [batch]),
+        }
+    }
+
+    /// Makes the random draws [`ReplayBuffer::sample`] would make for a
+    /// `batch`, and nothing else: afterwards `rng` stands where the
+    /// sample would have left it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is empty.
+    pub fn skip_sample(&self, batch: usize, rng: &mut Rng) {
+        assert!(!self.slots.is_empty(), "cannot sample an empty replay buffer");
+        for _ in 0..batch {
+            rng.below(self.slots.len());
         }
     }
 }
@@ -264,7 +316,7 @@ mod tests {
             b.push(transition(i as f32));
         }
         // Items now: {3, 1, 2} (0 evicted).
-        let rewards: Vec<f32> = b.items.iter().map(|t| t.reward).collect();
+        let rewards: Vec<f32> = b.slots.iter().map(|s| s.reward).collect();
         assert!(rewards.contains(&3.0));
         assert!(!rewards.contains(&0.0));
     }
@@ -318,10 +370,10 @@ mod tests {
             next_state: Tensor::from_vec(vec![v + 0.5; 4], [1, 4]),
             done: false,
         };
-        // Stamps included: a restored slot gets its old stamp back.
+        // The parts included: a restored slot holds its old bytes.
         let snapshot = |b: &ReplayBuffer| {
-            let rewards: Vec<u32> = b.items().iter().map(|x| x.reward.to_bits()).collect();
-            (b.len(), b.cursor(), rewards, b.stamps().to_vec())
+            let parts: Vec<Vec<u8>> = b.parts().map(|p| p.to_vec()).collect();
+            (b.len(), b.cursor(), parts)
         };
         // Appends only, appends crossing the full boundary, and pure
         // ring overwrites (including cursor wrap-around).
@@ -340,46 +392,48 @@ mod tests {
         }
     }
 
-    /// Every live transition's stamp differs from every other's.
-    fn assert_stamps_unique(b: &ReplayBuffer) {
-        let mut stamps = b.stamps().to_vec();
-        assert_eq!(stamps.len(), b.len());
-        stamps.sort_unstable();
-        stamps.dedup();
-        assert_eq!(stamps.len(), b.len(), "duplicate stamps in {:?}", b.stamps());
+    #[test]
+    fn skip_sample_leaves_the_rng_where_sample_does() {
+        let mut b = ReplayBuffer::new(7);
+        for i in 0..5 {
+            b.push(transition(i as f32));
+        }
+        for batch in [0, 1, 16] {
+            let (mut sampled, mut skipped) = (Rng::seeded(3), Rng::seeded(3));
+            b.sample(batch, &mut sampled);
+            b.skip_sample(batch, &mut skipped);
+            assert_eq!(skipped.state(), sampled.state(), "batch {batch}");
+        }
     }
 
     #[test]
-    fn stamps_stay_unique_through_push_overwrite_rollback_and_restore() {
-        let mut b = ReplayBuffer::new(5);
-        let mut seen = Vec::new();
-        // Appends, then overwrites wrapping the ring twice: every push
-        // draws a stamp no slot has held before.
-        for i in 0..13 {
-            b.push(transition(i as f32));
-            assert_stamps_unique(&b);
-            let newest = b.stamps()[(b.cursor() + b.len() - 1) % b.len()];
-            assert!(!seen.contains(&newest), "stamp {newest} reused");
-            seen.push(newest);
+    fn a_game_transition_is_held_in_its_palette_form() {
+        // Two palette-coded 84x84x4 observations (7,114 bytes each with a
+        // four-entry palette) and 13 bytes of action, reward and done: a
+        // regression to f32 storage would hold 225,792 bytes here.
+        let mut env = crate::AleEnv::new(5);
+        let mut b = ReplayBuffer::new(4);
+        let mut state = env.observation();
+        for action in [0, 1, 2] {
+            let r = env.step(action);
+            b.push(Transition {
+                state: std::mem::replace(&mut state, r.observation.clone()),
+                action,
+                reward: r.reward,
+                next_state: r.observation,
+                done: r.done,
+            });
         }
-        // Pushes that are rolled back leave their stamps unused; the
-        // next pushes draw fresh ones, not the rolled-back pushes' stamps.
-        let mark = b.mark(3);
-        for i in 0..3 {
-            b.push(transition(50.0 + i as f32));
-            seen.push(b.stamps()[(b.cursor() + b.len() - 1) % b.len()]);
+        for i in 0..b.len() {
+            assert!(b.part(i).len() <= 2 * 7_120 + 13, "part {i} is {} bytes", b.part(i).len());
         }
-        b.rollback(mark);
-        assert_stamps_unique(&b);
-        b.push(transition(99.0));
-        let replayed = b.stamps()[(b.cursor() + b.len() - 1) % b.len()];
-        assert!(!seen.contains(&replayed), "stamp {replayed} reused after rollback");
-        assert_stamps_unique(&b);
-        // A restored buffer stamps its transitions afresh.
-        let restored = ReplayBuffer::restore(5, b.items().to_vec(), b.cursor());
-        assert_stamps_unique(&restored);
-        let mut r = restored.clone();
-        r.push(transition(7.0));
-        assert_stamps_unique(&r);
+        // The second push's state is the first push's next state: its
+        // encoding was copied, and decodes to the same bits.
+        let first = &b.slots[0];
+        assert_eq!(b.slots[1].state_bytes(), first.next_bytes());
+        let mut decoded = Vec::new();
+        part::decode_into(b.slots[2].next_bytes(), &mut decoded);
+        let want: Vec<u32> = state.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(decoded.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }
 }

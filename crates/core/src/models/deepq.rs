@@ -11,7 +11,6 @@
 //! `fathom-ale` paddle game with identical observation/action/reward
 //! contracts (see DESIGN.md).
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use fathom_ale::{AleEnv, EnvState, GameState, ReplayBuffer, Transition, FRAME_SIDE, STACK};
@@ -173,10 +172,6 @@ pub struct Deepq {
     session: Session,
     env: AleEnv,
     replay: ReplayBuffer,
-    /// Each replay slot's pipeline part, index for index with the
-    /// buffer, beside the stamp of the transition it encodes: a snapshot
-    /// encodes only the slots whose stamp moved since the last one.
-    slot_parts: RefCell<Vec<(u64, Arc<[u8]>)>>,
     rng: Rng,
     // Graph handles.
     act_state: NodeId,
@@ -243,7 +238,6 @@ impl Deepq {
             session,
             env,
             replay: ReplayBuffer::new(d.replay_capacity),
-            slot_parts: RefCell::new(Vec::new()),
             rng: Rng::seeded(cfg.seed ^ 0xE9),
             act_state,
             act_q,
@@ -303,17 +297,19 @@ impl Deepq {
     fn play(&mut self, frames: usize) -> Result<f32, ExecError> {
         let mut episode_reward = 0.0;
         let mut total = 0.0;
+        // Each step's observation is the next step's state: built once,
+        // and shared by the two transitions it belongs to.
+        let mut state = self.env.observation();
         for _ in 0..frames {
-            let state = self.env.observation();
             let action = self.select_action(&state)?;
             let result = self.env.step(action);
             total += result.reward;
             episode_reward += result.reward;
             self.replay.push(Transition {
-                state,
+                state: std::mem::replace(&mut state, result.observation.clone()),
                 action,
                 reward: result.reward,
-                next_state: result.observation.clone(),
+                next_state: result.observation,
                 done: result.done,
             });
             if result.done {
@@ -467,31 +463,13 @@ impl Workload for Deepq {
         }
         e.f32(env.episode_reward);
         e.u64(env.episodes);
-        // Replay buffer, palette-compressed frame tensors dominating.
+        // Replay buffer: each slot is already held as its part.
         e.u64(self.replay.capacity() as u64);
         e.u64(self.replay.cursor() as u64);
         e.u64(self.replay.len() as u64);
         let mut parts = Vec::with_capacity(1 + self.replay.len());
         parts.push(e.finish().into());
-        let mut memo = self.slot_parts.borrow_mut();
-        memo.truncate(self.replay.len());
-        for (i, (t, &stamp)) in self.replay.items().iter().zip(self.replay.stamps()).enumerate() {
-            if memo.get(i).is_none_or(|&(held, _)| held != stamp) {
-                let mut e = Enc::part();
-                e.tensor(&t.state);
-                e.u64(t.action as u64);
-                e.f32(t.reward);
-                e.tensor(&t.next_state);
-                e.bool(t.done);
-                let part = (stamp, e.finish().into());
-                if i < memo.len() {
-                    memo[i] = part;
-                } else {
-                    memo.push(part);
-                }
-            }
-            parts.push(Arc::clone(&memo[i].1));
-        }
+        parts.extend(self.replay.parts().cloned());
         parts
     }
 
@@ -532,25 +510,14 @@ impl Workload for Deepq {
                 "implausible replay geometry: capacity {capacity}, len {len}, cursor {cursor}"
             ));
         }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(Transition {
-                state: d.tensor()?,
-                action: d.u64()? as usize,
-                reward: d.f32()?,
-                next_state: d.tensor()?,
-                done: d.bool()?,
-            });
-        }
+        let replay = d.external(|blob, at| ReplayBuffer::import(capacity, cursor, len, blob, at))?;
         d.done()?;
         self.rng = Rng::from_state(rng);
         self.epsilon = epsilon;
         self.steps_done = steps_done;
         self.episode_rewards = episode_rewards;
         self.env.load_state(&env);
-        self.replay = ReplayBuffer::restore(capacity, items, cursor);
-        // The restored buffer's stamps start over: no held part matches.
-        self.slot_parts.get_mut().clear();
+        self.replay = replay;
         Ok(())
     }
 
@@ -558,7 +525,7 @@ impl Workload for Deepq {
         // Burn one replay draw so the retried step samples a different
         // minibatch; the aborted step's transitions are already banked.
         if !self.replay.is_empty() {
-            let _ = self.replay.sample(self.d.batch, &mut self.rng);
+            self.replay.skip_sample(self.d.batch, &mut self.rng);
         }
     }
 }
@@ -633,12 +600,11 @@ mod tests {
     }
 
     #[test]
-    fn memoized_export_matches_a_cold_export_across_a_trip_and_an_import() {
-        // `warm` exports every other step, so its memo holds parts of
-        // earlier rings; its same-seed twin `cold` exports once, at the
-        // end. A third trajectory's young buffer is stamped 0..4 just as
-        // the twins' own first four transitions were, so importing it
-        // over a stale memo would hand back the wrong bytes.
+    fn repeated_exports_match_a_single_export_across_a_trip_and_an_import() {
+        // `warm` exports every other step and its same-seed twin `cold`
+        // once, at the end. Between them sit an import of a third
+        // trajectory's young buffer, a tripped step whose rollback
+        // restores overwritten slots of a full ring, and the ring's wrap.
         let mut warm = small_ring(41);
         let mut cold = small_ring(41);
         let mut other = small_ring(42);
@@ -652,12 +618,12 @@ mod tests {
                 if step == 1 {
                     m.import_pipeline(&foreign).unwrap();
                     if exports {
-                        assert_eq!(m.export_pipeline(), foreign, "import must drop the memo");
+                        assert_eq!(m.export_pipeline(), foreign, "an import exports what it read");
                     }
                 }
                 if step == 4 {
                     // The ring is full: the failed step overwrote slots
-                    // and its rollback restores them, stamps included.
+                    // and its rollback restores them.
                     let loss = m.loss;
                     m.session_mut().poison_next_fetch(loss);
                     assert!(matches!(m.try_step(), Err(ExecError::GuardTripped(_))));
@@ -669,5 +635,81 @@ mod tests {
             }
         }
         assert_eq!(warm.export_pipeline(), cold.export_pipeline());
+    }
+
+    /// A deepq's pipeline blob after two steps (eight transitions in a
+    /// six-slot ring) and the offsets of the first transition's state
+    /// tensor fields: tag, palette size and first index byte.
+    fn stepped_blob(seed: u64) -> (Vec<u8>, usize, usize, usize) {
+        let mut m = small_ring(seed);
+        m.step();
+        m.step();
+        let parts = m.pipeline_parts();
+        // The header part, then the state's rank and four dims.
+        let tag = parts[0].len() + 40;
+        let count = tag + 1;
+        let palette = parts.concat()[count] as usize;
+        assert!((1..4).contains(&palette), "a frame holds {palette} values");
+        (parts.concat(), tag, count, count + 1 + 4 * palette)
+    }
+
+    #[test]
+    fn malformed_replay_parts_are_rejected_and_leave_the_workload_untouched() {
+        let (blob, tag, count, packed) = stepped_blob(43);
+        let edited = |at: usize, byte: u8| {
+            let mut b = blob.clone();
+            b[at] = byte;
+            b
+        };
+        let cases = [
+            (
+                blob[..packed + 10].to_vec(),
+                format!("pipeline blob truncated: wanted 7056 bytes at offset {packed}, have 10"),
+            ),
+            (
+                blob[..blob.len() - 1].to_vec(),
+                format!("pipeline blob truncated: wanted 1 bytes at offset {}, have 0", blob.len() - 1),
+            ),
+            (edited(tag, 7), "unknown tensor encoding tag 7".to_string()),
+            (edited(count, 0), "bad palette size 0".to_string()),
+            (edited(count, 5), "bad palette size 5".to_string()),
+            (edited(packed, 0xFF), "palette index 3 out of range".to_string()),
+        ];
+        let mut m = small_ring(44);
+        m.step();
+        let before = m.export_pipeline();
+        for (bad, want) in cases {
+            assert_eq!(m.import_pipeline(&bad).unwrap_err(), want);
+            assert_eq!(m.export_pipeline(), before, "a rejected import moved the workload ({want})");
+        }
+        m.import_pipeline(&blob).unwrap();
+        assert_eq!(m.export_pipeline(), blob);
+    }
+
+    #[test]
+    fn a_valid_non_canonical_part_is_encoded_afresh_on_export() {
+        let (blob, tag, count, packed) = stepped_blob(45);
+        let palette = blob[count] as usize;
+        let mut m = small_ring(46);
+        // A palette entry nothing uses.
+        let mut extra = blob.clone();
+        extra[count] += 1;
+        extra.splice(packed..packed, 7.5f32.to_le_bytes());
+        // The same state stored raw.
+        let mut raw = blob.clone();
+        let entries: Vec<&[u8]> = blob[count + 1..packed].chunks(4).collect();
+        assert_eq!(entries.len(), palette);
+        let n = FRAME_SIDE * FRAME_SIDE * STACK;
+        let mut payload = vec![0u8];
+        for i in 0..n {
+            let idx = (blob[packed + i / 4] >> (2 * (i % 4))) & 0b11;
+            payload.extend_from_slice(entries[idx as usize]);
+        }
+        raw.splice(tag..packed + n / 4, payload);
+        for edited in [extra, raw] {
+            assert_ne!(edited, blob);
+            m.import_pipeline(&edited).unwrap();
+            assert_eq!(m.export_pipeline(), blob);
+        }
     }
 }

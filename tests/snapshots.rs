@@ -1,12 +1,13 @@
 //! Integration: the bytes a `Trainer` snapshot puts on disk are pinned.
 //!
 //! A snapshot is captured on the step thread and encoded on a background
-//! writer, and `deepq`'s replay buffer re-encodes only the transitions
-//! pushed since the previous snapshot. None of that may move a byte: each
-//! generation must hash exactly as the synchronous, whole-buffer writer
-//! it replaced wrote it. The `deepq` leg runs through step 700, past the
-//! step-500 wrap of its 2000-transition ring, where pushes start
-//! overwriting slots whose encodings are held from earlier snapshots.
+//! writer, and `deepq`'s replay buffer is not encoded at all: it holds
+//! each transition in its encoded form from the push on, and a snapshot
+//! shares those bytes. None of that may move a byte: each generation
+//! must hash exactly as the synchronous, whole-buffer writer it replaced
+//! wrote it. The `deepq` leg runs through step 700, past the step-500
+//! wrap of its 2000-transition ring, where pushes start overwriting
+//! slots that earlier snapshots shared.
 //!
 //! The hashes were recorded on x86-64 Linux. The f32 kernels return the
 //! same bits on every host (serial == parallel, AVX-512 == portable), so
