@@ -173,6 +173,25 @@ impl ReplayBuffer {
         Ok((ReplayBuffer { capacity, slots, cursor, last_next: None }, at))
     }
 
+    /// Checks what the parts encode, which [`ReplayBuffer::import`]
+    /// leaves alone: every state and next state has dimensions `obs` and
+    /// every action is below `actions`. The error names the first
+    /// transition that does not.
+    pub fn check(&self, obs: &[usize], actions: usize) -> Result<(), String> {
+        for (i, slot) in self.slots.iter().enumerate() {
+            for (what, bytes) in [("state", slot.state_bytes()), ("next state", slot.next_bytes())] {
+                let (dims, _) = part::tensor_dims(bytes);
+                if dims != obs {
+                    return Err(format!("replay transition {i}: {what} has dims {dims:?}, expected {obs:?}"));
+                }
+            }
+            if slot.action >= actions {
+                return Err(format!("replay transition {i}: action {} out of range for {actions} actions", slot.action));
+            }
+        }
+        Ok(())
+    }
+
     /// Records enough state to undo the next `max_pushes` pushes.
     ///
     /// A training step that fails mid-flight (guardrail trip, injected

@@ -5,8 +5,9 @@
 //! function that prints the same rows/series the paper reports and writes
 //! CSV under `target/fathom-results/`. The `benches/` targets (run via
 //! `cargo bench -p fathom-bench`) are thin wrappers over these functions;
-//! see EXPERIMENTS.md for the paper-vs-measured record. The six ablations
-//! that leave a `BENCH_*.json` behind time their legs and write their
+//! see EXPERIMENTS.md for the paper-vs-measured record. The three
+//! ablations that leave a `BENCH_*.json` behind (`ablation_runtime`,
+//! `ablation_precision`, `gemm_scaling`) time their legs and write their
 //! documents through [`measure`].
 
 #![warn(missing_docs)]

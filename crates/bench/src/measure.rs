@@ -1,6 +1,5 @@
-//! The one measure-and-emit path under the six `BENCH_*.json` ablations
-//! (`ablation_runtime`, `ablation_fusion`, `ablation_precision`,
-//! `ablation_recovery`, `gemm_scaling`, `serve_latency`).
+//! The one measure-and-emit path under the three `BENCH_*.json`
+//! ablations (`ablation_runtime`, `ablation_precision`, `gemm_scaling`).
 //!
 //! A timed number is produced the same way everywhere: [`timed_ms`] is
 //! the warm-up-then-timed-steps loop, [`rounds`] re-measures every leg of
@@ -27,16 +26,6 @@ pub fn median(samples: &mut [f64]) -> f64 {
         n if n % 2 == 1 => samples[n / 2],
         n => (samples[n / 2 - 1] + samples[n / 2]) / 2.0,
     }
-}
-
-/// Geometric mean of the positive ratios (0 for an empty set).
-pub fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut count) = (0.0f64, 0usize);
-    for r in ratios.filter(|r| *r > 0.0) {
-        log_sum += r.ln();
-        count += 1;
-    }
-    if count == 0 { 0.0 } else { (log_sum / count as f64).exp() }
 }
 
 /// Median wall time of one `step()` call, milliseconds: `warmup` untimed
@@ -130,7 +119,7 @@ impl WithSpread for Json {
     }
 }
 
-/// Starts an ablation's document with the envelope all six share:
+/// Starts an ablation's document with the envelope all three share:
 /// which experiment, on what host, at which width its legs ran, at what
 /// effort.
 pub fn envelope(experiment: &str, workers: usize, effort: &Effort) -> Json {
@@ -166,14 +155,6 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&mut []), 0.0);
-    }
-
-    #[test]
-    fn geomean_of_ratios() {
-        assert!((geomean([2.0, 0.5].into_iter()) - 1.0).abs() < 1e-12);
-        assert!((geomean([1.2, 1.2, 1.2].into_iter()) - 1.2).abs() < 1e-12);
-        assert_eq!(geomean(std::iter::empty()), 0.0);
-        assert_eq!(geomean([0.0, -1.0].into_iter()), 0.0, "non-positive ratios are skipped");
     }
 
     #[test]

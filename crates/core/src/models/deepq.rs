@@ -512,6 +512,7 @@ impl Workload for Deepq {
         }
         let replay = d.external(|blob, at| ReplayBuffer::import(capacity, cursor, len, blob, at))?;
         d.done()?;
+        replay.check(&[1, FRAME_SIDE, FRAME_SIDE, STACK], self.env.num_actions())?;
         self.rng = Rng::from_state(rng);
         self.epsilon = epsilon;
         self.steps_done = steps_done;
@@ -684,6 +685,62 @@ mod tests {
         }
         m.import_pipeline(&blob).unwrap();
         assert_eq!(m.export_pipeline(), blob);
+    }
+
+    /// The pipeline blob of a small-ring deepq whose replay holds the
+    /// four transitions one step played and then `extra`, transition 4.
+    fn blob_with_replay(extra: Transition) -> Vec<u8> {
+        let mut m = small_ring(47);
+        m.step();
+        m.replay.push(extra);
+        m.pipeline_parts().concat()
+    }
+
+    /// Imports `bad` into a stepped deepq, expecting `want` as the error,
+    /// and checks that the workload still exports and steps as before.
+    fn assert_import_rejected(bad: &[u8], want: &str) {
+        let mut m = small_ring(48);
+        m.step();
+        let before = m.export_pipeline();
+        assert_eq!(m.import_pipeline(bad).unwrap_err(), want);
+        assert_eq!(m.export_pipeline(), before, "a rejected import moved the workload");
+        let mut twin = small_ring(48);
+        twin.step();
+        assert_eq!(m.step().loss, twin.step().loss, "a rejected import changed the next step");
+    }
+
+    #[test]
+    fn replay_of_the_wrong_shape_is_rejected_before_a_step_can_sample_it() {
+        let frame = |stack: usize| Tensor::zeros([1, FRAME_SIDE, FRAME_SIDE, stack]);
+        let odd = Transition {
+            state: Tensor::filled([1, 5], 1.0),
+            action: 0,
+            reward: 0.0,
+            next_state: frame(STACK),
+            done: false,
+        };
+        assert_import_rejected(
+            &blob_with_replay(odd.clone()),
+            "replay transition 4: state has dims [1, 5], expected [1, 84, 84, 4]",
+        );
+        assert_import_rejected(
+            &blob_with_replay(Transition { state: frame(STACK), next_state: frame(3), ..odd }),
+            "replay transition 4: next state has dims [1, 84, 84, 3], expected [1, 84, 84, 4]",
+        );
+    }
+
+    #[test]
+    fn replay_actions_out_of_range_are_rejected_instead_of_one_hot_into_the_next_row() {
+        let actions = AleEnv::new(0).num_actions();
+        let frame = || Tensor::zeros([1, FRAME_SIDE, FRAME_SIDE, STACK]);
+        let bad = blob_with_replay(Transition {
+            state: frame(),
+            action: actions,
+            reward: 1.0,
+            next_state: frame(),
+            done: true,
+        });
+        assert_import_rejected(&bad, &format!("replay transition 4: action {actions} out of range for {actions} actions"));
     }
 
     #[test]

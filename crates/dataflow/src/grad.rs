@@ -295,7 +295,7 @@ fn backward(
             vec![(table, dtable)]
         }
 
-        // Fusion runs after autodiff (like CSE); a Fused node in a graph
+        // Fusion runs after autodiff; a Fused node in a graph
         // still being differentiated is a pipeline-ordering bug.
         SoftmaxGrad
         | SoftmaxCrossEntropyGrad | CtcLossGrad { .. } | Conv2DBackpropInput { .. }

@@ -1,17 +1,8 @@
-//! Application-level graph optimization.
+//! Graph fusion passes.
 //!
 //! The paper observes that most deep learning frameworks ship "an
-//! application-level, compiler-esque optimizer" (§III-C). This module is
-//! that component: a rewrite pipeline over a finished graph performing
-//!
-//! * **dead-code elimination** — only ancestors of the kept nodes survive;
-//! * **identity elimination** — `Identity`/`StopGradient` pass-throughs
-//!   are spliced out (gradients are already built by that point);
-//! * **constant folding** — pure ops whose inputs are all constants are
-//!   evaluated once at optimization time;
-//! * **common-subexpression elimination** — structurally identical pure
-//!   ops are merged (the autodiff pass emits many duplicate scalars and
-//!   reduction chains, so this fires often in practice).
+//! application-level, compiler-esque optimizer" (§III-C). Here that
+//! component is two rewrites over a finished graph, applied in place:
 //!
 //! * **elementwise fusion** — chains/DAGs of pure, shape-compatible
 //!   class-C ops collapse into a single [`OpKind::Fused`] register
@@ -21,171 +12,14 @@
 //!   GEMM's register writeback as an [`OpKind::GemmFused`] node (see
 //!   [`fuse_gemm_epilogues`]).
 //!
-//! Optimization is opt-in: the profiling experiments characterize the
-//! graphs as built, and the `ablation_optimizer` bench quantifies what
-//! the optimizer buys. Fusion runs *after* autodiff, like CSE, so
-//! gradients are always built against the unfused graph.
-
-use std::collections::HashMap;
+//! Both run *after* autodiff, so gradients are always built against the
+//! unfused graph, and both touch only ancestors of the kept nodes.
 
 use fathom_tensor::kernels::epilogue::{MAX_EPILOGUE_ARGS, MAX_EPILOGUE_INSTRS};
 use fathom_tensor::kernels::fused::{FusedInstr, FusedOp, FusedProgram};
 
-use crate::device::Device;
-use crate::exec::Session;
 use crate::graph::{Graph, NodeId};
 use crate::op::{epilogue_operand_fits, GemmOp, OpKind};
-
-/// What the optimizer did, for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptimizeStats {
-    /// Node count before optimization.
-    pub original_nodes: usize,
-    /// Node count after optimization.
-    pub optimized_nodes: usize,
-    /// Nodes dropped because nothing kept depends on them.
-    pub dead_removed: usize,
-    /// `Identity`/`StopGradient` nodes spliced out.
-    pub identities_removed: usize,
-    /// Pure ops evaluated at optimization time.
-    pub constants_folded: usize,
-    /// Duplicate pure ops merged.
-    pub subexpressions_merged: usize,
-}
-
-/// An optimized graph plus the id remapping for the caller's handles.
-#[derive(Debug, Clone)]
-pub struct OptimizedGraph {
-    /// The rewritten graph.
-    pub graph: Graph,
-    map: Vec<Option<NodeId>>,
-    /// Rewrite statistics.
-    pub stats: OptimizeStats,
-}
-
-impl OptimizedGraph {
-    /// The new id of an original node (`None` if it was dead code).
-    pub fn remap(&self, old: NodeId) -> Option<NodeId> {
-        self.map.get(old.index()).copied().flatten()
-    }
-}
-
-/// Whether CSE/folding may touch this op at all.
-fn is_pure(kind: &OpKind) -> bool {
-    !kind.is_stateful()
-        && !matches!(kind, OpKind::Placeholder { .. } | OpKind::Variable { .. } | OpKind::Group)
-}
-
-/// A structural key for CSE. `None` when the op must not be merged.
-fn cse_key(kind: &OpKind, inputs: &[NodeId]) -> Option<String> {
-    if !is_pure(kind) {
-        return None;
-    }
-    match kind {
-        // Tensor's Debug truncates large buffers, so constants key on the
-        // exact bits.
-        OpKind::Constant(t) => {
-            let mut key = format!("Const:{}:", t.shape());
-            for v in t.data() {
-                key.push_str(&format!("{:08x}", v.to_bits()));
-            }
-            Some(key)
-        }
-        _ => Some(format!("{kind:?}|{inputs:?}")),
-    }
-}
-
-/// Evaluates a pure op whose inputs are all constants, by running it in a
-/// throwaway single-op session.
-fn fold(kind: &OpKind, inputs: &[&OpKind]) -> Option<fathom_tensor::Tensor> {
-    let mut g = Graph::new();
-    let ids: Vec<NodeId> = inputs
-        .iter()
-        .map(|k| match k {
-            OpKind::Constant(t) => g.constant(t.clone()),
-            _ => unreachable!("fold is only called with constant inputs"),
-        })
-        .collect();
-    let node = g.try_add(kind.clone(), &ids).ok()?;
-    let mut sess = Session::new(g, Device::cpu(1));
-    sess.run1(node, &[]).ok()
-}
-
-/// Optimizes `g`, preserving the behavior of every node in `keep` (and,
-/// transitively, the side effects of stateful ops they depend on).
-///
-/// # Panics
-///
-/// Panics if a kept id does not belong to `g`.
-pub fn optimize(g: &Graph, keep: &[NodeId]) -> OptimizedGraph {
-    let mut stats = OptimizeStats { original_nodes: g.len(), ..OptimizeStats::default() };
-    let needed = reachable(g, keep);
-
-    let mut out = Graph::new();
-    let mut map: Vec<Option<NodeId>> = vec![None; g.len()];
-    let mut cse: HashMap<String, NodeId> = HashMap::new();
-
-    for (id, node) in g.iter() {
-        if !needed[id.index()] {
-            stats.dead_removed += 1;
-            continue;
-        }
-        let inputs: Vec<NodeId> = node
-            .inputs
-            .iter()
-            .map(|i| map[i.index()].expect("inputs precede outputs"))
-            .collect();
-
-        // Identity elimination.
-        if matches!(node.kind, OpKind::Identity | OpKind::StopGradient) {
-            stats.identities_removed += 1;
-            map[id.index()] = Some(inputs[0]);
-            continue;
-        }
-
-        // Constant folding.
-        let mut kind = node.kind.clone();
-        if is_pure(&kind)
-            && !matches!(kind, OpKind::Constant(_))
-            && !inputs.is_empty()
-            && inputs
-                .iter()
-                .all(|i| matches!(out.node(*i).kind, OpKind::Constant(_)))
-        {
-            let input_kinds: Vec<&OpKind> = inputs.iter().map(|i| &out.node(*i).kind).collect();
-            if let Some(folded) = fold(&kind, &input_kinds) {
-                stats.constants_folded += 1;
-                kind = OpKind::Constant(folded);
-            }
-        }
-
-        // CSE (covers folded results too, so equal constants merge).
-        let inputs_for_key = if matches!(kind, OpKind::Constant(_)) { Vec::new() } else { inputs.clone() };
-        if let Some(key) = cse_key(&kind, &inputs_for_key) {
-            if let Some(&existing) = cse.get(&key) {
-                stats.subexpressions_merged += 1;
-                map[id.index()] = Some(existing);
-                continue;
-            }
-            let new_inputs = if matches!(kind, OpKind::Constant(_)) { Vec::new() } else { inputs };
-            let new_id = out.add(kind, &new_inputs);
-            if let Some(name) = &node.name {
-                out.set_name(new_id, name.clone());
-            }
-            cse.insert(key, new_id);
-            map[id.index()] = Some(new_id);
-        } else {
-            let new_id = out.add(kind, &inputs);
-            if let Some(name) = &node.name {
-                out.set_name(new_id, name.clone());
-            }
-            map[id.index()] = Some(new_id);
-        }
-    }
-
-    stats.optimized_nodes = out.len();
-    OptimizedGraph { graph: out, map, stats }
-}
 
 /// What the fusion passes did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -556,155 +390,9 @@ pub fn fuse_gemm_epilogues(g: &mut Graph, keep: &[NodeId]) -> FusionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
+    use crate::exec::Session;
     use fathom_tensor::{Shape, Tensor};
-
-    #[test]
-    fn dead_code_is_removed() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(2));
-        let live = g.neg(x);
-        let dead_in = g.placeholder("unused", Shape::vector(3));
-        let _dead = g.exp(dead_in);
-        let opt = optimize(&g, &[live]);
-        assert_eq!(opt.stats.dead_removed, 2);
-        assert_eq!(opt.graph.len(), 2);
-        assert!(opt.remap(live).is_some());
-        assert!(opt.remap(dead_in).is_none());
-    }
-
-    #[test]
-    fn identities_are_spliced_out() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(2));
-        let i1 = g.add(OpKind::Identity, &[x]);
-        let i2 = g.stop_gradient(i1);
-        let y = g.neg(i2);
-        let opt = optimize(&g, &[y]);
-        assert_eq!(opt.stats.identities_removed, 2);
-        // Only the placeholder and the Neg remain.
-        assert_eq!(opt.graph.len(), 2);
-        // The Neg's input is the placeholder directly.
-        let new_y = opt.remap(y).unwrap();
-        let new_x = opt.remap(x).unwrap();
-        assert_eq!(opt.graph.node(new_y).inputs, vec![new_x]);
-    }
-
-    #[test]
-    fn constants_fold() {
-        let mut g = Graph::new();
-        let a = g.constant(Tensor::from(vec![1.0, 2.0]));
-        let b = g.constant(Tensor::from(vec![3.0, 4.0]));
-        let sum = g.add_op(a, b);
-        let x = g.placeholder("x", Shape::vector(2));
-        let y = g.mul(sum, x);
-        let opt = optimize(&g, &[y]);
-        assert_eq!(opt.stats.constants_folded, 1);
-        let new_y = opt.remap(y).unwrap();
-        let folded_input = opt.graph.node(new_y).inputs[0];
-        match &opt.graph.node(folded_input).kind {
-            OpKind::Constant(t) => assert_eq!(t.data(), &[4.0, 6.0]),
-            other => panic!("expected folded constant, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn folding_cascades() {
-        // (1 + 2) * 3 folds all the way to a single constant.
-        let mut g = Graph::new();
-        let one = g.constant(Tensor::scalar(1.0));
-        let two = g.constant(Tensor::scalar(2.0));
-        let three = g.constant(Tensor::scalar(3.0));
-        let sum = g.add_op(one, two);
-        let product = g.mul(sum, three);
-        let opt = optimize(&g, &[product]);
-        assert_eq!(opt.stats.constants_folded, 2);
-        let new = opt.remap(product).unwrap();
-        match &opt.graph.node(new).kind {
-            OpKind::Constant(t) => assert_eq!(t.scalar_value(), 9.0),
-            other => panic!("expected constant, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn common_subexpressions_merge() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(4));
-        let s1 = g.square(x);
-        let s2 = g.square(x); // duplicate
-        let sum = g.add_op(s1, s2);
-        let opt = optimize(&g, &[sum]);
-        assert_eq!(opt.stats.subexpressions_merged, 1);
-        assert_eq!(opt.remap(s1), opt.remap(s2));
-    }
-
-    #[test]
-    fn duplicate_constants_merge_but_different_ones_do_not() {
-        let mut g = Graph::new();
-        let a = g.constant(Tensor::scalar(2.0));
-        let b = g.constant(Tensor::scalar(2.0));
-        let c = g.constant(Tensor::scalar(3.0));
-        let ab = g.add_op(a, b);
-        let abc = g.add_op(ab, c);
-        let opt = optimize(&g, &[abc]);
-        // a and b merge; everything then folds into one constant.
-        assert_eq!(opt.remap(a), opt.remap(b));
-        assert_ne!(opt.remap(a), opt.remap(c));
-    }
-
-    #[test]
-    fn random_ops_are_never_merged() {
-        let mut g = Graph::new();
-        let r1 = g.random_normal([4]);
-        let r2 = g.random_normal([4]);
-        let sum = g.add_op(r1, r2);
-        let opt = optimize(&g, &[sum]);
-        assert_eq!(opt.stats.subexpressions_merged, 0);
-        assert_ne!(opt.remap(r1), opt.remap(r2));
-    }
-
-    #[test]
-    fn variables_are_never_merged_or_folded() {
-        let mut g = Graph::new();
-        let v1 = g.variable("a", Tensor::scalar(1.0));
-        let v2 = g.variable("b", Tensor::scalar(1.0));
-        let sum = g.add_op(v1, v2);
-        let opt = optimize(&g, &[sum]);
-        assert_ne!(opt.remap(v1), opt.remap(v2));
-        assert_eq!(opt.stats.constants_folded, 0);
-        // Variable initial values survive the rewrite.
-        let new_graph = opt.graph.clone();
-        assert_eq!(new_graph.variables().len(), 2);
-    }
-
-    #[test]
-    fn optimized_graph_computes_identical_values() {
-        use crate::grad::gradients;
-        use fathom_tensor::Rng;
-        // A training-shaped graph with gradients: optimize and compare.
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::matrix(3, 4));
-        let mut rng = Rng::seeded(5);
-        let w = g.variable("w", Tensor::randn([4, 2], 0.0, 1.0, &mut rng));
-        let y = g.matmul(x, w);
-        let act = g.tanh(y);
-        let loss = g.sum_all(act);
-        let grads = gradients(&mut g, loss, &[w]);
-        let opt = optimize(&g, &[loss, grads[0]]);
-        assert!(opt.graph.len() < g.len(), "optimizer should shrink a grad graph");
-
-        let x_val = Tensor::randn([3, 4], 0.0, 1.0, &mut rng);
-        let mut original = Session::new(g, Device::cpu(1));
-        let mut rewritten = Session::new(opt.graph.clone(), Device::cpu(1));
-        let a = original.run(&[loss, grads[0]], &[(x, x_val.clone())]).unwrap();
-        let b = rewritten
-            .run(
-                &[opt.remap(loss).unwrap(), opt.remap(grads[0]).unwrap()],
-                &[(opt.remap(x).unwrap(), x_val)],
-            )
-            .unwrap();
-        assert_eq!(a[0], b[0]);
-        assert!(a[1].max_abs_diff(&b[1]) < 1e-6);
-    }
 
     fn bitwise_eq(a: &Tensor, b: &Tensor) -> bool {
         a.shape() == b.shape()
@@ -975,23 +663,5 @@ mod tests {
         let want = a.run1(y, &[(x, x_val.clone())]).unwrap();
         let got = f.run1(y, &[(x, x_val)]).unwrap();
         assert!(bitwise_eq(&want, &got));
-    }
-
-    #[test]
-    fn stats_add_up() {
-        let mut g = Graph::new();
-        let x = g.placeholder("x", Shape::vector(2));
-        let i = g.add(OpKind::Identity, &[x]);
-        let s1 = g.square(i);
-        let s2 = g.square(i);
-        let keep = g.add_op(s1, s2);
-        let _dead = g.exp(x);
-        let opt = optimize(&g, &[keep]);
-        let s = opt.stats;
-        assert_eq!(s.original_nodes, 6);
-        assert_eq!(s.dead_removed, 1);
-        assert_eq!(s.identities_removed, 1);
-        assert_eq!(s.subexpressions_merged, 1);
-        assert_eq!(s.optimized_nodes, 3); // x, square, add
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based tests for the dataflow runtime: randomly composed
-//! graphs must satisfy autodiff correctness (vs finite differences),
-//! shape-inference consistency, and optimizer-rewrite equivalence.
+//! graphs must satisfy autodiff correctness (vs finite differences) and
+//! shape-inference consistency.
 
 use fathom_dataflow::grad::gradients;
-use fathom_dataflow::optimize::optimize;
 use fathom_dataflow::{Device, Graph, NodeId, Session};
 use fathom_tensor::{Rng, Shape, Tensor};
 use proptest::prelude::*;
@@ -111,33 +110,6 @@ proptest! {
         let mut sess = Session::new(g, Device::cpu(1));
         let out = sess.run1(reduced, &[(x, Tensor::ones([rows, cols]))]).unwrap();
         prop_assert_eq!(out.shape(), &expected);
-    }
-
-    /// The graph optimizer never changes computed values.
-    #[test]
-    fn optimizer_preserves_values(
-        chain in proptest::collection::vec(unary_choice(), 1..5),
-        cols in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let (mut g, x, loss) = chain_graph(&chain, cols, seed);
-        let grads = gradients(&mut g, loss, &[x]);
-        let opt = optimize(&g, &[loss, grads[0]]);
-        prop_assert!(opt.graph.len() <= g.len());
-
-        let mut rng = Rng::seeded(seed ^ 0xBEEF);
-        let x_val = Tensor::rand_uniform([2, cols], 0.2, 1.2, &mut rng);
-        let mut s1 = Session::new(g, Device::cpu(1));
-        let mut s2 = Session::new(opt.graph.clone(), Device::cpu(1));
-        let before = s1.run(&[loss, grads[0]], &[(x, x_val.clone())]).unwrap();
-        let after = s2
-            .run(
-                &[opt.remap(loss).unwrap(), opt.remap(grads[0]).unwrap()],
-                &[(opt.remap(x).unwrap(), x_val)],
-            )
-            .unwrap();
-        prop_assert_eq!(&before[0], &after[0]);
-        prop_assert!(before[1].max_abs_diff(&after[1]) < 1e-6);
     }
 
     /// SGD with a small enough rate never increases a convex quadratic

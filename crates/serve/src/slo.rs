@@ -93,8 +93,8 @@ pub struct SloMix {
 }
 
 impl SloMix {
-    /// Half interactive, 30% standard, 20% batch — the headline mixed
-    /// scenario in `BENCH_serve.json`.
+    /// Half interactive, 30% standard, 20% batch — the mix a
+    /// `ClusterConfig` starts with.
     pub fn default_mix() -> Self {
         SloMix { weights: [0.5, 0.3, 0.2] }
     }

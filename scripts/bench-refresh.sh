@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates the six committed BENCH_*.json ablations from one command
+# Regenerates the three committed BENCH_*.json ablations from one command
 # on one host, at one effort:
 #
 #   scripts/bench-refresh.sh
@@ -16,7 +16,7 @@ export FATHOM_WARMUP=1
 export FATHOM_STEPS=4
 export FATHOM_REPEATS=5
 
-for bench in ablation_runtime ablation_fusion ablation_precision ablation_recovery gemm_scaling serve_latency; do
+for bench in ablation_runtime ablation_precision gemm_scaling; do
   echo "== ${bench} (warmup ${FATHOM_WARMUP}, steps ${FATHOM_STEPS}, repeats ${FATHOM_REPEATS})"
   cargo bench -q -p fathom-bench --bench "${bench}"
 done

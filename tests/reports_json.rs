@@ -7,7 +7,7 @@
 //! (which the writer degrades to `null`), raw control characters inside
 //! strings and escapes JSON does not define.
 
-use fathom_bench::experiments::{fusion, gemm, precision, recovery, runtime, serve as serve_sweep};
+use fathom_bench::experiments::{gemm, precision, runtime};
 use fathom_bench::measure::Spread;
 use fathom_bench::Effort;
 use fathom_suite::fathom::train::{RetryPolicy, TrainOutcome, TrainReport, TripEvent};
@@ -20,6 +20,7 @@ use fathom_suite::fathom_serve::{
 };
 use fathom_suite::fathom_tensor::{Rng, Tensor};
 use proptest::prelude::*;
+use std::path::Path;
 
 /// A minimal JSON validator: returns `Err` with a position on the first
 /// syntax violation. Accepts exactly the grammar of RFC 8259, which bare
@@ -418,17 +419,6 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
             coscheduled_ops: 9,
         },
     };
-    let fusion_row = fusion::FusionRow {
-        workload: "memnet",
-        fused_groups: 2,
-        gemm_groups: 3,
-        nodes_unfused: 100,
-        nodes_fused: 90,
-        ms_unfused: ms(10.0, 0.4),
-        ms_fused: ms(8.0, 0.2),
-        class_c: (0.30, 0.25),
-        class_g: (0.20, 0.21),
-    };
     let precision_row = precision::PrecisionRow {
         workload: "memnet",
         gemm: [64, 128, 256],
@@ -437,18 +427,6 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
         step_ms_f32: ms(10.0, 1.0),
         step_ms_bf16: ms(8.0, 0.5),
         bf16_dev: f64::INFINITY,
-    };
-    let recovery_row = recovery::RecoveryRow {
-        workload: "autoenc",
-        steps: 4,
-        cadence: 1,
-        step_ms: ms(1.0, 0.1),
-        guarded_step_ms: ms(1.1, 0.1),
-        guard_overhead_pct: ms(10.0, 12.5),
-        snapshot_overhead_pct: ms(3.0, 0.5),
-        snapshot_bytes: 2048,
-        save_ms: ms(0.2, 0.01),
-        load_ms: ms(0.4, 0.02),
     };
     let class_sweep = gemm::ClassSweep { workload: "memnet", times: [[ms(1.0, 0.5); 7]; gemm::THREADS.len()] };
     let point = gemm::GeometryPoint {
@@ -459,15 +437,6 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
         transpose_b: false,
         rows_ms: ms(4.0, 0.2),
         packed_ms: ms(2.0, 0.1),
-    };
-    let serve_point = serve_sweep::ServePoint {
-        workload: "memnet",
-        max_batch: 4,
-        throughput_rps: ms(123.4, 5.0),
-        p50_ms: ms(1.0, 0.1),
-        p99_ms: ms(2.0, 0.3),
-        mean_batch: ms(3.5, 0.0),
-        completed: 32,
     };
 
     vec![
@@ -490,22 +459,6 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
             ],
         ),
         (
-            "ablation_fusion",
-            fusion::document(&[fusion_row], &effort),
-            vec![
-                ("geomean_speedup", fixed(1.25, 3)),
-                ("workloads.0.gemm_groups", int(3)),
-                ("workloads.0.nodes_per_step.fused", int(90)),
-                ("workloads.0.node_reduction", fixed(0.1, 4)),
-                ("workloads.0.step_ms.unfused", fixed(10.0, 4)),
-                ("workloads.0.step_ms.fused", fixed(8.0, 4)),
-                ("workloads.0.step_ms_iqr.fused", fixed(0.2, 4)),
-                ("workloads.0.speedup", fixed(1.25, 3)),
-                ("workloads.0.class_c_share.unfused", fixed(0.3, 4)),
-                ("workloads.0.class_c_share.fused", fixed(0.25, 4)),
-            ],
-        ),
-        (
             "ablation_precision",
             precision::document(&[precision_row], &effort),
             vec![
@@ -522,20 +475,6 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
             ],
         ),
         (
-            "ablation_recovery",
-            recovery::document(&[recovery_row], &effort),
-            vec![
-                ("workloads.0.name", "autoenc".into()),
-                ("workloads.0.step_ms", fixed(1.0, 4)),
-                ("workloads.0.guarded_step_ms", fixed(1.1, 4)),
-                ("workloads.0.guard_overhead_pct", fixed(10.0, 2)),
-                ("workloads.0.guard_overhead_pct_iqr", fixed(12.5, 2)),
-                ("workloads.0.snapshot_overhead_pct", fixed(3.0, 2)),
-                ("workloads.0.snapshot_bytes", int(2048)),
-                ("workloads.0.load_ms_iqr", fixed(0.02, 4)),
-            ],
-        ),
-        (
             "gemm_scaling",
             gemm::document(&[class_sweep], &[point], &effort),
             vec![
@@ -548,20 +487,6 @@ fn bench_documents() -> Vec<(&'static str, Json, Expected)> {
                 ("geometries.0.shape", "512x512x512 nn".into()),
                 ("geometries.0.packed_ms_iqr", fixed(0.1, 4)),
                 ("geometries.0.speedup", fixed(2.0, 3)),
-            ],
-        ),
-        (
-            "serve_latency",
-            serve_sweep::document(&[serve_point], Some(Json::obj().with("shards", 2u64)), &effort),
-            vec![
-                ("batch_sizes", Json::arr(serve_sweep::BATCH_SIZES)),
-                ("points.0.workload", "memnet".into()),
-                ("points.0.throughput_rps", fixed(123.4, 3)),
-                ("points.0.throughput_rps_iqr", fixed(5.0, 3)),
-                ("points.0.p99_ms", fixed(2.0, 3)),
-                ("points.0.mean_batch", fixed(3.5, 2)),
-                ("points.0.completed", int(32)),
-                ("cluster.shards", int(2)),
             ],
         ),
     ]
@@ -583,9 +508,78 @@ fn bench_documents_share_the_envelope_and_carry_their_values() {
         }
         assert_round_trips(experiment, &doc.render());
     }
-    // Without a cluster scenario the serve document has no such member.
-    let Json::Obj(members) = serve_sweep::document(&[], None, &Effort::quick()) else { unreachable!() };
-    assert!(members.iter().all(|(key, _)| key != "cluster"));
+}
+
+/// The `[[bench]]` targets of `crates/bench/Cargo.toml`.
+fn bench_targets(root: &Path) -> Vec<String> {
+    let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).expect("bench manifest");
+    manifest
+        .split("[[bench]]")
+        .skip(1)
+        .map(|entry| {
+            let name = entry.trim_start().strip_prefix("name = \"").expect("a [[bench]] starts with its name");
+            name[..name.find('"').expect("a quoted name")].to_owned()
+        })
+        .collect()
+}
+
+/// Every name a document hands to `--bench`; a placeholder such as
+/// `<name>` or `"${bench}"` is not a name.
+fn bench_flags(text: &str) -> Vec<&str> {
+    text.split("--bench ")
+        .skip(1)
+        .map(|rest| &rest[..rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).unwrap_or(rest.len())])
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// The commands that name a bench target, the refresh script that
+/// regenerates the `BENCH_*.json` documents and the documents themselves
+/// all agree with the bench manifest, so deleting a target leaves no
+/// stale name or orphaned document behind.
+#[test]
+fn every_named_bench_target_and_bench_document_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let targets = bench_targets(root);
+    assert!(targets.iter().any(|t| t == "gemm_scaling"), "{targets:?}");
+    let mut commands = 0;
+    for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        for name in bench_flags(&text) {
+            commands += 1;
+            assert!(targets.iter().any(|t| t == name), "{doc} runs `--bench {name}`, which is not a [[bench]]");
+        }
+    }
+    assert!(commands > 0, "the documents name no bench target");
+
+    let script = std::fs::read_to_string(root.join("scripts/bench-refresh.sh")).expect("bench-refresh.sh");
+    let refreshed: Vec<&str> = script
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("for bench in "))
+        .and_then(|list| list.strip_suffix("; do"))
+        .expect("bench-refresh.sh loops `for bench in ...; do`")
+        .split_whitespace()
+        .collect();
+    assert!(!refreshed.is_empty());
+    for name in &refreshed {
+        assert!(targets.iter().any(|t| t == name), "bench-refresh.sh runs {name}, which is not a [[bench]]");
+    }
+
+    let mut documents = 0;
+    for entry in std::fs::read_dir(root).expect("repository root") {
+        let path = entry.expect("a directory entry").path();
+        let file = path.file_name().and_then(|f| f.to_str()).unwrap_or_default();
+        if !(file.starts_with("BENCH_") && file.ends_with(".json")) {
+            continue;
+        }
+        documents += 1;
+        let text = std::fs::read_to_string(&path).expect(file);
+        assert!(
+            refreshed.iter().any(|name| text.contains(&format!("\"experiment\": \"{name}\""))),
+            "{file} was not written by any bench that bench-refresh.sh runs ({refreshed:?})"
+        );
+    }
+    assert_eq!(documents, refreshed.len(), "one BENCH_*.json per refreshed bench");
 }
 
 /// A random tree: depth at most 4, strings and keys from a set with

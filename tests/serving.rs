@@ -251,12 +251,14 @@ fn a_replica_crash_mid_run_loses_no_accepted_requests() {
     let shapes = w0.item_shapes();
     let domains = w0.domains();
 
-    // Replica 0 crashes on its second batch; the supervisor must retry
+    // Replica 0 crashes on its first batch; the supervisor must retry
     // that batch on replica 1 (or on replica 0 once recovered) so the
-    // closed loop still resolves every request it issued.
+    // closed loop still resolves every request it issued. Dispatch
+    // visits idle replicas in index order, so at t = 0 replica 0 takes
+    // the first batch whatever the service times are.
     let plan = Arc::new(FaultPlan::new(9).with(
         FaultSite::ServeBatch { replica: 0 },
-        1,
+        0,
         FaultAction::Crash,
     ));
     let mut r0 = FaultyRunner::new(w0, plan.clone(), 0);
