@@ -257,11 +257,12 @@ fn print_cluster_report(report: &ClusterReport) {
         report.makespan_nanos as f64 / 1e6
     );
     let latency = report.latency();
+    let [p50, p95, p99] = latency.quantiles([0.50, 0.95, 0.99]);
     println!(
         "latency ms: p50 {:.3}  p95 {:.3}  p99 {:.3}  max {:.3}",
-        ms(latency.quantile(0.50)),
-        ms(latency.quantile(0.95)),
-        ms(latency.quantile(0.99)),
+        ms(p50),
+        ms(p95),
+        ms(p99),
         ms(latency.max()),
     );
     for class in SloClass::ALL {
@@ -269,6 +270,7 @@ fn print_cluster_report(report: &ClusterReport) {
         if c.issued == 0 {
             continue;
         }
+        let [p50, p99] = c.latency.quantiles([0.50, 0.99]);
         println!(
             "  {:<12} issued {:>5}  completed {:>5}  shed {:>4}  timed-out {:>4}  \
              p50 {:.3} ms  p99 {:.3} ms",
@@ -277,8 +279,8 @@ fn print_cluster_report(report: &ClusterReport) {
             c.completed,
             c.shed,
             c.timed_out,
-            ms(c.latency.quantile(0.50)),
-            ms(c.latency.quantile(0.99)),
+            ms(p50),
+            ms(p99),
         );
     }
     for m in &report.models {

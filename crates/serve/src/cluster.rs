@@ -515,49 +515,80 @@ fn failure_verdict(
     }
 }
 
+/// One model's open-loop Poisson process, drawn one arrival at a time
+/// as the loop consumes it.
+struct Poisson {
+    rng: Rng,
+    /// Virtual time of the last arrival drawn, nanoseconds.
+    t: f64,
+    rps: f64,
+    /// End of the arrival window, nanoseconds.
+    end: f64,
+}
+
+impl Poisson {
+    /// The next arrival, or `None` once the window has closed (the
+    /// stream is not drawn from again after that).
+    fn next(&mut self) -> Option<u64> {
+        // Exponential inter-arrival; 1 - uniform() keeps ln() off 0.
+        self.t += -(1.0 - self.rng.uniform() as f64).ln() / self.rps * 1e9;
+        (self.t < self.end).then_some(self.t as u64)
+    }
+}
+
 /// The load offered to one run of the loop: the arrivals scheduled so
-/// far, earliest first, and — closed loop only — how many more the
-/// clients will issue, one per resolved request.
+/// far, earliest first, and how more are made. In an open loop each
+/// model's Poisson stream keeps its next arrival in the heap and draws
+/// the one after when it pops; in a closed loop the clients issue again,
+/// one per resolved request, until the budget is spent.
 #[derive(Default)]
 struct Arrivals {
     /// `(virtual time, model)`. Ties pop in model order; arrivals of one
     /// model at one instant are interchangeable (ids are given out as
     /// they pop).
     due: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Requests a closed loop has yet to issue. Zero in an open loop,
-    /// whose whole trace is laid out before the run.
+    /// Open loop: model `m`'s Poisson stream at index `m`; `due` holds
+    /// at most one pending arrival per stream. Empty in a closed loop.
+    streams: Vec<Poisson>,
+    /// Requests a closed loop has yet to issue. Zero in an open loop.
     budget: usize,
 }
 
 impl Arrivals {
-    /// Lays out `model`'s open-loop trace: a Poisson process at `rps`
-    /// over `duration_nanos` of virtual time, drawn from `rng`.
+    /// An open loop: model `m` arrives as a Poisson process at `rates[m]`
+    /// over `duration_nanos` of virtual time, drawn from its own stream
+    /// seeded from `seed` and `m`. Every model's times are
+    /// non-decreasing, so popping one arrival at a time per model gives
+    /// the `(time, model)` order of the whole trace laid out at once.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Unservable`] unless `rps` is finite and
-    /// positive (any other rate never reaches the end of the window).
-    fn poisson(
-        &mut self,
-        rng: &mut Rng,
-        model: usize,
-        rps: f64,
+    /// Returns [`ServeError::Unservable`] unless every rate is finite
+    /// and positive (any other rate never reaches the end of the window).
+    fn open(
+        rates: impl IntoIterator<Item = f64>,
+        seed: u64,
         duration_nanos: u64,
-    ) -> Result<(), ServeError> {
-        if !(rps.is_finite() && rps > 0.0) {
-            return Err(ServeError::Unservable(format!(
-                "open-loop load needs a finite positive rate, got {rps}"
-            )));
-        }
-        let mut t = 0.0f64;
-        loop {
-            // Exponential inter-arrival; 1 - uniform() keeps ln() off 0.
-            t += -(1.0 - rng.uniform() as f64).ln() / rps * 1e9;
-            if t >= duration_nanos as f64 {
-                return Ok(());
+    ) -> Result<Self, ServeError> {
+        let mut arrivals = Arrivals::default();
+        for (m, rps) in rates.into_iter().enumerate() {
+            if !(rps.is_finite() && rps > 0.0) {
+                return Err(ServeError::Unservable(format!(
+                    "open-loop load needs a finite positive rate, got {rps}"
+                )));
             }
-            self.due.push(Reverse((t as u64, model)));
+            let mut stream = Poisson {
+                rng: Rng::seeded(seed ^ (0x9E37_79B9 + m as u64)),
+                t: 0.0,
+                rps,
+                end: duration_nanos as f64,
+            };
+            if let Some(t) = stream.next() {
+                arrivals.due.push(Reverse((t, m)));
+            }
+            arrivals.streams.push(stream);
         }
+        Ok(arrivals)
     }
 
     /// A closed loop over `models` models: `clients` callers, client `i`
@@ -577,7 +608,7 @@ impl Arrivals {
         let first = clients.min(requests);
         // `max(1)`: an empty fleet is refused by the loop, not here.
         let due = (0..first).map(|i| Reverse((0, i % models.max(1)))).collect();
-        Ok(Arrivals { due, budget: requests - first })
+        Ok(Arrivals { due, streams: Vec::new(), budget: requests - first })
     }
 
     /// `n` requests of `model` resolved (completed, shed, timed out or
@@ -588,6 +619,24 @@ impl Arrivals {
         for _ in 0..again {
             self.due.push(Reverse((at, model)));
         }
+    }
+
+    /// Time of the earliest pending arrival.
+    fn next_at(&self) -> Option<u64> {
+        self.due.peek().map(|Reverse((t, _))| *t)
+    }
+
+    /// Takes the earliest arrival due by `now` as `(time, model)`; in an
+    /// open loop its model's stream draws the one after.
+    fn pop_due(&mut self, now: u64) -> Option<(u64, usize)> {
+        if self.next_at()? > now {
+            return None;
+        }
+        let Reverse((at, m)) = self.due.pop()?;
+        if let Some(t) = self.streams.get_mut(m).and_then(Poisson::next) {
+            self.due.push(Reverse((t, m)));
+        }
+        Some((at, m))
     }
 }
 
@@ -619,16 +668,7 @@ pub fn serve_cluster(
 ) -> Result<ClusterReport, ServeError> {
     let arrivals = match cfg.closed_loop {
         Some(closed) => Arrivals::closed(closed, models.len())?,
-        None => {
-            // One Poisson trace per model; the heap merges them into one
-            // deterministic timeline.
-            let mut arrivals = Arrivals::default();
-            for (m, spec) in models.iter().enumerate() {
-                let mut rng = Rng::seeded(cfg.seed ^ (0x9E37_79B9 + m as u64));
-                arrivals.poisson(&mut rng, m, spec.rps, cfg.duration_nanos)?;
-            }
-            arrivals
-        }
+        None => Arrivals::open(models.iter().map(|s| s.rps), cfg.seed, cfg.duration_nanos)?,
     };
     run(models, cfg, arrivals, Rng::seeded(cfg.seed))
 }
@@ -814,8 +854,7 @@ fn run(
 
         // 3. Arrivals due now: route, then admit or shed. A shed
         // closed-loop client tries again at once.
-        while arrivals.due.peek().is_some_and(|Reverse((t, _))| *t <= now) {
-            let Some(Reverse((at, m))) = arrivals.due.pop() else { break };
+        while let Some((at, m)) = arrivals.pop_due(now) {
             let id = next_id;
             next_id += 1;
             let class = cfg.mix.draw(&mut rng);
@@ -1055,7 +1094,7 @@ fn run(
         let any_active = reps.iter().flatten().flatten().any(|rep| {
             matches!(rep.state, RepState::Busy { .. } | RepState::Reloading { .. })
         });
-        if arrivals.due.is_empty() && !any_queued && !any_active {
+        if arrivals.next_at().is_none() && !any_queued && !any_active {
             break;
         }
 
@@ -1067,8 +1106,8 @@ fn run(
             let t = t.max(now.saturating_add(1));
             next = Some(next.map_or(t, |n: u64| n.min(t)));
         };
-        if let Some(Reverse((t, _))) = arrivals.due.peek() {
-            consider(*t);
+        if let Some(t) = arrivals.next_at() {
+            consider(t);
         }
         for rep in reps.iter().flatten().flatten() {
             match rep.state {
@@ -1116,7 +1155,8 @@ fn run(
     }
 
     // Cross-shard aggregation: shard histograms merge into the model's
-    // per-class stats, which merge into the cluster's.
+    // per-class stats (each shard sample copied once), which merge into
+    // the cluster's by sharing the model's sample runs.
     for (m, model_shards) in shards.iter().enumerate() {
         for shard in model_shards {
             for class in SloClass::ALL {
@@ -1837,5 +1877,84 @@ mod tests {
         assert!(alpha.issued() > 0 && beta.issued() > 0);
         assert!(r.models.iter().all(|m| m.batches > 0));
         assert_eq!(r.to_json(), run().0.to_json(), "same seed, same bytes");
+    }
+
+    /// The open-loop trace as it was laid out before the run: every
+    /// model's whole Poisson process pushed into one heap up front, then
+    /// popped in `(time, model)` order.
+    fn laid_out(rates: &[f64], seed: u64, duration_nanos: u64) -> Vec<(u64, usize)> {
+        let mut due = BinaryHeap::new();
+        for (m, &rps) in rates.iter().enumerate() {
+            let mut rng = Rng::seeded(seed ^ (0x9E37_79B9 + m as u64));
+            let mut t = 0.0f64;
+            loop {
+                t += -(1.0 - rng.uniform() as f64).ln() / rps * 1e9;
+                if t >= duration_nanos as f64 {
+                    break;
+                }
+                due.push(Reverse((t as u64, m)));
+            }
+        }
+        std::iter::from_fn(|| due.pop().map(|Reverse(a)| a)).collect()
+    }
+
+    #[test]
+    fn lazy_arrivals_pop_the_laid_out_trace() {
+        // Zipf-like rates, a model that draws nothing inside the window
+        // (1e-3 rps over 50 ms), and a window short enough at 4e9 rps
+        // that many arrivals share a nanosecond, within and across
+        // models.
+        let cases: [(&[f64], u64); 4] = [
+            (&[3000.0, 1500.0, 1000.0, 750.0], 50_000_000),
+            (&[400.0, 1e-3, 900.0], 50_000_000),
+            (&[1e-3], 50_000_000),
+            (&[4e9, 2e9, 4e9], 2_000),
+        ];
+        for (rates, duration) in cases {
+            for seed in [1, 7, 42] {
+                let oracle = laid_out(rates, seed, duration);
+                let mut arrivals = Arrivals::open(rates.iter().copied(), seed, duration).unwrap();
+                let mut lazy = Vec::new();
+                while let Some(a) = arrivals.pop_due(u64::MAX) {
+                    assert!(arrivals.due.len() <= rates.len(), "one pending arrival per model");
+                    lazy.push(a);
+                }
+                assert_eq!(lazy, oracle, "rates {rates:?}, seed {seed}");
+            }
+        }
+        let ties = laid_out(&[4e9, 2e9, 4e9], 7, 2_000);
+        assert!(ties.windows(2).any(|w| w[0].0 == w[1].0), "the last case exercises ties");
+        assert!(laid_out(&[1e-3], 7, 50_000_000).is_empty());
+        // Nothing pops before it is due.
+        let mut arrivals = Arrivals::open([1000.0], 7, 50_000_000).unwrap();
+        let first = arrivals.next_at().unwrap();
+        assert_eq!(arrivals.pop_due(first - 1), None);
+        assert_eq!(arrivals.pop_due(first), Some((first, 0)));
+    }
+
+    #[test]
+    fn cluster_histograms_hold_no_sample_of_their_own() {
+        let mut a0 = FakeRunner::new(4, 2_000_000.0);
+        let mut a1 = FakeRunner::new(4, 2_000_000.0);
+        let mut b0 = FakeRunner::new(4, 1_000_000.0);
+        let mut models = vec![
+            spec("alpha", vec![vec![&mut a0], vec![&mut a1]], 300.0),
+            spec("beta", vec![vec![&mut b0]], 500.0),
+        ];
+        let cfg = ClusterConfig { duration_nanos: 300_000_000, ..ClusterConfig::new(4) };
+        let r = serve_cluster(&mut models, &cfg).expect("serves");
+        for class in SloClass::ALL {
+            let owners: Vec<&LatencyHistogram> =
+                r.models.iter().map(|m| &m.per_class[class.idx()].latency).collect();
+            let cluster = &r.per_class[class.idx()].latency;
+            assert!(cluster.count() > 0, "{}: every class completes work", class.name());
+            assert_eq!(cluster.count(), owners.iter().map(|h| h.count()).sum::<usize>());
+            assert!(cluster.held_by(&owners), "{}: cluster samples are the models'", class.name());
+        }
+        let owners: Vec<&LatencyHistogram> =
+            r.models.iter().flat_map(|m| m.per_class.iter().map(|c| &c.latency)).collect();
+        let all = r.latency();
+        assert_eq!(all.count() as u64, r.completed());
+        assert!(all.held_by(&owners), "the whole-run histogram copies nothing");
     }
 }

@@ -9,14 +9,40 @@
 //! document that can be dropped next to the other `BENCH_*.json`
 //! artifacts and diffed across runs.
 
+use std::sync::Arc;
+
 use fathom_dataflow::Json;
 
-/// An exact-quantile latency recorder. Samples are kept raw (a serving
-/// run records at most a few thousand requests), so percentiles are
-/// computed from the sorted data rather than from bucket midpoints.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// An exact-quantile latency recorder. Samples are kept raw, so
+/// percentiles are computed from the sorted data rather than from bucket
+/// midpoints.
+///
+/// A run records hundreds of thousands of samples and its report folds
+/// them twice (shard into model, model into cluster), so the samples sit
+/// in immutable shared runs plus one growing tail: [`record`] pushes to
+/// the tail, and [`merge`] freezes the receiver's tail into a run and
+/// shares the other histogram's runs by reference. Only tails are ever
+/// copied, at exact length, so a sample recorded by a shard is copied
+/// once into its model's report and held once however many reports fold
+/// it. Insertion order is kept, so [`mean`] sums in the order the
+/// samples were recorded and merged; two histograms are equal when they
+/// hold the same sample sequence.
+///
+/// [`record`]: LatencyHistogram::record
+/// [`merge`]: LatencyHistogram::merge
+/// [`mean`]: LatencyHistogram::mean
+#[derive(Debug, Clone, Default)]
 pub struct LatencyHistogram {
-    samples: Vec<f64>,
+    /// Frozen samples, shared with every histogram they were merged into.
+    runs: Vec<Arc<[f64]>>,
+    /// Samples recorded since the last freeze.
+    tail: Vec<f64>,
+}
+
+impl PartialEq for LatencyHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.count() == other.count() && self.samples().eq(other.samples())
+    }
 }
 
 impl LatencyHistogram {
@@ -27,12 +53,17 @@ impl LatencyHistogram {
 
     /// Records one latency sample, in nanoseconds.
     pub fn record(&mut self, nanos: f64) {
-        self.samples.push(nanos);
+        self.tail.push(nanos);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.runs.iter().map(|r| r.len()).sum::<usize>() + self.tail.len()
+    }
+
+    /// Every sample in insertion order.
+    fn samples(&self) -> impl Iterator<Item = f64> + '_ {
+        self.runs.iter().flat_map(|r| r.iter()).chain(&self.tail).copied()
     }
 
     /// The `q`-quantile (`0.0..=1.0`) in nanoseconds, by the
@@ -50,12 +81,17 @@ impl LatencyHistogram {
         self.quantiles([q])[0]
     }
 
-    /// Several quantiles from one sort of the samples.
-    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
-        if self.samples.is_empty() {
+    /// Several quantiles from one sort of the samples, each as
+    /// [`quantile`](LatencyHistogram::quantile) would return it.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        let mut sorted = Vec::with_capacity(self.count());
+        for run in &self.runs {
+            sorted.extend_from_slice(run);
+        }
+        sorted.extend_from_slice(&self.tail);
+        if sorted.is_empty() {
             return [0.0; N];
         }
-        let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
         // `ceil` then clamp: the float-to-usize cast saturates (NaN to
         // 0), and the clamp keeps every pathological rank in bounds.
@@ -64,24 +100,43 @@ impl LatencyHistogram {
 
     /// Arithmetic mean in nanoseconds (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        let n = self.count();
+        if n == 0 {
             return 0.0;
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.samples().sum::<f64>() / n as f64
     }
 
     /// Largest sample in nanoseconds (0 when empty).
     pub fn max(&self) -> f64 {
-        self.samples.iter().cloned().fold(0.0, f64::max)
+        self.samples().fold(0.0, f64::max)
     }
 
-    /// Folds another histogram's samples into this one. Because samples
-    /// are kept raw, merging per-shard histograms yields exactly the
-    /// quantiles a single combined histogram would report — the property
-    /// the cluster report relies on for cross-shard aggregation (covered
-    /// by `tests/metrics_properties.rs`).
+    /// Appends another histogram's samples after this one's. Because
+    /// samples are kept raw, merging per-shard histograms yields exactly
+    /// the quantiles a single combined histogram would report — the
+    /// property the cluster report relies on for cross-shard aggregation
+    /// (covered by `tests/metrics_properties.rs`). `other`'s runs are
+    /// shared, not copied; only its tail is copied, once, into a new run.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.samples.extend_from_slice(&other.samples);
+        if !self.tail.is_empty() {
+            let tail = std::mem::take(&mut self.tail);
+            self.runs.push(tail.into());
+        }
+        self.runs.extend(other.runs.iter().cloned());
+        if !other.tail.is_empty() {
+            self.runs.push(other.tail.as_slice().into());
+        }
+    }
+
+    /// True when every sample of `self` sits in a run that one of
+    /// `owners` holds too, so `self` adds no sample memory beside them.
+    #[cfg(test)]
+    pub(crate) fn held_by(&self, owners: &[&LatencyHistogram]) -> bool {
+        self.tail.is_empty()
+            && self.runs.iter().all(|r| {
+                owners.iter().flat_map(|o| &o.runs).any(|o| Arc::ptr_eq(r, o))
+            })
     }
 
     /// The `latency_ms` object of a report: quantiles, mean and max in

@@ -14,8 +14,73 @@ fn samples_and_shards() -> impl Strategy<Value = (Vec<f64>, Vec<usize>)> {
     })
 }
 
+/// Random latency samples plus cut points that split them into
+/// consecutive chunks (empty chunks included; there is always at least
+/// one chunk).
+fn samples_and_cuts() -> impl Strategy<Value = (Vec<f64>, Vec<usize>)> {
+    proptest::collection::vec(1.0f64..5e8, 0..200).prop_flat_map(|samples| {
+        let n = samples.len();
+        (Just(samples), proptest::collection::vec(0..n + 1, 0..6))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Consecutive chunks recorded into separate histograms and merged
+    /// in order are the one histogram that recorded the sequence
+    /// directly, sample for sample: equal, with every quantile and the
+    /// mean's bits exactly the same. Merging whole merged histograms
+    /// (a report folding its models' stats) keeps that too.
+    #[test]
+    fn in_order_merges_equal_direct_recording((samples, mut cuts) in samples_and_cuts()) {
+        let mut direct = LatencyHistogram::new();
+        for s in &samples {
+            direct.record(*s);
+        }
+        cuts.push(0);
+        cuts.push(samples.len());
+        cuts.sort_unstable();
+        let chunks: Vec<LatencyHistogram> = cuts
+            .windows(2)
+            .map(|w| {
+                let mut h = LatencyHistogram::new();
+                for s in &samples[w[0]..w[1]] {
+                    h.record(*s);
+                }
+                h
+            })
+            .collect();
+        let mut merged = LatencyHistogram::new();
+        for h in &chunks {
+            merged.merge(h);
+        }
+        // A receiver that recorded samples of its own before merging.
+        let mut recorded_then_merged = chunks[0].clone();
+        for h in &chunks[1..] {
+            recorded_then_merged.merge(h);
+        }
+        // Halves merged first, then folded together.
+        let half = chunks.len() / 2;
+        let fold = |hs: &[LatencyHistogram]| {
+            let mut m = LatencyHistogram::new();
+            for h in hs {
+                m.merge(h);
+            }
+            m
+        };
+        let mut nested = fold(&chunks[..half]);
+        nested.merge(&fold(&chunks[half..]));
+        for h in [&merged, &recorded_then_merged, &nested] {
+            prop_assert!(*h == direct);
+            prop_assert_eq!(h.count(), direct.count());
+            for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(h.quantile(q).to_bits(), direct.quantile(q).to_bits(), "quantile {}", q);
+            }
+            prop_assert_eq!(h.mean().to_bits(), direct.mean().to_bits());
+            prop_assert_eq!(h.max().to_bits(), direct.max().to_bits());
+        }
+    }
 
     /// Partition samples over up to four shards, merge the shard
     /// histograms, and compare every statistic against one combined

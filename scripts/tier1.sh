@@ -2,8 +2,9 @@
 # Tier-1 gate: everything a PR must keep green.
 #   build (release) -> integration tests -> crate unit tests -> lint
 #   (warnings are errors) -> docs -> the benchmark harness against the
-#   crates' API -> the three serving smokes through the binary's argument
-#   path -> the runtime protocols in release, oversubscribed
+#   crates' API -> the harness's own unit tests -> the three serving
+#   smokes through the binary's argument path -> the runtime protocols
+#   in release, oversubscribed
 #
 # Every property is stated once, as a test: bitwise serial == parallel,
 # fused == unfused, resumed == uninterrupted, batched == alone, the
@@ -45,6 +46,10 @@ stage doc env RUSTDOCFLAGS="-D warnings -A rustdoc::private_intra_doc_links" \
 # run. `--locked` keeps its lock file as it is.
 stage bench-api env CARGO_TARGET_DIR=.bench_build cargo check --offline --locked -q \
   --manifest-path benchmark/Cargo.toml --all-targets
+# Its own unit tests: the catalogue matches BENCHMARK.json, the
+# nearest-rank quantiles, the result object's shape.
+stage bench-unit env CARGO_TARGET_DIR=.bench_build cargo test --offline --locked -q \
+  --manifest-path benchmark/Cargo.toml
 
 # Serving smoke: the batcher, admission control, and report must survive a
 # real open-loop run end to end.
